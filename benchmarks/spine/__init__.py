@@ -1,0 +1,1 @@
+"""Measurement spine: the repo's end-to-end benchmark (see README.md)."""
