@@ -30,6 +30,7 @@ selftest:
 	$(PYTHON) benchmarks/bench_federation.py --selftest
 	$(PYTHON) benchmarks/bench_chaos.py --selftest
 	$(PYTHON) benchmarks/bench_simlint.py --selftest
+	$(PYTHON) benchmarks/spine/run.py --selftest
 
 test:
 	$(PYTHON) -m pytest -x -q

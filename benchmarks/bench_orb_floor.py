@@ -1,10 +1,11 @@
 """C1-gate — codec/dispatch fast-path floor (§2 R1, "lightweight").
 
 Assertion-only guard wired into ``make check``: it verifies that the
-three-tier codec machinery is actually engaged on the invocation path
-(generated source codecs handling the request/reply bodies) and that
-marshalling and invocation cost have not regressed past conservative
-floors.
+generated codec tier is actually engaged on the invocation path
+(generated source codecs handling the request/reply bodies, ``any``
+and object references included, with no generation bug hiding in an
+interpreter fallback) and that marshalling and invocation cost have
+not regressed past conservative floors.
 
 The floors are deliberately loose — this box shows 2-3x wall-clock
 noise between identical runs, so the gate sits well below the quiet
@@ -24,6 +25,7 @@ from bench_orb_micro import ECHO, SAMPLE, SAMPLE_TC, make_rig
 from repro.orb import codegen
 from repro.orb.cdr import CDREncoder
 from repro.orb.compiled import get_plan
+from repro.orb.typecodes import tc_any, tc_objref
 
 #: Conservative lower bounds; see module docstring for the rationale.
 MARSHAL_FLOOR_MB_S = 20.0
@@ -44,10 +46,12 @@ def _best_of(fn, repeats: int = 10) -> float:
 
 def selftest() -> int:
     plan = get_plan(SAMPLE_TC)
-    if plan.tier != "codegen":
-        print(f"FAIL: benchmark TypeCode compiled to tier {plan.tier!r}, "
-              f"expected 'codegen'")
-        return 1
+    for tc in (SAMPLE_TC, tc_any, tc_objref):
+        tier = get_plan(tc).tier
+        if tier != "codegen":
+            print(f"FAIL: {tc!r} compiled to tier {tier!r}, "
+                  f"expected 'codegen'")
+            return 1
 
     # -- marshal floor ---------------------------------------------------
     loops = 300
@@ -91,6 +95,10 @@ def selftest() -> int:
     if per_call_us > INVOCATION_CEIL_US:
         print(f"FAIL: invocation {per_call_us:.1f} us/call above ceiling "
               f"{INVOCATION_CEIL_US} us")
+        return 1
+    if after["errors"]:
+        print(f"FAIL: {after['errors']} codec generation error(s) fell "
+              f"back to the interpreter")
         return 1
 
     print(f"bench_orb_floor selftest ok: marshal {mbps:.1f} MB/s "

@@ -13,12 +13,14 @@ marshalling), object references (as stringified IORs), and a fast-path
 
 Two execution paths share this wire format:
 
-- :func:`encode_value` / :func:`decode_value` consult the compiled
-  codec-plan cache (:mod:`repro.orb.compiled`) — the hot path;
+- :func:`encode_value` / :func:`decode_value` consult the codec-plan
+  cache (:mod:`repro.orb.compiled`), which serves source-generated
+  codecs (:mod:`repro.orb.codegen`) — the hot path;
 - :func:`encode_value_interp` / :func:`decode_value_interp` walk the
   TypeCode graph directly — the reference interpreter, kept as the
-  fallback for ``Any`` payloads near the nesting limit and as the
-  ground truth the property tests compare the plans against.
+  nesting-limit enforcer (over-deep TypeCodes, ``Any`` payloads near
+  the limit) and as the ground truth the property tests compare the
+  generated codecs against.
 """
 
 from __future__ import annotations
@@ -261,8 +263,8 @@ _get_plan = None  # resolved lazily; avoids a circular import with compiled
 def encode_value(enc: CDREncoder, tc: TypeCode, value, _depth: int = 0) -> None:
     """CDR-encode *value* as type *tc* into *enc*.
 
-    Top-level calls (``_depth == 0``) run through the compiled codec
-    plan cache; nested calls stay on the reference interpreter.
+    Top-level calls (``_depth == 0``) run through the codec-plan cache
+    (generated codecs); nested calls stay on the reference interpreter.
     """
     if _depth:
         encode_value_interp(enc, tc, value, _depth)
@@ -275,7 +277,7 @@ def encode_value(enc: CDREncoder, tc: TypeCode, value, _depth: int = 0) -> None:
 
 
 def decode_value(dec: CDRDecoder, tc: TypeCode, _depth: int = 0):
-    """Decode a value of type *tc* from *dec* (compiled fast path)."""
+    """Decode a value of type *tc* from *dec* (generated fast path)."""
     if _depth:
         return decode_value_interp(dec, tc, _depth)
     global _get_plan

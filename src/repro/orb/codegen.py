@@ -1,16 +1,16 @@
-"""Generated-source CDR codecs: the third (fastest) marshalling tier.
+"""Generated-source CDR codecs: the ORB's marshalling fast path.
 
-Where :mod:`repro.orb.compiled` interprets a closure-based *plan* per
-TypeCode, this module emits actual Python source for a fused encoder
-and decoder, compiles it once with :func:`exec`, and hands the pair to
-the plan cache (``compiled.get_plan`` attaches it when the TypeCode is
-supported — see ``compiled._attach_codegen``).
+The interpreter in :mod:`repro.orb.cdr` walks the TypeCode graph on
+every encode/decode.  This module walks each TypeCode **once**, emits
+Python source for a fused encoder and decoder, compiles it with
+:func:`exec`, and hands the pair to the plan cache
+(``compiled.get_plan``).
 
-What the generated code buys over the plan tier:
+What the generated code buys over interpreting:
 
-- **no per-call plan walking**: member extraction, alignment residue
-  selection, struct.pack/unpack batching and value rebuilding are all
-  straight-line statements specialized to the one TypeCode;
+- **no per-call TypeCode walking**: member extraction, alignment
+  residue selection, struct.pack/unpack batching and value rebuilding
+  are all straight-line statements specialized to the one TypeCode;
 - **constant-folded alignment**: every fused run binds its 8
   per-residue Struct variants (``x`` pads standing in for alignment
   gaps) and selects by ``len(buf) & 7`` / ``pos & 7`` at run time;
@@ -21,44 +21,53 @@ What the generated code buys over the plan tier:
   flattens through a plain append loop and marshals count + all
   elements in a single ``pack`` (``make_batcher(..., lead_ulong=True)``).
 
-Tier-selection rules: ``Any`` and object references are *declined*
-(``generate`` returns None) because their wire shape depends on the
-value, as are types past the nesting limit (the plan tier owns the
-depth-enforcement semantics) and shapes that would nest generated
-blocks too deeply.  Declined TypeCodes simply stay on the plan tier.
+``any`` and object references have a wire shape that depends on the
+value, so the generated code *calls out* for them — to
+``compiled.encode_any``/``decode_any`` (which apply the nesting rule
+at the member's static depth) and to the interpreter's objref pair —
+syncing ``dec._pos`` round the call.  Everything around the call-out
+(the enclosing struct, sequence or union) is still generated.
+
+:func:`generate` declines only TypeCodes past the nesting limit (the
+interpreter owns depth enforcement) and shapes that would nest
+generated blocks too deeply; ``compiled.get_plan`` serves those
+through the interpreter.
 
 Error containment: generated bodies run inside ``try`` blocks whose
 handlers convert any raw Python error into ``BAD_PARAM`` (encode,
 plus decode underflow) or ``MARSHAL`` (decode corruption).  The
 repo's SystemExceptions derive from plain ``Exception`` only, so a
 deliberate ``BAD_PARAM``/``MARSHAL`` raised inside a generated body
-passes through the handlers untouched.
+or a call-out passes through the handlers untouched.
 
-Byte-for-byte equivalence with the interpreter and the plan tier is
-enforced by ``tests/property/test_trimodal_properties.py``; hostile
-input containment by the codec-tier fuzz in ``repro.orb.fuzz``.
+Byte-for-byte equivalence with the interpreter is enforced by
+``tests/property/test_bimodal_properties.py``; hostile input
+containment by the codec fuzz in ``repro.orb.fuzz``.
 """
 
 from __future__ import annotations
 
+import keyword
 import struct as _struct
 from typing import Optional
 
+from repro.orb import cdr as _cdr
 from repro.orb import compiled as _c
 from repro.orb.exceptions import BAD_PARAM, MARSHAL
 from repro.orb.typecodes import TCKind, TypeCode
 
 _MAX_NESTING = _c._MAX_NESTING
-_FUSE_LIMIT = _c._FUSE_LIMIT
 
 #: Generated block-nesting budget (unions/loops); keeps emitted source
 #: well clear of any nested-block or indentation compile limits.
 _MAX_BLOCKS = 8
 
-#: Observability: ``generated``/``unsupported`` count generate() work,
-#: ``cache_hits``/``cache_misses`` count lookups of already-generated
-#: codecs (the "codegen cache hits > 0" perf-floor signal).
-stats = {"generated": 0, "unsupported": 0, "cache_hits": 0,
+#: The codec stack's one stats dict.  ``generated``/``declined``/
+#: ``errors`` count generate() outcomes — ``declined`` is an honest
+#: refusal (nesting or block budget), ``errors`` a generation bug that
+#: fell back to the interpreter and must stay 0; ``cache_hits``/
+#: ``cache_misses`` count ``compiled.get_plan`` lookups.
+stats = {"generated": 0, "declined": 0, "errors": 0, "cache_hits": 0,
          "cache_misses": 0}
 
 #: Call counters shared by every generated function: [encode, decode].
@@ -66,8 +75,8 @@ _CALLS = [0, 0]
 
 
 def reset_stats() -> None:
-    stats["generated"] = stats["unsupported"] = 0
-    stats["cache_hits"] = stats["cache_misses"] = 0
+    for key in stats:
+        stats[key] = 0
     _CALLS[0] = _CALLS[1] = 0
 
 
@@ -86,29 +95,9 @@ _EERR = (_struct.error, TypeError, KeyError, AttributeError, ValueError,
          IndexError, OverflowError)
 #: Exceptions a generated *decoder* converts to MARSHAL (struct.error is
 #: handled first and separately as BAD_PARAM underflow, matching the
-#: plan tier's pre-checked underflow class).
+#: interpreter's pre-checked underflow class).
 _DERR = (TypeError, KeyError, AttributeError, ValueError, IndexError,
          OverflowError)
-
-
-# -- caches -------------------------------------------------------------------
-
-_CACHE_MAX = 2048
-#: repository id -> (tc, pair); the per-operation front cache named in
-#: the design: operation signatures resolve by repo id without hashing
-#: the whole TypeCode graph.
-_REPO_CACHE: dict[str, tuple[TypeCode, object]] = {}
-#: structural cache, including negative entries (None = unsupported).
-_TC_CACHE: dict[TypeCode, object] = {}
-
-
-def clear_cache() -> None:
-    _REPO_CACHE.clear()
-    _TC_CACHE.clear()
-
-
-def cache_size() -> int:
-    return len(_TC_CACHE)
 
 
 # -- supportability -----------------------------------------------------------
@@ -119,11 +108,9 @@ def _ok(tc: TypeCode, depth: int, blocks: int) -> bool:
     kind = tc.kind
     if kind is TCKind.ALIAS:
         return _ok(tc.content_type, depth + 1, blocks)
-    if kind in (TCKind.ANY, TCKind.OBJREF):
-        # Wire shape depends on the runtime value: interpreter/plan tier.
-        return False
     if kind in (TCKind.NULL, TCKind.VOID, TCKind.STRING, TCKind.OCTETSEQ,
-                TCKind.CHAR, TCKind.ENUM) or kind in _c._PRIM_LEAF:
+                TCKind.CHAR, TCKind.ENUM, TCKind.ANY, TCKind.OBJREF) \
+            or kind in _c._PRIM_LEAF:
         return True
     if kind in (TCKind.STRUCT, TCKind.EXCEPT):
         return all(_ok(mtc, depth + 1, blocks) for _n, mtc in tc.members)
@@ -156,6 +143,10 @@ class _Builder:
             "_EERR": _EERR,
             "_DERR": _DERR,
             "_char": _c._char_enc,
+            "_any_enc": _c.encode_any,
+            "_any_dec": _c.decode_any,
+            "_ref_enc": _cdr._encode_objref,
+            "_ref_dec": _cdr._decode_objref,
             "_N": _CALLS,
             "len": len, "isinstance": isinstance, "type": type,
             "str": str, "bytes": bytes, "bytearray": bytearray,
@@ -200,7 +191,7 @@ def _flush_enc(b: _Builder, run: list, ind: int) -> None:
 def _seq_fast_item(b: _Builder, tc: TypeCode):
     """Per-element append-expression templates for the batched-sequence
     fast flatten loop, or None when the element needs the strict
-    plan-tier flatten.  Returns (templates, first_item_dict_len).
+    leaf-model flatten.  Returns (templates, first_item_dict_len).
 
     The bound-append loop is deliberate: C-level alternatives measured
     slower here (itemgetter+map+chain pays a tuple per element and the
@@ -312,10 +303,13 @@ def _emit_batched_enc(b: _Builder, content: TypeCode, finfo, items: str,
 
 
 def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
-                 ind: int) -> None:
+                 ind: int, depth: int) -> None:
+    """Emit statements encoding *expr* as *tc*.  *depth* is the
+    interpreter recursion depth at which *tc* sits, which only the
+    ``any`` call-out needs."""
     kind = tc.kind
     if kind is TCKind.ALIAS:
-        _emit_encode(b, tc.content_type, expr, run, ind)
+        _emit_encode(b, tc.content_type, expr, run, ind, depth + 1)
         return
     if kind in (TCKind.NULL, TCKind.VOID):
         msg = b.sym("ms", "void carries no value, got ")
@@ -378,15 +372,16 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         b.emit(ind, "else:")
         if not names:
             b.emit(ind + 1, "pass")
-        elif all(nm.isidentifier() for nm in names):
+        elif all(nm.isidentifier() and not keyword.iskeyword(nm)
+                 for nm in names):
             b.emit(ind + 1, "; ".join(
                 f"{mt} = {t}.{nm}" for mt, nm in zip(mtemps, names)))
-        else:  # pragma: no cover - IDL member names are identifiers
+        else:  # IDL allows ``from``/``pass``/...; a wire name, anything
             b.emit(ind + 1, "; ".join(
                 f"{mt} = getattr({t}, {nm!r})"
                 for mt, nm in zip(mtemps, names)))
         for mt, (_nm, mtc) in zip(mtemps, tc.members):
-            _emit_encode(b, mtc, mt, run, ind)
+            _emit_encode(b, mtc, mt, run, ind, depth + 1)
         return
     if kind is TCKind.UNION:
         dt = b.tmp("d")
@@ -397,7 +392,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         b.emit(ind + 1, f"{dt}, {it} = {expr}")
         b.emit(ind, "except (TypeError, ValueError):")
         b.emit(ind + 1, f"raise BAD_PARAM({msg}) from None")
-        _emit_encode(b, tc.discriminator_type, dt, run, ind)
+        _emit_encode(b, tc.discriminator_type, dt, run, ind, depth + 1)
         _flush_enc(b, run, ind)
         nomsg = b.sym(
             "ms", f"union {tc.name}: no arm for discriminator ")
@@ -408,7 +403,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         def _arm_body(arm_tc: TypeCode, aind: int) -> None:
             mark = len(b.lines)
             arm_run: list = []
-            _emit_encode(b, arm_tc, it, arm_run, aind)
+            _emit_encode(b, arm_tc, it, arm_run, aind, depth + 1)
             _flush_enc(b, arm_run, aind)
             if len(b.lines) == mark:
                 b.emit(aind, "pass")
@@ -455,7 +450,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
             b.emit(ind, f"for {ev} in {t}:")
             mark = len(b.lines)
             item_run: list = []
-            _emit_encode(b, content, ev, item_run, ind + 1)
+            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1)
             _flush_enc(b, item_run, ind + 1)
             if len(b.lines) == mark:
                 b.emit(ind + 1, "pass")
@@ -474,7 +469,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         if whole is not None and whole[0]:
             # Small fixed array: unroll elements straight into the run.
             for i in range(length):
-                _emit_encode(b, content, f"{t}[{i}]", run, ind)
+                _emit_encode(b, content, f"{t}[{i}]", run, ind, depth + 1)
             return
         finfo = _c._fixed_info(content, 1)
         if finfo is not None and finfo[0]:
@@ -486,10 +481,18 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
             b.emit(ind, f"for {ev} in {t}:")
             mark = len(b.lines)
             item_run = []
-            _emit_encode(b, content, ev, item_run, ind + 1)
+            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1)
             _flush_enc(b, item_run, ind + 1)
             if len(b.lines) == mark:
                 b.emit(ind + 1, "pass")
+        return
+    if kind is TCKind.ANY:
+        _flush_enc(b, run, ind)
+        b.emit(ind, f"_any_enc(enc, {expr}, {depth})")
+        return
+    if kind is TCKind.OBJREF:
+        _flush_enc(b, run, ind)
+        b.emit(ind, f"_ref_enc(enc, {expr})")
         return
     raise _Unsupported(kind)  # pragma: no cover - guarded by _ok
 
@@ -587,20 +590,20 @@ class _DecRun:
 
 
 def _emit_batched_dec(b: _Builder, content: TypeCode, finfo, nv, target: str,
-                      ind: int, guard: bool) -> None:
+                      ind: int) -> None:
     """Unpack *nv* fixed-size elements in one batch into *target*."""
     leaves = finfo[0]
     k = len(leaves)
     min_elem = sum(size for _ch, size, _a in leaves)
     bc = b.sym("bc", _c.make_batcher(leaves))
-    if guard:
-        # Bound allocation before building an O(n) format for garbage
-        # counts — same contract as the plan tier.
-        msg = b.sym("ms", "CDR underflow: batched sequence needs ")
-        b.emit(ind, f"if {nv} * {min_elem} > end - pos:")
-        b.emit(ind + 1,
-               f"raise BAD_PARAM({msg} + repr({nv} * {min_elem})"
-               " + ' bytes')")
+    # Bound allocation before building an O(n) format for a garbage
+    # count — a sequence's off the wire, or an array's off a TypeCode
+    # that itself came off the wire inside an any.
+    msg = b.sym("ms", "CDR underflow: batched elements need ")
+    b.emit(ind, f"if {nv} * {min_elem} > end - pos:")
+    b.emit(ind + 1,
+           f"raise BAD_PARAM({msg} + repr({nv} * {min_elem})"
+           " + ' bytes')")
     b.emit(ind, f"if {nv}:")
     sv = b.tmp("bs")
     bv = b.tmp("bv")
@@ -626,10 +629,10 @@ def _emit_batched_dec(b: _Builder, content: TypeCode, finfo, nv, target: str,
 
 
 def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
-                 ind: int) -> None:
+                 ind: int, depth: int) -> None:
     kind = tc.kind
     if kind is TCKind.ALIAS:
-        _emit_decode(b, st, tc.content_type, target, ind)
+        _emit_decode(b, st, tc.content_type, target, ind, depth + 1)
         return
     finfo = _c._fixed_info(tc, 1)
     if finfo is not None:
@@ -667,7 +670,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         b.emit(ind, f"{nv} = {v}[{ci}]")
         cf = _c._fixed_info(content, 1)
         if cf is not None and cf[0]:
-            _emit_batched_dec(b, content, cf, nv, target, ind, guard=True)
+            _emit_batched_dec(b, content, cf, nv, target, ind)
         else:
             msg = b.sym("ms", "sequence count exceeds remaining bytes: ")
             b.emit(ind, f"if {nv} > end - pos:")
@@ -679,7 +682,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
             b.emit(ind, f"{ap} = {target}.append")
             b.emit(ind, f"for {ev} in range({nv}):")
             inner = _DecRun(b)
-            _emit_decode(b, inner, content, et, ind + 1)
+            _emit_decode(b, inner, content, et, ind + 1, depth + 1)
             inner.flush(ind + 1)
             b.emit(ind + 1, f"{ap}({et})")
         return
@@ -689,8 +692,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         st.flush(ind)
         cf = _c._fixed_info(content, 1)
         if cf is not None and cf[0]:
-            _emit_batched_dec(b, content, cf, length, target, ind,
-                              guard=False)
+            _emit_batched_dec(b, content, cf, length, target, ind)
         else:
             b.emit(ind, f"{target} = []")
             ap = b.tmp("ap")
@@ -699,7 +701,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
             b.emit(ind, f"{ap} = {target}.append")
             b.emit(ind, f"for {ev} in range({length}):")
             inner = _DecRun(b)
-            _emit_decode(b, inner, content, et, ind + 1)
+            _emit_decode(b, inner, content, et, ind + 1, depth + 1)
             inner.flush(ind + 1)
             b.emit(ind + 1, f"{ap}({et})")
         return
@@ -707,7 +709,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         mtemps = []
         for name, mtc in tc.members:
             mt = b.tmp("m")
-            _emit_decode(b, st, mtc, mt, ind)
+            _emit_decode(b, st, mtc, mt, ind, depth + 1)
             mtemps.append((name, mt))
         st.flush(ind)
         display = ", ".join(f"{nm!r}: {mt}" for nm, mt in mtemps)
@@ -716,7 +718,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
     if kind is TCKind.UNION:
         dt = b.tmp("d")
         at = b.tmp("w")
-        _emit_decode(b, st, tc.discriminator_type, dt, ind)
+        _emit_decode(b, st, tc.discriminator_type, dt, ind, depth + 1)
         st.flush(ind)
         nomsg = b.sym(
             "ms", f"union {tc.name}: no arm for discriminator ")
@@ -726,7 +728,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
 
         def _arm_body(arm_tc: TypeCode, aind: int) -> None:
             inner = _DecRun(b)
-            _emit_decode(b, inner, arm_tc, at, aind)
+            _emit_decode(b, inner, arm_tc, at, aind, depth + 1)
             inner.flush(aind)
 
         kw = "if"
@@ -750,6 +752,15 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
                 b.emit(ind + 1, f"raise BAD_PARAM({nomsg} + repr({dt}))")
         b.emit(ind, f"{target} = ({dt}, {at})")
         return
+    if kind in (TCKind.ANY, TCKind.OBJREF):
+        # Call-out: hand the decoder the cursor, take it back after.
+        st.flush(ind)
+        call = (f"_any_dec(dec, {depth})" if kind is TCKind.ANY
+                else "_ref_dec(dec)")
+        b.emit(ind, "dec._pos = pos")
+        b.emit(ind, f"{target} = {call}")
+        b.emit(ind, "pos = dec._pos")
+        return
     raise _Unsupported(kind)  # pragma: no cover - guarded by _ok
 
 
@@ -768,7 +779,7 @@ def _generate(tc: TypeCode):
     b.emit(1, "try:")
     mark = len(b.lines)
     run: list = []
-    _emit_encode(b, tc, "value", run, 2)
+    _emit_encode(b, tc, "value", run, 2, 0)
     _flush_enc(b, run, 2)
     if len(b.lines) == mark:
         b.emit(2, "pass")
@@ -782,7 +793,7 @@ def _generate(tc: TypeCode):
     b.emit(1, "end = len(buf)")
     b.emit(1, "try:")
     st = _DecRun(b)
-    _emit_decode(b, st, tc, "_r", 2)
+    _emit_decode(b, st, tc, "_r", 2, 0)
     st.flush(2)
     b.emit(1, "except _SERR as exc:")
     b.emit(2, f"raise BAD_PARAM({umsg} + repr(exc)) from None")
@@ -792,7 +803,9 @@ def _generate(tc: TypeCode):
     b.emit(1, "return _r")
 
     source = "\n".join(b.lines) + "\n"
-    code = compile(source, f"<codegen:{name}>", "exec")
+    # repr: the name may come off the wire (a TypeCode inside an any)
+    # and compile() rejects a NUL in its filename.
+    code = compile(source, f"<codegen:{name!r}>", "exec")
     exec(code, b.g)
     enc_fn = b.g["_enc"]
     dec_fn = b.g["_dec"]
@@ -801,38 +814,20 @@ def _generate(tc: TypeCode):
 
 
 def generate(tc: TypeCode):
-    """Return a generated (encode, decode) pair for *tc*, or None when
-    the TypeCode stays on the plan/interpreter tiers.  Results are
-    cached by repository id (fast front) and by structural equality."""
-    rid = tc.repo_id
-    if rid:
-        entry = _REPO_CACHE.get(rid)
-        if entry is not None and entry[0] == tc:
-            stats["cache_hits"] += 1
-            return entry[1]
-    if tc in _TC_CACHE:
-        pair = _TC_CACHE[tc]
-        stats["cache_hits"] += 1
-    else:
-        stats["cache_misses"] += 1
-        if not _ok(tc, 0, 0):
-            pair = None
-            stats["unsupported"] += 1
-        else:
-            try:
-                pair = _generate(tc)
-                stats["generated"] += 1
-            except Exception:
-                # A generation bug must never take down marshalling —
-                # the plan tier is always a correct fallback.  The
-                # tri-modal property tests keep this path honest.
-                pair = None
-                stats["unsupported"] += 1
-        if len(_TC_CACHE) >= _CACHE_MAX:
-            _TC_CACHE.clear()
-        _TC_CACHE[tc] = pair
-    if rid:
-        if len(_REPO_CACHE) >= _CACHE_MAX:
-            _REPO_CACHE.clear()
-        _REPO_CACHE[rid] = (tc, pair)
+    """Return a freshly generated (encode, decode) pair for *tc*, or
+    None when generation is declined (nesting limit, block budget) or
+    fails; ``compiled.get_plan`` caches the result and serves a None
+    through the interpreter."""
+    if not _ok(tc, 0, 0):
+        stats["declined"] += 1
+        return None
+    try:
+        pair = _generate(tc)
+    except Exception:
+        # A generation bug must never take down marshalling — the
+        # interpreter is always a correct fallback.  Booked apart from
+        # honest declines: the test suite demands errors == 0.
+        stats["errors"] += 1
+        return None
+    stats["generated"] += 1
     return pair

@@ -20,16 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.orb import codegen, giop
-from repro.orb.cdr import CDRDecoder, CDREncoder, encode_value
+from repro.orb.cdr import Any, CDRDecoder, CDREncoder, encode_value
 from repro.orb.exceptions import SystemException
+from repro.orb.ior import IOR
 from repro.orb.typecodes import (
     array_tc,
     enum_tc,
     sequence_tc,
     struct_tc,
+    tc_any,
     tc_boolean,
     tc_double,
     tc_long,
+    tc_objref,
     tc_octet,
     tc_octetseq,
     tc_short,
@@ -192,6 +195,8 @@ def check_bounded(message, data: bytes) -> None:
             )
 
 
+_FZ_POINT = struct_tc("FzPoint", [("x", tc_double), ("y", tc_double)])
+
 #: Representative TypeCodes for the codegen decode tier, with a valid
 #: sample value each.  Every one of these MUST be supported by
 #: :func:`repro.orb.codegen.generate` — ``codec_corpus`` asserts it, so
@@ -200,8 +205,7 @@ _CODEC_SAMPLES = [
     (struct_tc("FzSample", [
         ("id", tc_long),
         ("name", tc_string),
-        ("path", sequence_tc(struct_tc("FzPoint", [
-            ("x", tc_double), ("y", tc_double)]))),
+        ("path", sequence_tc(_FZ_POINT)),
     ]), {"id": 7, "name": "probe", "path": [{"x": 1.0, "y": 2.0},
                                             {"x": 3.0, "y": 4.0}]}),
     (struct_tc("FzMixed", [
@@ -218,6 +222,25 @@ _CODEC_SAMPLES = [
         (None, "raw", tc_octetseq),
     ], default_index=2), (2, "hello")),
     (sequence_tc(sequence_tc(tc_octet)), [b"ab", b"", b"xyz"]),
+    # any/objref: generated call-outs that decode a TypeCode (or an
+    # IOR) off the hostile wire before the value.
+    (tc_any, Any(_FZ_POINT, {"x": 1.0, "y": 2.0})),
+    (struct_tc("FzBoxed", [
+        ("seq", tc_long),
+        ("payload", tc_any),
+        ("tail", tc_short),
+    ]), {"seq": 3, "payload": Any(sequence_tc(tc_string), ["a", "bb"]),
+         "tail": -1}),
+    (sequence_tc(tc_any), [Any(tc_long, 5), Any(tc_string, "s"),
+                           Any(_FZ_POINT, {"x": 0.5, "y": -0.5})]),
+    (struct_tc("FzHandle", [
+        ("peer", tc_objref),
+        ("gen", tc_long),
+    ]), {"peer": IOR("IDL:fz/Peer:1.0", "h1", "node", "k7"), "gen": 2}),
+    (union_tc("FzMaybe", tc_long, [
+        (1, "boxed", tc_any),
+        (2, "num", tc_long),
+    ]), (1, Any(tc_double, 2.5))),
 ]
 
 
@@ -247,6 +270,9 @@ def _leaf_budget(value, limit: int) -> int:
     """
     if isinstance(value, (bytes, bytearray, str)):
         limit -= max(1, len(value))
+    elif isinstance(value, Any):
+        # The TypeCode tag cost a byte; the payload is charged in full.
+        limit = _leaf_budget(value.value, limit - 1)
     elif isinstance(value, dict):
         for member in value.values():
             limit = _leaf_budget(member, limit)

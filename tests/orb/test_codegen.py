@@ -1,17 +1,17 @@
 """Unit tests for the exec-compiled codec tier (repro.orb.codegen).
 
-Property coverage (three-way equivalence with the interpreter and the
-compiled plans) lives in ``tests/property/test_trimodal_properties.py``;
-this file pins the plumbing: tier selection in ``get_plan``, the
-generation caches and stats, struct value polymorphism, union arms,
-and the batch-format LRU in ``compiled.make_batcher``.
+Property coverage (equivalence with the reference interpreter) lives
+in ``tests/property/test_bimodal_properties.py``; this file pins the
+plumbing: tier selection in ``get_plan``, the plan cache and stats,
+struct value polymorphism, union arms, and the batch-format LRU in
+``compiled.make_batcher``.
 """
 
 import pytest
 
-from repro.orb import codegen
+from repro.orb import codegen, compiled
 from repro.orb.cdr import CDRDecoder, CDREncoder, encode_value_interp
-from repro.orb.compiled import compile_plan, get_plan, make_batcher, set_codegen
+from repro.orb.compiled import get_plan, make_batcher
 from repro.orb.exceptions import BAD_PARAM
 from repro.orb.typecodes import (
     enum_tc,
@@ -37,12 +37,12 @@ SUPPORTED_VALUE = {"id": 41, "name": "n1",
 
 @pytest.fixture(autouse=True)
 def _fresh_codegen():
-    """Each test sees empty codegen caches and zeroed stats."""
-    codegen.clear_cache()
+    """Each test sees an empty plan cache and zeroed stats, and must
+    not have tripped the generator's bug counter."""
+    compiled.clear_cache()
     codegen.reset_stats()
-    set_codegen(True)
     yield
-    set_codegen(True)
+    assert codegen.stats["errors"] == 0
 
 
 # -- tier selection -----------------------------------------------------------
@@ -62,50 +62,71 @@ def test_get_plan_selects_codegen_tier_for_supported_typecode():
     sequence_tc(tc_any),
 ], ids=["any", "objref", "struct_any", "struct_objref", "seq_any"])
 def test_get_plan_keeps_value_dependent_shapes_on_plan_tier(tc):
-    # any/objref wire shape depends on the runtime value, so these stay
-    # on the closure-compiled tier — by design, not by accident.
-    assert codegen.generate(tc) is None
-    assert get_plan(tc).tier == "plan"
+    # The test id predates generated call-outs: the "plan" these
+    # shapes stay on is now a codegen-tier CodecPlan, call-out and the
+    # struct/sequence around it alike.
+    assert codegen.generate(tc) is not None
+    assert get_plan(tc).tier == "codegen"
 
 
-def test_compile_plan_stays_pure_plan_tier():
-    # compile_plan is the escape hatch for a fresh uncached closure
-    # compile; it must never come back codegen-wrapped.
-    plan = compile_plan(SUPPORTED_TC)
-    assert plan.tier == "plan"
-    assert not hasattr(plan.encode, "__codegen_source__")
-
-
-def test_set_codegen_false_falls_back_to_plan_tier():
-    set_codegen(False)
-    assert get_plan(SUPPORTED_TC).tier == "plan"
-    set_codegen(True)
-    assert get_plan(SUPPORTED_TC).tier == "codegen"
+def test_python_keyword_member_names_still_generate():
+    # ``from`` and ``pass`` are legal IDL identifiers.
+    tc = struct_tc("Kw", [("from", tc_long), ("pass", tc_string)])
+    plan = get_plan(tc)
+    assert plan.tier == "codegen"
+    value = {"from": 1, "pass": "p"}
+    enc = CDREncoder()
+    plan.encode(enc, value)
+    assert plan.decode(CDRDecoder(enc.getvalue())) == value
 
 
 # -- caches and stats ---------------------------------------------------------
 
 def test_generate_counts_and_caches():
-    assert codegen.cache_size() == 0
-    first = codegen.generate(SUPPORTED_TC)
-    assert first is not None
+    assert compiled.cache_size() == 0
+    first = get_plan(SUPPORTED_TC)
+    assert first.tier == "codegen"
     assert codegen.stats["generated"] == 1
     assert codegen.stats["cache_misses"] == 1
 
-    again = codegen.generate(SUPPORTED_TC)
+    again = get_plan(SUPPORTED_TC)
     assert again is first
     assert codegen.stats["cache_hits"] == 1
     assert codegen.stats["generated"] == 1  # compiled once, served twice
+    assert compiled.cache_size() == 1
 
 
 def test_unsupported_typecode_caches_its_decline():
-    assert codegen.generate(tc_any) is None
-    assert codegen.stats["unsupported"] == 1
-    # The negative result is cached too: declining again is a hit, not
+    over_deep = tc_long
+    for _ in range(70):
+        over_deep = sequence_tc(over_deep)
+    assert codegen.generate(over_deep) is None
+    assert codegen.stats["declined"] == 1
+    codegen.reset_stats()
+    assert get_plan(over_deep).tier == "interpreter"
+    assert codegen.stats["declined"] == 1
+    # The plan cache holds the decline too: asking again is a hit, not
     # a second supportability walk.
-    assert codegen.generate(tc_any) is None
-    assert codegen.stats["unsupported"] == 1
+    assert get_plan(over_deep).tier == "interpreter"
+    assert codegen.stats["declined"] == 1
     assert codegen.stats["cache_hits"] == 1
+
+
+def test_generation_bug_is_booked_as_error_not_decline(monkeypatch):
+    def boom(tc):
+        raise RuntimeError("emitter bug")
+    monkeypatch.setattr(codegen, "_generate", boom)
+    assert codegen.generate(SUPPORTED_TC) is None
+    assert codegen.stats["errors"] == 1
+    assert codegen.stats["declined"] == 0
+    # Marshalling survives on the interpreter.
+    plan = get_plan(SUPPORTED_TC)
+    assert plan.tier == "interpreter"
+    enc = CDREncoder()
+    plan.encode(enc, SUPPORTED_VALUE)
+    assert plan.decode(CDRDecoder(enc.getvalue())) == SUPPORTED_VALUE
+    compiled.clear_cache()
+    codegen.reset_stats()  # the fixture demands errors == 0 on exit
 
 
 def test_stats_snapshot_reports_runtime_call_counts():
@@ -200,30 +221,3 @@ def test_make_batcher_lru_keeps_hot_entry_and_bounds_cache():
     # Cold early shapes were evicted (they would only be present if the
     # cache grew without bound).
     assert (0, 2) not in batch.cache
-
-
-# -- operation-codec memo invalidation ----------------------------------------
-
-def test_set_codegen_false_invalidates_memoized_op_codecs():
-    # Regression: the per-OperationDef codec memo survived tier
-    # switches, so an ablation run flipping set_codegen(False) kept
-    # executing stale codegen-tier codecs on every operation memoized
-    # before the switch.
-    from repro.orb.compiled import op_codec
-    from repro.orb.core import InterfaceDef, op
-
-    iface = InterfaceDef("IDL:test/Memo:1.0", "Memo", operations=[
-        op("put", [("v", SUPPORTED_TC)], tc_long),
-    ])
-    odef = iface.operations["put"]
-    hot = op_codec(odef)
-    assert hot.in_plans[0].tier == "codegen"
-    assert op_codec(odef) is hot           # memoized on the odef
-
-    set_codegen(False)
-    cold = op_codec(odef)
-    assert cold is not hot                 # memo was dropped
-    assert cold.in_plans[0].tier != "codegen"
-
-    set_codegen(True)
-    assert op_codec(odef).in_plans[0].tier == "codegen"

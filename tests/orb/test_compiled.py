@@ -1,14 +1,17 @@
-"""Tests for the compiled CDR codec plans and the invocation fast path.
+"""Tests for the CDR codec plans and the invocation fast path.
 
-Covers the plan cache (hit counters during a standard invocation), the
-max-nesting edge cases where the fast path must agree with the
-interpreter's dynamic depth limit, misaligned enclosing encapsulations,
-and the pooled-encoder plumbing (``take``/``reset``).
+Covers the plan cache (hit counters during a standard invocation, no
+growth under freshly decoded ``any`` TypeCodes), the max-nesting edge
+cases where the fast path must agree with the interpreter's dynamic
+depth limit, misaligned enclosing encapsulations, and the
+pooled-encoder plumbing (``take``/``reset``).
 """
+
+import gc
 
 import pytest
 
-from repro.orb import compiled
+from repro.orb import codegen, compiled
 from repro.orb.cdr import (
     Any,
     CDRDecoder,
@@ -16,13 +19,16 @@ from repro.orb.cdr import (
     decode_value,
     decode_value_interp,
     encode_one,
+    encode_typecode,
     encode_value,
     encode_value_interp,
 )
-from repro.orb.compiled import CodecPlan, compile_plan, get_plan, op_codec
+from repro.orb.compiled import CodecPlan, get_plan, op_codec
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import BAD_PARAM
 from repro.orb.typecodes import (
+    TCKind,
+    TypeCode,
     alias_tc,
     array_tc,
     enum_tc,
@@ -162,6 +168,20 @@ class TestPlanErrors:
         with pytest.raises(BAD_PARAM):
             get_plan(tc).decode(CDRDecoder(b"\xff\xff\xff\xff" + b"\x00" * 8))
 
+    def test_hostile_any_array_length_fails_fast(self):
+        """An array length arrives off the wire when the TypeCode rides
+        inside an any; a huge one must be refused before any O(length)
+        format is built, with the interpreter's error class."""
+        hostile = TypeCode(TCKind.ARRAY, content_type=tc_long,
+                           length=2 ** 28)
+        enc = CDREncoder()
+        encode_typecode(enc, hostile)
+        wire = enc.getvalue() + b"\x00" * 16
+        with pytest.raises(BAD_PARAM):
+            decode_value_interp(CDRDecoder(wire), tc_any)
+        with pytest.raises(BAD_PARAM):
+            get_plan(tc_any).decode(CDRDecoder(wire))
+
 
 class TestMaxNesting:
     def _deep_struct(self, depth):
@@ -182,7 +202,7 @@ class TestMaxNesting:
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
             encode_value_interp(CDREncoder(), tc, value)
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
-            compile_plan(tc).encode(CDREncoder(), value)
+            get_plan(tc).encode(CDREncoder(), value)
 
     def test_shallow_struct_accepted_by_both_paths(self):
         tc = self._deep_struct(20)
@@ -200,7 +220,9 @@ class TestMaxNesting:
             tc = sequence_tc(tc)
         ref, fast = both_encodings(tc, [])
         assert ref == fast == b"\x00\x00\x00\x00"
-        assert compile_plan(tc).decode(CDRDecoder(fast)) == []
+        plan = get_plan(tc)
+        assert plan.tier == "interpreter"
+        assert plan.decode(CDRDecoder(fast)) == []
 
     def test_deep_sequence_value_rejected_by_both_paths(self):
         tc = tc_long
@@ -211,7 +233,7 @@ class TestMaxNesting:
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
             encode_value_interp(CDREncoder(), tc, value)
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
-            compile_plan(tc).encode(CDREncoder(), value)
+            get_plan(tc).encode(CDREncoder(), value)
 
 
 class TestEncoderPooling:
@@ -276,19 +298,19 @@ class TestInvocationFastPath:
     def test_plan_cache_hit_during_standard_invocation(self):
         client, ior = self._rig()
         stub = client.stub(ior, ECHO)
-        compiled.reset_stats()
+        codegen.reset_stats()
         result = client.sync(stub.echo({"x": 1.0, "y": 2.0}))
         assert result == {"x": 1.0, "y": 2.0}
-        assert compiled.stats["hits"] > 0
+        assert codegen.stats["cache_hits"] > 0
 
     def test_repeat_invocations_do_not_recompile(self):
         client, ior = self._rig()
         stub = client.stub(ior, ECHO)
         client.sync(stub.echo({"x": 1.0, "y": 2.0}))
-        compiled.reset_stats()
+        codegen.reset_stats()
         client.sync(stub.echo({"x": 3.0, "y": 4.0}))
-        assert compiled.stats["compiled"] == 0
-        assert compiled.stats["misses"] == 0
+        assert codegen.stats["generated"] == 0
+        assert codegen.stats["cache_misses"] == 0
 
     def test_stub_memoizes_operation_methods(self):
         client, ior = self._rig()
@@ -331,11 +353,41 @@ class TestPlanCache:
     def test_get_plan_returns_codec_plan(self):
         plan = get_plan(POINT)
         assert isinstance(plan, CodecPlan)
-        assert plan.fixed is not None  # Point is wholly fixed-size
+        assert plan.tier == "codegen"
+        assert (plan.static_depth, plan.dynamic) == (1, False)
 
     def test_top_level_api_uses_plans(self):
-        compiled.reset_stats()
+        codegen.reset_stats()
         enc = CDREncoder()
         encode_value(enc, POINT, {"x": 0.0, "y": 0.0})
         decode_value(CDRDecoder(enc.getvalue()), POINT)
-        assert compiled.stats["hits"] + compiled.stats["misses"] >= 2
+        stats = codegen.stats
+        assert stats["cache_hits"] + stats["cache_misses"] >= 2
+
+    def test_fresh_any_typecodes_neither_grow_nor_pin(self):
+        """Every decoded ``any`` carries a freshly built, never-identical
+        TypeCode.  The cache must hold one plan per *distinct* TypeCode
+        and keep none of the duplicates alive (the old identity front
+        cache pinned one per decode, up to 4,096)."""
+        payloads = [
+            (POINT, {"x": 1.0, "y": 2.0}),
+            (sequence_tc(tc_double), [0.5]),
+            (tc_string, "s"),
+        ]
+        wires = [encode_one(tc_any, Any(tc, v)) for tc, v in payloads]
+
+        def live_typecodes():
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if type(o) is TypeCode)
+
+        compiled.clear_cache()
+        for wire in wires:           # first touch: generate + cache
+            decode_value(CDRDecoder(wire), tc_any)
+        assert compiled.cache_size() == len(payloads) + 1   # + tc_any
+        before = live_typecodes()
+        for i in range(10_000):
+            got = decode_value(CDRDecoder(wires[i % 3]), tc_any)
+            assert got.typecode is not payloads[i % 3][0]
+        del got
+        assert compiled.cache_size() == len(payloads) + 1
+        assert live_typecodes() <= before + 8

@@ -8,7 +8,8 @@ Run standalone with ``make fuzz``.
 
 import pytest
 
-from repro.orb import giop
+from repro.orb import codegen, giop
+from repro.orb.cdr import Any
 from repro.orb.exceptions import SystemException
 from repro.orb.fuzz import (FuzzReport, check_bounded, check_value_bounded,
                             codec_corpus, corpus, mutate, run_codec_fuzz,
@@ -63,11 +64,24 @@ def test_codec_fuzz_no_escapes(seed):
     # Mutants must exercise both outcomes for the run to mean anything.
     assert report.rejected > 0
     assert report.decoded > 0
+    # Hostile TypeCodes reach the generator through ``any``; it may
+    # decline them, it may not fall over them.
+    assert codegen.stats["errors"] == 0
 
 
 def test_check_value_bounded_catches_overallocation():
     with pytest.raises(AssertionError):
         check_value_bounded(["x" * 64] * 8, b"\x00" * 8)
+
+
+def test_check_value_bounded_descends_into_any():
+    # An Any is not one leaf: the list it wraps is charged in full.
+    from repro.orb.typecodes import sequence_tc, tc_string
+    boxed = Any(sequence_tc(tc_string), ["x" * 64] * 8)
+    with pytest.raises(AssertionError):
+        check_value_bounded(boxed, b"\x00" * 8)
+    with pytest.raises(AssertionError):
+        check_value_bounded({"payload": boxed}, b"\x00" * 8)
 
 
 def test_mutate_is_deterministic():

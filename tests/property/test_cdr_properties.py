@@ -23,6 +23,7 @@ from repro.orb.cdr import (
     encode_value_interp,
 )
 from repro.orb.compiled import get_plan
+from repro.orb.ior import IOR
 from repro.orb.typecodes import (
     TCKind,
     TypeCode,
@@ -31,11 +32,13 @@ from repro.orb.typecodes import (
     enum_tc,
     sequence_tc,
     struct_tc,
+    tc_any,
     tc_boolean,
     tc_char,
     tc_double,
     tc_long,
     tc_longlong,
+    tc_objref,
     tc_octet,
     tc_octetseq,
     tc_short,
@@ -71,16 +74,34 @@ def _primitive_pairs():
         lambda i: _PRIMITIVES[i])
 
 
+#: Object-reference values: nil, or an IOR (stubs marshal as theirs).
+_objrefs = st.one_of(
+    st.none(),
+    st.builds(IOR, repo_id=st.just("IDL:prop/Peer:1.0"),
+              host_id=st.sampled_from(["h0", "h1", "hub"]),
+              adapter=st.just("root"),
+              object_key=st.from_regex(r"[a-z0-9]{1,8}", fullmatch=True)))
+
+
 @st.composite
 def _typed_values(draw, depth: int = 2):
-    """Draw a (TypeCode, conforming value) pair, recursively."""
-    if depth == 0:
+    """Draw a (TypeCode, conforming value) pair, recursively.
+
+    Constructed types draw their members one level down, so struct,
+    sequence, array and union members may themselves be ``any`` or an
+    object reference — the value-dependent shapes."""
+    if depth <= 0:
         tc, strat = draw(_primitive_pairs())
         return tc, draw(strat)
-    choice = draw(st.integers(0, 7))
+    choice = draw(st.integers(0, 9))
     if choice <= 1:  # bias toward primitives
         tc, strat = draw(_primitive_pairs())
         return tc, draw(strat)
+    if choice == 8:  # any, boxing a value one level down
+        inner_tc, inner = draw(_typed_values(depth - 1))
+        return tc_any, Any(inner_tc, inner)
+    if choice == 9:
+        return tc_objref, draw(_objrefs)
     if choice == 2:  # sequence
         elem_tc, _ = draw(_typed_values(depth - 1))
         seq_tc = sequence_tc(elem_tc)
@@ -140,6 +161,11 @@ def _typed_values_of(draw, tc: TypeCode, depth: int):
     for ptc, strat in _PRIMITIVES:
         if ptc == tc:
             return tc, draw(strat)
+    if kind is TCKind.ANY:
+        inner_tc, inner = draw(_typed_values(depth))
+        return tc, Any(inner_tc, inner)
+    if kind is TCKind.OBJREF:
+        return tc, draw(_objrefs)
     if kind is TCKind.SEQUENCE:
         n = draw(st.integers(0, 3))
         return tc, [draw(_typed_values_of(tc.content_type, depth - 1))[1]
