@@ -221,11 +221,17 @@ class MembershipTable:
     def get(self, host: str):
         return self._owners.get(host)
 
-    def beacons(self) -> list[HostBeacon]:
-        """Both planes as gossip-ready beacons."""
-        out = list(self._owners.values())
-        out.extend(HostBeacon(host, epoch, alive=True, owner=False)
-                   for host, epoch in self._members.items())
+    def owner_beacons(self) -> list[HostBeacon]:
+        """The owner plane alone (small; gossiped whole every round)."""
+        return list(self._owners.values())
+
+    def silent(self, cutoff: float) -> list[str]:
+        """Hosts not heard from since *cutoff*: owners still believed
+        alive first, then members (a host stale in both appears twice)."""
+        out = [b.host for b in self._owners.values()
+               if b.alive and b.epoch < cutoff]
+        out.extend(host for host, epoch in self._members.items()
+                   if epoch < cutoff)
         return out
 
     def member_beacons_since(self, since: float) -> list[HostBeacon]:

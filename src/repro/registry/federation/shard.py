@@ -100,7 +100,8 @@ class ShardAgent:
         self.membership = MembershipTable()
         self.rounds = 0
         self._last_round = 0.0
-        self._round_beacons = None
+        #: set by each round before it publishes what _gossip_args frames
+        self._round_beacons: list = []
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
         self._proc = None
@@ -151,10 +152,7 @@ class ShardAgent:
 
     def _gossip_args(self, events) -> tuple:
         records = [e.payload for e in events if e.payload is not None]
-        beacons = (self._round_beacons
-                   if self._round_beacons is not None
-                   else self.membership.beacons())
-        return (records, [b.to_value() for b in beacons])
+        return (records, [b.to_value() for b in self._round_beacons])
 
     def _bootstrap(self) -> None:
         """Initial membership: self plus the configured seed peers."""
@@ -240,16 +238,16 @@ class ShardAgent:
             HostBeacon(self.host_id, now, alive=True, owner=True))
         # Suspect silence: peers whose beacons went stale are marked
         # dead locally, and the marking itself gossips onward.
-        for beacon in self.membership.beacons():
-            if (beacon.alive and beacon.host != self.host_id
-                    and beacon.epoch < now - self.config.member_timeout):
-                self.membership.mark_dead(beacon.host, now)
+        for host in self.membership.silent(
+                now - self.config.member_timeout):
+            if host != self.host_id:
+                self.membership.mark_dead(host, now)
         self.rounds += 1
         full_sync = (self.rounds % self.config.full_sync_every == 0)
         # The owner plane is small and rides along whole every round;
         # the (population-sized) member plane travels as a delta, whole
         # only on anti-entropy rounds.
-        owner_beacons = [b for b in self.membership.beacons() if b.owner]
+        owner_beacons = self.membership.owner_beacons()
         if full_sync:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()

@@ -10,10 +10,10 @@ distinguish a LAN from a modem line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
-
-import networkx as nx
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from math import inf
+from typing import Callable, Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -133,22 +133,25 @@ class Topology:
     """Hosts + links + shortest-latency routing.
 
     Routing uses latency-weighted shortest paths over the subgraph of
-    live hosts and un-cut links.  Routes are cached and invalidated on
-    any topology or liveness change.
+    live hosts and un-cut links: one Dijkstra per *source* answers every
+    destination from it.  Trees and per-pair link lists are cached and
+    dropped together on any topology or liveness change.  Equal-latency
+    paths are resolved by a fixed rule, never by hash order: neighbours
+    are relaxed in link-insertion order, only a strictly shorter path
+    replaces a known one, and of two heap entries of equal latency the
+    one pushed first settles first.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
         self._hosts: dict[str, Host] = {}
-        self._links: dict[tuple[str, str], Link] = {}
-        self._route_cache: dict[tuple[str, str], Optional[list[str]]] = {}
-        #: (src, dst) -> Link list of the cached route (or None when
-        #: unreachable); invalidated together with the route cache.
+        self._links: list[Link] = []
+        #: host -> {neighbour: Link}, neighbours in link-insertion order
+        #: (the routing tie-break depends on it).
+        self._adj: dict[str, dict[str, Link]] = {}
+        #: src -> {reachable host: previous host on the path from src}.
+        self._trees: dict[str, dict[str, str]] = {}
+        #: (src, dst) -> links of the live route, None when unreachable.
         self._link_cache: dict[tuple[str, str], Optional[list["Link"]]] = {}
-        #: live-subgraph memo shared by all route computations between
-        #: liveness changes; rebuilding it per (src, dst) pair is
-        #: O(hosts + links) each time and dominates 1k-host runs.
-        self._live_graph_cache: Optional[nx.Graph] = None
 
     # -- construction ------------------------------------------------------
     def add_host(self, host_id: str, profile: HostProfile = DESKTOP) -> Host:
@@ -156,10 +159,8 @@ class Topology:
             raise ConfigurationError(f"duplicate host id {host_id!r}")
         host = Host(host_id, profile)
         self._hosts[host_id] = host
-        self._graph.add_node(host_id)
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        self._adj[host_id] = {}
+        self._invalidate()
         return host
 
     def add_link(self, a: str, b: str, link_class: LinkClass = LAN) -> Link:
@@ -167,14 +168,12 @@ class Topology:
             raise ConfigurationError(f"link endpoints must exist: {a!r}, {b!r}")
         if a == b:
             raise ConfigurationError("self-links are not allowed")
-        link = Link(a, b, link_class)
-        if link.key in self._links:
+        if b in self._adj[a]:
             raise ConfigurationError(f"duplicate link {a!r}<->{b!r}")
-        self._links[link.key] = link
-        self._graph.add_edge(a, b, weight=link_class.latency)
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        link = Link(a, b, link_class)
+        self._links.append(link)
+        self._adj[a][b] = self._adj[b][a] = link
+        self._invalidate()
         return link
 
     # -- access ------------------------------------------------------------
@@ -194,74 +193,78 @@ class Topology:
         return list(self._hosts)
 
     def link(self, a: str, b: str) -> Link:
-        key = (a, b) if a <= b else (b, a)
         try:
-            return self._links[key]
+            return self._adj[a][b]
         except KeyError:
             raise ConfigurationError(f"no link {a!r}<->{b!r}") from None
 
     def links(self) -> list[Link]:
-        return list(self._links.values())
+        return list(self._links)
 
     def neighbors(self, host_id: str) -> list[str]:
-        return list(self._graph.neighbors(host_id))
+        return list(self._adj[host_id])
 
     # -- liveness / partitions ----------------------------------------------
-    def invalidate_routes(self) -> None:
-        self._route_cache.clear()
+    def _invalidate(self) -> None:
+        self._trees.clear()
         self._link_cache.clear()
-        self._live_graph_cache = None
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:
-        self.link(a, b).up = up
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        link = self.link(a, b)
+        if link.up != up:
+            link.up = up
+            self._invalidate()
 
     def set_host_state(self, host_id: str, alive: bool) -> None:
         host = self.host(host_id)
+        if host.alive == alive:
+            return
+        # Flush before crash()/restart() run the host's callbacks, so a
+        # service reacting to the transition routes over the new liveness.
+        self._invalidate()
         if alive:
             host.restart()
         else:
             host.crash()
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
 
     # -- routing -------------------------------------------------------------
-    def _live_graph(self) -> nx.Graph:
-        g = self._live_graph_cache
-        if g is None:
-            g = nx.Graph()
-            for hid, host in self._hosts.items():
-                if host.alive:
-                    g.add_node(hid)
-            for link in self._links.values():
-                if (link.up and link.a in g and link.b in g):
-                    g.add_edge(link.a, link.b, weight=link.latency)
-            self._live_graph_cache = g
-        return g
+    def _tree(self, src: str) -> dict[str, str]:
+        """Shortest-latency tree from *src* over live hosts and up links
+        as ``{host: previous host}``; a dead *src* reaches nothing."""
+        hosts, adj = self._hosts, self._adj
+        prev: dict[str, str] = {}
+        dist = {src: 0.0}
+        heap = [(0.0, 0, src)] if self.host(src).alive else []
+        pushed = 0
+        while heap:
+            d, _, u = heappop(heap)
+            if d > dist[u]:
+                continue        # superseded by a strictly shorter entry
+            for v, link in adj[u].items():
+                if link.up and hosts[v].alive:
+                    nd = d + link.link_class.latency
+                    if nd < dist.get(v, inf):
+                        dist[v] = nd
+                        prev[v] = u
+                        pushed += 1
+                        heappush(heap, (nd, pushed, v))
+        return prev
 
     def route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Host-id path from *src* to *dst*, or None if unreachable.
-
-        The endpoints must exist; the source may be a crashed host only
-        in the sense that a caller checks liveness itself — routing
-        requires both endpoints live.
-        """
+        """Host-id path from *src* to *dst* (both must exist), or None
+        when no path over live hosts and up links joins them."""
         if src == dst:
             return [src]
-        key = (src, dst)
-        if key in self._route_cache:
-            return self._route_cache[key]
-        self.host(src)
-        self.host(dst)
-        g = self._live_graph()
-        try:
-            path = nx.shortest_path(g, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            path = None
-        self._route_cache[key] = path
+        prev = self._trees.get(src)
+        if prev is None:
+            prev = self._trees[src] = self._tree(src)
+        if dst not in prev:
+            self.host(dst)
+            return None
+        path = [dst]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        path.reverse()
         return path
 
     def path_links(self, path: list[str]) -> list[Link]:
@@ -269,9 +272,8 @@ class Topology:
         return [self.link(a, b) for a, b in zip(path, path[1:])]
 
     def route_links(self, src: str, dst: str) -> Optional[list[Link]]:
-        """Cached link list of the live route src->dst (None when
-        unreachable).  Saves re-deriving the link objects on every
-        message along a hot path."""
+        """The links along ``route(src, dst)`` (None when unreachable),
+        cached per pair: Network.send reads this once per message."""
         key = (src, dst)
         try:
             return self._link_cache[key]
@@ -345,7 +347,6 @@ def clustered(n_clusters: int, cluster_size: int,
         for c in range(n_clusters - 1):
             topo.add_link(f"c{c}h0", f"c{c+1}h0", inter)
         return topo
-    seen: set[tuple[int, int]] = set()
     offsets = [1]
     step = 2
     while step < n_clusters:
@@ -353,11 +354,9 @@ def clustered(n_clusters: int, cluster_size: int,
         step *= 2
     for c in range(n_clusters):
         for offset in offsets:
-            pair = tuple(sorted((c, (c + offset) % n_clusters)))
-            if pair[0] == pair[1] or pair in seen:
-                continue
-            seen.add(pair)
-            topo.add_link(f"c{pair[0]}h0", f"c{pair[1]}h0", inter)
+            a, b = sorted((c, (c + offset) % n_clusters))
+            if a != b and f"c{b}h0" not in topo._adj[f"c{a}h0"]:
+                topo.add_link(f"c{a}h0", f"c{b}h0", inter)
     return topo
 
 
@@ -384,11 +383,8 @@ def random_mesh(n: int, degree: float, rng, profile: HostProfile = DESKTOP,
     while extra > 0 and tries < 50 * n:
         tries += 1
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if a == b:
+        if a == b or f"h{b}" in topo._adj[f"h{a}"]:
             continue
-        key = (f"h{min(a,b)}", f"h{max(a,b)}")
-        if key in topo._links:
-            continue
-        topo.add_link(key[0], key[1], link_class)
+        topo.add_link(f"h{min(a, b)}", f"h{max(a, b)}", link_class)
         extra -= 1
     return topo

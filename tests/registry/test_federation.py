@@ -145,6 +145,24 @@ class TestRecordMerge:
         table.mark_dead("h0", now=13.0)
         assert table.live(now=13.0, timeout=5.0) == set()
 
+    def test_membership_silent_scan_and_owner_plane(self):
+        """What a gossip round reads, without building member beacons:
+        the owner plane as beacons, and the silent hosts — owner plane
+        first (alive ones only), then member plane, in learned order."""
+        table = MembershipTable()
+        stale_owner = HostBeacon("h3", 1.0, alive=True, owner=True)
+        dead_owner = HostBeacon("h0", 1.0, alive=False, owner=True)
+        fresh_owner = HostBeacon("h1", 9.0, alive=True, owner=True)
+        for beacon in (stale_owner, dead_owner, fresh_owner):
+            table.apply(beacon)
+        table.apply(HostBeacon("h2", 2.0, alive=True, owner=False))
+        table.apply(HostBeacon("h3", 3.0, alive=True, owner=False))
+        table.apply(HostBeacon("h4", 8.0, alive=True, owner=False))
+        assert table.owner_beacons() == [stale_owner, dead_owner,
+                                         fresh_owner]
+        assert table.silent(cutoff=5.0) == ["h3", "h2", "h3"]
+        assert table.silent(cutoff=1.0) == []
+
 
 def federated_rig(seed=120, hosts=8, provider="c0h1", **cfg_kw):
     cfg_kw.setdefault("owners", 3)

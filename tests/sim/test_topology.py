@@ -136,6 +136,46 @@ class TestLiveness:
         topo.set_host_state("h0", alive=True)
         assert seen == ["h0"]
 
+    def test_restart_callback_routes_over_the_new_liveness(self):
+        topo = line(3)
+        topo.set_host_state("h2", alive=False)
+        assert topo.route("h0", "h2") is None      # cached while dead
+        seen = []
+        topo.host("h2").on_restart.append(
+            lambda h: seen.append((topo.route("h0", "h2"),
+                                   topo.route_links("h2", "h0"))))
+        topo.set_host_state("h2", alive=True)
+        assert seen == [(["h0", "h1", "h2"],
+                         [topo.link("h2", "h1"), topo.link("h1", "h0")])]
+
+    def test_crash_callback_does_not_route_through_the_dead_host(self):
+        topo = line(3)
+        assert topo.route("h0", "h2") == ["h0", "h1", "h2"]   # cached
+        assert topo.route_links("h0", "h2") is not None
+        seen = []
+        topo.host("h1").on_crash.append(
+            lambda h: seen.append((topo.route("h0", "h2"),
+                                   topo.route_links("h0", "h2"))))
+        topo.set_host_state("h1", alive=False)
+        assert seen == [(None, None)]
+
+    def test_transition_to_current_state_flushes_nothing(self):
+        topo = line(3)
+        topo.route_links("h0", "h2")
+        trees, links = dict(topo._trees), dict(topo._link_cache)
+        assert trees and links
+        topo.set_host_state("h1", alive=True)
+        topo.set_link_state("h0", "h1", up=True)
+        assert topo._trees == trees and topo._link_cache == links
+        topo.set_host_state("h1", alive=False)
+        topo.set_link_state("h0", "h1", up=False)
+        assert not topo._trees and not topo._link_cache
+        topo.route_links("h0", "h2")
+        cached = dict(topo._link_cache)
+        topo.set_host_state("h1", alive=False)
+        topo.set_link_state("h0", "h1", up=False)
+        assert topo._link_cache == cached
+
 
 class TestProfiles:
     def test_pda_is_tiny(self):
@@ -205,6 +245,14 @@ class TestBuilders:
         )
         for i in range(1, 20):
             assert t1.reachable("h0", f"h{i}")
+
+    def test_random_mesh_dense_never_adds_a_link_twice(self):
+        # "h2" <-> "h10": numeric and lexical host order disagree, which
+        # the duplicate check used to trip over once n passed 10.
+        for seed in range(10):
+            topo = random_mesh(16, degree=4.0,
+                               rng=RngRegistry(seed).stream("topo"))
+            assert len(topo.links()) == 32
 
     def test_star_profiles(self):
         topo = star(2, hub_profile=SERVER, leaf_profile=PDA)
