@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test selftest lint lint-src bench bench-orb \
 	bench-eventbus bench-federation bench-chaos bench-simlint \
-	faults fuzz chaos
+	spine-ab faults fuzz chaos
 
 # The one-stop gate: descriptor + source lint, observability +
 # availability + static-gate end-to-end selftests, then the full
@@ -61,6 +61,16 @@ bench-eventbus:
 # regenerate BENCH_federation.json (C18 sharded registry vs flat flood)
 bench-federation:
 	$(PYTHON) benchmarks/bench_to_json.py --suite federation
+
+# alternating parent/change pairs of one spine workload (the
+# choosing-metrics guide's section 8):
+#   make spine-ab WORKLOAD=registry_churn [PAIRS=10] [SEED=11] [BASE=HEAD]
+PAIRS ?= 10
+SEED ?= 11
+BASE ?= HEAD
+spine-ab:
+	$(PYTHON) benchmarks/ab_pairs.py --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
 # regenerate BENCH_chaos.json (C19 seeded chaos campaigns)
 bench-chaos:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_FORBIDDEN = set("/@\n")
+_FORBIDDEN = frozenset("/@\n")
+#: a repository id may contain "/" ("IDL:corbalc/Node:1.0")
+_FORBIDDEN_REPO_ID = frozenset("@\n")
 
 
 def _check_part(label: str, value: str) -> str:
     if not value:
         raise ValueError(f"IOR {label} must be non-empty")
-    if any(c in _FORBIDDEN for c in value):
+    if not _FORBIDDEN.isdisjoint(value):
         raise ValueError(f"IOR {label} {value!r} contains a reserved character")
     return value
 
@@ -35,7 +37,7 @@ class IOR:
     def __post_init__(self) -> None:
         if not self.repo_id:
             raise ValueError("IOR repo_id must be non-empty")
-        if any(c in "@\n" for c in self.repo_id):
+        if not _FORBIDDEN_REPO_ID.isdisjoint(self.repo_id):
             raise ValueError(f"IOR repo_id {self.repo_id!r} has reserved chars")
         _check_part("host_id", self.host_id)
         _check_part("adapter", self.adapter)

@@ -5,10 +5,16 @@ Two record kinds travel between shard owners:
 - :class:`ProviderRecord` — "host H can provide repo-id R": one per
   (repo_id, host) pair, carrying the reuse/instantiation facts a
   resolver needs (running IOR, installable component, headroom).
-- :class:`HostBeacon` — "host H was alive at epoch T": the membership
-  view, gossiped everywhere so any owner can answer liveness queries.
+- :class:`HostBeacon` — "shard owner H was alive (or declared dead) at
+  epoch T": the membership view's small **owner plane**, gossiped
+  whole every round.
 
-Both carry a **report epoch** (the sim-time their source observed the
+The population-sized **member plane** ("plain host H was last heard
+from at epoch T") is not a record kind: it travels as two parallel
+columns, ``(hosts, epochs)`` from :meth:`MembershipTable.members_since`,
+and no ``HostBeacon`` is built for a plain member on either side.
+
+All carry a **report epoch** (the sim-time their source observed the
 fact) and merge by the epidemic rule the issue prescribes: highest
 epoch wins, ties broken by the reporting host id.  Merging is therefore
 commutative, associative and idempotent — the order gossip frames
@@ -177,12 +183,12 @@ class MembershipTable:
 
     Two planes that must not corrupt each other:
 
-    - the **owner plane** (``owner=True`` beacons): which hosts serve
-      shards.  Merged by the epidemic epoch rule, with explicit
+    - the **owner plane** (:meth:`apply`, ``HostBeacon``s): which hosts
+      serve shards.  Merged by the epidemic epoch rule, with explicit
       dead-marking on failure detection or retirement.
-    - the **member plane** (``owner=False`` beacons): when each plain
-      host was last heard from.  Pure freshness — the maximum observed
-      epoch wins, and silence past a timeout means "down".
+    - the **member plane** (:meth:`observe_member`, bare epochs): when
+      each plain host was last heard from.  Pure freshness — the maximum
+      observed epoch wins, and silence past a timeout means "down".
 
     A shard owner is also a reporting member; keeping the planes
     separate is what stops its member publishes (fresh epochs, owner
@@ -201,9 +207,6 @@ class MembershipTable:
         return host in self._owners or host in self._members
 
     def apply(self, beacon: HostBeacon) -> bool:
-        if not beacon.owner:
-            return self.observe_member(beacon.host, beacon.epoch,
-                                       beacon.epoch)
         current = self._owners.get(beacon.host)
         if current is not None and not beacon.beats(current):
             return False
@@ -234,12 +237,11 @@ class MembershipTable:
                    if epoch < cutoff)
         return out
 
-    def member_beacons_since(self, since: float) -> list[HostBeacon]:
-        """Member-plane beacons learned at-or-after *since* (delta)."""
-        return [HostBeacon(host, self._members[host], alive=True,
-                           owner=False)
-                for host, when in self._member_touched.items()
-                if when >= since]
+    def members_since(self, since: float) -> tuple[list[str], list[float]]:
+        """Members learned at-or-after *since*, as ``(hosts, epochs)``."""
+        hosts = [host for host, when in self._member_touched.items()
+                 if when >= since]
+        return hosts, [self._members[host] for host in hosts]
 
     def mark_dead(self, host: str, now: float) -> None:
         """Locally declare an owner down (spreads on the next round)."""

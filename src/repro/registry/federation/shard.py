@@ -67,9 +67,12 @@ SHARD_IFACE = InterfaceDef(
         op("publish_batch", [("origin", tc_string), ("epoch", tc_double),
                              ("records", sequence_tc(PROVIDER_RECORD_TC))],
            oneway=True),
-        # Owner <-> owner: one epidemic round (delta + membership).
+        # Owner <-> owner: one epidemic round: record delta, owner-plane
+        # beacons, and the member plane as two parallel columns.
         op("gossip", [("records", sequence_tc(PROVIDER_RECORD_TC)),
-                      ("beacons", sequence_tc(HOST_BEACON_TC))],
+                      ("beacons", sequence_tc(HOST_BEACON_TC)),
+                      ("member_hosts", sequence_tc(tc_string)),
+                      ("member_epochs", sequence_tc(tc_double))],
            oneway=True),
         # Resolver -> owner: candidates for one repo-id under a QoS bar.
         op("lookup", [("repo_id", tc_string), ("cpu", tc_double),
@@ -100,8 +103,9 @@ class ShardAgent:
         self.membership = MembershipTable()
         self.rounds = 0
         self._last_round = 0.0
-        #: set by each round before it publishes what _gossip_args frames
-        self._round_beacons: list = []
+        #: (owner beacons, member hosts, member epochs): set by each
+        #: round before it publishes what _gossip_args frames
+        self._round_planes: tuple = ([], [], [])
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
         self._proc = None
@@ -152,7 +156,8 @@ class ShardAgent:
 
     def _gossip_args(self, events) -> tuple:
         records = [e.payload for e in events if e.payload is not None]
-        return (records, [b.to_value() for b in self._round_beacons])
+        beacons, *members = self._round_planes
+        return (records, [b.to_value() for b in beacons], *members)
 
     def _bootstrap(self) -> None:
         """Initial membership: self plus the configured seed peers."""
@@ -247,16 +252,14 @@ class ShardAgent:
         # The owner plane is small and rides along whole every round;
         # the (population-sized) member plane travels as a delta, whole
         # only on anti-entropy rounds.
-        owner_beacons = self.membership.owner_beacons()
         if full_sync:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()
-            member_beacons = self.membership.member_beacons_since(0.0)
+            members = self.membership.members_since(0.0)
         else:
             outgoing = self.store.changed_since(self._last_round)
-            member_beacons = self.membership.member_beacons_since(
-                self._last_round)
-        self._round_beacons = owner_beacons + member_beacons
+            members = self.membership.members_since(self._last_round)
+        self._round_planes = (self.membership.owner_beacons(), *members)
         self._last_round = now
         peers = self._pick_peers()
         if not peers:
@@ -325,22 +328,35 @@ class ShardAgent:
             self.store.apply(record, now)
 
     def accept_gossip(self, records: Sequence[dict],
-                      beacons: Sequence[dict]) -> None:
+                      beacons: Sequence[dict],
+                      member_hosts: Sequence[str],
+                      member_epochs: Sequence[float]) -> None:
         now = self.env.now
         for value in beacons:
             beacon = HostBeacon.from_value(value)
+            if not beacon.owner:
+                # No sender frames a member here: a flipped ``owner``.
+                self.node.metrics.counter(
+                    names.FEDERATION_REJECTED_MEMBER_BEACON).inc()
+                continue
             if not self._known_host(beacon.host):
                 continue
             clamped = self._clamp_epoch(beacon.epoch, now)
             if clamped != beacon.epoch:
                 beacon = replace(beacon, epoch=clamped)
-            if beacon.owner:
-                self.membership.apply(beacon)
-            else:
-                # Member freshness: stamp the *learn* time locally so
-                # the next delta round forwards what we just heard.
-                self.membership.observe_member(beacon.host, beacon.epoch,
-                                               now)
+            self.membership.apply(beacon)
+        if len(member_hosts) != len(member_epochs):
+            # Ragged columns (a corrupted length prefix) pair hosts with
+            # the wrong epochs: drop this frame's member plane whole.
+            self.node.metrics.counter(
+                names.FEDERATION_REJECTED_RAGGED_MEMBERS).inc()
+        else:
+            # Member freshness: stamp the *learn* time locally so the
+            # next delta round forwards what we just heard.
+            observe = self.membership.observe_member
+            for host, epoch in zip(member_hosts, member_epochs):
+                if self._known_host(host):
+                    observe(host, self._clamp_epoch(epoch, now), now)
         for value in records:
             record = ProviderRecord.from_value(value)
             if not self._known_host(record.host):
@@ -380,8 +396,10 @@ class ShardServant(Servant):
                       records: list) -> None:
         self.agent.accept_publish(origin, epoch, records)
 
-    def gossip(self, records: list, beacons: list) -> None:
-        self.agent.accept_gossip(records, beacons)
+    def gossip(self, records: list, beacons: list, member_hosts: list,
+               member_epochs: list) -> None:
+        self.agent.accept_gossip(records, beacons, member_hosts,
+                                 member_epochs)
 
     def lookup(self, repo_id: str, cpu: float, memory: float,
                bandwidth: float) -> list:

@@ -48,6 +48,20 @@ class TestIOR:
         with pytest.raises(ValueError):
             IOR("IDL:a@B", "h", "root", "k")
 
+    @pytest.mark.parametrize("field", ["repo_id", "host_id", "adapter",
+                                       "object_key"])
+    @pytest.mark.parametrize("char", ["/", "@", "\n"])
+    def test_each_reserved_character_rejected_in_each_field(self, field,
+                                                            char):
+        parts = {"repo_id": "IDL:a/B:1.0", "host_id": "h",
+                 "adapter": "root", "object_key": "k"}
+        parts[field] = f"x{char}y"
+        if field == "repo_id" and char == "/":
+            assert IOR(**parts).repo_id == "x/y"   # ids are slash-scoped
+        else:
+            with pytest.raises(ValueError):
+                IOR(**parts)
+
     def test_empty_parts_rejected(self):
         with pytest.raises(ValueError):
             IOR("", "h", "a", "k")

@@ -138,7 +138,7 @@ class TestRecordMerge:
     def test_membership_liveness_window(self):
         table = MembershipTable()
         table.apply(HostBeacon("h0", 10.0, alive=True, owner=True))
-        table.apply(HostBeacon("h1", 2.0, alive=True, owner=False))
+        table.observe_member("h1", 2.0, now=2.0)
         table.apply(HostBeacon("h2", 10.0, alive=False, owner=True))
         assert table.live(now=12.0, timeout=5.0) == {"h0"}
         assert table.live_owners(now=12.0, timeout=15.0) == ["h0"]
@@ -155,9 +155,9 @@ class TestRecordMerge:
         fresh_owner = HostBeacon("h1", 9.0, alive=True, owner=True)
         for beacon in (stale_owner, dead_owner, fresh_owner):
             table.apply(beacon)
-        table.apply(HostBeacon("h2", 2.0, alive=True, owner=False))
-        table.apply(HostBeacon("h3", 3.0, alive=True, owner=False))
-        table.apply(HostBeacon("h4", 8.0, alive=True, owner=False))
+        table.observe_member("h2", 2.0, now=2.0)
+        table.observe_member("h3", 3.0, now=3.0)
+        table.observe_member("h4", 8.0, now=8.0)
         assert table.owner_beacons() == [stale_owner, dead_owner,
                                          fresh_owner]
         assert table.silent(cutoff=5.0) == ["h3", "h2", "h3"]
