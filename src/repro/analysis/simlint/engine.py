@@ -39,13 +39,12 @@ class SimlintConfig:
     #: named-stream registry itself.
     rng_modules: tuple[str, ...] = ("sim/rng.py",)
     #: modules whose perpetual loops are held to the SIM012/SIM013
-    #: control-loop rules (supervisors, agents, reporters, pools).
+    #: control-loop rules (supervisors, agents, reporters, writers).
     control_loop_modules: tuple[str, ...] = (
         "deployment/supervisor.py",
         "deployment/loadbalancer.py",
         "registry/softstate.py",
         "registry/federation/shard.py",
-        "events/worker.py",
         "events/batch_writer.py",
         "grid/volunteer.py",
     )

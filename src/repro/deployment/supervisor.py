@@ -82,20 +82,16 @@ class ApplicationSupervisor:
     def __init__(self, deployer: Deployer, interval: float = 5.0,
                  checkpoint: bool = True, registry=None,
                  backoff_base: float = 2.0,
-                 backoff_cap: float = 60.0, bus=None) -> None:
+                 backoff_cap: float = 60.0) -> None:
         self.deployer = deployer
         self.node = deployer.coordinator
         self.env = deployer.env
         self.topology = deployer.topology
         self.interval = interval
         self.checkpoint = checkpoint
-        #: optional DistributedRegistry supplying soft-state liveness.
+        #: optional registry back end (MRM hierarchy or federation)
+        #: supplying soft-state liveness through ``live_hosts()``.
         self.registry = registry
-        #: optional EventBus: every recovery decision is published to
-        #: ``supervisor.<kind>`` so dashboards/auditors observe healing
-        #: without polling ``recoveries`` (decoupled, as OpenCCM-style
-        #: deployment infrastructures use notification channels).
-        self.bus = bus
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.recoveries: list[RecoveryRecord] = []
@@ -137,13 +133,6 @@ class ApplicationSupervisor:
                     manager: ReplicaManager) -> None:
         """Supervise a replica group: promote on primary-host death."""
         self.watched_groups.append((group, manager))
-
-    # -- signals -----------------------------------------------------------
-    def _signal(self, kind: str, **attrs) -> None:
-        """Publish one supervision event to the bus (no-op without one)."""
-        if self.bus is not None:
-            attrs["kind"] = kind
-            self.bus.publish(f"supervisor.{kind}", attrs)
 
     # -- liveness ----------------------------------------------------------
     def _host_alive(self, host_id: str) -> bool:
@@ -202,8 +191,6 @@ class ApplicationSupervisor:
             if entry in self.deployer.orphans:
                 self.deployer.orphans.remove(entry)
             self.node.metrics.counter(names.SUPERVISOR_ORPHANS_SWEPT).inc()
-            self._signal("orphan_swept", host=host,
-                         instance=instance_id)
 
     # -- replica promotion -------------------------------------------------
     def _check_groups(self):
@@ -233,10 +220,6 @@ class ApplicationSupervisor:
                     time=self.env.now, kind="promote",
                     name=group.component, old_host=primary.host,
                     new_host=new_primary.host, latency=0.0))
-                self._signal("promotion", component=group.component,
-                             old_host=primary.host,
-                             new_host=new_primary.host,
-                             epoch=group.epoch)
             try:
                 # Align the surviving backups with the promoted primary.
                 yield from manager._sync(group)
@@ -268,9 +251,6 @@ class ApplicationSupervisor:
                                     epoch=app.incarnation(name))
                     self._pending[key] = pend
                     self.node.metrics.counter(names.SUPERVISOR_STRANDED).inc()
-                    self._signal("stranded", application=app.name,
-                                 instance=name,
-                                 host=app.placement[name])
                 if self.env.now < pend.next_try:
                     continue
                 self._repairing.add(key)
@@ -312,8 +292,6 @@ class ApplicationSupervisor:
             # (or already repaired); drop the queued recovery.
             self._pending.pop((app.name, name), None)
             self.node.metrics.counter(names.SUPERVISOR_REPAIR_FENCED).inc()
-            self._signal("repair_fenced", application=app.name,
-                         instance=name, host=dead_host)
             if span:
                 obs.tracer.end_span(span, status="fenced",
                                     error=str(exc))
@@ -326,8 +304,6 @@ class ApplicationSupervisor:
                 self.backoff_base * (2 ** (pend.attempts - 1)),
                 self.backoff_cap)
             self.node.metrics.counter(names.SUPERVISOR_RECOVERY_DEFERRED).inc()
-            self._signal("deferred", application=app.name, instance=name,
-                         attempts=pend.attempts)
             if span:
                 obs.tracer.end_span(span, status="deferred",
                                     error=str(exc))
@@ -343,9 +319,6 @@ class ApplicationSupervisor:
             time=self.env.now, kind="replan", name=name,
             old_host=dead_host, new_host=target, latency=latency,
             attempts=pend.attempts + 1))
-        self._signal("recovery", application=app.name, instance=name,
-                     old_host=dead_host, new_host=target,
-                     latency=latency)
         if span:
             obs.tracer.end_span(span, status="ok")
 

@@ -1,33 +1,30 @@
 """Asynchronous event infrastructure: pub/sub bus, batching, fan-out.
 
-The paper's "network as repository" architecture runs on continuous
-background dissemination — soft-state reports, supervisor signals,
-metrics — none of which needs request/reply semantics.  This package
-gives that traffic a proper asynchronous spine:
+Background dissemination that needs no request/reply semantics — the
+federated registry's gossip rounds, and any high-rate event stream —
+gets one asynchronous pipeline, the one C17 and C18 measure:
 
-- :class:`~repro.events.bus.EventBus` — per-node topic pub/sub with
-  per-subscriber worker pools and bounded, drop-oldest buffers;
-- :class:`~repro.events.batch_writer.BatchWriter` — size/age-threshold
-  batching used by subscriptions and remote forwarders;
-- :class:`~repro.events.worker.WorkerPool` — bounded asynchronous
-  handler execution;
-- :class:`~repro.events.remote.BatchForwarder` — batches become single
-  oneway calls (stacking on the ORB's GIOP pipelining underneath);
-- :mod:`~repro.events.export` — metrics snapshots over the bus to a
-  central collector.
+- :class:`~repro.events.bus.EventBus` — per-node topic pub/sub;
+  ``publish`` never blocks, every subscription is a batch window;
+- :class:`~repro.events.batch_writer.BatchWriter` — the size/age-
+  threshold window itself, bounded and drop-oldest;
+- :class:`~repro.events.remote.FanoutForwarder` — a flushed window
+  becomes one marshal and one oneway frame per sink (stacking on the
+  ORB's GIOP pipelining underneath).
+
+The paper's per-kind component event channels (§2.1.2) are a separate,
+CORBA-visible plane: :mod:`repro.orb.services.events` and
+:mod:`repro.node.events`.
 """
 
 from repro.events.batch_writer import BatchWriter
 from repro.events.bus import Event, EventBus, Subscription
-from repro.events.remote import BatchForwarder, FanoutForwarder
-from repro.events.worker import WorkerPool
+from repro.events.remote import FanoutForwarder
 
 __all__ = [
-    "BatchForwarder",
     "BatchWriter",
     "Event",
     "EventBus",
     "FanoutForwarder",
     "Subscription",
-    "WorkerPool",
 ]

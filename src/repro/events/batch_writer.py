@@ -12,9 +12,7 @@ callback as one batch when either threshold trips:
 The buffer is bounded: past ``capacity`` items the writer drops the
 *oldest* entry (new data is worth more than old data for soft-state
 style traffic — the next report supersedes the last) and counts it in
-``<name>.dropped``.  A writer can be :meth:`pause`-d while its
-destination is known-dead; appends keep accumulating (and aging out)
-until :meth:`resume`.
+``<name>.dropped``.
 
 The flush callback may be a plain callable or a generator function;
 generators are driven as simulation processes so flushes may perform
@@ -35,15 +33,14 @@ class BatchWriter:
     """Accumulate items; flush by size or age; drop-oldest past capacity."""
 
     __slots__ = ("env", "_flush_cb", "max_batch", "max_age", "capacity",
-                 "metrics", "name", "on_drop", "_buf", "_token", "_armed",
-                 "_paused", "_ctr_flushes", "_ctr_items", "_ctr_dropped")
+                 "metrics", "name", "_buf", "_token", "_armed",
+                 "_ctr_flushes", "_ctr_items", "_ctr_dropped")
 
     def __init__(self, env: Environment, flush: Callable,
                  max_batch: int = 64, max_age: float = 0.05,
                  capacity: int = 1024,
                  metrics: Optional[MetricRegistry] = None,
-                 name: str = "batch",
-                 on_drop: Optional[Callable] = None) -> None:
+                 name: str = "batch") -> None:
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, "
                                      f"got {max_batch}")
@@ -59,11 +56,9 @@ class BatchWriter:
         self.capacity = capacity
         self.metrics = metrics or MetricRegistry()
         self.name = name
-        self.on_drop = on_drop
         self._buf: deque = deque()
         self._token = 0          # versions the armed age timer
         self._armed = False
-        self._paused = False
         self._ctr_flushes = self.metrics.counter(f"{name}.flushes")
         self._ctr_items = self.metrics.counter(f"{name}.flushed")
         self._ctr_dropped = self.metrics.counter(f"{name}.dropped")
@@ -73,22 +68,14 @@ class BatchWriter:
     def pending(self) -> int:
         return len(self._buf)
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     # -- feeding ---------------------------------------------------------
     def append(self, item) -> None:
         """Buffer *item*; may flush synchronously on the size threshold."""
         buf = self._buf
         if len(buf) >= self.capacity:
-            dropped = buf.popleft()
+            buf.popleft()
             self._ctr_dropped.value += 1
-            if self.on_drop is not None:
-                self.on_drop(dropped)
         buf.append(item)
-        if self._paused:
-            return
         if len(buf) >= self.max_batch:
             self.flush()
         elif not self._armed:
@@ -101,8 +88,7 @@ class BatchWriter:
         if ev._value != self._token:
             return  # superseded: a flush already emptied this window
         self._armed = False
-        if self._buf and not self._paused:
-            self.flush()
+        self.flush()
 
     # -- flushing --------------------------------------------------------
     def flush(self) -> None:
@@ -124,19 +110,3 @@ class BatchWriter:
         self._buf.clear()
         self._armed = False
         self._token += 1
-
-    # -- flow control ----------------------------------------------------
-    def pause(self) -> None:
-        """Stop flushing; appends keep buffering (and dropping oldest)."""
-        self._paused = True
-
-    def resume(self) -> None:
-        """Re-enable flushing; a full-enough buffer flushes immediately."""
-        self._paused = False
-        if len(self._buf) >= self.max_batch:
-            self.flush()
-        elif self._buf and not self._armed:
-            self._armed = True
-            self._token += 1
-            Timeout(self.env, self.max_age,
-                    self._token).callbacks.append(self._age_timer)

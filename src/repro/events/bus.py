@@ -1,23 +1,19 @@
 """In-process pub/sub event bus with batched, decoupled delivery.
 
 The bus is per-node infrastructure (like the ORB): publishers hand an
-event to a topic and return immediately; each subscriber owns its own
-delivery machinery —
+event to a topic and return immediately; each subscription *is* a
+:class:`~repro.events.batch_writer.BatchWriter` window, flushed to its
+handler by size or age — the shape remote forwarders use so many
+logical messages ride one wire transmission (see
+:mod:`repro.events.remote` and the ORB's GIOP pipelining underneath).
 
-- a :class:`~repro.events.worker.WorkerPool` for per-event handlers
-  (``subscribe``), or
-- a :class:`~repro.events.batch_writer.BatchWriter` for size/age-batched
-  handlers (``batch_subscribe``), the shape remote forwarders use so
-  many logical messages ride one wire transmission (see
-  :mod:`repro.events.remote` and the ORB's GIOP pipelining underneath).
-
-A slow or dead subscriber therefore never blocks the publisher or its
-sibling subscribers; its own bounded buffer fills and sheds oldest-first
-into ``bus.dropped``.
+A handler that needs simulated time (a remote send) is a generator and
+runs as its own process, so a slow subscriber never blocks the
+publisher or its sibling subscribers.
 
 Topics are dot-separated names matched exactly, plus trailing-wildcard
-patterns: a subscription to ``"supervisor.*"`` receives every topic
-beginning ``"supervisor."``, and ``"*"`` receives everything.
+patterns: a subscription to ``"federation.*"`` receives every topic
+beginning ``"federation."``, and ``"*"`` receives everything.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.events.batch_writer import BatchWriter
-from repro.events.worker import WorkerPool
 from repro.obs import names
 from repro.sim.kernel import Environment
 from repro.sim.stats import MetricRegistry
@@ -49,37 +44,32 @@ class Event:
 
 
 class Subscription:
-    """One subscriber's attachment: pattern + private delivery machinery."""
+    """One subscriber's attachment: pattern + its private flush window."""
 
-    __slots__ = ("bus", "pattern", "_sink", "_batched", "delivered")
+    __slots__ = ("bus", "pattern", "_writer", "delivered")
 
-    def __init__(self, bus: "EventBus", pattern: str, sink,
-                 batched: bool) -> None:
+    def __init__(self, bus: "EventBus", pattern: str,
+                 writer: BatchWriter) -> None:
         self.bus = bus
         self.pattern = pattern
-        self._sink = sink          # WorkerPool or BatchWriter
-        self._batched = batched
-        self.delivered = 0         # events accepted into this sink
+        self._writer = writer
+        self.delivered = 0         # events accepted into this window
 
     @property
     def pending(self) -> int:
-        return self._sink.pending
+        return self._writer.pending
 
     def _deliver(self, event: Event) -> None:
         self.delivered += 1
-        if self._batched:
-            self._sink.append(event)
-        else:
-            self._sink.submit(event)
+        self._writer.append(event)
 
     def flush(self) -> None:
-        """Force a batched subscription to deliver now (no-op otherwise)."""
-        if self._batched:
-            self._sink.flush()
+        """Deliver the buffered window now."""
+        self._writer.flush()
 
     def clear(self) -> None:
         """Drop buffered, undelivered events (crash semantics)."""
-        self._sink.clear()
+        self._writer.clear()
 
     def cancel(self) -> None:
         self.bus.unsubscribe(self)
@@ -102,27 +92,16 @@ class EventBus:
         self._ctr_no_subscriber = self.metrics.counter(names.BUS_NO_SUBSCRIBER)
 
     # -- subscribing -----------------------------------------------------
-    def subscribe(self, pattern: str, handler: Callable,
-                  workers: int = 1, capacity: int = 1024) -> Subscription:
-        """Per-event delivery: *handler(event)* runs on a worker pool."""
-        pool = WorkerPool(self.env, handler, workers=workers,
-                          capacity=capacity, metrics=self.metrics,
-                          name="bus")
-        return self._attach(pattern, pool, batched=False)
-
     def batch_subscribe(self, pattern: str, flush: Callable,
                         max_batch: int = 64, max_age: float = 0.05,
                         capacity: int = 1024) -> Subscription:
         """Batched delivery: *flush(list-of-events)* on size/age windows."""
+        if not pattern:
+            raise ConfigurationError("empty topic pattern")
         writer = BatchWriter(self.env, flush, max_batch=max_batch,
                              max_age=max_age, capacity=capacity,
                              metrics=self.metrics, name="bus")
-        return self._attach(pattern, writer, batched=True)
-
-    def _attach(self, pattern: str, sink, batched: bool) -> Subscription:
-        if not pattern:
-            raise ConfigurationError("empty topic pattern")
-        sub = Subscription(self, pattern, sink, batched)
+        sub = Subscription(self, pattern, writer)
         if pattern.endswith("*"):
             prefix = pattern[:-1]
             if prefix and not prefix.endswith("."):
@@ -140,10 +119,7 @@ class EventBus:
             if not subs:
                 del self._topics[sub.pattern]
         self._wildcards = [(p, s) for p, s in self._wildcards if s is not sub]
-        if sub._batched:
-            sub._sink.clear()
-        else:
-            sub._sink.stop()
+        sub.clear()
 
     # -- publishing ------------------------------------------------------
     def publish(self, topic: str, payload=None) -> Event:
@@ -169,7 +145,7 @@ class EventBus:
 
     # -- maintenance -----------------------------------------------------
     def flush(self) -> None:
-        """Force every batched subscription to deliver now."""
+        """Force every subscription to deliver now."""
         for subs in self._topics.values():
             for sub in subs:
                 sub.flush()

@@ -1,18 +1,12 @@
 """Remote delivery of bus events as batched oneway calls.
 
-A :class:`BatchForwarder` is the flush target that turns a batched bus
-subscription into wire traffic: each flush becomes **one** oneway
-invocation whose arguments carry the whole batch (``to_args`` maps the
-event list to the operation's argument tuple).  Stacked on the ORB's
-GIOP pipelining, consecutive flushes to the same destination coalesce
-further into multi-request transmissions — the two layers together are
-what turn N logical reports into ~1 link charge.
-
-Delivery is breaker-guarded: an OPEN breaker suppresses the send
-locally (``bus.remote.suppressed``) instead of feeding a dead peer, and
-every admitted send counts as half-open proof of life via
-:func:`~repro.orb.retry.send_oneway_with_breaker` — without that, a
-oneway-only path could never re-close its breaker.
+A :class:`FanoutForwarder` is the flush target that turns a batched bus
+subscription into wire traffic: each flush marshals the whole batch
+**once** (``to_args`` maps the event list to the operation's argument
+tuple) and sends it as one oneway frame per destination.  Stacked on
+the ORB's GIOP pipelining, consecutive flushes to the same destination
+coalesce further into multi-request transmissions — the two layers
+together are what turn N logical events into ~1 link charge per sink.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from repro.obs import names
 from repro.orb.core import InterfaceDef, ORB, OperationDef, Servant, op
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
-from repro.orb.retry import CircuitBreaker, send_oneway_with_breaker
 from repro.orb.typecodes import sequence_tc, tc_string
 
 #: Generic remote event sink: the string-payload counterpart of a CORBA
@@ -68,62 +61,14 @@ def sink_batch_args(events) -> tuple:
     return (topics, data)
 
 
-class BatchForwarder:
-    """Flush callback forwarding event batches over one oneway op."""
-
-    __slots__ = ("orb", "ior", "odef", "to_args", "breaker", "meter",
-                 "_ctr_batches", "_ctr_events", "_ctr_suppressed",
-                 "_ctr_errors")
-
-    def __init__(self, orb: ORB, ior: IOR, odef: OperationDef,
-                 to_args: Callable[[Sequence], tuple],
-                 breaker: Optional[CircuitBreaker] = None,
-                 meter: Optional[str] = None) -> None:
-        self.orb = orb
-        self.ior = ior
-        self.odef = odef
-        self.to_args = to_args
-        self.breaker = breaker
-        self.meter = meter
-        metrics = orb.metrics
-        self._ctr_batches = metrics.counter(names.BUS_REMOTE_BATCHES)
-        self._ctr_events = metrics.counter(names.BUS_REMOTE_EVENTS)
-        self._ctr_suppressed = metrics.counter(names.BUS_REMOTE_SUPPRESSED)
-        self._ctr_errors = metrics.counter(names.BUS_REMOTE_ERRORS)
-
-    def deliver(self, events: Sequence) -> bool:
-        """Send one batch; True if it was handed to the wire."""
-        try:
-            args = self.to_args(events)
-            sent = send_oneway_with_breaker(
-                self.orb, self.ior, self.odef, args,
-                breaker=self.breaker, meter=self.meter)
-        except SystemException:
-            # Marshalling failure or local fast-fail path: the batch is
-            # lost (oneway semantics), but the subscriber must survive.
-            self._ctr_errors.value += 1
-            return False
-        if sent:
-            self._ctr_batches.value += 1
-            self._ctr_events.value += len(events)
-        else:
-            self._ctr_suppressed.value += 1
-        return sent
-
-
 class FanoutForwarder:
     """Flush callback replicating event batches to many sinks.
 
     One batched subscription feeding N destinations through
     :meth:`~repro.orb.core.ORB.send_oneway_fanout`: the batch arguments
-    are marshalled once and every sink gets its own frame.  Compared to
-    N independent :class:`BatchForwarder` subscriptions this halves the
-    publish-side bookkeeping (one buffer, one age timer) and removes
-    the N-fold re-encoding of identical batch bodies.
-
-    Fan-out is all-or-nothing per flush (no per-destination breaker):
-    use separate :class:`BatchForwarder` subscriptions when
-    destinations need independent suppression.
+    are marshalled once and every sink gets its own frame — one
+    buffer, one age timer and one encoding of the batch body however
+    many sinks there are.  Fan-out is all-or-nothing per flush.
     """
 
     __slots__ = ("orb", "iors", "odef", "to_args", "meter",

@@ -65,7 +65,6 @@ BUS_PUBLISHED = "bus.published"
 BUS_REMOTE_BATCHES = "bus.remote.batches"
 BUS_REMOTE_ERRORS = "bus.remote.errors"
 BUS_REMOTE_EVENTS = "bus.remote.events"
-BUS_REMOTE_SUPPRESSED = "bus.remote.suppressed"
 
 #: exact metric names (counters, series, histograms, labelled
 #: families) the system may emit.
@@ -115,7 +114,6 @@ METRIC_NAMES: frozenset[str] = frozenset({
     BUS_REMOTE_BATCHES,
     BUS_REMOTE_ERRORS,
     BUS_REMOTE_EVENTS,
-    BUS_REMOTE_SUPPRESSED,
     # federation
     FEDERATION_EPOCH_CLAMPED,
     FEDERATION_LOOKUP_FAILOVER,
@@ -182,11 +180,10 @@ METRIC_PATTERNS: frozenset[str] = frozenset({
     "*.bytes",
     "*.msgs",
     "*.errors",
-    # worker pools and batch writers are instantiated per name
+    # batch writers are instantiated per name
     "*.dropped",
     "*.flushed",
     "*.flushes",
-    "*.handled",
     # request-path latency/size histograms (per subsystem / operation)
     "*.latency",
     "orb.client.latency.*",

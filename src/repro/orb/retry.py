@@ -197,7 +197,6 @@ class CircuitBreaker:
         self.fast_fails = 0        # calls rejected while OPEN
         self._opened_at = 0.0
         self._probes_in_flight = 0
-        self._oneway_probes = 0
         #: (sim time, from_state, to_state) for every transition.
         self.transitions: list[tuple[float, str, str]] = []
 
@@ -226,7 +225,6 @@ class CircuitBreaker:
         if self.state == self.OPEN:
             if self.orb.env.now - self._opened_at >= self.reset_timeout:
                 self._probes_in_flight = 0
-                self._oneway_probes = 0
                 self._transition(self.HALF_OPEN)
             else:
                 self.fast_fails += 1
@@ -244,25 +242,6 @@ class CircuitBreaker:
         """The peer answered (any reply, even a user exception)."""
         self.failures = 0
         if self.state == self.HALF_OPEN:
-            self._transition(self.CLOSED)
-
-    def on_oneway_sent(self) -> None:
-        """An admitted oneway was handed to the wire.
-
-        Oneways carry no reply, so a path that becomes oneway-only
-        (bus-migrated reporters) would otherwise leave a HALF_OPEN
-        breaker starved of proof-of-life forever.  A oneway accepted by
-        :meth:`allow` is weaker evidence than a reply, so re-CLOSE only
-        after a full probe budget of sends went out without the sim
-        delivering any failure signal in between (a crash of the peer
-        surfaces as nothing at all on oneways — which is exactly why
-        the count is the best signal available).
-        """
-        self.failures = 0
-        if self.state != self.HALF_OPEN:
-            return
-        self._oneway_probes += 1
-        if self._oneway_probes >= self.half_open_probes:
             self._transition(self.CLOSED)
 
     def on_failure(self) -> None:
@@ -312,25 +291,6 @@ class BreakerRegistry:
 
     def breakers(self) -> dict[str, CircuitBreaker]:
         return dict(self._breakers)
-
-
-def send_oneway_with_breaker(orb: ORB, ior: IOR, odef: OperationDef,
-                             args: Sequence[Any],
-                             breaker: Optional[CircuitBreaker] = None,
-                             meter: Optional[str] = None) -> bool:
-    """Breaker-guarded fire-and-forget send; True if handed to the wire.
-
-    An OPEN breaker swallows the send locally (fire-and-forget callers
-    have no reply to wait on anyway); an admitted send counts toward
-    half-open probing via :meth:`CircuitBreaker.on_oneway_sent`, so a
-    oneway-only path can re-close its breaker without a single reply.
-    """
-    if breaker is not None and not breaker.allow():
-        return False
-    orb.send_oneway(ior, odef, args, meter=meter)
-    if breaker is not None:
-        breaker.on_oneway_sent()
-    return True
 
 
 def invoke_with_retry(orb: ORB, ior: IOR, odef: OperationDef,

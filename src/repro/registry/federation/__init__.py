@@ -10,11 +10,13 @@ syncs (:class:`~repro.registry.federation.shard.ShardAgent`), and
 resolvers ask only the few owners of the wanted repo-id
 (:class:`~repro.registry.federation.resolver.FederatedResolver`).
 
-Enable it through :class:`~repro.registry.groups.RegistryConfig` with
-``federation=True``, or drive
+It is the registry's second back end: construct
 :class:`~repro.registry.federation.orchestrator.FederatedRegistry`
-directly.  The ring and record/merge primitives are dependency-free on
-purpose: partitioned deployment planning (ROADMAP item 5) reuses them.
+where a :class:`~repro.registry.groups.DistributedRegistry` would
+otherwise go — both expose ``reporters``, ``resolvers``,
+``live_hosts()`` and ``settle_time()``.  The ring and record/merge
+primitives are dependency-free on purpose: partitioned deployment
+planning reuses them.
 """
 
 from repro.registry.federation.orchestrator import (

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.registry.mrm import MrmConfig
+from repro.registry.softstate import PeriodicReporter
 from repro.registry.view import NodeView
 from repro.registry.federation.resolver import FederatedResolver
 from repro.registry.federation.ring import RebalanceReport, ShardRing
 from repro.registry.federation.shard import SHARD_IFACE, ShardAgent, shard_ior
-from repro.sim.kernel import Interrupt
 from repro.util.errors import ConfigurationError
 
 METER = "federation.publish"
@@ -75,36 +75,18 @@ class FederationConfig:
                          query_timeout=self.query_timeout)
 
 
-class FederationReporter:
+class FederationReporter(PeriodicReporter):
     """Publishes one node's provider records to their shard owners."""
 
     def __init__(self, node, ring, config: FederationConfig,
                  phase: float = 0.0) -> None:
-        self.node = node
         self.ring = ring
         self.config = config
-        self.phase = phase % config.update_interval
         #: simulated clock error of this reporter: its publishes stamp
         #: ``env.now + clock_skew`` as their epoch.  Fault injection
         #: (repro.chaos) sets this; owners clamp what they accept.
         self.clock_skew = 0.0
-        self.reports_sent = 0
-        self._proc = None
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
-
-    def _start(self) -> None:
-        self._proc = self.node.env.process(self._loop())
-
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
-
-    def _on_restart(self, _host) -> None:
-        self.send_now()     # graceful reconnection: re-register now
-        self._start()
+        super().__init__(node, config.update_interval, phase)
 
     def _records(self, view: NodeView, epoch: float) -> list:
         from repro.registry.view import Candidate
@@ -141,7 +123,7 @@ class FederationReporter:
                 # lives; resolvers may reuse, never instantiate.
                 yield (repo_id, "", "", ior, "mobile")
 
-    def send_now(self) -> None:
+    def _tick(self) -> None:
         node = self.node
         epoch = node.env.now + self.clock_skew
         view = NodeView.collect(node)
@@ -160,16 +142,6 @@ class FederationReporter:
                                  (node.host_id, epoch, values),
                                  meter=METER)
         self.reports_sent += 1
-
-    def _loop(self):
-        try:
-            if self.phase:
-                yield self.node.env.timeout(self.phase)
-            while True:
-                self.send_now()
-                yield self.node.env.timeout(self.config.update_interval)
-        except Interrupt:
-            return
 
 
 class FederatedRegistry:

@@ -12,6 +12,13 @@ there is more than one group, starts the configured reporter on every
 node, installs a :class:`~repro.registry.queries.NetworkResolver` as
 each node's dependency resolver, and (optionally) starts replica
 supervision for automatic MRM promotion.
+
+This is one of the registry's two back ends; the other is the sharded
+:class:`~repro.registry.federation.FederatedRegistry`.  A deployment
+picks one by constructing it.  Both expose what the deployment
+supervisor and the chaos panel read — ``reporters``, ``resolvers``,
+``live_hosts()`` and ``settle_time()`` — and nothing selects between
+them at run time.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.registry.mrm import MrmAgent, MrmConfig
-from repro.registry.prediction import PredictiveReporter
+from repro.registry.prediction import KEEPALIVE_FACTOR, PredictiveReporter
 from repro.registry.queries import NetworkResolver
 from repro.registry.replication import MrmSupervisor
 from repro.registry.softstate import SoftStateReporter
@@ -46,23 +53,21 @@ class RegistryConfig:
     prediction_tolerance: float = 10.0
     supervise: bool = False           # automatic MRM promotion
     supervise_interval: float = 5.0
-    #: route soft-state reports through a per-node event bus (batched
-    #: report_batch delivery riding GIOP pipelining) instead of one
-    #: point-to-point oneway per report per replica.
-    event_bus: bool = False
-    #: replace the MRM hierarchy with the sharded, gossip-federated
-    #: registry (see :mod:`repro.registry.federation`): ``deploy``
-    #: ignores the grouping and stands up shard owners instead,
-    #: ``replicas`` becomes the record replication factor.
-    federation: bool = False
-    federation_owners: int = 4
-    federation_gossip_interval: float = 2.0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}")
         if self.replicas < 1:
             raise ConfigurationError("need at least one MRM per group")
+        keepalive = KEEPALIVE_FACTOR * self.update_interval
+        if (self.mode == "predictive" and self.member_timeout is not None
+                and self.member_timeout <= keepalive):
+            # An accurate model is silent for the whole keep-alive: a
+            # shorter timeout expires every live member in between.
+            raise ConfigurationError(
+                f"predictive mode needs member_timeout > {keepalive} "
+                f"({KEEPALIVE_FACTOR} x update_interval), "
+                f"got {self.member_timeout}")
 
     def mrm_config(self) -> MrmConfig:
         return MrmConfig(update_interval=self.update_interval,
@@ -134,17 +139,12 @@ class DistributedRegistry:
         self.reporters: dict[str, object] = {}
         self.resolvers: dict[str, NetworkResolver] = {}
         self.supervisors: list[MrmSupervisor] = []
-        #: the sharded backend when ``config.federation`` is on.
-        self.federation = None
 
     # -- deployment ----------------------------------------------------------
     def deploy(self, groups: dict[str, list[str]]) -> None:
         """Stand up MRMs, reporters, resolvers for *groups*."""
         if not groups:
             raise ConfigurationError("no groups to deploy")
-        if self.config.federation:
-            self._deploy_federated()
-            return
         for group_id, hosts in groups.items():
             if not hosts:
                 raise ConfigurationError(f"group {group_id!r} is empty")
@@ -184,25 +184,6 @@ class DistributedRegistry:
                 supervisor = MrmSupervisor(
                     self, group, interval=self.config.supervise_interval)
                 self.supervisors.append(supervisor)
-
-    def _deploy_federated(self) -> None:
-        """Stand up the sharded backend instead of the MRM hierarchy."""
-        from repro.registry.federation import (
-            FederatedRegistry,
-            FederationConfig,
-        )
-        fed = FederatedRegistry(self.nodes, FederationConfig(
-            owners=self.config.federation_owners,
-            replication=self.config.replicas,
-            update_interval=self.config.update_interval,
-            gossip_interval=self.config.federation_gossip_interval,
-            member_timeout=self.config.member_timeout,
-            query_timeout=self.config.query_timeout,
-            placement=self.config.placement))
-        fed.deploy()
-        self.federation = fed
-        self.reporters = fed.reporters
-        self.resolvers = fed.resolvers
 
     def deploy_tree(self, tree: dict, _parent_iors: tuple = (),
                     _level: str = "") -> None:
@@ -307,15 +288,8 @@ class DistributedRegistry:
 
     def _make_reporter(self, node, iors, phase: float):
         if self.config.mode == "soft":
-            bus = None
-            if self.config.event_bus:
-                from repro.events.bus import EventBus
-                bus = getattr(node, "bus", None)
-                if bus is None:
-                    bus = EventBus(node.env, node.metrics)
-                    node.bus = bus
             return SoftStateReporter(node, iors, self.mrm_config,
-                                     phase=phase, bus=bus)
+                                     phase=phase)
         if self.config.mode == "strong":
             return StrongStateReporter(node, iors, self.mrm_config)
         return PredictiveReporter(
@@ -345,8 +319,6 @@ class DistributedRegistry:
         paper's "the MRM can suppose a node of the group has been down
         after some time-out" signal the deployment supervisor keys on.
         """
-        if self.federation is not None:
-            return self.federation.live_hosts()
         out: set[str] = set()
         for agent in self.all_mrm_agents():
             if not agent.node.host.alive:
@@ -370,6 +342,4 @@ class DistributedRegistry:
 
     def settle_time(self, rounds: float = 2.0) -> float:
         """Sim-time to run before the registry's views are warm."""
-        if self.federation is not None:
-            return self.federation.settle_time(rounds)
         return rounds * self.config.update_interval + 0.5

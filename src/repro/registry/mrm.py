@@ -56,11 +56,6 @@ MRM_IFACE = InterfaceDef(
         # Soft-state member report; doubles as keep-alive.
         op("report", [("host", tc_string), ("view", NODE_VIEW_TC)],
            oneway=True),
-        # Event-bus batched variant: one call carries a whole flush
-        # window of reports (parallel sequences, applied in order).
-        op("report_batch", [("hosts", sequence_tc(tc_string)),
-                            ("views", sequence_tc(NODE_VIEW_TC))],
-           oneway=True),
         # Dead-reckoning variant: view plus a cpu-availability slope the
         # MRM extrapolates until the next report.
         op("report_model", [("host", tc_string), ("view", NODE_VIEW_TC),
@@ -303,13 +298,6 @@ class MrmServant(Servant):
 
     def report(self, host: str, view: dict) -> None:
         self.agent.accept_report(host, NodeView.from_value(view))
-
-    def report_batch(self, hosts: list, views: list) -> None:
-        # Applied strictly in batch order: within one flush window the
-        # reporter may have queued several generations of one host's
-        # view, and last-write-wins only holds if they land in order.
-        for host, view in zip(hosts, views):
-            self.agent.accept_report(host, NodeView.from_value(view))
 
     def report_model(self, host: str, view: dict, cpu_slope: float) -> None:
         self.agent.accept_report(host, NodeView.from_value(view),

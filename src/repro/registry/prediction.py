@@ -11,8 +11,9 @@ only when:
 - the MRM's extrapolation would be off by more than ``tolerance`` CPU
   units, or
 - the registry generation changed (components/instances came or went), or
-- ``keepalive_factor`` × update_interval elapsed since the last report
-  (so the MRM's soft-state timeout still detects crashes).
+- :data:`KEEPALIVE_FACTOR` × update_interval elapsed since the last
+  report (so the MRM's soft-state timeout still detects crashes, and
+  must therefore be longer than that keep-alive).
 
 Bandwidth drops in proportion to how predictable the load is; the C10
 benchmark quantifies the trade against view staleness.
@@ -24,10 +25,14 @@ from typing import Optional, Sequence
 
 from repro.orb.ior import IOR
 from repro.registry.mrm import MRM_IFACE, MrmConfig
+from repro.registry.softstate import PeriodicReporter
 from repro.registry.view import NodeView
-from repro.sim.kernel import Interrupt
 
 METER = "registry.pred"
+
+#: Longest silence of a predictive reporter, in update intervals: an
+#: accurate model still reports this often, as the keep-alive.
+KEEPALIVE_FACTOR = 2.5
 
 _REPORT_MODEL = MRM_IFACE.operations["report_model"]
 
@@ -51,44 +56,28 @@ class EwmaSlope:
         return self.slope
 
 
-class PredictiveReporter:
+class PredictiveReporter(PeriodicReporter):
     """Model-based reporter: silence while the model stays accurate."""
 
     def __init__(self, node, mrm_iors: Sequence[IOR], config: MrmConfig,
-                 tolerance: float = 10.0, keepalive_factor: float = 2.5,
-                 alpha: float = 0.3, phase: float = 0.0,
-                 meter: str = METER) -> None:
-        self.node = node
+                 tolerance: float = 10.0, alpha: float = 0.3,
+                 phase: float = 0.0, meter: str = METER) -> None:
         self.mrm_iors = list(mrm_iors)
-        self.config = config
         self.tolerance = tolerance
-        self.keepalive = keepalive_factor * config.update_interval
-        self.phase = phase % config.update_interval
+        self.keepalive = KEEPALIVE_FACTOR * config.update_interval
         self.meter = meter
         self.model = EwmaSlope(alpha=alpha)
-        self.reports_sent = 0
         self.reports_suppressed = 0
         # What the MRM believes, for divergence checks.
         self._sent_value: Optional[float] = None
         self._sent_slope = 0.0
         self._sent_time = 0.0
         self._sent_generation = -1.0
-        self._proc = None
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        super().__init__(node, config.update_interval, phase)
 
-    def _start(self) -> None:
-        self._proc = self.node.env.process(self._loop())
-
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
+    def _on_crash(self, host) -> None:
+        super()._on_crash(host)
         self._sent_value = None  # MRM will expire us; resync on restart
-
-    def _on_restart(self, _host) -> None:
-        self._start()
 
     # -- core ------------------------------------------------------------------
     def _mrm_estimate(self) -> Optional[float]:
@@ -121,22 +110,15 @@ class PredictiveReporter:
         self._sent_time = self.node.env.now
         self._sent_generation = view.generation
 
-    def _loop(self):
-        try:
-            if self.phase:
-                yield self.node.env.timeout(self.phase)
-            while True:
-                view = NodeView.collect(self.node)
-                slope = self.model.observe(self.node.env.now,
-                                           view.snapshot.cpu_available)
-                if self._should_send(view.snapshot.cpu_available,
-                                     view.generation):
-                    self._send(view, slope)
-                else:
-                    self.reports_suppressed += 1
-                yield self.node.env.timeout(self.config.update_interval)
-        except Interrupt:
-            return
+    def _tick(self) -> None:
+        view = NodeView.collect(self.node)
+        slope = self.model.observe(self.node.env.now,
+                                   view.snapshot.cpu_available)
+        if self._should_send(view.snapshot.cpu_available,
+                             view.generation):
+            self._send(view, slope)
+        else:
+            self.reports_suppressed += 1
 
     def retarget(self, mrm_iors: Sequence[IOR]) -> None:
         self.mrm_iors = list(mrm_iors)

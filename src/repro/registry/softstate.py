@@ -9,15 +9,13 @@ scalability."
 Each node runs one reporter process: every ``update_interval`` (with a
 per-host phase offset so the fleet doesn't synchronize) it pushes its
 :class:`~repro.registry.view.NodeView` to every replica of its group's
-MRM as a oneway call.  Loss is tolerated — the next report repairs the
-view; silence beyond the MRM's timeout means "down".
+MRM as a point-to-point oneway call — the one report transport.  Loss
+is tolerated — the next report repairs the view; silence beyond the
+MRM's timeout means "down".
 
-With an :class:`~repro.events.bus.EventBus` attached, the reporter
-publishes to the ``registry.views`` topic instead of calling the wire
-directly; one batched subscription per MRM replica forwards flush
-windows as single ``report_batch`` oneways (stacking on GIOP
-pipelining below), so report fan-out stops paying one header and one
-link charge per logical report.
+:class:`PeriodicReporter` holds the lifecycle every once-per-interval
+reporter shares (this one, the predictive reporter, the federation
+publisher); each of them supplies only what one tick sends.
 """
 
 from __future__ import annotations
@@ -31,53 +29,31 @@ from repro.sim.kernel import Interrupt
 
 METER = "registry.soft"
 
-#: Bus topic the reporter publishes ``(host_id, view_value)`` pairs to.
-TOPIC = "registry.views"
-
-#: Age threshold for batched report delivery: small relative to any
-#: sane update interval, so batching adds latency the MRM's member
-#: timeout never notices, while restart bursts still coalesce.
-BATCH_MAX_AGE = 0.05
+_REPORT = MRM_IFACE.operations["report"]
 
 
-class SoftStateReporter:
-    """Periodic, unacknowledged view reports from one node."""
+class PeriodicReporter:
+    """One node's reporting process: phase offset, then a tick per interval.
 
-    def __init__(self, node, mrm_iors: Sequence[IOR],
-                 config: MrmConfig, phase: float = 0.0,
-                 meter: str = METER, bus=None) -> None:
+    A host crash interrupts the process.  A restart ticks *now* and
+    then resumes the loop: a reconnecting node must re-register at
+    once, not one phase offset later — the paper requires graceful
+    re-connections, and until the first report lands the registry
+    still believes the node is down.  Subclasses supply :meth:`_tick`.
+    """
+
+    def __init__(self, node, interval: float, phase: float) -> None:
         self.node = node
-        self.mrm_iors = list(mrm_iors)
-        self.config = config
-        self.phase = phase % config.update_interval
-        self.meter = meter
-        self.bus = bus
+        self.interval = interval
+        self.phase = phase % interval
         self.reports_sent = 0
         self._proc = None
-        self._subs: list = []
-        if bus is not None:
-            self._wire_bus()
         self._start()
         node.host.on_crash.append(self._on_crash)
         node.host.on_restart.append(self._on_restart)
 
-    def _wire_bus(self) -> None:
-        """(Re)build one batched bus->MRM forwarder per replica."""
-        # Deferred import: repro.events.remote imports the ORB stack and
-        # registry code must stay importable without it at module level.
-        from repro.events.remote import BatchForwarder
-
-        for sub in self._subs:
-            self.bus.unsubscribe(sub)
-        self._subs = []
-        batch_op = MRM_IFACE.operations["report_batch"]
-        for mrm in self.mrm_iors:
-            forwarder = BatchForwarder(
-                self.node.orb, mrm, batch_op,
-                to_args=_reports_to_args, meter=self.meter)
-            self._subs.append(self.bus.batch_subscribe(
-                TOPIC, forwarder.deliver,
-                max_batch=32, max_age=BATCH_MAX_AGE))
+    def _tick(self) -> None:
+        raise NotImplementedError
 
     def _start(self) -> None:
         self._proc = self.node.env.process(self._loop())
@@ -86,22 +62,34 @@ class SoftStateReporter:
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt("host crashed")
         self._proc = None
-        # Reports buffered in flush windows die with the host: a
-        # restarted node must never deliver pre-crash state.
-        for sub in self._subs:
-            sub.clear()
 
     def _on_restart(self, _host) -> None:
-        # A reconnecting node must re-register with the MRM *now*, not
-        # one phase offset later: the paper requires graceful
-        # re-connections, and until the first report lands the MRM still
-        # believes the node is down.  Report immediately, then resume
-        # the periodic loop.
-        self.send_now()
+        self._tick()
         self._start()
 
-    def send_now(self) -> None:
-        """One immediate report (used on startup and reconnection).
+    def _loop(self):
+        try:
+            if self.phase:
+                yield self.node.env.timeout(self.phase)
+            while True:
+                self._tick()
+                yield self.node.env.timeout(self.interval)
+        except Interrupt:
+            return
+
+
+class SoftStateReporter(PeriodicReporter):
+    """Periodic, unacknowledged view reports from one node."""
+
+    def __init__(self, node, mrm_iors: Sequence[IOR],
+                 config: MrmConfig, phase: float = 0.0,
+                 meter: str = METER) -> None:
+        self.mrm_iors = list(mrm_iors)
+        self.meter = meter
+        super().__init__(node, config.update_interval, phase)
+
+    def _tick(self) -> None:
+        """One report to every MRM replica.
 
         Reports are true fire-and-forget: sent with
         ``response_expected=False`` and no pending-reply entry, so a
@@ -109,44 +97,12 @@ class SoftStateReporter:
         reports it sends to how many dead replicas.
         """
         view = NodeView.collect(self.node).to_value()
-        if self.bus is not None:
-            self.bus.publish(TOPIC, (self.node.host_id, view))
-        else:
-            report_op = MRM_IFACE.operations["report"]
-            for mrm in self.mrm_iors:
-                self.node.orb.send_oneway(mrm, report_op,
-                                          (self.node.host_id, view),
-                                          meter=self.meter)
+        for mrm in self.mrm_iors:
+            self.node.orb.send_oneway(mrm, _REPORT,
+                                      (self.node.host_id, view),
+                                      meter=self.meter)
         self.reports_sent += 1
-
-    def flush(self) -> None:
-        """Force buffered batched reports onto the wire now (tests)."""
-        for sub in self._subs:
-            sub.flush()
-
-    def _loop(self):
-        try:
-            if self.phase:
-                yield self.node.env.timeout(self.phase)
-            while True:
-                self.send_now()
-                yield self.node.env.timeout(self.config.update_interval)
-        except Interrupt:
-            return
 
     def retarget(self, mrm_iors: Sequence[IOR]) -> None:
         """Point reports at a new MRM replica set (after promotion)."""
         self.mrm_iors = list(mrm_iors)
-        if self.bus is not None:
-            self._wire_bus()
-
-
-def _reports_to_args(events) -> tuple:
-    """Map a batch of ``registry.views`` events to report_batch args."""
-    hosts = []
-    views = []
-    for event in events:
-        host, view = event.payload
-        hosts.append(host)
-        views.append(view)
-    return (hosts, views)

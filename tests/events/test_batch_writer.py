@@ -1,4 +1,4 @@
-"""BatchWriter: size/age flush thresholds, drop-oldest, pause/resume."""
+"""BatchWriter: size/age flush thresholds, drop-oldest bound."""
 
 import pytest
 
@@ -93,39 +93,17 @@ class TestOverflow:
     def test_drop_oldest_past_capacity(self):
         env = Environment()
         metrics = MetricRegistry()
-        dropped = []
         writer = BatchWriter(env, lambda b: None, max_batch=4,
                              max_age=1.0, capacity=4, metrics=metrics,
-                             name="bus", on_drop=dropped.append)
-        writer.pause()
+                             name="bus")
+        # The size flush keeps a window below capacity on its own; the
+        # bound is what holds memory when it cannot (here: a flush
+        # threshold widened past the capacity after construction).
+        writer.max_batch = 100
         for i in range(10):
             writer.append(i)
         assert list(writer._buf) == [6, 7, 8, 9]   # newest survive
-        assert dropped == [0, 1, 2, 3, 4, 5]
         assert metrics.get("bus.dropped") == 6
-
-    def test_resume_flushes_full_buffer(self):
-        env = Environment()
-        batches = []
-        writer = BatchWriter(env, batches.append, max_batch=3,
-                             max_age=0.5, capacity=8,
-                             metrics=MetricRegistry(), name="bus")
-        writer.pause()
-        for i in range(3):
-            writer.append(i)
-        assert batches == []             # paused: no flush
-        writer.resume()
-        assert batches == [[0, 1, 2]]    # size threshold honoured now
-
-    def test_resume_rearms_age_timer_for_partial(self):
-        env = Environment()
-        writer, batches = make_writer(env, MetricRegistry(),
-                                      max_batch=10, max_age=0.2)
-        writer.pause()
-        writer.append("x")
-        writer.resume()
-        env.run(until=1.0)
-        assert batches == [["x"]]
 
 
 class TestGeneratorFlush:

@@ -1,90 +1,19 @@
-"""Remote bus delivery: BatchForwarder, event sinks, metrics export."""
-
-import pytest
+"""Remote bus delivery: marshal-once fan-out to event sinks."""
 
 from repro.events.bus import EventBus
 from repro.events.remote import (
-    BatchForwarder,
     EVENT_SINK_IFACE,
     EventSinkServant,
     FanoutForwarder,
     sink_batch_args,
 )
 from repro.orb.core import ORB
-from repro.orb.retry import CircuitBreaker
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
 
 PUSH_BATCH = EVENT_SINK_IFACE.operations["push_batch"]
-
-
-def make_rig(**client_kwargs):
-    env = Environment()
-    net = Network(env, star(2), rngs=RngRegistry(7))
-    server = ORB(env, net, "h0")
-    client = ORB(env, net, "h1", **client_kwargs)
-    servant = EventSinkServant()
-    ior = server.adapter("root").activate(servant)
-    return env, net, server, client, servant, ior
-
-
-class TestBatchForwarder:
-    def test_batched_events_arrive_in_order(self):
-        env, net, _server, client, servant, ior = make_rig()
-        bus = EventBus(env, net.metrics)
-        forwarder = BatchForwarder(client, ior, PUSH_BATCH,
-                                   to_args=sink_batch_args)
-        bus.batch_subscribe("logs.*", forwarder.deliver,
-                            max_batch=4, max_age=0.05)
-        for i in range(10):
-            bus.publish("logs.app", f"line-{i}")
-        env.run(until=1.0)
-        assert [d for _t, d in servant.received] == [
-            f"line-{i}" for i in range(10)]
-        assert all(t == "logs.app" for t, _d in servant.received)
-        assert net.metrics.get("bus.remote.batches") == 3   # 4+4+2
-        assert net.metrics.get("bus.remote.events") == 10
-
-    def test_batching_collapses_wire_messages(self):
-        env, net, _server, client, servant, ior = make_rig()
-        bus = EventBus(env, net.metrics)
-        forwarder = BatchForwarder(client, ior, PUSH_BATCH,
-                                   to_args=sink_batch_args)
-        bus.batch_subscribe("t", forwarder.deliver,
-                            max_batch=50, max_age=0.05)
-        before = net.metrics.get("net.messages")
-        for i in range(50):
-            bus.publish("t", str(i))
-        env.run(until=1.0)
-        # 50 logical events crossed the wire as ONE message.
-        assert net.metrics.get("net.messages") == before + 1
-        assert len(servant.received) == 50
-
-    def test_open_breaker_suppresses_and_oneways_reclose_it(self):
-        env, net, _server, client, servant, ior = make_rig()
-        breaker = CircuitBreaker(client, "h0", failure_threshold=1,
-                                 reset_timeout=5.0, half_open_probes=2)
-        forwarder = BatchForwarder(client, ior, PUSH_BATCH,
-                                   to_args=sink_batch_args, breaker=breaker)
-        breaker.on_failure()                  # force OPEN
-        assert breaker.state == CircuitBreaker.OPEN
-
-        class FakeEvent:
-            def __init__(self, topic, payload):
-                self.topic, self.payload = topic, payload
-
-        assert forwarder.deliver([FakeEvent("t", "lost")]) is False
-        assert net.metrics.get("bus.remote.suppressed") == 1
-        env.run(until=6.0)                    # past reset_timeout
-        assert forwarder.deliver([FakeEvent("t", "p1")]) is True
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert forwarder.deliver([FakeEvent("t", "p2")]) is True
-        # Two admitted oneway sends = the full probe budget: re-closed.
-        assert breaker.state == CircuitBreaker.CLOSED
-        env.run(until=10.0)
-        assert [d for _t, d in servant.received] == ["p1", "p2"]
 
 
 class TestFanoutForwarder:
@@ -136,27 +65,3 @@ class TestFanoutForwarder:
         assert all([d for _t, d in s.received] == ["good"]
                    for s in servants)
         assert sub.pending == 0
-
-
-class TestMetricsExport:
-    def test_exporter_batches_to_collector(self):
-        from repro.events.export import MetricsCollector, MetricsExporter
-        from repro.sim.topology import star as star_topo
-        from repro.testing import SimRig
-
-        rig = SimRig(star_topo(2), seed=11)
-        hub, leaf = rig.node("hub"), rig.node("h0")
-        collector = MetricsCollector(hub)
-        bus = EventBus(rig.env, rig.metrics)
-        exporter = MetricsExporter(leaf, bus, collector.ior,
-                                   interval=1.0, prefixes=("net.",))
-        rig.run(until=10.5)
-        assert exporter.snapshots == 10
-        assert "h0" in collector.latest
-        table = collector.latest["h0"]
-        assert any(name.startswith("net.") for name in table)
-        # Batching: far fewer ingest calls than snapshots is the point;
-        # at minimum every sample that arrived was a net.* counter.
-        assert collector.batches >= 1
-        assert collector.samples >= len(table)
-        assert collector.last_seen["h0"] > 0

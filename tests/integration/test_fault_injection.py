@@ -161,6 +161,22 @@ class TestRegistryPartitions:
             COUNTER_IFACE.repo_id))
         assert ior.host_id.startswith("c1")
 
+    @pytest.mark.faults
+    def test_registry_converges_after_flaps(self):
+        # Reports lost to a flapping uplink are repaired by later ones.
+        rig = SimRig(star(3), seed=13)
+        hosts = ["h0", "h1", "h2"]
+        dr = DistributedRegistry(rig.nodes,
+                                 RegistryConfig(update_interval=1.0))
+        dr.deploy({"g": hosts})
+        injector = FaultInjector(rig.env, rig.topology)
+        for t in (1.0, 2.6, 4.4):
+            injector.cut_link_at(t, "h1", "hub")
+            injector.heal_link_at(t + 0.6, "h1", "hub")
+        rig.run(until=dr.settle_time() + 8.0)
+        agent = dr.groups["g"].agents[0]
+        assert sorted(agent.members) == hosts
+
 
 class TestEventFaults:
     def test_consumer_host_crash_does_not_break_channel(self):

@@ -7,6 +7,9 @@ supervision, events, faults) and asserting every metric and span name
 that actually materialized is declared — exactly or via a pattern.
 """
 
+import re
+from pathlib import Path
+
 from repro.chaos import CampaignConfig, ChaosCampaign
 from repro.chaos.scenario import build_world
 from repro.obs import names
@@ -49,3 +52,19 @@ class TestRegistryShape:
         # through a pattern belongs in the pattern family instead.
         assert names.metric_declared("supervisor.recoveries")
         assert not names.metric_declared("supervisor.recoverys")
+
+    def test_every_name_constant_is_used_outside_the_registry(self):
+        # a constant nothing else in src/repro refers to is a dead
+        # declaration: the emit site it named was deleted or renamed.
+        root = Path(names.__file__).resolve().parents[1]
+        others = [path.read_text() for path in sorted(root.rglob("*.py"))
+                  if path != Path(names.__file__).resolve()]
+        constants = [name for name, value in vars(names).items()
+                     if name.isupper() and isinstance(value, str)]
+        assert constants
+        orphans = [name for name in constants
+                   if not any(re.search(rf"\b{name}\b", text)
+                              for text in others)]
+        assert orphans == [], (
+            f"declared in repro.obs.names but referenced nowhere else "
+            f"under src/repro: {orphans}")

@@ -6,7 +6,7 @@ from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import (BAD_OPERATION, MINOR_BREAKER_OPEN,
                                   SystemException, TRANSIENT)
 from repro.orb.retry import (BreakerRegistry, CircuitBreaker, RetryPolicy,
-                             call_with_retry, send_oneway_with_breaker)
+                             call_with_retry)
 from repro.orb.typecodes import tc_long
 from repro.sim.faults import FaultInjector
 from repro.sim.kernel import Environment
@@ -16,10 +16,8 @@ from repro.sim.topology import star
 
 IFACE = InterfaceDef("IDL:test/Counter:1.0", "Counter", operations=[
     op("bump", [("x", tc_long)], tc_long),
-    op("poke", [("x", tc_long)], oneway=True),
 ])
 BUMP = IFACE.operations["bump"]
-POKE = IFACE.operations["poke"]
 
 
 class CounterServant(Servant):
@@ -27,14 +25,10 @@ class CounterServant(Servant):
 
     def __init__(self):
         self.calls = 0
-        self.pokes = []
 
     def bump(self, x):
         self.calls += 1
         return x + 1
-
-    def poke(self, x):
-        self.pokes.append(x)
 
 
 def make_rig():
@@ -203,65 +197,3 @@ class TestRetryIntegration:
         assert b2.state == CircuitBreaker.CLOSED
         assert b2.failure_threshold == 2
         assert set(registry.breakers()) == {"h0", "h2"}
-
-
-class TestOnewayProofOfLife:
-    """Regression: oneway-only clients could never re-close a breaker.
-
-    Oneways carry no reply, so ``on_success`` never fired; a HALF_OPEN
-    breaker on a oneway-only path stayed half-open (or re-opened)
-    forever even when the peer was healthy.  Accepted oneway sends now
-    count toward the half-open probe budget via ``on_oneway_sent``.
-    """
-
-    def test_open_breaker_suppresses_oneway(self):
-        env, net, _, client, servant, ior = make_rig()
-        breaker = CircuitBreaker(client, "h0", failure_threshold=1,
-                                 reset_timeout=5.0)
-        breaker.on_failure()
-        sent = send_oneway_with_breaker(client, ior, POKE, (1,),
-                                        breaker=breaker)
-        assert sent is False
-        env.run(until=1.0)
-        assert servant.pokes == []          # nothing hit the wire
-        assert breaker.fast_fails == 1
-
-    def test_oneway_sends_reclose_half_open_breaker(self):
-        env, net, _, client, servant, ior = make_rig()
-        breaker = CircuitBreaker(client, "h0", failure_threshold=1,
-                                 reset_timeout=5.0, half_open_probes=2)
-        breaker.on_failure()
-        advance(env, 5.0)
-        assert send_oneway_with_breaker(client, ior, POKE, (1,),
-                                        breaker=breaker)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert send_oneway_with_breaker(client, ior, POKE, (2,),
-                                        breaker=breaker)
-        # Probe budget filled by accepted sends alone: re-closed with
-        # no reply ever observed.
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert send_oneway_with_breaker(client, ior, POKE, (3,),
-                                        breaker=breaker)
-        env.run(until=10.0)
-        assert servant.pokes == [1, 2, 3]
-        assert [(f, t) for _, f, t in breaker.transitions] == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-
-    def test_oneway_send_resets_failure_count_when_closed(self):
-        env, net, _, client, _, ior = make_rig()
-        breaker = CircuitBreaker(client, "h0", failure_threshold=3)
-        breaker.on_failure()
-        breaker.on_failure()
-        send_oneway_with_breaker(client, ior, POKE, (0,), breaker=breaker)
-        assert breaker.failures == 0
-        breaker.on_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_plain_send_without_breaker(self):
-        env, net, _, client, servant, ior = make_rig()
-        assert send_oneway_with_breaker(client, ior, POKE, (9,))
-        env.run(until=1.0)
-        assert servant.pokes == [9]

@@ -272,22 +272,44 @@ class TestFederationChurn:
                 rig.env.now, fed.config.member_timeout)
 
 
-class TestFederationFrontDoor:
-    def test_registry_config_federation_delegates(self):
-        rig = SimRig(clustered(2, 3), seed=127)
-        rig.node("c1h1").install_package(counter_package())
-        dr = DistributedRegistry(rig.nodes, RegistryConfig(
-            update_interval=2.0, federation=True,
-            federation_owners=2, replicas=2))
-        dr.deploy(groups_by_cluster(rig.topology.host_ids()))
-        assert dr.federation is not None
-        assert not dr.groups          # no MRM hierarchy stood up
-        rig.run(until=dr.settle_time())
-        assert dr.live_hosts() == set(rig.topology.host_ids())
-        ior = rig.run(until=dr.resolvers["c1h0"].resolve(
-            COUNTER_IFACE.repo_id))
-        assert ior.host_id == "c1h1"
+def _mrm_hierarchy(rig):
+    dr = DistributedRegistry(rig.nodes, RegistryConfig(
+        update_interval=2.0, replicas=2))
+    dr.deploy(groups_by_cluster(rig.topology.host_ids()))
+    return dr
 
+
+def _federation(rig):
+    fed = FederatedRegistry(rig.nodes, FederationConfig(
+        update_interval=2.0, owners=2, replication=2))
+    fed.deploy()
+    return fed
+
+
+@pytest.mark.parametrize("build", [_mrm_hierarchy, _federation])
+def test_back_end_contract(build):
+    """Either back end, built directly, gives the deployment supervisor
+    and the chaos panel what they read: ``reporters``, ``resolvers``,
+    ``live_hosts()`` and ``settle_time()``."""
+    rig = SimRig(clustered(2, 3), seed=127)
+    population = set(rig.topology.host_ids())
+    rig.node("c1h1").install_package(counter_package())
+    registry = build(rig)
+    assert set(registry.reporters) == set(registry.resolvers) == population
+    rig.run(until=registry.settle_time())
+    assert registry.live_hosts() == population
+    ior = rig.run(until=registry.resolvers["c1h0"].resolve(
+        COUNTER_IFACE.repo_id))
+    assert ior.host_id == "c1h1"
+    # c1h2 serves no MRM and owns no shard: only its reports vouch for it
+    rig.topology.set_host_state("c1h2", alive=False)
+    config = registry.config.mrm_config()
+    rig.run(until=rig.env.now + config.member_timeout
+            + config.sweep_interval)
+    assert registry.live_hosts() == population - {"c1h2"}
+
+
+class TestFederationFrontDoor:
     def test_federation_config_validation(self):
         with pytest.raises(ConfigurationError):
             FederationConfig(owners=0)

@@ -104,6 +104,21 @@ class TestGroupFormation:
         with pytest.raises(ConfigurationError):
             RegistryConfig(replicas=0)
 
+    def test_predictive_timeout_must_outlast_the_keepalive(self):
+        # keep-alive = 2.5 x 5.0 = 12.5 sim-s of legitimate silence
+        with pytest.raises(ConfigurationError):
+            RegistryConfig(mode="predictive", update_interval=5.0,
+                           member_timeout=6.0)
+        with pytest.raises(ConfigurationError):
+            RegistryConfig(mode="predictive", update_interval=5.0,
+                           member_timeout=12.5)
+        RegistryConfig(mode="predictive", update_interval=5.0,
+                       member_timeout=12.6)
+        # the default (3 x interval) and the other modes are unaffected
+        RegistryConfig(mode="predictive", update_interval=5.0)
+        RegistryConfig(mode="soft", update_interval=5.0,
+                       member_timeout=6.0)
+
 
 class TestSoftState:
     def deploy(self, mode="soft", **cfg_kw):

@@ -17,6 +17,7 @@ from repro.orb.core import InterfaceDef, Servant, op
 from repro.orb.exceptions import TIMEOUT
 from repro.orb.typecodes import tc_long
 from repro.registry.mrm import MrmAgent, MrmConfig
+from repro.registry.prediction import PredictiveReporter
 from repro.registry.softstate import SoftStateReporter
 from repro.sim.topology import star
 from repro.testing import SimRig
@@ -39,14 +40,22 @@ class SleepyServant(Servant):
 
 class TestRestartReregistration:
     def test_restarted_node_reappears_immediately(self):
+        self.check_reappears(SoftStateReporter)
+
+    def test_restarted_predictive_node_reappears_immediately(self):
+        # ISSUE 15: the predictive reporter had its own copy of the
+        # lifecycle, without the report-on-restart fix.
+        self.check_reappears(PredictiveReporter)
+
+    def check_reappears(self, reporter_cls):
         # phase offset 4.5s of a 5s interval: the pre-fix reporter
         # resumed its loop on restart and slept the whole phase before
         # re-registering; the fix reports before re-entering the loop.
         rig = SimRig(star(1), seed=2)
         mrm = MrmAgent(rig.node("hub"), "g0",
                        config=MrmConfig(update_interval=5.0))
-        reporter = SoftStateReporter(rig.node("h0"), [mrm.ior],
-                                     mrm.config, phase=4.5)
+        reporter = reporter_cls(rig.node("h0"), [mrm.ior],
+                                mrm.config, phase=4.5)
         rig.run(until=5.0)
         assert "h0" in mrm.members  # first report landed at t=4.5
 
