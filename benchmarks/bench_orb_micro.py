@@ -1,19 +1,22 @@
 """C1 — "Simplicity and performance ... it must be lightweight" (§2 R1).
 
-ORB microbenchmarks: CDR marshalling throughput, end-to-end invocation
-cost (wall time per simulated call), and the simulated-time latency of
-a LAN invocation as argument size grows.
+ORB microbenchmarks: CDR marshalling throughput, the round trip of the
+whiteboard's stroke ``any``, end-to-end invocation cost (wall time per
+simulated call), and the simulated-time latency of a LAN invocation as
+argument size grows.
 """
 
 import pytest
 
 from _harness import report, stash
-from repro.orb.cdr import CDRDecoder, CDREncoder
+from repro.cscw.whiteboard import STROKE_TC
+from repro.orb.cdr import Any, CDRDecoder, CDREncoder
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.typecodes import (
     sequence_tc,
     struct_tc,
     tc_double,
+    tc_any,
     tc_long,
     tc_octetseq,
     tc_string,
@@ -146,6 +149,48 @@ def test_cdr_unmarshal_throughput(benchmark, capsys):
           codegen_decode_calls=after["decode_calls"] - before["decode_calls"])
 
 
+def test_any_stroke_roundtrip(benchmark, capsys):
+    """One whiteboard stroke pushed as an ``any`` (paper section 2.1.2)
+    and decoded again — what ``cscw_session`` does about seven times per
+    stroke.  After the first value of a type the TypeCode costs an
+    append on the way out and a dict probe on the way in
+    (``codegen.stats`` ``any_tc_hits``), so this is value work plus the
+    fixed call-out."""
+    from repro.orb import codegen
+    from repro.orb.compiled import get_plan
+
+    stroke = Any(STROKE_TC, {"author": "user03", "x0": 12.5, "y0": 40.25,
+                             "x1": 310.0, "y1": 88.75, "color": "crimson"})
+    plan = get_plan(tc_any)
+    encode, decode = plan.encode, plan.decode
+
+    def round_trips():
+        out = None
+        for _ in range(100):
+            enc = CDREncoder()
+            encode(enc, stroke)
+            out = decode(CDRDecoder(enc.getvalue()))
+        return out
+
+    before = codegen.stats_snapshot()
+    assert benchmark(round_trips) == stroke
+    after = codegen.stats_snapshot()
+    us = benchmark.stats["min"] / 100 * 1e6
+    us_mean = benchmark.stats["mean"] / 100 * 1e6
+    enc = CDREncoder()
+    encode(enc, stroke)
+    report(capsys, "C1d: stroke any round trip", ["metric", "value"], [
+        ["encoded size (TypeCode + stroke)", f"{len(enc)} B"],
+        ["round trip (fastest round)", f"{us:.2f} us"],
+        ["round trip (mean)", f"{us_mean:.2f} us"],
+        ["TypeCode index misses", str(after["any_tc_misses"]
+                                      - before["any_tc_misses"])],
+    ])
+    stash(benchmark, encoded_bytes=len(enc), any_roundtrip_us=us,
+          any_roundtrip_us_mean=us_mean,
+          any_tc_misses=after["any_tc_misses"] - before["any_tc_misses"])
+
+
 def test_invocation_wall_cost(benchmark, capsys):
     """Wall-clock cost per simulated remote invocation (impl overhead)."""
     from repro.orb import codegen
@@ -181,8 +226,9 @@ def test_invocation_wall_cost(benchmark, capsys):
             ["wall time per call (mean)", f"{per_call_us_mean:.0f} us"]])
     stash(benchmark, per_call_us=per_call_us,
           per_call_us_mean=per_call_us_mean,
-          codegen_cache_hits=after["cache_hits"],
-          codegen_cache_misses=after["cache_misses"],
+          codegen_cache_hits=after["cache_hits"] - before["cache_hits"],
+          codegen_cache_misses=(after["cache_misses"]
+                                - before["cache_misses"]),
           codegen_encode_calls=after["encode_calls"] - before["encode_calls"],
           codegen_decode_calls=after["decode_calls"] - before["decode_calls"])
 

@@ -93,6 +93,7 @@ def distill(raw: dict, history: list) -> dict:
     marshal = by_name.get("test_cdr_marshal_throughput", {})
     unmarshal = by_name.get("test_cdr_unmarshal_throughput", {})
     invocation = by_name.get("test_invocation_wall_cost", {})
+    stroke = by_name.get("test_any_stroke_roundtrip", {})
 
     current = {
         "label": "generated source codecs",
@@ -102,6 +103,7 @@ def distill(raw: dict, history: list) -> dict:
             marshal["mean_s"] * 1e6 if marshal else None),
         "cdr_unmarshal_us_per_100_values": (
             unmarshal["mean_s"] * 1e6 if unmarshal else None),
+        "any_stroke_roundtrip_us": stroke.get("any_roundtrip_us"),
         "invocation_us_per_call": invocation.get("per_call_us"),
         "calls_per_sec": (
             1e6 / invocation["per_call_us"]

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.orb import codegen, giop
-from repro.orb.cdr import Any, CDRDecoder, CDREncoder, encode_value
+from repro.orb.cdr import (Any, CDRDecoder, CDREncoder, encode_typecode,
+                           encode_value)
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
 from repro.orb.typecodes import (
@@ -37,6 +38,7 @@ from repro.orb.typecodes import (
     tc_octetseq,
     tc_short,
     tc_string,
+    tc_void,
     union_tc,
 )
 
@@ -284,6 +286,19 @@ def codec_corpus() -> list[tuple]:
     return pairs
 
 
+def hostile_corpus() -> list[tuple]:
+    """(decode_fn, wire) seeds that must be refused as they stand: an
+    ``any`` whose TypeCode is a 2^28-element array of elements that
+    occupy no wire bytes, so only the decoder's own bound stops the loop."""
+    dec_any = codegen.generate(tc_any)[1]
+    pairs = []
+    for content in (tc_void, struct_tc("FzEmpty", [])):
+        enc = CDREncoder()
+        encode_typecode(enc, array_tc(content, 2 ** 28))
+        pairs.append((dec_any, enc.getvalue() + bytes(16)))
+    return pairs
+
+
 def _leaf_budget(value, limit: int) -> int:
     """Spend ``limit`` down by the size of *value*; raises when the
     decoded value is larger than the input frame could justify.
@@ -323,7 +338,7 @@ def run_codec_fuzz(seed: int, iterations: int = 2000) -> FuzzReport:
     the GIOP layer: mutate valid encodings, decode through the codegen
     tier, demand SystemException-or-bounded-value for every mutant."""
     rng = np.random.default_rng(seed)
-    pairs = codec_corpus()
+    pairs = codec_corpus() + hostile_corpus()
     report = FuzzReport(seed=seed)
     for i in range(iterations):
         dec_fn, base = pairs[int(rng.integers(0, len(pairs)))]

@@ -8,6 +8,7 @@ pooled-encoder plumbing (``take``/``reset``).
 """
 
 import gc
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.orb.cdr import (
     Any,
     CDRDecoder,
     CDREncoder,
+    decode_typecode,
     decode_value,
     decode_value_interp,
     encode_one,
@@ -25,7 +27,7 @@ from repro.orb.cdr import (
 )
 from repro.orb.compiled import CodecPlan, get_plan, op_codec
 from repro.orb.core import InterfaceDef, ORB, Servant, op
-from repro.orb.exceptions import BAD_PARAM
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, SystemException
 from repro.orb.typecodes import (
     TCKind,
     TypeCode,
@@ -181,6 +183,61 @@ class TestPlanErrors:
             decode_value_interp(CDRDecoder(wire), tc_any)
         with pytest.raises(BAD_PARAM):
             get_plan(tc_any).decode(CDRDecoder(wire))
+
+
+    def test_hostile_zero_width_array_length_fails_fast(self):
+        """An element that occupies no wire bytes (void, an empty
+        struct, arrays of those) makes an array's length free, and the
+        length arrives off the wire when the TypeCode rides in an any.
+        Both tiers hold it to the sequence rule — a count beyond the
+        remaining bytes is MARSHAL, decided after one element."""
+        empty = TypeCode(TCKind.STRUCT, name="E", repo_id="IDL:t/E:1.0")
+        for content in (tc_void, empty,
+                        TypeCode(TCKind.ARRAY, content_type=tc_void,
+                                 length=2)):
+            hostile = TypeCode(TCKind.ARRAY, content_type=content,
+                               length=2 ** 28)
+            enc = CDREncoder()
+            encode_typecode(enc, hostile)
+            wire = enc.getvalue() + b"\x00" * 16
+            for decode in (lambda d: decode_value_interp(d, tc_any),
+                           get_plan(tc_any).decode):
+                start = time.perf_counter()
+                with pytest.raises(MARSHAL):
+                    decode(CDRDecoder(wire))
+                assert time.perf_counter() - start < 0.010
+        assert get_plan(hostile).tier == "codegen"
+        assert codegen.stats["errors"] == 0
+
+    def test_zero_width_array_covered_by_the_wire_round_trips(self):
+        """The same rule admits a zero-width array whose length the
+        remaining bytes cover, exactly as it admits ``sequence<void>``;
+        one the wire does not cover is refused, as that sequence always
+        was.  Neither type can be written in IDL."""
+        tc = struct_tc("Covered", [("a", array_tc(tc_void, 3)),
+                                   ("box", tc_any), ("tail", tc_long)])
+        value = {"a": [None] * 3, "box": Any(array_tc(tc_void, 3),
+                                             [None] * 3), "tail": 7}
+        ref, fast = both_encodings(tc, value)
+        assert ref == fast
+        assert get_plan(tc).decode(CDRDecoder(fast)) == value
+        assert decode_value_interp(CDRDecoder(ref), tc) == value
+        bare = array_tc(tc_void, 3)
+        for decode in (lambda d: decode_value_interp(d, bare),
+                       get_plan(bare).decode):
+            with pytest.raises(MARSHAL):
+                decode(CDRDecoder(b""))
+            assert decode(CDRDecoder(b"\x00" * 3)) == [None] * 3
+
+    def test_any_of_a_typecode_nested_past_hashing_is_bad_param(self):
+        """``encode_any`` resolves the plan before it marshals the
+        TypeCode, and hashing a TypeCode nested thousands deep exhausts
+        the Python stack; the caller still sees the nesting error."""
+        tc = tc_long
+        for _ in range(5_000):
+            tc = TypeCode(TCKind.SEQUENCE, content_type=tc)
+        with pytest.raises(BAD_PARAM, match="nesting too deep"):
+            encode_one(tc_any, Any(tc, []))
 
 
 class TestMaxNesting:
@@ -365,10 +422,11 @@ class TestPlanCache:
         assert stats["cache_hits"] + stats["cache_misses"] >= 2
 
     def test_fresh_any_typecodes_neither_grow_nor_pin(self):
-        """Every decoded ``any`` carries a freshly built, never-identical
-        TypeCode.  The cache must hold one plan per *distinct* TypeCode
-        and keep none of the duplicates alive (the old identity front
-        cache pinned one per decode, up to 4,096)."""
+        """A stream of same-typed anys pays for its TypeCode once: after
+        first touch the wire index answers, so 10,000 decodes build no
+        TypeCode at all and reuse the first decoded one — never the
+        sender's.  The index is a second key into the plan cache, so it
+        can only be as large."""
         payloads = [
             (POINT, {"x": 1.0, "y": 2.0}),
             (sequence_tc(tc_double), [0.5]),
@@ -384,10 +442,75 @@ class TestPlanCache:
         for wire in wires:           # first touch: generate + cache
             decode_value(CDRDecoder(wire), tc_any)
         assert compiled.cache_size() == len(payloads) + 1   # + tc_any
+        assert len(compiled._TC_INDEX) == len(payloads)
         before = live_typecodes()
+        codegen.reset_stats()
         for i in range(10_000):
             got = decode_value(CDRDecoder(wires[i % 3]), tc_any)
             assert got.typecode is not payloads[i % 3][0]
         del got
         assert compiled.cache_size() == len(payloads) + 1
-        assert live_typecodes() <= before + 8
+        assert len(compiled._TC_INDEX) == len(payloads)
+        assert live_typecodes() == before
+        snap = codegen.stats_snapshot()
+        assert (snap["any_tc_hits"], snap["any_tc_misses"]) == (10_000, 0)
+        codegen.reset_stats()
+        assert codegen.stats["any_tc_hits"] == 0
+
+    def test_wire_index_holds_only_canonical_wires_of_cached_plans(self):
+        """5,000 distinct TypeCodes (more than the plan cache holds, so
+        it clears on full along the way) and 1,000 wires that decode to
+        one TypeCode without being its canonical form — non-zero
+        alignment padding, slack at the end of the encapsulation.  The
+        index never exceeds the plan cache, and no re-padding enters it:
+        a hostile sender cannot grow it past one entry per plan."""
+        compiled.clear_cache()
+        for i in range(5_000):
+            tc = alias_tc(f"Fresh{i}", tc_long)
+            got = decode_value(CDRDecoder(encode_one(tc_any, Any(tc, i))),
+                               tc_any)
+            assert got == Any(tc, i)
+            assert 0 < len(compiled._TC_INDEX) <= compiled.cache_size() \
+                <= compiled._CACHE_MAX
+
+        enc = CDREncoder()
+        encode_typecode(enc, POINT)
+        canonical = enc.getvalue()
+
+        def boxed_point(tc_wire):
+            enc = CDREncoder()
+            enc.write_bytes_raw(tc_wire)
+            encode_value(enc, POINT, {"x": 1.0, "y": 2.0})
+            return enc.getvalue()
+
+        def decodes_to_point(wire):
+            try:
+                return decode_typecode(CDRDecoder(wire)) == POINT
+            except SystemException:
+                return False
+
+        pads = [i for i, byte in enumerate(canonical) if byte == 0
+                and decodes_to_point(canonical[:i] + b"\xaa"
+                                     + canonical[i + 1:])]
+        assert len(pads) >= 2
+        repadded = []
+        for n in range(900):
+            wire = bytearray(canonical)
+            wire[pads[0]] = 1 + n % 255
+            wire[pads[1]] = 1 + n // 255
+            repadded.append(bytes(wire))
+        for n in range(1, 101):    # slack after the last member
+            length = int.from_bytes(canonical[4:8], "big") + 4 * n
+            repadded.append(canonical[:4] + length.to_bytes(4, "big")
+                            + canonical[8:] + b"\x00" * (4 * n))
+        assert len(set(repadded)) == 1_000 and canonical not in repadded
+
+        compiled.clear_cache()
+        codegen.reset_stats()
+        for wire in [canonical] + repadded + repadded:
+            got = decode_value(CDRDecoder(boxed_point(wire)), tc_any)
+            assert got == Any(POINT, {"x": 1.0, "y": 2.0})
+            assert list(compiled._TC_INDEX) == [canonical]
+        assert compiled.cache_size() == 2    # POINT + tc_any
+        assert codegen.stats["any_tc_hits"] == 0
+        assert codegen.stats["any_tc_misses"] == 2_001

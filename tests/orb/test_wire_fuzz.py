@@ -9,11 +9,11 @@ Run standalone with ``make fuzz``.
 import pytest
 
 from repro.orb import codegen, giop
-from repro.orb.cdr import Any
-from repro.orb.exceptions import SystemException
+from repro.orb.cdr import Any, CDRDecoder
+from repro.orb.exceptions import MARSHAL, SystemException
 from repro.orb.fuzz import (FuzzReport, check_bounded, check_value_bounded,
-                            codec_corpus, corpus, mutate, run_codec_fuzz,
-                            run_fuzz)
+                            codec_corpus, corpus, hostile_corpus, mutate,
+                            run_codec_fuzz, run_fuzz)
 
 pytestmark = pytest.mark.fuzz
 
@@ -44,11 +44,15 @@ def test_fuzz_no_escapes(seed):
 def test_codec_corpus_is_valid():
     # Every corpus frame decodes cleanly through the generated decoder
     # and the decoded value passes its own bound check.
-    from repro.orb.cdr import CDRDecoder
-
     for dec_fn, frame in codec_corpus():
         value = dec_fn(CDRDecoder(frame))
         check_value_bounded(value, frame)
+
+
+def test_hostile_corpus_is_refused_unmutated():
+    for dec_fn, frame in hostile_corpus():
+        with pytest.raises(MARSHAL):
+            dec_fn(CDRDecoder(frame))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

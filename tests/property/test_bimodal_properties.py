@@ -9,18 +9,25 @@ input raises must be identical, at every alignment residue.  The
 strategy draws ``any`` and object-reference members inside structs,
 sequences, arrays and unions, so the generated call-outs (cursor
 hand-over, static-depth threading) are exercised wherever they can sit.
+
+The last section holds the laws of the TypeCode wire memo
+(``compiled.encode_any`` / ``decode_any``): memoised bytes equal the
+interpreter's, an index hit equals an index miss, and the index is a
+second key into the plan cache, never a cache of its own.
 """
 
 from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.orb import codegen
+from repro.orb import codegen, compiled
 from repro.orb.cdr import (
     Any,
     CDRDecoder,
     CDREncoder,
+    decode_typecode,
     decode_value_interp,
+    encode_typecode,
     encode_value_interp,
 )
 from repro.orb.compiled import get_plan
@@ -258,3 +265,122 @@ def test_codegen_declines_are_the_designed_kinds():
     assert codegen.generate(over_nested) is None
     assert get_plan(over_nested).tier == "interpreter"
     assert codegen.stats["errors"] == 0
+
+
+# -- the TypeCode wire memo ---------------------------------------------------
+# The interpreter's any branch is un-memoised, so it is the oracle for
+# both directions.
+
+def _interp_any_encode(enc, boxed):
+    encode_value_interp(enc, tc_any, boxed)
+
+
+def _interp_any_decode(dec):
+    return decode_value_interp(dec, tc_any)
+
+
+def _memo_any_encode(enc, boxed):
+    compiled.encode_any(enc, boxed, 0)
+
+
+def _memo_any_decode(dec):
+    return compiled.decode_any(dec, 0)
+
+
+@given(_typed_values(), st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_memo_encode_bytes_equal_interpreter_first_and_second_call(
+        pair, prefix):
+    """The first call memoises ``tc_wire``, the second appends it: both
+    equal the interpreter's bytes at every start residue."""
+    boxed = Any(*pair)
+    reference = _encode_outcome(_interp_any_encode, boxed, prefix)
+    assert reference[0] == "ok"
+    compiled.clear_cache()
+    assert get_plan(pair[0]).tc_wire is None
+    assert _encode_outcome(_memo_any_encode, boxed, prefix) == reference
+    assert get_plan(pair[0]).tc_wire is not None
+    assert _encode_outcome(_memo_any_encode, boxed, prefix) == reference
+
+
+@given(_typed_values(), _typed_values(), st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_memo_decode_hit_equals_miss_equals_interpreter(pair_a, pair_b,
+                                                        prefix):
+    """Two TypeCodes registered side by side: every decode — the miss
+    that registers, the hit that follows — returns the interpreter's
+    Any and stops at its offset, and the counters say which was which."""
+    wires = []
+    for pair in (pair_a, pair_b):
+        _ok, wire = _encode_outcome(_interp_any_encode, Any(*pair), prefix)
+        wires.append((wire, _decode_outcome(_interp_any_decode, wire,
+                                            prefix)))
+        assert wires[-1][1][:2] == ("ok", Any(*pair))
+    compiled.clear_cache()
+    codegen.reset_stats()
+    for expect_hits in (0, 2):
+        for wire, reference in wires:
+            assert _decode_outcome(_memo_any_decode, wire, prefix) \
+                == reference
+        if pair_a[0] != pair_b[0]:
+            assert codegen.stats["any_tc_hits"] == expect_hits
+            assert codegen.stats["any_tc_misses"] == 2
+    assert codegen.stats["errors"] == 0
+
+
+@given(_typed_values())
+@settings(max_examples=100, deadline=None)
+def test_memo_equal_typecode_instances_share_one_wire(pair):
+    """A TypeCode and its distinct-but-equal twin resolve to one plan,
+    so to one memoised ``tc_wire`` object."""
+    tc, value = pair
+    enc = CDREncoder()
+    encode_typecode(enc, tc)
+    twin = decode_typecode(CDRDecoder(enc.getvalue()))
+    assert twin == tc
+    compiled.clear_cache()
+    first = _encode_outcome(_memo_any_encode, Any(tc, value), 0)
+    wire = get_plan(tc).tc_wire
+    assert wire == enc.getvalue()
+    assert _encode_outcome(_memo_any_encode, Any(twin, value), 0) == first
+    assert get_plan(twin).tc_wire is wire
+
+
+@given(_typed_values(), st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_memo_strict_prefixes_of_a_registered_wire_raise_as_before(
+        pair, prefix):
+    """Cut a registered TypeCode's wire anywhere: the index cannot turn
+    a truncation into a hit, and the exception class is the un-memoised
+    path's."""
+    enc = CDREncoder()
+    for i in range(prefix):
+        enc.write_octet(i)
+    encode_typecode(enc, pair[0])
+    wire = enc.getvalue()
+    compiled.clear_cache()
+    _ok, full = _encode_outcome(_interp_any_encode, Any(*pair), prefix)
+    assert _decode_outcome(_memo_any_decode, full, prefix)[0] == "ok"
+    assert len(compiled._TC_INDEX) == 1
+    for cut in range(prefix, len(wire)):
+        reference = _decode_outcome(_interp_any_decode, wire[:cut], prefix)
+        assert reference[0] == "err"
+        assert _decode_outcome(_memo_any_decode, wire[:cut], prefix) \
+            == reference
+    assert len(compiled._TC_INDEX) == 1
+
+
+@given(_typed_values())
+@settings(max_examples=50, deadline=None)
+def test_memo_index_never_outlives_or_outgrows_the_plan_cache(pair):
+    _ok, wire = _encode_outcome(_interp_any_encode, Any(*pair), 0)
+    compiled.clear_cache()
+    for _ in range(2):
+        codegen.reset_stats()
+        _memo_any_decode(CDRDecoder(wire))
+        _memo_any_decode(CDRDecoder(wire))
+        assert (codegen.stats["any_tc_misses"],
+                codegen.stats["any_tc_hits"]) == (1, 1)
+        assert 1 == len(compiled._TC_INDEX) <= compiled.cache_size()
+        compiled.clear_cache()
+        assert len(compiled._TC_INDEX) == 0
