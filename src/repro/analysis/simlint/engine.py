@@ -59,7 +59,7 @@ class SimlintConfig:
         r"|from_dict$|from_bytes$|from_xml$)")
     #: emit methods whose first argument is a metric name (SIM030).
     metric_methods: tuple[str, ...] = (
-        "counter", "histogram", "series", "add_labelled",
+        "counter", "histogram", "gauge", "add_labelled",
         "labelled_family", "find_histogram",
     )
     #: emit methods whose first argument is a span name (SIM031).

@@ -9,7 +9,7 @@ every emit site to it:
 
 - **SIM030** — a metric name passed as a string literal (or an
   f-string with dynamic segments) to ``counter``/``histogram``/
-  ``series``/``add_labelled``/... must be declared;
+  ``gauge``/``add_labelled``/... must be declared;
 - **SIM031** — ditto span labels passed to ``span``/``start_span``.
 
 F-strings are canonicalized with ``*`` standing for each dynamic

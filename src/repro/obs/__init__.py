@@ -23,9 +23,8 @@ from __future__ import annotations
 from repro.obs.interceptors import MetricsInterceptor, TracingInterceptor
 from repro.obs.trace import (
     ContextStore,
-    SPAN_ID_KEY,
     Span,
-    TRACE_ID_KEY,
+    TRACE_CONTEXT_ID,
     TraceContext,
     Tracer,
 )
@@ -34,19 +33,18 @@ __all__ = [
     "ContextStore",
     "MetricsInterceptor",
     "Observability",
-    "SPAN_ID_KEY",
     "Span",
-    "TRACE_ID_KEY",
+    "TRACE_CONTEXT_ID",
     "TraceContext",
     "Tracer",
     "TracingInterceptor",
 ]
 
-#: metric name of the per-ORB pending-reply-table depth time series.
-PENDING_DEPTH_SERIES = "orb.pending.depth"
+#: metric name of the pending-reply-table depth gauge.
+PENDING_DEPTH_GAUGE = "orb.pending.depth"
 
-#: metric name of the per-ORB inbound-dispatch depth (admission gauge).
-DISPATCH_DEPTH_SERIES = "orb.dispatch.depth"
+#: metric name of the inbound-dispatch depth (admission) gauge.
+DISPATCH_DEPTH_GAUGE = "orb.dispatch.depth"
 
 #: histogram of detection-to-recovered latency per supervisor recovery.
 RECOVERY_LATENCY_HIST = "supervisor.recovery.latency"
@@ -73,12 +71,10 @@ class Observability:
         orb.add_client_interceptor(self.metrics_interceptor)
         orb.add_server_interceptor(self.tracing)
         orb.add_server_interceptor(self.metrics_interceptor)
-        depth_series = self.metrics.series(PENDING_DEPTH_SERIES)
         orb.pending_watchers.append(
-            lambda depth: depth_series.record(self.env.now, depth))
-        dispatch_series = self.metrics.series(DISPATCH_DEPTH_SERIES)
+            self.metrics.gauge(PENDING_DEPTH_GAUGE).record)
         orb.dispatch_watchers.append(
-            lambda depth: dispatch_series.record(self.env.now, depth))
+            self.metrics.gauge(DISPATCH_DEPTH_GAUGE).record)
         self.orbs.append(orb)
 
     def install_node(self, node) -> None:

@@ -2,15 +2,18 @@
 
 These are the concrete implementations the ORB's portable-interceptor
 hook points were made for: :class:`TracingInterceptor` builds causally
-linked spans (propagating context through the GIOP service context and
-the per-process :class:`~repro.obs.trace.ContextStore`), and
+linked spans (propagating context through one GIOP service-context
+slot, the ORB's current request and the per-process
+:class:`~repro.obs.trace.ContextStore`), and
 :class:`MetricsInterceptor` feeds the log-bucket histograms that the
 ``obs_report`` tool summarizes.
 """
 
 from __future__ import annotations
 
-from repro.obs.trace import SPAN_ID_KEY, TRACE_ID_KEY, TraceContext
+from functools import cache
+
+from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT, TraceContext
 
 #: histogram shapes: latency in sim-seconds from 1 µs up, sizes in
 #: bytes from 16 B up.  Fixed across the whole fleet so per-operation
@@ -29,19 +32,27 @@ class TracingInterceptor:
 
     def __init__(self, hub) -> None:
         self.hub = hub
+        #: operation -> (client, server) span names, formatted once each.
+        self._names = cache(lambda op: (f"call:{op}", f"serve:{op}"))
 
     # -- client side -------------------------------------------------------
     def send_request(self, info) -> None:
         hub = self.hub
-        parent = hub.context.current(info.orb.env)
+        orb = info.orb
+        # A plain servant's nested call parents under the request the
+        # ORB is running right now; a process (generator servant, retry
+        # loop, client) under whatever is bound to it.
+        request = orb.current_request
+        parent = (request.slots.get("span") if request is not None
+                  else hub.context.current(orb.env))
         span = hub.tracer.start_span(
-            f"call:{info.operation}", kind="client", parent=parent,
-            host=info.orb.host_id,
-            attrs={"peer": info.ior.host_id,
-                   "request_id": info.request_id,
-                   "oneway": info.oneway})
-        info.service_context[TRACE_ID_KEY] = span.trace_id
-        info.service_context[SPAN_ID_KEY] = span.span_id
+            self._names(info.odef.name)[0], "client", parent,
+            orb.host_id,
+            {"peer": info.ior.host_id,
+             "request_id": info.request_id,
+             "oneway": info.oneway})
+        info.service_context.append(
+            (TRACE_CONTEXT_ID, TRACE_SLOT.pack(span.trace_id, span.span_id)))
         info.slots["span"] = span
 
     def receive_reply(self, info) -> None:
@@ -60,18 +71,17 @@ class TracingInterceptor:
 
     # -- server side -------------------------------------------------------
     def receive_request(self, info) -> None:
-        hub = self.hub
-        trace_id = info.service_context.get(TRACE_ID_KEY)
-        span_id = info.service_context.get(SPAN_ID_KEY)
-        parent = (TraceContext(trace_id, span_id)
-                  if trace_id and span_id else None)
-        span = hub.tracer.start_span(
-            f"serve:{info.operation}", kind="server", parent=parent,
-            host=info.orb.host_id,
-            attrs={"client": info.client, "bytes_in": info.request_bytes})
-        info.slots["span"] = span
-        info.slots["prev_ctx"] = hub.context.bind(info.process,
-                                                  span.context)
+        parent = None
+        for context_id, data in info.service_context:
+            # A trace slot of the wrong size is no trace slot: the
+            # request starts a root span, it is not refused.
+            if context_id == TRACE_CONTEXT_ID and len(data) == TRACE_SLOT.size:
+                parent = TraceContext._make(TRACE_SLOT.unpack(data))
+                break
+        info.slots["span"] = self.hub.tracer.start_span(
+            self._names(info.operation)[1], "server", parent,
+            info.orb.host_id,
+            {"client": info.client, "bytes_in": info.request_bytes})
 
     def child_process(self, info, proc) -> None:
         # Servant generators run as nested processes; calls they make
@@ -81,48 +91,50 @@ class TracingInterceptor:
             self.hub.context.bind(proc, span.context)
 
     def finish_request(self, info) -> None:
-        hub = self.hub
         span = info.slots.get("span")
         if span is not None:
             span.attrs["bytes_out"] = info.reply_bytes
             if info.exception is not None:
-                hub.tracer.end_span(span, status="error",
-                                    error=_error_label(info.exception))
+                self.hub.tracer.end_span(span, status="error",
+                                         error=_error_label(info.exception))
             else:
-                hub.tracer.end_span(span, status="ok")
-        hub.context.bind(info.process, info.slots.get("prev_ctx"))
+                self.hub.tracer.end_span(span, status="ok")
 
 
 class MetricsInterceptor:
     """Client + server interceptor recording per-operation histograms."""
 
     def __init__(self, hub) -> None:
-        self.metrics = hub.metrics
-
-    def _latency(self, name: str):
-        return self.metrics.histogram(name, **LATENCY_BUCKETS)
-
-    def _size(self, name: str):
-        return self.metrics.histogram(name, **SIZE_BUCKETS)
+        metrics = self.metrics = hub.metrics
+        # Histogram handles, resolved once per operation / per meter
+        # instead of formatted and looked up by name on every call.
+        self._client = cache(lambda op: (
+            metrics.histogram(f"orb.client.request_bytes.{op}",
+                              **SIZE_BUCKETS),
+            metrics.histogram(f"orb.client.latency.{op}", **LATENCY_BUCKETS),
+            metrics.histogram(f"orb.client.reply_bytes.{op}",
+                              **SIZE_BUCKETS)))
+        self._server = cache(lambda op: metrics.histogram(
+            f"orb.server.latency.{op}", **LATENCY_BUCKETS))
+        self._meter = cache(lambda meter: metrics.histogram(
+            f"{meter}.latency", **LATENCY_BUCKETS))
 
     # -- client side -------------------------------------------------------
     def send_request(self, info) -> None:
         pass
 
     def _record_client(self, info) -> None:
-        operation = info.operation
-        self._size(f"orb.client.request_bytes.{operation}").record(
-            info.request_bytes)
+        request_bytes, latency, reply_bytes = self._client(info.odef.name)
+        request_bytes.record(info.request_bytes)
         if not info.oneway:
-            self._latency(f"orb.client.latency.{operation}").record(
-                info.latency)
+            elapsed = info.latency
+            latency.record(elapsed)
             if info.reply_bytes:
-                self._size(f"orb.client.reply_bytes.{operation}").record(
-                    info.reply_bytes)
+                reply_bytes.record(info.reply_bytes)
             # oneway sends complete instantly; a 0-latency sample would
             # only distort the meter's percentiles.
             if info.meter is not None:
-                self._latency(f"{info.meter}.latency").record(info.latency)
+                self._meter(info.meter).record(elapsed)
 
     def receive_reply(self, info) -> None:
         self._record_client(info)
@@ -139,9 +151,7 @@ class MetricsInterceptor:
         pass
 
     def finish_request(self, info) -> None:
-        operation = info.operation
-        self._latency(f"orb.server.latency.{operation}").record(
-            info.latency)
+        self._server(info.operation).record(info.latency)
         if info.exception is not None:
             self.metrics.counter(
-                f"orb.server.errors.{operation}").inc()
+                f"orb.server.errors.{info.operation}").inc()

@@ -66,7 +66,7 @@ BUS_REMOTE_BATCHES = "bus.remote.batches"
 BUS_REMOTE_ERRORS = "bus.remote.errors"
 BUS_REMOTE_EVENTS = "bus.remote.events"
 
-#: exact metric names (counters, series, histograms, labelled
+#: exact metric names (counters, gauges, histograms, labelled
 #: families) the system may emit.
 METRIC_NAMES: frozenset[str] = frozenset({
     # aggregation / grid
@@ -234,7 +234,7 @@ def undeclared_metrics(registry) -> set[str]:
     that are not declared here — for runtime-containment tests."""
     emitted: set[str] = set()
     emitted.update(registry._counters)
-    emitted.update(registry._series)
+    emitted.update(registry._gauges)
     emitted.update(registry._histograms)
     emitted.update(registry._labelled)
     return {name for name in emitted if not metric_declared(name)}

@@ -3,34 +3,37 @@
 One logical call — client process, server dispatch, nested calls the
 servant makes, retries of failed attempts — becomes one *trace*: a set
 of :class:`Span` records linked parent-to-child by span ids and stamped
-with simulated time.  Trace context crosses the wire in the GIOP
-service-context slots (:data:`TRACE_ID_KEY` / :data:`SPAN_ID_KEY`) and
-crosses *process* boundaries inside one host through the
-:class:`ContextStore`, which binds a context to the simulation process
-that is currently executing on behalf of the call.
+with simulated time.  Trace context crosses the wire in one GIOP
+service-context slot (:data:`TRACE_CONTEXT_ID`: trace number and span
+number, two ulongs).  Inside a host, a plain servant's nested calls
+find their parent through the ORB's *current request*; generator
+servants and retry loops, which run as simulation processes of their
+own, find it through the :class:`ContextStore`, which binds a context
+to the process executing on behalf of the call.
 
-Ids are drawn from per-tracer counters, so a given simulation produces
-an identical trace set on every run (the determinism rule of
+Ids are integers drawn from per-tracer counters, so a given simulation
+produces an identical trace set on every run (the determinism rule of
 :mod:`repro.sim.kernel` extends to observability).
 """
 
 from __future__ import annotations
 
+import struct
 import weakref
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
-#: GIOP service-context slot names used for propagation.
-TRACE_ID_KEY = "trace-id"
-SPAN_ID_KEY = "span-id"
+#: GIOP service-context id of the trace slot ("TR" in ASCII).
+TRACE_CONTEXT_ID = 0x5452
+
+#: the slot's ``context_data``: trace number, span number.
+TRACE_SLOT = struct.Struct(">II")
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """The propagated part of a span: enough to parent a child span."""
 
-    trace_id: str
-    span_id: str
+    trace_id: int
+    span_id: int
 
 
 class Span:
@@ -39,9 +42,10 @@ class Span:
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind",
                  "host", "start", "end", "status", "error", "attrs")
 
-    def __init__(self, trace_id: str, span_id: str,
-                 parent_id: Optional[str], name: str, kind: str,
-                 host: Optional[str], start: float) -> None:
+    def __init__(self, trace_id: int, span_id: int,
+                 parent_id: Optional[int], name: str, kind: str,
+                 host: Optional[str], start: float,
+                 attrs: dict[str, Any]) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -53,7 +57,7 @@ class Span:
         self.end: Optional[float] = None
         self.status = "open"
         self.error: Optional[str] = None
-        self.attrs: dict[str, Any] = {}
+        self.attrs = attrs
 
     @property
     def context(self) -> TraceContext:
@@ -84,22 +88,22 @@ class Tracer:
         self._next_span = 0
 
     def start_span(self, name: str, kind: str = "internal",
-                   parent: Optional[TraceContext] = None,
+                   parent: "TraceContext | Span | None" = None,
                    host: Optional[str] = None,
                    attrs: Optional[dict] = None) -> Span:
-        """Open a span; a new trace is started when *parent* is None."""
+        """Open a span; a new trace is started when *parent* is None.
+        *parent* is a :class:`TraceContext` or the parent span itself;
+        the span keeps *attrs*, not a copy."""
         if parent is None:
             self._next_trace += 1
-            trace_id = f"t{self._next_trace:06d}"
+            trace_id = self._next_trace
             parent_id = None
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
         self._next_span += 1
-        span = Span(trace_id, f"s{self._next_span:06d}", parent_id,
-                    name, kind, host, self.env.now)
-        if attrs:
-            span.attrs.update(attrs)
+        span = Span(trace_id, self._next_span, parent_id, name, kind, host,
+                    self.env.now, attrs if attrs is not None else {})
         self.spans.append(span)
         return span
 
@@ -112,20 +116,28 @@ class Tracer:
         span.error = error
 
     # -- queries -----------------------------------------------------------
-    def traces(self) -> dict[str, list[Span]]:
+    def traces(self) -> dict[int, list[Span]]:
         """Spans grouped by trace id, in creation order."""
-        out: dict[str, list[Span]] = {}
+        out: dict[int, list[Span]] = {}
         for span in self.spans:
             out.setdefault(span.trace_id, []).append(span)
         return out
 
-    def trace_is_connected(self, trace_id: str) -> bool:
-        """True when every non-root span's parent is in the same trace."""
-        spans = [s for s in self.spans if s.trace_id == trace_id]
-        ids = {s.span_id for s in spans}
-        return bool(spans) and all(
-            s.parent_id is None or s.parent_id in ids for s in spans
-        )
+    def trace_is_connected(self, trace_id: int) -> bool:
+        """True when every non-root span's parent is in the same trace.
+        Scans every span: to check many traces, group once with
+        :meth:`traces` and ask :func:`spans_connected` per group."""
+        return spans_connected(
+            [s for s in self.spans if s.trace_id == trace_id])
+
+
+def spans_connected(spans: list[Span]) -> bool:
+    """True when *spans* (one trace) is non-empty and every non-root
+    span's parent is among them."""
+    ids = {s.span_id for s in spans}
+    return bool(spans) and all(
+        s.parent_id is None or s.parent_id in ids for s in spans
+    )
 
 
 class ContextStore:

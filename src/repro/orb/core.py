@@ -250,10 +250,12 @@ def make_exception_class(name: str, tc: TypeCode) -> type[UserException]:
 # user/system exception, timeout, crash — or immediately for oneways).
 #
 # Server interceptors: ``receive_request(info)`` in registration order
-# when a dispatch starts, ``finish_request(info)`` in reverse order
-# when it ends (whatever the outcome); the optional ``child_process
-# (info, proc)`` is called when the servant method is a generator that
-# the ORB drives as a nested simulation process.
+# when a request is admitted, ``finish_request(info)`` in reverse order
+# once it is done and its reply sent (whatever the outcome); the
+# optional ``child_process(info, proc)`` is called when the servant
+# method is a generator that the ORB drives as a nested simulation
+# process.  While a servant method is on the stack — and only then —
+# its ``info`` is ``ORB.current_request``.
 
 
 class ClientRequestInfo:
@@ -273,8 +275,9 @@ class ClientRequestInfo:
         self.request_id = request_id
         self.oneway = oneway
         self.meter = meter
-        #: str -> str slots copied into the GIOP request service context.
-        self.service_context: dict[str, str] = {}
+        #: (context_id, context_data) slots interceptors append; framed
+        #: into the GIOP request service context in this order.
+        self.service_context: list[tuple[int, bytes]] = []
         self.request_bytes = 0
         self.reply_bytes = 0
         self.start = orb.env.now
@@ -296,7 +299,7 @@ class ServerRequestInfo:
     """Mutable view of one inbound dispatch, shared by server
     interceptors across the receive/finish hook pair."""
 
-    __slots__ = ("orb", "request", "client", "process", "service_context",
+    __slots__ = ("orb", "request", "client", "service_context",
                  "request_bytes", "reply_bytes", "reply_status",
                  "exception", "start", "end", "slots")
 
@@ -305,9 +308,7 @@ class ServerRequestInfo:
         self.orb = orb
         self.request = request
         self.client = client
-        #: the simulation process driving this dispatch.
-        self.process = None
-        self.service_context = dict(request.service_context)
+        self.service_context = request.service_context
         self.request_bytes = request_bytes
         self.reply_bytes = 0
         #: GIOP reply status actually sent, or None (oneway / dropped).
@@ -523,6 +524,13 @@ class ORB:
         self.dispatch_watchers: list[Callable[[int], None]] = []
         self._client_interceptors: list[TAny] = []
         self._server_interceptors: list[TAny] = []
+        #: the :class:`ServerRequestInfo` of the servant method on the
+        #: stack right now (the role of ``PortableServer::Current``),
+        #: ``None`` between servant calls and on un-intercepted ORBs.
+        #: Set only around ``method(*args)``, never at admission: a
+        #: dispatch with CPU cost runs its servant from a later timeout
+        #: callback, with other requests admitted in between.
+        self.current_request: Optional[ServerRequestInfo] = None
         # Hot-path counters resolved once instead of per call.
         self._ctr_requests = self.metrics.counter(names.ORB_REQUESTS)
         self._ctr_replies = self.metrics.counter(names.ORB_REPLIES)
@@ -635,14 +643,14 @@ class ORB:
     def _client_send_hooks(
         self, ior: IOR, odef: OperationDef, request_id: int,
         meter: Optional[str], oneway: bool,
-    ) -> tuple[Optional[ClientRequestInfo], tuple[tuple[str, str], ...]]:
+    ) -> tuple[Optional[ClientRequestInfo], Sequence[tuple[int, bytes]]]:
         """Run send_request interceptors; returns (info, service_context)."""
         if not self._client_interceptors:
             return None, ()
         info = ClientRequestInfo(self, ior, odef, request_id, meter, oneway)
         for icpt in self._client_interceptors:
             icpt.send_request(info)
-        return info, tuple(sorted(info.service_context.items()))
+        return info, info.service_context
 
     def _finish_client(self, info: ClientRequestInfo, event: Event) -> None:
         info.end = self.env.now
@@ -999,10 +1007,14 @@ class ORB:
             self._inflight += 1
             if self.dispatch_watchers:
                 self._watch_dispatch()
-            if (self._slots is None and not self._server_interceptors
-                    and self._dispatch_fast(decoded, src)):
+            info = None
+            if self._server_interceptors:
+                info = ServerRequestInfo(self, decoded, src, wire_size)
+                for icpt in self._server_interceptors:
+                    icpt.receive_request(info)
+            if self._slots is None and self._dispatch_fast(decoded, src, info):
                 return
-            self.env.process(self._dispatch(decoded, src, wire_size))
+            self.env.process(self._dispatch(decoded, src, info))
         else:
             self._complete(decoded, wire_size)
 
@@ -1028,23 +1040,34 @@ class ORB:
 
     # -- server side -------------------------------------------------------------
     def _dispatch(self, request: giop.RequestMessage, client: str,
-                  wire_size: int = 0):
-        """Process one inbound request (runs as a simulation process)."""
-        info: Optional[ServerRequestInfo] = None
-        if self._server_interceptors:
-            info = ServerRequestInfo(self, request, client, wire_size)
-            info.process = self.env.active_process
-            for icpt in self._server_interceptors:
-                icpt.receive_request(info)
+                  info: Optional[ServerRequestInfo]):
+        """Process one admitted request (runs as a simulation process)."""
         try:
             yield from self._dispatch_body(request, client, info)
         finally:
-            self._inflight -= 1
+            self._dispatch_done(info)
+
+    def _dispatch_done(self, info: Optional[ServerRequestInfo]) -> None:
+        """Close one admitted request, whatever its path and outcome:
+        in-flight accounting, then ``finish_request`` in reverse order."""
+        self._inflight -= 1
+        if self.dispatch_watchers:
             self._watch_dispatch()
-            if info is not None:
-                info.end = self.env.now
-                for icpt in reversed(self._server_interceptors):
-                    icpt.finish_request(info)
+        if info is not None:
+            info.end = self.env._now
+            for icpt in reversed(self._server_interceptors):
+                icpt.finish_request(info)
+
+    def _run_generator(self, gen, info: Optional[ServerRequestInfo]):
+        """Start a servant's generator as a process of its own and tell
+        the interceptors, so calls it makes find this request."""
+        proc = self.env.process(gen)
+        if info is not None:
+            for icpt in self._server_interceptors:
+                hook = getattr(icpt, "child_process", None)
+                if hook is not None:
+                    hook(info, proc)
+        return proc
 
     def _resolve_target(self, request: giop.RequestMessage):
         """Resolve (servant, odef) for *request*, with a fenced cache.
@@ -1102,16 +1125,14 @@ class ORB:
                 if cost_s > 0:
                     yield self.env.timeout(cost_s)
 
-                result = method(*args)
+                prev, self.current_request = self.current_request, info
+                try:
+                    result = method(*args)
+                finally:
+                    self.current_request = prev
                 if hasattr(result, "send") and hasattr(result, "throw"):
                     # Servant method is a generator: drive it to completion.
-                    proc = self.env.process(result)
-                    if info is not None:
-                        for icpt in self._server_interceptors:
-                            hook = getattr(icpt, "child_process", None)
-                            if hook is not None:
-                                hook(info, proc)
-                    result = yield proc
+                    result = yield self._run_generator(result, info)
             finally:
                 if slots is not None:
                     slots.release()
@@ -1191,14 +1212,14 @@ class ORB:
             if request.response_expected:
                 self._reply_system(client, request, UNKNOWN(repr(exc)), info)
 
-    def _dispatch_fast(self, request: giop.RequestMessage,
-                       client: str) -> bool:
+    def _dispatch_fast(self, request: giop.RequestMessage, client: str,
+                       info: Optional[ServerRequestInfo]) -> bool:
         """Serve one request without a kernel process when nothing needs
-        one: no worker slots, no interceptors (both checked by the
-        caller) and a plain (non-generator) servant method.  Zero-cost
-        operations complete inside the delivery callback; operations
-        with CPU cost run off a single timeout callback.  Either way the
-        per-call process creation and its kernel steps are skipped.
+        one: no worker slots (checked by the caller) and a plain
+        (non-generator) servant method.  Zero-cost operations complete
+        inside the delivery callback; operations with CPU cost run off
+        a single timeout callback.  Either way the per-call process
+        creation and its kernel steps are skipped.
 
         Returns False — before running any servant code — when the
         request must take the process path instead.  When it returns
@@ -1226,9 +1247,8 @@ class ORB:
             else:
                 args = codec.decode_in(CDRDecoder(request.args))
         except Exception as exc:
-            self._dispatch_error(request, client, odef, exc, None)
-            self._inflight -= 1
-            self._watch_dispatch()
+            self._dispatch_error(request, client, odef, exc, info)
+            self._dispatch_done(info)
             return True
         # Charge the operation's CPU cost at this host's speed (same
         # accounting point as the process path: after decode, before
@@ -1241,46 +1261,49 @@ class ORB:
             # per-call closure allocation, and _dispatch_finish is the
             # callback itself (no unpacking shim frame in between).
             Timeout(self.env, cost_s,
-                    (request, client, odef, method, args)
+                    (request, client, odef, method, args, info)
                     ).callbacks.append(self._dispatch_finish)
         else:
             self._dispatch_finish(
-                _ImmediateCtx((request, client, odef, method, args)))
+                _ImmediateCtx((request, client, odef, method, args, info)))
         return True
 
     def _dispatch_finish(self, ev) -> None:
         """Run the servant and reply; tail of the processless path.
 
         Runs as the cost-timeout's callback; the dispatch context
-        ``(request, client, odef, method, args)`` rides in ``ev._value``.
+        ``(request, client, odef, method, args, info)`` rides in
+        ``ev._value``.
         """
-        request, client, odef, method, args = ev._value
+        request, client, odef, method, args, info = ev._value
         try:
-            result = method(*args)
+            prev, self.current_request = self.current_request, info
+            try:
+                result = method(*args)
+            finally:
+                self.current_request = prev
             if hasattr(result, "send") and hasattr(result, "throw"):
                 # A plain method handed back a generator object: drive
                 # it to completion on the kernel like the process path.
-                self.env.process(
-                    self._dispatch_tail(request, client, odef, result))
+                self.env.process(self._dispatch_tail(
+                    request, client, odef, result, info))
                 return
-            self._complete_dispatch(request, client, odef, result, None)
+            self._complete_dispatch(request, client, odef, result, info)
         except Exception as exc:
-            self._dispatch_error(request, client, odef, exc, None)
-        self._inflight -= 1
-        if self.dispatch_watchers:
-            self._watch_dispatch()
+            self._dispatch_error(request, client, odef, exc, info)
+        self._dispatch_done(info)
 
     def _dispatch_tail(self, request: giop.RequestMessage, client: str,
-                       odef: OperationDef, gen):
+                       odef: OperationDef, gen,
+                       info: Optional[ServerRequestInfo]):
         """Finish a fast-path dispatch whose servant returned a generator."""
         try:
-            result = yield self.env.process(gen)
-            self._complete_dispatch(request, client, odef, result, None)
+            result = yield self._run_generator(gen, info)
+            self._complete_dispatch(request, client, odef, result, info)
         except Exception as exc:
-            self._dispatch_error(request, client, odef, exc, None)
+            self._dispatch_error(request, client, odef, exc, info)
         finally:
-            self._inflight -= 1
-            self._watch_dispatch()
+            self._dispatch_done(info)
 
     def _encode_result(self, odef: OperationDef, result) -> CDREncoder:
         """Marshal the reply body into a pooled encoder and return it.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT
 from repro.orb import codegen, giop
 from repro.orb.cdr import (Any, CDRDecoder, CDREncoder, encode_typecode,
                            encode_value)
@@ -43,16 +44,20 @@ from repro.orb.typecodes import (
 )
 
 
+#: A trace slot as the tracing interceptor frames it.
+_TRACE_SLOT = (TRACE_CONTEXT_ID, TRACE_SLOT.pack(1, 2))
+
+
+def _request(service_context: tuple) -> giop.RequestMessage:
+    return giop.RequestMessage(
+        7, True, "h1", "node", "registry", "lookup",
+        args=b"\x00\x00\x00\x04ping", service_context=service_context)
+
+
 def corpus() -> list[bytes]:
     """Canonical valid wire frames covering both message kinds."""
     requests = [
-        giop.RequestMessage(
-            request_id=7, response_expected=True, host="h1",
-            adapter="node", object_key="registry", operation="lookup",
-            args=b"\x00\x00\x00\x04ping",
-            service_context=(("trace-id", "t000001"),
-                             ("span-id", "s000001")),
-        ),
+        _request((_TRACE_SLOT, (0xBEEF, b"opaque"))),
         giop.RequestMessage(
             request_id=2 ** 31, response_expected=False, host="hub",
             adapter="app", object_key="k" * 40, operation="_get_value",
@@ -161,6 +166,21 @@ class FuzzReport:
         return not self.failures
 
 
+def hostile_requests() -> list[tuple[bytes, bool]]:
+    """(wire, decodes) seeds aimed at the service-context grammar: three
+    that must be refused as they stand, then two well-formed frames
+    whose slots no reader understands, carried untouched."""
+    one_slot = _request((_TRACE_SLOT,)).encode()      # ends: count, slot
+    huge_count = one_slot[:-20] + b"\xff\xff\xff\xff" + one_slot[-16:]
+    long_slot = one_slot[:-12] + b"\x00\x01\x00\x00" + one_slot[-8:]
+    over_cap = _request(tuple(
+        (i, b"") for i in range(giop.MAX_SERVICE_CONTEXT_SLOTS + 1))).encode()
+    short_trace = _request(((_TRACE_SLOT[0], _TRACE_SLOT[1][:7]),)).encode()
+    unknown_id = _request(((0xFFFFFFFF, b"\x00" * 8),)).encode()
+    return [(huge_count, False), (long_slot, False), (over_cap, False),
+            (short_trace, True), (unknown_id, True)]
+
+
 def check_bounded(message, data: bytes) -> None:
     """Assert the decoder never allocated more than the input justifies.
 
@@ -169,15 +189,18 @@ def check_bounded(message, data: bytes) -> None:
     """
     limit = len(data)
     if isinstance(message, giop.RequestMessage):
-        strings = [message.host, message.adapter, message.object_key,
-                   message.operation]
-        for key, value in message.service_context:
-            strings.extend((key, value))
-        for s in strings:
+        for s in (message.host, message.adapter, message.object_key,
+                  message.operation):
             if len(s.encode("utf-8")) > limit:
                 raise AssertionError(
                     f"decoded string of {len(s)} chars from a "
                     f"{limit}-byte frame"
+                )
+        for _context_id, context_data in message.service_context:
+            if len(context_data) > limit:
+                raise AssertionError(
+                    f"decoded {len(context_data)}-byte service-context "
+                    f"slot from a {limit}-byte frame"
                 )
         if len(message.args) > limit:
             raise AssertionError(
@@ -369,7 +392,7 @@ def run_fuzz(seed: int, iterations: int = 2000) -> FuzzReport:
     offending byte string at once.
     """
     rng = np.random.default_rng(seed)
-    frames = corpus()
+    frames = corpus() + [wire for wire, _decodes in hostile_requests()]
     report = FuzzReport(seed=seed)
     for i in range(iterations):
         base = frames[int(rng.integers(0, len(frames)))]

@@ -11,11 +11,15 @@ Message grammar (all CDR, big-endian):
                  string host, string adapter, string object_key,
                  string operation, octetseq args, service_context
     reply     := ulong request_id, ulong status, octetseq body
-    service_context := ulong count, { string key, string value }*
+    service_context := ulong count,
+                       { ulong context_id, octetseq context_data }*
 
-The service context is a small, ordered set of string key/value slots
-carried with every request — the GIOP mechanism interceptors use to
-propagate out-of-band state (trace/span ids) along a call chain.
+The service context (the shape of real GIOP's ``IOP::ServiceContext``)
+is a small, ordered set of slots interceptors use to propagate
+out-of-band state along a call chain.  A slot's data is opaque here:
+the id names its reader (:data:`repro.obs.trace.TRACE_CONTEXT_ID` is
+the 8-byte trace slot) and unknown ids are carried and ignored.  An
+empty context is the 4-byte zero count.
 
 Reply status is one of NO_EXCEPTION / USER_EXCEPTION / SYSTEM_EXCEPTION;
 user exception bodies carry ``string repo_id`` then the members, system
@@ -35,7 +39,7 @@ MSG_REPLY = 1
 MSG_MULTI = 2
 
 #: Hard cap on service-context slots accepted from the wire.  Legitimate
-#: senders carry a handful (trace/span ids); a corrupted count must not
+#: senders carry a handful (the trace slot); a corrupted count must not
 #: drive thousands of decode attempts or allocations.
 MAX_SERVICE_CONTEXT_SLOTS = 32
 
@@ -58,16 +62,7 @@ _REQ_HEAD = _struct.Struct(">B3xI?")   # msg_type, request_id, response_expected
 _REPLY_HEAD = _struct.Struct(">B3xII")  # msg_type, request_id, status
 _MULTI_HEAD = _struct.Struct(">B3xI")   # msg_type, frame count
 _ULONG = _struct.Struct(">I")
-
-
-def _append_string(buf: bytearray, s: str) -> None:
-    data = s.encode("utf-8")
-    pad = (-len(buf)) & 3
-    if pad:
-        buf += b"\x00" * pad
-    buf += _ULONG.pack(len(data) + 1)
-    buf += data
-    buf.append(0)
+_SLOT_HEAD = _struct.Struct(">II")      # context_id, context_data length
 
 
 class RequestMessage:
@@ -85,7 +80,7 @@ class RequestMessage:
     def __init__(self, request_id: int, response_expected: bool, host: str,
                  adapter: str, object_key: str, operation: str,
                  args: bytes,
-                 service_context: tuple[tuple[str, str], ...] = ()) -> None:
+                 service_context: tuple[tuple[int, bytes], ...] = ()) -> None:
         self.request_id = request_id
         self.response_expected = response_expected
         self.host = host
@@ -94,7 +89,7 @@ class RequestMessage:
         self.operation = operation
         #: CDR encapsulation of in/inout parameters.
         self.args = args
-        #: interceptor-propagated (key, value) slots, e.g. trace context.
+        #: interceptor-propagated (context_id, context_data) slots.
         self.service_context = service_context
 
     def _key(self):
@@ -232,11 +227,12 @@ def encode_request_prefix(host: str, adapter: str, object_key: str,
 
 
 def encode_request(request_id: int, response_expected: bool, prefix: bytes,
-                   args, service_context: tuple = ()) -> bytes:
+                   args, service_context=()) -> bytes:
     """One-pass request encode from a pre-built routing *prefix*.
 
     *args* may be ``bytes``, ``bytearray`` or ``memoryview`` — callers
     holding a pooled encoder buffer can pass it without snapshotting.
+    *service_context* is any sequence of ``(context_id, context_data)``.
     """
     try:
         buf = bytearray(_REQ_HEAD.pack(
@@ -254,9 +250,12 @@ def encode_request(request_id: int, response_expected: bool, prefix: bytes,
     if pad:
         buf += b"\x00" * pad
     buf += _ULONG.pack(len(service_context))
-    for key, value in service_context:
-        _append_string(buf, key)
-        _append_string(buf, value)
+    for context_id, context_data in service_context:
+        pad = (-len(buf)) & 3
+        if pad:
+            buf += b"\x00" * pad
+        buf += _SLOT_HEAD.pack(context_id, len(context_data))
+        buf += context_data
     return bytes(buf)
 
 
@@ -364,18 +363,23 @@ def _decode_message_body(data) -> "RequestMessage | ReplyMessage":
             if n_slots > MAX_SERVICE_CONTEXT_SLOTS:
                 raise MARSHAL(f"service context count {n_slots} exceeds cap "
                               f"{MAX_SERVICE_CONTEXT_SLOTS}")
-            # Each slot is two strings of >= 4 bytes (length word) each;
-            # bound the loop by the bytes that are actually there.
+            # Each slot is at least its id and length words; bound the
+            # loop by the bytes that are actually there.
             remaining = len(data) - pos
             if n_slots * 8 > remaining:
                 raise MARSHAL(f"service context count {n_slots} exceeds "
                               f"{remaining} remaining bytes")
-            dec = CDRDecoder(data)
-            dec._pos = pos
-            service_context = tuple(
-                (dec.read_string(), dec.read_string())
-                for _ in range(n_slots)
-            )
+            slots = []
+            for _ in range(n_slots):
+                pos += (-pos) & 3
+                context_id, dlen = _SLOT_HEAD.unpack_from(data, pos)
+                pos += 8
+                if dlen > len(data) - pos:
+                    raise BAD_PARAM(f"CDR underflow: need {dlen} bytes at "
+                                    f"{pos}, have {len(data) - pos}")
+                slots.append((context_id, data[pos:pos + dlen]))
+                pos += dlen
+            service_context = tuple(slots)
         else:
             service_context = ()
         return RequestMessage(

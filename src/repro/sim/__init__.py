@@ -15,7 +15,7 @@ and network model those protocols run on:
 - :mod:`repro.sim.network` — store-and-forward message delivery with
   per-link latency, bandwidth queueing, loss and partitions.
 - :mod:`repro.sim.faults` — crash/restart and churn injection.
-- :mod:`repro.sim.stats` — counters and time-series metric collection.
+- :mod:`repro.sim.stats` — counter, gauge and histogram metric collection.
 """
 
 from repro.sim.kernel import (
@@ -31,7 +31,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.topology import Host, HostProfile, Link, LinkClass, Topology
 from repro.sim.network import Message, Network, NetworkInterface
 from repro.sim.faults import FaultInjector, ChurnModel
-from repro.sim.stats import Counter, MetricRegistry, TimeSeries
+from repro.sim.stats import Counter, Gauge, MetricRegistry
 
 __all__ = [
     "AllOf",
@@ -53,6 +53,6 @@ __all__ = [
     "FaultInjector",
     "ChurnModel",
     "Counter",
+    "Gauge",
     "MetricRegistry",
-    "TimeSeries",
 ]

@@ -1,4 +1,4 @@
-"""Metric collection: counters and time series.
+"""Metric collection: counters, gauges and histograms.
 
 Protocol benchmarks (bandwidth, message counts, staleness, failover
 latency) read their numbers from a :class:`MetricRegistry` owned by the
@@ -10,8 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable, Optional
-
-import numpy as np
 
 
 class Counter:
@@ -30,51 +28,36 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class TimeSeries:
-    """A sequence of (time, value) samples with summary statistics."""
+class Gauge:
+    """Constant-memory summary of a sampled level (a table depth, a
+    queue length): how many samples, the last one, the largest, their
+    sum.  Recording never allocates, so a gauge sampled on every
+    request costs the same after a million requests as after one."""
 
-    __slots__ = ("name", "_times", "_values")
+    __slots__ = ("name", "count", "last", "total", "_max")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
+        self.count = 0
+        self.last: float = float("nan")
+        self.total = 0.0
+        self._max: float = float("-inf")
 
-    def record(self, time: float, value: float) -> None:
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+    def record(self, value: float) -> None:
+        self.count += 1
+        self.last = value
+        self.total += value
+        if value > self._max:
+            self._max = value
 
     def mean(self) -> float:
-        return float(np.mean(self._values)) if self._values else float("nan")
+        return self.total / self.count if self.count else float("nan")
 
     def max(self) -> float:
-        return float(np.max(self._values)) if self._values else float("nan")
+        return self._max if self.count else float("nan")
 
-    def min(self) -> float:
-        return float(np.min(self._values)) if self._values else float("nan")
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self._values, q)) if self._values else float("nan")
-
-    def rate(self) -> float:
-        """Average of values per unit time over the observed span."""
-        if len(self._times) < 2:
-            return float("nan")
-        span = self._times[-1] - self._times[0]
-        if span <= 0:
-            return float("nan")
-        return float(np.sum(self._values) / span)
+    def __repr__(self) -> str:
+        return f"Gauge({self.name}: n={self.count}, last={self.last})"
 
 
 class Histogram:
@@ -156,12 +139,12 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Namespace of counters, time series and histograms, keyed by
-    dotted names."""
+    """Namespace of counters, gauges and histograms, keyed by dotted
+    names."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._series: dict[str, TimeSeries] = {}
+        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._labelled: dict[str, dict[str, float]] = defaultdict(dict)
 
@@ -171,11 +154,11 @@ class MetricRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def series(self, name: str) -> TimeSeries:
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = TimeSeries(name)
-        return s
+    def gauge(self, name: str) -> Gauge:
+        g = self._gauges.get(name)
+        if g is None:
+            g = self._gauges[name] = Gauge(name)
+        return g
 
     def histogram(self, name: str, lo: float = 1e-6, growth: float = 2.0,
                   buckets: int = 48) -> Histogram:
@@ -219,15 +202,15 @@ class MetricRegistry:
 
     def names(self) -> Iterable[str]:
         yield from self._counters
-        yield from self._series
+        yield from self._gauges
         yield from self._histograms
 
     def snapshot(self) -> dict[str, float]:
-        """Flat dict of every counter, the mean of every series, and
+        """Flat dict of every counter, the mean of every gauge, and
         count/mean/p50/p95/p99 of every histogram."""
         out = self.counters()
-        for name, s in self._series.items():
-            out[f"{name}.mean"] = s.mean()
+        for name, g in self._gauges.items():
+            out[f"{name}.mean"] = g.mean()
         for name, h in self._histograms.items():
             out[f"{name}.count"] = float(h.count)
             out[f"{name}.mean"] = h.mean()

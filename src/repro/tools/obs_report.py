@@ -15,7 +15,10 @@ The selftest builds a small fleet (soft-state reporters, an MRM, one
 deliberately flaky call retried through ``invoke_with_retry``, one node
 crash/restart) and asserts the observability invariants: percentile
 monotonicity, connected traces, recorded retries, and a pending table
-that ends empty.  Exit status 0 on success, 1 on any violation.
+that ends empty — and the instrument's per-call budget, in simulated
+quantities: an instrumented null call is 16 wire bytes, 0 kernel events
+and 2 spans more than a bare one.  Exit status 0 on success, 1 on any
+violation.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 import sys
 from typing import Any, Optional
 
-from repro.obs import PENDING_DEPTH_SERIES
+from repro.obs import PENDING_DEPTH_GAUGE
+from repro.obs.trace import spans_connected
 
 #: histogram-name prefixes that the per-operation tables are built from.
 _CLIENT_LATENCY = "orb.client.latency."
@@ -61,6 +65,8 @@ def build_report(hub) -> dict[str, Any]:
         return entry
 
     for name, hist in histograms.items():
+        if not hist.count:
+            continue  # resolved for an operation, never recorded into
         if name.startswith(_CLIENT_LATENCY):
             op_entry(name[len(_CLIENT_LATENCY):])["client"] = \
                 _hist_stats(hist)
@@ -93,20 +99,19 @@ def build_report(hub) -> dict[str, Any]:
         if hist is not None and hist.count:
             entry["latency"] = _hist_stats(hist)
 
-    depth = metrics._series.get(PENDING_DEPTH_SERIES)
+    depth = metrics.gauge(PENDING_DEPTH_GAUGE)
+    sampled = depth.count > 0
     pending = {
-        "samples": len(depth) if depth is not None else 0,
-        "max": depth.max() if depth is not None and len(depth) else 0.0,
-        "mean": depth.mean() if depth is not None and len(depth) else 0.0,
-        "last": (float(depth.values[-1])
-                 if depth is not None and len(depth) else 0.0),
+        "samples": depth.count,
+        "max": float(depth.max()) if sampled else 0.0,
+        "mean": depth.mean() if sampled else 0.0,
+        "last": float(depth.last) if sampled else 0.0,
     }
 
     traces = hub.traces()
     open_spans = sum(1 for s in hub.tracer.spans if not s.finished)
     error_spans = sum(1 for s in hub.tracer.spans if s.status == "error")
-    connected = sum(1 for tid in traces
-                    if hub.tracer.trace_is_connected(tid))
+    connected = sum(1 for spans in traces.values() if spans_connected(spans))
     largest = max((len(spans) for spans in traces.values()), default=0)
 
     return {
@@ -280,6 +285,32 @@ def _selftest_scenario():
     return rig, hub, client_proc, mrm
 
 
+def _null_call_cost(observe: bool) -> tuple:
+    """(wire bytes, kernel events, spans) of a two-host null call — the
+    second one made, so first-touch work is out of the way."""
+    from repro.orb.core import InterfaceDef, Servant, op
+    from repro.orb.typecodes import tc_long
+    from repro.sim.topology import star
+    from repro.testing import SimRig
+
+    odef = op("null", [], tc_long, cpu_cost=0.0)
+
+    class NullServant(Servant):
+        _interface = InterfaceDef("IDL:selftest/Null:1.0", "Null", [odef])
+
+        def null(self):
+            return 0
+
+    rig = SimRig(star(1), seed=7)
+    spans = rig.observe().tracer.spans if observe else []
+    ior = rig.node("hub").orb.adapter("selftest").activate(NullServant())
+    totals = []
+    for _ in range(2):
+        rig.node("h0").orb.call(ior, odef, ())
+        totals.append((rig.metrics.get("net.bytes"), rig.env._eid, len(spans)))
+    return tuple(after - before for before, after in zip(*totals))
+
+
 def run_selftest(as_json: bool = False,
                  out=sys.stdout) -> int:
     rig, hub, client_proc, mrm = _selftest_scenario()
@@ -308,7 +339,7 @@ def run_selftest(as_json: bool = False,
 
     traces = hub.traces()
     check(rep["traces"]["count"] > 0, "no traces were produced")
-    check(all(hub.tracer.trace_is_connected(tid) for tid in traces),
+    check(rep["traces"]["connected"] == len(traces),
           "found a disconnected trace")
     retry_traces = [spans for spans in traces.values()
                     if any(s.name == "retry:poke" for s in spans)]
@@ -329,6 +360,14 @@ def run_selftest(as_json: bool = False,
     check(rep["pending"]["max"] <= 2,
           "pending-reply table grew beyond the expected bound")
     check("h2" in mrm.members, "restarted node missing from MRM view")
+
+    # The instrument's budget, in quantities that are exact for the
+    # simulator: one trace slot (id, length, 8 data bytes) on the
+    # request, no kernel event, a client and a server span.
+    added = tuple(on - off for off, on in zip(_null_call_cost(False),
+                                              _null_call_cost(True)))
+    check(added == (16, 0, 2), f"an instrumented null call adds {added} "
+          "(wire bytes, kernel events, spans); the budget is (16, 0, 2)")
 
     print(render_text(rep), file=out)
     if as_json:

@@ -110,6 +110,7 @@ def test_build_report_shape():
     rep = build_report(hub)
     entry = rep["operations"]["report"]
     assert entry["request_bytes"]["count"] >= 2
+    assert "client" not in entry        # a oneway has no latency sample
     assert rep["meters"]["registry.soft"]["msgs"] >= 2
     assert rep["counters"]["oneways"] >= 2
     assert rep["traces"]["count"] >= 2
@@ -120,3 +121,34 @@ def test_build_report_shape():
     # JSON-safe
     import json
     json.dumps(rep)
+
+
+def test_build_report_groups_traces_once():
+    # Regression: connectivity used to be checked by scanning every
+    # span once per trace — quadratic, about a minute on a spine-sized
+    # run and ~1.5 s here.  One orphan parent must still be found.
+    import time
+
+    from repro.obs import Observability
+    from repro.obs.trace import TraceContext
+    from repro.sim.kernel import Environment
+    from repro.sim.stats import MetricRegistry
+    from repro.tools.obs_report import build_report
+
+    hub = Observability(Environment(), MetricRegistry())
+    tracer = hub.tracer
+    for _ in range(2_000):
+        parent = tracer.start_span("root")
+        for _ in range(9):
+            parent = tracer.start_span("child", parent=parent.context)
+    tracer.start_span("orphan", parent=TraceContext(7, 10 ** 6))
+    for span in tracer.spans:
+        tracer.end_span(span)
+
+    started = time.perf_counter()
+    rep = build_report(hub)
+    elapsed = time.perf_counter() - started
+    assert rep["traces"] == {"count": 2_000, "spans": 20_001,
+                             "open_spans": 0, "error_spans": 0,
+                             "connected": 1_999, "largest": 11}
+    assert elapsed < 0.5

@@ -229,6 +229,68 @@ class TestTracePropagation:
             {"hub", "h1"}
 
 
+    def test_malformed_trace_slot_is_a_root_span_not_an_error(self):
+        # The peer's service context is outside input: a trace slot that
+        # is not 8 bytes is treated as absent, ids nobody knows are
+        # carried and ignored, and the call itself is served.
+        from repro.obs import TRACE_CONTEXT_ID
+
+        class Forger:
+            def __init__(self, slots):
+                self.slots = slots
+
+            def send_request(self, info):
+                info.service_context.extend(self.slots)
+
+            def receive_reply(self, info):
+                pass
+
+        for slots in ([(TRACE_CONTEXT_ID, b"\x00" * 7)],
+                      [(TRACE_CONTEXT_ID, b"")],
+                      [(TRACE_CONTEXT_ID, b"\x00" * 9), (0xBEEF, b"?")],
+                      [(0xBEEF, b"\x00" * 8)]):
+            rig = SimRig(star(1), seed=3)
+            hub = Observability(rig.env, rig.metrics)
+            hub.install(rig.node("hub").orb)      # server side only
+            client = rig.node("h0").orb
+            client.add_client_interceptor(Forger(slots))
+            ior = rig.node("hub").orb.adapter("t").activate(EchoServant())
+            assert rig.run(until=client.invoke(
+                ior, ECHO.operations["echo"], ("x",))) == "x"
+            (span,) = hub.tracer.spans
+            assert (span.name, span.parent_id, span.status) == \
+                ("serve:echo", None, "ok")
+
+    def test_plain_servant_call_parents_under_its_own_request(self):
+        # A plain (non-generator) servant's nested call finds its parent
+        # through the ORB's current request, which is set only while
+        # the servant method is on the stack.
+        rig, hub = observed_rig(n=2)
+        echo_ior = rig.node("h1").orb.adapter("t").activate(EchoServant())
+        orb = rig.node("hub").orb
+        seen = []
+
+        class Forwarder(Servant):
+            _interface = ECHO
+
+            def echo(self, s):
+                seen.append(orb.current_request)
+                orb.send_oneway(echo_ior, ECHO.operations["note"], (s,))
+                return s
+
+        ior = orb.adapter("t").activate(Forwarder())
+        rig.run(until=rig.node("h0").orb.invoke(
+            ior, ECHO.operations["echo"], ("x",)))
+        rig.run(until=rig.env.now + 1.0)
+        assert orb.current_request is None
+        (request,) = seen
+        assert request.operation == "echo"
+        (spans,) = hub.traces().values()
+        assert [s.name for s in spans] == [
+            "call:echo", "serve:echo", "call:note", "serve:note"]
+        assert spans[2].parent_id == spans[1].span_id
+
+
 class TestMetricsRecording:
     def test_latency_and_size_histograms(self):
         rig, hub = observed_rig()
@@ -260,12 +322,12 @@ class TestMetricsRecording:
         assert hub.metrics.get("orb.server.errors.poke") == 1
 
     def test_pending_depth_series_sampled(self):
-        from repro.obs import PENDING_DEPTH_SERIES
+        from repro.obs import PENDING_DEPTH_GAUGE
         rig, hub = observed_rig()
         ior = rig.node("hub").orb.adapter("t").activate(EchoServant())
         rig.run(until=rig.node("h0").orb.invoke(
             ior, ECHO.operations["echo"], ("x",)))
-        series = hub.metrics.series(PENDING_DEPTH_SERIES)
-        assert len(series) == 2          # insert + drain
-        assert series.max() == 1.0
-        assert float(series.values[-1]) == 0.0
+        gauge = hub.metrics.gauge(PENDING_DEPTH_GAUGE)
+        assert gauge.count == 2          # insert + drain
+        assert gauge.max() == 1
+        assert gauge.last == 0

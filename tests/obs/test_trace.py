@@ -60,12 +60,12 @@ class TestTracer:
         a = tracer.start_span("a")
         tracer.start_span("b", parent=a.context)
         orphan = tracer.start_span("c", parent=TraceContext(
-            a.trace_id, "s999999"))  # parent id not in the trace
+            a.trace_id, 999_999))  # parent id not in the trace
         traces = tracer.traces()
         assert len(traces[a.trace_id]) == 3
         assert not tracer.trace_is_connected(a.trace_id)
         assert orphan.trace_id == a.trace_id
-        assert not tracer.trace_is_connected("no-such-trace")
+        assert not tracer.trace_is_connected(404)  # no such trace
 
 
 class TestContextStore:
@@ -75,7 +75,7 @@ class TestContextStore:
         seen = {}
 
         def proc_a():
-            store.bind(env.active_process, TraceContext("t1", "s1"))
+            store.bind(env.active_process, TraceContext(1, 1))
             yield env.timeout(1.0)
             seen["a"] = store.current(env)
 
@@ -86,7 +86,7 @@ class TestContextStore:
         env.process(proc_a())
         env.process(proc_b())
         env.run(until=2.0)
-        assert seen["a"] == TraceContext("t1", "s1")
+        assert seen["a"] == TraceContext(1, 1)
         assert seen["b"] is None
 
     def test_bind_returns_previous_and_none_unbinds(self):
@@ -96,9 +96,9 @@ class TestContextStore:
 
         def proc():
             me = env.active_process
-            first = TraceContext("t1", "s1")
+            first = TraceContext(1, 1)
             assert store.bind(me, first) is None
-            prev = store.bind(me, TraceContext("t1", "s2"))
+            prev = store.bind(me, TraceContext(1, 2))
             result["prev"] = prev
             result["current"] = store.current(env)
             store.bind(me, prev)      # restore
@@ -108,13 +108,13 @@ class TestContextStore:
             yield env.timeout(0)
 
         env.run(until=env.process(proc()))
-        assert result["prev"] == TraceContext("t1", "s1")
-        assert result["current"] == TraceContext("t1", "s2")
-        assert result["restored"] == TraceContext("t1", "s1")
+        assert result["prev"] == TraceContext(1, 1)
+        assert result["current"] == TraceContext(1, 2)
+        assert result["restored"] == TraceContext(1, 1)
         assert result["after_unbind"] is None
 
     def test_outside_any_process(self):
         env = Environment()
         store = ContextStore()
         assert store.current(env) is None
-        assert store.bind(None, TraceContext("t", "s")) is None
+        assert store.bind(None, TraceContext(1, 1)) is None

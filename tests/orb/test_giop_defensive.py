@@ -13,7 +13,7 @@ import pytest
 from repro.orb import giop
 from repro.orb.cdr import CDRDecoder, decode_one, decode_typecode
 from repro.orb.core import InterfaceDef, ORB, Servant, op
-from repro.orb.exceptions import MARSHAL, SystemException
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, SystemException
 from repro.orb.typecodes import sequence_tc, tc_long, tc_string
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -21,7 +21,10 @@ from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
 
 
-def valid_request(service_context=(("trace-id", "t1"),)) -> bytes:
+TRACE_SLOT = (0x5452, b"\x00\x00\x00\x01\x00\x00\x00\x02")
+
+
+def valid_request(service_context=(TRACE_SLOT,)) -> bytes:
     return giop.RequestMessage(
         request_id=1, response_expected=True, host="h0",
         adapter="root", object_key="k", operation="ping",
@@ -31,7 +34,8 @@ def valid_request(service_context=(("trace-id", "t1"),)) -> bytes:
 
 class TestDecodeMessageDefense:
     def test_invalid_utf8_raises_marshal_not_unicode_error(self):
-        # Regression: the operation string carries invalid UTF-8.
+        # Regression: the operation string carries invalid UTF-8 (the
+        # routing strings are the only text left in a request frame).
         wire = bytearray(valid_request())
         pos = wire.find(b"ping")
         wire[pos:pos + 4] = b"\xff\xfe\xfd\xfc"
@@ -49,15 +53,40 @@ class TestDecodeMessageDefense:
             giop.decode_message(bytes(wire))
 
     def test_slot_count_cap(self):
-        many = tuple((f"k{i}", "v") for i in range(
+        many = tuple((i, b"v") for i in range(
             giop.MAX_SERVICE_CONTEXT_SLOTS + 1))
         wire = valid_request(service_context=many)
         with pytest.raises(MARSHAL, match="cap"):
             giop.decode_message(wire)
-        at_cap = tuple((f"k{i}", "v") for i in range(
-            giop.MAX_SERVICE_CONTEXT_SLOTS))
+        at_cap = many[:giop.MAX_SERVICE_CONTEXT_SLOTS]
         decoded = giop.decode_message(valid_request(service_context=at_cap))
-        assert len(decoded.service_context) == giop.MAX_SERVICE_CONTEXT_SLOTS
+        assert decoded.service_context == at_cap
+
+    def test_slot_count_bounded_by_remaining_bytes(self):
+        # Two slots claimed, one slot's worth of bytes (16) behind the
+        # count: refused before the loop, not by running off the end.
+        wire = bytearray(valid_request())
+        wire[-20:-16] = b"\x00\x00\x00\x03"
+        with pytest.raises(MARSHAL, match="remaining bytes"):
+            giop.decode_message(bytes(wire))
+
+    def test_slot_data_length_past_the_frame(self):
+        # The trace slot is the frame's last 16 bytes: id, length, data.
+        wire = bytearray(valid_request())
+        assert wire[-12:-8] == b"\x00\x00\x00\x08"
+        for claimed in (9, 2 ** 16, 2 ** 32 - 1):
+            wire[-12:-8] = claimed.to_bytes(4, "big")
+            with pytest.raises(BAD_PARAM, match="underflow"):
+                giop.decode_message(bytes(wire))
+
+    def test_unknown_and_odd_sized_slots_are_carried(self):
+        # The framing layer does not interpret slots: an id nobody
+        # knows, an empty slot and a 7-byte one (padded before the next
+        # slot's id) all round-trip.
+        slots = ((0xDEAD, b"\x01\x02\x03\x04\x05\x06\x07"), (7, b""),
+                 TRACE_SLOT)
+        decoded = giop.decode_message(valid_request(service_context=slots))
+        assert decoded.service_context == slots
 
     def test_empty_and_tiny_frames(self):
         for wire in (b"", b"\x00", b"\x01\x02", b"\xff" * 3):

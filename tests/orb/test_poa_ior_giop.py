@@ -148,13 +148,19 @@ class TestGIOP:
         assert got == req
 
     def test_request_roundtrip_with_service_context(self):
+        trace_slot = (0x5452, (1).to_bytes(4, "big") + (42).to_bytes(4, "big"))
         req = giop.RequestMessage(
             9, True, "h", "root", "obj-1", "ping", b"\x01\x02",
-            service_context=(("trace-id", "t000001"),
-                             ("span-id", "s000042")))
-        got = giop.decode_message(req.encode())
+            service_context=(trace_slot, (99, b"opaque")))
+        wire = req.encode()
+        got = giop.decode_message(wire)
         assert got == req
-        assert dict(got.service_context)["trace-id"] == "t000001"
+        assert dict(got.service_context)[0x5452] == trace_slot[1]
+        # count, then (id, length, 8 data bytes) = 16 B for the trace
+        # slot, then (id, length, 6 data bytes) with no trailing pad.
+        bare = giop.RequestMessage(9, True, "h", "root", "obj-1", "ping",
+                                   b"\x01\x02").encode()
+        assert len(wire) - len(bare) == 16 + 14
 
     def test_service_context_defaults_empty(self):
         req = giop.RequestMessage(7, True, "h", "root", "obj-1", "ping",

@@ -12,8 +12,9 @@ from repro.orb import codegen, giop
 from repro.orb.cdr import Any, CDRDecoder
 from repro.orb.exceptions import MARSHAL, SystemException
 from repro.orb.fuzz import (FuzzReport, check_bounded, check_value_bounded,
-                            codec_corpus, corpus, hostile_corpus, mutate,
-                            run_codec_fuzz, run_fuzz)
+                            codec_corpus, corpus, hostile_corpus,
+                            hostile_requests, mutate, run_codec_fuzz,
+                            run_fuzz)
 
 pytestmark = pytest.mark.fuzz
 
@@ -24,6 +25,21 @@ def test_corpus_is_valid():
     for frame in corpus():
         message = giop.decode_message(frame)
         check_bounded(message, frame)
+
+
+def test_hostile_requests_unmutated():
+    # Slot count 2^32-1, slot length past the frame and 33 slots are
+    # refused as they stand; a 7-byte trace slot and an unknown id are
+    # not the framing layer's business and decode, bounded.
+    outcomes = []
+    for frame, decodes in hostile_requests():
+        if decodes:
+            check_bounded(giop.decode_message(frame), frame)
+        else:
+            with pytest.raises(SystemException):
+                giop.decode_message(frame)
+        outcomes.append(decodes)
+    assert outcomes == [False, False, False, True, True]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -111,3 +127,10 @@ def test_check_bounded_catches_overallocation():
                             body=b"\x00" * 64)
     with pytest.raises(AssertionError):
         check_bounded(msg, b"\x00" * 8)
+
+
+def test_check_bounded_catches_oversized_slot():
+    msg = giop.RequestMessage(1, True, "h", "a", "k", "op", b"",
+                              service_context=((1, b"\x00" * 64),))
+    with pytest.raises(AssertionError, match="service-context"):
+        check_bounded(msg, b"\x00" * 32)

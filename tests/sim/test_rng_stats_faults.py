@@ -6,7 +6,7 @@ import pytest
 from repro.sim.faults import ChurnModel, FaultInjector
 from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry, derived_stream
-from repro.sim.stats import Counter, MetricRegistry, TimeSeries
+from repro.sim.stats import Counter, Gauge, MetricRegistry
 from repro.sim.topology import line, star
 
 
@@ -62,31 +62,39 @@ class TestStats:
         c.inc(2.5)
         assert c.value == 3.5
 
-    def test_series_summaries(self):
-        s = TimeSeries("lat")
-        for t, v in [(0, 1.0), (1, 3.0), (2, 2.0)]:
-            s.record(t, v)
-        assert s.mean() == 2.0
-        assert s.max() == 3.0
-        assert s.min() == 1.0
-        assert s.percentile(50) == 2.0
-        assert len(s) == 3
+    def test_gauge_summaries(self):
+        g = Gauge("depth")
+        for v in (1.0, 3.0, 2.0):
+            g.record(v)
+        assert g.count == 3
+        assert g.last == 2.0
+        assert g.max() == 3.0
+        assert g.mean() == 2.0
 
-    def test_empty_series_is_nan(self):
-        s = TimeSeries("lat")
-        assert np.isnan(s.mean())
-        assert np.isnan(s.rate())
+    def test_empty_gauge_is_nan(self):
+        g = Gauge("depth")
+        assert g.count == 0
+        assert np.isnan(g.mean())
+        assert np.isnan(g.max())
+        assert np.isnan(g.last)
 
-    def test_series_rate(self):
-        s = TimeSeries("bytes")
-        for t in range(11):
-            s.record(float(t), 100.0)
-        assert s.rate() == pytest.approx(1100 / 10)
+    def test_gauge_memory_is_constant(self):
+        # The point of the gauge over the sample list it replaced: a
+        # level sampled on every request keeps four scalars, for ever.
+        g = Gauge("depth")
+        assert not hasattr(g, "__dict__")
+        for i in range(10_000):
+            g.record(i % 7)
+        assert all(isinstance(getattr(g, slot), (int, float, str))
+                   for slot in Gauge.__slots__)
+        assert (g.count, g.last, g.max()) == (10_000, 9_999 % 7, 6)
+        assert g.mean() == pytest.approx(sum(i % 7 for i in range(10_000))
+                                         / 10_000)
 
     def test_registry_reuses_instances(self):
         m = MetricRegistry()
         assert m.counter("a") is m.counter("a")
-        assert m.series("s") is m.series("s")
+        assert m.gauge("g") is m.gauge("g")
 
     def test_labelled_counters(self):
         m = MetricRegistry()
@@ -99,7 +107,7 @@ class TestStats:
     def test_snapshot_includes_series_means(self):
         m = MetricRegistry()
         m.counter("c").inc(4)
-        m.series("s").record(0, 2.0)
+        m.gauge("s").record(2.0)
         snap = m.snapshot()
         assert snap["c"] == 4.0
         assert snap["s.mean"] == 2.0
