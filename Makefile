@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test selftest lint lint-src bench bench-orb \
 	bench-eventbus bench-federation bench-chaos bench-simlint \
-	spine-ab faults fuzz chaos
+	spine-ab faults fuzz chaos loc
 
 # The one-stop gate: descriptor + source lint, observability +
 # availability + static-gate end-to-end selftests, then the full
@@ -79,3 +79,24 @@ bench-chaos:
 # regenerate BENCH_simlint.json (C20 seeded-defect lint corpus)
 bench-simlint:
 	$(PYTHON) benchmarks/bench_to_json.py --suite simlint
+
+# code lines (non-blank, not a comment) of src/: the total, each package
+# under src/repro/, and the largest file last -- the figure every
+# "less code" claim in CHANGES.md is made in
+define LOC_PY
+import pathlib
+def loc(path):
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return sum(1 for line in lines if line and not line.startswith("#"))
+files = {path: loc(path) for path in pathlib.Path("src").rglob("*.py")}
+def under(root):
+    return sum(n for path, n in files.items() if root in path.parents)
+print(f"{under(pathlib.Path('src')):7,}  src")
+for pkg in sorted(p for p in pathlib.Path("src/repro").iterdir() if p.is_dir()):
+    print(f"{under(pkg):7,}  {pkg}")
+path, n = max(files.items(), key=lambda item: item[1])
+print(f"{n:7,}  {path}  (largest file)")
+endef
+export LOC_PY
+loc:
+	@$(PYTHON) -c "$$LOC_PY"

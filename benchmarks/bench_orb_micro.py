@@ -65,7 +65,7 @@ def make_rig():
 def test_cdr_marshal_throughput(benchmark, capsys):
     """Marshal throughput on the production encode path.
 
-    The ORB resolves one codec per operation and holds it (op_codec on
+    The ORB resolves one codec per operation and holds it (``_codec`` on
     the OperationDef), so the representative workload is the resolved
     plan handle, not a per-value ``encode_value`` lookup.  Throughput is
     taken from the fastest round: this box shows 2-3x wall-clock noise

@@ -103,9 +103,6 @@ class Node:
         require_signature: bool = False,
         default_timeout: Optional[float] = None,
         obs=None,
-        dispatch_workers: Optional[int] = None,
-        dispatch_limit: Optional[int] = None,
-        pipeline_window: Optional[float] = None,
     ) -> None:
         self.env = env
         self.network = network
@@ -115,10 +112,7 @@ class Node:
         self.ids = IdGenerator()
 
         self.orb = ORB(env, network, host_id,
-                       default_timeout=default_timeout,
-                       dispatch_workers=dispatch_workers,
-                       dispatch_limit=dispatch_limit,
-                       pipeline_window=pipeline_window)
+                       default_timeout=default_timeout)
         if obs is not None:
             obs.install(self.orb)
         self.resources = ResourceManager(env, self.host)

@@ -34,7 +34,7 @@ SUPERVISOR_STRANDED = "supervisor.stranded"
 SPAN_SUPERVISOR_PROMOTE = "supervisor.promote"
 SPAN_SUPERVISOR_RECOVER = "supervisor.recover"
 
-# orb/core.py
+# orb/core.py (requester), orb/listener.py, orb/channels.py
 ORB_BAD_MESSAGES = "orb.bad_messages"
 ORB_DISPATCHES = "orb.dispatches"
 ORB_LATE_REPLIES = "orb.late_replies"

@@ -10,12 +10,16 @@ the component model needs, from scratch:
   the real encoded sizes).
 - :mod:`repro.orb.ior` — interoperable object references.
 - :mod:`repro.orb.giop` — GIOP-style request/reply framing.
-- :mod:`repro.orb.core` / :mod:`repro.orb.poa` — the ORB runtime and
-  object adapters; servants dispatch inside the simulation, charging
-  per-operation CPU cost scaled by the host's power.
+- :mod:`repro.orb.model` / :mod:`repro.orb.interception` — the
+  interface model and the interceptor contract, below the runtime.
+- :mod:`repro.orb.core` — the ORB: assembly plus the requester role;
+  :mod:`repro.orb.listener` (admission, dispatch, replies; servants
+  dispatch inside the simulation, charging per-operation CPU cost scaled
+  by the host's power), :mod:`repro.orb.channels` (oneway pipelining)
+  and :mod:`repro.orb.poa` (object adapters) are what it assembles.
 - :mod:`repro.orb.dii` — interface repository + dynamic invocation.
-- :mod:`repro.orb.services` — Naming service and push-model event
-  channels (the substrate for component event ports).
+- :mod:`repro.orb.services` — push-model event channels (the substrate
+  for component event ports).
 """
 
 from repro.orb.exceptions import (

@@ -1,6 +1,6 @@
 """Dynamic invocation and the Interface Repository.
 
-The Interface Repository stores :class:`~repro.orb.core.InterfaceDef`
+The Interface Repository stores :class:`~repro.orb.model.InterfaceDef`
 objects by repository id — the ORB-wide type knowledge that CORBA-LC's
 reflection architecture builds on.  :class:`Request` lets a caller
 invoke an operation knowing only TypeCodes, without a generated stub
@@ -10,13 +10,16 @@ generic port wiring).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.orb.core import ORB, InterfaceDef, OperationDef, ParamDef
 from repro.orb.exceptions import BAD_OPERATION, BAD_PARAM
 from repro.orb.ior import IOR
+from repro.orb.model import InterfaceDef, OperationDef, ParamDef
 from repro.orb.typecodes import TypeCode, tc_void
 from repro.util.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.orb.core import ORB
 
 
 class InterfaceRepository:

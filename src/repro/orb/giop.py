@@ -294,6 +294,8 @@ _DECODE_ERRORS = (
 #: inside the segment misses and takes the validating slow path.
 _SEG_CACHE: dict[bytes, tuple[str, str, str, str]] = {}
 _SEG_LENS: list[int] = []
+#: Cleared wholesale when full.  The cache pays: off, a two-host null
+#: call costs +26 % (19.95 -> 25.11 us, DESIGN "Cache ablation").
 _SEG_CACHE_MAX = 512
 
 

@@ -8,13 +8,16 @@ them to activate component instances on first use.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.orb.core import ORB, Servant, Stub
-from repro.orb.exceptions import BAD_PARAM, OBJECT_NOT_EXIST
+from repro.orb.exceptions import OBJECT_NOT_EXIST
 from repro.orb.ior import IOR
+from repro.orb.model import Servant, Stub
 from repro.util.errors import ConfigurationError
 from repro.util.ids import IdGenerator
+
+if TYPE_CHECKING:
+    from repro.orb.core import ORB
 
 
 class POA:
@@ -25,10 +28,6 @@ class POA:
         self.name = name
         self._servants: dict[str, Servant] = {}
         self._ids = IdGenerator()
-        #: Generation counter, bumped on every servant-table mutation.
-        #: The ORB's dispatch-resolution cache fences its entries on it,
-        #: so deactivation invalidates cached routes immediately.
-        self._gen = 0
         #: Optional lazy activator: key -> Servant (or None to reject).
         self.servant_activator: Optional[Callable[[str], Optional[Servant]]] = None
 
@@ -46,7 +45,6 @@ class POA:
             )
         iface = servant.interface()
         self._servants[key] = servant
-        self._gen += 1
         return IOR(repo_id=iface.repo_id, host_id=self.orb.host_id,
                    adapter=self.name, object_key=key)
 
@@ -58,7 +56,6 @@ class POA:
             raise OBJECT_NOT_EXIST(
                 f"no object {key!r} in adapter {self.name!r}"
             ) from None
-        self._gen += 1
         return servant
 
     def ior_for(self, key: str) -> IOR:
@@ -75,7 +72,6 @@ class POA:
             servant = self.servant_activator(key)
             if servant is not None:
                 self._servants[key] = servant
-                self._gen += 1
         if servant is None:
             raise OBJECT_NOT_EXIST(
                 f"no object {key!r} in adapter {self.name!r}"
@@ -84,12 +80,6 @@ class POA:
 
     def is_active(self, key: str) -> bool:
         return key in self._servants
-
-    def active_keys(self) -> list[str]:
-        return list(self._servants)
-
-    def __len__(self) -> int:
-        return len(self._servants)
 
     # -- convenience -------------------------------------------------------------
     def serve(self, servant: Servant, key: Optional[str] = None) -> Stub:

@@ -16,9 +16,8 @@ under it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.orb.core import ORB, OperationDef
 from repro.orb.exceptions import (
     COMM_FAILURE,
     MINOR_BREAKER_OPEN,
@@ -28,6 +27,10 @@ from repro.orb.exceptions import (
     UserException,
 )
 from repro.orb.ior import IOR
+from repro.orb.model import OperationDef
+
+if TYPE_CHECKING:
+    from repro.orb.core import ORB
 
 #: Exception types it makes sense to retry; anything else (BAD_PARAM,
 #: user exceptions...) is a real answer and propagates immediately.

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.orb.core import InterfaceDef, ORB, Servant, _DispatchSlots, op
+from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import MINOR_SHED, TRANSIENT
+from repro.orb.listener import _DispatchSlots
 from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment
 from repro.sim.network import Network

@@ -25,7 +25,7 @@ from repro.orb.cdr import (
     encode_value,
     encode_value_interp,
 )
-from repro.orb.compiled import CodecPlan, get_plan, op_codec
+from repro.orb.compiled import CodecPlan, get_plan
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import BAD_PARAM, MARSHAL, SystemException
 from repro.orb.typecodes import (
@@ -376,8 +376,14 @@ class TestInvocationFastPath:
         assert stub.echo is first
 
     def test_op_codec_cached_per_operation(self):
-        odef = ECHO.operations["echo"]
-        assert op_codec(odef) is op_codec(odef)
+        # The memo sits on the frozen OperationDef itself and stays out
+        # of its value: equal definitions stay equal and hashable.
+        odef = op("echo", [("s", tc_string)], tc_string)
+        twin = op("echo", [("s", tc_string)], tc_string)
+        assert odef._codec is None
+        assert odef.codec() is odef.codec() is odef._codec
+        assert odef == twin and hash(odef) == hash(twin)
+        assert "_codec" not in repr(odef)
 
     def test_find_operation_cache_invalidated_on_add(self):
         iface = InterfaceDef("IDL:test/Grow:1.0", "Grow",

@@ -256,6 +256,21 @@ class TestTimeoutsAndFailures:
             client.sync(client.stub(ghost, ECHO).echo("x"))
         assert env.now == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("option", [
+        {"default_timeout": -1.0},     # every call's deadline in the past
+        {"dispatch_limit": -3},        # sheds every request
+        {"dispatch_limit": 0},
+        {"pipeline_window": -1.0},     # a flush timer that cannot be armed
+        {"dispatch_workers": 0},
+    ])
+    def test_out_of_range_options_refused_at_assembly(self, option):
+        env = Environment()
+        net = Network(env, star(2))
+        with pytest.raises(ConfigurationError):
+            ORB(env, net, "h0", **option)
+        # Nothing was bound: the host can still get a working ORB.
+        ORB(env, net, "h0")
+
 
 class TestDefinitions:
     def test_oneway_constraints_enforced(self):
@@ -275,7 +290,8 @@ class TestDefinitions:
         assert derived.find_operation("a") is base.operations["a"]
         assert derived.is_a("IDL:t/A:1.0")
         assert not base.is_a("IDL:t/B:1.0")
-        assert set(derived.all_operations()) == {"a", "b"}
+        assert derived.find_operation("b") is derived.operations["b"]
+        assert base.find_operation("b") is None
 
     def test_duplicate_operation_rejected(self):
         iface = InterfaceDef("IDL:t/C:1.0", "C", operations=[op("x")])

@@ -16,8 +16,10 @@ timer carrying a stale token is a no-op.  These tests pin both the
 leak bound and the timing semantics around preemption.
 """
 
+import pytest
+
 from repro.orb.core import InterfaceDef, ORB, op
-from repro.orb.exceptions import TIMEOUT
+from repro.orb.exceptions import BAD_PARAM, TIMEOUT
 from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -33,7 +35,8 @@ PING = IFACE.operations["ping"]
 def make_client():
     env = Environment()
     net = Network(env, star(2), rngs=RngRegistry(9))
-    client = ORB(env, net, "h1", reply_deadline=None)
+    client = ORB(env, net, "h1")
+    client.reply_deadline = None
     # Nothing listens on h0: every request is dropped at delivery and
     # every pending entry lives until its deadline sweeps it.
     return env, net, client
@@ -100,3 +103,26 @@ class TestSweeperDuplication:
         env.run(until=4.0)
         assert not slow.ok and isinstance(slow.value, TIMEOUT)
         assert env.now >= 3.0
+
+
+class TestNegativeTimeout:
+    """Regression: ``invoke(..., timeout=-1.0)`` used to register and
+    send the call, move ``_deadline_armed_at`` into the past and *then*
+    fail inside ``Timeout()`` — so no sweeper was armed and no later
+    deadline was ever earlier than the armed one: reply deadlines were
+    off for good on that ORB."""
+
+    def test_refused_before_anything_is_registered_or_sent(self):
+        env, net, client = make_client()
+        ior = silent_ior(client)
+        with pytest.raises(BAD_PARAM):
+            client.invoke(ior, PING, (0,), timeout=-1.0)
+        assert client._pending == {}
+        assert client._deadline_heap == []
+        assert net.metrics.get("orb.requests") == 0
+        assert net.metrics.get("net.messages") == 0
+        # The later call whose reply is lost still times out on time.
+        lost = client.invoke(ior, PING, (1,), timeout=2.0)
+        env.run(until=2.5)
+        assert not lost.ok and isinstance(lost.value, TIMEOUT)
+        assert client._pending == {}

@@ -1,4 +1,4 @@
-"""Unit tests for DII, the interface repository, naming and events."""
+"""Unit tests for DII, the interface repository and event channels."""
 
 import pytest
 
@@ -15,12 +15,6 @@ from repro.orb.services.events import (
     CallbackPushConsumer,
     EVENT_CHANNEL_IFACE,
     EventChannelServant,
-)
-from repro.orb.services.naming import (
-    AlreadyBound,
-    NAMING_IFACE,
-    NamingServant,
-    NotFound,
 )
 from repro.orb.typecodes import tc_long, tc_string
 from repro.sim.kernel import Environment
@@ -106,53 +100,6 @@ class TestDII:
         ifr.register(CALC)
         with pytest.raises(BAD_PARAM):
             request_from_ifr(client, ifr, ior, "add", (1,))
-
-
-class TestNaming:
-    @pytest.fixture
-    def naming(self, rig):
-        env, server, client, calc_ior = rig
-        ns_ior = server.adapter("services").activate(NamingServant(),
-                                                     key="naming")
-        return env, client, client.stub(ns_ior, NAMING_IFACE), calc_ior
-
-    def test_bind_resolve(self, naming):
-        env, client, ns, calc_ior = naming
-        client.sync(ns.bind("apps/calc", calc_ior))
-        assert client.sync(ns.resolve("apps/calc")) == calc_ior
-
-    def test_double_bind_raises_already_bound(self, naming):
-        env, client, ns, calc_ior = naming
-        client.sync(ns.bind("x", calc_ior))
-        with pytest.raises(AlreadyBound):
-            client.sync(ns.bind("x", calc_ior))
-
-    def test_rebind_overwrites(self, naming):
-        env, client, ns, calc_ior = naming
-        client.sync(ns.bind("x", calc_ior))
-        client.sync(ns.rebind("x", None))
-        assert client.sync(ns.resolve("x")) is None
-
-    def test_resolve_unknown_raises_not_found(self, naming):
-        env, client, ns, calc_ior = naming
-        with pytest.raises(NotFound):
-            client.sync(ns.resolve("ghost"))
-
-    def test_unbind(self, naming):
-        env, client, ns, calc_ior = naming
-        client.sync(ns.bind("x", calc_ior))
-        client.sync(ns.unbind("x"))
-        with pytest.raises(NotFound):
-            client.sync(ns.resolve("x"))
-        with pytest.raises(NotFound):
-            client.sync(ns.unbind("x"))
-
-    def test_list_prefix(self, naming):
-        env, client, ns, calc_ior = naming
-        for name in ("apps/a", "apps/b", "sys/c"):
-            client.sync(ns.bind(name, calc_ior))
-        assert client.sync(ns.list("apps/")) == ["apps/a", "apps/b"]
-        assert client.sync(ns.list("")) == ["apps/a", "apps/b", "sys/c"]
 
 
 class TestEventChannel:

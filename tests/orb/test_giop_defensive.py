@@ -158,7 +158,8 @@ def make_rig():
 
 
 class TestMessageHandlerSurvival:
-    """Regression: ORB._on_message used to catch only SystemException."""
+    """Regression: the ORB's message handler (now ``Listener.on_message``)
+    used to catch only SystemException."""
 
     def test_corrupt_payload_counted_and_dropped(self):
         env, net, server, client, ior = make_rig()
@@ -172,7 +173,7 @@ class TestMessageHandlerSurvival:
     def test_non_system_exception_from_decode_is_contained(self, monkeypatch):
         env, net, server, client, ior = make_rig()
         monkeypatch.setattr(
-            "repro.orb.core.giop.decode_message",
+            "repro.orb.listener.giop._decode_message_body",
             lambda data: (_ for _ in ()).throw(RuntimeError("boom")))
         net.send("h1", "h0", "giop", b"anything", 8)
         env.run(until=env.timeout(1.0))

@@ -106,7 +106,8 @@ class TestCoalescing:
 
     def test_frame_threshold_flushes_without_waiting(self):
         env, net, _server, client, servant, ior = make_rig(
-            pipeline_window=60.0, pipeline_max_frames=3)
+            pipeline_window=60.0)
+        client.channels.max_frames = 3
         for i in range(3):
             client.send_oneway(ior, NOTE, (i,))
         env.run(until=1.0)      # far below the 60 s window
@@ -114,7 +115,8 @@ class TestCoalescing:
 
     def test_byte_threshold_flushes_without_waiting(self):
         env, net, _server, client, servant, ior = make_rig(
-            pipeline_window=60.0, pipeline_max_bytes=100)
+            pipeline_window=60.0)
+        client.channels.max_bytes = 100
         client.send_oneway(ior, NOTE, (1,))
         client.send_oneway(ior, NOTE, (2,))   # pushes past 100 bytes
         env.run(until=1.0)

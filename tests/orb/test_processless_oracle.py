@@ -21,6 +21,7 @@ from repro.orb.core import (ORB, InterfaceDef, Servant,
                             make_exception_class, op)
 from repro.orb.exceptions import TRANSIENT
 from repro.orb.ior import IOR
+from repro.orb.listener import Listener
 from repro.orb.typecodes import except_tc, tc_long, tc_string
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -228,12 +229,13 @@ def test_instrumented_null_call_adds_no_kernel_events():
 
 # -- mutants -----------------------------------------------------------------
 # Each re-creates one plausible wrong version of the processless path by
-# wrapping ORB internals, and the comparison above must catch it.
+# wrapping Listener internals, and the comparison above must catch it.
 
 def mutant_current_request_set_at_admission(monkeypatch):
     """The current request is whichever was admitted last, instead of
     the one whose servant is on the stack."""
-    real_fast, real_finish = ORB._dispatch_fast, ORB._dispatch_finish
+    real_fast = Listener._dispatch_fast
+    real_finish = Listener._dispatch_finish
 
     def fast(self, request, client, info):
         self._admitted = info
@@ -243,21 +245,22 @@ def mutant_current_request_set_at_admission(monkeypatch):
         request, client, odef, method, args, info = ev._value
 
         def servant(*a):
-            self.current_request = self._admitted
+            self.orb.current_request = self._admitted
             return method(*a)
 
         ev._value = (request, client, odef, servant, args, info)
         real_finish(self, ev)
 
-    monkeypatch.setattr(ORB, "_dispatch_fast", fast)
-    monkeypatch.setattr(ORB, "_dispatch_finish", finish)
+    monkeypatch.setattr(Listener, "_dispatch_fast", fast)
+    monkeypatch.setattr(Listener, "_dispatch_finish", finish)
 
 
 def mutant_finish_request_skipped_on_decode_error(monkeypatch):
     """A request refused inside ``_dispatch_fast`` (unknown key,
     undecodable arguments) never reaches ``finish_request``."""
-    real_fast, real_finish = ORB._dispatch_fast, ORB._dispatch_finish
-    real_done = ORB._dispatch_done
+    real_fast = Listener._dispatch_fast
+    real_finish = Listener._dispatch_finish
+    real_done = Listener._dispatch_done
 
     def fast(self, request, client, info):
         self._admitting = True
@@ -273,22 +276,22 @@ def mutant_finish_request_skipped_on_decode_error(monkeypatch):
     def done(self, info):
         real_done(self, None if self._admitting else info)
 
-    monkeypatch.setattr(ORB, "_dispatch_fast", fast)
-    monkeypatch.setattr(ORB, "_dispatch_finish", finish)
-    monkeypatch.setattr(ORB, "_dispatch_done", done)
+    monkeypatch.setattr(Listener, "_dispatch_fast", fast)
+    monkeypatch.setattr(Listener, "_dispatch_finish", finish)
+    monkeypatch.setattr(Listener, "_dispatch_done", done)
 
 
 def mutant_child_process_not_run_from_dispatch_tail(monkeypatch):
     """A plain method's generator is driven without telling the
     interceptors which request it belongs to."""
-    real_run = ORB._run_generator
+    real_run = Listener._run_generator
 
     def run_generator(self, gen, info):
         if sys._getframe(1).f_code.co_name == "_dispatch_tail":
             info = None
         return real_run(self, gen, info)
 
-    monkeypatch.setattr(ORB, "_run_generator", run_generator)
+    monkeypatch.setattr(Listener, "_run_generator", run_generator)
 
 
 @pytest.mark.parametrize("mutant", [

@@ -23,7 +23,6 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.orb.cdr import CDRDecoder, CDREncoder
-from repro.orb.compiled import op_codec
 from repro.registry.federation import FederationConfig
 from repro.registry.federation.records import MembershipTable
 from repro.registry.federation.ring import ShardRing
@@ -71,7 +70,7 @@ class _World:
         sender._round_planes = (
             [], *sender.membership.members_since(since))
         enc = CDREncoder()
-        op_codec(GOSSIP).encode_in(enc, sender._gossip_args([]))
+        GOSSIP.codec().encode_in(enc, sender._gossip_args([]))
         return enc.getvalue()
 
     def counters(self) -> tuple[float, float]:
@@ -81,7 +80,7 @@ class _World:
 
 
 def _deliver(agent: ShardAgent, wire: bytes) -> list:
-    args = op_codec(GOSSIP).decode_in(CDRDecoder(wire))
+    args = GOSSIP.codec().decode_in(CDRDecoder(wire))
     agent.accept_gossip(*args)
     return args
 
