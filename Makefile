@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test selftest lint lint-src bench bench-orb \
 	bench-eventbus bench-federation bench-chaos bench-simlint \
-	spine-ab faults fuzz chaos loc
+	spine-ab faults fuzz chaos chaos-soak loc
 
 # The one-stop gate: descriptor + source lint, observability +
 # availability + static-gate end-to-end selftests, then the full
@@ -46,6 +46,15 @@ fuzz:
 # seeded chaos campaigns against the live scenario (C19)
 chaos:
 	$(PYTHON) -m repro.tools.chaos --campaigns 5
+
+# the long soak (seeds 100-199): the campaigns' own last line is the
+# violation count, then the wall time.  Not part of check or tier-1.
+chaos-soak:
+	@start=$$(date +%s); \
+	$(PYTHON) -m repro.tools.chaos --seed 100 --campaigns 100; \
+	status=$$?; \
+	echo "chaos-soak wall: $$(( $$(date +%s) - start )) s"; \
+	exit $$status
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

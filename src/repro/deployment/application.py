@@ -178,9 +178,22 @@ class Application:
                 f"{fence} superseded (now "
                 f"{self.incarnation(instance_name)})"
             )
-        value = yield agent.incarnate(
-            decl.component, decl.versions.text, old_id,
-            dumps_state(state or {}), receptacles, subscriptions)
+        orphans = self.deployer.orphans
+        try:
+            value = yield agent.incarnate(
+                decl.component, decl.versions.text, old_id,
+                dumps_state(state or {}), receptacles, subscriptions)
+        except SystemException:
+            # "Maybe created": the container may have executed the
+            # request and only the reply been lost.  The retry can land
+            # on another host, so file the possible copy for the sweep
+            # (which treats "already gone" as swept).
+            orphans.append((target_host, old_id))
+            raise
+        # Created here for certain: a "maybe" filed by an earlier lost
+        # reply on this host must not sweep the live incarnation away.
+        while (target_host, old_id) in orphans:
+            orphans.remove((target_host, old_id))
         self.incarnations[instance_name] = \
             self.incarnation(instance_name) + 1
         self.infos[instance_name] = InstanceInfo.from_value(value)
@@ -188,7 +201,7 @@ class Application:
         if old_host != target_host:
             # The dead host still holds the stale incarnation; schedule
             # it for destruction when (if) that host returns.
-            self.deployer.orphans.append((old_host, old_id))
+            orphans.append((old_host, old_id))
         try:
             skipped = yield from self._rewire(instance_name)
         except SystemException:

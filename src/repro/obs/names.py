@@ -53,8 +53,6 @@ FEDERATION_EPOCH_CLAMPED = "federation.epoch_clamped"
 FEDERATION_LOOKUP_FAILOVER = "federation.lookup.failover"
 FEDERATION_LOOKUP_FLOOD_FALLBACK = "federation.lookup.flood_fallback"
 FEDERATION_LOOKUP_RING_FALLBACK = "federation.lookup.ring_fallback"
-FEDERATION_REJECTED_MEMBER_BEACON = "federation.rejected.member_beacon"
-FEDERATION_REJECTED_RAGGED_MEMBERS = "federation.rejected.ragged_members"
 FEDERATION_REJECTED_UNKNOWN_HOST = "federation.rejected.unknown_host"
 FEDERATION_ROUNDS = "federation.rounds"
 
@@ -119,8 +117,6 @@ METRIC_NAMES: frozenset[str] = frozenset({
     FEDERATION_LOOKUP_FAILOVER,
     FEDERATION_LOOKUP_FLOOD_FALLBACK,
     FEDERATION_LOOKUP_RING_FALLBACK,
-    FEDERATION_REJECTED_MEMBER_BEACON,
-    FEDERATION_REJECTED_RAGGED_MEMBERS,
     FEDERATION_REJECTED_UNKNOWN_HOST,
     FEDERATION_ROUNDS,
     # network

@@ -266,9 +266,8 @@ _CODEC_SAMPLES = [
         (1, "boxed", tc_any),
         (2, "num", tc_long),
     ]), (1, Any(tc_double, 2.5))),
-    # The federation ``gossip`` body: struct sequences for records and
-    # owner beacons beside the member plane's two parallel columns (the
-    # doubles decode in one batched unpack off a hostile length).
+    # The federation ``gossip`` body: struct sequences for the record
+    # delta and the owner beacons.
     (struct_tc("FzGossip", [
         ("records", sequence_tc(struct_tc("FzRecord", [
             ("repo_id", tc_string), ("host", tc_string),
@@ -279,18 +278,14 @@ _CODEC_SAMPLES = [
             ("retired", tc_boolean)]))),
         ("beacons", sequence_tc(struct_tc("FzBeacon", [
             ("host", tc_string), ("epoch", tc_double),
-            ("alive", tc_boolean), ("owner", tc_boolean)]))),
-        ("member_hosts", sequence_tc(tc_string)),
-        ("member_epochs", sequence_tc(tc_double)),
+            ("alive", tc_boolean)]))),
     ]), {"records": [{"repo_id": "IDL:fz/Svc:1.0", "host": "c0h1",
                       "component": "Svc", "version": "1.0",
                       "running_ior": "", "mobility": "mobile",
                       "free_cpu": 2.0, "free_memory": 64.0,
                       "is_tiny": False, "epoch": 4.5, "retired": False}],
-         "beacons": [{"host": "c0h0", "epoch": 5.0, "alive": True,
-                      "owner": True}],
-         "member_hosts": ["c0h2", "c0h3", "c1h4", "c1h5"],
-         "member_epochs": [4.0, 4.25, 3.5, 4.75]}),
+         "beacons": [{"host": "c0h0", "epoch": 5.0, "alive": True},
+                     {"host": "c1h4", "epoch": 3.5, "alive": False}]}),
 ]
 
 

@@ -222,7 +222,15 @@ class FederatedRegistry:
 
     # -- liveness -----------------------------------------------------------
     def live_hosts(self) -> set[str]:
-        """Hosts the gossiped membership currently believes alive.
+        """Hosts the owners' direct reports currently show alive.
+
+        A host's liveness is soft state at the ring owners of
+        ``host:<id>`` (its own publishes, never relayed), so no single
+        owner knows the population: this union is the member plane's
+        one reader.  H survives the loss of ``replication - 1`` of its
+        key's owners; lose them all and H drops out until one restarts
+        or the key is rebalanced, then returns within one
+        ``update_interval``.
 
         Merged across live owners' views and cached per sim-instant:
         the deployment supervisor calls this once per instance per

@@ -10,11 +10,10 @@ Two record kinds travel between shard owners:
   whole every round.
 
 The population-sized **member plane** ("plain host H was last heard
-from at epoch T") is not a record kind: it travels as two parallel
-columns, ``(hosts, epochs)`` from :meth:`MembershipTable.members_since`,
-and no ``HostBeacon`` is built for a plain member on either side.
+from at epoch T") never travels between owners: it is soft state held
+by the ring owners of ``host:<id>``, fed by that host's own publishes.
 
-All carry a **report epoch** (the sim-time their source observed the
+Both carry a **report epoch** (the sim-time their source observed the
 fact) and merge by the epidemic rule the issue prescribes: highest
 epoch wins, ties broken by the reporting host id.  Merging is therefore
 commutative, associative and idempotent — the order gossip frames
@@ -51,7 +50,6 @@ HOST_BEACON_TC = struct_tc("HostBeacon", [
     ("host", tc_string),
     ("epoch", tc_double),
     ("alive", tc_boolean),
-    ("owner", tc_boolean),          # shard owner vs plain member
 ], repo_id="IDL:corbalc/Federation/HostBeacon:1.0")
 
 
@@ -105,14 +103,13 @@ class HostBeacon:
     host: str
     epoch: float
     alive: bool
-    owner: bool
 
     def beats(self, other: "HostBeacon") -> bool:
         return (self.epoch, self.host) > (other.epoch, other.host)
 
     def to_value(self) -> dict:
         return {"host": self.host, "epoch": self.epoch,
-                "alive": self.alive, "owner": self.owner}
+                "alive": self.alive}
 
     @classmethod
     def from_value(cls, value: dict) -> "HostBeacon":
@@ -179,26 +176,27 @@ class RecordStore:
 
 
 class MembershipTable:
-    """Per-owner gossiped view of the federation's hosts.
+    """One owner's view of the federation's hosts.
 
     Two planes that must not corrupt each other:
 
     - the **owner plane** (:meth:`apply`, ``HostBeacon``s): which hosts
-      serve shards.  Merged by the epidemic epoch rule, with explicit
-      dead-marking on failure detection or retirement.
+      serve shards.  Gossiped; merged by the epidemic epoch rule, with
+      explicit dead-marking on failure detection or retirement.
     - the **member plane** (:meth:`observe_member`, bare epochs): when
-      each plain host was last heard from.  Pure freshness — the maximum
-      observed epoch wins, and silence past a timeout means "down".
+      each host that publishes to this owner (it holds the host's
+      ``host:<id>`` key or one of its records' keys) was last heard
+      from.  Local, never gossiped — the maximum observed epoch wins,
+      and silence past a timeout means "down".
 
     A shard owner is also a reporting member; keeping the planes
-    separate is what stops its member publishes (fresh epochs, owner
-    unset) from demoting its owner beacon.
+    separate is what stops its member publishes (fresh epochs) from
+    demoting its owner beacon.
     """
 
     def __init__(self) -> None:
         self._owners: dict[str, HostBeacon] = {}
         self._members: dict[str, float] = {}
-        self._member_touched: dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(set(self._owners) | set(self._members))
@@ -213,12 +211,10 @@ class MembershipTable:
         self._owners[beacon.host] = beacon
         return True
 
-    def observe_member(self, host: str, epoch: float,
-                       now: float) -> bool:
+    def observe_member(self, host: str, epoch: float) -> bool:
         if epoch <= self._members.get(host, -1.0):
             return False
         self._members[host] = epoch
-        self._member_touched[host] = now
         return True
 
     def get(self, host: str):
@@ -237,19 +233,12 @@ class MembershipTable:
                    if epoch < cutoff)
         return out
 
-    def members_since(self, since: float) -> tuple[list[str], list[float]]:
-        """Members learned at-or-after *since*, as ``(hosts, epochs)``."""
-        hosts = [host for host, when in self._member_touched.items()
-                 if when >= since]
-        return hosts, [self._members[host] for host in hosts]
-
     def mark_dead(self, host: str, now: float) -> None:
         """Locally declare an owner down (spreads on the next round)."""
         current = self._owners.get(host)
         if current is not None and current.alive:
             self._owners[host] = replace(current, epoch=now, alive=False)
         self._members.pop(host, None)
-        self._member_touched.pop(host, None)
 
     def live(self, now: float, timeout: float) -> set[str]:
         """Hosts believed alive: declared so, and recently enough."""
@@ -267,4 +256,3 @@ class MembershipTable:
     def clear(self) -> None:
         self._owners.clear()
         self._members.clear()
-        self._member_touched.clear()

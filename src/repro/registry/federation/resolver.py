@@ -22,6 +22,7 @@ from repro.obs import names
 from repro.orb.exceptions import SystemException, TRANSIENT
 from repro.registry.queries import FloodResolver, ResolverBase
 from repro.registry.federation.shard import SHARD_IFACE, shard_ior
+from repro.registry.view import Candidate
 from repro.xmlmeta.descriptors import QoSSpec
 
 _LOOKUP = SHARD_IFACE.operations["lookup"]
@@ -38,51 +39,56 @@ class FederatedResolver(ResolverBase):
         self._flood = None
 
     def _find(self, repo_id: str, qos: QoSSpec):
-        node = self.node
         primaries = self.ring.owners(repo_id, self.fed_config.replication)
-        # Widen past the replication set only when it failed entirely:
-        # the extra ring owners hold the key's records after a
-        # rebalance moved it onto them (anti-entropy backfill), and
-        # answer authoritatively then.
-        extras = [h for h in self.ring.owners(repo_id, len(self.ring))
-                  if h not in primaries]
         primary_answered = False
-        for host in primaries + extras:
-            if primary_answered and host in extras:
-                # A replication-set owner already answered (empty).
-                # That is authoritative — it owns the key — so don't
-                # widen to owners that merely *might* hold stale state.
-                break
-            if host in extras:
-                node.metrics.counter(
-                    names.FEDERATION_LOOKUP_RING_FALLBACK).inc()
-            try:
-                values = yield node.orb.invoke(
-                    shard_ior(host), _LOOKUP,
-                    (repo_id, qos.cpu_units, qos.memory_mb,
-                     qos.bandwidth_bps),
-                    timeout=self.fed_config.query_timeout,
-                    meter="federation.lookup")
-            except SystemException:
-                node.metrics.counter(names.FEDERATION_LOOKUP_FAILOVER).inc()
-                continue
+        for host in primaries:
+            values = yield from self._ask(host, repo_id, qos)
             if values:
-                from repro.registry.view import Candidate
-                return [Candidate.from_value(v) for v in values]
-            if host in primaries:
-                # An extra owner's empty answer proves only that the
-                # ring is reachable, not that the key has no records —
-                # keep going, and let the flood tier decide.
+                return values
+            if values is not None:
                 primary_answered = True
-        if not primary_answered:
-            # No owner of the key answered: its whole replication set
-            # is dead or unreachable.  Survive it: interrogate the
-            # population directly, like the pre-ring flood protocol
-            # did.  Expensive, but correct — a registry outage must
-            # not make running providers unresolvable.
-            node.metrics.counter(names.FEDERATION_LOOKUP_FLOOD_FALLBACK).inc()
-            return (yield from self._flood_find(repo_id, qos))
-        return []
+        if primary_answered:
+            # A replication-set owner answered (empty).  That is
+            # authoritative — it owns the key — so don't widen to
+            # owners that merely *might* hold stale state.
+            return []
+        # Widen past the replication set only now that it failed
+        # entirely (the whole-ring walk is the costly one): the extra
+        # ring owners hold the key's records after a rebalance moved it
+        # onto them (anti-entropy backfill), and answer authoritatively
+        # then.  An extra owner's *empty* answer proves only that the
+        # ring is reachable, not that the key has no records — keep
+        # going, and let the flood tier decide.
+        for host in self.ring.owners(repo_id, len(self.ring)):
+            if host in primaries:
+                continue
+            self.node.metrics.counter(
+                names.FEDERATION_LOOKUP_RING_FALLBACK).inc()
+            values = yield from self._ask(host, repo_id, qos)
+            if values:
+                return values
+        # No owner of the key answered: its whole replication set is
+        # dead or unreachable.  Survive it: interrogate the population
+        # directly, like the pre-ring flood protocol did.  Expensive,
+        # but correct — a registry outage must not make running
+        # providers unresolvable.
+        self.node.metrics.counter(
+            names.FEDERATION_LOOKUP_FLOOD_FALLBACK).inc()
+        return (yield from self._flood_find(repo_id, qos))
+
+    def _ask(self, host: str, repo_id: str, qos: QoSSpec):
+        """One owner's candidates; ``None`` when it did not answer."""
+        try:
+            values = yield self.node.orb.invoke(
+                shard_ior(host), _LOOKUP,
+                (repo_id, qos.cpu_units, qos.memory_mb, qos.bandwidth_bps),
+                timeout=self.fed_config.query_timeout,
+                meter="federation.lookup")
+        except SystemException:
+            self.node.metrics.counter(
+                names.FEDERATION_LOOKUP_FAILOVER).inc()
+            return None
+        return [Candidate.from_value(v) for v in values]
 
     def _flood_find(self, repo_id: str, qos: QoSSpec):
         if self._flood is None:

@@ -2,8 +2,9 @@
 
 A :class:`ShardAgent` runs on each owner host.  It keeps a
 :class:`~repro.registry.federation.records.RecordStore` with its slice
-of the provider-record space and a gossiped
-:class:`~repro.registry.federation.records.MembershipTable`, and runs
+of the provider-record space and a
+:class:`~repro.registry.federation.records.MembershipTable` (owner
+plane gossiped, member plane local), and runs
 **seeded epidemic rounds**: every ``gossip_interval`` it picks
 ``fanout`` live peers from its own membership view (a named RNG
 stream, so runs are reproducible), publishes its round delta onto the
@@ -67,12 +68,10 @@ SHARD_IFACE = InterfaceDef(
         op("publish_batch", [("origin", tc_string), ("epoch", tc_double),
                              ("records", sequence_tc(PROVIDER_RECORD_TC))],
            oneway=True),
-        # Owner <-> owner: one epidemic round: record delta, owner-plane
-        # beacons, and the member plane as two parallel columns.
+        # Owner <-> owner: one epidemic round: record delta and the
+        # owner-plane beacons.  Member liveness is never relayed.
         op("gossip", [("records", sequence_tc(PROVIDER_RECORD_TC)),
-                      ("beacons", sequence_tc(HOST_BEACON_TC)),
-                      ("member_hosts", sequence_tc(tc_string)),
-                      ("member_epochs", sequence_tc(tc_double))],
+                      ("beacons", sequence_tc(HOST_BEACON_TC))],
            oneway=True),
         # Resolver -> owner: candidates for one repo-id under a QoS bar.
         op("lookup", [("repo_id", tc_string), ("cpu", tc_double),
@@ -103,9 +102,6 @@ class ShardAgent:
         self.membership = MembershipTable()
         self.rounds = 0
         self._last_round = 0.0
-        #: (owner beacons, member hosts, member epochs): set by each
-        #: round before it publishes what _gossip_args frames
-        self._round_planes: tuple = ([], [], [])
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
         self._proc = None
@@ -156,17 +152,18 @@ class ShardAgent:
 
     def _gossip_args(self, events) -> tuple:
         records = [e.payload for e in events if e.payload is not None]
-        beacons, *members = self._round_planes
-        return (records, [b.to_value() for b in beacons], *members)
+        # The owner plane is small and rides along whole on every frame.
+        return (records, [b.to_value()
+                          for b in self.membership.owner_beacons()])
 
     def _bootstrap(self) -> None:
         """Initial membership: self plus the configured seed peers."""
         now = self.env.now
         self.membership.apply(
-            HostBeacon(self.host_id, now, alive=True, owner=True))
+            HostBeacon(self.host_id, now, alive=True))
         for peer in self.seed_peers:
             self.membership.apply(
-                HostBeacon(peer, now, alive=True, owner=True))
+                HostBeacon(peer, now, alive=True))
 
     # -- lifecycle ----------------------------------------------------------
     def _start(self) -> None:
@@ -240,26 +237,21 @@ class ShardAgent:
     def _gossip_round(self) -> None:
         now = self.env.now
         self.membership.apply(
-            HostBeacon(self.host_id, now, alive=True, owner=True))
-        # Suspect silence: peers whose beacons went stale are marked
-        # dead locally, and the marking itself gossips onward.
+            HostBeacon(self.host_id, now, alive=True))
+        # Suspect silence: owners whose beacons went stale are marked
+        # dead locally (the marking gossips onward); members that
+        # stopped publishing here are dropped.
         for host in self.membership.silent(
                 now - self.config.member_timeout):
             if host != self.host_id:
                 self.membership.mark_dead(host, now)
         self.rounds += 1
         full_sync = (self.rounds % self.config.full_sync_every == 0)
-        # The owner plane is small and rides along whole every round;
-        # the (population-sized) member plane travels as a delta, whole
-        # only on anti-entropy rounds.
         if full_sync:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()
-            members = self.membership.members_since(0.0)
         else:
             outgoing = self.store.changed_since(self._last_round)
-            members = self.membership.members_since(self._last_round)
-        self._round_planes = (self.membership.owner_beacons(), *members)
         self._last_round = now
         peers = self._pick_peers()
         if not peers:
@@ -317,7 +309,7 @@ class ShardAgent:
         now = self.env.now
         epoch = self._clamp_epoch(epoch, now)
         if self._known_host(origin):
-            self.membership.observe_member(origin, epoch, now)
+            self.membership.observe_member(origin, epoch)
         for value in records:
             record = ProviderRecord.from_value(value)
             if not self._known_host(record.host):
@@ -328,35 +320,16 @@ class ShardAgent:
             self.store.apply(record, now)
 
     def accept_gossip(self, records: Sequence[dict],
-                      beacons: Sequence[dict],
-                      member_hosts: Sequence[str],
-                      member_epochs: Sequence[float]) -> None:
+                      beacons: Sequence[dict]) -> None:
         now = self.env.now
         for value in beacons:
             beacon = HostBeacon.from_value(value)
-            if not beacon.owner:
-                # No sender frames a member here: a flipped ``owner``.
-                self.node.metrics.counter(
-                    names.FEDERATION_REJECTED_MEMBER_BEACON).inc()
-                continue
             if not self._known_host(beacon.host):
                 continue
             clamped = self._clamp_epoch(beacon.epoch, now)
             if clamped != beacon.epoch:
                 beacon = replace(beacon, epoch=clamped)
             self.membership.apply(beacon)
-        if len(member_hosts) != len(member_epochs):
-            # Ragged columns (a corrupted length prefix) pair hosts with
-            # the wrong epochs: drop this frame's member plane whole.
-            self.node.metrics.counter(
-                names.FEDERATION_REJECTED_RAGGED_MEMBERS).inc()
-        else:
-            # Member freshness: stamp the *learn* time locally so the
-            # next delta round forwards what we just heard.
-            observe = self.membership.observe_member
-            for host, epoch in zip(member_hosts, member_epochs):
-                if self._known_host(host):
-                    observe(host, self._clamp_epoch(epoch, now), now)
         for value in records:
             record = ProviderRecord.from_value(value)
             if not self._known_host(record.host):
@@ -396,10 +369,8 @@ class ShardServant(Servant):
                       records: list) -> None:
         self.agent.accept_publish(origin, epoch, records)
 
-    def gossip(self, records: list, beacons: list, member_hosts: list,
-               member_epochs: list) -> None:
-        self.agent.accept_gossip(records, beacons, member_hosts,
-                                 member_epochs)
+    def gossip(self, records: list, beacons: list) -> None:
+        self.agent.accept_gossip(records, beacons)
 
     def lookup(self, repo_id: str, cpu: float, memory: float,
                bandwidth: float) -> list:

@@ -81,3 +81,13 @@ class TestShortCampaign:
         assert campaign.report.settle >= fed.member_timeout
         explicit = ChaosCampaign(world, CampaignConfig(settle=9.0))
         assert explicit.report.settle == 9.0
+
+
+class TestFoundBySoak:
+    def test_seed_139_lost_incarnate_reply_leaves_no_duplicate(self):
+        """``make chaos-soak`` found it: a wire storm corrupts the
+        reply of a repair's ``incarnate``, the retry lands on another
+        host, and ``deployment.no_orphans`` caught the copy nobody
+        recorded.  The full default campaign must end clean."""
+        report = run_campaign(139)
+        assert report.ok, report.render_text()

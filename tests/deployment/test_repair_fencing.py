@@ -124,3 +124,85 @@ class TestRepairFencing:
     def test_repair_superseded_is_clean_abort_type(self):
         from repro.deployment.application import DeploymentError
         assert issubclass(RepairSuperseded, DeploymentError)
+
+
+def stranded_rig(seed):
+    """A deployed rig with one instance's host freshly crashed and a
+    hand-driven supervisor."""
+    rig, dep, app = deployed_rig(seed=seed)
+    sup = ApplicationSupervisor(dep, interval=1000.0, checkpoint=False)
+    sup.stop()
+    victim = next(name for name, host in app.placement.items()
+                  if host != "hub")
+    injector = FaultInjector(rig.env, rig.topology)
+    injector.crash_host(app.placement[victim])
+    return rig, dep, app, sup, victim, injector
+
+
+class TestLostIncarnateReply:
+    """Chaos seed 139: a repair whose ``incarnate`` *executed* but whose
+    reply never arrived is "maybe created".  Pre-fix nothing recorded
+    the copy, the retry landed on another host, and the duplicate lived
+    for ever."""
+
+    def test_copy_behind_a_lost_reply_is_swept(self):
+        rig, dep, app, sup, victim, injector = stranded_rig(seed=34)
+        dead_host = app.placement[victim]
+        iid = app.instance_id(victim)
+        lost_on = []
+
+        def cut_reply_path(host):
+            # The container has executed ``incarnate`` by the time it
+            # announces the instance; its reply then finds no route.
+            def listener(action, instance):
+                if (action == "created" and instance.instance_id == iid
+                        and not lost_on):
+                    injector.cut_link("hub", host)
+                    lost_on.append(host)
+            return listener
+        for host in rig.topology.host_ids():
+            if host != "hub":
+                rig.node(host).container.listeners.append(
+                    cut_reply_path(host))
+
+        rig.run(until=sup.run_once())
+        (leaked,) = lost_on
+        assert app.placement[victim] == dead_host       # repair failed ...
+        assert instance_copies(rig, app, victim) == [leaked]    # ... yet
+        assert (leaked, iid) in dep.orphans
+
+        # The retry cannot reach the leaked copy's host and lands
+        # elsewhere; once the link heals the sweep destroys the copy.
+        rig.run(until=rig.env.now + sup.backoff_cap)
+        rig.run(until=sup.run_once())
+        new_host = app.placement[victim]
+        assert new_host not in (dead_host, leaked)
+        injector.heal_link("hub", leaked)
+        rig.run(until=sup.run_once())
+        assert instance_copies(rig, app, victim) == [new_host]
+        assert dep.orphans == [(dead_host, iid)]
+
+    def test_retry_onto_the_same_host_is_not_swept_away(self):
+        """A "maybe" filed by a failed attempt must not outlive a later
+        *successful* incarnation on that same host."""
+        from repro.orb.exceptions import SystemException, TRANSIENT
+        rig, dep, app, sup, victim, _ = stranded_rig(seed=35)
+        dead_host = app.placement[victim]
+        iid = app.instance_id(victim)
+        target = next(h for h in rig.topology.host_ids()
+                      if h not in ("hub", dead_host))
+        servant = rig.node(target).orb.adapter("node").servant_for("container")
+        real = servant.incarnate
+
+        def refuse_once(*args):
+            servant.incarnate = real
+            raise TRANSIENT("refused before anything was created")
+        servant.incarnate = refuse_once
+
+        with pytest.raises(SystemException):
+            rig.run(until=app.repair(victim, target))
+        assert dep.orphans == [(target, iid)]
+        rig.run(until=app.repair(victim, target))
+        assert dep.orphans == [(dead_host, iid)]
+        rig.run(until=sup.run_once())
+        assert instance_copies(rig, app, victim) == [target]

@@ -117,8 +117,8 @@ class TestRecordMerge:
         newer = record(host="hb", epoch=5.0)
         assert newer.beats(older)
         assert not older.beats(newer)
-        tie = HostBeacon("hb", 5.0, alive=False, owner=True)
-        assert tie.beats(HostBeacon("ha", 5.0, alive=True, owner=True))
+        tie = HostBeacon("hb", 5.0, alive=False)
+        assert tie.beats(HostBeacon("ha", 5.0, alive=True))
 
     def test_retired_records_hidden_from_lookup(self):
         store = RecordStore()
@@ -137,27 +137,27 @@ class TestRecordMerge:
 
     def test_membership_liveness_window(self):
         table = MembershipTable()
-        table.apply(HostBeacon("h0", 10.0, alive=True, owner=True))
-        table.observe_member("h1", 2.0, now=2.0)
-        table.apply(HostBeacon("h2", 10.0, alive=False, owner=True))
+        table.apply(HostBeacon("h0", 10.0, alive=True))
+        table.observe_member("h1", 2.0)
+        table.apply(HostBeacon("h2", 10.0, alive=False))
         assert table.live(now=12.0, timeout=5.0) == {"h0"}
         assert table.live_owners(now=12.0, timeout=15.0) == ["h0"]
         table.mark_dead("h0", now=13.0)
         assert table.live(now=13.0, timeout=5.0) == set()
 
     def test_membership_silent_scan_and_owner_plane(self):
-        """What a gossip round reads, without building member beacons:
-        the owner plane as beacons, and the silent hosts — owner plane
-        first (alive ones only), then member plane, in learned order."""
+        """What a gossip round reads: the owner plane as beacons, and
+        the silent hosts — owner plane first (alive ones only), then
+        member plane, in learned order."""
         table = MembershipTable()
-        stale_owner = HostBeacon("h3", 1.0, alive=True, owner=True)
-        dead_owner = HostBeacon("h0", 1.0, alive=False, owner=True)
-        fresh_owner = HostBeacon("h1", 9.0, alive=True, owner=True)
+        stale_owner = HostBeacon("h3", 1.0, alive=True)
+        dead_owner = HostBeacon("h0", 1.0, alive=False)
+        fresh_owner = HostBeacon("h1", 9.0, alive=True)
         for beacon in (stale_owner, dead_owner, fresh_owner):
             table.apply(beacon)
-        table.observe_member("h2", 2.0, now=2.0)
-        table.observe_member("h3", 3.0, now=3.0)
-        table.observe_member("h4", 8.0, now=8.0)
+        table.observe_member("h2", 2.0)
+        table.observe_member("h3", 3.0)
+        table.observe_member("h4", 8.0)
         assert table.owner_beacons() == [stale_owner, dead_owner,
                                          fresh_owner]
         assert table.silent(cutoff=5.0) == ["h3", "h2", "h3"]
