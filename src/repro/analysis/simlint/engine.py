@@ -38,13 +38,10 @@ class SimlintConfig:
     #: the one module allowed to construct numpy generators: the
     #: named-stream registry itself.
     rng_modules: tuple[str, ...] = ("sim/rng.py",)
-    #: modules whose perpetual loops are held to the SIM012/SIM013
-    #: control-loop rules (supervisors, agents, reporters, writers).
+    #: modules whose hand-started perpetual loops are held to the
+    #: SIM012/SIM013 control-loop rules.  Host-bound loops need no
+    #: listing: the body of a ``HostLoop(...)`` is found in the code.
     control_loop_modules: tuple[str, ...] = (
-        "deployment/supervisor.py",
-        "deployment/loadbalancer.py",
-        "registry/softstate.py",
-        "registry/federation/shard.py",
         "events/batch_writer.py",
         "grid/volunteer.py",
     )

@@ -14,13 +14,19 @@ worker pools) must treat each iteration as a fault boundary:
   either a preceding ``except Interrupt: raise`` clause or a re-raise
   in the handler body — otherwise a crash/stop interrupt is absorbed
   as if it were a handler error and the process never dies;
-- **SIM012** — in designated control-loop modules, calls that decode
-  foreign bytes (``loads_*``, ``decode*``, ``parse_*``, ``from_json``
-  ...) inside a perpetual loop must sit inside a ``try``: decode
-  errors are *data* faults and must cost one iteration, not the loop;
-- **SIM013** — a ``while True`` loop with yields in a control-loop
-  module should handle :class:`~repro.sim.kernel.Interrupt` somewhere
-  in the function, so ``stop()``/crash interrupts end it cleanly.
+- **SIM012** — in a control loop, calls that decode foreign bytes
+  (``loads_*``, ``decode*``, ``parse_*``, ``from_json`` ...) inside a
+  perpetual loop must sit inside a ``try``: decode errors are *data*
+  faults and must cost one iteration, not the loop;
+- **SIM013** — a hand-started ``while True`` loop with yields in a
+  designated control-loop module should handle
+  :class:`~repro.sim.kernel.Interrupt` somewhere in the function, so
+  ``stop()``/crash interrupts end it cleanly.
+
+A *control loop* is the ``body`` of a
+:class:`~repro.sim.hostloop.HostLoop` built in the same module (the
+primitive handles its Interrupt), or any perpetual generator loop in
+one of the designated modules whose loops are not host-bound.
 """
 
 from __future__ import annotations
@@ -89,6 +95,17 @@ def _call_name(node: ast.Call) -> str:
     return ""
 
 
+def _host_loop_bodies(tree: ast.Module) -> set[str]:
+    """Names of the functions handed to ``HostLoop(...)`` as *body*."""
+    bodies = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _call_name(node) == "HostLoop":
+            for arg in node.args[2:3] + [kw.value for kw in node.keywords
+                                         if kw.arg == "body"]:
+                bodies.add(getattr(arg, "attr", getattr(arg, "id", "")))
+    return bodies
+
+
 @rule(docs=_DOCS)
 def check_loops(source, config, sink) -> None:
     # SIM010 — everywhere, any function.
@@ -101,6 +118,7 @@ def check_loops(source, config, sink) -> None:
                 "Exception after re-raising Interrupt)")
 
     control_module = config.is_control_loop_module(source)
+    host_loop_bodies = _host_loop_bodies(source.tree)
     decode_re = re.compile(config.decode_call_re)
 
     for func in ast.walk(source.tree):
@@ -109,7 +127,9 @@ def check_loops(source, config, sink) -> None:
         if not _is_generator(func):
             continue
 
-        func_handles_interrupt = any(
+        # A HostLoop body's Interrupt handler is the primitive's.
+        host_bound = func.name in host_loop_bodies
+        func_handles_interrupt = host_bound or any(
             isinstance(node, ast.ExceptHandler)
             and _exc_names(node) & _CONTROL_EXCEPTIONS
             for node in _walk_scope(func))
@@ -140,8 +160,8 @@ def check_loops(source, config, sink) -> None:
                                 "Interrupt: raise' before it (or "
                                 "re-raise in the handler)")
 
-            # SIM012/SIM013 apply only to designated control loops.
-            if not control_module:
+            # SIM012/SIM013 apply only to control loops.
+            if not (control_module or host_bound):
                 continue
             perpetual = isinstance(loop, ast.While)
             if not perpetual:

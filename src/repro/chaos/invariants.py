@@ -220,33 +220,30 @@ class MembershipConvergenceMonitor(InvariantMonitor):
 
 
 class ControlLoopsAliveMonitor(InvariantMonitor):
-    """No background loop died of an unhandled error: the supervisor,
-    every live owner's gossip loop, every live reporter, and the chaos
-    clients must still be running."""
+    """Every host-bound loop runs exactly when its host is up: the
+    supervisor, every owner's gossip loop and every reporter are
+    neither dead on a live host (never none) nor still running on a
+    crashed one (never two after its restart); the chaos clients must
+    not have died of an unhandled error."""
 
     name = "loops.alive"
     strict_mid = True
 
     def probe(self, world, phase: str):
-        sup = world.supervisor
-        if sup._proc is None or not sup._proc.is_alive:
-            return False, "application supervisor loop is dead"
-        dead = []
-        for host, agent in world.federation.agents.items():
-            if agent.node.host.alive and (agent._proc is None or
-                                          not agent._proc.is_alive):
-                dead.append(f"agent:{host}")
-        for host, reporter in world.federation.reporters.items():
-            if reporter.node.host.alive and (reporter._proc is None or
-                                             not reporter._proc.is_alive):
-                dead.append(f"reporter:{host}")
+        fed = world.federation
+        services = [("supervisor", world.supervisor)]
+        services += [(f"agent:{h}", a) for h, a in fed.agents.items()]
+        services += [(f"reporter:{h}", r)
+                     for h, r in fed.reporters.items()]
+        dead = [label for label, service in services
+                if service.loop.alive != service.loop.host.alive]
         if not world.client_stop:
             for host, proc in zip(world.client_hosts,
                                   world.client_procs):
                 if not proc.is_alive:
                     dead.append(f"client:{host}")
         if dead:
-            return False, f"dead control loops: {dead}"
+            return False, f"control loops out of step with host: {dead}"
         return True, "supervisor, owners, reporters, clients all live"
 
 

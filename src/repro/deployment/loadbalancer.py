@@ -16,7 +16,8 @@ from repro.container.migration import MigrationError
 from repro.deployment.application import Application, Deployer
 from repro.deployment.planner import load_imbalance
 from repro.orb.exceptions import SystemException
-from repro.sim.kernel import Event, Interrupt
+from repro.sim.hostloop import HostLoop
+from repro.sim.kernel import Event
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,9 @@ class LoadBalancer:
         self.threshold = threshold
         self.interval = interval
         self.actions: list[BalanceAction] = []
-        self._proc = None
+        #: the continuous mode's loop, bound to the coordinator's host;
+        #: ``None`` until :meth:`start` and after :meth:`stop`.
+        self.loop: Optional[HostLoop] = None
 
     # -- one-shot ------------------------------------------------------------
     def run_once(self) -> Event:
@@ -101,17 +104,16 @@ class LoadBalancer:
 
     # -- continuous -------------------------------------------------------------
     def start(self) -> None:
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.deployer.env.process(self._loop())
+        if self.loop is None:
+            self.loop = HostLoop(self.deployer.env,
+                                 self.deployer.coordinator.host, self._loop)
 
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("balancer stopped")
+        if self.loop is not None:
+            self.loop.stop()
+            self.loop = None
 
     def _loop(self):
-        try:
-            while True:
-                yield self.deployer.env.timeout(self.interval)
-                yield from self._run_once()
-        except Interrupt:
-            return
+        while True:
+            yield self.deployer.env.timeout(self.interval)
+            yield from self._run_once()

@@ -48,7 +48,8 @@ from repro.deployment.planner import PlacementError
 from repro.obs import RECOVERY_LATENCY_HIST
 from repro.obs import names
 from repro.orb.exceptions import SystemException, UserException
-from repro.sim.kernel import Event, Interrupt
+from repro.sim.hostloop import HostLoop
+from repro.sim.kernel import Event
 
 
 @dataclass(frozen=True)
@@ -106,28 +107,20 @@ class ApplicationSupervisor:
         self._live_cache: Optional[tuple[float, set]] = None
         #: (app.name, instance) -> app, connections still to re-wire.
         self._pending_rewires: dict[tuple[str, str], Application] = {}
-        self._proc = self.env.process(self._loop())
-        self.node.host.on_crash.append(self._on_crash)
-        self.node.host.on_restart.append(self._on_restart)
+        self.loop = HostLoop(self.env, self.node.host, self._loop,
+                             on_crash=self._lose_state)
 
     # -- lifecycle ---------------------------------------------------------
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
+    def _lose_state(self) -> None:
         # The coordinator's RAM is gone with it.
         self.checkpoints.clear()
         self._pending.clear()
         self._repairing.clear()
         self._pending_rewires.clear()
 
-    def _on_restart(self, _host) -> None:
-        self._proc = self.env.process(self._loop())
-
     def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("supervisor stopped")
-        self._proc = None
+        """End supervision for good: no coordinator restart revives it."""
+        self.loop.stop()
 
     def watch_group(self, group: ReplicaGroup,
                     manager: ReplicaManager) -> None:
@@ -155,12 +148,9 @@ class ApplicationSupervisor:
 
     # -- main loop ---------------------------------------------------------
     def _loop(self):
-        try:
-            while True:
-                yield self.env.timeout(self.interval)
-                yield from self._tick()
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.interval)
+            yield from self._tick()
 
     def run_once(self) -> Event:
         """One full supervision pass, as a process event (for tests)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 from repro.xmlmeta.descriptors import QoSSpec
 
 
@@ -34,9 +34,7 @@ class IdleMonitor:
         self._user_qos = QoSSpec(
             cpu_units=busy_cpu_fraction * node.host.profile.cpu_power,
             memory_mb=0.0)
-        self._proc = node.env.process(self._loop())
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        self.loop = HostLoop(node.env, node.host, self._loop)
         if not start_idle:
             self.node.resources.reserve(self._user_qos)
 
@@ -60,19 +58,8 @@ class IdleMonitor:
             listener(self, idle)
 
     def _loop(self):
-        try:
-            while True:
-                mean = self.mean_idle if self.idle else self.mean_busy
-                yield self.node.env.timeout(
-                    float(self.rng.exponential(mean)))
-                self._set_idle(not self.idle)
-        except Interrupt:
-            return
-
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
-
-    def _on_restart(self, _host) -> None:
-        self._proc = self.node.env.process(self._loop())
+        while True:
+            mean = self.mean_idle if self.idle else self.mean_busy
+            yield self.node.env.timeout(
+                float(self.rng.exponential(mean)))
+            self._set_idle(not self.idle)

@@ -31,7 +31,7 @@ from repro.orb.core import InterfaceDef, Servant, op
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
 from repro.orb.typecodes import sequence_tc, tc_boolean, tc_string
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 
 COHESION_ADAPTER = "node"
 COHESION_KEY = "cohesion"
@@ -99,12 +99,12 @@ class CohesionAgent:
         self.peers: dict[str, PeerRecord] = {}
         self.joins_seen = 0
         self._rotation = 0
-        self._procs = []
         node.orb.adapter(COHESION_ADAPTER).activate(
             CohesionServant(self), key=COHESION_KEY)
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        # A crash costs the peer view (RAM); the restarted loop begins
+        # with JOIN again: graceful reconnection.
+        self.loop = HostLoop(node.env, node.host, self._join_then_ping,
+                             on_crash=self.peers.clear)
 
     # -- view --------------------------------------------------------------
     def known_hosts(self, include_self: bool = False) -> list[str]:
@@ -138,71 +138,56 @@ class CohesionAgent:
         self.peers.pop(host, None)
 
     # -- lifecycle -----------------------------------------------------------------
-    def _start(self) -> None:
-        self._procs = [self.node.env.process(self._join_then_ping())]
-
-    def _on_crash(self, _host) -> None:
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("host crashed")
-        self._procs = []
-        self.peers.clear()  # RAM gone
-
-    def _on_restart(self, _host) -> None:
-        self._start()  # re-join: graceful reconnection
-
     def shutdown(self) -> None:
-        """Graceful leave: tell every known peer we are going."""
+        """Graceful leave: tell every known peer we are going.
+
+        Leaving is for good: the loop stops and a later restart of the
+        host does not re-join.
+        """
         leave_op = COHESION_IFACE.operations["leave"]
         for host in self.known_hosts():
             self.node.orb.invoke(cohesion_ior(host), leave_op,
                                  (self.node.host_id,),
                                  meter="cohesion")
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("leaving")
-        self._procs = []
+        self.loop.stop()
 
     # -- the protocol ------------------------------------------------------------------
     def _join_then_ping(self):
         join_op = COHESION_IFACE.operations["join"]
         ping_op = COHESION_IFACE.operations["ping"]
         env = self.node.env
-        try:
-            # JOIN: contact seeds, adopt their views (anti-entropy).
-            for seed in self.seeds:
-                try:
-                    theirs = yield self.node.orb.invoke(
-                        cohesion_ior(seed), join_op,
-                        (self.node.host_id,), timeout=2.0,
-                        meter="cohesion")
-                except SystemException:
-                    continue
-                for host in theirs:
-                    self._learn(host)
+        # JOIN: contact seeds, adopt their views (anti-entropy).
+        for seed in self.seeds:
+            try:
+                theirs = yield self.node.orb.invoke(
+                    cohesion_ior(seed), join_op,
+                    (self.node.host_id,), timeout=2.0,
+                    meter="cohesion")
+            except SystemException:
+                continue
+            for host in theirs:
+                self._learn(host)
 
-            # PING loop: a deterministic rotation over known peers.
-            while True:
-                yield env.timeout(self.ping_interval)
-                targets = self._pick_targets()
-                for host in targets:
-                    rec = self.peers.get(host)
-                    if rec is None:
-                        continue
-                    try:
-                        yield self.node.orb.invoke(
-                            cohesion_ior(host), ping_op,
-                            (self.node.host_id,), timeout=1.5,
-                            meter="cohesion")
-                        rec.last_seen = env.now
-                        rec.missed = 0
-                        rec.alive = True
-                    except SystemException:
-                        rec.missed += 1
-                        if rec.missed >= self.suspect_after:
-                            rec.alive = False
-        except Interrupt:
-            return
+        # PING loop: a deterministic rotation over known peers.
+        while True:
+            yield env.timeout(self.ping_interval)
+            targets = self._pick_targets()
+            for host in targets:
+                rec = self.peers.get(host)
+                if rec is None:
+                    continue
+                try:
+                    yield self.node.orb.invoke(
+                        cohesion_ior(host), ping_op,
+                        (self.node.host_id,), timeout=1.5,
+                        meter="cohesion")
+                    rec.last_seen = env.now
+                    rec.missed = 0
+                    rec.alive = True
+                except SystemException:
+                    rec.missed += 1
+                    if rec.missed >= self.suspect_after:
+                        rec.alive = False
 
     def _pick_targets(self) -> list[str]:
         hosts = sorted(self.peers)

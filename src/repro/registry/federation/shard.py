@@ -47,7 +47,7 @@ from repro.registry.federation.records import (
     ProviderRecord,
     RecordStore,
 )
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 from repro.xmlmeta.descriptors import QoSSpec
 
 SHARD_ADAPTER = "node"
@@ -104,17 +104,17 @@ class ShardAgent:
         self._last_round = 0.0
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
-        self._proc = None
-        self._sub = None
         self._forwarder = None
         self._servant = ShardServant(self)
         node.orb.adapter(SHARD_ADAPTER).activate(self._servant,
                                                  key=SHARD_KEY)
         self._wire_bus()
         self._bootstrap()
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        # A restart resumes from the static seed list; anti-entropy
+        # full syncs from peers repopulate the record store.
+        self.loop = HostLoop(self.env, node.host, self._gossip_loop,
+                             on_crash=self._lose_state,
+                             on_restart=self._bootstrap)
 
     # -- identity -----------------------------------------------------------
     @property
@@ -166,25 +166,12 @@ class ShardAgent:
                 HostBeacon(peer, now, alive=True))
 
     # -- lifecycle ----------------------------------------------------------
-    def _start(self) -> None:
-        self._proc = self.env.process(self._gossip_loop())
-
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
+    def _lose_state(self) -> None:
         # RAM is gone: records and learned membership alike.  Deltas
         # buffered in the flush window die with the host too.
         self.store.clear()
         self.membership.clear()
-        if self._sub is not None:
-            self._sub.clear()
-
-    def _on_restart(self, _host) -> None:
-        # Resume from the static seed list; anti-entropy full syncs
-        # from peers repopulate the record store.
-        self._bootstrap()
-        self._start()
+        self._sub.clear()
 
     def retire(self) -> None:
         """Permanently stand this owner down (drained or replaced).
@@ -193,33 +180,20 @@ class ShardAgent:
         later restart of the host must not resurrect the gossip loop,
         and the shard key must be free for a future re-promotion.
         """
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("owner retired")
-        self._proc = None
-        if self._sub is not None:
-            self._sub.cancel()
-            self._sub = None
-        for hooks, cb in ((self.node.host.on_crash, self._on_crash),
-                          (self.node.host.on_restart, self._on_restart)):
-            if cb in hooks:
-                hooks.remove(cb)
+        self.loop.stop()
+        self._lose_state()
+        self._sub.cancel()
         self.node.orb.adapter(SHARD_ADAPTER).deactivate(SHARD_KEY)
-        self.store.clear()
-        self.membership.clear()
 
     # -- gossip rounds ------------------------------------------------------
     def _gossip_loop(self):
-        try:
-            # Desynchronize the fleet's rounds.
-            phase = float(self._rng.uniform(0.0,
-                                            self.config.gossip_interval))
-            if phase:
-                yield self.env.timeout(phase)
-            while True:
-                self._gossip_round()
-                yield self.env.timeout(self.config.gossip_interval)
-        except Interrupt:
-            return
+        # Desynchronize the fleet's rounds.
+        phase = float(self._rng.uniform(0.0, self.config.gossip_interval))
+        if phase:
+            yield self.env.timeout(phase)
+        while True:
+            self._gossip_round()
+            yield self.env.timeout(self.config.gossip_interval)
 
     def _pick_peers(self) -> list[str]:
         now = self.env.now

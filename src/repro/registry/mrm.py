@@ -45,6 +45,7 @@ from repro.registry.view import (
     NodeView,
     qos_admits,
 )
+from repro.sim.hostloop import HostLoop
 from repro.xmlmeta.descriptors import QoSSpec
 
 MRM_ADAPTER = "node"
@@ -117,13 +118,14 @@ class MrmAgent:
         self.members: dict[str, MemberRecord] = {}
         self.children: dict[str, ChildRecord] = {}
         self.expired_members = 0
-        self._procs = []
         self._servant = MrmServant(self)
         self._key = f"mrm.{group_id}"
         node.orb.adapter(MRM_ADAPTER).activate(self._servant, key=self._key)
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        self.loops = [HostLoop(self.env, node.host, self._sweep_loop,
+                               on_crash=self._lose_state)]
+        if self.parent_iors:
+            self.loops.append(HostLoop(self.env, node.host,
+                                       self._parent_report_loop))
 
     # -- identity -----------------------------------------------------------
     @property
@@ -136,22 +138,22 @@ class MrmAgent:
         return self.node.env
 
     # -- lifecycle -------------------------------------------------------------
-    def _start(self) -> None:
-        self._procs = [self.env.process(self._sweep_loop())]
-        if self.parent_iors:
-            self._procs.append(self.env.process(self._parent_report_loop()))
-
-    def _on_crash(self, _host) -> None:
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("host crashed")
-        self._procs = []
+    def _lose_state(self) -> None:
         # RAM is gone.
         self.members.clear()
         self.children.clear()
 
-    def _on_restart(self, _host) -> None:
-        self._start()
+    def retire(self) -> None:
+        """Permanently stand this MRM down (deposed by a promotion).
+
+        Unlike a crash, retirement ends both loops for good and frees
+        the group's object key: when the host returns it is an ordinary
+        member, not a second MRM reporting an empty aggregate upward.
+        """
+        for loop in self.loops:
+            loop.stop()
+        self.node.orb.adapter(MRM_ADAPTER).deactivate(self._key)
+        self._lose_state()
 
     # -- soft state ---------------------------------------------------------------
     def accept_report(self, host: str, view: NodeView,
@@ -165,34 +167,26 @@ class MrmAgent:
             aggregate=aggregate, last_seen=self.env.now)
 
     def _sweep_loop(self):
-        from repro.sim.kernel import Interrupt
-        try:
-            while True:
-                yield self.env.timeout(self.config.sweep_interval)
-                deadline = self.env.now - self.config.member_timeout
-                for host in [h for h, rec in self.members.items()
-                             if rec.last_seen < deadline]:
-                    del self.members[host]
-                    self.expired_members += 1
-                for group in [g for g, rec in self.children.items()
-                              if rec.last_seen < deadline]:
-                    del self.children[group]
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.config.sweep_interval)
+            deadline = self.env.now - self.config.member_timeout
+            for host in [h for h, rec in self.members.items()
+                         if rec.last_seen < deadline]:
+                del self.members[host]
+                self.expired_members += 1
+            for group in [g for g, rec in self.children.items()
+                          if rec.last_seen < deadline]:
+                del self.children[group]
 
     def _parent_report_loop(self):
-        from repro.sim.kernel import Interrupt
         report_op = MRM_IFACE.operations["report_aggregate"]
-        try:
-            while True:
-                yield self.env.timeout(self.config.update_interval)
-                agg = self.build_aggregate()
-                for parent in self.parent_iors:
-                    self.node.orb.send_oneway(parent, report_op,
-                                              (agg.to_value(),),
-                                              meter="registry.hier")
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.config.update_interval)
+            agg = self.build_aggregate()
+            for parent in self.parent_iors:
+                self.node.orb.send_oneway(parent, report_op,
+                                          (agg.to_value(),),
+                                          meter="registry.hier")
 
     def build_aggregate(self) -> Aggregate:
         repo_ids: set[str] = set()

@@ -75,8 +75,7 @@ class PredictiveReporter(PeriodicReporter):
         self._sent_generation = -1.0
         super().__init__(node, config.update_interval, phase)
 
-    def _on_crash(self, host) -> None:
-        super()._on_crash(host)
+    def _lose_state(self) -> None:
         self._sent_value = None  # MRM will expire us; resync on restart
 
     # -- core ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.orb.exceptions import SystemException
 from repro.registry.mrm import MRM_IFACE, MrmAgent
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.registry.groups import DistributedRegistry, Group
@@ -43,9 +43,8 @@ class MrmSupervisor:
         self._fail_counts: dict[str, int] = {}
         watch_host = self._pick_watch_host()
         self.node = registry.nodes[watch_host]
-        self._proc = self.node.env.process(self._watch_loop())
-        self.node.host.on_crash.append(self._on_crash)
-        self.node.host.on_restart.append(self._on_restart)
+        self.loop = HostLoop(self.node.env, self.node.host,
+                             self._watch_loop)
 
     def _pick_watch_host(self) -> str:
         for host in self.group.member_hosts:
@@ -53,24 +52,12 @@ class MrmSupervisor:
                 return host
         return self.group.member_hosts[-1]
 
-    # -- lifecycle ---------------------------------------------------------
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
-
-    def _on_restart(self, _host) -> None:
-        self._proc = self.node.env.process(self._watch_loop())
-
     # -- watchdog -------------------------------------------------------------
     def _watch_loop(self):
-        try:
-            while True:
-                yield self.node.env.timeout(self.interval)
-                for agent in list(self.group.agents):
-                    yield from self._probe(agent)
-        except Interrupt:
-            return
+        while True:
+            yield self.node.env.timeout(self.interval)
+            for agent in list(self.group.agents):
+                yield from self._probe(agent)
 
     def _probe(self, agent: MrmAgent):
         host = agent.node.host_id
@@ -98,6 +85,10 @@ class MrmSupervisor:
         new_agent = MrmAgent(node, self.group.group_id,
                              config=self.registry.mrm_config,
                              parent_iors=parent_iors)
+        # Stand the deposed MRM down: if its host returns it must not
+        # come back as a second MRM of the group reporting an empty
+        # aggregate to the parent.
+        dead_agent.retire()
         self.group.agents = [a for a in self.group.agents
                              if a is not dead_agent] + [new_agent]
         self.group.mrm_hosts = [h for h in self.group.mrm_hosts

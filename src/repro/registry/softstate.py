@@ -13,9 +13,11 @@ MRM as a point-to-point oneway call — the one report transport.  Loss
 is tolerated — the next report repairs the view; silence beyond the
 MRM's timeout means "down".
 
-:class:`PeriodicReporter` holds the lifecycle every once-per-interval
+:class:`PeriodicReporter` holds the cadence every once-per-interval
 reporter shares (this one, the predictive reporter, the federation
-publisher); each of them supplies only what one tick sends.
+publisher) on the one host-bound lifecycle,
+:class:`~repro.sim.hostloop.HostLoop`; each of them supplies only what
+one tick sends.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 from repro.orb.ior import IOR
 from repro.registry.mrm import MRM_IFACE, MrmConfig
 from repro.registry.view import NodeView
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 
 METER = "registry.soft"
 
@@ -47,35 +49,22 @@ class PeriodicReporter:
         self.interval = interval
         self.phase = phase % interval
         self.reports_sent = 0
-        self._proc = None
-        self._start()
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
+        self.loop = HostLoop(node.env, node.host, self._loop,
+                             on_crash=self._lose_state,
+                             on_restart=self._tick)
 
     def _tick(self) -> None:
         raise NotImplementedError
 
-    def _start(self) -> None:
-        self._proc = self.node.env.process(self._loop())
-
-    def _on_crash(self, _host) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("host crashed")
-        self._proc = None
-
-    def _on_restart(self, _host) -> None:
-        self._tick()
-        self._start()
+    def _lose_state(self) -> None:
+        """What a crash costs the reporter beyond its process."""
 
     def _loop(self):
-        try:
-            if self.phase:
-                yield self.node.env.timeout(self.phase)
-            while True:
-                self._tick()
-                yield self.node.env.timeout(self.interval)
-        except Interrupt:
-            return
+        if self.phase:
+            yield self.node.env.timeout(self.phase)
+        while True:
+            self._tick()
+            yield self.node.env.timeout(self.interval)
 
 
 class SoftStateReporter(PeriodicReporter):

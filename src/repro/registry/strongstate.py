@@ -15,7 +15,7 @@ from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
 from repro.registry.mrm import MRM_IFACE, MrmConfig
 from repro.registry.view import NodeView
-from repro.sim.kernel import Interrupt
+from repro.sim.hostloop import HostLoop
 
 METER = "registry.strong"
 
@@ -41,30 +41,14 @@ class StrongStateReporter:
         self.meter = meter
         self.reports_sent = 0
         self.acks_received = 0
-        self._procs = []
-        self._start()
+        self.loop = HostLoop(node.env, node.host, self._heartbeat_loop)
         node.repository.listeners.append(self._on_change)
         node.container.listeners.append(self._on_change)
-        node.host.on_crash.append(self._on_crash)
-        node.host.on_restart.append(self._on_restart)
-
-    def _start(self) -> None:
-        self._procs = [self.node.env.process(self._heartbeat_loop())]
-
-    def _on_crash(self, _host) -> None:
-        for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("host crashed")
-        self._procs = []
-
-    def _on_restart(self, _host) -> None:
-        self._start()
 
     def _on_change(self, _action, _subject) -> None:
-        if not self.node.alive:
-            return
-        self._procs.append(self.node.env.process(self._send_acked()))
-        self._procs = [p for p in self._procs if p.is_alive]
+        # Dies with the host: a crash mid-acknowledgement must cost the
+        # update, not the run.
+        self.loop.spawn(self._send_acked())
 
     def _send_acked(self):
         view = NodeView.collect(self.node).to_value()
@@ -84,14 +68,11 @@ class StrongStateReporter:
                     continue  # retry the update
 
     def _heartbeat_loop(self):
-        try:
-            while True:
-                yield self.node.env.timeout(self.heartbeat)
-                view = NodeView.collect(self.node).to_value()
-                for mrm in self.mrm_iors:
-                    self.node.orb.send_oneway(mrm, _REPORT,
-                                              (self.node.host_id, view),
-                                              meter=self.meter)
-                self.reports_sent += 1
-        except Interrupt:
-            return
+        while True:
+            yield self.node.env.timeout(self.heartbeat)
+            view = NodeView.collect(self.node).to_value()
+            for mrm in self.mrm_iors:
+                self.node.orb.send_oneway(mrm, _REPORT,
+                                          (self.node.host_id, view),
+                                          meter=self.meter)
+            self.reports_sent += 1

@@ -15,6 +15,8 @@ and network model those protocols run on:
 - :mod:`repro.sim.network` — store-and-forward message delivery with
   per-link latency, bandwidth queueing, loss and partitions.
 - :mod:`repro.sim.faults` — crash/restart and churn injection.
+- :mod:`repro.sim.hostloop` — the one crash/restart/stop lifecycle of
+  every host-bound service loop.
 - :mod:`repro.sim.stats` — counter, gauge and histogram metric collection.
 """
 

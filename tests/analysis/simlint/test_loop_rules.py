@@ -170,3 +170,57 @@ class TestInterruptHandling:
                     pass
         """, config=LOOP_CONFIG)
         assert "SIM013" not in codes(findings)
+
+
+class TestHostLoopBodies:
+    """A control loop is found in the code: the *body* of a HostLoop."""
+
+    def test_host_loop_body_needs_no_interrupt_handler(self, lint, codes):
+        # The primitive owns Interrupt handling, even in a listed module.
+        findings = lint("""
+            class Service:
+                def __init__(self, env, host):
+                    self.loop = HostLoop(env, host, self._loop)
+
+                def _loop(self):
+                    while True:
+                        step()
+                        yield self.env.timeout(1.0)
+        """, config=LOOP_CONFIG)
+        assert "SIM013" not in codes(findings)
+
+    def test_bare_decode_in_host_loop_body_flagged_anywhere(self, lint,
+                                                            codes):
+        # No module listing needed: default config, unlisted path.
+        findings = lint("""
+            class Service:
+                def __init__(self, env, host, peer):
+                    self.loop = HostLoop(env, host, body=self._loop,
+                                         on_crash=self.table.clear)
+
+                def _loop(self):
+                    while True:
+                        state = loads_state(self.peer.call())
+                        yield self.env.timeout(1.0)
+        """, path="pkg/elsewhere.py")
+        assert codes(findings) == ["SIM012"]
+
+    def test_hand_started_loop_in_listed_module_still_warns(self, lint,
+                                                            codes):
+        findings = lint("""
+            class Service:
+                def __init__(self, env, host):
+                    self.loop = HostLoop(env, host, self._loop)
+                    env.process(self._dispatch())
+
+                def _loop(self):
+                    while True:
+                        yield self.env.timeout(1.0)
+
+                def _dispatch(self):
+                    while True:
+                        yield self.env.timeout(1.0)
+        """, config=LOOP_CONFIG)
+        sim013 = [f for f in findings if f.code == "SIM013"]
+        assert len(sim013) == 1
+        assert "_dispatch" in sim013[0].message

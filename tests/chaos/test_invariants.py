@@ -11,6 +11,7 @@ from repro.chaos import (
     probe_monitor,
 )
 from repro.chaos.invariants import (
+    ControlLoopsAliveMonitor,
     FederatedResolvableMonitor,
     MembershipConvergenceMonitor,
     NoOrphanInstancesMonitor,
@@ -92,6 +93,23 @@ class TestMonitorsDetectBreakage:
         finally:
             inv._running_ground_truth = real
         assert not ok and "unresolvable" in detail
+
+    def test_loop_out_of_step_with_its_host_flagged_both_ways(self):
+        world = build_world(seed=308)
+        monitor = ControlLoopsAliveMonitor()
+        assert probe(world, monitor, MID)[0]
+        # never none: a reporter's loop gone on a live host
+        host, reporter = next(iter(world.federation.reporters.items()))
+        reporter.loop.stop()
+        ok, detail = probe(world, monitor, MID)
+        assert not ok and f"reporter:{host}" in detail
+        # never two: an owner's loop still running though its host is
+        # down (the host "crashes" without its hooks being told)
+        world = build_world(seed=308)
+        host, agent = next(iter(world.federation.agents.items()))
+        agent.loop.host.alive = False
+        ok, detail = probe(world, monitor, MID)
+        assert not ok and f"agent:{host}" in detail
 
     def test_strictness_split(self):
         strict = {m.name for m in default_monitors() if m.strict_mid}

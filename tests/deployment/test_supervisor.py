@@ -271,6 +271,64 @@ class TestBalancerSurvival:
         balancer = LoadBalancer(dep, threshold=0.2, interval=4.0)
         balancer.start()
         r.run(until=r.env.now + 13.0)       # pre-fix the loop died here
-        assert balancer._proc.is_alive
+        assert balancer.loop.alive
         assert r.metrics.get("balance.failures") >= 2
+        balancer.stop()
+
+
+class TestStoppedForGood:
+    """``stop()`` ends a coordinator-bound loop for good, and the
+    loop's life follows the coordinator host — both by construction of
+    :class:`~repro.sim.hostloop.HostLoop`."""
+
+    def test_coordinator_restart_does_not_revive_stopped_supervisor(
+            self, rig):
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        rig.run(until=dep.deploy(assembly(3)))
+        sup = ApplicationSupervisor(dep, interval=1.0)
+        rig.run(until=rig.env.now + 3.5)
+        assert rig.metrics.get("supervisor.checkpoints") > 0
+        sup.stop()
+        rig.run(until=rig.env.now + 1.0)    # a tick in flight drains
+        ticks = rig.metrics.get("supervisor.checkpoints")
+        rig.topology.set_host_state("hub", alive=False)
+        rig.run(until=rig.env.now + 2.0)
+        rig.topology.set_host_state("hub", alive=True)
+        rig.run(until=rig.env.now + 5.0)
+        # pre-fix the leaked restart hook started a fresh loop here
+        assert rig.metrics.get("supervisor.checkpoints") == ticks
+        assert not sup.loop.alive
+
+    def test_balancer_stop_then_start_in_one_instant_leaves_one_loop(
+            self, rig):
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        balancer = LoadBalancer(dep, interval=2.0)
+        passes = []
+        balancer._run_once = lambda: passes.append(rig.env.now) or iter(())
+        balancer.start()
+        rig.run(until=1.0)
+        # pre-fix start() saw the interrupted-but-not-yet-dead process
+        # as alive and started nothing: no loop at all from here on
+        balancer.stop()
+        balancer.start()
+        rig.run(until=7.5)
+        assert passes == [3.0, 5.0, 7.0]    # one loop, not two, not none
+        assert balancer.loop.alive
+        balancer.stop()
+
+    def test_balancer_does_not_tick_on_a_dead_coordinator(self, rig):
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        balancer = LoadBalancer(dep, interval=2.0)
+        passes = []
+        balancer._run_once = lambda: passes.append(rig.env.now) or iter(())
+        balancer.start()
+        rig.run(until=3.0)
+        assert passes == [2.0]
+        rig.topology.set_host_state("hub", alive=False)
+        rig.run(until=9.0)
+        # pre-fix the balancer had no crash hook and kept ticking
+        assert passes == [2.0] and not balancer.loop.alive
+        rig.topology.set_host_state("hub", alive=True)
+        rig.run(until=13.5)
+        assert passes == [2.0, 11.0, 13.0] and balancer.loop.alive
         balancer.stop()

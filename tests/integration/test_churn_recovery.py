@@ -104,7 +104,7 @@ class TestChurnRecovery:
         # random crashes land mid-migration, mid-recovery, mid-rewire;
         # neither background loop may die of an unhandled exception
         rig.run(until=80.0)
-        assert balancer._proc.is_alive
-        assert sup._proc.is_alive
+        assert balancer.loop.alive
+        assert sup.loop.alive
         balancer.stop()
         sup.stop()

@@ -114,7 +114,7 @@ class TestUnknownHostRejection:
             rig.env.now, fed.config.member_timeout)
         # The gossip loop survives the (rejected) phantom.
         rig.run(until=rig.env.now + 4.0 * fed.config.gossip_interval)
-        assert agent._proc is not None and agent._proc.is_alive
+        assert agent.loop.alive
 
     def test_corrupt_record_host_is_rejected(self):
         rig, fed = federated_rig(seed=225)

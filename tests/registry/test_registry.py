@@ -182,6 +182,26 @@ class TestSoftState:
             return rig.metrics.get(f"{meter}.bytes")
         assert bytes_for("strong") > 2 * bytes_for("soft")
 
+    def test_strong_mode_crash_with_ack_in_flight_costs_the_update(self):
+        """The acknowledged update dies with its host; pre-fix its
+        unhandled Interrupt escaped ``env.run`` and ended the run."""
+        rig = star_rig(3, seed=3)
+        dr = DistributedRegistry(
+            rig.nodes, RegistryConfig(update_interval=2.0, mode="strong"))
+        dr.deploy({"g0": rig.topology.host_ids()})
+        rig.run(until=5.0)
+        reporter = dr.reporters["h1"]
+        acks = reporter.acks_received
+        rig.node("h1").install_package(counter_package())
+        rig.topology.set_host_state("h1", alive=False)
+        rig.run(until=10.0)             # pre-fix: Interrupt('host crashed')
+        assert reporter.acks_received == acks
+        sent = reporter.reports_sent
+        rig.topology.set_host_state("h1", alive=True)
+        rig.run(until=14.0)
+        assert reporter.reports_sent > sent     # heartbeats resumed
+        assert "h1" in dr.groups["g0"].agents[0].members
+
 
 class TestHierarchicalQueries:
     def deploy(self):
@@ -265,6 +285,38 @@ class TestReplicatedMrms:
         ior = rig.run(until=rig.node("c0h2").request_component(
             COUNTER_IFACE.repo_id))
         assert ior is not None
+
+    def test_deposed_mrm_does_not_come_back_as_a_zombie(self):
+        """A replaced MRM is retired: when its host returns it must not
+        run a second MRM of the group that reports an *empty* aggregate
+        to the parent every interval (cross-cluster queries then miss
+        the cluster whenever the zombie's report landed last)."""
+        rig = SimRig(clustered(2, 4), seed=8)
+        rig.node("c1h3").install_package(counter_package())
+        cfg = RegistryConfig(update_interval=2.0, replicas=1,
+                             query_timeout=1.0, supervise=True,
+                             supervise_interval=3.0)
+        dr = DistributedRegistry(rig.nodes, cfg)
+        dr.deploy(groups_by_cluster(rig.topology.host_ids()))
+        rig.run(until=dr.settle_time())
+        (deposed,) = dr.groups["c1"].agents
+        old_mrm = deposed.node.host_id
+        rig.topology.set_host_state(old_mrm, alive=False)
+        rig.run(until=rig.env.now + 30.0)
+        (promoted,) = dr.groups["c1"].mrm_hosts
+        assert promoted != old_mrm
+        rig.topology.set_host_state(old_mrm, alive=True)
+        # the cluster's gateway is back: let one aggregate through
+        rig.run(until=rig.env.now + 2 * cfg.update_interval)
+        (root,) = dr.root.agents
+        for _ in range(40):                  # 10 update intervals
+            rig.run(until=rig.env.now + 0.5)
+            assert root.children["c1"].aggregate.mrm_host == promoted
+            ior = rig.run(until=rig.node("c0h2").request_component(
+                COUNTER_IFACE.repo_id))
+            assert ior.host_id == "c1h3"
+        assert not any(loop.alive for loop in deposed.loops)
+        assert not deposed.members and not deposed.children
 
 
 class TestPrediction:
