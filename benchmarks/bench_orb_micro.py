@@ -192,15 +192,25 @@ def test_any_stroke_roundtrip(benchmark, capsys):
 
 
 def test_invocation_wall_cost(benchmark, capsys):
-    """Wall-clock cost per simulated remote invocation (impl overhead)."""
+    """Wall-clock cost per simulated invocation (impl overhead): one arm
+    between two hosts, one to an object of the caller's own ORB."""
+    import gc
+    import time
+
     from repro.orb import codegen
 
     env, net, client, ior = make_rig()
     stub = client.stub(ior, ECHO)
+    local_stub = client.stub(
+        client.adapter("root").activate(EchoServant()), ECHO)
 
     def do_calls():
         for _ in range(50):
             client.sync(stub.echo(SAMPLE))
+
+    def do_local_calls():
+        for _ in range(50):
+            client.sync(local_stub.echo(SAMPLE))
 
     before = codegen.stats_snapshot()
     # Many short rounds and min-of-rounds for the headline number: the
@@ -208,24 +218,38 @@ def test_invocation_wall_cost(benchmark, capsys):
     # the fastest round is the reproducible cost of the code itself.
     # GC is paused across the rounds so a gen-0 sweep landing inside a
     # round doesn't mask the per-call cost being measured.
-    import gc
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         benchmark.pedantic(do_calls, rounds=25, iterations=1,
                            warmup_rounds=2)
+        after = codegen.stats_snapshot()
+        # The collocated arm by hand, in the same shape (the fixture
+        # times one function per test): 2 warm-up rounds, then 25.
+        do_local_calls()
+        do_local_calls()
+        local_rounds = []
+        for _ in range(25):
+            start = time.perf_counter()
+            do_local_calls()
+            local_rounds.append(time.perf_counter() - start)
     finally:
         if gc_was_enabled:
             gc.enable()
-    after = codegen.stats_snapshot()
     per_call_us = benchmark.stats["min"] / 50 * 1e6
     per_call_us_mean = benchmark.stats["mean"] / 50 * 1e6
+    per_call_us_local = min(local_rounds) / 50 * 1e6
+    per_call_us_local_mean = sum(local_rounds) / len(local_rounds) / 50 * 1e6
     report(capsys, "C1b: invocation implementation cost",
-           ["metric", "value"],
-           [["wall time per call (fastest round)", f"{per_call_us:.0f} us"],
-            ["wall time per call (mean)", f"{per_call_us_mean:.0f} us"]])
+           ["metric", "two hosts", "same ORB"],
+           [["wall time per call (fastest round)", f"{per_call_us:.0f} us",
+             f"{per_call_us_local:.0f} us"],
+            ["wall time per call (mean)", f"{per_call_us_mean:.0f} us",
+             f"{per_call_us_local_mean:.0f} us"]])
     stash(benchmark, per_call_us=per_call_us,
           per_call_us_mean=per_call_us_mean,
+          per_call_us_local=per_call_us_local,
+          per_call_us_local_mean=per_call_us_local_mean,
           codegen_cache_hits=after["cache_hits"] - before["cache_hits"],
           codegen_cache_misses=(after["cache_misses"]
                                 - before["cache_misses"]),

@@ -105,6 +105,8 @@ def distill(raw: dict, history: list) -> dict:
             unmarshal["mean_s"] * 1e6 if unmarshal else None),
         "any_stroke_roundtrip_us": stroke.get("any_roundtrip_us"),
         "invocation_us_per_call": invocation.get("per_call_us"),
+        # the same call to an object of the caller's own ORB
+        "per_call_us_local": invocation.get("per_call_us_local"),
         "calls_per_sec": (
             1e6 / invocation["per_call_us"]
             if invocation.get("per_call_us") else None),

@@ -48,6 +48,9 @@ ORB_SHED = "orb.shed"
 ORB_SHED_ONEWAY = "orb.shed.oneway"
 ORB_TIMEOUTS = "orb.timeouts"
 
+# sim/network.py; the ORB counts a collocated call on a dead host there too
+NET_DROPPED_SRC_DEAD = "net.dropped.src_dead"
+
 # registry/federation/
 FEDERATION_EPOCH_CLAMPED = "federation.epoch_clamped"
 FEDERATION_LOOKUP_FAILOVER = "federation.lookup.failover"
@@ -130,7 +133,7 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "net.dropped.dst_dead",
     "net.dropped.link_down",
     "net.dropped.loss",
-    "net.dropped.src_dead",
+    NET_DROPPED_SRC_DEAD,
     "net.dropped.unknown_dst",
     "net.dropped.unreachable",
     "net.hops",

@@ -10,8 +10,13 @@ reply.
 :class:`~repro.orb.listener.Listener` for everything inbound,
 :class:`~repro.orb.channels.PipelinedChannels` or the direct
 ``network.send`` for outgoing oneways) and keeps the requester role
-itself.  The halves barely cross: the listener hands a decoded reply
-to :meth:`ORB._complete`; the client side never calls the listener.
+itself.  The halves barely cross: the listener hands a reply to
+:meth:`ORB._complete`, and the requester hands the listener's
+:meth:`~repro.orb.listener.Listener.admit` a request whose target is an
+object of this very ORB — the collocated branch of the transport step,
+which with its twin in :meth:`Listener.reply
+<repro.orb.listener.Listener.reply>` is all that tells a call that
+stays on its host from one that crosses the fabric.
 
 Invocation is asynchronous at the kernel level: :meth:`ORB.invoke`
 returns a kernel :class:`~repro.sim.kernel.Event` that a simulation
@@ -110,11 +115,12 @@ class ORB:
             int, tuple[Event, OperationDef, Optional[ClientRequestInfo]]
         ] = {}
         #: Reply deadlines, kept out of the kernel event queue.  One
-        #: kernel timer is armed for the earliest entry; answered calls
-        #: are removed lazily when their slot is swept.  A per-call 60 s
-        #: kernel Timeout would linger in the kernel heap long after the
-        #: reply, growing it by one entry per call and taxing every
-        #: subsequent push/pop with deeper sifts.
+        #: kernel timer is armed for the earliest call still pending;
+        #: answered calls are dropped lazily, whenever the sweeper finds
+        #: them on top.  A per-call 60 s kernel Timeout would linger in
+        #: the kernel heap long after the reply, growing it by one entry
+        #: per call and taxing every subsequent push/pop with deeper
+        #: sifts.
         self._deadline_heap: list[tuple] = []
         self._deadline_armed_at = float("inf")
         #: versions the armed sweeper: every (re-)arm bumps it and a
@@ -135,6 +141,10 @@ class ORB:
         self.current_request: Optional[ServerRequestInfo] = None
         # Hot-path counter resolved once instead of per call.
         self._ctr_requests = self.metrics.counter(names.ORB_REQUESTS)
+        #: meter -> its (``.msgs``, ``.bytes``) counters, bound on first
+        #: use.  Bounded by the ``meter=`` call sites in ``src/`` (29):
+        #: a meter is a program constant, never wire input.
+        self._meters: dict[str, tuple] = {}
         #: observability hub, set by repro.obs.Observability.install().
         self.obs = None
         # -- assembly: each stage is an object picked here, once; the
@@ -144,13 +154,9 @@ class ORB:
         #: sends sharing a destination within the window leave as one
         #: MSG_MULTI transmission; without, each is its own message and
         #: there is no channel table.
-        if pipeline_window is not None:
-            self.channels = PipelinedChannels(env, network, host_id,
-                                              pipeline_window)
-            self._send_oneway = self.channels.send
-        else:
-            self.channels = None
-            self._send_oneway = self._send_direct
+        self.channels = (PipelinedChannels(env, network, host_id,
+                                           pipeline_window)
+                         if pipeline_window is not None else None)
         #: everything inbound; admission (``dispatch_limit``) and CPU
         #: parallelism (``dispatch_workers``) are its business.
         self.listener = Listener(
@@ -212,18 +218,6 @@ class ORB:
             cache[key] = prefix
         return prefix
 
-    def _client_send_hooks(
-        self, ior: IOR, odef: OperationDef, request_id: int,
-        meter: Optional[str], oneway: bool,
-    ) -> tuple[Optional[ClientRequestInfo], Sequence[tuple[int, bytes]]]:
-        """Run send_request interceptors; returns (info, service_context)."""
-        if not self._client_interceptors:
-            return None, ()
-        info = ClientRequestInfo(self, ior, odef, request_id, meter, oneway)
-        for icpt in self._client_interceptors:
-            icpt.send_request(info)
-        return info, info.service_context
-
     def _finish_client(self, info: ClientRequestInfo, event: Event) -> None:
         info.end = self.env.now
         if event.ok:
@@ -266,57 +260,13 @@ class ORB:
         per-destination frame — only the routing prefix and request id
         differ — so wide fan-outs (batched event forwarding above all)
         stop paying the marshal cost once per subscriber.  Returns total
-        wire bytes.
+        wire bytes (a target on this host counted at its frame's size).
         """
         if not odef.oneway:
             raise BAD_PARAM(
                 f"{odef.name} expects a response; use invoke() instead"
             )
-        codec = odef.codec()
-        if len(args) != len(codec.in_plans):
-            raise BAD_PARAM(
-                f"{odef.name} expects {len(codec.in_plans)} args, "
-                f"got {len(args)}"
-            )
-        pool = self._enc_pool
-        enc = pool.pop() if pool else CDREncoder()
-        enc1 = codec.in1_encode
-        if enc1 is not None:
-            enc1(enc, args[0])
-        else:
-            codec.encode_in(enc, args)
-        ctr_oneways = self.metrics.counter(names.ORB_ONEWAYS)
-        send = self._send_oneway
-        total = 0
-        for ior in iors:
-            self._next_request_id += 1
-            request_id = self._next_request_id
-            info, service_context = self._client_send_hooks(
-                ior, odef, request_id, meter, oneway=True)
-            wire = giop.encode_request(
-                request_id, False, self._request_prefix(ior, odef.name),
-                enc._buf, service_context)
-            self._ctr_requests.inc()
-            ctr_oneways.inc()
-            if meter is not None:
-                # Per-protocol bandwidth attribution (benchmarks rely on it).
-                self.metrics.counter(f"{meter}.msgs").inc()
-                self.metrics.counter(f"{meter}.bytes").inc(len(wire))
-            send(ior.host_id, wire)
-            total += len(wire)
-            if info is not None:
-                info.request_bytes = len(wire)
-                info.end = self.env.now
-                for icpt in reversed(self._client_interceptors):
-                    icpt.receive_reply(info)
-        enc.reset()
-        if len(pool) < 8:
-            pool.append(enc)
-        return total
-
-    def _send_direct(self, dst: str, wire: bytes) -> None:
-        """The oneway send of an ORB that does not pipeline."""
-        self.network.send(self.host_id, dst, "giop", wire, len(wire))
+        return self._send_requests(iors, odef, args, meter)
 
     def flush_pipelines(self) -> None:
         """Force-flush every buffered pipeline channel now."""
@@ -339,6 +289,12 @@ class ORB:
         ORB-level failures (timeout, unreachable peer) fail the event
         with a pre-defused SystemException.  Oneway operations are
         delegated to :meth:`send_oneway` and complete immediately.
+
+        A call to an object of this ORB is admitted before ``invoke``
+        returns, so a plain servant method with no CPU cost has run and
+        the returned event is already triggered; anything else (CPU
+        cost, a generator servant, worker slots) completes later as on
+        the wire.
         """
         if odef.oneway:
             self.send_oneway(ior, odef, args, meter=meter)
@@ -352,9 +308,32 @@ class ORB:
             # Refused before anything is marshalled, registered or sent:
             # a deadline in the past would leave the sweeper un-armed.
             raise BAD_PARAM(f"{odef.name}: negative timeout {timeout}")
-        # The marshal and _request_prefix are inlined below: invoke is
-        # the one client path every two-way call takes, and the saved
-        # frames are a measurable share of per-call overhead.
+        reply_event = Event(self.env)
+        # Even "no timeout" callers get a generous reply deadline:
+        # a reply lost to a crash or partition must not park the
+        # pending-table entry forever.
+        self._send_requests(
+            (ior,), odef, args, meter, reply_event,
+            timeout if timeout is not None else self.reply_deadline)
+        return reply_event
+
+    def _send_requests(
+        self,
+        iors: Sequence[IOR],
+        odef: OperationDef,
+        args: Sequence[TAny],
+        meter: Optional[str],
+        reply_event: Optional[Event] = None,
+        deadline: Optional[float] = None,
+    ) -> int:
+        """The requester's one path: marshal *args* once, then issue one
+        request per target.  Returns the total request bytes.
+
+        With a *reply_event* the request expects a response (one target:
+        the event joins the pending table under *deadline*); without, it
+        is a oneway.  Everything up to the last step is the same for
+        every target; only the transport step asks where the target is.
+        """
         codec = odef._codec or odef.codec()
         if len(args) != len(codec.in_plans):
             raise BAD_PARAM(
@@ -368,78 +347,127 @@ class ORB:
             enc1(enc, args[0])
         else:
             codec.encode_in(enc, args)
+        body = enc._buf
 
-        self._next_request_id += 1
-        request_id = self._next_request_id
-        if self._client_interceptors:
-            info, service_context = self._client_send_hooks(
-                ior, odef, request_id, meter, oneway=False)
-        else:
-            info, service_context = None, ()
-        prefix = self._prefix_cache.get(
-            (ior.host_id, ior.adapter, ior.object_key, odef.name))
-        if prefix is None:
-            prefix = self._request_prefix(ior, odef.name)
-        wire = giop.encode_request(
-            request_id, True, prefix, enc._buf, service_context)
+        two_way = reply_event is not None
+        ctr_oneways = (None if two_way
+                       else self.metrics.counter(names.ORB_ONEWAYS))
+        operation = odef.name
+        interceptors = self._client_interceptors
+        channels = self.channels
+        here = self.host_id
+        total = 0
+        for ior in iors:
+            self._next_request_id += 1
+            request_id = self._next_request_id
+            if interceptors:
+                info = ClientRequestInfo(self, ior, odef, request_id, meter,
+                                         not two_way)
+                for icpt in interceptors:
+                    icpt.send_request(info)
+                service_context = info.service_context
+            else:
+                info, service_context = None, ()
+            host_id = ior.host_id
+            prefix = self._prefix_cache.get(
+                (host_id, ior.adapter, ior.object_key, operation))
+            if prefix is None:
+                prefix = self._request_prefix(ior, operation)
+            # The requester's transport branch, decided here and taken
+            # at the end of the loop body: a reference into this ORB is
+            # handed to the listener, never framed.  Pipelined oneways
+            # stay on their channel, whose flush window is simulated
+            # time.
+            collocated = host_id == here and (two_way or channels is None)
+            if collocated:
+                size = giop.request_size(len(prefix), len(body),
+                                         service_context)
+            else:
+                wire = giop.encode_request(request_id, two_way, prefix, body,
+                                           service_context)
+                size = len(wire)
+            total += size
+            self._ctr_requests.value += 1
+            if meter is not None:
+                # Per-protocol bandwidth attribution (benchmarks rely on it).
+                counters = self._meters.get(meter)
+                if counters is None:
+                    counters = self._meters[meter] = (
+                        self.metrics.counter(f"{meter}.msgs"),
+                        self.metrics.counter(f"{meter}.bytes"))
+                counters[0].value += 1
+                counters[1].value += size
+            if info is not None:
+                info.request_bytes = size
+                if two_way:
+                    # First callback, so interceptors observe completion
+                    # before the waiting process resumes.
+                    reply_event.callbacks.append(
+                        lambda ev, i=info: self._finish_client(i, ev))
+            if two_way:
+                self._pending[request_id] = (reply_event, odef, info)
+                if self.pending_watchers:
+                    self._watch_pending()
+                if deadline is not None:
+                    when = self.env._now + deadline
+                    heappush(self._deadline_heap,
+                             (when, request_id, operation, host_id, deadline))
+                    if when < self._deadline_armed_at:
+                        # Preempt the armed sweeper: bumping the token
+                        # turns the old (later) timer into a no-op, so
+                        # exactly one live sweeper exists — the old one
+                        # must not fire a duplicate re-arm, which would
+                        # grow the kernel heap by one stale timer per
+                        # preemption (the per-call-timer leak this heap
+                        # exists to avoid).
+                        self._deadline_armed_at = when
+                        self._deadline_token += 1
+                        Timeout(self.env, deadline,
+                                self._deadline_token).callbacks.append(
+                            self._sweep_deadlines)
+            else:
+                ctr_oneways.value += 1
+
+            if not collocated:
+                if two_way or channels is None:
+                    self.network.send(here, host_id, "giop", wire, size)
+                else:
+                    channels.send(host_id, wire)
+            elif self.host.alive:
+                self.listener.admit(giop.RequestMessage(
+                    request_id, two_way, host_id, ior.adapter,
+                    ior.object_key, operation, bytes(body),
+                    tuple(service_context)), here, size)
+            else:
+                # What Network.send does with a dead host's loopback.
+                self.metrics.counter(names.NET_DROPPED_SRC_DEAD).inc()
+
+            if not two_way and info is not None:
+                info.end = self.env.now
+                for icpt in reversed(interceptors):
+                    icpt.receive_reply(info)
         enc.reset()
-        pool = self._enc_pool
         if len(pool) < 8:
             pool.append(enc)
-        self._ctr_requests.value += 1
-        if meter is not None:
-            # Per-protocol bandwidth attribution (benchmarks rely on it).
-            self.metrics.counter(f"{meter}.msgs").inc()
-            self.metrics.counter(f"{meter}.bytes").inc(len(wire))
-
-        reply_event = Event(self.env)
-        if info is not None:
-            info.request_bytes = len(wire)
-            # First callback, so interceptors observe completion before
-            # the waiting process resumes.
-            reply_event.callbacks.append(
-                lambda ev, i=info: self._finish_client(i, ev))
-        self._pending[request_id] = (reply_event, odef, info)
-        if self.pending_watchers:
-            self._watch_pending()
-        self.network.send(self.host_id, ior.host_id, "giop", wire, len(wire))
-
-        # Even "no timeout" callers get a generous reply deadline:
-        # a reply lost to a crash or partition must not park the
-        # pending-table entry forever.
-        deadline = timeout if timeout is not None else self.reply_deadline
-        if deadline is not None:
-            when = self.env._now + deadline
-            heappush(self._deadline_heap,
-                     (when, request_id, odef.name, ior.host_id, deadline))
-            if when < self._deadline_armed_at:
-                # Preempt the armed sweeper: bumping the token turns the
-                # old (later) timer into a no-op, so exactly one live
-                # sweeper exists — the old one must not fire a duplicate
-                # re-arm, which would grow the kernel heap by one stale
-                # timer per preemption (the per-call-timer leak this
-                # heap exists to avoid).
-                self._deadline_armed_at = when
-                self._deadline_token += 1
-                Timeout(self.env, deadline,
-                        self._deadline_token).callbacks.append(
-                    self._sweep_deadlines)
-        return reply_event
+        return total
 
     def _sweep_deadlines(self, ev) -> None:
         """Expire every overdue pending call, then re-arm for the next
-        deadline.  Entries whose call already completed were removed
-        from ``_pending`` and are simply dropped here.  A timer whose
+        call that is still pending.  Entries whose call already
+        completed were removed from ``_pending`` and are dropped here,
+        overdue or not: re-arming for an answered call would cost every
+        call one more timer a deadline after its reply.  A timer whose
         token is stale was preempted by an earlier-armed sweeper and
         must do nothing: sweeping is harmless, but its re-arm would
         duplicate the live sweeper."""
         if ev._value != self._deadline_token:
             return  # preempted: the live sweeper covers the heap
         heap = self._deadline_heap
+        pending = self._pending
         now = self.env.now
-        while heap and heap[0][0] <= now:
+        while heap and (heap[0][0] <= now or heap[0][1] not in pending):
             _when, rid, op_name, host_id, deadline = heappop(heap)
-            entry = self._pending.pop(rid, None)
+            entry = pending.pop(rid, None)
             if entry is None:
                 continue  # already answered
             self._watch_pending()

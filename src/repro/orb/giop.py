@@ -259,6 +259,24 @@ def encode_request(request_id: int, response_expected: bool, prefix: bytes,
     return bytes(buf)
 
 
+def request_size(prefix_len: int, args_len: int, service_context=()) -> int:
+    """``len(encode_request(...))`` for a routing prefix of *prefix_len*
+    bytes and *args_len* bytes of arguments, without building the frame
+    (a collocated request is never framed, but is metered and traced at
+    the size it would have had)."""
+    size = _REQ_HEAD.size + prefix_len
+    size += ((-size) & 3) + 4 + args_len
+    size += ((-size) & 3) + 4
+    for _context_id, context_data in service_context:
+        size += ((-size) & 3) + _SLOT_HEAD.size + len(context_data)
+    return size
+
+
+#: Frame bytes of a reply before its body: the 12-byte header and the
+#: body's length word; ``len(encode_reply(...)) - len(body)``.
+REPLY_HEADER_BYTES = _REPLY_HEAD.size + _ULONG.size
+
+
 def encode_reply(request_id: int, status: int, body) -> bytes:
     """One-pass reply encode.
 

@@ -4,7 +4,9 @@ One :class:`Listener` per ORB is bound to the host's ``giop`` port.  A
 request meets its stages in order: :meth:`Listener.on_message` (decode,
 MSG_MULTI unpack; a reply goes straight to the requester),
 :meth:`Listener.admit` (shed or count in), :meth:`Listener.dispatch`
-and :meth:`Listener.reply`.
+and :meth:`Listener.reply`.  A request from this ORB's own requester
+skips the first stage — it was never framed — and enters at ``admit``;
+its reply is settled by ``reply`` instead of sent.
 
 Servant methods may return either a plain value or a generator; a
 generator is driven as a simulation process, which lets servants make
@@ -323,8 +325,7 @@ class Listener:
                            odef: OperationDef, result,
                            info: Optional[ServerRequestInfo]) -> None:
         """Count the dispatch and send the success reply (shared tail of
-        the process and synchronous dispatch paths).  ``reply`` is
-        inlined: this is the one reply path every successful call takes."""
+        the process and synchronous dispatch paths)."""
         self._ctr_dispatches.value += 1
         if not request.response_expected:
             return
@@ -336,13 +337,7 @@ class Listener:
             codec.result_plan.encode(enc, result)
         else:
             enc = self._encode_result(odef, result)
-        wire = giop.encode_reply(request.request_id, giop.NO_EXCEPTION,
-                                 enc._buf)
-        self._ctr_replies.value += 1
-        if info is not None:
-            info.reply_status = giop.NO_EXCEPTION
-            info.reply_bytes = len(wire)
-        self.network.send(self.host_id, client, "giop", wire, len(wire))
+        self.reply(client, request, giop.NO_EXCEPTION, enc._buf, info)
         enc.reset()
         pool = self._enc_pool
         if len(pool) < 8:
@@ -503,12 +498,28 @@ class Listener:
     def reply(self, client: str, request: giop.RequestMessage,
               status: int, body,
               info: Optional[ServerRequestInfo] = None) -> None:
-        wire = giop.encode_reply(request.request_id, status, body)
+        """Send one reply — success, exception or shed: the one place a
+        reply leaves the listener, so the one place that asks where the
+        client is.  A reply to this ORB's own requester is settled
+        here, never framed."""
         self._ctr_replies.value += 1
+        collocated = client == self.host_id
+        if collocated:
+            size = giop.REPLY_HEADER_BYTES + len(body)
+        else:
+            wire = giop.encode_reply(request.request_id, status, body)
+            size = len(wire)
         if info is not None:
             info.reply_status = status
-            info.reply_bytes = len(wire)
-        self.network.send(self.host_id, client, "giop", wire, len(wire))
+            info.reply_bytes = size
+        if not collocated:
+            self.network.send(self.host_id, client, "giop", wire, size)
+        elif self.host.alive:
+            self._complete(giop.ReplyMessage(
+                request.request_id, status, bytes(body)), size)
+        else:
+            # What Network.send does with a dead host's loopback.
+            self.metrics.counter(names.NET_DROPPED_SRC_DEAD).inc()
 
     def reply_system(self, client: str, request: giop.RequestMessage,
                      exc: SystemException,

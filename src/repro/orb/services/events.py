@@ -58,10 +58,13 @@ class EventChannelServant(Servant):
             pass
 
     def push(self, data) -> None:
-        push_op = PUSH_CONSUMER_IFACE.operations["push"]
-        for consumer in list(self._consumers):
-            self.orb.invoke(consumer, push_op, (data,))
-            self.delivered += 1
+        # One fan-out: the event is marshalled once, not per consumer.
+        consumers = list(self._consumers)
+        if not consumers:
+            return
+        self.orb.send_oneway_fanout(
+            consumers, PUSH_CONSUMER_IFACE.operations["push"], (data,))
+        self.delivered += len(consumers)
 
     def consumer_count(self) -> str:
         # Returned as a string to keep the interface tiny; callers parse.

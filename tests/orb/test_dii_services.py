@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.orb import codegen
 from repro.orb.cdr import Any
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.dii import (
@@ -155,3 +156,58 @@ class TestEventChannel:
         stub = client.stub(chan_ior, EVENT_CHANNEL_IFACE)
         with pytest.raises(BAD_PARAM):
             client.sync(stub.connect_push_consumer(None))
+
+
+class TestEventChannelFanOut:
+    """``push`` is one ``send_oneway_fanout``: the event is marshalled
+    once however many consumers there are, not once per consumer."""
+
+    def fan(self, n_consumers):
+        env = Environment()
+        net = Network(env, star(2))
+        orbs = {host: ORB(env, net, host) for host in ("hub", "h0", "h1")}
+        chan = EventChannelServant(orbs["hub"], "k")
+        arrivals = []
+        for i in range(n_consumers):
+            # alternate the consumers over the two leaves
+            orb = orbs[f"h{i % 2}"]
+            chan.connect_push_consumer(orb.adapter("root").activate(
+                CallbackPushConsumer(
+                    lambda a, i=i: arrivals.append((i, a.value)))))
+        return env, net, chan, arrivals
+
+    def encodes_per_push(self, n_consumers):
+        env, _net, chan, _arrivals = self.fan(n_consumers)
+        chan.push(Any(tc_string, "warm"))      # plans generated, caches hot
+        env.run(until=env.now + 1)
+        before = codegen.stats_snapshot()["encode_calls"]
+        chan.push(Any(tc_string, "e"))
+        return codegen.stats_snapshot()["encode_calls"] - before
+
+    def test_the_any_is_encoded_once_for_any_number_of_consumers(self):
+        one = self.encodes_per_push(1)
+        assert one > 0
+        assert self.encodes_per_push(6) == one
+
+    def test_every_consumer_is_reached_in_connection_order(self):
+        env, net, chan, arrivals = self.fan(6)
+        chan.push(Any(tc_string, "e"))
+        env.run(until=env.now + 1)
+        assert chan.delivered == 6
+        assert net.metrics.get("orb.oneways") == 6
+        # same-host consumers keep their order (equal links: so do all)
+        assert arrivals == [(i, "e") for i in range(6)]
+
+    def test_a_dead_consumer_host_does_not_stop_the_others(self):
+        env, net, chan, arrivals = self.fan(4)
+        net.topology.set_host_state("h0", alive=False)
+        chan.push(Any(tc_string, "e"))
+        env.run(until=env.now + 1)
+        assert chan.delivered == 4
+        assert arrivals == [(1, "e"), (3, "e")]
+
+    def test_no_consumer_no_marshal(self):
+        _env, net, chan, _arrivals = self.fan(0)
+        chan.push(Any(tc_long, "not a long"))   # would be BAD_PARAM
+        assert chan.delivered == 0
+        assert net.metrics.get("orb.requests") == 0
