@@ -93,14 +93,14 @@ class EventBus:
 
     # -- subscribing -----------------------------------------------------
     def batch_subscribe(self, pattern: str, flush: Callable,
-                        max_batch: int = 64, max_age: float = 0.05,
-                        capacity: int = 1024) -> Subscription:
+                        max_batch: int = 64,
+                        max_age: float = 0.05) -> Subscription:
         """Batched delivery: *flush(list-of-events)* on size/age windows."""
         if not pattern:
             raise ConfigurationError("empty topic pattern")
         writer = BatchWriter(self.env, flush, max_batch=max_batch,
-                             max_age=max_age, capacity=capacity,
-                             metrics=self.metrics, name="bus")
+                             max_age=max_age, metrics=self.metrics,
+                             name="bus")
         sub = Subscription(self, pattern, writer)
         if pattern.endswith("*"):
             prefix = pattern[:-1]

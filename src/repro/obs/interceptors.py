@@ -21,6 +21,12 @@ from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT, TraceContext
 LATENCY_BUCKETS = dict(lo=1e-6, growth=2.0, buckets=40)
 SIZE_BUCKETS = dict(lo=16.0, growth=2.0, buckets=28)
 
+#: what the server side records a request under when its target does
+#: not declare the operation (or does not exist): the operation string
+#: is the peer's, and a cache keyed by it would grow without bound.
+UNKNOWN_OPERATION = "<unknown>"
+UNKNOWN_SERVE = f"serve:{UNKNOWN_OPERATION}"
+
 
 def _error_label(exc: BaseException) -> str:
     repo_id = getattr(exc, "repo_id", None) or getattr(exc, "REPO_ID", None)
@@ -32,8 +38,12 @@ class TracingInterceptor:
 
     def __init__(self, hub) -> None:
         self.hub = hub
-        #: operation -> (client, server) span names, formatted once each.
-        self._names = cache(lambda op: (f"call:{op}", f"serve:{op}"))
+        # Span names, formatted once per operation.  Client names are
+        # keyed by this program's own operation definitions; server
+        # names by the wire's operation string, so an entry whose target
+        # turns out not to declare it is dropped again.
+        self._call = cache(lambda op: f"call:{op}")
+        self._serve: dict[str, str] = {}
 
     # -- client side -------------------------------------------------------
     def send_request(self, info) -> None:
@@ -46,11 +56,7 @@ class TracingInterceptor:
         parent = (request.slots.get("span") if request is not None
                   else hub.context.current(orb.env))
         span = hub.tracer.start_span(
-            self._names(info.odef.name)[0], "client", parent,
-            orb.host_id,
-            {"peer": info.ior.host_id,
-             "request_id": info.request_id,
-             "oneway": info.oneway})
+            self._call(info.odef.name), "client", parent, orb.host_id)
         info.service_context.append(
             (TRACE_CONTEXT_ID, TRACE_SLOT.pack(span.trace_id, span.span_id)))
         info.slots["span"] = span
@@ -58,14 +64,14 @@ class TracingInterceptor:
     def receive_reply(self, info) -> None:
         span = info.slots.get("span")
         if span is not None:
-            span.attrs["bytes_out"] = info.request_bytes
-            span.attrs["bytes_in"] = info.reply_bytes
+            span.bytes_out = info.request_bytes
+            span.bytes_in = info.reply_bytes
             self.hub.tracer.end_span(span, status="ok")
 
     def receive_exception(self, info, exc) -> None:
         span = info.slots.get("span")
         if span is not None:
-            span.attrs["bytes_out"] = info.request_bytes
+            span.bytes_out = info.request_bytes
             self.hub.tracer.end_span(span, status="error",
                                      error=_error_label(exc))
 
@@ -78,10 +84,13 @@ class TracingInterceptor:
             if context_id == TRACE_CONTEXT_ID and len(data) == TRACE_SLOT.size:
                 parent = TraceContext._make(TRACE_SLOT.unpack(data))
                 break
-        info.slots["span"] = self.hub.tracer.start_span(
-            self._names(info.operation)[1], "server", parent,
-            info.orb.host_id,
-            {"client": info.client, "bytes_in": info.request_bytes})
+        operation = info.operation
+        name = self._serve.get(operation)
+        if name is None:
+            name = self._serve[operation] = f"serve:{operation}"
+        span = info.slots["span"] = self.hub.tracer.start_span(
+            name, "server", parent, info.orb.host_id)
+        span.bytes_in = info.request_bytes
 
     def child_process(self, info, proc) -> None:
         # Servant generators run as nested processes; calls they make
@@ -93,7 +102,10 @@ class TracingInterceptor:
     def finish_request(self, info) -> None:
         span = info.slots.get("span")
         if span is not None:
-            span.attrs["bytes_out"] = info.reply_bytes
+            span.bytes_out = info.reply_bytes
+            if info.odef is None:
+                self._serve.pop(info.operation, None)
+                span.name = UNKNOWN_SERVE
             if info.exception is not None:
                 self.hub.tracer.end_span(span, status="error",
                                          error=_error_label(info.exception))
@@ -151,7 +163,8 @@ class MetricsInterceptor:
         pass
 
     def finish_request(self, info) -> None:
-        self._server(info.operation).record(info.latency)
+        operation = (info.operation if info.odef is not None
+                     else UNKNOWN_OPERATION)
+        self._server(operation).record(info.latency)
         if info.exception is not None:
-            self.metrics.counter(
-                f"orb.server.errors.{info.operation}").inc()
+            self.metrics.counter(f"orb.server.errors.{operation}").inc()

@@ -180,7 +180,6 @@ METRIC_PATTERNS: frozenset[str] = frozenset({
     "*.msgs",
     "*.errors",
     # batch writers are instantiated per name
-    "*.dropped",
     "*.flushed",
     "*.flushes",
     # request-path latency/size histograms (per subsystem / operation)

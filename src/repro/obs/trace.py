@@ -14,12 +14,19 @@ to the process executing on behalf of the call.
 Ids are integers drawn from per-tracer counters, so a given simulation
 produces an identical trace set on every run (the determinism rule of
 :mod:`repro.sim.kernel` extends to observability).
+
+A tracer keeps the last :data:`SPAN_WINDOW` spans it started, not every
+one: an instrumented run's memory is bounded however long it runs.
+Span ids are consecutive, so the evicted spans are exactly ids
+``1 .. tracer.evicted``, and a retained span whose parent is among them
+belongs to a *truncated* trace rather than a broken one.
 """
 
 from __future__ import annotations
 
 import struct
 import weakref
+from collections import deque
 from typing import Any, NamedTuple, Optional
 
 #: GIOP service-context id of the trace slot ("TR" in ASCII).
@@ -27,6 +34,10 @@ TRACE_CONTEXT_ID = 0x5452
 
 #: the slot's ``context_data``: trace number, span number.
 TRACE_SLOT = struct.Struct(">II")
+
+#: spans a tracer retains; the oldest is evicted when one more starts.
+#: About 490 strokes of the canonical CSCW session.
+SPAN_WINDOW = 1 << 14
 
 
 class TraceContext(NamedTuple):
@@ -40,12 +51,13 @@ class Span:
     """One timed operation within a trace."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "kind",
-                 "host", "start", "end", "status", "error", "attrs")
+                 "host", "start", "end", "status", "error", "attrs",
+                 "bytes_in", "bytes_out")
 
     def __init__(self, trace_id: int, span_id: int,
                  parent_id: Optional[int], name: str, kind: str,
                  host: Optional[str], start: float,
-                 attrs: dict[str, Any]) -> None:
+                 attrs: Optional[dict[str, Any]]) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -57,7 +69,11 @@ class Span:
         self.end: Optional[float] = None
         self.status = "open"
         self.error: Optional[str] = None
+        #: what the caller passed, or None: call legs carry none.
         self.attrs = attrs
+        #: a call leg's message sizes (None where there was no message).
+        self.bytes_in: Optional[int] = None
+        self.bytes_out: Optional[int] = None
 
     @property
     def context(self) -> TraceContext:
@@ -79,13 +95,20 @@ class Span:
 
 
 class Tracer:
-    """Creates, finishes and stores spans for one simulation."""
+    """Creates and finishes spans for one simulation and retains the
+    last :data:`SPAN_WINDOW` of them, oldest first, in :attr:`spans`."""
 
     def __init__(self, env) -> None:
         self.env = env
-        self.spans: list[Span] = []
+        self.spans: deque[Span] = deque(maxlen=SPAN_WINDOW)
         self._next_trace = 0
-        self._next_span = 0
+        #: spans started so far; also the id of the newest one.
+        self.started = 0
+
+    @property
+    def evicted(self) -> int:
+        """Spans started and no longer retained (ids 1 .. evicted)."""
+        return self.started - len(self.spans)
 
     def start_span(self, name: str, kind: str = "internal",
                    parent: "TraceContext | Span | None" = None,
@@ -93,7 +116,7 @@ class Tracer:
                    attrs: Optional[dict] = None) -> Span:
         """Open a span; a new trace is started when *parent* is None.
         *parent* is a :class:`TraceContext` or the parent span itself;
-        the span keeps *attrs*, not a copy."""
+        the span keeps *attrs* (not a copy), or None."""
         if parent is None:
             self._next_trace += 1
             trace_id = self._next_trace
@@ -101,9 +124,9 @@ class Tracer:
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        self._next_span += 1
-        span = Span(trace_id, self._next_span, parent_id, name, kind, host,
-                    self.env.now, attrs if attrs is not None else {})
+        self.started += 1
+        span = Span(trace_id, self.started, parent_id, name, kind, host,
+                    self.env.now, attrs)
         self.spans.append(span)
         return span
 
@@ -117,7 +140,7 @@ class Tracer:
 
     # -- queries -----------------------------------------------------------
     def traces(self) -> dict[int, list[Span]]:
-        """Spans grouped by trace id, in creation order."""
+        """Retained spans grouped by trace id, in creation order."""
         out: dict[int, list[Span]] = {}
         for span in self.spans:
             out.setdefault(span.trace_id, []).append(span)

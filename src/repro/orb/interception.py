@@ -75,7 +75,7 @@ class ServerRequestInfo:
 
     __slots__ = ("orb", "request", "client", "service_context",
                  "request_bytes", "reply_bytes", "reply_status",
-                 "exception", "start", "end", "slots")
+                 "exception", "start", "end", "slots", "odef")
 
     def __init__(self, orb, request: giop.RequestMessage,
                  client: str, request_bytes: int) -> None:
@@ -91,6 +91,9 @@ class ServerRequestInfo:
         self.start = orb.env.now
         self.end: Optional[float] = None
         self.slots: dict[str, TAny] = {}
+        #: the target's definition of the operation, once the dispatch
+        #: has found it; None while (or because) it has not.
+        self.odef: Optional[OperationDef] = None
 
     @property
     def operation(self) -> str:

@@ -259,10 +259,13 @@ class Listener:
                     hook(info, proc)
         return proc
 
-    def _resolve_target(self, request: giop.RequestMessage):
+    def _resolve_target(self, request: giop.RequestMessage,
+                        info: Optional[ServerRequestInfo]):
         """Resolve (servant method, odef) for *request* through its
         adapter, so a deactivated key is refused by the call that follows
-        and a servant activator sees every first use."""
+        and a servant activator sees every first use.  The odef found is
+        also *info*'s: interceptors key per-operation state by it, never
+        by an operation string the target does not declare."""
         poa = self._adapters.get(request.adapter)
         if poa is None:
             raise OBJECT_NOT_EXIST(f"no adapter {request.adapter!r}")
@@ -273,6 +276,8 @@ class Listener:
             raise BAD_OPERATION(
                 f"{iface.name} has no operation {request.operation!r}"
             )
+        if info is not None:
+            info.odef = odef
         method = getattr(servant, request.operation, None)
         if method is None:
             raise NO_IMPLEMENT(
@@ -286,7 +291,7 @@ class Listener:
         odef: Optional[OperationDef] = None
         orb = self.orb
         try:
-            method, odef = self._resolve_target(request)
+            method, odef = self._resolve_target(request, info)
             dec = CDRDecoder(request.args)
             args = odef.codec().decode_in(dec)
 
@@ -394,7 +399,7 @@ class Listener:
         """
         odef: Optional[OperationDef] = None
         try:
-            method, odef = self._resolve_target(request)
+            method, odef = self._resolve_target(request, info)
             code = getattr(method, "__code__", None)
             if code is None or code.co_flags & 0x20:
                 return False  # CO_GENERATOR or unknowable: process path

@@ -30,7 +30,6 @@ import sys
 from typing import Any, Optional
 
 from repro.obs import PENDING_DEPTH_GAUGE
-from repro.obs.trace import spans_connected
 
 #: histogram-name prefixes that the per-operation tables are built from.
 _CLIENT_LATENCY = "orb.client.latency."
@@ -48,6 +47,21 @@ def _hist_stats(hist) -> dict[str, float]:
         "p99": hist.percentile(99),
         "max": hist.max(),
     }
+
+
+def _trace_shape(spans: list, evicted: int) -> str:
+    """"connected" when every non-root span's parent is retained with
+    it; "truncated" when each missing parent was started and evicted
+    (span ids ``1 .. evicted``); otherwise "disconnected" -- a parent
+    this run never recorded, which is a defect."""
+    ids = {s.span_id for s in spans}
+    missing = {s.parent_id for s in spans
+               if s.parent_id is not None and s.parent_id not in ids}
+    if not missing:
+        return "connected"
+    if all(1 <= parent <= evicted for parent in missing):
+        return "truncated"
+    return "disconnected"
 
 
 def build_report(hub) -> dict[str, Any]:
@@ -108,12 +122,11 @@ def build_report(hub) -> dict[str, Any]:
         "last": float(depth.last) if sampled else 0.0,
     }
 
+    tracer = hub.tracer
+    spans = tracer.spans
+    evicted = tracer.evicted
     traces = hub.traces()
-    open_spans = sum(1 for s in hub.tracer.spans if not s.finished)
-    error_spans = sum(1 for s in hub.tracer.spans if s.status == "error")
-    connected = sum(1 for spans in traces.values() if spans_connected(spans))
-    largest = max((len(spans) for spans in traces.values()), default=0)
-
+    shapes = [_trace_shape(group, evicted) for group in traces.values()]
     return {
         "clock": hub.env.now,
         "operations": dict(sorted(operations.items())),
@@ -127,11 +140,15 @@ def build_report(hub) -> dict[str, Any]:
         },
         "traces": {
             "count": len(traces),
-            "spans": len(hub.tracer.spans),
-            "open_spans": open_spans,
-            "error_spans": error_spans,
-            "connected": connected,
-            "largest": largest,
+            "started": tracer.started,
+            "retained": len(spans),
+            "evicted": evicted,
+            "open_spans": sum(1 for s in spans if not s.finished),
+            "error_spans": sum(1 for s in spans if s.status == "error"),
+            "connected": shapes.count("connected"),
+            "truncated": shapes.count("truncated"),
+            "disconnected": shapes.count("disconnected"),
+            "largest": max(map(len, traces.values()), default=0),
         },
     }
 
@@ -216,8 +233,11 @@ def render_text(rep: dict[str, Any]) -> str:
                f"({_fmt(p['samples'])} samples)")
     t = rep["traces"]
     out.append(f"traces: {_fmt(t['count'])} "
-               f"({_fmt(t['spans'])} spans, largest {_fmt(t['largest'])}, "
-               f"{_fmt(t['connected'])} connected, "
+               f"({_fmt(t['retained'])} spans retained of "
+               f"{_fmt(t['started'])} started, largest "
+               f"{_fmt(t['largest'])}, {_fmt(t['connected'])} connected, "
+               f"{_fmt(t['truncated'])} truncated, "
+               f"{_fmt(t['disconnected'])} disconnected, "
                f"{_fmt(t['error_spans'])} error spans, "
                f"{_fmt(t['open_spans'])} still open)")
     return "\n".join(out)
@@ -302,12 +322,13 @@ def _null_call_cost(observe: bool) -> tuple:
             return 0
 
     rig = SimRig(star(1), seed=7)
-    spans = rig.observe().tracer.spans if observe else []
+    tracer = rig.observe().tracer if observe else None
     ior = rig.node("hub").orb.adapter("selftest").activate(NullServant())
     totals = []
     for _ in range(2):
         rig.node("h0").orb.call(ior, odef, ())
-        totals.append((rig.metrics.get("net.bytes"), rig.env._eid, len(spans)))
+        totals.append((rig.metrics.get("net.bytes"), rig.env._eid,
+                       tracer.started if tracer else 0))
     return tuple(after - before for before, after in zip(*totals))
 
 
@@ -340,7 +361,7 @@ def run_selftest(as_json: bool = False,
     traces = hub.traces()
     check(rep["traces"]["count"] > 0, "no traces were produced")
     check(rep["traces"]["connected"] == len(traces),
-          "found a disconnected trace")
+          "found a disconnected or truncated trace")
     retry_traces = [spans for spans in traces.values()
                     if any(s.name == "retry:poke" for s in spans)]
     check(len(retry_traces) == 1, "expected exactly one retry:poke trace")

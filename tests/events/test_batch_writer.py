@@ -1,4 +1,4 @@
-"""BatchWriter: size/age flush thresholds, drop-oldest bound."""
+"""BatchWriter: size/age flush thresholds."""
 
 import pytest
 
@@ -22,8 +22,6 @@ class TestValidation:
             BatchWriter(env, lambda b: None, max_batch=0)
         with pytest.raises(ConfigurationError):
             BatchWriter(env, lambda b: None, max_age=0.0)
-        with pytest.raises(ConfigurationError):
-            BatchWriter(env, lambda b: None, max_batch=8, capacity=4)
 
 
 class TestFlushThresholds:
@@ -87,23 +85,6 @@ class TestFlushThresholds:
         env.run(until=10.0)
         assert batches == [[1]]          # cleared items never delivered
         assert writer.pending == 0
-
-
-class TestOverflow:
-    def test_drop_oldest_past_capacity(self):
-        env = Environment()
-        metrics = MetricRegistry()
-        writer = BatchWriter(env, lambda b: None, max_batch=4,
-                             max_age=1.0, capacity=4, metrics=metrics,
-                             name="bus")
-        # The size flush keeps a window below capacity on its own; the
-        # bound is what holds memory when it cannot (here: a flush
-        # threshold widened past the capacity after construction).
-        writer.max_batch = 100
-        for i in range(10):
-            writer.append(i)
-        assert list(writer._buf) == [6, 7, 8, 9]   # newest survive
-        assert metrics.get("bus.dropped") == 6
 
 
 class TestGeneratorFlush:

@@ -126,7 +126,8 @@ def test_build_report_shape():
 def test_build_report_groups_traces_once():
     # Regression: connectivity used to be checked by scanning every
     # span once per trace — quadratic, about a minute on a spine-sized
-    # run and ~1.5 s here.  One orphan parent must still be found.
+    # run and ~1.5 s here.  One orphan parent must still be found, and
+    # told apart from the trace the span window cut through.
     import time
 
     from repro.obs import Observability
@@ -148,7 +149,12 @@ def test_build_report_groups_traces_once():
     started = time.perf_counter()
     rep = build_report(hub)
     elapsed = time.perf_counter() - started
-    assert rep["traces"] == {"count": 2_000, "spans": 20_001,
+    # 16,384 of 20,001 spans retained: traces 1-361 are gone, trace
+    # 362 keeps its last 3 spans (truncated), traces 363-2,000 are whole
+    # and trace 7 is back as its orphan alone.
+    assert rep["traces"] == {"count": 1_640, "started": 20_001,
+                             "retained": 16_384, "evicted": 3_617,
                              "open_spans": 0, "error_spans": 0,
-                             "connected": 1_999, "largest": 11}
+                             "connected": 1_638, "truncated": 1,
+                             "disconnected": 1, "largest": 10}
     assert elapsed < 0.5

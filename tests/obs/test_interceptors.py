@@ -321,6 +321,53 @@ class TestMetricsRecording:
         assert hub.metrics.get("orb.client.errors.poke") == 1
         assert hub.metrics.get("orb.server.errors.poke") == 1
 
+    def test_undeclared_operations_share_one_record(self):
+        # The operation string is the peer's: operations the target does
+        # not declare, or sent to an object that does not exist, record
+        # under one name, so 10,000 bogus names cost what one does.
+        from repro.obs.interceptors import UNKNOWN_OPERATION
+        from repro.orb.exceptions import BAD_OPERATION, OBJECT_NOT_EXIST
+        from repro.orb.ior import IOR
+
+        rig = SimRig(star(1), seed=3)
+        hub = Observability(rig.env, rig.metrics)
+        server = rig.node("hub").orb
+        hub.install(server)          # the client's own odefs stay out
+        client = rig.node("h0").orb
+        ior = server.adapter("t").activate(EchoServant())
+        ghost = IOR(ior.repo_id, ior.host_id, "t", "nope")
+
+        def sizes():
+            return (len(hub.tracing._serve),
+                    hub.metrics_interceptor._server.cache_info().currsize,
+                    len(hub.metrics.histograms()),
+                    len(hub.metrics.counters()))
+
+        def send(count, start=0):
+            def proc():
+                for i in range(start, start + count):
+                    bogus = op(f"bogus{i}", [], tc_long)
+                    for target, error in ((ior, BAD_OPERATION),
+                                          (ghost, OBJECT_NOT_EXIST)):
+                        with pytest.raises(error):
+                            yield client.invoke(target, bogus, ())
+            rig.run_process(proc())
+
+        rig.run(until=client.invoke(ior, ECHO.operations["echo"], ("x",)))
+        send(1)
+        after_one = sizes()
+        send(9_999, start=1)
+        assert sizes() == after_one
+        assert hub.metrics.find_histogram(
+            f"orb.server.latency.{UNKNOWN_OPERATION}").count == 20_000
+        assert hub.metrics.get(
+            f"orb.server.errors.{UNKNOWN_OPERATION}") == 20_000
+        assert hub.metrics.find_histogram(
+            "orb.server.latency.echo").count == 1
+        assert hub.tracer.started == 20_001
+        assert {s.name for s in hub.tracer.spans} == \
+            {f"serve:{UNKNOWN_OPERATION}"}
+
     def test_pending_depth_series_sampled(self):
         from repro.obs import PENDING_DEPTH_GAUGE
         rig, hub = observed_rig()

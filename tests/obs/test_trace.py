@@ -1,7 +1,21 @@
 """Tracer and per-process context store units."""
 
+from repro.obs import trace
 from repro.obs.trace import ContextStore, TraceContext, Tracer
+from repro.orb.core import InterfaceDef, Servant, op
+from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment
+from repro.sim.topology import star
+from repro.testing import SimRig
+
+NULL = op("null", [], tc_long, cpu_cost=0.0)
+
+
+class NullServant(Servant):
+    _interface = InterfaceDef("IDL:test/Null:1.0", "Null", [NULL])
+
+    def null(self):
+        return 0
 
 
 class TestTracer:
@@ -66,6 +80,39 @@ class TestTracer:
         assert not tracer.trace_is_connected(a.trace_id)
         assert orphan.trace_id == a.trace_id
         assert not tracer.trace_is_connected(404)  # no such trace
+
+
+class TestSpanWindow:
+    def test_oldest_span_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(trace, "SPAN_WINDOW", 3)
+        tracer = Tracer(Environment())
+        spans = [tracer.start_span(str(i)) for i in range(5)]
+        assert list(tracer.spans) == spans[2:]
+        assert (tracer.started, tracer.evicted) == (5, 2)
+
+    def test_call_legs_carry_sizes_not_attrs(self):
+        rig = SimRig(star(1), seed=3)
+        hub = rig.observe()
+        ior = rig.node("hub").orb.adapter("t").activate(NullServant())
+        rig.node("h0").orb.call(ior, NULL, ())
+        client, server = hub.tracer.spans
+        assert client.attrs is None and server.attrs is None
+        assert client.bytes_out == server.bytes_in > 0
+        assert client.bytes_in == server.bytes_out > 0
+
+    def test_a_long_instrumented_run_holds_the_window(self, monkeypatch):
+        # A monitored resource bound: 400 null calls start 800 spans and
+        # the tracer retains the last 256 of them, not all.
+        monkeypatch.setattr(trace, "SPAN_WINDOW", 256)
+        rig = SimRig(star(1), seed=7)
+        tracer = rig.observe().tracer
+        ior = rig.node("hub").orb.adapter("t").activate(NullServant())
+        setup = tracer.started
+        for _ in range(400):
+            rig.node("h0").orb.call(ior, NULL, ())
+        assert len(tracer.spans) == 256
+        assert tracer.started == 800 + setup
+        assert tracer.evicted == tracer.started - 256
 
 
 class TestContextStore:

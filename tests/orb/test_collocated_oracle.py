@@ -287,7 +287,7 @@ def span_paths(hub):
         return path(by_id[span.parent_id]) + (step,)
 
     return sorted((path(s), s.status, s.error, s.end,
-                   s.attrs.get("bytes_in"), s.attrs.get("bytes_out"))
+                   s.bytes_in, s.bytes_out)
                   for s in hub.tracer.spans)
 
 
