@@ -1,14 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test selftest lint lint-src bench bench-orb \
+.PHONY: check test selftest lint lint-src golden ledger bench bench-orb \
 	bench-eventbus bench-federation bench-chaos bench-simlint \
 	spine-ab faults fuzz chaos chaos-soak loc
 
 # The one-stop gate: descriptor + source lint, observability +
-# availability + static-gate end-to-end selftests, then the full
-# tier-1 suite.
-check: lint lint-src selftest test
+# availability + static-gate end-to-end selftests, the sim-exact
+# ledger, then the full tier-1 suite.
+check: lint lint-src selftest ledger test
 
 # static verification of the shipped IDL + descriptor fixtures
 lint:
@@ -19,6 +19,16 @@ lint:
 lint-src:
 	$(PYTHON) -m repro.tools.simlint src/repro \
 		--baseline simlint-baseline.json
+
+# the sim-exact ledger (tests/golden/sim_ledger.json): every simulated
+# number of the spine workloads at seeds 5 and 11 plus seven chaos
+# report digests.  `golden` rewrites it -- in the same commit as any
+# change that moves a simulated number -- and `ledger` compares it.
+golden:
+	$(PYTHON) benchmarks/sim_ledger.py --write
+
+ledger:
+	$(PYTHON) benchmarks/sim_ledger.py --check
 
 selftest:
 	$(PYTHON) -m repro.tools.obs_report --selftest

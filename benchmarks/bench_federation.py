@@ -40,7 +40,11 @@ from repro.idl import compile_idl
 from repro.packaging.binaries import GLOBAL_BINARIES, synthetic_payload
 from repro.packaging.package import ComponentPackage, PackageBuilder
 from repro.registry.federation import FederatedRegistry, FederationConfig
-from repro.registry.federation.shard import SHARD_IFACE, shard_ior
+from repro.registry.federation.shard import (
+    FULL_SYNC_EVERY,
+    SHARD_IFACE,
+    shard_ior,
+)
 from repro.registry.mrm import MrmConfig
 from repro.registry.queries import FloodResolver
 from repro.testing import CounterExecutor, SimRig
@@ -318,7 +322,7 @@ def _check(sharded: dict, flood: dict, scale: dict) -> None:
     # Post-churn the gossip plane re-converges within bounded rounds.
     assert sharded["converged"], sharded
     assert sharded["convergence_rounds"] <= (
-        3 * FederationConfig().full_sync_every
+        3 * FULL_SYNC_EVERY
         + scale["update"] / scale["gossip"]), sharded
 
 

@@ -109,7 +109,7 @@ def measure_depth(levels: int):
     if levels == 2:
         dr.deploy({f"c{i}": cluster(i) for i in range(6)})
     else:
-        dr.deploy_tree({
+        dr.deploy({
             "west": {f"c{i}": cluster(i) for i in range(3)},
             "east": {f"c{i}": cluster(i) for i in range(3, 6)},
         })

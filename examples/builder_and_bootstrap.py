@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""The §5 future-work tooling, working: palette → builder → bootstrap.
+"""An application as one component: assembly → gate → bootstrap.
 
-1. A :class:`NetworkPalette` gathers what the network offers (the data
-   a visual builder would render).
-2. An :class:`AssemblyBuilder` wires an application from that palette,
-   type-checking every connection.
-3. The assembly is wrapped into a **bootstrap component**
+1. The application is an :class:`AssemblyDescriptor` written directly,
+   and :class:`DeploymentGate` checks its wiring against the packages
+   the nodes hold (port types, event kinds) before anything runs.
+2. The assembly is wrapped into a **bootstrap component**
    (§2.4.4: "applications are just special components"), installed on
    one node, and instantiated — the single instance deploys the whole
    application through remote Node services.
-4. A :class:`UsageMeter` shows the pay-per-use accounting of §2.1.1.
+3. A :class:`UsageMeter` shows the pay-per-use accounting of §2.1.1.
 
 Run:  python examples/builder_and_bootstrap.py
 """
 
 import dataclasses
 
+from repro.analysis import DeploymentGate
 from repro.cscw import (
     display_package,
     gui_part_package,
@@ -25,7 +25,12 @@ from repro.deployment.bootstrap import application_package
 from repro.packaging.package import ComponentPackage, PackageBuilder
 from repro.sim.topology import SERVER, star
 from repro.testing import SimRig
-from repro.tools import AssemblyBuilder, NetworkPalette, UsageMeter
+from repro.tools import UsageMeter
+from repro.xmlmeta.descriptors import (
+    AssemblyConnection,
+    AssemblyDescriptor,
+    AssemblyInstance,
+)
 
 
 def pay_per_use(package: ComponentPackage,
@@ -51,28 +56,23 @@ def main():
     rig.node("h0").install_package(display_package())
     meters = {host: UsageMeter(node) for host, node in rig.nodes.items()}
 
-    # 1. the palette: what a visual builder would show the user
-    palette = rig.run(until=NetworkPalette.gather(
-        rig.node("h2"), rig.topology.host_ids()))
-    print(palette.render())
-
-    # 2. build the application, type-checked against the descriptors
-    builder = AssemblyBuilder("board-app")
-    builder.register_package(whiteboard_package())
-    builder.register_package(gui_part_package())
-    builder.register_package(display_package())
-    assembly = (builder
-                .add("board", "Whiteboard")
-                .add("gui", "BoardGui")
-                .add("screen", "Display")
-                .connect("gui", "display", "screen", "graphics")
-                .subscribe("gui", "board", "board", "changes")
-                .build())
-    print(f"\nbuilt assembly {assembly.name!r}: "
+    # 1. the application, checked against the packages the nodes hold
+    assembly = AssemblyDescriptor(
+        "board-app",
+        instances=[AssemblyInstance("board", "Whiteboard"),
+                   AssemblyInstance("gui", "BoardGui"),
+                   AssemblyInstance("screen", "Display")],
+        connections=[
+            AssemblyConnection("gui", "display", "screen", "graphics"),
+            AssemblyConnection("gui", "board", "board", "changes",
+                               kind="event"),
+        ])
+    DeploymentGate().check(assembly, rig.nodes)
+    print(f"assembly {assembly.name!r}: "
           f"{len(assembly.instances)} instances, "
-          f"{len(assembly.connections)} connections (validated)")
+          f"{len(assembly.connections)} connections (verified)")
 
-    # 3. ship it as a bootstrap component and light it up from h2
+    # 2. ship it as a bootstrap component and light it up from h2
     app_pkg = application_package(assembly)
     h2 = rig.node("h2")
     h2.install_package(app_pkg)
@@ -83,7 +83,7 @@ def main():
         raise SystemExit(f"deploy failed: {bootstrap.executor.deploy_error}")
     print(f"bootstrap instance on h2 deployed the app: {app.placement}")
 
-    # 4. the pay-per-use whiteboard was metered wherever it landed
+    # 3. the pay-per-use whiteboard was metered wherever it landed
     board_host = app.placement["board"]
     print(f"\n{meters[board_host].invoice()}")
 

@@ -10,8 +10,8 @@ Subpackages, bottom-up:
 
 - :mod:`repro.sim` — deterministic discrete-event simulation substrate
   (kernel, topology, network, faults, metrics).
-- :mod:`repro.orb` — a CORBA-like ORB (CDR, GIOP, IORs, POA, DII,
-  naming, event channels).
+- :mod:`repro.orb` — a CORBA-like ORB (CDR, GIOP, IORs, POA, the
+  interface repository, event channels).
 - :mod:`repro.idl` — an OMG IDL compiler emitting runtime artifacts.
 - :mod:`repro.xmlmeta` — OSD-based XML component descriptors.
 - :mod:`repro.packaging` — ZIP component packages with signatures.
@@ -26,6 +26,9 @@ Subpackages, bottom-up:
   balancing.
 - :mod:`repro.cscw` / :mod:`repro.grid` — the paper's §3 domains.
 - :mod:`repro.testing` — demo components and simulation rigs.
+- Beside them: :mod:`repro.events` (event bus), :mod:`repro.obs`
+  (metrics and traces), :mod:`repro.analysis` (static verification),
+  :mod:`repro.chaos` (fault campaigns) and :mod:`repro.tools` (CLIs).
 
 Most programs start from :class:`repro.testing.SimRig` (or build an
 :class:`repro.sim.Environment` + :class:`repro.sim.Network` +

@@ -15,8 +15,6 @@ points analysis → deployment-free and the gate stays optional.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.findings import Diagnostics, Finding
 from repro.analysis.verifier import model_from_packages, verify_model
 from repro.util.errors import ValidationError
@@ -46,10 +44,8 @@ class DeploymentGate:
     CLI, which sees all the IDL there is.
     """
 
-    def __init__(self, strict_interfaces: bool = False,
-                 use_ifr: bool = True) -> None:
+    def __init__(self, strict_interfaces: bool = False) -> None:
         self.strict_interfaces = strict_interfaces
-        self.use_ifr = use_ifr
 
     # -- package collection ---------------------------------------------------
     @staticmethod
@@ -69,12 +65,9 @@ class DeploymentGate:
     def verify(self, assembly: AssemblyDescriptor,
                nodes) -> Diagnostics:
         """All findings for *assembly* against *nodes*' package sets."""
-        ifr = None
-        if self.use_ifr:
-            from repro.orb.dii import GLOBAL_IFR
-            ifr = GLOBAL_IFR
+        from repro.orb.dii import GLOBAL_IFR
         model = model_from_packages(self.packages_on(nodes),
-                                    assembly=assembly, ifr=ifr)
+                                    assembly=assembly, ifr=GLOBAL_IFR)
         return verify_model(model,
                             strict_interfaces=self.strict_interfaces)
 

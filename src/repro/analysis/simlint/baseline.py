@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.findings import Diagnostics
-from repro.util.diagnostics import Finding
 
 #: code used for "baseline entry matched nothing" findings.
 STALE_CODE = "SIM090"
@@ -131,8 +130,3 @@ class Baseline:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def finding_key(finding: Finding) -> tuple[str, str, str]:
-    """The baseline key a finding would be matched under."""
-    return (strip_line(finding.location), finding.code, finding.message)

@@ -29,6 +29,9 @@ _DOCS = {
     "SIM021": "stage_add/stage_remove not rebalanced on every path",
 }
 
+#: function-name prefix marking a fault installer in an action module.
+ACTION_PREFIX = "act_"
+
 _STAGE_CALLS = {"stage_add", "stage_remove"}
 _SETTLE_CALLS = {"rebalance", "cancel_staged"}
 
@@ -76,7 +79,7 @@ def check_paired_effects(source, config, sink) -> None:
         for func in source.tree.body:
             if not isinstance(func, ast.FunctionDef):
                 continue
-            if not func.name.startswith(config.action_prefix):
+            if not func.name.startswith(ACTION_PREFIX):
                 continue
             has_revert = any(
                 isinstance(node, ast.FunctionDef)

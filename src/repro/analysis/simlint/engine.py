@@ -29,15 +29,14 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass
 class SimlintConfig:
-    """What the rules treat as special, by path suffix.
+    """Which modules the scoped rules apply to, by path suffix.
 
     Paths are matched against the *posix* form of the file's path, so
-    entries like ``"sim/rng.py"`` work for any scan root.
+    entries like ``"grid/volunteer.py"`` work for any scan root.  What
+    else the rules treat as special is fixed: each rule module holds
+    it as a constant.
     """
 
-    #: the one module allowed to construct numpy generators: the
-    #: named-stream registry itself.
-    rng_modules: tuple[str, ...] = ("sim/rng.py",)
     #: modules whose hand-started perpetual loops are held to the
     #: SIM012/SIM013 control-loop rules.  Host-bound loops need no
     #: listing: the body of a ``HostLoop(...)`` is found in the code.
@@ -47,29 +46,6 @@ class SimlintConfig:
     )
     #: modules holding chaos-style fault installers (SIM020).
     action_modules: tuple[str, ...] = ("chaos/actions.py",)
-    #: function-name prefix marking a fault installer in those modules.
-    action_prefix: str = "act_"
-    #: call names that look like decoding/parsing foreign bytes —
-    #: the checkpoint-corruption bug shape (SIM012).
-    decode_call_re: str = (
-        r"^(loads?_|.*_loads$|decode|.*_decode$|parse_|from_json$"
-        r"|from_dict$|from_bytes$|from_xml$)")
-    #: emit methods whose first argument is a metric name (SIM030).
-    metric_methods: tuple[str, ...] = (
-        "counter", "histogram", "gauge", "add_labelled",
-        "labelled_family", "find_histogram",
-    )
-    #: emit methods whose first argument is a span name (SIM031).
-    span_methods: tuple[str, ...] = ("span", "start_span")
-    #: modules exempt from the metric/span literal rule (the declared
-    #: registry itself, and the stats primitives that take caller
-    #: names verbatim).
-    names_exempt_modules: tuple[str, ...] = (
-        "obs/names.py", "sim/stats.py", "obs/trace.py",
-    )
-
-    def is_rng_module(self, source: "SourceFile") -> bool:
-        return source.matches(self.rng_modules)
 
     def is_control_loop_module(self, source: "SourceFile") -> bool:
         return source.matches(self.control_loop_modules)

@@ -30,6 +30,18 @@ _DOCS = {
     "SIM031": "span label literal not declared in repro.obs.names",
 }
 
+#: emit methods whose first argument is a metric name (SIM030).
+METRIC_METHODS = frozenset({
+    "counter", "histogram", "gauge", "add_labelled",
+    "labelled_family", "find_histogram",
+})
+#: emit methods whose first argument is a span name (SIM031).
+SPAN_METHODS = frozenset({"span", "start_span"})
+#: modules exempt from the metric/span literal rule (the declared
+#: registry itself, and the stats primitives that take caller names
+#: verbatim).
+NAMES_EXEMPT_MODULES = ("obs/names.py", "sim/stats.py", "obs/trace.py")
+
 
 def canonical_name(node: ast.AST) -> str | None:
     """The name argument as a literal or ``*``-canonical pattern.
@@ -55,7 +67,7 @@ def canonical_name(node: ast.AST) -> str | None:
 
 @rule(docs=_DOCS)
 def check_name_hygiene(source, config, sink) -> None:
-    if source.matches(config.names_exempt_modules):
+    if source.matches(NAMES_EXEMPT_MODULES):
         return
     # Deferred so the analyzer can lint trees that don't ship an
     # obs.names (unit-test fixtures monkeypatch these).
@@ -66,7 +78,7 @@ def check_name_hygiene(source, config, sink) -> None:
                 not isinstance(node.func, ast.Attribute) or not node.args:
             continue
         method = node.func.attr
-        if method in config.metric_methods:
+        if method in METRIC_METHODS:
             name = canonical_name(node.args[0])
             if name is not None and not declared.metric_declared(name):
                 sink.error(
@@ -74,7 +86,7 @@ def check_name_hygiene(source, config, sink) -> None:
                     f"metric name {name!r} is not declared in "
                     f"repro.obs.names; declare it (or fix the typo) so "
                     f"readers and emitters cannot drift apart")
-        elif method in config.span_methods:
+        elif method in SPAN_METHODS:
             name = canonical_name(node.args[0])
             if name is not None and not declared.span_declared(name):
                 sink.error(

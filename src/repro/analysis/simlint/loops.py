@@ -36,6 +36,12 @@ import re
 
 from repro.analysis.simlint.engine import rule
 
+#: call names that look like decoding/parsing foreign bytes — the
+#: checkpoint-corruption bug shape (SIM012).
+DECODE_CALL_RE = re.compile(
+    r"^(loads?_|.*_loads$|decode|.*_decode$|parse_|from_json$"
+    r"|from_dict$|from_bytes$|from_xml$)")
+
 _DOCS = {
     "SIM010": "bare except (swallows GeneratorExit/KeyboardInterrupt)",
     "SIM011": "broad except in generator loop hides kernel interrupts",
@@ -119,7 +125,6 @@ def check_loops(source, config, sink) -> None:
 
     control_module = config.is_control_loop_module(source)
     host_loop_bodies = _host_loop_bodies(source.tree)
-    decode_re = re.compile(config.decode_call_re)
 
     for func in ast.walk(source.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -169,8 +174,7 @@ def check_loops(source, config, sink) -> None:
             has_yield = any(isinstance(node, (ast.Yield, ast.YieldFrom))
                             for node in _walk_scope(loop))
 
-            unguarded = _unguarded_decode_calls(loop, decode_re)
-            for call in unguarded:
+            for call in _unguarded_decode_calls(loop):
                 sink.error(
                     "SIM012", call,
                     f"'{_call_name(call)}' decodes foreign data inside "
@@ -186,7 +190,7 @@ def check_loops(source, config, sink) -> None:
                     f"as unhandled errors instead of ending the loop")
 
 
-def _unguarded_decode_calls(loop: ast.AST, decode_re) -> list[ast.Call]:
+def _unguarded_decode_calls(loop: ast.AST) -> list[ast.Call]:
     """Decode-shaped calls under *loop* with no Try between them."""
     out: list[ast.Call] = []
 
@@ -201,7 +205,7 @@ def _unguarded_decode_calls(loop: ast.AST, decode_re) -> list[ast.Call]:
                 # code in handlers/finally/else runs unprotected.
                 child_guarded = guarded or bool(node.handlers)
             if isinstance(child, ast.Call) and not child_guarded \
-                    and decode_re.match(_call_name(child)):
+                    and DECODE_CALL_RE.match(_call_name(child)):
                 out.append(child)
             visit(child, child_guarded)
 

@@ -255,9 +255,8 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
     retry budgets have refilled."""
 
     name = "admission.recovered"
-
-    def __init__(self, stale_after: float = 6.0) -> None:
-        self.stale_after = stale_after
+    #: the call-deadline horizon: older pending replies are wedged
+    stale_after = 6.0
 
     def probe(self, world, phase: str):
         if phase != QUIESCENCE:

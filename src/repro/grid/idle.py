@@ -15,28 +15,27 @@ from typing import Callable
 from repro.sim.hostloop import HostLoop
 from repro.xmlmeta.descriptors import QoSSpec
 
+#: share of the host's CPU an interactive user holds while busy
+BUSY_CPU_FRACTION = 0.8
+
 
 class IdleMonitor:
-    """Alternating busy/idle process for one node."""
+    """Alternating busy/idle process for one node; starts idle."""
 
     def __init__(self, node, rng, mean_busy: float = 30.0,
-                 mean_idle: float = 60.0, busy_cpu_fraction: float = 0.8,
-                 start_idle: bool = True) -> None:
+                 mean_idle: float = 60.0) -> None:
         self.node = node
         self.rng = rng
         self.mean_busy = mean_busy
         self.mean_idle = mean_idle
-        self.busy_cpu_fraction = busy_cpu_fraction
-        self.idle = start_idle
+        self.idle = True
         self.transitions = 0
         #: called with (monitor, is_idle) on every transition
         self.listeners: list[Callable[["IdleMonitor", bool], None]] = []
         self._user_qos = QoSSpec(
-            cpu_units=busy_cpu_fraction * node.host.profile.cpu_power,
+            cpu_units=BUSY_CPU_FRACTION * node.host.profile.cpu_power,
             memory_mb=0.0)
         self.loop = HostLoop(node.env, node.host, self._loop)
-        if not start_idle:
-            self.node.resources.reserve(self._user_qos)
 
     @property
     def is_idle(self) -> bool:

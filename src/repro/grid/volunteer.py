@@ -43,6 +43,9 @@ MASTER_IFACE = compile_idl(_MASTER_IDL).Grid.Master
 
 _PROCESS = WORKER_IFACE.operations["process_shard"]
 
+#: sim-seconds between the master's passes over its queue
+DISPATCH_INTERVAL = 0.25
+
 
 class VolunteerError(ReproError):
     """Misconfigured volunteer computation."""
@@ -68,12 +71,10 @@ class VolunteerMaster:
     """Farms shards of one component's work over volunteering hosts."""
 
     def __init__(self, node, component_name: str,
-                 shard_timeout: float = 30.0,
-                 dispatch_interval: float = 0.25) -> None:
+                 shard_timeout: float = 30.0) -> None:
         self.node = node
         self.component_name = component_name
         self.shard_timeout = shard_timeout
-        self.dispatch_interval = dispatch_interval
         self.queue: list[dict] = []
         self.in_flight: dict[str, dict] = {}       # host -> shard
         self.partials: list = []
@@ -120,7 +121,7 @@ class VolunteerMaster:
                     shard = self.queue.pop(0)
                     self.in_flight[host] = shard
                     env.process(self._assign(host, shard))
-                yield env.timeout(self.dispatch_interval)
+                yield env.timeout(DISPATCH_INTERVAL)
             self.done.succeed(list(self.partials))
         except Interrupt:
             if self.done is not None and not self.done.triggered:

@@ -10,7 +10,7 @@ the package its realistic size on the wire.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,9 +49,6 @@ class BinaryRegistry:
 
     def __contains__(self, entry_point: str) -> bool:
         return entry_point in self._factories
-
-    def entry_points(self) -> list[str]:
-        return sorted(self._factories)
 
 
 #: Shared default registry; components register their factories at

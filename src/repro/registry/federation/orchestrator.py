@@ -43,17 +43,10 @@ class FederationConfig:
     update_interval: float = 5.0     # member publish cadence
     gossip_interval: float = 2.0     # owner epidemic round cadence
     fanout: int = 3                  # peers per gossip round
-    full_sync_every: int = 4         # rounds between anti-entropy syncs
-    gossip_batch: int = 256          # bus flush window for one round
     member_timeout: Optional[float] = None   # liveness staleness bound
-    record_timeout: Optional[float] = None   # provider-record TTL
     query_timeout: float = 2.0
     placement: str = "auto"
     seed_peer_count: int = 2         # static bootstrap peers per owner
-    #: how far into the future an incoming report epoch may point
-    #: before owners clamp it (defends record TTLs and membership
-    #: freshness against clock-skewed reporters).
-    epoch_tolerance: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.owners < 1:
@@ -64,10 +57,18 @@ class FederationConfig:
             raise ConfigurationError("fanout must be >= 1")
         if self.member_timeout is None:
             self.member_timeout = 3.0 * self.update_interval
-        if self.record_timeout is None:
-            self.record_timeout = 3.0 * self.update_interval
-        if self.epoch_tolerance is None:
-            self.epoch_tolerance = self.gossip_interval
+
+    @property
+    def record_timeout(self) -> float:
+        """Provider-record TTL: three missed publishes."""
+        return 3.0 * self.update_interval
+
+    @property
+    def epoch_tolerance(self) -> float:
+        """How far into the future an incoming report epoch may point
+        before owners clamp it (defends record TTLs and membership
+        freshness against clock-skewed reporters): one gossip round."""
+        return self.gossip_interval
 
     def mrm_config(self) -> MrmConfig:
         return MrmConfig(update_interval=self.update_interval,

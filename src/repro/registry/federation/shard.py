@@ -14,7 +14,7 @@ node's event bus, and a batched bus subscription fans the flush out as
 retargeted at each round's peer set.
 
 Anti-entropy: most rounds carry only the records merged since the
-previous round, but every ``full_sync_every``-th round pushes the full
+previous round, but every ``FULL_SYNC_EVERY``-th round pushes the full
 owned set, so an owner that lost its RAM (crash/restart) or missed
 deltas (partition) converges back within a bounded number of rounds.
 
@@ -26,7 +26,7 @@ beacons piggybacked on every gossip frame.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.obs import names
 from repro.orb.core import InterfaceDef, Servant, op
@@ -57,6 +57,11 @@ SHARD_KEY = "shard"
 GOSSIP_TOPIC = "federation.gossip"
 
 METER = "federation.gossip"
+
+#: rounds between anti-entropy full syncs
+FULL_SYNC_EVERY = 4
+#: bus flush window for one round's record deltas
+GOSSIP_BATCH = 256
 
 SHARD_IFACE = InterfaceDef(
     "IDL:corbalc/Federation/Shard:1.0",
@@ -147,7 +152,7 @@ class ShardAgent:
             to_args=self._gossip_args, meter=METER)
         self._sub = bus.batch_subscribe(
             GOSSIP_TOPIC, self._forwarder.deliver,
-            max_batch=self.config.gossip_batch,
+            max_batch=GOSSIP_BATCH,
             max_age=self.config.gossip_interval)
 
     def _gossip_args(self, events) -> tuple:
@@ -220,7 +225,7 @@ class ShardAgent:
             if host != self.host_id:
                 self.membership.mark_dead(host, now)
         self.rounds += 1
-        full_sync = (self.rounds % self.config.full_sync_every == 0)
+        full_sync = (self.rounds % FULL_SYNC_EVERY == 0)
         if full_sync:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()

@@ -141,119 +141,88 @@ class DistributedRegistry:
         self.supervisors: list[MrmSupervisor] = []
 
     # -- deployment ----------------------------------------------------------
-    def deploy(self, groups: dict[str, list[str]]) -> None:
-        """Stand up MRMs, reporters, resolvers for *groups*."""
-        if not groups:
-            raise ConfigurationError("no groups to deploy")
-        for group_id, hosts in groups.items():
-            if not hosts:
-                raise ConfigurationError(f"group {group_id!r} is empty")
-            if group_id == ROOT_GROUP:
-                raise ConfigurationError(
-                    f"group id {ROOT_GROUP!r} is reserved"
-                )
-
-        multi_group = len(groups) > 1
-        root_iors: tuple = ()
-        if multi_group:
-            # Root level: MRMs whose members are the group MRMs'
-            # aggregates.  Placed in the first group, offset past the
-            # hosts its own group-level MRMs will occupy.
-            first_hosts = list(groups.values())[0]
-            root_hosts = self._pick_mrm_hosts(first_hosts,
-                                              offset=self.config.replicas)
-            self.root = Group(ROOT_GROUP, member_hosts=[],
-                              mrm_hosts=root_hosts)
-            for host in root_hosts:
-                agent = MrmAgent(self.nodes[host], ROOT_GROUP,
-                                 config=self.mrm_config)
-                self.root.agents.append(agent)
-            root_iors = tuple(self.root.mrm_iors())
-
-        for group_id, hosts in groups.items():
-            group = Group(group_id, member_hosts=list(hosts))
-            group.mrm_hosts = self._pick_mrm_hosts(hosts)
-            for host in group.mrm_hosts:
-                agent = MrmAgent(self.nodes[host], group_id,
-                                 config=self.mrm_config,
-                                 parent_iors=root_iors)
-                group.agents.append(agent)
-            self.groups[group_id] = group
-            self._wire_members(group)
-            if self.config.supervise:
-                supervisor = MrmSupervisor(
-                    self, group, interval=self.config.supervise_interval)
-                self.supervisors.append(supervisor)
-
-    def deploy_tree(self, tree: dict, _parent_iors: tuple = (),
-                    _level: str = "") -> None:
-        """Deploy a multi-level MRM hierarchy.
+    def deploy(self, tree: dict) -> None:
+        """Stand up MRMs, reporters and resolvers for a group hierarchy.
 
         *tree* maps group ids either to host lists (leaf groups) or to
         nested dicts (groups of groups): each inner level gets its own
         MRM layer — "each MRM manages a group of nodes or a group of
-        other MRMs" (§2.4.3).  Example::
+        other MRMs" (§2.4.3).  More than one top-level group adds a root
+        level above them.  Example::
 
-            registry.deploy_tree({
+            registry.deploy({
                 "west": {"c0": [...], "c1": [...]},
                 "east": {"c2": [...], "c3": [...]},
             })
 
-        builds root -> {west, east} -> {c0..c3} -> nodes.
+        builds root -> {west, east} -> {c0..c3} -> nodes.  The whole
+        tree is validated first: a bad tree raises
+        :class:`ConfigurationError` with nothing deployed.
         """
-        if not tree:
-            raise ConfigurationError("empty hierarchy level")
-        is_root_call = not _parent_iors
-        if is_root_call and len(tree) > 1:
-            first_hosts = _first_hosts(tree)
+        self._validate(tree, set())
+        parent_iors: tuple = ()
+        if len(tree) > 1:
+            # Root level: MRMs whose members are the top groups'
+            # aggregates.  Placed in the first leaf group, offset past
+            # the hosts the levels below will occupy.
             root_hosts = self._pick_mrm_hosts(
-                first_hosts, offset=self.config.replicas * _tree_height(tree))
+                _first_hosts(tree),
+                offset=self.config.replicas * _tree_height(tree))
             self.root = Group(ROOT_GROUP, member_hosts=[],
                               mrm_hosts=root_hosts)
             for host in root_hosts:
                 self.root.agents.append(
                     MrmAgent(self.nodes[host], ROOT_GROUP,
                              config=self.mrm_config))
-            _parent_iors = tuple(self.root.mrm_iors())
+            parent_iors = tuple(self.root.mrm_iors())
+        self._deploy_level(tree, parent_iors)
 
+    def _validate(self, tree: dict, seen: set[str]) -> None:
+        if not tree:
+            raise ConfigurationError("empty hierarchy level")
         for group_id, content in tree.items():
             if group_id == ROOT_GROUP:
                 raise ConfigurationError(
                     f"group id {ROOT_GROUP!r} is reserved")
+            if group_id in seen:
+                raise ConfigurationError(
+                    f"group id {group_id!r} used twice")
+            seen.add(group_id)
             if isinstance(content, dict):
+                self._validate(content, seen)
+                continue
+            if not content:
+                raise ConfigurationError(f"group {group_id!r} is empty")
+            for host in content:
+                if host not in self.nodes:
+                    raise ConfigurationError(
+                        f"group {group_id!r}: unknown host {host!r}")
+
+    def _deploy_level(self, tree: dict, parent_iors: tuple) -> None:
+        for group_id, content in tree.items():
+            nested = isinstance(content, dict)
+            if nested:
                 # an intermediate level: MRMs whose members are the
                 # child groups' aggregates
-                hosts = self._pick_mrm_hosts(
+                group = Group(group_id, member_hosts=[])
+                group.mrm_hosts = self._pick_mrm_hosts(
                     _first_hosts(content),
                     offset=self.config.replicas * _tree_height(content))
-                mid = Group(group_id, member_hosts=[], mrm_hosts=hosts)
-                for host in hosts:
-                    mid.agents.append(MrmAgent(
-                        self.nodes[host], group_id,
-                        config=self.mrm_config,
-                        parent_iors=_parent_iors))
-                self.groups[group_id] = mid
-                self.deploy_tree(content,
-                                 _parent_iors=tuple(mid.mrm_iors()),
-                                 _level=group_id)
             else:
-                hosts = list(content)
-                if not hosts:
-                    raise ConfigurationError(
-                        f"group {group_id!r} is empty")
-                group = Group(group_id, member_hosts=hosts)
-                group.mrm_hosts = self._pick_mrm_hosts(hosts)
-                for host in group.mrm_hosts:
-                    group.agents.append(MrmAgent(
-                        self.nodes[host], group_id,
-                        config=self.mrm_config,
-                        parent_iors=_parent_iors))
-                self.groups[group_id] = group
-                self._wire_members(group)
-                if self.config.supervise:
-                    self.supervisors.append(MrmSupervisor(
-                        self, group,
-                        interval=self.config.supervise_interval))
+                group = Group(group_id, member_hosts=list(content))
+                group.mrm_hosts = self._pick_mrm_hosts(group.member_hosts)
+            for host in group.mrm_hosts:
+                group.agents.append(MrmAgent(
+                    self.nodes[host], group_id, config=self.mrm_config,
+                    parent_iors=parent_iors))
+            self.groups[group_id] = group
+            if nested:
+                self._deploy_level(content, tuple(group.mrm_iors()))
+                continue
+            self._wire_members(group)
+            if self.config.supervise:
+                self.supervisors.append(MrmSupervisor(
+                    self, group, interval=self.config.supervise_interval))
 
     def _pick_mrm_hosts(self, hosts: list[str], offset: int = 0
                         ) -> list[str]:
@@ -297,12 +266,6 @@ class DistributedRegistry:
             tolerance=self.config.prediction_tolerance, phase=phase)
 
     # -- post-deployment -----------------------------------------------------------
-    def group_of(self, host: str) -> Group:
-        for group in self.groups.values():
-            if host in group.member_hosts:
-                return group
-        raise ConfigurationError(f"host {host!r} is in no group")
-
     def all_mrm_agents(self) -> list[MrmAgent]:
         agents = [a for g in self.groups.values() for a in g.agents]
         if self.root is not None:

@@ -23,7 +23,7 @@ exactly the soft-state recovery story the paper tells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.orb.core import InterfaceDef, Servant, op
@@ -89,18 +89,18 @@ class ChildRecord:
 
 
 class MrmConfig:
-    """Timing knobs of one MRM (shared with its reporters)."""
+    """Timing knobs of one MRM (shared with its reporters).
+
+    The MRM sweeps expired members once per ``update_interval``.
+    """
 
     def __init__(self, update_interval: float = 5.0,
                  member_timeout: Optional[float] = None,
-                 sweep_interval: Optional[float] = None,
                  query_timeout: float = 2.0,
                  query_ttl: int = 4) -> None:
         self.update_interval = update_interval
         self.member_timeout = (member_timeout if member_timeout is not None
                                else 3.0 * update_interval)
-        self.sweep_interval = (sweep_interval if sweep_interval is not None
-                               else update_interval)
         self.query_timeout = query_timeout
         self.query_ttl = query_ttl
 
@@ -168,7 +168,7 @@ class MrmAgent:
 
     def _sweep_loop(self):
         while True:
-            yield self.env.timeout(self.config.sweep_interval)
+            yield self.env.timeout(self.config.update_interval)
             deadline = self.env.now - self.config.member_timeout
             for host in [h for h, rec in self.members.items()
                          if rec.last_seen < deadline]:

@@ -11,7 +11,7 @@ failover path measured by the C5 benchmark.
 
 :class:`MrmSupervisor` adds the adaptive part: a watchdog running on the
 group's first non-MRM member pings the replicas; when one stays dead
-past ``failures_needed`` probes, a fresh MRM is *promoted* on a healthy
+past ``FAILURES_NEEDED`` probes, a fresh MRM is *promoted* on a healthy
 member host, and the group's reporters/resolvers are retargeted (the
 announce step).  Promotions are counted and timed for the benchmark.
 """
@@ -29,16 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ALIVE = MRM_IFACE.operations["is_mrm_alive"]
 
+#: consecutive failed probes before a replica is declared dead
+FAILURES_NEEDED = 2
+
 
 class MrmSupervisor:
     """Watches one group's MRM replicas; promotes replacements."""
 
     def __init__(self, registry: "DistributedRegistry", group: "Group",
-                 interval: float = 5.0, failures_needed: int = 2) -> None:
+                 interval: float = 5.0) -> None:
         self.registry = registry
         self.group = group
         self.interval = interval
-        self.failures_needed = failures_needed
         self.promotions: list[tuple[float, str, str]] = []  # (t, old, new)
         self._fail_counts: dict[str, int] = {}
         watch_host = self._pick_watch_host()
@@ -70,7 +72,7 @@ class MrmSupervisor:
         except SystemException:
             count = self._fail_counts.get(host, 0) + 1
             self._fail_counts[host] = count
-            if count >= self.failures_needed:
+            if count >= FAILURES_NEEDED:
                 self._promote(agent)
 
     def _promote(self, dead_agent: MrmAgent) -> None:

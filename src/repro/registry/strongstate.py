@@ -26,17 +26,19 @@ METER = "registry.strong"
 _REPORT = MRM_IFACE.operations["report"]
 _ACK = MRM_IFACE.operations["member_hosts"]
 
+#: heartbeats per soft-state update interval
+HEARTBEAT_DIVISOR = 5.0
+
 
 class StrongStateReporter:
     """Immediate, acknowledged change propagation + fast heartbeats."""
 
     def __init__(self, node, mrm_iors: Sequence[IOR], config: MrmConfig,
-                 heartbeat_divisor: float = 5.0, retries: int = 2,
-                 meter: str = METER) -> None:
+                 retries: int = 2, meter: str = METER) -> None:
         self.node = node
         self.mrm_iors = list(mrm_iors)
         self.config = config
-        self.heartbeat = config.update_interval / heartbeat_divisor
+        self.heartbeat = config.update_interval / HEARTBEAT_DIVISOR
         self.retries = retries
         self.meter = meter
         self.reports_sent = 0

@@ -19,6 +19,9 @@ from repro.sim.kernel import Environment
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 
+#: how long after the original a duplicated message is delivered again
+DUP_DELAY = 0.002
+
 
 @dataclass(frozen=True)
 class WireFaultProfile:
@@ -26,7 +29,7 @@ class WireFaultProfile:
 
     ``corrupt`` flips 1..``max_flips`` random bits in the payload,
     ``truncate`` cuts the payload at a random boundary, ``duplicate``
-    delivers the message a second time ``dup_delay`` later, ``reorder``
+    delivers the message a second time ``DUP_DELAY`` later, ``reorder``
     holds the message back by ``reorder_delay`` so traffic sent after it
     arrives first.  Corruption and truncation only act on ``bytes``
     payloads (the ORB's GIOP frames); opaque payloads pass unharmed.
@@ -37,7 +40,6 @@ class WireFaultProfile:
     duplicate: float = 0.0
     reorder: float = 0.0
     max_flips: int = 4
-    dup_delay: float = 0.002
     reorder_delay: float = 0.05
 
     def __post_init__(self) -> None:
@@ -98,7 +100,6 @@ class WireFaultModel:
         """
         extra_delay = 0.0
         duplicated = False
-        dup_delay = 0.0
         for link in links:
             profile = self.profile_for(link)
             if profile is None or not profile.active:
@@ -115,14 +116,13 @@ class WireFaultModel:
                     self.metrics.counter("net.corrupted.truncate").inc()
             if profile.duplicate and self.rng.random() < profile.duplicate:
                 duplicated = True
-                dup_delay = max(dup_delay, profile.dup_delay)
                 self.metrics.counter("net.corrupted.duplicate").inc()
             if profile.reorder and self.rng.random() < profile.reorder:
                 extra_delay += profile.reorder_delay
                 self.metrics.counter("net.corrupted.reorder").inc()
         deliveries = [(payload, extra_delay)]
         if duplicated:
-            deliveries.append((payload, extra_delay + dup_delay))
+            deliveries.append((payload, extra_delay + DUP_DELAY))
         return deliveries
 
     def _flip_bits(self, payload, max_flips: int) -> Optional[bytes]:

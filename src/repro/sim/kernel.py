@@ -333,8 +333,8 @@ class AllOf(Condition):
 class Environment:
     """The simulation clock and event queue."""
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_proc: Optional[Process] = None

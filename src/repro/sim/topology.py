@@ -201,9 +201,6 @@ class Topology:
     def links(self) -> list[Link]:
         return list(self._links)
 
-    def neighbors(self, host_id: str) -> list[str]:
-        return list(self._adj[host_id])
-
     # -- liveness / partitions ----------------------------------------------
     def _invalidate(self) -> None:
         self._trees.clear()

@@ -1,19 +1,17 @@
 """Tooling layered on the reflection architecture.
 
-The paper's future work includes "implement visual building tools
-allowing users to build applications based on all available network
-components" (§5), with the Component Registry explicitly feeding
-"visual builder tools ... the palette of available components,
-instances and connections among them" (§2.4.2).
-
-- :mod:`repro.tools.builder` — that palette, plus a validating assembly
-  builder (the model a GUI would sit on).
 - :mod:`repro.tools.licensing` — pay-per-use accounting over container
   events (§2.1.1 "pay-per-use information: describes the licensing
   model for this component").
+
+The command-line front ends live beside it: ``lint`` (descriptors and
+IDL), ``simlint`` (the source tree itself, C20), ``chaos`` (seeded
+campaigns, C19) and ``obs_report``.  The paper's visual builder (§5
+future work) is not modelled: an application is an
+:class:`~repro.xmlmeta.descriptors.AssemblyDescriptor` built directly
+and checked by :class:`~repro.analysis.DeploymentGate`.
 """
 
-from repro.tools.builder import AssemblyBuilder, NetworkPalette
 from repro.tools.licensing import UsageMeter
 
-__all__ = ["NetworkPalette", "AssemblyBuilder", "UsageMeter"]
+__all__ = ["UsageMeter"]

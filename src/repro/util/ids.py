@@ -27,10 +27,6 @@ class IdGenerator:
         """Return the next identifier for *prefix*."""
         return f"{prefix}-{next(self._counters[prefix])}"
 
-    def next_int(self, prefix: str) -> int:
-        """Return the next integer in the *prefix* counter."""
-        return next(self._counters[prefix])
-
     def reset(self) -> None:
         """Restart every counter at zero."""
         self._counters.clear()

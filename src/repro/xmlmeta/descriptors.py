@@ -268,9 +268,6 @@ class ComponentTypeDescriptor:
                 raise ValidationError(f"duplicate port name {port.name!r}")
             seen.add(port.name)
 
-    def provided_ids(self) -> set[str]:
-        return {p.repo_id for p in self.provides}
-
     def required_components(self) -> list[PortDecl]:
         return [p for p in self.uses if not p.optional]
 

@@ -1,16 +1,12 @@
-"""Unit tests for DII, the interface repository and event channels."""
+"""Unit tests for dynamic invocation, the interface repository and
+event channels."""
 
 import pytest
 
 from repro.orb import codegen
 from repro.orb.cdr import Any
 from repro.orb.core import InterfaceDef, ORB, Servant, op
-from repro.orb.dii import (
-    GLOBAL_IFR,
-    InterfaceRepository,
-    Request,
-    request_from_ifr,
-)
+from repro.orb.dii import InterfaceRepository
 from repro.orb.exceptions import BAD_OPERATION, BAD_PARAM
 from repro.orb.services.events import (
     CallbackPushConsumer,
@@ -73,34 +69,42 @@ class TestInterfaceRepository:
 
 
 class TestDII:
+    """Dynamic invocation: an operation signature known only at run
+    time, handed to ``ORB.invoke`` -- no generated stub, no request
+    object."""
+
     def test_manual_request(self, rig):
         env, server, client, ior = rig
-        req = (Request(client, ior, "add")
-               .add_in_arg("a", tc_long, 20)
-               .add_in_arg("b", tc_long, 22)
-               .set_return_type(tc_long))
-        assert req.invoke_sync() == 42
+        add = op("add", [("a", tc_long), ("b", tc_long)], tc_long)
+        assert client.sync(client.invoke(ior, add, (20, 22))) == 42
 
     def test_request_from_ifr(self, rig):
         env, server, client, ior = rig
         ifr = InterfaceRepository()
         ifr.register(CALC)
-        req = request_from_ifr(client, ifr, ior, "add", (1, 2))
-        assert req.invoke_sync() == 3
+        add = ifr.require(ior.repo_id).find_operation("add")
+        assert client.sync(client.invoke(ior, add, (1, 2))) == 3
 
     def test_request_from_ifr_checks_operation(self, rig):
         env, server, client, ior = rig
         ifr = InterfaceRepository()
         ifr.register(CALC)
+        assert ifr.require(ior.repo_id).find_operation("mul") is None
+        # a hand-built signature the target does not declare is
+        # refused by the server
+        mul = op("mul", [("a", tc_long), ("b", tc_long)], tc_long)
         with pytest.raises(BAD_OPERATION):
-            request_from_ifr(client, ifr, ior, "mul", (1, 2))
+            client.sync(client.invoke(ior, mul, (1, 2)))
 
     def test_request_from_ifr_checks_arity(self, rig):
         env, server, client, ior = rig
         ifr = InterfaceRepository()
         ifr.register(CALC)
+        add = ifr.require(ior.repo_id).find_operation("add")
+        sent = client.metrics.get("orb.requests")
         with pytest.raises(BAD_PARAM):
-            request_from_ifr(client, ifr, ior, "add", (1,))
+            client.invoke(ior, add, (1,))
+        assert client.metrics.get("orb.requests") == sent
 
 
 class TestEventChannel:

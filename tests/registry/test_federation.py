@@ -11,6 +11,7 @@ from repro.registry.federation import (
     RecordStore,
     ShardRing,
 )
+from repro.registry.federation.shard import FULL_SYNC_EVERY
 from repro.registry.groups import (
     DistributedRegistry,
     RegistryConfig,
@@ -252,8 +253,7 @@ class TestFederationChurn:
         # Bounded convergence: a few full-sync periods repopulate the
         # wiped store and re-merge the membership views.
         rig.run(until=rig.env.now
-                + 3 * fed.config.full_sync_every
-                * fed.config.gossip_interval)
+                + 3 * FULL_SYNC_EVERY * fed.config.gossip_interval)
         agent = fed.agents[victim]
         assert agent.store.lookup(COUNTER_IFACE.repo_id)
         assert fed.owner_views_agree()
@@ -305,7 +305,7 @@ def test_back_end_contract(build):
     rig.topology.set_host_state("c1h2", alive=False)
     config = registry.config.mrm_config()
     rig.run(until=rig.env.now + config.member_timeout
-            + config.sweep_interval)
+            + config.update_interval)
     assert registry.live_hosts() == population - {"c1h2"}
 
 

@@ -22,7 +22,7 @@ def three_level_rig(seed=50):
     def cluster(i):
         return [h for h in hosts if h.startswith(f"c{i}")]
 
-    dr.deploy_tree({
+    dr.deploy({
         "west": {"c0": cluster(0), "c1": cluster(1)},
         "east": {"c2": cluster(2), "c3": cluster(3)},
     })
@@ -78,20 +78,67 @@ class TestTreeDeployment:
         rig = SimRig(clustered(1, 2), seed=51)
         dr = DistributedRegistry(rig.nodes, RegistryConfig())
         with pytest.raises(ConfigurationError):
-            dr.deploy_tree({})
+            dr.deploy({})
         with pytest.raises(ConfigurationError):
-            dr.deploy_tree({"g": []})
+            dr.deploy({"g": []})
         with pytest.raises(ConfigurationError):
-            dr.deploy_tree({ROOT_GROUP: ["c0h0"], "g": ["c0h1"]})
+            dr.deploy({ROOT_GROUP: ["c0h0"], "g": ["c0h1"]})
 
     def test_single_level_tree_equals_flat_deploy(self):
         rig = SimRig(clustered(1, 3), seed=52)
         rig.node("c0h2").install_package(counter_package())
         dr = DistributedRegistry(rig.nodes,
                                  RegistryConfig(update_interval=2.0))
-        dr.deploy_tree({"only": rig.topology.host_ids()})
+        dr.deploy({"only": rig.topology.host_ids()})
         assert dr.root is None  # one group: no root level
         rig.run(until=dr.settle_time())
         ior = rig.run(until=rig.node("c0h0").request_component(
             COUNTER_IFACE.repo_id))
         assert ior.host_id == "c0h2"
+
+
+def _c(i):
+    return [f"c{i}h0", f"c{i}h1", f"c{i}h2"]
+
+
+class TestDeployIsAllOrNothing:
+    """A bad tree is refused before anything is stood up.
+
+    Validating level by level while deploying left a half-built
+    registry behind: ``{"a": hosts[:2], "b": []}`` raised only after the
+    root MRM, group ``a``, its agents with live loops and its reporters
+    already existed.
+    """
+
+    BAD_TREES = {
+        "empty group": {"a": _c(0)[:2], "b": []},
+        "nested empty group": {"west": {"c0": _c(0), "c1": []},
+                               "east": {"c2": _c(2)}},
+        "reserved root id": {"west": {"c0": _c(0), ROOT_GROUP: _c(1)},
+                             "east": {"c2": _c(2)}},
+        "empty level": {"west": {"c0": _c(0), "c1": _c(1)}, "east": {}},
+        "empty tree": {},
+        "id used twice": {"west": {"c0": _c(0)}, "east": {"c0": _c(2)}},
+        "unknown host": {"west": {"c0": _c(0)}, "east": {"c2": ["nowhere"]}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TREES))
+    def test_bad_tree_deploys_nothing(self, case):
+        rig = SimRig(clustered(3, 3), seed=53)
+        dr = DistributedRegistry(rig.nodes, RegistryConfig(supervise=True))
+
+        def footprint():
+            return ({host: (sorted(node.orb.adapter("node")._servants),
+                            len(node.host.on_crash), node.resolver)
+                     for host, node in rig.nodes.items()},
+                    len(rig.env._queue))
+
+        before = footprint()
+        with pytest.raises(ConfigurationError):
+            dr.deploy(self.BAD_TREES[case])
+        assert dr.groups == {} and dr.root is None
+        assert dr.reporters == {} and dr.resolvers == {}
+        assert dr.supervisors == []
+        # no MRM servant activated, no host loop hooked or scheduled,
+        # no resolver installed
+        assert footprint() == before

@@ -61,7 +61,7 @@ class TestPlacementSpread:
         rig = SimRig(clustered(4, 3), seed=93)
         dr = DistributedRegistry(rig.nodes, RegistryConfig())
         hosts = groups_by_cluster(rig.topology.host_ids())
-        dr.deploy_tree({
+        dr.deploy({
             "west": {"c0": hosts["c0"], "c1": hosts["c1"]},
             "east": {"c2": hosts["c2"], "c3": hosts["c3"]},
         })

@@ -1,141 +1,107 @@
-"""Tests for the builder palette, assembly builder, and usage metering."""
+"""Tests for hand-built assemblies and usage metering.
+
+There is no builder tool: an application is an
+:class:`~repro.xmlmeta.descriptors.AssemblyDescriptor` built directly,
+and the one assembly validator -- ``analysis.assembly.check_assembly``,
+run by :class:`~repro.analysis.DeploymentGate` against the packages
+live nodes hold -- refuses what a builder would have refused.
+"""
 
 import pytest
 
-from repro.tools.builder import AssemblyBuilder, NetworkPalette
+from repro.analysis import AssemblyRejected, DeploymentGate
 from repro.tools.licensing import UsageMeter
 from repro.cscw import (
     display_package,
     gui_part_package,
     whiteboard_package,
 )
-from repro.testing import COUNTER_IFACE, counter_package, star_rig
+from repro.testing import counter_package, star_rig
 from repro.util.errors import ValidationError
-from repro.xmlmeta.descriptors import QoSSpec
+from repro.xmlmeta.descriptors import (
+    AssemblyConnection,
+    AssemblyDescriptor,
+    AssemblyInstance,
+)
 
-
-class TestNetworkPalette:
-    @pytest.fixture
-    def rig(self):
-        r = star_rig(2)
-        r.node("hub").install_package(whiteboard_package())
-        r.node("hub").install_package(counter_package())
-        r.node("h0").install_package(counter_package())
-        r.node("hub").container.create_instance("Counter")
-        return r
-
-    def test_gather_components_and_instances(self, rig):
-        palette = rig.run(until=NetworkPalette.gather(
-            rig.node("h1"), rig.topology.host_ids()))
-        assert sorted(palette.components) == ["Counter", "Whiteboard"]
-        assert sorted(palette.components["Counter"].hosts) == ["h0", "hub"]
-        assert len(palette.instances) == 1
-        assert palette.providers_of(COUNTER_IFACE.repo_id) == ["Counter"]
-
-    def test_dead_hosts_skipped(self, rig):
-        rig.topology.set_host_state("h0", alive=False)
-        palette = rig.run(until=NetworkPalette.gather(
-            rig.node("h1"), rig.topology.host_ids()))
-        assert palette.components["Counter"].hosts == ["hub"]
-
-    def test_render_mentions_everything(self, rig):
-        a = rig.node("hub").container.create_instance("Counter")
-        b = rig.node("hub").container.create_instance("Counter")
-        rig.node("hub").container.connect(
-            a.instance_id, "peer", b.ports.facet("value").ior)
-        palette = rig.run(until=NetworkPalette.gather(
-            rig.node("h1"), rig.topology.host_ids()))
-        text = palette.render()
-        assert "Counter" in text and "Whiteboard" in text
-        assert a.instance_id in text
-        assert "-> IOR:" in text   # live connection rendered
-        assert len(palette.connections()) == 1
+BOARD_APP = [AssemblyInstance("board", "Whiteboard"),
+             AssemblyInstance("gui", "BoardGui"),
+             AssemblyInstance("screen", "Display")]
+BOARD_WIRING = [
+    AssemblyConnection("gui", "display", "screen", "graphics"),
+    AssemblyConnection("gui", "board", "board", "changes", kind="event"),
+]
 
 
 class TestAssemblyBuilder:
-    def builder(self):
-        b = AssemblyBuilder("wb")
-        b.register_package(whiteboard_package())
-        b.register_package(gui_part_package())
-        b.register_package(display_package())
-        return b
+    """What a builder tool checks, held by the descriptor and the gate."""
 
-    def test_valid_assembly_builds(self):
-        asm = (self.builder()
-               .add("board", "Whiteboard")
-               .add("gui", "BoardGui")
-               .add("screen", "Display")
-               .connect("gui", "display", "screen", "graphics")
-               .subscribe("gui", "board", "board", "changes")
-               .build())
-        assert asm.name == "wb"
+    @pytest.fixture
+    def rig(self):
+        r = star_rig(2)
+        hub = r.node("hub")
+        for package in (whiteboard_package(), gui_part_package(),
+                        display_package(), counter_package()):
+            hub.install_package(package)
+        return r
+
+    def rejected(self, rig, instances, connections=()):
+        assembly = AssemblyDescriptor("wb", list(instances),
+                                      list(connections))
+        with pytest.raises(AssemblyRejected) as info:
+            DeploymentGate().check(assembly, rig.nodes)
+        return {finding.code for finding in info.value.findings}
+
+    def test_valid_assembly_builds(self, rig):
+        asm = AssemblyDescriptor("wb", BOARD_APP, BOARD_WIRING)
+        diag = DeploymentGate().check(asm, rig.nodes)
+        assert not diag.has_errors()
         assert len(asm.instances) == 3
         assert len(asm.connections) == 2
 
-    def test_unknown_component_rejected(self):
-        with pytest.raises(ValidationError, match="unknown component"):
-            self.builder().add("x", "Ghost")
+    def test_unknown_component_rejected(self, rig):
+        assert "ASM001" in self.rejected(
+            rig, [AssemblyInstance("x", "Ghost")])
 
     def test_duplicate_instance_rejected(self):
-        b = self.builder().add("a", "Display")
         with pytest.raises(ValidationError, match="duplicate"):
-            b.add("a", "Display")
+            AssemblyDescriptor("wb", [AssemblyInstance("a", "Display"),
+                                      AssemblyInstance("a", "Display")])
 
-    def test_interface_type_mismatch_rejected(self):
-        b = (self.builder()
-             .add("gui", "BoardGui")
-             .add("board", "Whiteboard"))
+    def test_interface_type_mismatch_rejected(self, rig):
         # gui.display needs Display, board.surface offers Surface
-        with pytest.raises(ValidationError, match="type mismatch"):
-            b.connect("gui", "display", "board", "surface")
+        assert "ASM007" in self.rejected(rig, BOARD_APP[:2], [
+            AssemblyConnection("gui", "display", "board", "surface")])
 
-    def test_unknown_ports_rejected(self):
-        b = (self.builder()
-             .add("gui", "BoardGui")
-             .add("screen", "Display"))
-        with pytest.raises(ValidationError, match="no receptacle"):
-            b.connect("gui", "nonexistent", "screen", "graphics")
-        with pytest.raises(ValidationError, match="no facet"):
-            b.connect("gui", "display", "screen", "nonexistent")
+    def test_unknown_ports_rejected(self, rig):
+        assert "ASM005" in self.rejected(rig, BOARD_APP[1:], [
+            AssemblyConnection("gui", "nonexistent", "screen",
+                               "graphics")])
+        assert "ASM005" in self.rejected(rig, BOARD_APP[1:], [
+            AssemblyConnection("gui", "display", "screen",
+                               "nonexistent")])
 
-    def test_event_kind_mismatch_rejected(self):
-        b = AssemblyBuilder("x")
-        b.register_package(counter_package())
-        b.register_package(whiteboard_package())
-        b.add("c", "Counter").add("board", "Whiteboard")
+    def test_event_kind_mismatch_rejected(self, rig):
         # counter's 'pokes' sink consumes demo.poke; board emits cscw.stroke
-        with pytest.raises(ValidationError, match="kind mismatch"):
-            b.subscribe("c", "pokes", "board", "changes")
+        assert "ASM008" in self.rejected(
+            rig, [AssemblyInstance("c", "Counter"), BOARD_APP[0]],
+            [AssemblyConnection("c", "pokes", "board", "changes",
+                                kind="event")])
 
-    def test_unsatisfied_mandatory_receptacle_blocks_build(self):
-        b = self.builder().add("gui", "BoardGui")
-        # gui.display is mandatory and unwired
-        assert b.unsatisfied_receptacles() == [("gui", "display")]
-        with pytest.raises(ValidationError, match="unsatisfied"):
-            b.build()
-        asm = b.build(allow_unsatisfied=True)
-        assert len(asm.instances) == 1
+    def test_unsatisfied_mandatory_receptacle_reported(self, rig):
+        # gui.display is mandatory and unwired: reported, not blocking
+        asm = AssemblyDescriptor("wb", [BOARD_APP[1]])
+        diag = DeploymentGate().check(asm, rig.nodes)
+        assert diag.codes() == {"ASM010"}
+        assert not diag.has_errors()
 
-    def test_empty_assembly_rejected(self):
-        with pytest.raises(ValidationError, match="no instances"):
-            AssemblyBuilder("empty").build()
-
-    def test_built_assembly_deploys(self):
-        """The builder's output is directly consumable by the Deployer."""
+    def test_built_assembly_deploys(self, rig):
+        """A hand-built descriptor is directly consumable by the
+        Deployer, with the gate in front of it."""
         from repro.deployment import Deployer, RuntimePlanner
-        rig = star_rig(2)
-        hub = rig.node("hub")
-        hub.install_package(whiteboard_package())
-        hub.install_package(gui_part_package())
-        hub.install_package(display_package())
-        asm = (self.builder()
-               .add("board", "Whiteboard")
-               .add("gui", "BoardGui")
-               .add("screen", "Display")
-               .connect("gui", "display", "screen", "graphics")
-               .subscribe("gui", "board", "board", "changes")
-               .build())
-        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        asm = AssemblyDescriptor("wb", BOARD_APP, BOARD_WIRING)
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub",
+                       gate=DeploymentGate())
         app = rig.run(until=dep.deploy(asm))
         assert set(app.placement) == {"board", "gui", "screen"}
 
