@@ -11,7 +11,13 @@ pasted into a change description.  The ledger holds
   program counters, the codec call counts), each taken from
   ``benchmarks/spine/run.py --workload W --trace 0`` run as a
   subprocess;
-- the chaos report digest of seeds 1-5, 139 and 163.
+- the chaos report digest of seeds 1-5, 139 and 163;
+- the instrument's records (``instrument``): every retained span,
+  histogram, gauge and counter of two instrumented runs -- the
+  fault-free ``cscw_session`` stroke pass at seed 11 and the chaos
+  campaign of seed 139, whose faults bring timeouts, exception replies
+  and retries -- as a readable summary plus one SHA-256 over a
+  canonical dump of all of them.
 
 A change that moves a simulated number regenerates the ledger in the
 same commit, so the JSON diff *is* the claim::
@@ -25,9 +31,11 @@ same commit, so the JSON diff *is* the claim::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +48,9 @@ SEEDS = (5, 11)
 #: fixed work: each workload runs its ``rate`` x this many ops.
 WINDOW_S = 1.0
 CHAOS_SEEDS = (1, 2, 3, 4, 5, 139, 163)
+#: the instrumented runs of the ``instrument`` block.
+INSTRUMENT_STROKE_SEED = 11
+INSTRUMENT_CHAOS_SEED = 139
 
 #: end-to-end metrics the simulation determines (the others are host
 #: wall-clock and memory figures).
@@ -83,12 +94,81 @@ def chaos_digest(seed: int) -> str:
     return run_campaign(seed).digest()
 
 
+def instrument_record(hub, metrics) -> dict:
+    """One instrumented run's records: spans by (name, kind, status),
+    the byte slots by span kind (legs with a message, their byte sum),
+    count / total / min / max per histogram, count / total / max / last
+    per gauge, and the SHA-256 of a canonical dump of every retained
+    span, histogram, gauge and counter."""
+    spans = list(hub.tracer.spans)
+    histograms = metrics.histograms()
+    gauges = metrics.gauges()
+    slots: dict = {}
+    for span in spans:
+        for slot, size in (("bytes_in", span.bytes_in),
+                           ("bytes_out", span.bytes_out)):
+            if size is not None:
+                entry = slots.setdefault(span.kind, {}).setdefault(
+                    slot, [0, 0])
+                entry[0] += 1
+                entry[1] += size
+    dump = {
+        "spans_started": hub.tracer.started,
+        "spans": [[s.trace_id, s.span_id, s.parent_id, s.name, s.kind,
+                   s.host, s.start, s.end, s.status, s.error, s.bytes_in,
+                   s.bytes_out, s.attrs] for s in spans],
+        "histograms": {name: [h.count, h.total, h.min(), h.max(), h.counts]
+                       for name, h in histograms.items()},
+        "gauges": {name: [g.count, g.total, g.max(), g.last]
+                   for name, g in gauges.items()},
+        "counters": metrics.counters(),
+    }
+    canonical = json.dumps(dump, sort_keys=True, separators=(",", ":"),
+                           default=repr)
+    return {
+        "spans_started": hub.tracer.started,
+        "spans": dict(sorted(Counter(
+            f"{s.name} {s.kind} {s.status}" for s in spans).items())),
+        "span_bytes": slots,
+        "histograms": {name: [h.count, h.total] + (
+            [h.min(), h.max()] if h.count else [None, None])
+            for name, h in histograms.items()},
+        "gauges": {name: [g.count, g.total] + (
+            [g.max(), g.last] if g.count else [None, None])
+            for name, g in gauges.items()},
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+    }
+
+
+def stroke_instrument(seed: int) -> dict:
+    """:func:`instrument_record` of the ``cscw_session`` pass at *seed*
+    (set-up, warm-up and the ``WINDOW_S`` window; no faults)."""
+    from spine.passes import run_pass
+    rig = run_pass("cscw_session", seed, WINDOW_S)["_workload"].world.rig
+    return instrument_record(rig.obs, rig.metrics)
+
+
+def chaos_instrument(seed: int) -> dict:
+    """:func:`instrument_record` of the chaos campaign of *seed*."""
+    from repro.chaos.campaign import ChaosCampaign
+    from repro.chaos.scenario import build_world
+    world = build_world(seed)
+    ChaosCampaign(world).run()
+    return instrument_record(world.rig.obs, world.rig.metrics)
+
+
 def build() -> dict:
     return {
         "window_s": WINDOW_S,
         "workloads": {w: {str(s): workload_record(w, s) for s in SEEDS}
                       for w in WORKLOADS},
         "chaos_digests": {str(s): chaos_digest(s) for s in CHAOS_SEEDS},
+        "instrument": {
+            f"cscw_session.seed{INSTRUMENT_STROKE_SEED}":
+                stroke_instrument(INSTRUMENT_STROKE_SEED),
+            f"chaos.seed{INSTRUMENT_CHAOS_SEED}":
+                chaos_instrument(INSTRUMENT_CHAOS_SEED),
+        },
     }
 
 

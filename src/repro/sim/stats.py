@@ -180,6 +180,9 @@ class MetricRegistry:
     def histograms(self) -> dict[str, Histogram]:
         return dict(self._histograms)
 
+    def gauges(self) -> dict[str, Gauge]:
+        return dict(self._gauges)
+
     def add_labelled(self, name: str, label: str, amount: float = 1.0) -> None:
         """Accumulate into a labelled counter family (e.g. bytes per link)."""
         self._labelled[name][label] = self._labelled[name].get(label, 0.0) + amount

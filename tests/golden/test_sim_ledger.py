@@ -1,8 +1,9 @@
 """The sim-exact ledger (``tests/golden/sim_ledger.json``) still holds.
 
 ``make check`` compares all of it (``benchmarks/sim_ledger.py
---check``); here, ``cscw_session`` at seed 11 and the chaos report
-digests of seeds 3 and 139.  A change that moves a simulated number
+--check``); here, ``cscw_session`` at seed 11, the chaos report
+digests of seeds 3 and 139, and both runs of the instrument block (every
+span, histogram, gauge and counter).  A change that moves a simulated number
 regenerates the ledger with ``make golden`` in the same commit.
 
 The check must see one byte: a run with one reply padded by a trailing
@@ -54,6 +55,14 @@ def test_cscw_session_matches_the_ledger():
 def test_chaos_digest_matches_the_ledger(seed):
     assert sim_ledger.chaos_digest(seed) == \
         GOLDEN["chaos_digests"][str(seed)]
+
+
+def test_instrument_records_match_the_ledger():
+    golden = GOLDEN["instrument"]
+    stroke = sim_ledger.stroke_instrument(sim_ledger.INSTRUMENT_STROKE_SEED)
+    chaos = sim_ledger.chaos_instrument(sim_ledger.INSTRUMENT_CHAOS_SEED)
+    assert sim_ledger.diff(golden["cscw_session.seed11"], stroke) == []
+    assert sim_ledger.diff(golden["chaos.seed139"], chaos) == []
 
 
 def test_one_padded_reply_moves_the_ledger(tmp_path):
