@@ -157,18 +157,37 @@ def chaos_instrument(seed: int) -> dict:
     return instrument_record(world.rig.obs, world.rig.metrics)
 
 
+def instrument() -> dict:
+    """The ``instrument`` block, built in this process."""
+    return {
+        f"cscw_session.seed{INSTRUMENT_STROKE_SEED}":
+            stroke_instrument(INSTRUMENT_STROKE_SEED),
+        f"chaos.seed{INSTRUMENT_CHAOS_SEED}":
+            chaos_instrument(INSTRUMENT_CHAOS_SEED),
+    }
+
+
+def instrument_block() -> dict:
+    """:func:`instrument` in a fresh interpreter, as the workload records
+    are: two whole worlds built in the caller's process (a test run's,
+    say) would leave it changed for whatever runs next there."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__)), "--instrument"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=str(ROOT))
+    if proc.returncode != 0:
+        raise RuntimeError(f"instrument block: exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def build() -> dict:
     return {
         "window_s": WINDOW_S,
         "workloads": {w: {str(s): workload_record(w, s) for s in SEEDS}
                       for w in WORKLOADS},
         "chaos_digests": {str(s): chaos_digest(s) for s in CHAOS_SEEDS},
-        "instrument": {
-            f"cscw_session.seed{INSTRUMENT_STROKE_SEED}":
-                stroke_instrument(INSTRUMENT_STROKE_SEED),
-            f"chaos.seed{INSTRUMENT_CHAOS_SEED}":
-                chaos_instrument(INSTRUMENT_CHAOS_SEED),
-        },
+        "instrument": instrument_block(),
     }
 
 
@@ -203,7 +222,13 @@ def main(argv=None) -> int:
                       help="regenerate the ledger")
     mode.add_argument("--check", action="store_true",
                       help="compare a fresh ledger with the checked-in one")
+    mode.add_argument("--instrument", action="store_true",
+                      help="print the instrument block as JSON")
     args = parser.parse_args(argv)
+    if args.instrument:
+        sys.path.insert(1, str(ROOT / "src"))
+        print(json.dumps(instrument()))
+        return 0
     fresh = build()
     if args.write:
         LEDGER.parent.mkdir(exist_ok=True)

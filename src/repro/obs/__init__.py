@@ -77,14 +77,11 @@ class Observability:
             self.metrics.gauge(DISPATCH_DEPTH_GAUGE).record)
         self.orbs.append(orb)
 
-    def install_node(self, node) -> None:
-        self.install(node.orb)
-
     def install_fleet(self, nodes) -> None:
         """Instrument every node in a dict or iterable of nodes."""
         values = nodes.values() if hasattr(nodes, "values") else nodes
         for node in values:
-            self.install_node(node)
+            self.install(node.orb)
 
     def span(self, name: str, parent=None, host=None, attrs=None):
         """Open an internal span for a framework activity (recovery,

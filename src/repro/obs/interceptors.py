@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT, TraceContext
+from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT
 
 #: histogram shapes: latency in sim-seconds from 1 µs up, sizes in
 #: bytes from 16 B up.  Fixed across the whole fleet so per-operation
@@ -45,72 +45,81 @@ class TracingInterceptor:
         self._call = cache(lambda op: f"call:{op}")
         self._serve: dict[str, str] = {}
 
+    # A leg's span is opened from the (trace, span) ints at hand and
+    # closed at the info's ``end``: nothing else ever ends a call leg.
+
     # -- client side -------------------------------------------------------
     def send_request(self, info) -> None:
-        hub = self.hub
         orb = info.orb
         # A plain servant's nested call parents under the request the
         # ORB is running right now; a process (generator servant, retry
         # loop, client) under whatever is bound to it.
         request = orb.current_request
-        parent = (request.slots.get("span") if request is not None
-                  else hub.context.current(orb.env))
-        span = hub.tracer.start_span(
-            self._call(info.odef.name), "client", parent, orb.host_id)
+        parent = (request.span if request is not None
+                  else self.hub.context.current(orb.env))
+        if parent is None:
+            trace_id = parent_id = None
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        span = self.hub.tracer.open_leg(self._call(info.odef.name), "client",
+                                        orb.host_id, trace_id, parent_id)
         info.service_context.append(
             (TRACE_CONTEXT_ID, TRACE_SLOT.pack(span.trace_id, span.span_id)))
-        info.slots["span"] = span
+        info.span = span
 
     def receive_reply(self, info) -> None:
-        span = info.slots.get("span")
+        span = info.span
         if span is not None:
             span.bytes_out = info.request_bytes
             span.bytes_in = info.reply_bytes
-            self.hub.tracer.end_span(span, status="ok")
+            span.end = info.end
+            span.status = "ok"
 
     def receive_exception(self, info, exc) -> None:
-        span = info.slots.get("span")
+        span = info.span
         if span is not None:
             span.bytes_out = info.request_bytes
-            self.hub.tracer.end_span(span, status="error",
-                                     error=_error_label(exc))
+            span.end = info.end
+            span.status = "error"
+            span.error = _error_label(exc)
 
     # -- server side -------------------------------------------------------
     def receive_request(self, info) -> None:
-        parent = None
+        trace_id = parent_id = None
         for context_id, data in info.service_context:
             # A trace slot of the wrong size is no trace slot: the
             # request starts a root span, it is not refused.
             if context_id == TRACE_CONTEXT_ID and len(data) == TRACE_SLOT.size:
-                parent = TraceContext._make(TRACE_SLOT.unpack(data))
+                trace_id, parent_id = TRACE_SLOT.unpack(data)
                 break
-        operation = info.operation
+        operation = info.request.operation
         name = self._serve.get(operation)
         if name is None:
             name = self._serve[operation] = f"serve:{operation}"
-        span = info.slots["span"] = self.hub.tracer.start_span(
-            name, "server", parent, info.orb.host_id)
+        span = info.span = self.hub.tracer.open_leg(
+            name, "server", info.orb.host_id, trace_id, parent_id)
         span.bytes_in = info.request_bytes
 
     def child_process(self, info, proc) -> None:
         # Servant generators run as nested processes; calls they make
         # must parent under this dispatch's server span.
-        span = info.slots.get("span")
+        span = info.span
         if span is not None:
             self.hub.context.bind(proc, span.context)
 
     def finish_request(self, info) -> None:
-        span = info.slots.get("span")
+        span = info.span
         if span is not None:
             span.bytes_out = info.reply_bytes
             if info.odef is None:
-                self._serve.pop(info.operation, None)
+                self._serve.pop(info.request.operation, None)
                 span.name = UNKNOWN_SERVE
+            span.end = info.end
             if info.exception is not None:
-                self.hub.tracer.end_span(span, status="error",
-                                         error=_error_label(info.exception))
+                span.status = "error"
+                span.error = _error_label(info.exception)
             else:
-                self.hub.tracer.end_span(span, status="ok")
+                span.status = "ok"
 
 
 class MetricsInterceptor:
@@ -135,11 +144,11 @@ class MetricsInterceptor:
     def send_request(self, info) -> None:
         pass
 
-    def _record_client(self, info) -> None:
+    def receive_reply(self, info) -> None:
         request_bytes, latency, reply_bytes = self._client(info.odef.name)
         request_bytes.record(info.request_bytes)
         if not info.oneway:
-            elapsed = info.latency
+            elapsed = info.end - info.start
             latency.record(elapsed)
             if info.reply_bytes:
                 reply_bytes.record(info.reply_bytes)
@@ -148,11 +157,8 @@ class MetricsInterceptor:
             if info.meter is not None:
                 self._meter(info.meter).record(elapsed)
 
-    def receive_reply(self, info) -> None:
-        self._record_client(info)
-
     def receive_exception(self, info, exc) -> None:
-        self._record_client(info)
+        self.receive_reply(info)        # the same records, then the errors
         self.metrics.counter(
             f"orb.client.errors.{info.operation}").inc()
         if info.meter is not None:
@@ -163,8 +169,8 @@ class MetricsInterceptor:
         pass
 
     def finish_request(self, info) -> None:
-        operation = (info.operation if info.odef is not None
+        operation = (info.request.operation if info.odef is not None
                      else UNKNOWN_OPERATION)
-        self._server(operation).record(info.latency)
+        self._server(operation).record(info.end - info.start)
         if info.exception is not None:
             self.metrics.counter(f"orb.server.errors.{operation}").inc()

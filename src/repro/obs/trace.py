@@ -56,8 +56,7 @@ class Span:
 
     def __init__(self, trace_id: int, span_id: int,
                  parent_id: Optional[int], name: str, kind: str,
-                 host: Optional[str], start: float,
-                 attrs: Optional[dict[str, Any]]) -> None:
+                 host: Optional[str], start: float) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -69,8 +68,9 @@ class Span:
         self.end: Optional[float] = None
         self.status = "open"
         self.error: Optional[str] = None
-        #: what the caller passed, or None: call legs carry none.
-        self.attrs = attrs
+        #: what ``start_span``'s caller passed, or None: call legs
+        #: carry none.
+        self.attrs: Optional[dict[str, Any]] = None
         #: a call leg's message sizes (None where there was no message).
         self.bytes_in: Optional[int] = None
         self.bytes_out: Optional[int] = None
@@ -117,16 +117,22 @@ class Tracer:
         """Open a span; a new trace is started when *parent* is None.
         *parent* is a :class:`TraceContext` or the parent span itself;
         the span keeps *attrs* (not a copy), or None."""
-        if parent is None:
+        span = self.open_leg(name, kind, host,
+                             getattr(parent, "trace_id", None),
+                             getattr(parent, "span_id", None))
+        span.attrs = attrs
+        return span
+
+    def open_leg(self, name: str, kind: str, host: Optional[str],
+                 trace_id: Optional[int], parent_id: Optional[int]) -> Span:
+        """:meth:`start_span` from a call leg's ints: under *parent_id* of
+        trace *trace_id*, or a new trace's root if *parent_id* is None."""
+        if parent_id is None:
             self._next_trace += 1
             trace_id = self._next_trace
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
         self.started += 1
         span = Span(trace_id, self.started, parent_id, name, kind, host,
-                    self.env.now, attrs)
+                    self.env._now)
         self.spans.append(span)
         return span
 

@@ -45,7 +45,8 @@ from repro.orb.exceptions import (
 # The interface model and the interceptor views live below the runtime
 # (model.py, interception.py) and are re-exported here, where every
 # caller has always imported them from.
-from repro.orb.interception import ClientRequestInfo, ServerRequestInfo
+from repro.orb.interception import (ClientRequestInfo, ServerRequestInfo,
+                                    bound_hook)
 from repro.orb.ior import IOR
 from repro.orb.listener import Listener
 from repro.orb.model import (
@@ -131,7 +132,10 @@ class ORB:
         self._deadline_token = 0
         #: called with the pending-table depth on every add/remove.
         self.pending_watchers: list[Callable[[int], None]] = []
-        self._client_interceptors: list[TAny] = []
+        #: client hooks bound at registration, one tuple per stage:
+        #: ``send_request`` in registration order, ``receive_reply`` and
+        #: ``receive_exception`` reversed; None until one is registered.
+        self._client_hooks: Optional[tuple[tuple, tuple, tuple]] = None
         #: the :class:`ServerRequestInfo` of the servant method on the
         #: stack right now (the role of ``PortableServer::Current``),
         #: ``None`` between servant calls and on un-intercepted ORBs.
@@ -173,18 +177,20 @@ class ORB:
     def add_client_interceptor(self, interceptor: TAny) -> None:
         """Register a client request interceptor (see
         :mod:`repro.orb.interception` for the hook order)."""
-        self._client_interceptors.append(interceptor)
+        send, reply, exception = self._client_hooks or ((), (), ())
+        self._client_hooks = (
+            send + bound_hook(interceptor, "send_request"),
+            bound_hook(interceptor, "receive_reply") + reply,
+            bound_hook(interceptor, "receive_exception") + exception)
 
     def add_server_interceptor(self, interceptor: TAny) -> None:
         """Register a server request interceptor (see
         :mod:`repro.orb.interception` for the hook order)."""
-        self.listener.interceptors.append(interceptor)
-
-    def _watch_pending(self) -> None:
-        if self.pending_watchers:
-            depth = len(self._pending)
-            for watcher in self.pending_watchers:
-                watcher(depth)
+        receive, finish, child = self.listener.hooks or ((), (), ())
+        self.listener.hooks = (
+            receive + bound_hook(interceptor, "receive_request"),
+            bound_hook(interceptor, "finish_request") + finish,
+            child + bound_hook(interceptor, "child_process"))
 
     @property
     def inflight_dispatches(self) -> int:
@@ -217,16 +223,6 @@ class ORB:
                 ior.host_id, ior.adapter, ior.object_key, operation)
             cache[key] = prefix
         return prefix
-
-    def _finish_client(self, info: ClientRequestInfo, event: Event) -> None:
-        info.end = self.env.now
-        if event.ok:
-            for icpt in reversed(self._client_interceptors):
-                icpt.receive_reply(info)
-        else:
-            exc = event.value
-            for icpt in reversed(self._client_interceptors):
-                icpt.receive_exception(info, exc)
 
     def send_oneway(
         self,
@@ -353,18 +349,18 @@ class ORB:
         ctr_oneways = (None if two_way
                        else self.metrics.counter(names.ORB_ONEWAYS))
         operation = odef.name
-        interceptors = self._client_interceptors
+        hooks = self._client_hooks
         channels = self.channels
         here = self.host_id
         total = 0
         for ior in iors:
             self._next_request_id += 1
             request_id = self._next_request_id
-            if interceptors:
+            if hooks is not None:
                 info = ClientRequestInfo(self, ior, odef, request_id, meter,
                                          not two_way)
-                for icpt in interceptors:
-                    icpt.send_request(info)
+                for hook in hooks[0]:
+                    hook(info)
                 service_context = info.service_context
             else:
                 info, service_context = None, ()
@@ -402,12 +398,11 @@ class ORB:
                 if two_way:
                     # First callback, so interceptors observe completion
                     # before the waiting process resumes.
-                    reply_event.callbacks.append(
-                        lambda ev, i=info: self._finish_client(i, ev))
+                    reply_event.callbacks.append(info.settled)
             if two_way:
                 self._pending[request_id] = (reply_event, odef, info)
-                if self.pending_watchers:
-                    self._watch_pending()
+                for watcher in self.pending_watchers:
+                    watcher(len(self._pending))
                 if deadline is not None:
                     when = self.env._now + deadline
                     heappush(self._deadline_heap,
@@ -443,9 +438,9 @@ class ORB:
                 self.metrics.counter(names.NET_DROPPED_SRC_DEAD).inc()
 
             if not two_way and info is not None:
-                info.end = self.env.now
-                for icpt in reversed(interceptors):
-                    icpt.receive_reply(info)
+                info.end = self.env._now
+                for hook in hooks[1]:
+                    hook(info)
         enc.reset()
         if len(pool) < 8:
             pool.append(enc)
@@ -470,7 +465,8 @@ class ORB:
             entry = pending.pop(rid, None)
             if entry is None:
                 continue  # already answered
-            self._watch_pending()
+            for watcher in self.pending_watchers:
+                watcher(len(pending))
             event, _odef, _info = entry
             self.metrics.counter(names.ORB_TIMEOUTS).inc()
             event.fail(TIMEOUT(
@@ -507,8 +503,8 @@ class ORB:
         if entry is None:
             self.metrics.counter(names.ORB_LATE_REPLIES).inc()
             return
-        if self.pending_watchers:
-            self._watch_pending()
+        for watcher in self.pending_watchers:
+            watcher(len(self._pending))
         event, odef, info = entry
         if info is not None:
             info.reply_bytes = wire_size
@@ -559,7 +555,8 @@ class ORB:
         """Fail every outstanding client request; the host is gone."""
         pending, self._pending = self._pending, {}
         if pending:
-            self._watch_pending()
+            for watcher in self.pending_watchers:
+                watcher(0)
         for event, _odef, _info in pending.values():
             if not event.triggered:
                 event.fail(COMM_FAILURE("host crashed")).defused()

@@ -379,6 +379,7 @@ def _decode_message_body(data) -> "RequestMessage | ReplyMessage":
         pos += (-pos) & 3
         (n_slots,) = _ULONG.unpack_from(data, pos)
         pos += 4
+        service_context = ()
         if n_slots:
             if n_slots > MAX_SERVICE_CONTEXT_SLOTS:
                 raise MARSHAL(f"service context count {n_slots} exceeds cap "
@@ -389,7 +390,6 @@ def _decode_message_body(data) -> "RequestMessage | ReplyMessage":
             if n_slots * 8 > remaining:
                 raise MARSHAL(f"service context count {n_slots} exceeds "
                               f"{remaining} remaining bytes")
-            slots = []
             for _ in range(n_slots):
                 pos += (-pos) & 3
                 context_id, dlen = _SLOT_HEAD.unpack_from(data, pos)
@@ -397,11 +397,10 @@ def _decode_message_body(data) -> "RequestMessage | ReplyMessage":
                 if dlen > len(data) - pos:
                     raise BAD_PARAM(f"CDR underflow: need {dlen} bytes at "
                                     f"{pos}, have {len(data) - pos}")
-                slots.append((context_id, data[pos:pos + dlen]))
+                # Grown in place: the usual count is one (the trace
+                # slot), which then costs no list and no tuple() copy.
+                service_context += ((context_id, data[pos:pos + dlen]),)
                 pos += dlen
-            service_context = tuple(slots)
-        else:
-            service_context = ()
         return RequestMessage(
             request_id, response_expected, host, adapter, object_key,
             operation, args, service_context,

@@ -133,15 +133,13 @@ class Listener:
         self.dispatch_listeners: list[Callable[[float], None]] = []
         #: called with the inbound dispatch depth on every admit/finish.
         self.dispatch_watchers: list[Callable[[int], None]] = []
-        self.interceptors: list = []
+        #: server hooks, bound by ``ORB.add_server_interceptor``: one
+        #: tuple per stage (``receive_request`` in registration order,
+        #: ``finish_request`` reversed, ``child_process``), or None.
+        self.hooks: Optional[tuple[tuple, tuple, tuple]] = None
         # Hot-path counters resolved once instead of per call.
         self._ctr_replies = self.metrics.counter(names.ORB_REPLIES)
         self._ctr_dispatches = self.metrics.counter(names.ORB_DISPATCHES)
-
-    def _watch_dispatch(self) -> None:
-        depth = self.inflight
-        for watcher in self.dispatch_watchers:
-            watcher(depth)
 
     # -- encoder pooling ---------------------------------------------------
     def _acquire_encoder(self) -> CDREncoder:
@@ -199,13 +197,13 @@ class Listener:
             self.shed(request, src)
             return
         self.inflight += 1
-        if self.dispatch_watchers:
-            self._watch_dispatch()
+        for watcher in self.dispatch_watchers:
+            watcher(self.inflight)
         info = None
-        if self.interceptors:
+        if self.hooks is not None:
             info = ServerRequestInfo(self.orb, request, src, wire_size)
-            for icpt in self.interceptors:
-                icpt.receive_request(info)
+            for hook in self.hooks[0]:
+                hook(info)
         self.dispatch(request, src, info)
 
     def shed(self, request: giop.RequestMessage, client: str) -> None:
@@ -241,22 +239,20 @@ class Listener:
         """Close one admitted request, whatever its path and outcome:
         in-flight accounting, then ``finish_request`` in reverse order."""
         self.inflight -= 1
-        if self.dispatch_watchers:
-            self._watch_dispatch()
+        for watcher in self.dispatch_watchers:
+            watcher(self.inflight)
         if info is not None:
             info.end = self.env._now
-            for icpt in reversed(self.interceptors):
-                icpt.finish_request(info)
+            for hook in self.hooks[1]:
+                hook(info)
 
     def _run_generator(self, gen, info: Optional[ServerRequestInfo]):
         """Start a servant's generator as a process of its own and tell
         the interceptors, so calls it makes find this request."""
         proc = self.env.process(gen)
         if info is not None:
-            for icpt in self.interceptors:
-                hook = getattr(icpt, "child_process", None)
-                if hook is not None:
-                    hook(info, proc)
+            for hook in self.hooks[2]:
+                hook(info, proc)
         return proc
 
     def _resolve_target(self, request: giop.RequestMessage,

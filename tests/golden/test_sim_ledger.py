@@ -58,11 +58,8 @@ def test_chaos_digest_matches_the_ledger(seed):
 
 
 def test_instrument_records_match_the_ledger():
-    golden = GOLDEN["instrument"]
-    stroke = sim_ledger.stroke_instrument(sim_ledger.INSTRUMENT_STROKE_SEED)
-    chaos = sim_ledger.chaos_instrument(sim_ledger.INSTRUMENT_CHAOS_SEED)
-    assert sim_ledger.diff(golden["cscw_session.seed11"], stroke) == []
-    assert sim_ledger.diff(golden["chaos.seed139"], chaos) == []
+    assert sim_ledger.diff(GOLDEN["instrument"],
+                           sim_ledger.instrument_block()) == []
 
 
 def test_one_padded_reply_moves_the_ledger(tmp_path):

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.obs import Observability
-from repro.orb.core import InterfaceDef, Servant, op
+from repro.orb.core import ORB, InterfaceDef, Servant, op
 from repro.orb.exceptions import TRANSIENT
 from repro.orb.retry import RetryPolicy, invoke_with_retry
 from repro.orb.typecodes import tc_long, tc_string
+from repro.sim.kernel import Environment, Process
+from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
 from repro.testing import SimRig
 
@@ -135,6 +138,121 @@ class TestOrdering:
         rig.run_process(proc())
         assert log == [("send", "a"), ("send", "b"),
                        ("exc", "b"), ("exc", "a")]
+
+
+class Partial:
+    """A duck-typed interceptor with only the hooks it was given."""
+
+    def __init__(self, label, log, hooks):
+        for hook in hooks:
+            setattr(self, hook, self._logger(hook, label, log))
+
+    @staticmethod
+    def _logger(hook, label, log):
+        return lambda info, *rest: log.append((hook, label))
+
+
+class TestHookBinding:
+    """Hooks are bound when an interceptor is registered: one tuple per
+    stage, missing hooks skipped, reverse stages reversed."""
+
+    def test_three_interceptors_with_gaps_keep_the_order(self):
+        rig = SimRig(star(1), seed=0)
+        log = []
+        client = rig.node("h0").orb
+        server = rig.node("hub").orb
+        everything = ("send_request", "receive_reply", "receive_exception",
+                      "receive_request", "finish_request")
+        for label, hooks in (("a", everything),
+                             ("b", ("receive_reply", "receive_request")),
+                             ("c", everything)):
+            client.add_client_interceptor(Partial(label, log, hooks))
+            server.add_server_interceptor(Partial(label, log, hooks))
+        ior = server.adapter("t").activate(EchoServant())
+        assert rig.run(until=client.invoke(
+            ior, ECHO.operations["echo"], ("x",))) == "x"
+        assert log == [
+            ("send_request", "a"), ("send_request", "c"),
+            ("receive_request", "a"), ("receive_request", "b"),
+            ("receive_request", "c"),
+            ("finish_request", "c"), ("finish_request", "a"),
+            ("receive_reply", "c"), ("receive_reply", "b"),
+            ("receive_reply", "a")]
+
+    def test_an_interceptor_without_the_exception_hook_is_skipped(self):
+        rig = SimRig(star(1), seed=0)
+        log = []
+        client = rig.node("h0").orb
+        client.add_client_interceptor(
+            Partial("a", log, ("receive_exception",)))
+        client.add_client_interceptor(Partial("b", log, ("send_request",)))
+        servant = FlakyServant()
+        servant.failures_left = 1
+        ior = rig.node("hub").orb.adapter("t").activate(servant)
+
+        def proc():
+            with pytest.raises(TRANSIENT):
+                yield client.invoke(ior, FLAKY.operations["poke"], ())
+
+        rig.run_process(proc())
+        assert log == [("send_request", "b"), ("receive_exception", "a")]
+
+    def test_registered_after_traffic_started(self):
+        # A call in flight when an interceptor arrives completes through
+        # it (completion hooks are the ORB's at completion time); its
+        # send stage is over.  The next call sees it at every stage.
+        rig = SimRig(star(1), seed=0)
+        log = []
+        client = rig.node("h0").orb
+        server = rig.node("hub").orb
+        ior = server.adapter("t").activate(EchoServant())
+        echo = ECHO.operations["echo"]
+        assert rig.run(until=client.invoke(ior, echo, ("x",))) == "x"
+        client.add_client_interceptor(Recorder("a", log))
+        in_flight = client.invoke(ior, echo, ("y",))
+        client.add_client_interceptor(Recorder("b", log))
+        server.add_server_interceptor(Recorder("s", log))
+        assert rig.run(until=in_flight) == "y"
+        assert log == [("send", "a"), ("recv", "s"), ("finish", "s"),
+                       ("reply", "b"), ("reply", "a")]
+        del log[:]
+        assert rig.run(until=client.invoke(ior, echo, ("z",))) == "z"
+        assert log == [("send", "a"), ("send", "b"), ("recv", "s"),
+                       ("finish", "s"), ("reply", "b"), ("reply", "a")]
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_child_process_reaches_generator_servants(self, workers):
+        # Every way a servant's generator is driven tells the hook which
+        # request the new process belongs to: a generator method and a
+        # plain method handing one back, with and without worker slots.
+        class Late(Servant):
+            _interface = RELAY
+
+            def __init__(self, target):
+                self.target = target
+
+            def relay(self, s):
+                return self.target.relay(s)
+
+        class Child:
+            def child_process(self, info, proc):
+                seen.append((info.operation, proc))
+
+        env = Environment()
+        net = Network(env, star(2), rngs=RngRegistry(0))
+        server = ORB(env, net, "hub", dispatch_workers=workers)
+        client = ORB(env, net, "h0")
+        echo_ior = ORB(env, net, "h1").adapter("t").activate(EchoServant())
+        seen = []
+        server.add_server_interceptor(Child())
+        relay = RelayServant(server, echo_ior)
+        for target in (relay, Late(relay)):
+            ior = server.adapter("t").activate(target)
+            assert client.call(ior, RELAY.operations["relay"], ("hi",)) \
+                == "hi!"
+        assert [name for name, _ in seen] == ["relay", "relay"]
+        assert all(isinstance(proc, Process) and proc.triggered
+                   for _, proc in seen)
 
 
 class TestTracePropagation:

@@ -572,11 +572,11 @@ def mutant_client_interceptors_skipped(monkeypatch):
 
     def send(self, iors, odef, args, *rest):
         if all(ior.host_id == self.host_id for ior in iors):
-            held, self._client_interceptors = self._client_interceptors, []
+            held, self._client_hooks = self._client_hooks, None
             try:
                 return real_send(self, iors, odef, args, *rest)
             finally:
-                self._client_interceptors = held
+                self._client_hooks = held
         return real_send(self, iors, odef, args, *rest)
 
     monkeypatch.setattr(ORB, "_send_requests", send)
@@ -590,11 +590,11 @@ def mutant_server_interceptors_skipped(monkeypatch):
     def admit(self, request, src, wire_size):
         if not from_requester():
             return real_admit(self, request, src, wire_size)
-        held, self.interceptors = self.interceptors, []
+        held, self.hooks = self.hooks, None
         try:
             real_admit(self, request, src, wire_size)
         finally:
-            self.interceptors = held
+            self.hooks = held
 
     monkeypatch.setattr(Listener, "admit", admit)
 
