@@ -71,7 +71,7 @@ class TracingInterceptor:
         span = info.span
         if span is not None:
             span.bytes_out = info.request_bytes
-            span.bytes_in = info.reply_bytes
+            span.bytes_in = info.reply_bytes or None    # a oneway has none
             span.end = info.end
             span.status = "ok"
 
@@ -79,6 +79,7 @@ class TracingInterceptor:
         span = info.span
         if span is not None:
             span.bytes_out = info.request_bytes
+            span.bytes_in = info.reply_bytes or None    # none on a timeout
             span.end = info.end
             span.status = "error"
             span.error = _error_label(exc)

@@ -1,20 +1,36 @@
 """Tracer and per-process context store units."""
 
+import pytest
+
 from repro.obs import trace
 from repro.obs.trace import ContextStore, TraceContext, Tracer
 from repro.orb.core import InterfaceDef, Servant, op
+from repro.orb.exceptions import TIMEOUT, TRANSIENT
 from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment
 from repro.sim.topology import star
 from repro.testing import SimRig
 
 NULL = op("null", [], tc_long, cpu_cost=0.0)
+NOTE = op("note", [], oneway=True)
+REFUSE = op("refuse", [], tc_long)
+SLOW = op("slow", [], tc_long, cpu_cost=1e9)
 
 
 class NullServant(Servant):
-    _interface = InterfaceDef("IDL:test/Null:1.0", "Null", [NULL])
+    _interface = InterfaceDef("IDL:test/Null:1.0", "Null",
+                              [NULL, NOTE, REFUSE, SLOW])
 
     def null(self):
+        return 0
+
+    def note(self):
+        pass
+
+    def refuse(self):
+        raise TRANSIENT("not now")
+
+    def slow(self):
         return 0
 
 
@@ -99,6 +115,39 @@ class TestSpanWindow:
         assert client.attrs is None and server.attrs is None
         assert client.bytes_out == server.bytes_in > 0
         assert client.bytes_in == server.bytes_out > 0
+
+    def test_a_oneway_client_leg_has_no_reply_bytes(self):
+        rig = SimRig(star(1), seed=3)
+        hub = rig.observe()
+        ior = rig.node("hub").orb.adapter("t").activate(NullServant())
+        rig.node("h0").orb.send_oneway(ior, NOTE, ())
+        rig.run(until=rig.env.now + 1.0)
+        client, server = hub.tracer.spans
+        assert client.bytes_in is None
+        assert client.bytes_out == server.bytes_in > 0
+
+    def test_exception_reply_bytes_match_the_histogram(self):
+        # The reply that carried the exception is a message like any
+        # other: the client leg records its size, as the server leg and
+        # orb.client.reply_bytes do.  A timeout's leg has none.
+        rig = SimRig(star(1), seed=3)
+        hub = rig.observe()
+        ior = rig.node("hub").orb.adapter("t").activate(NullServant())
+        client = rig.node("h0").orb
+
+        def proc():
+            with pytest.raises(TRANSIENT):
+                yield client.invoke(ior, REFUSE, ())
+            with pytest.raises(TIMEOUT):
+                yield client.invoke(ior, SLOW, (), timeout=0.5)
+
+        rig.run_process(proc())
+        refused, served, late, _late_served = hub.tracer.spans
+        assert (refused.status, late.status) == ("error", "error")
+        assert refused.bytes_in == served.bytes_out > 0
+        assert refused.bytes_in == hub.metrics.find_histogram(
+            "orb.client.reply_bytes.refuse").total
+        assert late.bytes_in is None
 
     def test_a_long_instrumented_run_holds_the_window(self, monkeypatch):
         # A monitored resource bound: 400 null calls start 800 spans and
