@@ -10,6 +10,7 @@ import pytest
 
 from _harness import report, stash
 from repro.cscw.whiteboard import STROKE_TC
+from repro.obs import Observability
 from repro.orb.cdr import Any, CDRDecoder, CDREncoder
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.typecodes import (
@@ -53,11 +54,15 @@ class EchoServant(Servant):
         return b
 
 
-def make_rig():
+def make_rig(observed=False):
     env = Environment()
     net = Network(env, star(1, hub_profile=SERVER))
     server = ORB(env, net, "hub")
     client = ORB(env, net, "h0")
+    if observed:
+        hub = Observability(env, net.metrics)
+        hub.install(server)
+        hub.install(client)
     ior = server.adapter("root").activate(EchoServant())
     return env, net, client, ior
 
@@ -193,7 +198,9 @@ def test_any_stroke_roundtrip(benchmark, capsys):
 
 def test_invocation_wall_cost(benchmark, capsys):
     """Wall-clock cost per simulated invocation (impl overhead): one arm
-    between two hosts, one to an object of the caller's own ORB."""
+    between two hosts, one to an object of the caller's own ORB, and the
+    two-host call again with ``Observability`` on both ORBs (the price
+    of the instrument: spans, histograms, gauges and the trace slot)."""
     import gc
     import time
 
@@ -203,6 +210,8 @@ def test_invocation_wall_cost(benchmark, capsys):
     stub = client.stub(ior, ECHO)
     local_stub = client.stub(
         client.adapter("root").activate(EchoServant()), ECHO)
+    _, _, obs_client, obs_ior = make_rig(observed=True)
+    obs_stub = obs_client.stub(obs_ior, ECHO)
 
     def do_calls():
         for _ in range(50):
@@ -211,6 +220,22 @@ def test_invocation_wall_cost(benchmark, capsys):
     def do_local_calls():
         for _ in range(50):
             client.sync(local_stub.echo(SAMPLE))
+
+    def do_obs_calls():
+        for _ in range(50):
+            obs_client.sync(obs_stub.echo(SAMPLE))
+
+    def by_hand(calls):
+        """The other arms in the fixture's shape (it times one function
+        per test): 2 warm-up rounds, then 25 timed ones."""
+        calls()
+        calls()
+        rounds = []
+        for _ in range(25):
+            start = time.perf_counter()
+            calls()
+            rounds.append(time.perf_counter() - start)
+        return rounds
 
     before = codegen.stats_snapshot()
     # Many short rounds and min-of-rounds for the headline number: the
@@ -224,15 +249,8 @@ def test_invocation_wall_cost(benchmark, capsys):
         benchmark.pedantic(do_calls, rounds=25, iterations=1,
                            warmup_rounds=2)
         after = codegen.stats_snapshot()
-        # The collocated arm by hand, in the same shape (the fixture
-        # times one function per test): 2 warm-up rounds, then 25.
-        do_local_calls()
-        do_local_calls()
-        local_rounds = []
-        for _ in range(25):
-            start = time.perf_counter()
-            do_local_calls()
-            local_rounds.append(time.perf_counter() - start)
+        local_rounds = by_hand(do_local_calls)
+        obs_rounds = by_hand(do_obs_calls)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -240,16 +258,21 @@ def test_invocation_wall_cost(benchmark, capsys):
     per_call_us_mean = benchmark.stats["mean"] / 50 * 1e6
     per_call_us_local = min(local_rounds) / 50 * 1e6
     per_call_us_local_mean = sum(local_rounds) / len(local_rounds) / 50 * 1e6
+    per_call_us_obs = min(obs_rounds) / 50 * 1e6
+    per_call_us_obs_mean = sum(obs_rounds) / len(obs_rounds) / 50 * 1e6
     report(capsys, "C1b: invocation implementation cost",
-           ["metric", "two hosts", "same ORB"],
+           ["metric", "two hosts", "same ORB", "two hosts, obs on"],
            [["wall time per call (fastest round)", f"{per_call_us:.0f} us",
-             f"{per_call_us_local:.0f} us"],
+             f"{per_call_us_local:.0f} us", f"{per_call_us_obs:.0f} us"],
             ["wall time per call (mean)", f"{per_call_us_mean:.0f} us",
-             f"{per_call_us_local_mean:.0f} us"]])
+             f"{per_call_us_local_mean:.0f} us",
+             f"{per_call_us_obs_mean:.0f} us"]])
     stash(benchmark, per_call_us=per_call_us,
           per_call_us_mean=per_call_us_mean,
           per_call_us_local=per_call_us_local,
           per_call_us_local_mean=per_call_us_local_mean,
+          per_call_us_obs=per_call_us_obs,
+          per_call_us_obs_mean=per_call_us_obs_mean,
           codegen_cache_hits=after["cache_hits"] - before["cache_hits"],
           codegen_cache_misses=(after["cache_misses"]
                                 - before["cache_misses"]),

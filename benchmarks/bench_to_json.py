@@ -140,12 +140,16 @@ SUITES = {
             "invocation_us_per_call": "per_call_us",
             # the same call to an object of the caller's own ORB
             "per_call_us_local": "per_call_us_local",
+            # the two-host call with Observability on both ORBs
+            "per_call_us_obs": "per_call_us_obs",
             "calls_per_sec": _calls_per_sec,
         }, ROOT / "BENCH_orb.json",
         "  CDR marshal: {cdr_marshal_MB_per_s:.1f} MB/s "
         "({speedup[cdr_marshal]}x vs interpreter baseline)\n"
         "  invocations: {calls_per_sec:.0f} calls/s "
-        "({speedup[calls_per_sec]}x vs interpreter baseline)",
+        "({speedup[calls_per_sec]}x vs interpreter baseline); "
+        "{invocation_us_per_call:.1f} us per call, "
+        "{per_call_us_obs:.1f} us with obs on",
         blocks=_orb_blocks),
     "eventbus": Suite(
         "bench_eventbus.py", "C17", "test_eventbus_fanout",

@@ -67,10 +67,9 @@ class Observability:
         if orb in self.orbs:
             return
         orb.obs = self
-        orb.add_client_interceptor(self.tracing)
-        orb.add_client_interceptor(self.metrics_interceptor)
-        orb.add_server_interceptor(self.tracing)
-        orb.add_server_interceptor(self.metrics_interceptor)
+        for interceptor in (self.tracing, self.metrics_interceptor):
+            orb.add_client_interceptor(interceptor)
+            orb.add_server_interceptor(interceptor)
         orb.pending_watchers.append(
             self.metrics.gauge(PENDING_DEPTH_GAUGE).record)
         orb.dispatch_watchers.append(
