@@ -76,10 +76,10 @@ class PackageSet:
         self._by_name.setdefault(info.name, []).append(info)
         return info
 
-    def add_package(self, package, source: str = "") -> PackageInfo:
+    def add_package(self, package) -> PackageInfo:
         """Add a :class:`~repro.packaging.package.ComponentPackage`."""
         return self.add(package.software, package.component,
-                        source=source or f"package {package.name}")
+                        source=f"package {package.name}")
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

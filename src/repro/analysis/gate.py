@@ -38,14 +38,11 @@ class AssemblyRejected(ValidationError):
 class DeploymentGate:
     """Verifies assemblies against the packages live nodes hold.
 
-    ``strict_interfaces`` defaults to off: at run time, interfaces may
-    exist only as compiled stubs in the interface repository, so an
-    unresolved repo-id is not proof of error the way it is for the lint
-    CLI, which sees all the IDL there is.
+    Interfaces are checked leniently: at run time, interfaces may exist
+    only as compiled stubs in the interface repository, so an unresolved
+    repo-id is not proof of error the way it is for the lint CLI, which
+    sees all the IDL there is.
     """
-
-    def __init__(self, strict_interfaces: bool = False) -> None:
-        self.strict_interfaces = strict_interfaces
 
     # -- package collection ---------------------------------------------------
     @staticmethod
@@ -68,8 +65,7 @@ class DeploymentGate:
         from repro.orb.dii import GLOBAL_IFR
         model = model_from_packages(self.packages_on(nodes),
                                     assembly=assembly, ifr=GLOBAL_IFR)
-        return verify_model(model,
-                            strict_interfaces=self.strict_interfaces)
+        return verify_model(model, strict_interfaces=False)
 
     def check(self, assembly: AssemblyDescriptor, nodes,
               metrics=None) -> Diagnostics:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.chaos.scenario import N_CLUSTERS
 from repro.sim.faults import WireFaultProfile
 
 
@@ -68,9 +69,7 @@ def act_crash_host(world, rng, state) -> Optional[tuple]:
 
 def act_partition_cluster(world, rng, state) -> Optional[tuple]:
     """Cut a whole non-coordinator cluster off the WAN; revert heals."""
-    if world.n_clusters < 2:
-        return None
-    index = int(rng.integers(1, world.n_clusters))
+    index = int(rng.integers(1, N_CLUSTERS))
     cluster = world.cluster_hosts(index)
     if any(h in state.partitioned for h in cluster):
         return None

@@ -111,12 +111,10 @@ class ChaosCampaign:
     """Drives one seeded campaign over one world."""
 
     def __init__(self, world: ChaosWorld,
-                 config: Optional[CampaignConfig] = None,
-                 monitors: Optional[list] = None) -> None:
+                 config: Optional[CampaignConfig] = None) -> None:
         self.world = world
         self.config = config or CampaignConfig()
-        self.monitors = (monitors if monitors is not None
-                         else default_monitors(self.config.ttl_bound))
+        self.monitors = default_monitors(self.config.ttl_bound)
         self.rng = world.rig.rngs.stream(PLAN_STREAM)
         self.state = CampaignState(max_dead=self.config.max_dead)
         self.active: list[AppliedFault] = []
@@ -260,10 +258,7 @@ class ChaosCampaign:
         self.report.metrics = snapshot
 
 
-def run_campaign(seed: int, config: Optional[CampaignConfig] = None,
-                 n_clusters: int = 3,
-                 cluster_size: int = 3) -> ChaosReport:
+def run_campaign(seed: int,
+                 config: Optional[CampaignConfig] = None) -> ChaosReport:
     """Build the standard world for *seed* and run one campaign."""
-    world = build_world(seed, n_clusters=n_clusters,
-                        cluster_size=cluster_size)
-    return ChaosCampaign(world, config).run()
+    return ChaosCampaign(build_world(seed), config).run()

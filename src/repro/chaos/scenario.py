@@ -11,7 +11,6 @@ a campaign over the world is byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.container.replication import ReplicaGroup, ReplicaManager
 from repro.deployment import ApplicationSupervisor, Deployer, RuntimePlanner
@@ -30,6 +29,10 @@ from repro.xmlmeta.descriptors import (
 )
 
 _INCREMENT = COUNTER_IFACE.operations["increment"]
+
+#: The world's shape: clusters of hosts ``c{i}h{j}``.
+N_CLUSTERS = 3
+CLUSTER_SIZE = 3
 
 #: RetryPolicy the chaos clients drive their calls with: short per-call
 #: deadline so a wedged dependency sheds quickly instead of queueing.
@@ -61,8 +64,6 @@ class ChaosWorld:
     wire: WireFaultModel
     coordinator: str
     repo_id: str
-    n_clusters: int
-    cluster_size: int
     #: hosts the campaign must never crash or disconnect (the
     #: deployment coordinator / supervisor seat).
     protected: frozenset
@@ -86,7 +87,7 @@ class ChaosWorld:
                 if self.topology.host(h).alive]
 
     def cluster_hosts(self, index: int) -> list:
-        return [f"c{index}h{j}" for j in range(self.cluster_size)]
+        return [f"c{index}h{j}" for j in range(CLUSTER_SIZE)]
 
     def stop_clients(self) -> None:
         self.client_stop = True
@@ -127,15 +128,14 @@ def _client_loop(world: ChaosWorld, host: str):
             world.client_errors += 1
 
 
-def build_world(seed: int, n_clusters: int = 3, cluster_size: int = 3,
-                config: Optional[FederationConfig] = None) -> ChaosWorld:
+def build_world(seed: int) -> ChaosWorld:
     """Stand up the standard chaos scenario, warmed up and running.
 
     Returns once the assembly is deployed, the replica group is
     watched, gossip membership has converged, and the client loops are
     live — the campaign starts from a healthy steady state.
     """
-    topo = clustered(n_clusters, cluster_size, profile=SERVER,
+    topo = clustered(N_CLUSTERS, CLUSTER_SIZE, profile=SERVER,
                      backbone="chords")
     # Tight default timeout: calls into a crashed host must expire well
     # inside the campaign's drain window, or quiescence would see their
@@ -152,11 +152,10 @@ def build_world(seed: int, n_clusters: int = 3, cluster_size: int = 3,
 
     # Federated registry with tight timers so short campaigns exercise
     # full publish/gossip/expiry cycles.
-    fed_config = config or FederationConfig(
-        owners=min(3, n_clusters), vnodes=16, replication=2,
+    fed = FederatedRegistry(rig.nodes, FederationConfig(
+        owners=3, vnodes=16, replication=2,
         update_interval=1.0, gossip_interval=0.5, fanout=2,
-        query_timeout=0.5, seed_peer_count=2)
-    fed = FederatedRegistry(rig.nodes, fed_config)
+        query_timeout=0.5, seed_peer_count=2))
     fed.deploy()
 
     dep = Deployer(rig.nodes, RuntimePlanner(),
@@ -164,8 +163,7 @@ def build_world(seed: int, n_clusters: int = 3, cluster_size: int = 3,
     app = rig.run(until=dep.deploy(_assembly()))
 
     manager = ReplicaManager(node)
-    replica_hosts = [f"c{i}h{min(1, cluster_size - 1)}"
-                     for i in range(min(3, n_clusters))]
+    replica_hosts = [f"c{i}h1" for i in range(N_CLUSTERS)]
     group = rig.run(until=manager.create_group("Counter", replica_hosts))
 
     # Let reporters publish and gossip converge before the supervisor
@@ -178,7 +176,7 @@ def build_world(seed: int, n_clusters: int = 3, cluster_size: int = 3,
     sup.watch_group(group, manager)
 
     injector = FaultInjector(rig.env, topo)
-    heads = {f"c{i}h0" for i in range(n_clusters)}
+    heads = {f"c{i}h0" for i in range(N_CLUSTERS)}
     wan_links = [link for link in topo.links()
                  if link.a in heads and link.b in heads]
 
@@ -186,13 +184,12 @@ def build_world(seed: int, n_clusters: int = 3, cluster_size: int = 3,
         seed=seed, rig=rig, federation=fed, deployer=dep, app=app,
         supervisor=sup, manager=manager, group=group, injector=injector,
         wire=rig.network.wire_faults, coordinator=coordinator,
-        repo_id=repo_id, n_clusters=n_clusters,
-        cluster_size=cluster_size, protected=frozenset({coordinator}),
+        repo_id=repo_id, protected=frozenset({coordinator}),
         wan_links=wan_links)
 
     # One client per cluster, on the last host of each cluster.
-    world.client_hosts = [f"c{i}h{cluster_size - 1}"
-                          for i in range(n_clusters)]
+    world.client_hosts = [f"c{i}h{CLUSTER_SIZE - 1}"
+                          for i in range(N_CLUSTERS)]
     for host in world.client_hosts:
         client = rig.node(host)
         world.budgets[host] = RetryBudget(

@@ -7,9 +7,9 @@ equivalent of having dlopen()ed the right binary out of the package.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.packaging.binaries import BinaryRegistry, GLOBAL_BINARIES
+from repro.packaging.binaries import GLOBAL_BINARIES
 from repro.packaging.package import ComponentPackage, PackageError
 from repro.sim.topology import HostProfile
 from repro.xmlmeta.descriptors import (
@@ -22,11 +22,10 @@ from repro.xmlmeta.versions import Version
 class ComponentClass:
     """An installed component: package + platform-resolved factory."""
 
-    def __init__(self, package: ComponentPackage, profile: HostProfile,
-                 binaries: Optional[BinaryRegistry] = None) -> None:
+    def __init__(self, package: ComponentPackage,
+                 profile: HostProfile) -> None:
         self.package = package
         self.profile = profile
-        registry = binaries if binaries is not None else GLOBAL_BINARIES
         impl = package.implementation_for(profile.os, profile.arch,
                                           profile.orb)
         if impl is None:
@@ -35,7 +34,7 @@ class ComponentClass:
                 f"platform ({profile.os}, {profile.arch}, {profile.orb})"
             )
         self.implementation = impl
-        self.factory: Callable = registry.resolve(impl.entry_point)
+        self.factory: Callable = GLOBAL_BINARIES.resolve(impl.entry_point)
 
     # -- descriptor shortcuts ------------------------------------------------
     @property

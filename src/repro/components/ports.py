@@ -126,11 +126,10 @@ class EventSinkPort(Port):
 
     kind = "event-sink"
 
-    def __init__(self, name: str, event_kind: str,
-                 consumer_ior: Optional[IOR] = None) -> None:
+    def __init__(self, name: str, event_kind: str) -> None:
         super().__init__(name)
         self.event_kind = event_kind
-        self.consumer_ior = consumer_ior
+        self.consumer_ior: Optional[IOR] = None
         self.subscriptions: list[IOR] = []
         self.received = 0
 

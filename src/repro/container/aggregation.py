@@ -17,7 +17,6 @@ Aggregatable components must provide a facet implementing
 from __future__ import annotations
 
 import pickle
-from typing import Optional
 
 from repro.components.reflection import InstanceInfo
 from repro.container.agent import dumps_state
@@ -60,8 +59,7 @@ class AggregationCoordinator:
         self.node = node
 
     def run(self, component_name: str, worker_hosts: list[str],
-            work_state: dict,
-            facet_port: Optional[str] = None) -> Event:
+            work_state: dict) -> Event:
         """Execute the component's work across *worker_hosts*.
 
         Returns a process event yielding the merged result.  Workers
@@ -69,10 +67,10 @@ class AggregationCoordinator:
         so one crash does not lose the computation.
         """
         return self.node.env.process(
-            self._run(component_name, worker_hosts, work_state, facet_port))
+            self._run(component_name, worker_hosts, work_state))
 
     def _run(self, component_name: str, worker_hosts: list[str],
-             work_state: dict, facet_port: Optional[str]):
+             work_state: dict):
         if not worker_hosts:
             raise AggregationError("no worker hosts")
         node = self.node
@@ -102,7 +100,7 @@ class AggregationCoordinator:
             agent = node.service_stub(host, "container")
             info = InstanceInfo.from_value(
                 (yield agent.create_instance(component_name, exact, "")))
-            facet = self._worker_facet(info, facet_port)
+            facet = self._worker_facet(info)
             workers.append((host, facet, info.instance_id))
 
         # Scatter all shards in parallel; index results by shard.
@@ -148,12 +146,9 @@ class AggregationCoordinator:
         node.metrics.counter("aggregation.runs").inc()
         return prototype.merge(partials)
 
-    def _worker_facet(self, info: InstanceInfo,
-                      facet_port: Optional[str]) -> IOR:
+    def _worker_facet(self, info: InstanceInfo) -> IOR:
         for port in info.ports:
             if port.kind != "facet":
-                continue
-            if facet_port is not None and port.name != facet_port:
                 continue
             if port.type_id == WORKER_IFACE.repo_id and port.peer:
                 return IOR.from_string(port.peer)

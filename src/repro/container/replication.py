@@ -128,18 +128,17 @@ class ReplicaManager:
     def __init__(self, node) -> None:
         self.node = node
 
-    def create_group(self, component_name: str, hosts: list[str],
-                     facet_port: Optional[str] = None) -> Event:
+    def create_group(self, component_name: str, hosts: list[str]) -> Event:
         """Instantiate *component_name* on every host in *hosts*.
 
-        Returns a process event yielding the :class:`ReplicaGroup`.
-        Package bytes are shipped to hosts lacking the component.
+        Returns a process event yielding the :class:`ReplicaGroup`,
+        served from the component's first facet.  Package bytes are
+        shipped to hosts lacking the component.
         """
         return self.node.env.process(
-            self._create_group(component_name, hosts, facet_port))
+            self._create_group(component_name, hosts))
 
-    def _create_group(self, component_name: str, hosts: list[str],
-                      facet_port: Optional[str]):
+    def _create_group(self, component_name: str, hosts: list[str]):
         node = self.node
         cls = node.repository.lookup(component_name)
         if not cls.replicable:
@@ -152,11 +151,6 @@ class ReplicaManager:
                 f"component {component_name!r} has no facets to serve from"
             )
         port_decl = provides[0]
-        if facet_port is not None:
-            matches = [p for p in provides if p.name == facet_port]
-            if not matches:
-                raise ReplicationError(f"no facet {facet_port!r}")
-            port_decl = matches[0]
 
         group = ReplicaGroup(component=component_name,
                              facet_repo_id=port_decl.repo_id,

@@ -83,8 +83,7 @@ class DisplayExecutor(ComponentExecutor):
         return _DisplayFacet(self)
 
 
-def display_package(version: str = "1.0.0",
-                    multi_platform: bool = False) -> ComponentPackage:
+def display_package(multi_platform: bool = False) -> ComponentPackage:
     """Package for the Display component (pinned, tiny footprint).
 
     With ``multi_platform=True`` the package carries separate binaries
@@ -114,7 +113,7 @@ def display_package(version: str = "1.0.0",
                                           "bin/any/display")]
         binaries = {"bin/any/display": synthetic_payload(3_000, seed=21)}
     soft = SoftwareDescriptor(
-        name="Display", version=Version.parse(version), vendor="cscw",
+        name="Display", version=Version.parse("1.0.0"), vendor="cscw",
         abstract="Local painting functions (frame buffer facade).",
         mobility="pinned",
         implementations=impls,

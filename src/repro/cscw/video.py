@@ -85,11 +85,11 @@ class StreamSourceExecutor(ComponentExecutor):
         return _StreamFacet(self)
 
 
-def stream_source_package(version: str = "1.0.0") -> ComponentPackage:
+def stream_source_package() -> ComponentPackage:
     entry = "cscw.streamsource"
     GLOBAL_BINARIES.register(entry, StreamSourceExecutor)
     soft = SoftwareDescriptor(
-        name="StreamSource", version=Version.parse(version), vendor="cscw",
+        name="StreamSource", version=Version.parse("1.0.0"), vendor="cscw",
         abstract="Encoded media stream server (capture side).",
         mobility="pinned",
         implementations=[ImplementationDescriptor(
@@ -164,11 +164,11 @@ class VideoDecoderExecutor(StatefulMixin, ComponentExecutor):
         raise AssertionError("VideoDecoder provides no facets")
 
 
-def video_decoder_package(version: str = "1.0.0") -> ComponentPackage:
+def video_decoder_package() -> ComponentPackage:
     entry = "cscw.videodecoder"
     GLOBAL_BINARIES.register(entry, VideoDecoderExecutor)
     soft = SoftwareDescriptor(
-        name="VideoDecoder", version=Version.parse(version), vendor="cscw",
+        name="VideoDecoder", version=Version.parse("1.0.0"), vendor="cscw",
         abstract="Mobile stream decoder (the paper's MPEG example).",
         mobility="mobile", replication="stateless",
         implementations=[ImplementationDescriptor(

@@ -90,11 +90,11 @@ class WhiteboardExecutor(StatefulMixin, ComponentExecutor):
         return _SurfaceFacet(self)
 
 
-def whiteboard_package(version: str = "1.0.0") -> ComponentPackage:
+def whiteboard_package() -> ComponentPackage:
     entry = "cscw.whiteboard"
     GLOBAL_BINARIES.register(entry, WhiteboardExecutor)
     soft = SoftwareDescriptor(
-        name="Whiteboard", version=Version.parse(version), vendor="cscw",
+        name="Whiteboard", version=Version.parse("1.0.0"), vendor="cscw",
         abstract="Shared stroke model with change events.",
         mobility="mobile", replication="coordinated",
         implementations=[ImplementationDescriptor(
@@ -149,15 +149,14 @@ class FilledGuiPartExecutor(GuiPartExecutor):
     RENDER_STYLE = "filled"
 
 
-def gui_part_package(version: str = "1.0.0",
-                     style: str = "wireframe",
+def gui_part_package(style: str = "wireframe",
                      name: str = "BoardGui") -> ComponentPackage:
     executor_cls = (GuiPartExecutor if style == "wireframe"
                     else FilledGuiPartExecutor)
     entry = f"cscw.gui.{style}"
     GLOBAL_BINARIES.register(entry, executor_cls)
     soft = SoftwareDescriptor(
-        name=name, version=Version.parse(version), vendor="cscw",
+        name=name, version=Version.parse("1.0.0"), vendor="cscw",
         abstract=f"Whiteboard GUI part ({style} renderer).",
         mobility="mobile", replication="stateless",
         implementations=[ImplementationDescriptor(

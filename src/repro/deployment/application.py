@@ -138,27 +138,26 @@ class Application:
         yield from self._rewire(instance_name)
         return info
 
-    def repair(self, instance_name: str, target_host: str,
-               state: Optional[dict] = None,
-               fence: Optional[int] = None) -> Event:
+    def repair(self, instance_name: str, target_host: str) -> Event:
         """Re-incarnate an instance stranded on a dead host.
 
         Unlike :meth:`migrate`, repair never talks to the source host —
         it is dead; whatever state was not checkpointed is lost.  The
         instance is incarnated on *target_host* under its old id with
-        *state* (last checkpoint, or empty), its outgoing wiring is
-        rebuilt from the assembly descriptor, and connections pointing
-        at it are re-aimed at the new incarnation.  *fence*, when
-        given, is the :meth:`incarnation` epoch this repair was planned
-        against; the repair aborts with :exc:`RepairSuperseded` if the
-        epoch moved in the meantime.
+        empty state, its outgoing wiring is rebuilt from the assembly
+        descriptor, and connections pointing at it are re-aimed at the
+        new incarnation.
         """
         return self.deployer.env.process(
-            self._repair(instance_name, target_host, state, fence))
+            self._repair(instance_name, target_host))
 
     def _repair(self, instance_name: str, target_host: str,
                 state: Optional[dict] = None,
                 fence: Optional[int] = None):
+        """The repair itself.  The supervisor passes *state* (the last
+        checkpoint) and *fence*, the :meth:`incarnation` epoch the
+        repair was planned against: it aborts with
+        :exc:`RepairSuperseded` if the epoch moved in the meantime."""
         old_host = self.placement[instance_name]
         old_id = self.instance_id(instance_name)
         decl = next(i for i in self.assembly.instances

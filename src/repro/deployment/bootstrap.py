@@ -18,8 +18,6 @@ materializes; destroy the instance and it tears down.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.components.executor import ComponentExecutor
 from repro.components.reflection import ComponentInfo
 from repro.deployment.application import Application, Deployer
@@ -58,12 +56,11 @@ class NetworkDeployer(Deployer):
     application is.
     """
 
-    def __init__(self, node, host_ids: list[str], planner=None,
-                 gate=None) -> None:
+    def __init__(self, node, host_ids: list[str]) -> None:
         self.node = node
         self.host_ids = [h for h in host_ids]
-        self.planner = planner or RuntimePlanner()
-        self.gate = gate
+        self.planner = RuntimePlanner()
+        self.gate = None
         self.coordinator = node
         self.env = node.env
         self.topology = node.network.topology
@@ -197,12 +194,10 @@ class BootstrapExecutor(ComponentExecutor):
             self.application.teardown()
 
 
-def application_package(assembly: AssemblyDescriptor,
-                        version: str = "1.0.0",
-                        vendor: str = "app",
-                        name: Optional[str] = None) -> ComponentPackage:
-    """Package *assembly* as an installable bootstrap component."""
-    comp_name = name or f"app-{assembly.name}"
+def application_package(assembly: AssemblyDescriptor) -> ComponentPackage:
+    """Package *assembly* as an installable bootstrap component named
+    ``app-<assembly name>``."""
+    comp_name = f"app-{assembly.name}"
     xml = assembly.to_xml()
 
     executor_cls = type(
@@ -213,7 +208,7 @@ def application_package(assembly: AssemblyDescriptor,
     GLOBAL_BINARIES.register(entry, executor_cls, replace=True)
 
     soft = SoftwareDescriptor(
-        name=comp_name, version=Version.parse(version), vendor=vendor,
+        name=comp_name, version=Version.parse("1.0.0"), vendor="app",
         abstract=f"Bootstrap component for application {assembly.name!r}.",
         mobility="mobile", replication="none",
         implementations=[ImplementationDescriptor(

@@ -239,15 +239,13 @@ class VerifiedPlanner(PlannerBase):
     free of an analysis dependency.
     """
 
-    def __init__(self, inner: PlannerBase, gate, nodes,
-                 metrics=None) -> None:
+    def __init__(self, inner: PlannerBase, gate, nodes) -> None:
         self.inner = inner
         self.gate = gate
         self.nodes = nodes
-        self.metrics = metrics
 
     def plan(self, assembly, views, qos_of):
-        self.gate.check(assembly, self.nodes, metrics=self.metrics)
+        self.gate.check(assembly, self.nodes)
         return self.inner.plan(assembly, views, qos_of)
 
     def replan_instance(self, assembly, instance_name, views, qos_of,

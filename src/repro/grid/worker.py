@@ -99,12 +99,11 @@ class MonteCarloPiExecutor(StatefulMixin, ComponentExecutor):
         return MonteCarloPiExecutor().merge(partials)
 
 
-def montecarlo_package(version: str = "1.0.0",
-                       cpu_units: float = 50.0) -> ComponentPackage:
+def montecarlo_package() -> ComponentPackage:
     entry = "grid.montecarlo"
     GLOBAL_BINARIES.register(entry, MonteCarloPiExecutor)
     soft = SoftwareDescriptor(
-        name="MonteCarloPi", version=Version.parse(version), vendor="grid",
+        name="MonteCarloPi", version=Version.parse("1.0.0"), vendor="grid",
         abstract="Data-parallel Monte-Carlo pi estimator.",
         mobility="mobile", replication="stateless",
         aggregation="data-parallel",
@@ -114,7 +113,7 @@ def montecarlo_package(version: str = "1.0.0",
     comp = ComponentTypeDescriptor(
         name="MonteCarloPi",
         provides=[PortDecl("work", WORKER_IFACE.repo_id)],
-        qos=QoSSpec(cpu_units=cpu_units, memory_mb=16.0),
+        qos=QoSSpec(cpu_units=50.0, memory_mb=16.0),
     )
     builder = PackageBuilder(soft, comp)
     builder.add_binary("bin/any/mcpi", synthetic_payload(10_000, seed=31))

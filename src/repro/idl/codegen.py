@@ -22,7 +22,6 @@ from typing import Optional
 from repro.idl import idlast as ast
 from repro.idl.parser import parse
 from repro.orb.core import (
-    DEFAULT_OP_COST,
     InterfaceDef,
     OperationDef,
     ParamDef,
@@ -125,11 +124,10 @@ class _Scope:
 
 
 class _Compiler:
-    def __init__(self, spec: ast.Specification, ifr: InterfaceRepository,
-                 default_cpu_cost: float) -> None:
+    def __init__(self, spec: ast.Specification,
+                 ifr: InterfaceRepository) -> None:
         self.spec = spec
         self.ifr = ifr
-        self.default_cpu_cost = default_cpu_cost
         self.root = _Scope("", None, CompiledModule(""))
 
     # -- repo ids ------------------------------------------------------------
@@ -288,7 +286,7 @@ class _Compiler:
             elif isinstance(item, ast.AttributeDecl):
                 iface.add_attribute(
                     item.name, self._resolve_type(inner, item.type),
-                    readonly=item.readonly, cpu_cost=self.default_cpu_cost,
+                    readonly=item.readonly,
                 )
             else:
                 self._definition(inner, item)
@@ -306,16 +304,13 @@ class _Compiler:
                   else self._resolve_type(scope, node.result))
         raises = tuple(self._resolve_exception(scope, r) for r in node.raises)
         return OperationDef(name=node.name, params=params, result=result,
-                            raises=raises, oneway=node.oneway,
-                            cpu_cost=self.default_cpu_cost)
+                            raises=raises, oneway=node.oneway)
 
 
 def compile_ast(spec: ast.Specification,
-                ifr: Optional[InterfaceRepository] = None,
-                default_cpu_cost: float = DEFAULT_OP_COST) -> CompiledModule:
+                ifr: InterfaceRepository) -> CompiledModule:
     """Compile a parsed specification; registers interfaces in *ifr*."""
-    ifr = ifr if ifr is not None else GLOBAL_IFR
-    compiler = _Compiler(spec, ifr, default_cpu_cost)
+    compiler = _Compiler(spec, ifr)
     namespace = compiler.run()
     _register_interfaces(compiler.root, ifr)
     return namespace
@@ -329,8 +324,7 @@ def _register_interfaces(scope: _Scope, ifr: InterfaceRepository) -> None:
             _register_interfaces(value, ifr)
 
 
-def compile_idl(source: str, ifr: Optional[InterfaceRepository] = None,
-                default_cpu_cost: float = DEFAULT_OP_COST) -> CompiledModule:
-    """Parse + compile IDL *source*; the one-call entry point."""
-    return compile_ast(parse(source), ifr=ifr,
-                       default_cpu_cost=default_cpu_cost)
+def compile_idl(source: str) -> CompiledModule:
+    """Parse + compile IDL *source* into the process-wide interface
+    repository; the one-call entry point."""
+    return compile_ast(parse(source), GLOBAL_IFR)

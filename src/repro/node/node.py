@@ -35,7 +35,6 @@ from repro.node.resources import (
 from repro.orb.core import ORB, InterfaceDef, Stub
 from repro.orb.exceptions import TRANSIENT
 from repro.orb.ior import IOR
-from repro.packaging.binaries import BinaryRegistry
 from repro.packaging.package import ComponentPackage
 from repro.packaging.signature import VendorKeyRegistry
 from repro.sim.kernel import Environment, Event
@@ -98,11 +97,9 @@ class Node:
         env: Environment,
         network: Network,
         host_id: str,
-        binaries: Optional[BinaryRegistry] = None,
         vendor_keys: Optional[VendorKeyRegistry] = None,
         require_signature: bool = False,
         default_timeout: Optional[float] = None,
-        obs=None,
     ) -> None:
         self.env = env
         self.network = network
@@ -113,12 +110,10 @@ class Node:
 
         self.orb = ORB(env, network, host_id,
                        default_timeout=default_timeout)
-        if obs is not None:
-            obs.install(self.orb)
         self.resources = ResourceManager(env, self.host)
         self.orb.dispatch_listeners.append(self.resources.charge)
         self.repository = ComponentRepository(
-            self.host.profile, binaries=binaries, vendor_keys=vendor_keys,
+            self.host.profile, vendor_keys=vendor_keys,
             require_signature=require_signature)
         self.events = EventBroker(self)
         self.container = Container(self)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.components.model import ComponentClass
-from repro.packaging.binaries import BinaryRegistry
 from repro.packaging.package import ComponentPackage, PackageError
 from repro.packaging.signature import VendorKeyRegistry
 from repro.sim.topology import HostProfile
@@ -30,11 +29,9 @@ class ComponentRepository:
     """Versioned store of installed component classes."""
 
     def __init__(self, profile: HostProfile,
-                 binaries: Optional[BinaryRegistry] = None,
                  vendor_keys: Optional[VendorKeyRegistry] = None,
                  require_signature: bool = False) -> None:
         self.profile = profile
-        self.binaries = binaries
         self.vendor_keys = vendor_keys
         self.require_signature = require_signature
         #: (name, version) -> ComponentClass
@@ -61,7 +58,7 @@ class ComponentRepository:
             raise PackageError(
                 f"{package.name} v{package.version} already installed"
             )
-        cls = ComponentClass(package, self.profile, binaries=self.binaries)
+        cls = ComponentClass(package, self.profile)
         self._classes[key] = cls
         self._notify("installed", cls)
         return cls

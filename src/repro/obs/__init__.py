@@ -82,11 +82,11 @@ class Observability:
         for node in values:
             self.install(node.orb)
 
-    def span(self, name: str, parent=None, host=None, attrs=None):
-        """Open an internal span for a framework activity (recovery,
-        promotion, sweep); the caller ends it via ``tracer.end_span``."""
-        return self.tracer.start_span(name, kind="internal",
-                                      parent=parent, host=host,
+    def span(self, name: str, host=None, attrs=None):
+        """Open an internal root span for a framework activity
+        (recovery, promotion, sweep); the caller ends it via
+        ``tracer.end_span``."""
+        return self.tracer.start_span(name, kind="internal", host=host,
                                       attrs=attrs)
 
     def traces(self):

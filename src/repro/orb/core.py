@@ -50,7 +50,6 @@ from repro.orb.interception import (ClientRequestInfo, ServerRequestInfo,
 from repro.orb.ior import IOR
 from repro.orb.listener import Listener
 from repro.orb.model import (
-    DEFAULT_OP_COST,
     PARAM_MODES,
     InterfaceDef,
     OperationDef,

@@ -125,15 +125,14 @@ class InterfaceDef:
         self.operations[odef.name] = odef
         self._op_cache = None
 
-    def add_attribute(self, name: str, tc: TypeCode, readonly: bool = False,
-                      cpu_cost: float = DEFAULT_OP_COST) -> None:
+    def add_attribute(self, name: str, tc: TypeCode,
+                      readonly: bool = False) -> None:
         """Model an IDL attribute as _get_/_set_ operations."""
-        self.add_operation(OperationDef(f"_get_{name}", (), tc,
-                                        cpu_cost=cpu_cost))
+        self.add_operation(OperationDef(f"_get_{name}", (), tc))
         if not readonly:
             self.add_operation(
                 OperationDef(f"_set_{name}", (ParamDef("value", tc),),
-                             tc_void, cpu_cost=cpu_cost)
+                             tc_void)
             )
 
     def find_operation(self, name: str) -> Optional[OperationDef]:

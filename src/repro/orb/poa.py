@@ -82,7 +82,8 @@ class POA:
         return key in self._servants
 
     # -- convenience -------------------------------------------------------------
-    def serve(self, servant: Servant, key: Optional[str] = None) -> Stub:
-        """Activate *servant* and return a local stub for it."""
-        ior = self.activate(servant, key)
+    def serve(self, servant: Servant) -> Stub:
+        """Activate *servant* under a generated key and return a local
+        stub for it."""
+        ior = self.activate(servant)
         return self.orb.stub(ior, servant.interface())

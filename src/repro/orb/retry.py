@@ -299,7 +299,6 @@ class BreakerRegistry:
 def invoke_with_retry(orb: ORB, ior: IOR, odef: OperationDef,
                       args: Sequence[Any],
                       policy: Optional[RetryPolicy] = None,
-                      meter: Optional[str] = None,
                       breaker: Optional[CircuitBreaker] = None,
                       budget: Optional[RetryBudget] = None):
     """Generator: invoke with retries; yields events, returns the result.
@@ -366,8 +365,7 @@ def invoke_with_retry(orb: ORB, ior: IOR, odef: OperationDef,
             attempts_made += 1
             try:
                 result = yield orb.invoke(ior, odef, args,
-                                          timeout=attempt_timeout,
-                                          meter=meter)
+                                          timeout=attempt_timeout)
                 if breaker is not None:
                     breaker.on_success()
                 if span is not None:

@@ -76,6 +76,6 @@ def synthetic_payload(size: int, seed: int = 0,
     return random_part + b"\x2a" * (size - n_random)
 
 
-def compressed_size(data: bytes, level: int = 6) -> int:
+def compressed_size(data: bytes) -> int:
     """Deflate size of *data* — what a compressed archive member costs."""
-    return len(zlib.compress(data, level))
+    return len(zlib.compress(data))

@@ -191,8 +191,8 @@ class ComponentPackage:
         return self._members[impl.binary_path]
 
     # -- partial extraction (tiny devices) ----------------------------------------
-    def extract_subset(self, os: str, arch: str, orb: str,
-                       compress: bool = True) -> "ComponentPackage":
+    def extract_subset(self, os: str, arch: str,
+                       orb: str) -> "ComponentPackage":
         """A new package holding only the binaries this platform needs.
 
         Metadata (descriptors, IDL, signature) is preserved; the
@@ -217,7 +217,7 @@ class ComponentPackage:
         for impl in impls:
             builder.add_binary(impl.binary_path,
                                self._members[impl.binary_path])
-        return ComponentPackage(builder.build(compress=compress))
+        return ComponentPackage(builder.build())
 
     # -- signatures ------------------------------------------------------------------
     def is_signed(self) -> bool:

@@ -34,13 +34,16 @@ METER = "registry.pred"
 #: accurate model still reports this often, as the keep-alive.
 KEEPALIVE_FACTOR = 2.5
 
+#: Weight of the newest sample in the reporter's slope estimate.
+SLOPE_ALPHA = 0.3
+
 _REPORT_MODEL = MRM_IFACE.operations["report_model"]
 
 
 class EwmaSlope:
     """Exponentially-weighted estimate of d(value)/dt."""
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self, alpha: float) -> None:
         self.alpha = alpha
         self.slope = 0.0
         self._last_value: Optional[float] = None
@@ -60,13 +63,11 @@ class PredictiveReporter(PeriodicReporter):
     """Model-based reporter: silence while the model stays accurate."""
 
     def __init__(self, node, mrm_iors: Sequence[IOR], config: MrmConfig,
-                 tolerance: float = 10.0, alpha: float = 0.3,
-                 phase: float = 0.0, meter: str = METER) -> None:
+                 tolerance: float = 10.0, phase: float = 0.0) -> None:
         self.mrm_iors = list(mrm_iors)
         self.tolerance = tolerance
         self.keepalive = KEEPALIVE_FACTOR * config.update_interval
-        self.meter = meter
-        self.model = EwmaSlope(alpha=alpha)
+        self.model = EwmaSlope(SLOPE_ALPHA)
         self.reports_suppressed = 0
         # What the MRM believes, for divergence checks.
         self._sent_value: Optional[float] = None
@@ -102,7 +103,7 @@ class PredictiveReporter(PeriodicReporter):
         for mrm in self.mrm_iors:
             self.node.orb.send_oneway(mrm, _REPORT_MODEL,
                                       (self.node.host_id, value, slope),
-                                      meter=self.meter)
+                                      meter=METER)
         self.reports_sent += 1
         self._sent_value = view.snapshot.cpu_available
         self._sent_slope = slope

@@ -71,10 +71,8 @@ class SoftStateReporter(PeriodicReporter):
     """Periodic, unacknowledged view reports from one node."""
 
     def __init__(self, node, mrm_iors: Sequence[IOR],
-                 config: MrmConfig, phase: float = 0.0,
-                 meter: str = METER) -> None:
+                 config: MrmConfig, phase: float = 0.0) -> None:
         self.mrm_iors = list(mrm_iors)
-        self.meter = meter
         super().__init__(node, config.update_interval, phase)
 
     def _tick(self) -> None:
@@ -89,7 +87,7 @@ class SoftStateReporter(PeriodicReporter):
         for mrm in self.mrm_iors:
             self.node.orb.send_oneway(mrm, _REPORT,
                                       (self.node.host_id, view),
-                                      meter=self.meter)
+                                      meter=METER)
         self.reports_sent += 1
 
     def retarget(self, mrm_iors: Sequence[IOR]) -> None:

@@ -29,18 +29,19 @@ _ACK = MRM_IFACE.operations["member_hosts"]
 #: heartbeats per soft-state update interval
 HEARTBEAT_DIVISOR = 5.0
 
+#: re-sends of an update whose acknowledgement timed out
+RETRIES = 2
+
 
 class StrongStateReporter:
     """Immediate, acknowledged change propagation + fast heartbeats."""
 
-    def __init__(self, node, mrm_iors: Sequence[IOR], config: MrmConfig,
-                 retries: int = 2, meter: str = METER) -> None:
+    def __init__(self, node, mrm_iors: Sequence[IOR],
+                 config: MrmConfig) -> None:
         self.node = node
         self.mrm_iors = list(mrm_iors)
         self.config = config
         self.heartbeat = config.update_interval / HEARTBEAT_DIVISOR
-        self.retries = retries
-        self.meter = meter
         self.reports_sent = 0
         self.acks_received = 0
         self.loop = HostLoop(node.env, node.host, self._heartbeat_loop)
@@ -55,15 +56,15 @@ class StrongStateReporter:
     def _send_acked(self):
         view = NodeView.collect(self.node).to_value()
         for mrm in self.mrm_iors:
-            for attempt in range(1 + self.retries):
+            for attempt in range(1 + RETRIES):
                 self.node.orb.send_oneway(mrm, _REPORT,
                                           (self.node.host_id, view),
-                                          meter=self.meter)
+                                          meter=METER)
                 self.reports_sent += 1
                 try:
                     yield self.node.orb.invoke(
                         mrm, _ACK, (), timeout=self.config.query_timeout,
-                        meter=self.meter)
+                        meter=METER)
                     self.acks_received += 1
                     break
                 except SystemException:
@@ -76,5 +77,5 @@ class StrongStateReporter:
             for mrm in self.mrm_iors:
                 self.node.orb.send_oneway(mrm, _REPORT,
                                           (self.node.host_id, view),
-                                          meter=self.meter)
+                                          meter=METER)
             self.reports_sent += 1

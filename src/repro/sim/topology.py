@@ -299,19 +299,17 @@ def star(n_leaves: int, hub_profile: HostProfile = SERVER,
     return topo
 
 
-def line(n: int, profile: HostProfile = DESKTOP,
-         link_class: LinkClass = LAN) -> Topology:
-    """Hosts ``h0..h{n-1}`` in a chain."""
+def line(n: int) -> Topology:
+    """Desktop hosts ``h0..h{n-1}`` in a chain of LAN links."""
     topo = Topology()
     for i in range(n):
-        topo.add_host(f"h{i}", profile)
+        topo.add_host(f"h{i}", DESKTOP)
     for i in range(n - 1):
-        topo.add_link(f"h{i}", f"h{i+1}", link_class)
+        topo.add_link(f"h{i}", f"h{i+1}", LAN)
     return topo
 
 
 def clustered(n_clusters: int, cluster_size: int,
-              intra: LinkClass = LAN, inter: LinkClass = WAN,
               profile: HostProfile = DESKTOP,
               backbone: str = "chain") -> Topology:
     """LAN clusters joined by WAN links between their first hosts.
@@ -339,10 +337,10 @@ def clustered(n_clusters: int, cluster_size: int,
             topo.add_host(f"c{c}h{j}", profile)
         for j in range(cluster_size):
             for k in range(j + 1, cluster_size):
-                topo.add_link(f"c{c}h{j}", f"c{c}h{k}", intra)
+                topo.add_link(f"c{c}h{j}", f"c{c}h{k}", LAN)
     if backbone == "chain" or n_clusters <= 2:
         for c in range(n_clusters - 1):
-            topo.add_link(f"c{c}h0", f"c{c+1}h0", inter)
+            topo.add_link(f"c{c}h0", f"c{c+1}h0", WAN)
         return topo
     offsets = [1]
     step = 2
@@ -353,27 +351,27 @@ def clustered(n_clusters: int, cluster_size: int,
         for offset in offsets:
             a, b = sorted((c, (c + offset) % n_clusters))
             if a != b and f"c{b}h0" not in topo._adj[f"c{a}h0"]:
-                topo.add_link(f"c{a}h0", f"c{b}h0", inter)
+                topo.add_link(f"c{a}h0", f"c{b}h0", WAN)
     return topo
 
 
-def random_mesh(n: int, degree: float, rng, profile: HostProfile = DESKTOP,
-                link_class: LinkClass = LAN) -> Topology:
-    """A connected random graph of *n* hosts with average degree ~*degree*.
+def random_mesh(n: int, degree: float, rng) -> Topology:
+    """A connected random graph of *n* desktop hosts joined by LAN links,
+    with average degree ~*degree*.
 
     Built as a random spanning tree plus extra random edges; always
     connected, deterministic under the supplied *rng*.
     """
     topo = Topology()
     for i in range(n):
-        topo.add_host(f"h{i}", profile)
+        topo.add_host(f"h{i}", DESKTOP)
     # random spanning tree
     order = list(range(n))
     rng.shuffle(order)
     for idx in range(1, n):
         a = order[idx]
         b = order[int(rng.integers(0, idx))]
-        topo.add_link(f"h{a}", f"h{b}", link_class)
+        topo.add_link(f"h{a}", f"h{b}", LAN)
     # extra edges
     extra = max(0, int(n * degree / 2) - (n - 1))
     tries = 0
@@ -382,6 +380,6 @@ def random_mesh(n: int, degree: float, rng, profile: HostProfile = DESKTOP,
         a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
         if a == b or f"h{b}" in topo._adj[f"h{a}"]:
             continue
-        topo.add_link(f"h{min(a, b)}", f"h{max(a, b)}", link_class)
+        topo.add_link(f"h{min(a, b)}", f"h{max(a, b)}", LAN)
         extra -= 1
     return topo

@@ -173,22 +173,20 @@ class SumWorkerExecutor(StatefulMixin, ComponentExecutor):
         return sum(partials)
 
 
-def sum_worker_package(version: str = "1.0.0",
-                       name: str = "SumWorker",
-                       cpu_units: float = 10.0) -> ComponentPackage:
+def sum_worker_package() -> ComponentPackage:
     entry = "demo.sumworker"
     GLOBAL_BINARIES.register(entry, SumWorkerExecutor)
     soft = SoftwareDescriptor(
-        name=name, version=Version.parse(version), vendor="repro-demo",
+        name="SumWorker", version=Version.parse("1.0.0"), vendor="repro-demo",
         abstract="Data-parallel range summer.",
         replication="stateless", aggregation="data-parallel",
         implementations=[ImplementationDescriptor(
             "*", "*", "*", entry, "bin/any/sumworker")],
     )
     comp = ComponentTypeDescriptor(
-        name=name,
+        name="SumWorker",
         provides=[PortDecl("work", WORKER_IFACE.repo_id)],
-        qos=QoSSpec(cpu_units=cpu_units, memory_mb=8.0),
+        qos=QoSSpec(cpu_units=10.0, memory_mb=8.0),
     )
     builder = PackageBuilder(soft, comp)
     builder.add_binary("bin/any/sumworker",

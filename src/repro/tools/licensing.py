@@ -70,9 +70,8 @@ class UsageMeter:
         return sorted(self._records.values(),
                       key=lambda r: (r.vendor, r.component))
 
-    def total_due(self, vendor: str | None = None) -> float:
-        return sum(r.charge for r in self._records.values()
-                   if vendor is None or r.vendor == vendor)
+    def total_due(self) -> float:
+        return sum(r.charge for r in self._records.values())
 
     def invoice(self) -> str:
         """Human-readable statement per vendor."""

@@ -76,7 +76,7 @@ class ElementSpec:
 
 
 def collect_violations(element: ET.Element, spec: ElementSpec,
-                       path: str = "") -> list[Finding]:
+                       _path: str = "") -> list[Finding]:
     """Every schema violation in *element*'s subtree, none fatal.
 
     Locations are element paths (``/softpkg/license``); a tag mismatch
@@ -84,7 +84,7 @@ def collect_violations(element: ET.Element, spec: ElementSpec,
     against a spec that does not describe them) but sibling subtrees
     are still checked.
     """
-    where = f"{path}/{element.tag}"
+    where = f"{_path}/{element.tag}"
     found: list[Finding] = []
 
     def violation(message: str) -> None:
@@ -127,14 +127,13 @@ def collect_violations(element: ET.Element, spec: ElementSpec,
     return found
 
 
-def validate_element(element: ET.Element, spec: ElementSpec,
-                     path: str = "") -> None:
+def validate_element(element: ET.Element, spec: ElementSpec) -> None:
     """Validate *element* against *spec*.
 
     Raises one :class:`SchemaError` carrying *all* violations (on its
     ``findings`` attribute) rather than stopping at the first.
     """
-    found = collect_violations(element, spec, path)
+    found = collect_violations(element, spec)
     if found:
         raise SchemaError(found)
 

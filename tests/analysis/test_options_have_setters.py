@@ -5,7 +5,9 @@ callable, and each defaulted field of a ``*Config`` / ``*Policy`` /
 ``*Profile`` dataclass, must be passed -- by keyword or by position --
 by some call in ``src/``, ``benchmarks/`` or ``examples/``.  A setting
 nothing sets is a constant in disguise: make it one.  Entries of
-``ALLOWED`` are exempt, each with a one-line reason.
+``ALLOWED`` are exempt, each with a one-line reason, and each must be
+passed by some call in ``tests/`` -- except the few in ``API_SHAPE``,
+reached through names the scan cannot follow.
 
 How callers are matched (by bare callee name, so generously):
 
@@ -28,12 +30,10 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parents[2]
 CALLER_DIRS = ("src", "benchmarks", "examples")
+TEST_DIRS = ("tests",)
 CONFIG_SUFFIXES = ("Config", "Policy", "Profile")
 
-_UNSET = "unset everywhere; a candidate for the next reach audit"
 _TESTS = "set by tests only"
-_FACTORY = "demo package factory: a descriptor field, same shape as " \
-           "counter_package's"
 
 ALLOWED = {
     # -- CLI entry points and their in-process test seam
@@ -55,33 +55,11 @@ ALLOWED = {
     "repro.sim.kernel.Environment.timeout:value":
         "simpy-style event value; tests use it",
     "repro.orb.core.ORB.call:timeout": "mirrors ORB.invoke's; " + _TESTS,
-    "repro.orb.poa.POA.serve:key": "mirrors POA.activate's key",
-    "repro.sim.topology.line:profile": "same shape as star(); " + _UNSET,
-    "repro.sim.topology.line:link_class": "same shape as star(); " + _UNSET,
-    "repro.sim.topology.random_mesh:profile":
-        "routing-property oracle's builder; same shape as star()",
-    "repro.sim.topology.random_mesh:link_class":
-        "routing-property oracle's builder; same shape as star()",
-    "repro.sim.topology.clustered:intra": "LAN link class; " + _UNSET,
-    "repro.sim.topology.clustered:inter": "WAN link class; " + _UNSET,
-    # -- demo package factories
-    "repro.cscw.display.display_package:version": _FACTORY,
-    "repro.cscw.video.stream_source_package:version": _FACTORY,
-    "repro.cscw.video.video_decoder_package:version": _FACTORY,
-    "repro.cscw.whiteboard.whiteboard_package:version": _FACTORY,
-    "repro.cscw.whiteboard.gui_part_package:version": _FACTORY,
-    "repro.grid.worker.montecarlo_package:version": _FACTORY,
-    "repro.grid.worker.montecarlo_package:cpu_units": _FACTORY,
+    # -- the test rig's package
     "repro.testing.counter_package:version": "test rig; " + _TESTS,
     "repro.testing.counter_package:mobility": "test rig; " + _TESTS,
     "repro.testing.counter_package:replication": "test rig; " + _TESTS,
     "repro.testing.counter_package:payload_size": "test rig; " + _TESTS,
-    "repro.testing.sum_worker_package:version": _FACTORY,
-    "repro.testing.sum_worker_package:name": _FACTORY,
-    "repro.testing.sum_worker_package:cpu_units": _FACTORY,
-    "repro.deployment.bootstrap.application_package:version": _FACTORY,
-    "repro.deployment.bootstrap.application_package:vendor": _FACTORY,
-    "repro.deployment.bootstrap.application_package:name": _FACTORY,
     # -- knobs the tests turn
     "repro.analysis.simlint.baseline.Baseline:entries": _TESTS,
     "repro.deployment.loadbalancer.LoadBalancer:threshold": _TESTS,
@@ -109,41 +87,18 @@ ALLOWED = {
     "repro.sim.network.Network:metrics": _TESTS,
     "repro.sim.network.Network:wire_faults": _TESTS,
     "repro.sim.stats.MetricRegistry.add_labelled:amount": _TESTS,
-    # -- unset everywhere
-    "repro.analysis.descriptors.PackageSet.add_package:source": _UNSET,
-    "repro.analysis.gate.DeploymentGate:strict_interfaces": _UNSET,
-    "repro.chaos.campaign.ChaosCampaign:monitors": _UNSET,
-    "repro.chaos.campaign.run_campaign:n_clusters": _UNSET,
-    "repro.chaos.campaign.run_campaign:cluster_size": _UNSET,
-    "repro.chaos.scenario.build_world:config": _UNSET,
-    "repro.components.ports.EventSinkPort:consumer_ior": _UNSET,
-    "repro.container.aggregation.AggregationCoordinator.run:facet_port":
-        _UNSET,
-    "repro.container.replication.ReplicaManager.create_group:facet_port":
-        _UNSET,
-    "repro.deployment.application.Application.repair:state": _UNSET,
-    "repro.deployment.application.Application.repair:fence": _UNSET,
-    "repro.deployment.bootstrap.NetworkDeployer:planner": _UNSET,
-    "repro.deployment.bootstrap.NetworkDeployer:gate": _UNSET,
-    "repro.deployment.planner.VerifiedPlanner:metrics": _UNSET,
-    "repro.idl.codegen.compile_idl:ifr": _UNSET,
-    "repro.idl.codegen.compile_idl:default_cpu_cost": _UNSET,
-    "repro.node.node.Node:binaries": _UNSET,
-    "repro.node.node.Node:vendor_keys": _UNSET,
-    "repro.node.node.Node:require_signature": _UNSET,
-    "repro.node.node.Node:obs": _UNSET,
-    "repro.obs.Observability.span:parent": _UNSET,
-    "repro.orb.retry.invoke_with_retry:meter": _UNSET,
-    "repro.packaging.binaries.compressed_size:level": _UNSET,
-    "repro.packaging.package.ComponentPackage.extract_subset:compress":
-        _UNSET,
-    "repro.registry.prediction.PredictiveReporter:alpha": _UNSET,
-    "repro.registry.prediction.PredictiveReporter:meter": _UNSET,
-    "repro.registry.softstate.SoftStateReporter:meter": _UNSET,
-    "repro.registry.strongstate.StrongStateReporter:retries": _UNSET,
-    "repro.registry.strongstate.StrongStateReporter:meter": _UNSET,
-    "repro.tools.licensing.UsageMeter.total_due:vendor": _UNSET,
-    "repro.xmlmeta.schema.validate_element:path": _UNSET,
+    # -- the switch for signed-package verification (section 2.3)
+    "repro.node.node.Node:vendor_keys": _TESTS,
+    "repro.node.node.Node:require_signature": _TESTS,
+}
+
+#: Allowed settings no call in ``tests/`` spells either, because they
+#: are reached through a name the scan cannot follow.
+API_SHAPE = {
+    "repro.analysis.simlint.engine.rule:func",
+    "repro.orb.exceptions.SystemException:reason",
+    "repro.orb.exceptions.SystemException:minor",
+    "repro.orb.exceptions.SystemException:completed",
 }
 
 
@@ -252,8 +207,8 @@ def _callees(node: ast.Call, enclosing: Optional[ast.ClassDef]):
     return [], 0
 
 
-def all_calls() -> dict:
-    """callee name -> [Call] over every caller directory."""
+def all_calls(directories=CALLER_DIRS) -> dict:
+    """callee name -> [Call] over every file under *directories*."""
     calls = defaultdict(list)
 
     def visit(node, enclosing):
@@ -272,7 +227,7 @@ def all_calls() -> dict:
         for name in names:
             calls[name].append(call)
 
-    for directory in CALLER_DIRS:
+    for directory in directories:
         for _path, tree in _modules(ROOT / directory):
             visit(tree, None)
     return calls
@@ -297,6 +252,17 @@ def test_every_setting_has_a_setter():
         "settings no call in src/, benchmarks/ or examples/ passes -- "
         "make each a constant (or allow it here with a reason):\n  "
         + "\n  ".join(unset))
+
+
+def test_every_allowed_setting_is_set_by_a_test():
+    """An allowed setting no test passes either is unset everywhere:
+    it is a constant, not an exemption."""
+    calls = all_calls(TEST_DIRS)
+    found = {s.key: s for s in all_settings()}
+    unset = sorted(key for key in set(ALLOWED) - API_SHAPE
+                   if key in found and not is_set(found[key], calls))
+    assert not unset, f"allowed but passed by no test either: {unset}"
+    assert API_SHAPE <= set(ALLOWED)
 
 
 def test_allowlist_has_no_stale_entries():
@@ -342,6 +308,65 @@ REMOVED = [
     ("repro.chaos.invariants.AdmissionRecoveredMonitor", "stale_after", 0,
      False),
     ("repro.sim.kernel.Environment", "initial_time", 0, False),
+    ("repro.analysis.descriptors.PackageSet.add_package", "source", 1, False),
+    ("repro.analysis.gate.DeploymentGate", "strict_interfaces", 0, False),
+    ("repro.chaos.campaign.ChaosCampaign", "monitors", 2, False),
+    ("repro.chaos.campaign.run_campaign", "n_clusters", 2, False),
+    ("repro.chaos.campaign.run_campaign", "cluster_size", 3, False),
+    ("repro.chaos.scenario.build_world", "n_clusters", 1, False),
+    ("repro.chaos.scenario.build_world", "cluster_size", 2, False),
+    ("repro.chaos.scenario.build_world", "config", 3, False),
+    ("repro.components.ports.EventSinkPort", "consumer_ior", 2, False),
+    ("repro.container.aggregation.AggregationCoordinator.run", "facet_port",
+     3, False),
+    ("repro.container.replication.ReplicaManager.create_group",
+     "facet_port", 2, False),
+    ("repro.deployment.application.Application.repair", "state", 2, False),
+    ("repro.deployment.application.Application.repair", "fence", 3, False),
+    ("repro.deployment.bootstrap.NetworkDeployer", "planner", 2, False),
+    ("repro.deployment.bootstrap.NetworkDeployer", "gate", 3, False),
+    ("repro.deployment.planner.VerifiedPlanner", "metrics", 3, False),
+    ("repro.idl.codegen.compile_idl", "ifr", 1, False),
+    ("repro.idl.codegen.compile_idl", "default_cpu_cost", 2, False),
+    ("repro.idl.codegen.compile_ast", "default_cpu_cost", 2, False),
+    ("repro.orb.model.InterfaceDef.add_attribute", "cpu_cost", 3, False),
+    ("repro.node.node.Node", "binaries", 3, False),
+    ("repro.node.node.Node", "obs", 7, False),
+    ("repro.node.repository.ComponentRepository", "binaries", 1, False),
+    ("repro.components.model.ComponentClass", "binaries", 2, False),
+    ("repro.obs.Observability.span", "parent", 1, False),
+    ("repro.orb.retry.invoke_with_retry", "meter", 5, False),
+    ("repro.packaging.binaries.compressed_size", "level", 1, False),
+    ("repro.packaging.package.ComponentPackage.extract_subset", "compress",
+     3, False),
+    ("repro.registry.prediction.PredictiveReporter", "alpha", 4, False),
+    ("repro.registry.prediction.PredictiveReporter", "meter", 6, False),
+    ("repro.registry.softstate.SoftStateReporter", "meter", 4, False),
+    ("repro.registry.strongstate.StrongStateReporter", "retries", 3, False),
+    ("repro.registry.strongstate.StrongStateReporter", "meter", 4, False),
+    ("repro.tools.licensing.UsageMeter.total_due", "vendor", 0, False),
+    ("repro.xmlmeta.schema.validate_element", "path", 2, False),
+    ("repro.orb.poa.POA.serve", "key", 1, False),
+    ("repro.sim.topology.line", "profile", 1, False),
+    ("repro.sim.topology.line", "link_class", 2, False),
+    ("repro.sim.topology.random_mesh", "profile", 3, False),
+    ("repro.sim.topology.random_mesh", "link_class", 4, False),
+    ("repro.sim.topology.clustered", "intra", 2, False),
+    ("repro.sim.topology.clustered", "inter", 3, False),
+    # demo package factories: the values are literals in the descriptors
+    ("repro.cscw.display.display_package", "version", 0, False),
+    ("repro.cscw.video.stream_source_package", "version", 0, False),
+    ("repro.cscw.video.video_decoder_package", "version", 0, False),
+    ("repro.cscw.whiteboard.whiteboard_package", "version", 0, False),
+    ("repro.cscw.whiteboard.gui_part_package", "version", 0, False),
+    ("repro.grid.worker.montecarlo_package", "version", 0, False),
+    ("repro.grid.worker.montecarlo_package", "cpu_units", 1, False),
+    ("repro.testing.sum_worker_package", "version", 0, False),
+    ("repro.testing.sum_worker_package", "name", 1, False),
+    ("repro.testing.sum_worker_package", "cpu_units", 2, False),
+    ("repro.deployment.bootstrap.application_package", "version", 1, False),
+    ("repro.deployment.bootstrap.application_package", "vendor", 2, False),
+    ("repro.deployment.bootstrap.application_package", "name", 3, False),
 ]
 
 
@@ -352,7 +377,7 @@ def test_a_removed_setting_re_added_would_fail_the_scan():
                                     qualname.rsplit(".", 1)[1], param,
                                     index, field), calls)
               and f"{qualname}:{param}" not in ALLOWED]
-    assert len(caught) == len(REMOVED) == 20
+    assert len(caught) == len(REMOVED) == 75
 
 
 def test_the_scan_sees_each_kind_of_setting():

@@ -9,10 +9,12 @@ from repro.node.repository import ComponentRepository, NotInstalledError
 from repro.node.resources import ResourceManager, ResourceSnapshot
 from repro.orb.exceptions import NO_RESOURCES, TRANSIENT
 from repro.orb.ior import IOR
-from repro.packaging.package import ComponentPackage, PackageError
+from repro.packaging.package import (ComponentPackage, PackageBuilder,
+                                     PackageError)
 from repro.packaging.signature import SignatureError, VendorKeyRegistry
 from repro.sim.kernel import Environment
-from repro.sim.topology import DESKTOP, PDA, SERVER, Host
+from repro.sim.network import Network
+from repro.sim.topology import DESKTOP, PDA, SERVER, Host, star
 from repro.testing import COUNTER_IFACE, counter_package, star_rig
 from repro.util.errors import ConfigurationError
 from repro.xmlmeta.descriptors import QoSSpec
@@ -117,6 +119,27 @@ class TestRepository:
                                    require_signature=True)
         with pytest.raises(SignatureError):
             repo.install(counter_package())  # unsigned
+
+
+class TestSignedPackages:
+    """``Node(vendor_keys=..., require_signature=True)`` is the switch
+    for the section 2.3 signed-package check."""
+
+    def test_node_refuses_unsigned_and_installs_signed(self):
+        env = Environment()
+        keys = VendorKeyRegistry()
+        node = Node(env, Network(env, star(1)), "h0", vendor_keys=keys,
+                    require_signature=True)
+        unsigned = counter_package()
+        with pytest.raises(SignatureError):
+            node.install_package(unsigned)
+        assert not node.repository.is_installed("Counter")
+        builder = PackageBuilder(unsigned.software, unsigned.component)
+        builder.add_binary("bin/any/counter",
+                           unsigned.binary_payload("linux", "x86",
+                                                   "corba-lc"))
+        node.install_package(builder.build(signer=keys))
+        assert node.repository.is_installed("Counter")
 
 
 class TestNodeServices:
