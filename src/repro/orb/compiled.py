@@ -35,7 +35,6 @@ enforced by ``tests/property/test_bimodal_properties.py``.
 from __future__ import annotations
 
 import struct as _struct
-from collections import OrderedDict
 from typing import Callable, Optional
 
 from repro.orb import cdr as _cdr
@@ -291,15 +290,15 @@ def _variant_structs(leaves):
     return out
 
 
-#: Batch-format cache capacity per batcher (LRU-evicted, never cleared
-#: wholesale, so hot (residue, count) formats survive diverse workloads).
+#: Batch-format cache capacity per batcher (cleared wholesale when
+#: full, as the codec's other caches are).
 _BATCH_CACHE_MAX = 128
 
 
 def make_batcher(leaves, lead_ulong: bool = False):
     """Return ``batch_struct(r0, n) -> Struct`` for a fixed leaf run.
 
-    The returned callable builds (and LRU-caches, keyed by start residue
+    The returned callable builds (and caches, keyed by start residue
     and element count) one big-endian Struct packing *n* repetitions of
     the leaf run starting at stream residue ``r0`` (mod 8), with
     alignment gaps folded in as ``x`` pad fields.  With ``lead_ulong``
@@ -310,7 +309,7 @@ def make_batcher(leaves, lead_ulong: bool = False):
     """
     elem_variants = _variant_fmts(leaves)
     consumed = [c for _f, c in elem_variants]
-    cache: OrderedDict[tuple[int, int], _struct.Struct] = OrderedDict()
+    cache: dict[tuple[int, int], _struct.Struct] = {}
     last_key: Optional[tuple[int, int]] = None
     last_st: Optional[_struct.Struct] = None
 
@@ -318,12 +317,11 @@ def make_batcher(leaves, lead_ulong: bool = False):
         nonlocal last_key, last_st
         key = (r0, n)
         # Single-entry memo: steady-state callers hit one (residue,
-        # count) shape, skipping the LRU bookkeeping entirely.
+        # count) shape, skipping the dict lookup.
         if key == last_key:
             return last_st
         st = cache.get(key)
         if st is not None:
-            cache.move_to_end(key)
             last_key, last_st = key, st
             return st
         # Element layout depends on the start residue; walk the residue
@@ -348,7 +346,7 @@ def make_batcher(leaves, lead_ulong: bool = False):
             r = r2
         st = _struct.Struct(">" + "".join(parts))
         if len(cache) >= _BATCH_CACHE_MAX:
-            cache.popitem(last=False)
+            cache.clear()
         cache[key] = st
         last_key, last_st = key, st
         return st

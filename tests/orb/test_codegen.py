@@ -3,7 +3,7 @@
 Property coverage (equivalence with the reference interpreter) lives
 in ``tests/property/test_bimodal_properties.py``; this file pins the
 plumbing: tier selection in ``get_plan``, the plan cache and stats,
-struct value polymorphism, union arms, and the batch-format LRU in
+struct value polymorphism, union arms, and the batch-format cache in
 ``compiled.make_batcher``.
 """
 
@@ -202,22 +202,17 @@ def test_union_value_must_be_pair():
         enc_fn(CDREncoder(), "not-a-pair")
 
 
-# -- batch-format LRU ---------------------------------------------------------
+# -- batch-format cache -----------------------------------------------------
 
-def test_make_batcher_lru_keeps_hot_entry_and_bounds_cache():
+def test_make_batcher_cache_is_bounded():
     # One fixed leaf: a long (4 bytes, 4-aligned).
     batch = make_batcher([("i", 4, 4)])
-    hot = batch(0, 1)
     from repro.orb.compiled import _BATCH_CACHE_MAX
 
-    # Insert far more shapes than the cache holds, touching the hot
-    # entry periodically; the LRU must keep it while evicting the rest.
+    # Far more shapes than the cache holds: it never grows past its
+    # bound, and a shape asked for again is rebuilt equal.
+    first = batch(0, 1)
     for n in range(2, 3 * _BATCH_CACHE_MAX):
         batch(0, n)
-        if n % 16 == 0:
-            assert batch(0, 1) is hot
-    assert len(batch.cache) <= _BATCH_CACHE_MAX
-    assert batch(0, 1) is hot
-    # Cold early shapes were evicted (they would only be present if the
-    # cache grew without bound).
-    assert (0, 2) not in batch.cache
+        assert len(batch.cache) <= _BATCH_CACHE_MAX
+    assert batch(0, 1).format == first.format
