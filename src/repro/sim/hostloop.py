@@ -28,7 +28,10 @@ class HostLoop:
     now, re-seed membership) — then starts one fresh process.
     :meth:`stop` interrupts likewise *and* unhooks from the host, so a
     stopped loop cannot be revived by a later restart and a service
-    that is replaced many times leaks no hooks.
+    that is replaced many times leaks no hooks.  A process interrupted
+    in the instant it was started never runs its entry: the kernel
+    starts it before the interrupt arrives, and by then the host may be
+    dead, or restarted with a fresh process of its own.
     """
 
     def __init__(self, env: Environment, host: Host,
@@ -43,8 +46,11 @@ class HostLoop:
         self.stopped = False
         self._proc: Optional[Process] = None
         self._spawned: list[Process] = []
+        #: bumped by every interrupt; a process started in an earlier
+        #: epoch has been interrupted, whether or not it ran yet.
+        self._epoch = 0
         if host.alive:
-            self._proc = env.process(self._run(body()))
+            self._proc = self._start(body())
         host.on_crash.append(self._crash)
         host.on_restart.append(self._restart)
 
@@ -58,7 +64,7 @@ class HostLoop:
         started on a dead host or a stopped loop."""
         if self.stopped or not self.host.alive:
             return None
-        proc = self.env.process(self._run(generator))
+        proc = self._start(generator)
         self._spawned = [p for p in self._spawned if p.is_alive] + [proc]
         return proc
 
@@ -71,13 +77,19 @@ class HostLoop:
             if hook in hooks:
                 hooks.remove(hook)
 
-    def _run(self, generator: Generator):
+    def _start(self, generator: Generator) -> Process:
+        return self.env.process(self._run(generator, self._epoch))
+
+    def _run(self, generator: Generator, epoch: int):
+        if epoch != self._epoch:
+            return          # interrupted before it started
         try:
             yield from generator
         except Interrupt:
             return
 
     def _interrupt(self, cause: str) -> None:
+        self._epoch += 1
         for proc in (self._proc, *self._spawned):
             if proc is not None and proc.is_alive:
                 proc.interrupt(cause)
@@ -92,4 +104,4 @@ class HostLoop:
     def _restart(self, _host: Host) -> None:
         if self.on_restart is not None:
             self.on_restart()
-        self._proc = self.env.process(self._run(self.body()))
+        self._proc = self._start(self.body())

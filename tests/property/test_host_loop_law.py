@@ -21,13 +21,14 @@ step.  The law:
   stopped`` (never two, never none) and nothing spawned outlives a
   crash or a stop.
 
-A tick, or a step, is what a process does after a wait.  Its *entry*
-(up to the first ``yield``) is not one: the kernel delivers a process's
-``Initialize`` before an ``Interruption`` queued behind it, so a loop
-restarted and crashed in one instant still runs its entry, as the nine
-hand-written copies did (chaos seed 163 heals and re-crashes ``c2h0``
-in one instant, and its digest depends on it; whatever the entry sends
-is dropped by ``Network.send`` as ``net.dropped.src_dead``).
+A tick, or a step, is what a process does after a wait; its *entry*
+(up to the first ``yield``) is what it does when it starts.  The kernel
+delivers a process's ``Initialize`` before an ``Interruption`` queued
+behind it, so the primitive itself keeps a process interrupted in the
+instant it was started from running its entry: on a dead host, or
+beside the fresh body of a restart in that same instant (chaos seed
+163 heals and re-crashes ``c2h0`` in one instant).  The body's entry
+asserts a restart came before it, so a second entry fails the law.
 
 Three named mutants — the shapes of bugs this repo shipped — must each
 fail it.
@@ -202,6 +203,41 @@ def test_a_loop_built_on_a_dead_host_waits_for_the_restart():
     assert loop.alive and entered == [3.0]
 
 
+def _entry_counting_loop():
+    env, host = Environment(), Host("h", SERVER)
+    entered = []
+
+    def body():
+        entered.append(host.alive)
+        while True:
+            yield env.timeout(1.0)
+
+    return env, host, HostLoop(env, host, body), entered
+
+
+def test_a_loop_crashed_as_it_starts_runs_no_entry():
+    """Started and crashed in one instant: the interrupted process used
+    to run its entry on the dead host before the interrupt landed."""
+    env, host, loop, entered = _entry_counting_loop()
+    host.crash()
+    env.run(until=0.0)
+    assert not loop.alive and entered == []
+    env.run(until=2.0)
+    assert entered == []
+
+
+def test_crash_then_restart_in_one_instant_runs_one_entry():
+    """Crash and restart in the instant the loop started: only the
+    restart's process runs its entry, once, on the live host."""
+    env, host, loop, entered = _entry_counting_loop()
+    host.crash()
+    host.restart()
+    env.run(until=0.0)
+    assert loop.alive and entered == [True]
+    env.run(until=2.0)
+    assert entered == [True]
+
+
 # -- mutants -----------------------------------------------------------------
 # Each is one way this protocol was hand-written wrong in this repo.
 
@@ -241,7 +277,7 @@ class StartGuardedByIsAlive(HostLoop):
     def _restart(self, _host):
         self.on_restart()
         if not self._proc.is_alive:
-            self._proc = self.env.process(self._run(self.body()))
+            self._proc = self._start(self.body())
 
 
 @pytest.mark.parametrize("mutant", [CrashDoesNotInterrupt,
