@@ -111,7 +111,7 @@ class TracingInterceptor:
     def finish_request(self, info) -> None:
         span = info.span
         if span is not None:
-            span.bytes_out = info.reply_bytes
+            span.bytes_out = info.reply_bytes or None   # a oneway has none
             if info.odef is None:
                 self._serve.pop(info.request.operation, None)
                 span.name = UNKNOWN_SERVE

@@ -126,6 +126,16 @@ class TestSpanWindow:
         assert client.bytes_in is None
         assert client.bytes_out == server.bytes_in > 0
 
+    def test_a_oneway_server_leg_sends_no_reply_bytes(self):
+        # No reply message, so None ("no message"), not a zero-byte one.
+        rig = SimRig(star(1), seed=3)
+        hub = rig.observe()
+        ior = rig.node("hub").orb.adapter("t").activate(NullServant())
+        rig.node("h0").orb.send_oneway(ior, NOTE, ())
+        rig.run(until=rig.env.now + 1.0)
+        _client, server = hub.tracer.spans
+        assert server.status == "ok" and server.bytes_out is None
+
     def test_exception_reply_bytes_match_the_histogram(self):
         # The reply that carried the exception is a message like any
         # other: the client leg records its size, as the server leg and
