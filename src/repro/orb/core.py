@@ -145,7 +145,7 @@ class ORB:
         # Hot-path counter resolved once instead of per call.
         self._ctr_requests = self.metrics.counter(names.ORB_REQUESTS)
         #: meter -> its (``.msgs``, ``.bytes``) counters, bound on first
-        #: use.  Bounded by the ``meter=`` call sites in ``src/`` (29):
+        #: use.  Bounded by the ``meter=`` call sites in ``src/`` (26):
         #: a meter is a program constant, never wire input.
         self._meters: dict[str, tuple] = {}
         #: observability hub, set by repro.obs.Observability.install().
