@@ -26,7 +26,8 @@ Subpackages, bottom-up:
   balancing.
 - :mod:`repro.cscw` / :mod:`repro.grid` — the paper's §3 domains.
 - :mod:`repro.testing` — demo components and simulation rigs.
-- Beside them: :mod:`repro.events` (event bus), :mod:`repro.obs`
+- Beside them: :mod:`repro.events` (the batched fan-out C17
+  measures; no service publishes to it), :mod:`repro.obs`
   (metrics and traces), :mod:`repro.analysis` (static verification),
   :mod:`repro.chaos` (fault campaigns) and :mod:`repro.tools` (CLIs).
 

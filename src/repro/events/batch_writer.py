@@ -11,16 +11,13 @@ callback as one batch when either threshold trips:
 
 The size threshold is also the buffer's bound: ``append`` flushes the
 moment the buffer holds ``max_batch`` items, so it never holds more.
-
-The flush callback may be a plain callable or a generator function;
-generators are driven as simulation processes so flushes may perform
-timed work (remote sends) without blocking the publisher.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
+from repro.obs import names
 from repro.sim.kernel import Environment, Timeout
 from repro.sim.stats import MetricRegistry
 from repro.util.errors import ConfigurationError
@@ -30,13 +27,10 @@ class BatchWriter:
     """Accumulate items; flush by size or age."""
 
     __slots__ = ("env", "_flush_cb", "max_batch", "max_age",
-                 "metrics", "name", "_buf", "_token", "_armed",
-                 "_ctr_flushes", "_ctr_items")
+                 "_buf", "_token", "_armed", "_ctr_flushes", "_ctr_items")
 
-    def __init__(self, env: Environment, flush: Callable,
-                 max_batch: int = 64, max_age: float = 0.05,
-                 metrics: Optional[MetricRegistry] = None,
-                 name: str = "batch") -> None:
+    def __init__(self, env: Environment, flush: Callable, max_batch: int,
+                 max_age: float, metrics: MetricRegistry) -> None:
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, "
                                      f"got {max_batch}")
@@ -46,13 +40,11 @@ class BatchWriter:
         self._flush_cb = flush
         self.max_batch = max_batch
         self.max_age = max_age
-        self.metrics = metrics or MetricRegistry()
-        self.name = name
         self._buf: list = []
         self._token = 0          # versions the armed age timer
         self._armed = False
-        self._ctr_flushes = self.metrics.counter(f"{name}.flushes")
-        self._ctr_items = self.metrics.counter(f"{name}.flushed")
+        self._ctr_flushes = metrics.counter(names.BUS_FLUSHES)
+        self._ctr_items = metrics.counter(names.BUS_FLUSHED)
 
     # -- state -----------------------------------------------------------
     @property
@@ -89,12 +81,4 @@ class BatchWriter:
         self._token += 1   # invalidate any armed age timer
         self._ctr_flushes.value += 1
         self._ctr_items.value += len(batch)
-        result = self._flush_cb(batch)
-        if result is not None and hasattr(result, "throw"):
-            self.env.process(result)
-
-    def clear(self) -> None:
-        """Drop everything buffered without delivering (crash semantics)."""
-        self._buf.clear()
-        self._armed = False
-        self._token += 1
+        self._flush_cb(batch)

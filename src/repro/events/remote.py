@@ -11,7 +11,7 @@ together are what turn N logical events into ~1 link charge per sink.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.obs import names
 from repro.orb.core import InterfaceDef, ORB, OperationDef, Servant, op
@@ -71,42 +71,27 @@ class FanoutForwarder:
     many sinks there are.  Fan-out is all-or-nothing per flush.
     """
 
-    __slots__ = ("orb", "iors", "odef", "to_args", "meter",
+    __slots__ = ("orb", "iors", "odef", "to_args",
                  "_ctr_batches", "_ctr_events", "_ctr_errors")
 
     def __init__(self, orb: ORB, iors: Sequence[IOR], odef: OperationDef,
-                 to_args: Callable[[Sequence], tuple],
-                 meter: Optional[str] = None) -> None:
+                 to_args: Callable[[Sequence], tuple]) -> None:
         self.orb = orb
         self.iors = list(iors)
         self.odef = odef
         self.to_args = to_args
-        self.meter = meter
         metrics = orb.metrics
         self._ctr_batches = metrics.counter(names.BUS_REMOTE_BATCHES)
         self._ctr_events = metrics.counter(names.BUS_REMOTE_EVENTS)
         self._ctr_errors = metrics.counter(names.BUS_REMOTE_ERRORS)
 
-    def retarget(self, iors: Sequence[IOR]) -> None:
-        """Re-aim the fan-out at a new sink set.
-
-        Gossip-style users re-pick destinations per flush (each round
-        samples a fresh peer set); the subscription and its buffer stay
-        in place, only the addressing changes.
-        """
-        self.iors = list(iors)
-
-    def deliver(self, events: Sequence) -> bool:
-        """Send one batch to every sink; True if handed to the wire."""
-        if not self.iors:
-            return False
+    def deliver(self, events: Sequence) -> None:
+        """Send one batch to every sink."""
         try:
             self.orb.send_oneway_fanout(self.iors, self.odef,
-                                        self.to_args(events),
-                                        meter=self.meter)
+                                        self.to_args(events))
         except SystemException:
             self._ctr_errors.value += 1
-            return False
+            return
         self._ctr_batches.value += len(self.iors)
         self._ctr_events.value += len(events) * len(self.iors)
-        return True

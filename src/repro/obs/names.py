@@ -61,7 +61,8 @@ FEDERATION_ROUNDS = "federation.rounds"
 
 # events/
 BUS_DELIVERED = "bus.delivered"
-BUS_NO_SUBSCRIBER = "bus.no_subscriber"
+BUS_FLUSHED = "bus.flushed"
+BUS_FLUSHES = "bus.flushes"
 BUS_PUBLISHED = "bus.published"
 BUS_REMOTE_BATCHES = "bus.remote.batches"
 BUS_REMOTE_ERRORS = "bus.remote.errors"
@@ -110,7 +111,8 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "supervisor.recovery.latency",
     # events
     BUS_DELIVERED,
-    BUS_NO_SUBSCRIBER,
+    BUS_FLUSHED,
+    BUS_FLUSHES,
     BUS_PUBLISHED,
     BUS_REMOTE_BATCHES,
     BUS_REMOTE_ERRORS,
@@ -179,9 +181,6 @@ METRIC_PATTERNS: frozenset[str] = frozenset({
     "*.bytes",
     "*.msgs",
     "*.errors",
-    # batch writers are instantiated per name
-    "*.flushed",
-    "*.flushes",
     # request-path latency/size histograms (per subsystem / operation)
     "*.latency",
     "orb.client.latency.*",

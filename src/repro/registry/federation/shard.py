@@ -7,11 +7,9 @@ of the provider-record space and a
 plane gossiped, member plane local), and runs
 **seeded epidemic rounds**: every ``gossip_interval`` it picks
 ``fanout`` live peers from its own membership view (a named RNG
-stream, so runs are reproducible), publishes its round delta onto the
-node's event bus, and a batched bus subscription fans the flush out as
-**one** marshalled ``gossip`` frame per peer via
-:meth:`~repro.orb.core.ORB.send_oneway_fanout` — the PR-7 machinery,
-retargeted at each round's peer set.
+stream, so runs are reproducible) and sends its round delta as **one**
+``gossip`` frame per peer, marshalled once, via
+:meth:`~repro.orb.core.ORB.send_oneway_fanout`.
 
 Anti-entropy: most rounds carry only the records merged since the
 previous round, but every ``FULL_SYNC_EVERY``-th round pushes the full
@@ -53,15 +51,10 @@ from repro.xmlmeta.descriptors import QoSSpec
 SHARD_ADAPTER = "node"
 SHARD_KEY = "shard"
 
-#: Bus topic one agent's gossip rounds publish record deltas to.
-GOSSIP_TOPIC = "federation.gossip"
-
 METER = "federation.gossip"
 
 #: rounds between anti-entropy full syncs
 FULL_SYNC_EVERY = 4
-#: bus flush window for one round's record deltas
-GOSSIP_BATCH = 256
 
 SHARD_IFACE = InterfaceDef(
     "IDL:corbalc/Federation/Shard:1.0",
@@ -87,6 +80,7 @@ SHARD_IFACE = InterfaceDef(
         op("is_shard_alive", [], tc_boolean),
     ],
 )
+GOSSIP_OP = SHARD_IFACE.operations["gossip"]
 
 
 def shard_ior(host: str) -> IOR:
@@ -109,11 +103,9 @@ class ShardAgent:
         self._last_round = 0.0
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
-        self._forwarder = None
         self._servant = ShardServant(self)
         node.orb.adapter(SHARD_ADAPTER).activate(self._servant,
                                                  key=SHARD_KEY)
-        self._wire_bus()
         self._bootstrap()
         # A restart resumes from the static seed list; anti-entropy
         # full syncs from peers repopulate the record store.
@@ -134,33 +126,7 @@ class ShardAgent:
     def ior(self) -> IOR:
         return shard_ior(self.host_id)
 
-    # -- wiring -------------------------------------------------------------
-    def _wire_bus(self) -> None:
-        from repro.events.bus import EventBus
-        from repro.events.remote import FanoutForwarder
-
-        bus = getattr(self.node, "bus", None)
-        if bus is None:
-            bus = EventBus(self.node.env, self.node.metrics)
-            self.node.bus = bus
-        self._bus = bus
-        gossip_op = SHARD_IFACE.operations["gossip"]
-        # Destinations start empty; each round retargets the forwarder
-        # at that round's sampled peer set before flushing.
-        self._forwarder = FanoutForwarder(
-            self.node.orb, (), gossip_op,
-            to_args=self._gossip_args, meter=METER)
-        self._sub = bus.batch_subscribe(
-            GOSSIP_TOPIC, self._forwarder.deliver,
-            max_batch=GOSSIP_BATCH,
-            max_age=self.config.gossip_interval)
-
-    def _gossip_args(self, events) -> tuple:
-        records = [e.payload for e in events if e.payload is not None]
-        # The owner plane is small and rides along whole on every frame.
-        return (records, [b.to_value()
-                          for b in self.membership.owner_beacons()])
-
+    # -- lifecycle ----------------------------------------------------------
     def _bootstrap(self) -> None:
         """Initial membership: self plus the configured seed peers."""
         now = self.env.now
@@ -170,13 +136,10 @@ class ShardAgent:
             self.membership.apply(
                 HostBeacon(peer, now, alive=True))
 
-    # -- lifecycle ----------------------------------------------------------
     def _lose_state(self) -> None:
-        # RAM is gone: records and learned membership alike.  Deltas
-        # buffered in the flush window die with the host too.
+        # RAM is gone: records and learned membership alike.
         self.store.clear()
         self.membership.clear()
-        self._sub.clear()
 
     def retire(self) -> None:
         """Permanently stand this owner down (drained or replaced).
@@ -187,7 +150,6 @@ class ShardAgent:
         """
         self.loop.stop()
         self._lose_state()
-        self._sub.cancel()
         self.node.orb.adapter(SHARD_ADAPTER).deactivate(SHARD_KEY)
 
     # -- gossip rounds ------------------------------------------------------
@@ -235,14 +197,13 @@ class ShardAgent:
         peers = self._pick_peers()
         if not peers:
             return
-        self._forwarder.retarget([shard_ior(h) for h in peers])
-        if outgoing:
-            for record in outgoing:
-                self._bus.publish(GOSSIP_TOPIC, record.to_value())
-        else:
-            # Beacon-only heartbeat round.
-            self._bus.publish(GOSSIP_TOPIC, None)
-        self._sub.flush()
+        # An empty delta still goes out: the owner plane rides along
+        # whole on every frame, so the round is a heartbeat too.
+        self.node.orb.send_oneway_fanout(
+            [shard_ior(h) for h in peers], GOSSIP_OP,
+            ([r.to_value() for r in outgoing],
+             [b.to_value() for b in self.membership.owner_beacons()]),
+            meter=METER)
         self.node.metrics.counter(names.FEDERATION_ROUNDS).inc()
 
     # -- state merging ------------------------------------------------------

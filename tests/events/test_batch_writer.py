@@ -8,10 +8,9 @@ from repro.sim.stats import MetricRegistry
 from repro.util.errors import ConfigurationError
 
 
-def make_writer(env, metrics, **kwargs):
+def make_writer(env, metrics, max_batch, max_age):
     batches = []
-    writer = BatchWriter(env, batches.append, metrics=metrics,
-                         name="bus", **kwargs)
+    writer = BatchWriter(env, batches.append, max_batch, max_age, metrics)
     return writer, batches
 
 
@@ -19,9 +18,9 @@ class TestValidation:
     def test_bad_params_rejected(self):
         env = Environment()
         with pytest.raises(ConfigurationError):
-            BatchWriter(env, lambda b: None, max_batch=0)
+            BatchWriter(env, lambda b: None, 0, 0.05, MetricRegistry())
         with pytest.raises(ConfigurationError):
-            BatchWriter(env, lambda b: None, max_age=0.0)
+            BatchWriter(env, lambda b: None, 64, 0.0, MetricRegistry())
 
 
 class TestFlushThresholds:
@@ -73,32 +72,15 @@ class TestFlushThresholds:
         assert batches == [[1, 2]]
         assert metrics.get("bus.flushes") == 1
 
-    def test_explicit_flush_and_clear(self):
+    def test_explicit_flush_delivers_now(self):
         env = Environment()
-        writer, batches = make_writer(env, MetricRegistry(),
+        metrics = MetricRegistry()
+        writer, batches = make_writer(env, metrics,
                                       max_batch=10, max_age=5.0)
         writer.append(1)
         writer.flush()
         assert batches == [[1]]
-        writer.append(2)
-        writer.clear()
-        env.run(until=10.0)
-        assert batches == [[1]]          # cleared items never delivered
         assert writer.pending == 0
-
-
-class TestGeneratorFlush:
-    def test_generator_callback_runs_as_process(self):
-        env = Environment()
-        done = []
-
-        def slow_flush(batch):
-            yield env.timeout(0.1)
-            done.append((env.now, batch))
-
-        writer = BatchWriter(env, slow_flush, max_batch=2, max_age=1.0,
-                             metrics=MetricRegistry(), name="bus")
-        writer.append(1)
-        writer.append(2)
-        env.run(until=1.0)
-        assert done == [(0.1, [1, 2])]
+        env.run(until=10.0)              # the age timer it disarmed
+        assert batches == [[1]]
+        assert metrics.get("bus.flushed") == 1

@@ -227,6 +227,37 @@ class TestFederationEndToEnd:
         assert victim not in fed.live_hosts()
 
 
+class TestGossipRound:
+    def test_a_round_is_one_frame_per_peer_however_large(self):
+        """A full-sync round sends its whole owned set and the owner
+        plane as one marshalled ``gossip`` frame per sampled peer."""
+        rig, fed = federated_rig(seed=127)
+        rig.run(until=fed.settle_time())
+        host, agent = sorted(fed.agents.items())[0]
+        now = rig.env.now
+        for i in range(300):
+            agent.store.apply(record(repo_id=f"IDL:demo/X{i}:1.0",
+                                     host="c0h1", epoch=now), now)
+        sent = []
+        orb = agent.node.orb
+        send = orb.send_oneway_fanout
+
+        def spy(iors, odef, args, meter=None):
+            sent.append(([ior.host_id for ior in iors], odef.name, args))
+            return send(iors, odef, args, meter)
+
+        orb.send_oneway_fanout = spy
+        agent.rounds = FULL_SYNC_EVERY - 1        # the next is a full sync
+        agent._gossip_round()
+        [(peers, operation, (records, beacons))] = sent
+        assert operation == "gossip"
+        assert peers and set(peers) <= set(fed.agents) - {host}
+        assert records == [r.to_value() for r in agent.store.records()]
+        assert len(records) >= 300
+        assert beacons == [b.to_value()
+                           for b in agent.membership.owner_beacons()]
+
+
 class TestFederationChurn:
     def test_lookup_survives_owner_loss(self):
         rig, fed = federated_rig(seed=124)
