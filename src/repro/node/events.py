@@ -28,7 +28,7 @@ class EventBroker:
     def channel(self, kind: str) -> EventChannelServant:
         servant = self._channels.get(kind)
         if servant is None:
-            servant = EventChannelServant(self.node.orb, kind)
+            servant = EventChannelServant(self.node.orb)
             self.node.orb.adapter(EVENTS_ADAPTER).activate(servant, key=kind)
             self._channels[kind] = servant
         return servant

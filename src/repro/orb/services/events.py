@@ -39,9 +39,8 @@ class EventChannelServant(Servant):
 
     _interface = EVENT_CHANNEL_IFACE
 
-    def __init__(self, orb: ORB, kind: str = "") -> None:
+    def __init__(self, orb: ORB) -> None:
         self.orb = orb
-        self.kind = kind
         self._consumers: list[IOR] = []
         self.delivered = 0
 
@@ -78,8 +77,6 @@ class CallbackPushConsumer(Servant):
 
     def __init__(self, callback) -> None:
         self._callback = callback
-        self.received: int = 0
 
     def push(self, data: Any) -> None:
-        self.received += 1
         self._callback(data)

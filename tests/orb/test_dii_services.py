@@ -110,7 +110,7 @@ class TestDII:
 class TestEventChannel:
     def test_fanout_to_multiple_consumers(self, rig):
         env, server, client, _ior = rig
-        chan = EventChannelServant(server, "tick")
+        chan = EventChannelServant(server)
         chan_ior = server.adapter("services").activate(chan)
         got_a, got_b = [], []
         ior_a = client.adapter("root").activate(
@@ -127,7 +127,7 @@ class TestEventChannel:
 
     def test_duplicate_connect_ignored(self, rig):
         env, server, client, _ior = rig
-        chan = EventChannelServant(server, "k")
+        chan = EventChannelServant(server)
         chan_ior = server.adapter("services").activate(chan)
         got = []
         cons = client.adapter("root").activate(
@@ -141,7 +141,7 @@ class TestEventChannel:
 
     def test_disconnect_stops_delivery(self, rig):
         env, server, client, _ior = rig
-        chan = EventChannelServant(server, "k")
+        chan = EventChannelServant(server)
         chan_ior = server.adapter("services").activate(chan)
         got = []
         cons = client.adapter("root").activate(
@@ -155,7 +155,7 @@ class TestEventChannel:
 
     def test_nil_consumer_rejected(self, rig):
         env, server, client, _ior = rig
-        chan = EventChannelServant(server, "k")
+        chan = EventChannelServant(server)
         chan_ior = server.adapter("services").activate(chan)
         stub = client.stub(chan_ior, EVENT_CHANNEL_IFACE)
         with pytest.raises(BAD_PARAM):
@@ -170,7 +170,7 @@ class TestEventChannelFanOut:
         env = Environment()
         net = Network(env, star(2))
         orbs = {host: ORB(env, net, host) for host in ("hub", "h0", "h1")}
-        chan = EventChannelServant(orbs["hub"], "k")
+        chan = EventChannelServant(orbs["hub"])
         arrivals = []
         for i in range(n_consumers):
             # alternate the consumers over the two leaves
