@@ -40,10 +40,7 @@ class SimlintConfig:
     #: modules whose hand-started perpetual loops are held to the
     #: SIM012/SIM013 control-loop rules.  Host-bound loops need no
     #: listing: the body of a ``HostLoop(...)`` is found in the code.
-    control_loop_modules: tuple[str, ...] = (
-        "events/batch_writer.py",
-        "grid/volunteer.py",
-    )
+    control_loop_modules: tuple[str, ...] = ("grid/volunteer.py",)
     #: modules holding chaos-style fault installers (SIM020).
     action_modules: tuple[str, ...] = ("chaos/actions.py",)
 
