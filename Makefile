@@ -17,8 +17,7 @@ lint:
 # determinism / control-loop / paired-effect / name-hygiene lint of
 # the source tree itself (C20)
 lint-src:
-	$(PYTHON) -m repro.tools.simlint src/repro \
-		--baseline simlint-baseline.json
+	$(PYTHON) -m repro.tools.simlint src/repro
 
 # the sim-exact ledger (tests/golden/sim_ledger.json): every simulated
 # number of the spine workloads at seeds 5 and 11 plus seven chaos

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from _harness import report, stash
 from repro.analysis.simlint import (
-    Baseline,
     SimlintConfig,
     SourceFile,
     lint_paths,
@@ -229,9 +228,7 @@ def run() -> dict:
     start = time.perf_counter()
     diag = lint_paths([str(SRC)], root=str(REPO_ROOT))
     wall_s = time.perf_counter() - start
-    remaining = Baseline.load(
-        REPO_ROOT / "simlint-baseline.json").apply(diag)
-    gated = [f for f in remaining if f.severity >= Severity.WARNING]
+    gated = [f for f in diag if f.severity >= Severity.WARNING]
     return {
         "planted": len(PLANTED),
         "detected": detected,
@@ -239,7 +236,7 @@ def run() -> dict:
         "false_alarms": false_alarms,
         "files_scanned": sum(1 for _ in SRC.rglob("*.py")),
         "tree_wall_s": wall_s,
-        "tree_findings_after_baseline": len(gated),
+        "tree_findings": len(gated),
     }
 
 
@@ -247,7 +244,7 @@ def _check(result: dict) -> None:
     assert not result["missed"], f"missed defects: {result['missed']}"
     assert len(result["detected"]) == result["planted"]
     assert not result["false_alarms"], result["false_alarms"]
-    assert result["tree_findings_after_baseline"] == 0
+    assert result["tree_findings"] == 0
     assert result["tree_wall_s"] < 30.0, result["tree_wall_s"]
 
 
@@ -264,8 +261,7 @@ def test_seeded_defect_detection(benchmark, capsys):
            note=f"{len(result['detected'])}/{result['planted']} planted "
                 f"defects detected, 0 false alarms on corrected twins; "
                 f"full src/repro scan ({result['files_scanned']} files) "
-                f"in {result['tree_wall_s']:.2f}s with 0 unbaselined "
-                f"findings")
+                f"in {result['tree_wall_s']:.2f}s with 0 findings")
     _check(result)
     stash(benchmark,
           planted=result["planted"],
@@ -282,7 +278,7 @@ def selftest() -> int:
           f"{len(result['detected'])}/{result['planted']} planted "
           f"defects detected, 0 false alarms; src/repro "
           f"({result['files_scanned']} files) scanned in "
-          f"{result['tree_wall_s']:.2f}s, 0 unbaselined findings")
+          f"{result['tree_wall_s']:.2f}s, 0 findings")
     return 0
 
 

@@ -26,15 +26,13 @@ Four rule families, each with stable ``SIMxxx`` codes:
 - **name hygiene** (SIM030-) — every metric/span name emitted as a
   string literal must be declared in :mod:`repro.obs.names`.
 
-Findings can be silenced inline (``# simlint: disable=SIM003``) or
-grandfathered in a checked-in baseline file (see
-:mod:`repro.analysis.simlint.baseline`).  The CLI front end is
+A finding is silenced only inline, on its own line
+(``# simlint: disable=SIM003``).  The CLI front end is
 ``python -m repro.tools.simlint``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.simlint.baseline import Baseline
 from repro.analysis.simlint.engine import (
     RULE_DOCS,
     SimlintConfig,
@@ -44,7 +42,6 @@ from repro.analysis.simlint.engine import (
 )
 
 __all__ = [
-    "Baseline",
     "RULE_DOCS",
     "SimlintConfig",
     "SourceFile",

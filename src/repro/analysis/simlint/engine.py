@@ -154,8 +154,8 @@ def gather_sources(paths: Iterable[str], diag: Diagnostics,
     """Expand files/directories into parsed sources.
 
     Locations are reported relative to *root* (default: the common
-    parent the caller passed), so baselines survive checkouts living
-    at different absolute paths.
+    parent the caller passed), so a report reads the same from
+    checkouts living at different absolute paths.
     """
     files: set[Path] = set()
     for raw in paths:

@@ -5,7 +5,8 @@ replicated, either because they are stateless or they know how [to]
 interact with the framework to maintain replica consistency".  The
 replica manager implements both flavours:
 
-- ``stateless``: N independent instances; clients spread or fail over.
+- ``stateless``: N independent instances; clients fail over in member
+  order (:meth:`ReplicaGroup.select`).
 - ``coordinated``: one primary whose externalized state is pushed to
   the backups after updates (framework-mediated consistency).
 """
@@ -50,7 +51,6 @@ class ReplicaGroup:
     epoch: int = 0
     #: instance_id of the current fenced primary (coordinated mode).
     primary_id: Optional[str] = None
-    _rr: int = 0
 
     def alive_members(self, topology) -> list[ReplicaMember]:
         return [m for m in self.members
@@ -64,26 +64,6 @@ class ReplicaGroup:
                 f"no live replicas of {self.component}"
             )
         return alive[0]
-
-    def select_round_robin(self, topology) -> ReplicaMember:
-        """Load-spreading selection for stateless groups.
-
-        The cursor walks *positions in the full member list* and skips
-        dead members, so each member keeps a stable slot in the
-        rotation: a crash or restart elsewhere in the group never
-        skews which member the cursor lands on next.
-        """
-        if not self.members:
-            raise ReplicationError(f"no replicas of {self.component}")
-        n = len(self.members)
-        for offset in range(n):
-            member = self.members[(self._rr + offset) % n]
-            if topology.host(member.host).alive:
-                self._rr = (self._rr + offset + 1) % n
-                return member
-        raise ReplicationError(
-            f"no live replicas of {self.component}"
-        )
 
     @property
     def primary(self) -> ReplicaMember:

@@ -78,9 +78,6 @@ class Application:
         """Current fencing epoch of one instance (0 = as deployed)."""
         return self.incarnations.get(instance_name, 0)
 
-    def host_of(self, instance_name: str) -> str:
-        return self.placement[instance_name]
-
     def instance_id(self, instance_name: str) -> str:
         return self.infos[instance_name].instance_id
 

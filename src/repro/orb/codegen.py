@@ -44,7 +44,8 @@ or a call-out passes through the handlers untouched.
 
 Byte-for-byte equivalence with the interpreter is enforced by
 ``tests/property/test_bimodal_properties.py``; hostile input
-containment by the codec fuzz in ``repro.orb.fuzz``.
+containment by the codec fuzz in ``tests/oracles/fuzz.py``
+(``make fuzz``).
 """
 
 from __future__ import annotations

@@ -191,11 +191,6 @@ class ORB:
             bound_hook(interceptor, "finish_request") + finish,
             child + bound_hook(interceptor, "child_process"))
 
-    @property
-    def inflight_dispatches(self) -> int:
-        """Requests admitted and not yet finished (queued + executing)."""
-        return self.listener.inflight
-
     # -- adapters ----------------------------------------------------------
     def adapter(self, name: str) -> POA:
         """Return (creating on first use) the named object adapter."""

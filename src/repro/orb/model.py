@@ -224,10 +224,6 @@ class Stub:
     def ior(self) -> IOR:
         return self._ior
 
-    @property
-    def stub_interface(self) -> InterfaceDef:
-        return self._iface
-
     def __getattr__(self, name: str):
         # Only called for attributes not found normally: operation lookup.
         odef = self._iface.find_operation(name)

@@ -271,10 +271,3 @@ class Network:
             self.metrics.counter("net.unrouted").inc()
             return
         handler(msg)
-
-    # -- convenience -----------------------------------------------------
-    def bytes_sent(self) -> float:
-        return self.metrics.get("net.bytes")
-
-    def messages_sent(self) -> float:
-        return self.metrics.get("net.messages")

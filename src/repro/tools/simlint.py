@@ -6,13 +6,10 @@ python sources and reports typed findings::
 
     python -m repro.tools.simlint src/repro
     python -m repro.tools.simlint src/repro --format json
-    python -m repro.tools.simlint src/repro --write-baseline
     python -m repro.tools.simlint --rules
 
-Findings already recorded in the baseline file (default
-``simlint-baseline.json`` at the current directory, when present) are
-subtracted; stale baseline entries are themselves reported.  Inline
-``# simlint: disable=SIM003`` comments silence a single line.
+An inline ``# simlint: disable=SIM003`` comment silences a single line;
+there is no other escape.
 
 Exit status is the maximum severity at or above ``--fail-on``
 (default ``warning``): 0 clean, 1 warnings, 2 errors — the same
@@ -26,15 +23,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.simlint import (
-    Baseline,
-    RULE_DOCS,
-    SimlintConfig,
-    lint_paths,
-)
+from repro.analysis.simlint import RULE_DOCS, SimlintConfig, lint_paths
 from repro.util.diagnostics import Severity
-
-DEFAULT_BASELINE = "simlint-baseline.json"
 
 _THRESHOLDS = {"info": Severity.INFO, "warning": Severity.WARNING,
                "error": Severity.ERROR}
@@ -49,14 +39,6 @@ def main(argv=None) -> int:
                         help="files or directories of *.py sources")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help=f"baseline file (default "
-                             f"{DEFAULT_BASELINE} when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "file and exit 0")
     parser.add_argument("--fail-on",
                         choices=tuple(_THRESHOLDS), default="warning",
                         help="lowest severity that affects the exit "
@@ -76,20 +58,6 @@ def main(argv=None) -> int:
 
     diag = lint_paths(args.paths, config=SimlintConfig(),
                       root=Path.cwd())
-
-    baseline_path = args.baseline or (
-        DEFAULT_BASELINE if Path(DEFAULT_BASELINE).exists() else None)
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        Baseline.from_diagnostics(
-            diag, reason="grandfathered by --write-baseline; "
-                         "document or fix").save(target)
-        print(f"wrote {len(diag)} finding(s) to {target}")
-        return 0
-
-    if baseline_path and not args.no_baseline:
-        diag = Baseline.load(baseline_path).apply(diag)
 
     if args.format == "json":
         print(json.dumps(diag.as_dict(), indent=2, sort_keys=True))

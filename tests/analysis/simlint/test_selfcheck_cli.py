@@ -3,34 +3,21 @@
 import json
 from pathlib import Path
 
-from repro.analysis.simlint import Baseline, lint_paths
+import pytest
+
+from repro.analysis.simlint import lint_paths
 from repro.tools import simlint as cli
 from repro.util.diagnostics import Severity
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "simlint-baseline.json"
 
 
 class TestTreeSelfCheck:
     def test_src_repro_is_clean_at_default_severity(self):
         diag = lint_paths([str(SRC)], root=str(REPO_ROOT))
-        remaining = Baseline.load(BASELINE).apply(diag)
-        gated = [f for f in remaining if f.severity >= Severity.WARNING]
-        assert gated == [], "\n" + remaining.render_text()
-
-    def test_baseline_entries_all_still_match(self):
-        """Every checked-in grandfathered entry still matches a real
-        finding — otherwise it is stale and must be deleted."""
-        diag = lint_paths([str(SRC)], root=str(REPO_ROOT))
-        remaining = Baseline.load(BASELINE).apply(diag)
-        stale = [f for f in remaining if f.code == "SIM090"]
-        assert stale == [], "\n" + remaining.render_text()
-
-    def test_baseline_reasons_are_documented(self):
-        for entry in Baseline.load(BASELINE).entries:
-            assert entry.reason.strip(), \
-                f"baseline entry for {entry.path} has no reason"
+        gated = [f for f in diag if f.severity >= Severity.WARNING]
+        assert gated == [], "\n" + diag.render_text()
 
 
 class TestCli:
@@ -44,8 +31,7 @@ class TestCli:
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n")
-        status = cli.main([str(bad), "--no-baseline",
-                           "--format", "json"])
+        status = cli.main([str(bad), "--format", "json"])
         assert status == int(Severity.ERROR)
         payload = json.loads(capsys.readouterr().out)
         assert [f["code"] for f in payload["findings"]] == ["SIM001"]
@@ -53,7 +39,7 @@ class TestCli:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "good.py"
         good.write_text("import json\n")
-        assert cli.main([str(good), "--no-baseline"]) == 0
+        assert cli.main([str(good)]) == 0
 
     def test_fail_on_error_ignores_warnings(self, tmp_path, capsys):
         warny = tmp_path / "warny.py"
@@ -61,25 +47,22 @@ class TestCli:
             "def walk():\n"
             "    for x in {1, 2}:\n"
             "        print(x)\n")
-        assert cli.main([str(warny), "--no-baseline"]) == \
-            int(Severity.WARNING)
+        assert cli.main([str(warny)]) == int(Severity.WARNING)
         capsys.readouterr()
-        assert cli.main([str(warny), "--no-baseline",
-                         "--fail-on", "error"]) == 0
+        assert cli.main([str(warny), "--fail-on", "error"]) == 0
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys,
-                                       monkeypatch):
+    def test_inline_disable_is_the_only_escape(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\n")
-        baseline = tmp_path / "baseline.json"
-        assert cli.main([str(bad), "--baseline", str(baseline),
-                         "--write-baseline"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main([str(bad), "--baseline", str(tmp_path / "b.json")])
+        bad.write_text("import random  # simlint: disable=SIM001\n")
         capsys.readouterr()
-        assert cli.main([str(bad), "--baseline", str(baseline)]) == 0
+        assert cli.main([str(bad)]) == 0
 
     def test_unparsable_file_reported(self, tmp_path, capsys):
         mangled = tmp_path / "mangled.py"
         mangled.write_text("def broken(:\n")
-        status = cli.main([str(mangled), "--no-baseline"])
+        status = cli.main([str(mangled)])
         assert status == int(Severity.ERROR)
         assert "SIM000" in capsys.readouterr().out

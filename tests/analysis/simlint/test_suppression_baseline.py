@@ -1,15 +1,4 @@
-"""Inline suppressions, baseline round-trip, stale-entry reporting."""
-
-from repro.analysis.simlint import Baseline, SourceFile, lint_sources
-from repro.analysis.simlint.baseline import (
-    STALE_CODE,
-    BaselineEntry,
-    strip_line,
-)
-
-
-def _diag(text, path="pkg/legacy.py"):
-    return lint_sources([SourceFile.parse(path, text)])
+"""Inline suppressions: the one way to silence a simlint finding."""
 
 
 class TestInlineSuppression:
@@ -34,40 +23,3 @@ class TestInlineSuppression:
             "import random\n")
         assert codes(findings) == ["SIM001"]
 
-
-class TestBaselineRoundTrip:
-    def test_strip_line(self):
-        assert strip_line("pkg/legacy.py:12") == "pkg/legacy.py"
-        assert strip_line("pkg/legacy.py") == "pkg/legacy.py"
-
-    def test_round_trip_absorbs_findings(self, tmp_path):
-        diag = _diag("import random\nimport random\n")
-        baseline = Baseline.from_diagnostics(diag, reason="legacy")
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        reloaded = Baseline.load(path)
-        assert len(reloaded) == 1          # same key, count=2
-        assert reloaded.entries[0].count == 2
-        assert reloaded.entries[0].reason == "legacy"
-        remaining = reloaded.apply(
-            _diag("import random\nimport random\n"))
-        assert list(remaining) == []
-
-    def test_line_moves_do_not_invalidate(self):
-        baseline = Baseline.from_diagnostics(_diag("import random\n"))
-        # the same violation, shifted two lines down
-        diag_after = _diag("import json\nimport os\nimport random\n")
-        assert list(baseline.apply(diag_after)) == []
-
-    def test_stale_entry_reported(self):
-        baseline = Baseline([BaselineEntry(
-            path="pkg/legacy.py", code="SIM001",
-            message="whatever was grandfathered", reason="legacy")])
-        leftover = list(baseline.apply(_diag("import json\n")))
-        assert [f.code for f in leftover] == [STALE_CODE]
-        assert "stale" in leftover[0].message
-
-    def test_unbaselined_finding_passes_through(self):
-        baseline = Baseline.from_diagnostics(_diag("import random\n"))
-        mixed = _diag("import random\nfrom random import choice\n")
-        assert [f.code for f in baseline.apply(mixed)] == ["SIM001"]

@@ -121,4 +121,4 @@ class TestDeployerEdges:
         app = rig.run(until=dep.deploy(asm))
         assert [c.from_instance for c in app.connections_to("y")] == ["x"]
         assert app.connections_to("x") == []
-        assert app.host_of("x") in rig.nodes
+        assert app.placement["x"] in rig.nodes

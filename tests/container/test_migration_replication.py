@@ -132,13 +132,6 @@ class TestReplication:
         with pytest.raises(ReplicationError):
             group.select(rig.topology)
 
-    def test_round_robin_spreads(self, rig):
-        group = rig.run(until=ReplicaManager(rig.node("hub")).create_group(
-            "Counter", ["hub", "h0"]))
-        picks = [group.select_round_robin(rig.topology).host
-                 for _ in range(4)]
-        assert picks == ["hub", "h0", "hub", "h0"]
-
     def test_coordinated_sync_pushes_state(self, rig):
         hub = rig.node("hub")
         manager = ReplicaManager(hub)

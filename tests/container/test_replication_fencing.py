@@ -1,16 +1,14 @@
-"""Regression tests for replica fencing and churn-stable round robin.
+"""Regression tests for replica fencing.
 
-Two bugs lived here: (1) the coordinated sync picked its primary as
+The bug that lived here: the coordinated sync picked its primary as
 "first currently-alive member", so a crashed-and-restarted ex-primary
 silently reclaimed the role and pushed its stale state over newer
-backup state; (2) the round-robin cursor advanced modulo the *alive*
-list, so any crash or restart elsewhere in the group skewed which
-member was picked next.
+backup state.
 """
 
 import pytest
 
-from repro.container.replication import ReplicaManager, ReplicationError
+from repro.container.replication import ReplicaManager
 from repro.testing import counter_package, star_rig
 
 
@@ -75,33 +73,3 @@ class TestPrimaryFencing:
         assert exec_of(rig, group.members[0]).count == 99
         assert exec_of(rig, group.members[2]).count == 99
 
-
-class TestRoundRobinChurn:
-    def test_rotation_unskewed_by_crash_and_restart(self, rig):
-        _, group = make_group(rig, ["hub", "h0", "h1"])
-        topo = rig.topology
-        assert group.select_round_robin(topo).host == "hub"
-        topo.set_host_state("hub", alive=False)
-        # hub's slot is skipped, not collapsed: the rotation continues
-        # at h0 instead of jumping past it
-        assert group.select_round_robin(topo).host == "h0"
-        topo.set_host_state("hub", alive=True)
-        # the restart neither resets nor double-counts the cursor
-        assert group.select_round_robin(topo).host == "h1"
-        assert group.select_round_robin(topo).host == "hub"
-
-    def test_spread_stays_even_with_one_member_down(self, rig):
-        _, group = make_group(rig, ["hub", "h0", "h1"])
-        rig.topology.set_host_state("h0", alive=False)
-        picks = [group.select_round_robin(rig.topology).host
-                 for _ in range(8)]
-        assert picks.count("hub") == 4
-        assert picks.count("h1") == 4
-        assert "h0" not in picks
-
-    def test_all_members_down_raises(self, rig):
-        _, group = make_group(rig, ["hub", "h0"])
-        rig.topology.set_host_state("hub", alive=False)
-        rig.topology.set_host_state("h0", alive=False)
-        with pytest.raises(ReplicationError):
-            group.select_round_robin(rig.topology)

@@ -10,7 +10,10 @@ damage a hostile or flaky wire inflicts), and decode every mutant.
 
 Everything is driven by ``numpy`` generators seeded per run, so a
 failing seed/iteration pair reproduces exactly.  Used by
-``tests/orb/test_wire_fuzz.py`` (``fuzz`` marker, ``make fuzz``).
+``tests/orb/test_wire_fuzz.py`` (``fuzz`` marker, ``make fuzz``).  The
+corpus seed names the fuzz campaign, not a simulation, so the
+generators are built here rather than drawn from
+:class:`~repro.sim.rng.RngRegistry`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """IDL pretty-printer: AST -> source text.
 
-The inverse of the parser, used to publish interfaces extracted from a
-running system (e.g. the CCM-export shim) and to property-test the
-parser: ``parse(unparse(spec))`` must reproduce the AST.
+The inverse of the parser, kept as the oracle of its round-trip
+property: ``parse(unparse(spec))`` must reproduce the AST.
 """
 
 from __future__ import annotations

@@ -150,5 +150,5 @@ class TestLoadShedding:
         env.run(until=env.timeout(5.0))
         assert max(depths) == 3          # never above the limit
         assert depths[-1] == 0           # fully drained
-        assert server.inflight_dispatches == 0
+        assert server.listener.inflight == 0
         assert sum(ev.ok for ev in events) == 3

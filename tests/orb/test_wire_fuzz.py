@@ -11,10 +11,10 @@ import pytest
 from repro.orb import codegen, giop
 from repro.orb.cdr import Any, CDRDecoder
 from repro.orb.exceptions import MARSHAL, SystemException
-from repro.orb.fuzz import (FuzzReport, check_bounded, check_value_bounded,
-                            codec_corpus, corpus, hostile_corpus,
-                            hostile_requests, mutate, run_codec_fuzz,
-                            run_fuzz)
+from tests.oracles.fuzz import (FuzzReport, check_bounded,
+                                check_value_bounded, codec_corpus, corpus,
+                                hostile_corpus, hostile_requests, mutate,
+                                run_codec_fuzz, run_fuzz)
 
 pytestmark = pytest.mark.fuzz
 

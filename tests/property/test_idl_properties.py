@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.idl import compile_ast, parse
 from repro.idl import idlast as ast
-from repro.idl.unparse import unparse
+from tests.oracles.unparse import unparse
 
 _idents = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
     lambda s: s not in {

@@ -23,9 +23,8 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import RngRegistry
-from repro.sim.topology import (
-    LAN, MODEM, WAN, WIRELESS, clustered, random_mesh,
-)
+from repro.sim.topology import LAN, MODEM, WAN, WIRELESS, clustered
+from tests.oracles.mesh import random_mesh
 
 
 def _reference(topo, src: str) -> dict:

@@ -47,7 +47,7 @@ class TestDelivery:
         net.interface("h0").send("h0", "p", "x", size=10_000)
         env.run()
         assert got == [0.0]
-        assert net.bytes_sent() == 0.0
+        assert net.metrics.get("net.bytes") == 0.0
         assert net.metrics.get("net.local") == 1.0
 
     def test_fifo_link_queueing(self):
@@ -189,7 +189,7 @@ class TestAccounting:
         per_link = net.metrics.labelled("net.link_bytes")
         assert len(per_link) == 2
         assert all(v == 500 + HEADER_BYTES for v in per_link.values())
-        assert net.bytes_sent() == 500 + HEADER_BYTES
+        assert net.metrics.get("net.bytes") == 500 + HEADER_BYTES
 
     def test_backbone_bytes_tracked_separately(self):
         from repro.sim.topology import clustered

@@ -14,10 +14,10 @@ from repro.sim.topology import (
     Topology,
     clustered,
     line,
-    random_mesh,
     star,
 )
 from repro.util.errors import ConfigurationError
+from tests.oracles.mesh import random_mesh
 
 
 class TestConstruction:
