@@ -118,10 +118,13 @@ def _check(bus_arm: dict, p2p_arm: dict) -> None:
     for arm in (bus_arm, p2p_arm):
         assert arm["delivered"] == total, arm     # nothing lost
         assert arm["in_order"], arm               # nothing reordered
-    # Batching collapses the wire: way fewer messages, fewer bytes.
+    # Batching collapses the wire: way fewer messages and bytes.  A
+    # batch names its topic once, so its bytes are mostly payload; a
+    # per-event topic column coming back would break the byte bound.
     assert bus_arm["messages"] * 5 <= p2p_arm["messages"], (
         bus_arm["messages"], p2p_arm["messages"])
-    assert bus_arm["bytes"] < p2p_arm["bytes"]
+    assert bus_arm["bytes"] * 8 <= p2p_arm["bytes"], (
+        bus_arm["bytes"], p2p_arm["bytes"])
     # The headline claim: batched fan-out is at least 5x the
     # point-to-point throughput in real simulation work.
     assert bus_arm["throughput"] >= 5 * p2p_arm["throughput"], (

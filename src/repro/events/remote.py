@@ -22,14 +22,17 @@ from repro.orb.typecodes import sequence_tc, tc_string
 #: Generic remote event sink: the string-payload counterpart of a CORBA
 #: notification channel's push consumer, with a batched variant so one
 #: call (and one wire transmission, under pipelining) can carry a whole
-#: flush window.
+#: flush window.  A batch names its topic once: every window the bus
+#: flushes belongs to one subscription and topics match exactly, so all
+#: of its events share that topic (a CORBA event channel, too, is named
+#: once, not on every event).
 EVENT_SINK_IFACE = InterfaceDef(
     "IDL:corbalc/Events/EventSink:1.0",
     "EventSink",
     operations=[
         op("push", [("topic", tc_string), ("data", tc_string)],
            oneway=True),
-        op("push_batch", [("topics", sequence_tc(tc_string)),
+        op("push_batch", [("topic", tc_string),
                           ("data", sequence_tc(tc_string))],
            oneway=True),
     ],
@@ -47,18 +50,17 @@ class EventSinkServant(Servant):
     def push(self, topic: str, data: str) -> None:
         self.received.append((topic, data))
 
-    def push_batch(self, topics: list, data: list) -> None:
-        self.received.extend(zip(topics, data))
+    def push_batch(self, topic: str, data: list) -> None:
+        self.received.extend((topic, d) for d in data)
 
 
 def sink_batch_args(events) -> tuple:
-    """``to_args`` mapping bus events onto ``push_batch`` arguments."""
-    topics = []
-    data = []
-    for event in events:
-        topics.append(event.topic)
-        data.append(event.payload)
-    return (topics, data)
+    """``to_args`` mapping bus events onto ``push_batch`` arguments.
+
+    A flushed window is never empty and holds one subscription's topic
+    only (the bus's exact-match invariant), so the first event names it.
+    """
+    return (events[0].topic, [event.payload for event in events])
 
 
 class FanoutForwarder:

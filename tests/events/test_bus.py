@@ -1,6 +1,7 @@
 """EventBus: topic routing, publisher decoupling, batched subscriptions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.events.bus import EventBus
 from repro.sim.kernel import Environment
@@ -91,3 +92,48 @@ class TestBatchedSubscriptions:
         bus.publish("b", 2)
         bus.flush()
         assert len(batches) == 2
+
+
+#: Topics that are prefixes of one another, so a bus that matched by
+#: prefix (or substring) would mix them into one window.
+TOPICS = ("a", "ab", "a.b", "b")
+
+_subscriptions = st.lists(
+    st.tuples(st.sampled_from(TOPICS), st.integers(1, 6),
+              st.sampled_from((0.01, 0.05, 0.2))),
+    min_size=1, max_size=5)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("publish"), st.sampled_from(TOPICS)),
+    st.tuples(st.just("advance"), st.sampled_from((0.005, 0.03, 0.5))),
+    st.tuples(st.just("flush"), st.none())), max_size=60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_subscriptions, _steps)
+def test_every_flushed_batch_is_one_topic_in_order(subs, steps):
+    """The invariant ``push_batch(topic, data)`` rests on: a window's
+    batch holds its own subscription's topic only, in publication
+    order, and nothing published to that topic is lost.  Prefix
+    matching in ``publish`` fails it."""
+    env, _metrics, bus = make_bus()
+    windows = []
+    for topic, max_batch, max_age in subs:
+        batches = []
+        bus.batch_subscribe(topic, batches.append, max_batch=max_batch,
+                            max_age=max_age)
+        windows.append((topic, batches))
+    published = []
+    for kind, arg in steps:
+        if kind == "publish":
+            published.append(bus.publish(arg, len(published)))
+        elif kind == "advance":
+            env.run(until=env.now + arg)
+        else:
+            bus.flush()
+    bus.flush()
+    for topic, batches in windows:
+        assert all(batches), "an empty batch was flushed"
+        for batch in batches:
+            assert {event.topic for event in batch} == {topic}
+        got = [event for batch in batches for event in batch]
+        assert got == [event for event in published if event.topic == topic]

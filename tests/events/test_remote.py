@@ -47,6 +47,33 @@ class TestFanoutForwarder:
         assert net.metrics.get("bus.remote.events") == 24
         assert net.metrics.get("net.messages") == 6
 
+    def test_batch_names_its_topic_once(self):
+        # Equal-length payloads keep every string's CDR alignment equal,
+        # so each extra event adds exactly one encoded payload: a
+        # ulong length, the characters and the NUL.  A per-event topic
+        # column would add the topic's encoding on top of that.
+        env, _net, publisher, servants, iors = self.make_sinks(1)
+        bus = EventBus(env, publisher.metrics)
+        payloads = [f"p{i:06d}" for i in range(64)]
+        sizes = []
+
+        def deliver(events):
+            sizes.append(publisher.send_oneway_fanout(
+                iors, PUSH_BATCH, sink_batch_args(events)))
+
+        bus.batch_subscribe("spine.fanout", deliver, max_batch=64,
+                            max_age=60.0)
+        bus.publish("spine.fanout", payloads[0])
+        bus.flush()
+        for payload in payloads:
+            bus.publish("spine.fanout", payload)
+        env.run(until=1.0)
+        payload_size = 4 + len(payloads[0]) + 1
+        assert payload_size % 4 == 0
+        assert sizes[1] - sizes[0] == 63 * payload_size
+        assert servants[0].received == [
+            ("spine.fanout", p) for p in payloads[:1] + payloads]
+
     def test_marshal_error_counted_not_fatal(self):
         env, net, publisher, servants, iors = self.make_sinks(2)
         bus = EventBus(env, net.metrics)
@@ -54,7 +81,7 @@ class TestFanoutForwarder:
                                     to_args=lambda evs: ([1], ["x"]))
         sub = bus.batch_subscribe("t", forwarder.deliver,
                                   max_batch=1, max_age=0.05)
-        bus.publish("t", "bad")            # topic arg 1 is not a string
+        bus.publish("t", "bad")            # topic [1] is not a string
         env.run(until=1.0)
         assert net.metrics.get("bus.remote.errors") == 1
         assert all(s.received == [] for s in servants)
