@@ -251,8 +251,10 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
     """After faults heal and traffic drains, nothing is wedged: no
     reply has been pending longer than the call-deadline horizon
     (background loops legitimately have *young* calls in flight at any
-    instant), every breaker admits calls to live peers again, and
-    retry budgets have refilled."""
+    instant), no ORB holds a deadline for an answered call on top of
+    its heap (so one with nothing pending holds none), every breaker
+    admits calls to live peers again, and retry budgets have
+    refilled."""
 
     name = "admission.recovered"
     #: the call-deadline horizon: older pending replies are wedged
@@ -269,6 +271,10 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
                     return False, (f"reply {rid} ({odef.name}) on "
                                    f"{host} pending {age:.3f}s — the "
                                    f"deadline sweeper never expired it")
+            heap = node.orb._deadline_heap
+            if heap and heap[0][1] not in node.orb._pending:
+                return False, (f"answered call {heap[0][1]} heads the "
+                               f"deadline heap on {host}")
         for host, registry in world.breakers.items():
             for peer, breaker in registry._breakers.items():
                 if world.topology.host(peer).alive and not breaker.allow():

@@ -115,12 +115,15 @@ class ORB:
             int, tuple[Event, OperationDef, Optional[ClientRequestInfo]]
         ] = {}
         #: Reply deadlines, kept out of the kernel event queue.  One
-        #: kernel timer is armed for the earliest call still pending;
-        #: answered calls are dropped lazily, whenever the sweeper finds
-        #: them on top.  A per-call 60 s kernel Timeout would linger in
-        #: the kernel heap long after the reply, growing it by one entry
-        #: per call and taxing every subsequent push/pop with deeper
-        #: sifts.
+        #: kernel timer is armed for the earliest call still pending.
+        #: The top is always a pending call: a reply drops the answered
+        #: entries from the top as it lands, and a crash clears the heap
+        #: with the pending table, so an ORB with nothing pending holds
+        #: no entries and the heap holds the calls in flight plus those
+        #: answered out of order below the top.  A per-call 60 s kernel
+        #: Timeout would linger in the kernel heap long after the reply,
+        #: growing it by one entry per call and taxing every subsequent
+        #: push/pop with deeper sifts.
         self._deadline_heap: list[tuple] = []
         self._deadline_armed_at = float("inf")
         #: versions the armed sweeper: every (re-)arm bumps it and a
@@ -442,8 +445,8 @@ class ORB:
 
     def _sweep_deadlines(self, ev) -> None:
         """Expire every overdue pending call, then re-arm for the next
-        call that is still pending.  Entries whose call already
-        completed were removed from ``_pending`` and are dropped here,
+        call that is still pending.  Entries of calls answered out of
+        order (below the top when their reply landed) are dropped here,
         overdue or not: re-arming for an answered call would cost every
         call one more timer a deadline after its reply.  A timer whose
         token is stale was preempted by an earlier-armed sweeper and
@@ -493,12 +496,19 @@ class ORB:
     def _complete(self, reply: giop.ReplyMessage, wire_size: int = 0) -> None:
         """Settle the pending call *reply* answers; the listener calls
         this for every reply message it decodes."""
-        entry = self._pending.pop(reply.request_id, None)
+        pending = self._pending
+        entry = pending.pop(reply.request_id, None)
         if entry is None:
             self.metrics.counter(names.ORB_LATE_REPLIES).inc()
             return
+        # Answered entries leave the top as the reply lands.  An emptied
+        # heap keeps ``_deadline_armed_at``: resetting it would make the
+        # next call arm a second kernel Timeout beside the live sweeper.
+        heap = self._deadline_heap
+        while heap and heap[0][1] not in pending:
+            heappop(heap)
         for watcher in self.pending_watchers:
-            watcher(len(self._pending))
+            watcher(len(pending))
         event, odef, info = entry
         if info is not None:
             info.reply_bytes = wire_size
@@ -548,6 +558,7 @@ class ORB:
     def _on_host_crash(self, _host) -> None:
         """Fail every outstanding client request; the host is gone."""
         pending, self._pending = self._pending, {}
+        self._deadline_heap.clear()
         if pending:
             for watcher in self.pending_watchers:
                 watcher(0)

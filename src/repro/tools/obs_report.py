@@ -378,6 +378,8 @@ def run_selftest(as_json: bool = False,
           "soft-state reports not metered")
     check(all(len(orb._pending) == 0 for orb in hub.orbs),
           "pending-reply table not empty at end of run")
+    check(all(not orb._deadline_heap for orb in hub.orbs),
+          "reply-deadline heap not empty at end of run")
     check(rep["pending"]["max"] <= 2,
           "pending-reply table grew beyond the expected bound")
     check("h2" in mrm.members, "restarted node missing from MRM view")

@@ -11,6 +11,7 @@ from repro.chaos import (
     probe_monitor,
 )
 from repro.chaos.invariants import (
+    AdmissionRecoveredMonitor,
     ControlLoopsAliveMonitor,
     FederatedResolvableMonitor,
     MembershipConvergenceMonitor,
@@ -110,6 +111,22 @@ class TestMonitorsDetectBreakage:
         agent.loop.host.alive = False
         ok, detail = probe(world, monitor, MID)
         assert not ok and f"agent:{host}" in detail
+
+    def test_answered_call_held_in_a_deadline_heap_flagged(self):
+        world = build_world(seed=309)
+        world.rig.run(until=world.rig.env.now + 5.0)
+        world.stop_clients()
+        world.rig.run(until=world.rig.env.now + 6.0)
+        monitor = AdmissionRecoveredMonitor()
+        assert probe(world, monitor, QUIESCENCE) == (
+            True, "orbs drained, breakers admitting, budgets refilled")
+        # An entry whose call is not pending: what a reply or a crash
+        # left behind before either pruned the heap.
+        host, node = next(iter(world.rig.nodes.items()))
+        node.orb._deadline_heap.insert(
+            0, (world.rig.env.now, -1, "ghost", host, 60.0))
+        ok, detail = probe(world, monitor, QUIESCENCE)
+        assert not ok and f"heads the deadline heap on {host}" in detail
 
     def test_strictness_split(self):
         strict = {m.name for m in default_monitors() if m.strict_mid}
