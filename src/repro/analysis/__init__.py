@@ -1,9 +1,13 @@
 """Static verification of CORBA-LC applications before deployment.
 
-Three layers over one diagnostics engine:
+Three layers over one diagnostics engine
+(:class:`~repro.util.diagnostics.Diagnostics`):
 
-1. :mod:`repro.analysis.idlcheck` — semantic checks on parsed IDL and
-   the interface-inheritance graph / subtype oracle (``IDL0xx`` codes).
+1. :mod:`repro.idl.check` — semantic checks on parsed IDL and the
+   interface-inheritance graph / subtype oracle (``IDL0xx`` codes).
+   The same checker is the IDL compiler's front end: compiling checks
+   first and raises :class:`~repro.idl.codegen.IdlSemanticError` with
+   the findings, so nothing the lint rejects can be compiled.
 2. :mod:`repro.analysis.descriptors` — descriptor-vs-IDL and
    descriptor-vs-package-set cross-checks (``CMP0xx`` codes).
 3. :mod:`repro.analysis.assembly` — whole-application wiring checks
@@ -25,19 +29,19 @@ from repro.analysis.descriptors import (
     check_package_set,
     check_software,
 )
-from repro.analysis.findings import Diagnostics, Finding, Severity
 from repro.analysis.gate import AssemblyRejected, DeploymentGate
-from repro.analysis.idlcheck import (
-    CheckedSpec,
-    InterfaceGraph,
-    InterfaceInfo,
-    check_specification,
-)
 from repro.analysis.verifier import (
     ApplicationModel,
     model_from_packages,
     verify_model,
 )
+from repro.idl.check import (
+    CheckedSpec,
+    InterfaceGraph,
+    InterfaceInfo,
+    check_specification,
+)
+from repro.util.diagnostics import Diagnostics, Finding, Severity
 
 __all__ = [
     "ApplicationModel",

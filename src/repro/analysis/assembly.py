@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.descriptors import PackageInfo, PackageSet
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import InterfaceGraph
+from repro.idl.check import InterfaceGraph
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import AssemblyDescriptor
 
 

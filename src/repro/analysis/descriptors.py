@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import InterfaceGraph
+from repro.idl.check import InterfaceGraph
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import (
     ComponentTypeDescriptor,
     SoftwareDescriptor,

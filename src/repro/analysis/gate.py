@@ -15,8 +15,8 @@ points analysis → deployment-free and the gate stays optional.
 
 from __future__ import annotations
 
-from repro.analysis.findings import Diagnostics, Finding
 from repro.analysis.verifier import model_from_packages, verify_model
+from repro.util.diagnostics import Diagnostics, Finding
 from repro.util.errors import ValidationError
 from repro.xmlmeta.descriptors import AssemblyDescriptor
 

@@ -2,7 +2,7 @@
 
 A :class:`SourceFile` is one parsed module plus its per-line inline
 suppressions; :func:`lint_sources` runs every rule pass over a batch of
-them into one :class:`~repro.analysis.findings.Diagnostics`, honouring
+them into one :class:`~repro.util.diagnostics.Diagnostics`, honouring
 ``# simlint: disable=CODE[,CODE...]`` comments on the offending line.
 :func:`lint_paths` is the filesystem front end the CLI and the
 self-check test share.
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from repro.analysis.findings import Diagnostics
-from repro.util.diagnostics import Severity
+from repro.util.diagnostics import Diagnostics, Severity
 
 #: ``# simlint: disable=SIM001,SIM030`` (or ``disable=all``).
 _SUPPRESS_RE = re.compile(

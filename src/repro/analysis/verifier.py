@@ -15,9 +15,9 @@ from typing import Optional
 
 from repro.analysis.assembly import check_assembly
 from repro.analysis.descriptors import PackageSet, check_package_set
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import InterfaceGraph, check_specification
 from repro.idl import IdlLexError, IdlSyntaxError, parse
+from repro.idl.check import InterfaceGraph, check_specification
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import AssemblyDescriptor
 
 

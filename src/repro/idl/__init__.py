@@ -3,7 +3,8 @@
 The paper deliberately keeps "CORBA 2 standard, mature IDL compilers"
 (§2.1.2) instead of inventing IDL extensions; component metadata goes in
 XML.  This package plays the role of that IDL compiler: it parses IDL
-source and emits runtime artifacts —
+source, checks it (:mod:`repro.idl.check`, the same checker the lint
+and the deployment gate run) and emits runtime artifacts —
 
 - TypeCodes for every struct/enum/union/typedef/exception,
 - :class:`~repro.orb.exceptions.UserException` subclasses,
@@ -23,6 +24,10 @@ Usage::
     ''')
     mod.Demo.Mover          # InterfaceDef
     mod.Demo.Point          # TypeCode
+
+Compiling checks first: a specification with any error finding raises
+:class:`~repro.idl.codegen.IdlSemanticError`, whose ``findings`` are
+every error the checker reported.
 """
 
 from repro.idl.lexer import IdlLexError, tokenize

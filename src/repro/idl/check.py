@@ -1,7 +1,7 @@
-"""Layer 1: semantic checks over a parsed IDL specification.
+"""The IDL checker: semantic checks over a parsed IDL specification.
 
 The parser accepts anything grammatical; :func:`check_specification`
-walks the AST the way codegen would and reports, as findings instead of
+resolves every name in the AST and reports, as findings instead of
 exceptions, everything that would make the specification meaningless or
 ambiguous at run time:
 
@@ -24,10 +24,13 @@ IDL013   interface base that is not an interface
 IDL014   name used in the wrong role (exception as data type, ...)
 ======== ==================================================================
 
-Checking also yields the specification's interface-inheritance graph
-(:class:`InterfaceGraph`), whose :meth:`~InterfaceGraph.is_subtype`
-oracle the descriptor and assembly layers use to prove port
-compatibility.
+It is the compiler's front end: :func:`~repro.idl.codegen.compile_ast`
+refuses a specification with any error finding and builds the rest from
+the scopes and name resolutions recorded here.  It is also layer 1 of
+the static verifier (:mod:`repro.analysis`): checking yields the
+specification's interface-inheritance graph (:class:`InterfaceGraph`),
+whose :meth:`~InterfaceGraph.is_subtype` oracle the descriptor and
+assembly layers use to prove port compatibility.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.analysis.findings import Diagnostics
 from repro.idl import idlast as ast
+from repro.util.diagnostics import Diagnostics
 
 #: Discriminator base types a union may switch on.
 _LEGAL_DISCRIMINATORS = {
@@ -172,9 +175,10 @@ class _Entry:
                      # typedef | exception | const | enum_label | operation
                      # | attribute
     name: str
-    payload: object
+    payload: object  # the declaring AST node; an enum label's enum entry
     line: int
-    scope: "_Scope"  # scope the entry was declared in (for resolution)
+    scope: "_Scope"  # scope the entry was declared in
+    inner: Optional["_Scope"] = None  # a module's or interface's body
 
 
 class _Scope:
@@ -197,17 +201,25 @@ class _Scope:
     def qualified(self, name: str) -> str:
         return "::".join(self.path() + [name])
 
+    def repo_id(self, name: str) -> str:
+        parts = self.path() + [name]
+        if self.checker.spec.prefix:
+            parts = [self.checker.spec.prefix] + parts
+        return "IDL:" + "/".join(parts) + ":1.0"
+
     def declare(self, name: str, kind: str, payload: object,
-                line: int) -> _Entry:
+                line: int, inner: Optional["_Scope"] = None) -> _Entry:
         diag = self.checker.diag
         where = self.checker.loc(line)
+        entry = _Entry(kind=kind, name=name, payload=payload, line=line,
+                       scope=self, inner=inner)
         if name in self.entries:
             first = self.entries[name]
             diag.error("IDL002", where,
                        f"duplicate declaration of {self.qualified(name)!r} "
                        f"(first declared as {first.kind} on line "
                        f"{first.line})")
-            return self.entries[name]
+            return entry  # still checked, but never found by name
         low = name.lower()
         if low in self._ci and self._ci[low] != name:
             diag.error("IDL003", where,
@@ -216,8 +228,6 @@ class _Scope:
                        f"{self.qualified(self._ci[low])!r}")
         else:
             self._ci[low] = name
-        entry = _Entry(kind=kind, name=name, payload=payload, line=line,
-                       scope=self)
         self.entries[name] = entry
         return entry
 
@@ -233,6 +243,15 @@ class _Scope:
             scope = scope.parent
         return None
 
+    def lookup(self, parts: tuple[str, ...]) -> Optional[_Entry]:
+        """The entry the (possibly scoped) name *parts* denotes here."""
+        entry = self.find(parts[0])
+        for part in parts[1:]:
+            if entry is None or entry.kind != "module":
+                return None
+            entry = entry.inner.find_local(part)
+        return entry
+
 
 # ---------------------------------------------------------------------------
 # The checker
@@ -245,6 +264,10 @@ class CheckedSpec:
     spec: ast.Specification
     graph: InterfaceGraph
     interfaces: dict[str, InterfaceInfo] = field(default_factory=dict)
+    #: the global scope, and id(NamedType) -> the entry it resolved to:
+    #: what the compiler builds from
+    root: Optional[_Scope] = None
+    resolved: dict[int, _Entry] = field(default_factory=dict)
 
     @property
     def repo_ids(self) -> set[str]:
@@ -259,43 +282,25 @@ class _Checker:
         self.source = source
         self.root = _Scope("", None, self)
         self.interfaces: dict[str, InterfaceInfo] = {}
+        #: id(NamedType) -> the entry it named where it was written
+        self.resolved: dict[int, _Entry] = {}
         #: aggregate entries (struct/union/exception) for recursion checks
         self._aggregates: list[_Entry] = []
 
     def loc(self, line: int) -> str:
         return f"{self.source}:{line}" if line else self.source
 
-    # -- repo ids ------------------------------------------------------------
-    def _repo_id(self, scope: _Scope, name: str) -> str:
-        parts = scope.path() + [name]
-        if self.spec.prefix:
-            parts = [self.spec.prefix] + parts
-        return "IDL:" + "/".join(parts) + ":1.0"
-
     # -- resolution -----------------------------------------------------------
-    def _resolve(self, scope: _Scope, named: ast.NamedType, line: int,
-                 quiet: bool = False) -> Optional[_Entry]:
-        first, *rest = named.parts
-        entry = scope.find(first)
+    def _resolve(self, scope: _Scope, named: ast.NamedType,
+                 line: int) -> Optional[_Entry]:
+        """What *named* means at this point of the walk (only names
+        declared so far are visible), recorded in ``resolved``."""
+        entry = scope.lookup(named.parts)
         if entry is None:
-            if not quiet:
-                self.diag.error("IDL001", self.loc(line),
-                                f"undefined name {named.text!r}")
+            self.diag.error("IDL001", self.loc(line),
+                            f"undefined name {named.text!r}")
             return None
-        for part in rest:
-            if entry.kind != "module":
-                if not quiet:
-                    self.diag.error("IDL001", self.loc(line),
-                                    f"{named.text!r}: {part!r} looked up "
-                                    f"inside non-module {entry.name!r}")
-                return None
-            inner = entry.payload.find_local(part)  # payload is a _Scope
-            if inner is None:
-                if not quiet:
-                    self.diag.error("IDL001", self.loc(line),
-                                    f"undefined name {named.text!r}")
-                return None
-            entry = inner
+        self.resolved[id(named)] = entry
         return entry
 
     def _check_type(self, scope: _Scope, texpr, line: int) -> None:
@@ -318,15 +323,14 @@ class _Checker:
         self.diag.error("IDL014", self.loc(line),
                         f"unsupported type expression {texpr!r}")
 
-    def _base_of(self, scope: _Scope, texpr
-                 ) -> tuple[str, Optional[_Entry]]:
-        """Resolve *texpr* through typedef chains to its base kind.
+    def _base_of(self, texpr) -> tuple[str, Optional[_Entry]]:
+        """Follow an already checked *texpr* through typedef chains to
+        its base kind.
 
-        Returns ``('primitive', None)`` style pairs:
+        Returns ``('primitive:long', None)`` style pairs:
         kind in {'primitive:<name>', 'enum', 'struct', 'union',
         'interface', 'sequence', 'array', 'exception', 'unknown'}.
         """
-        guard: set[int] = set()
         while True:
             if isinstance(texpr, ast.PrimitiveType):
                 return f"primitive:{texpr.name}", None
@@ -334,18 +338,12 @@ class _Checker:
                 return "sequence", None
             if isinstance(texpr, ast.ArrayOf):
                 return "array", None
-            if isinstance(texpr, ast.NamedType):
-                entry = self._resolve(scope, texpr, 0, quiet=True)
-                if entry is None:
-                    return "unknown", None
-                if entry.kind == "typedef":
-                    if id(entry) in guard:
-                        return "unknown", None
-                    guard.add(id(entry))
-                    scope, texpr = entry.scope, entry.payload
-                    continue
+            entry = self.resolved.get(id(texpr))
+            if entry is None:
+                return "unknown", None
+            if entry.kind != "typedef":
                 return entry.kind, entry
-            return "unknown", None
+            texpr = entry.payload.type
 
     # -- walk ------------------------------------------------------------------
     def run(self) -> CheckedSpec:
@@ -362,7 +360,8 @@ class _Checker:
             self.diag.error("IDL012", self.source,
                             f"interface inheritance cycle: {names}")
         return CheckedSpec(spec=self.spec, graph=graph,
-                           interfaces=dict(self.interfaces))
+                           interfaces=dict(self.interfaces),
+                           root=self.root, resolved=self.resolved)
 
     def _definition(self, scope: _Scope, node) -> None:
         if isinstance(node, ast.ModuleDecl):
@@ -383,7 +382,7 @@ class _Checker:
             self._union(scope, node)
         elif isinstance(node, ast.TypedefDecl):
             self._check_type(scope, node.type, node.line)
-            scope.declare(node.name, "typedef", node.type, node.line)
+            scope.declare(node.name, "typedef", node, node.line)
         elif isinstance(node, ast.ConstDecl):
             self._check_type(scope, node.type, node.line)
             scope.declare(node.name, "const", node, node.line)
@@ -405,10 +404,10 @@ class _Checker:
     def _module(self, scope: _Scope, node: ast.ModuleDecl) -> None:
         existing = scope.find_local(node.name)
         if existing is not None and existing.kind == "module":
-            inner = existing.payload  # re-opened module
+            inner = existing.inner  # re-opened module
         else:
             inner = _Scope(node.name, scope, self)
-            scope.declare(node.name, "module", inner, node.line)
+            scope.declare(node.name, "module", node, node.line, inner)
         for item in node.body:
             self._definition(inner, item)
 
@@ -418,7 +417,7 @@ class _Checker:
         self._aggregates.append(entry)
         where = self.loc(node.line)
         self._check_type(scope, node.discriminator, node.line)
-        base_kind, base_entry = self._base_of(scope, node.discriminator)
+        base_kind, base_entry = self._base_of(node.discriminator)
 
         disc = None  # ('int'|'char'|'bool'|'enum', enum labels)
         if base_kind.startswith("primitive:"):
@@ -509,16 +508,16 @@ class _Checker:
                     f"interface {scope.qualified(node.name)}: base "
                     f"{base.text!r} is a(n) {entry.kind}, not an interface")
                 continue
-            base_ids.append(entry.payload.repo_id)  # payload: InterfaceInfo
-        repo_id = self._repo_id(scope, node.name)
+            base_ids.append(entry.scope.repo_id(entry.name))
+        repo_id = scope.repo_id(node.name)
         info = InterfaceInfo(
             repo_id=repo_id, name=node.name,
             qualified_name=scope.qualified(node.name),
             bases=tuple(base_ids), line=node.line, source=self.source)
-        scope.declare(node.name, "interface", info, node.line)
+        inner = _Scope(node.name, scope, self)
+        scope.declare(node.name, "interface", node, node.line, inner)
         self.interfaces[repo_id] = info
 
-        inner = _Scope(node.name, scope, self)
         for item in node.body:
             if isinstance(item, ast.OperationDecl):
                 self._operation(inner, item)
@@ -579,11 +578,9 @@ class _Checker:
             by_id[id(entry)] = entry
             targets: list[_Entry] = []
             node = entry.payload
-            members = (node.members if not isinstance(node, ast.UnionDecl)
-                       else [ast.Member(type=a.type, name=a.name)
-                             for a in node.arms])
-            for member in members:
-                self._containment(entry.scope, member.type, targets)
+            for member in (node.arms if isinstance(node, ast.UnionDecl)
+                           else node.members):
+                self._containment(entry.scope, member.type, targets, set())
             edges[id(entry)] = targets
 
         color: dict[int, int] = {}
@@ -620,23 +617,24 @@ class _Checker:
             if id(entry) not in color:
                 visit(id(entry))
 
-    def _containment(self, scope: _Scope, texpr,
-                     out: list[_Entry], guard: Optional[set] = None) -> None:
-        guard = guard if guard is not None else set()
+    def _containment(self, scope: _Scope, texpr, out: list[_Entry],
+                     guard: set[int]) -> None:
         if isinstance(texpr, ast.SequenceType):
             return  # indirection: recursion through sequences is legal
         if isinstance(texpr, ast.ArrayOf):
             self._containment(scope, texpr.element, out, guard)
             return
-        if isinstance(texpr, ast.NamedType):
-            entry = self._resolve(scope, texpr, 0, quiet=True)
-            if entry is None or id(entry) in guard:
-                return
-            guard.add(id(entry))
-            if entry.kind == "typedef":
-                self._containment(entry.scope, entry.payload, out, guard)
-            elif entry.kind in ("struct", "union", "exception"):
-                out.append(entry)
+        entry = self.resolved.get(id(texpr))
+        if entry is None and isinstance(texpr, ast.NamedType):
+            # A forward reference (already IDL001) still closes a cycle.
+            entry = scope.lookup(texpr.parts)
+        if entry is None or id(entry) in guard:
+            return
+        guard.add(id(entry))
+        if entry.kind == "typedef":
+            self._containment(entry.scope, entry.payload.type, out, guard)
+        elif entry.kind in ("struct", "union", "exception"):
+            out.append(entry)
 
 
 def check_specification(spec: ast.Specification,

@@ -1,7 +1,10 @@
 """IDL code generation: AST -> runtime artifacts.
 
-Walks a parsed :class:`~repro.idl.idlast.Specification` and produces,
-per declaration:
+:func:`compile_ast` runs the IDL checker (:mod:`repro.idl.check`) first:
+any error finding refuses the whole specification with an
+:class:`IdlSemanticError` carrying every finding.  A clean specification
+is then built from the checker's scopes — every name reference uses the
+entry the checker resolved it to — producing, per declaration:
 
 - struct/enum/union/typedef/array -> :class:`~repro.orb.typecodes.TypeCode`
 - exception -> a registered :class:`~repro.orb.exceptions.UserException`
@@ -17,9 +20,8 @@ mirroring the IDL module structure.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.idl import idlast as ast
+from repro.idl.check import CheckedSpec, check_specification
 from repro.idl.parser import parse
 from repro.orb.core import (
     InterfaceDef,
@@ -28,9 +30,7 @@ from repro.orb.core import (
     make_exception_class,
 )
 from repro.orb.dii import GLOBAL_IFR, InterfaceRepository
-from repro.orb.exceptions import UserException
 from repro.orb.typecodes import (
-    TCKind,
     TypeCode,
     alias_tc,
     array_tc,
@@ -43,11 +43,21 @@ from repro.orb.typecodes import (
     tc_void,
     union_tc,
 )
+from repro.util.diagnostics import Diagnostics
 from repro.util.errors import ValidationError
 
 
 class IdlSemanticError(ValidationError):
-    """Undefined name, duplicate declaration, or invalid construct."""
+    """The specification is not legal IDL, or needs what this ORB lacks.
+
+    ``findings`` holds every error the IDL checker reported; it is empty
+    for the compiler's own refusals (a type containing itself through
+    ``sequence<>``, a name clash in the compiled namespace).
+    """
+
+    def __init__(self, message: str, findings=()) -> None:
+        self.findings = list(findings)
+        super().__init__(message)
 
 
 class CompiledModule:
@@ -82,246 +92,141 @@ class CompiledModule:
         return f"<CompiledModule {self._name or '<global>'}: {sorted(self._symbols)}>"
 
 
-class _Scope:
-    """Lexical scope used during compilation."""
+class _Builder:
+    """Artifacts of a checked specification, each built once.
 
-    def __init__(self, name: str, parent: Optional["_Scope"],
-                 namespace: CompiledModule) -> None:
-        self.name = name
-        self.parent = parent
-        self.namespace = namespace
-        self.entries: dict[str, tuple[str, object]] = {}  # name -> (kind, value)
+    Entries are the checker's; a name reference is looked up in the
+    checker's ``resolved`` map, never re-resolved here.
+    """
 
-    def path(self) -> list[str]:
-        parts: list[str] = []
-        scope: Optional[_Scope] = self
-        while scope is not None and scope.name:
-            parts.append(scope.name)
-            scope = scope.parent
-        return list(reversed(parts))
+    def __init__(self, checked: CheckedSpec) -> None:
+        self.resolved = checked.resolved
+        self.tcs: dict[int, TypeCode] = {}  # id(entry) -> TypeCode
+        self.interfaces: dict[int, InterfaceDef] = {}  # id(entry) -> def
+        self._building: set[int] = set()
 
-    def declare(self, name: str, kind: str, value: object,
-                public: object = None) -> None:
-        if name in self.entries:
-            raise IdlSemanticError(
-                f"duplicate declaration {name!r} in scope "
-                f"{'::'.join(self.path()) or '<global>'}"
-            )
-        self.entries[name] = (kind, value)
-        self.namespace._add(name, public if public is not None else value)
-
-    def find_local(self, name: str) -> Optional[tuple[str, object]]:
-        return self.entries.get(name)
-
-    def find(self, name: str) -> Optional[tuple[str, object]]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            entry = scope.entries.get(name)
-            if entry is not None:
-                return entry
-            scope = scope.parent
-        return None
-
-
-class _Compiler:
-    def __init__(self, spec: ast.Specification,
-                 ifr: InterfaceRepository) -> None:
-        self.spec = spec
-        self.ifr = ifr
-        self.root = _Scope("", None, CompiledModule(""))
-
-    # -- repo ids ------------------------------------------------------------
-    def _repo_id(self, scope: _Scope, name: str) -> str:
-        parts = scope.path() + [name]
-        if self.spec.prefix:
-            parts = [self.spec.prefix] + parts
-        return "IDL:" + "/".join(parts) + ":1.0"
-
-    # -- name resolution -------------------------------------------------------
-    def _resolve(self, scope: _Scope, named: ast.NamedType) -> tuple[str, object]:
-        first, *rest = named.parts
-        entry = scope.find(first)
-        if entry is None:
-            raise IdlSemanticError(f"undefined name {named.text!r}")
-        for part in rest:
-            kind, value = entry
-            if kind != "module":
-                raise IdlSemanticError(
-                    f"{named.text!r}: {part!r} looked up inside non-module"
-                )
-            inner = value.find_local(part)  # value is a _Scope
-            if inner is None:
-                raise IdlSemanticError(f"undefined name {named.text!r}")
-            entry = inner
-        return entry
-
-    def _resolve_type(self, scope: _Scope, texpr: ast.TypeExpr) -> TypeCode:
+    def type_tc(self, texpr: ast.TypeExpr) -> TypeCode:
         if isinstance(texpr, ast.PrimitiveType):
             return primitive(texpr.name)
         if isinstance(texpr, ast.SequenceType):
-            return sequence_tc(self._resolve_type(scope, texpr.element),
-                               texpr.bound)
+            return sequence_tc(self.type_tc(texpr.element), texpr.bound)
         if isinstance(texpr, ast.ArrayOf):
-            tc = self._resolve_type(scope, texpr.element)
+            tc = self.type_tc(texpr.element)
             for dim in reversed(texpr.dims):
                 tc = array_tc(tc, dim)
             return tc
-        if isinstance(texpr, ast.NamedType):
-            kind, value = self._resolve(scope, texpr)
-            if kind == "type":
-                return value  # a TypeCode
-            if kind == "interface":
-                _iface, tc = value
-                return tc
-            if kind == "exception":
-                raise IdlSemanticError(
-                    f"exception {texpr.text!r} used as a data type"
-                )
-            raise IdlSemanticError(f"{texpr.text!r} is not a type")
-        raise IdlSemanticError(f"unsupported type expression {texpr!r}")
+        return self.entry_tc(self.resolved[id(texpr)])
 
-    def _resolve_exception(self, scope: _Scope, named: ast.NamedType) -> TypeCode:
-        kind, value = self._resolve(scope, named)
-        if kind != "exception":
-            raise IdlSemanticError(f"{named.text!r} is not an exception")
-        _cls, tc = value
+    def entry_tc(self, entry) -> TypeCode:
+        """The TypeCode of a declared type, exception or interface."""
+        tc = self.tcs.get(id(entry))
+        if tc is not None:
+            return tc
+        if id(entry) in self._building:
+            # The checker allows this (IDL recurses through sequences);
+            # a TypeCode here holds its members by value, so it cannot.
+            raise IdlSemanticError(
+                f"{entry.scope.qualified(entry.name)} contains itself "
+                f"through sequence<>: legal IDL, but this ORB's TypeCodes "
+                f"have no indirection to describe it")
+        self._building.add(id(entry))
+        node, repo_id = entry.payload, entry.scope.repo_id(entry.name)
+        if entry.kind == "struct":
+            tc = struct_tc(node.name, self._members(node), repo_id=repo_id)
+        elif entry.kind == "exception":
+            tc = except_tc(node.name, self._members(node), repo_id=repo_id)
+        elif entry.kind == "enum":
+            tc = enum_tc(node.name, node.labels, repo_id=repo_id)
+        elif entry.kind == "union":
+            tc = self._union(node, repo_id)
+        elif entry.kind == "typedef":
+            tc = alias_tc(node.name, self.type_tc(node.type), repo_id=repo_id)
+        else:  # interface
+            tc = objref_tc(repo_id, node.name)
+        self.tcs[id(entry)] = tc
         return tc
 
-    # -- compilation ---------------------------------------------------------------
-    def run(self) -> CompiledModule:
-        for node in self.spec.definitions:
-            self._definition(self.root, node)
-        return self.root.namespace
+    def _members(self, node) -> list[tuple[str, TypeCode]]:
+        return [(m.name, self.type_tc(m.type)) for m in node.members]
 
-    def _definition(self, scope: _Scope, node) -> None:
-        if isinstance(node, ast.ModuleDecl):
-            self._module(scope, node)
-        elif isinstance(node, ast.InterfaceDecl):
-            self._interface(scope, node)
-        elif isinstance(node, ast.StructDecl):
-            members = [(m.name, self._resolve_type(scope, m.type))
-                       for m in node.members]
-            tc = struct_tc(node.name, members,
-                           repo_id=self._repo_id(scope, node.name))
-            scope.declare(node.name, "type", tc)
-        elif isinstance(node, ast.EnumDecl):
-            tc = enum_tc(node.name, node.labels,
-                         repo_id=self._repo_id(scope, node.name))
-            scope.declare(node.name, "type", tc)
-        elif isinstance(node, ast.UnionDecl):
-            self._union(scope, node)
-        elif isinstance(node, ast.TypedefDecl):
-            tc = alias_tc(node.name, self._resolve_type(scope, node.type),
-                          repo_id=self._repo_id(scope, node.name))
-            scope.declare(node.name, "type", tc)
-        elif isinstance(node, ast.ExceptionDecl):
-            members = [(m.name, self._resolve_type(scope, m.type))
-                       for m in node.members]
-            tc = except_tc(node.name, members,
-                           repo_id=self._repo_id(scope, node.name))
-            cls = make_exception_class(node.name, tc)
-            scope.declare(node.name, "exception", (cls, tc), public=cls)
-        elif isinstance(node, ast.ConstDecl):
-            scope.declare(node.name, "const", node.value)
-        else:
-            raise IdlSemanticError(f"unsupported declaration {node!r}")
-
-    def _module(self, scope: _Scope, node: ast.ModuleDecl) -> None:
-        existing = scope.find_local(node.name)
-        if existing is not None:
-            # Re-opened module: continue filling the same scope.
-            kind, inner = existing
-            if kind != "module":
-                raise IdlSemanticError(
-                    f"{node.name!r} redeclared as module"
-                )
-        else:
-            inner_ns = CompiledModule(node.name)
-            inner = _Scope(node.name, scope, inner_ns)
-            scope.declare(node.name, "module", inner, public=inner_ns)
-        for item in node.body:
-            self._definition(inner, item)
-
-    def _union(self, scope: _Scope, node: ast.UnionDecl) -> None:
-        disc_tc = self._resolve_type(scope, node.discriminator)
+    def _union(self, node: ast.UnionDecl, repo_id: str) -> TypeCode:
+        disc_tc = self.type_tc(node.discriminator)
         members: list[tuple[object, str, TypeCode]] = []
         default_index = -1
         for arm in node.arms:
-            arm_tc = self._resolve_type(scope, arm.type)
+            arm_tc = self.type_tc(arm.type)
             for label in arm.labels:
                 if label is None:
-                    if default_index >= 0:
-                        raise IdlSemanticError(
-                            f"union {node.name}: multiple default arms"
-                        )
                     default_index = len(members)
-                    members.append((None, arm.name, arm_tc))
-                else:
-                    members.append((label, arm.name, arm_tc))
-        tc = union_tc(node.name, disc_tc, members,
-                      default_index=default_index,
-                      repo_id=self._repo_id(scope, node.name))
-        scope.declare(node.name, "type", tc)
+                members.append((label, arm.name, arm_tc))
+        return union_tc(node.name, disc_tc, members,
+                        default_index=default_index, repo_id=repo_id)
 
-    def _interface(self, scope: _Scope, node: ast.InterfaceDecl) -> None:
-        bases: list[InterfaceDef] = []
-        for base_name in node.bases:
-            kind, value = self._resolve(scope, base_name)
-            if kind != "interface":
-                raise IdlSemanticError(
-                    f"interface base {base_name.text!r} is not an interface"
-                )
-            bases.append(value[0])
-        repo_id = self._repo_id(scope, node.name)
-        iface = InterfaceDef(repo_id, node.name, bases=bases)
-        tc = objref_tc(repo_id, node.name)
-        # Declare before walking the body so operations can reference the
-        # interface itself (e.g. a clone() returning its own type).
-        scope.declare(node.name, "interface", (iface, tc), public=iface)
-        inner = _Scope(node.name, scope, CompiledModule(node.name))
-        # Interface scope shares visibility with nested declarations.
+    def interface(self, entry) -> InterfaceDef:
+        iface = self.interfaces.get(id(entry))
+        if iface is not None:
+            return iface
+        node = entry.payload
+        bases = [self.interface(self.resolved[id(b)]) for b in node.bases]
+        iface = InterfaceDef(entry.scope.repo_id(node.name), node.name,
+                             bases=bases)
         for item in node.body:
             if isinstance(item, ast.OperationDecl):
-                iface.add_operation(self._operation(inner, item))
+                iface.add_operation(self._operation(item))
             elif isinstance(item, ast.AttributeDecl):
-                iface.add_attribute(
-                    item.name, self._resolve_type(inner, item.type),
-                    readonly=item.readonly,
-                )
-            else:
-                self._definition(inner, item)
-        # Expose interface-scoped types as <Interface>_<Name> at the
-        # enclosing namespace for convenience.
-        for name, value in inner.namespace.symbols().items():
-            scope.namespace._add(f"{node.name}_{name}", value)
+                iface.add_attribute(item.name, self.type_tc(item.type),
+                                    readonly=item.readonly)
+        self.interfaces[id(entry)] = iface
+        return iface
 
-    def _operation(self, scope: _Scope, node: ast.OperationDecl) -> OperationDef:
-        params = tuple(
-            ParamDef(p.name, self._resolve_type(scope, p.type), p.mode)
-            for p in node.params
-        )
-        result = (tc_void if node.result is None
-                  else self._resolve_type(scope, node.result))
-        raises = tuple(self._resolve_exception(scope, r) for r in node.raises)
+    def _operation(self, node: ast.OperationDecl) -> OperationDef:
+        params = tuple(ParamDef(p.name, self.type_tc(p.type), p.mode)
+                       for p in node.params)
+        result = tc_void if node.result is None else self.type_tc(node.result)
+        raises = tuple(self.entry_tc(self.resolved[id(r)])
+                       for r in node.raises)
         return OperationDef(name=node.name, params=params, result=result,
                             raises=raises, oneway=node.oneway)
+
+    def namespace(self, scope, name: str = "") -> CompiledModule:
+        namespace = CompiledModule(name)
+        for entry in scope.entries.values():
+            if entry.kind == "module":
+                namespace._add(entry.name,
+                               self.namespace(entry.inner, entry.name))
+            elif entry.kind == "interface":
+                namespace._add(entry.name, self.interface(entry))
+                # Interface-scoped declarations are also exposed as
+                # <Interface>_<Name> in the enclosing namespace.
+                inner = self.namespace(entry.inner, entry.name)
+                for inner_name, value in inner.symbols().items():
+                    namespace._add(f"{entry.name}_{inner_name}", value)
+            elif entry.kind == "exception":
+                namespace._add(entry.name, make_exception_class(
+                    entry.name, self.entry_tc(entry)))
+            elif entry.kind == "const":
+                namespace._add(entry.name, entry.payload.value)
+            elif entry.kind in ("struct", "union", "enum", "typedef"):
+                namespace._add(entry.name, self.entry_tc(entry))
+        return namespace
 
 
 def compile_ast(spec: ast.Specification,
                 ifr: InterfaceRepository) -> CompiledModule:
-    """Compile a parsed specification; registers interfaces in *ifr*."""
-    compiler = _Compiler(spec, ifr)
-    namespace = compiler.run()
-    _register_interfaces(compiler.root, ifr)
+    """Check, then compile a parsed specification; registers interfaces
+    in *ifr*.  Raises :class:`IdlSemanticError` with every error finding
+    when the checker rejects *spec*."""
+    diag = Diagnostics()
+    checked = check_specification(spec, diag)
+    if diag.has_errors():
+        raise IdlSemanticError(
+            "; ".join(f"{f.code} {f.location}: {f.message}"
+                      for f in diag.errors), diag.errors)
+    builder = _Builder(checked)
+    namespace = builder.namespace(checked.root)
+    for iface in builder.interfaces.values():
+        ifr.register(iface, replace=True)
     return namespace
-
-
-def _register_interfaces(scope: _Scope, ifr: InterfaceRepository) -> None:
-    for kind, value in scope.entries.values():
-        if kind == "interface":
-            ifr.register(value[0], replace=True)
-        elif kind == "module":
-            _register_interfaces(value, ifr)
 
 
 def compile_idl(source: str) -> CompiledModule:

@@ -1,8 +1,9 @@
 """AST node definitions for the IDL compiler.
 
-Type references are kept symbolic (:class:`NamedType`) until codegen,
-which resolves them against lexical scopes — so forward uses within a
-module and cross-module scoped names (``A::B``) both work.
+Type references are kept symbolic (:class:`NamedType`) until the IDL
+checker (:mod:`repro.idl.check`) resolves them against lexical scopes —
+so uses after a declaration within a module and cross-module scoped
+names (``A::B``) both work — and codegen builds from what it resolved.
 
 Declarations carry the 1-based source ``line`` they started on, for the
 static analyzer's findings; it is excluded from equality so structural

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from repro.analysis.findings import Diagnostics
 from repro.analysis.verifier import ApplicationModel, verify_model
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import (
     AssemblyDescriptor,
     ComponentTypeDescriptor,

@@ -2,9 +2,9 @@
 
 from repro.analysis.assembly import check_assembly
 from repro.analysis.descriptors import PackageSet
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import check_specification
 from repro.idl import parse
+from repro.idl.check import check_specification
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import (
     AssemblyConnection,
     AssemblyDescriptor,

@@ -5,9 +5,9 @@ from repro.analysis.descriptors import (
     check_component_type,
     check_software,
 )
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import check_specification
 from repro.idl import parse
+from repro.idl.check import check_specification
+from repro.util.diagnostics import Diagnostics
 from repro.xmlmeta.descriptors import (
     ComponentTypeDescriptor,
     Dependency,

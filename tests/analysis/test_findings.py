@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis.findings import Diagnostics, Finding, Severity
+from repro.util.diagnostics import Diagnostics, Finding, Severity
 
 
 class TestSeverity:

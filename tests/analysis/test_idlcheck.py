@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis.findings import Diagnostics
-from repro.analysis.idlcheck import InterfaceGraph, check_specification
 from repro.idl import parse
+from repro.idl.check import InterfaceGraph, check_specification
+from repro.tools.lint import main as lint_main
+from repro.util.diagnostics import Diagnostics
 
 PREFIX = '#pragma prefix "corbalc"\n'
 
@@ -78,6 +79,25 @@ class TestNameChecks:
         struct Outer { M::Inner i; };
         """)
         assert len(diag) == 0
+
+    @pytest.mark.parametrize("source", [
+        "enum Color { RED }; struct RED { long x; };",
+        "typedef long T; exception T { string why; };",
+        "const long C = 1; union C switch (long) { case 1: long a; };",
+        "interface I {}; struct I { long x; };",
+        "module M { struct A { long x; }; }; exception M { string why; };",
+    ], ids=["enum-label", "typedef", "const", "interface", "module"])
+    def test_aggregate_reusing_a_name_is_a_duplicate(self, source):
+        # regression: the struct/exception/union was checked as the
+        # first declaration of its name, and the recursion check raised
+        diag, _ = check(source)
+        assert codes(diag) == {"IDL002"}
+
+    def test_reused_name_through_the_lint_cli(self, tmp_path, capsys):
+        bad = tmp_path / "bad.idl"
+        bad.write_text("enum Color { RED };\nstruct RED { long x; };\n")
+        assert lint_main([str(bad)]) == 2  # was a traceback and exit 1
+        assert "IDL002" in capsys.readouterr().out
 
     def test_wrong_role_exception_as_member_type(self):
         diag, _ = check("""
@@ -182,6 +202,14 @@ class TestRecursion:
     def test_self_array_recursion(self):
         diag, _ = check("struct S { S next[2]; };")
         assert codes(diag) == {"IDL011"}
+
+    def test_a_later_shadowing_declaration_is_not_a_cycle(self):
+        # B's member names ::A where it is written; M::A comes later
+        diag, _ = check("""
+        struct A { long x; };
+        module M { struct B { A a; }; struct A { B b; }; };
+        """)
+        assert len(diag) == 0
 
 
 class TestInterfaceGraph:

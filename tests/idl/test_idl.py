@@ -3,6 +3,7 @@
 import pytest
 
 from repro.idl import compile_idl, parse, tokenize
+from repro.idl.check import check_specification
 from repro.idl.codegen import IdlSemanticError
 from repro.idl.lexer import IdlLexError
 from repro.idl.parser import IdlSyntaxError
@@ -10,6 +11,7 @@ from repro.idl import idlast as ast
 from repro.orb.cdr import decode_one, encode_one
 from repro.orb.exceptions import UserException
 from repro.orb.typecodes import TCKind
+from repro.util.diagnostics import Diagnostics
 
 
 class TestLexer:
@@ -239,27 +241,49 @@ class TestCodegen:
         assert mod.I_Inner.kind is TCKind.STRUCT
         assert mod.I.operations["get"].result == mod.I_Inner
 
-    def test_undefined_name_rejected(self):
-        with pytest.raises(IdlSemanticError):
-            compile_idl("struct S { Missing m; };")
+    @pytest.mark.parametrize("source, code", [
+        ("struct S { Missing m; };", "IDL001"),
+        ("struct S { long x; }; struct S { long y; };", "IDL002"),
+        ("exception E { string s; }; struct S { E e; };", "IDL014"),
+        ("struct S { long x; }; interface I : S {};", "IDL013"),
+        # accepted by the compiler before it ran the checker first
+        ("union U switch (string) { case 1: long a; };", "IDL007"),
+        ("union U switch (boolean) { case TRUE: long a; "
+         "case 3: short b; };", "IDL008"),
+        ("union U switch (long) { case 1: long a; case 1: short b; };",
+         "IDL009"),
+        ("struct Foo { long x; }; struct foo { long y; };", "IDL003"),
+        ("interface I { void f(in long a, in short a); };", "IDL002"),
+        ("interface I { void f(); attribute long f; };", "IDL002"),
+        ("enum Color { RED, GREEN }; struct RED { long x; };", "IDL002"),
+        # raised as ConfigurationError / BAD_PARAM before
+        ("interface I { oneway long f(); };", "IDL004"),
+        ("interface I { void f(); void f(); };", "IDL002"),
+        ("struct S { long x; short x; };", "IDL002"),
+    ], ids=[
+        "undefined-name", "duplicate-declaration", "exception-as-type",
+        "non-interface-base", "string-discriminator", "ill-typed-label",
+        "duplicate-label", "case-twin", "duplicate-parameter",
+        "attribute-named-like-operation", "struct-named-like-enum-label",
+        "oneway-result", "duplicate-operation", "duplicate-member",
+    ])
+    def test_rejected_with_the_checkers_findings(self, source, code):
+        diag = Diagnostics()
+        check_specification(parse(source), diag)
+        with pytest.raises(IdlSemanticError) as err:
+            compile_idl(source)
+        assert {f.code for f in err.value.findings} == diag.codes() == {code}
 
-    def test_duplicate_declaration_rejected(self):
-        with pytest.raises(IdlSemanticError):
-            compile_idl("struct S { long x; }; struct S { long y; };")
-
-    def test_exception_not_usable_as_type(self):
-        with pytest.raises(IdlSemanticError):
-            compile_idl("""
-                exception E { string s; };
-                struct S { E e; };
-            """)
-
-    def test_non_interface_base_rejected(self):
-        with pytest.raises(IdlSemanticError):
-            compile_idl("""
-                struct S { long x; };
-                interface I : S {};
-            """)
+    def test_sequence_self_containment_refused_by_the_compiler(self):
+        # legal IDL, so the checker is clean; the refusal is the
+        # compiler's own: a TypeCode here has no indirection
+        source = "struct Node { long value; sequence<Node> kids; };"
+        diag = Diagnostics()
+        check_specification(parse(source), diag)
+        assert len(diag) == 0
+        with pytest.raises(IdlSemanticError, match="sequence<>") as err:
+            compile_idl(source)
+        assert err.value.findings == []
 
     def test_union_compiles_and_marshals(self):
         mod = compile_idl("""

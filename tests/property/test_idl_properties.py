@@ -1,29 +1,45 @@
-"""Property-based tests: random IDL ASTs survive unparse -> parse."""
+"""Property-based tests: random IDL ASTs survive unparse -> parse, and
+the compiler and the IDL checker give one verdict on them."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.idl import compile_ast, parse
 from repro.idl import idlast as ast
+from repro.idl.check import check_specification
+from repro.idl.codegen import IdlSemanticError
+from repro.orb.dii import InterfaceRepository
+from repro.util.diagnostics import Diagnostics
 from tests.oracles.unparse import unparse
 
+#: keywords can't be identifiers
+_KEYWORDS = {
+    "module", "interface", "struct", "enum", "union", "switch",
+    "case", "default", "typedef", "exception", "const", "attribute",
+    "readonly", "oneway", "in", "out", "inout", "raises", "sequence",
+    "string", "void", "short", "long", "unsigned", "float", "double",
+    "boolean", "char", "octet", "any", "Object", "TRUE", "FALSE",
+}
+
 _idents = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
-    lambda s: s not in {
-        # keywords can't be identifiers
-        "module", "interface", "struct", "enum", "union", "switch",
-        "case", "default", "typedef", "exception", "const", "attribute",
-        "readonly", "oneway", "in", "out", "inout", "raises", "sequence",
-        "string", "void", "short", "long", "unsigned", "float", "double",
-        "boolean", "char", "octet", "any", "Object", "TRUE", "FALSE",
-    }
-)
+    lambda s: s not in _KEYWORDS)
 
 _primitive_names = st.sampled_from([
     "short", "long", "unsigned short", "unsigned long", "long long",
     "unsigned long long", "float", "double", "boolean", "char", "octet",
     "string", "any",
 ])
+
+
+@st.composite
+def _fresh(draw, used):
+    """A name not yet declared in the scope *used* tracks, now claimed.
+    IDL names collide case-insensitively, so *used* holds them
+    lowercased."""
+    name = draw(_idents.filter(lambda n: n.lower() not in used))
+    used.add(name.lower())
+    return name
 
 
 @st.composite
@@ -41,8 +57,7 @@ def _members(draw, names):
 
 @st.composite
 def _structs(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     member_names = draw(st.lists(_idents, min_size=1, max_size=4,
                                  unique=True))
     members = [ast.Member(type=draw(_types()), name=m)
@@ -52,16 +67,16 @@ def _structs(draw, used_names):
 
 @st.composite
 def _enums(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
-    labels = draw(st.lists(_idents, min_size=1, max_size=4, unique=True))
+    name = draw(_fresh(used_names))
+    # the labels are declarations of the enclosing scope too
+    labels = [draw(_fresh(used_names))
+              for _ in range(draw(st.integers(1, 4)))]
     return ast.EnumDecl(name=name, labels=labels)
 
 
 @st.composite
 def _exceptions(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     member_names = draw(st.lists(_idents, min_size=1, max_size=3,
                                  unique=True))
     members = [ast.Member(type=draw(_types()), name=m)
@@ -71,8 +86,7 @@ def _exceptions(draw, used_names):
 
 @st.composite
 def _typedefs(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     base = draw(_types())
     if draw(st.booleans()):
         dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1,
@@ -83,8 +97,7 @@ def _typedefs(draw, used_names):
 
 @st.composite
 def _consts(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     ctype, value = draw(st.one_of(
         st.tuples(st.just(ast.PrimitiveType("long")),
                   st.integers(0, 10_000)),
@@ -99,8 +112,7 @@ def _consts(draw, used_names):
 def _unions(draw, used_names):
     """Unions over every legal discriminator family, including
     negative integer labels and an optional default arm."""
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     family = draw(st.sampled_from(["int", "bool", "char"]))
     if family == "int":
         disc = ast.PrimitiveType(draw(st.sampled_from(["long", "short"])))
@@ -128,14 +140,14 @@ def _unions(draw, used_names):
 
 @st.composite
 def _interfaces(draw, used_names, base_pool=(), exception_pool=()):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     bases = [ast.NamedType((b,)) for b in draw(st.lists(
         st.sampled_from(sorted(base_pool)), max_size=2, unique=True))
     ] if base_pool else []
     ops = []
-    op_names = draw(st.lists(_idents, min_size=0, max_size=3,
-                             unique=True))
+    members: set[str] = set()  # the interface's operations and attributes
+    op_names = [draw(_fresh(members))
+                for _ in range(draw(st.integers(0, 3)))]
     for op_name in op_names:
         n_params = draw(st.integers(0, 3))
         param_names = draw(st.lists(_idents, min_size=n_params,
@@ -156,9 +168,8 @@ def _interfaces(draw, used_names, base_pool=(), exception_pool=()):
         ops.append(ast.OperationDecl(name=op_name, result=result,
                                      params=params, raises=raises,
                                      oneway=oneway))
-    attr_names = draw(st.lists(
-        _idents.filter(lambda n: n not in set(op_names)),
-        min_size=0, max_size=2, unique=True))
+    attr_names = [draw(_fresh(members))
+                  for _ in range(draw(st.integers(0, 2)))]
     attrs = [ast.AttributeDecl(name=a, type=draw(_types()),
                                readonly=draw(st.booleans()))
              for a in attr_names]
@@ -167,8 +178,7 @@ def _interfaces(draw, used_names, base_pool=(), exception_pool=()):
 
 @st.composite
 def _modules(draw, used_names):
-    name = draw(_idents.filter(lambda n: n not in used_names))
-    used_names.add(name)
+    name = draw(_fresh(used_names))
     inner_used: set[str] = set()
     body = draw(st.lists(
         st.one_of(_structs(inner_used), _enums(inner_used),
@@ -213,11 +223,103 @@ def test_unparse_parse_roundtrip(spec):
 @settings(max_examples=60, deadline=None)
 def test_unparsed_idl_compiles(spec):
     """Whatever the generator produces must also survive codegen."""
-    from repro.orb.dii import InterfaceRepository
     module = compile_ast(parse(unparse(spec)),
                          ifr=InterfaceRepository())
     for node in spec.definitions:
         assert node.name in module
+
+
+def _declared(spec: ast.Specification) -> set[str]:
+    """The global scope's names, lowercased, enum labels included."""
+    names = {d.name.lower() for d in spec.definitions}
+    for d in spec.definitions:
+        if isinstance(d, ast.EnumDecl):
+            names.update(label.lower() for label in d.labels)
+    return names
+
+
+_LONG = ast.PrimitiveType("long")
+
+
+@st.composite
+def _defective_specs(draw):
+    """A legal spec plus one global declaration the checker must reject
+    (or, for the last defect, the compiler must refuse on its own)."""
+    spec = draw(_specs())
+    used = _declared(spec)
+    taken = sorted(d.name for d in spec.definitions)
+    name = draw(_fresh(used))
+    defect = draw(st.sampled_from([
+        "duplicate", "case-twin", "undefined", "string-discriminator",
+        "ill-typed-label", "duplicate-label", "two-defaults",
+        "oneway-out", "duplicate-parameter", "attribute-like-operation",
+        "self-containing",
+    ]))
+    member = [ast.Member(type=_LONG, name="x")]
+    if defect == "duplicate":
+        decl = ast.StructDecl(name=draw(st.sampled_from(taken)),
+                              members=member)
+    elif defect == "case-twin":
+        twin = draw(st.sampled_from(taken)).swapcase()
+        assume(twin not in _KEYWORDS)
+        decl = ast.StructDecl(name=twin, members=member)
+    elif defect == "undefined":
+        decl = ast.StructDecl(name=name, members=[
+            ast.Member(type=ast.NamedType((draw(_fresh(used)),)),
+                       name="x")])
+    elif defect in ("string-discriminator", "ill-typed-label",
+                    "duplicate-label", "two-defaults"):
+        disc, labels = {
+            "string-discriminator": ("string", [1]),
+            "ill-typed-label": ("boolean", [3]),
+            "duplicate-label": ("long", [1, 1]),
+            "two-defaults": ("long", [None, None]),
+        }[defect]
+        decl = ast.UnionDecl(
+            name=name, discriminator=ast.PrimitiveType(disc),
+            arms=[ast.UnionArm(labels=[label], type=_LONG, name=f"a{i}")
+                  for i, label in enumerate(labels)])
+    elif defect == "self-containing":
+        decl = ast.StructDecl(name=name, members=[ast.Member(
+            type=ast.SequenceType(element=ast.NamedType((name,))),
+            name="kids")])
+    else:
+        params = [ast.ParamDecl(mode="in", type=_LONG, name="a")]
+        body = [ast.OperationDecl(name="f", result=None, params=params)]
+        if defect == "oneway-out":
+            body = [ast.OperationDecl(
+                name="f", result=None, oneway=True,
+                params=[ast.ParamDecl(mode="out", type=_LONG, name="a")])]
+        elif defect == "duplicate-parameter":
+            body[0].params.append(
+                ast.ParamDecl(mode="in", type=_LONG, name="a"))
+        else:
+            body.append(ast.AttributeDecl(name="f", type=_LONG))
+        decl = ast.InterfaceDecl(name=name, bases=[], body=body)
+    spec.definitions.append(decl)
+    return spec
+
+
+@given(st.one_of(_specs(), _defective_specs()))
+@settings(max_examples=150, deadline=None)
+def test_compiler_and_checker_give_one_verdict(spec):
+    """``compile_ast`` refuses a spec exactly when the checker reports
+    an error, with the checker's findings; its one refusal of its own is
+    a type containing itself through ``sequence<>``, which is legal IDL
+    but has no TypeCode here."""
+    spec = parse(unparse(spec))
+    diag = Diagnostics()
+    check_specification(spec, diag)
+    try:
+        compile_ast(spec, ifr=InterfaceRepository())
+    except IdlSemanticError as err:
+        if err.findings:
+            assert err.findings == diag.errors
+        else:
+            assert "through sequence<>" in str(err)
+            assert not diag.has_errors()
+    else:
+        assert not diag.has_errors()
 
 
 def test_negative_case_labels_roundtrip():

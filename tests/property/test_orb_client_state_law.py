@@ -8,6 +8,7 @@ own, so replies come back in any order, or never:
 
 - ``invoke(timeout)`` calls the gated servant with no timeout (the
   60 s reply deadline), ``0.0``, ``0.5`` or ``2.0``;
+- ``invoke_negative(timeout)`` calls it with a negative timeout;
 - ``invoke_lost(timeout)`` calls an object on ``h0``, which runs no
   ORB, so the request is dropped at delivery;
 - ``answer(k)`` opens call *k*'s gate;
@@ -21,11 +22,17 @@ The law:
 - a ``TIMEOUT`` settles at exactly issue time + its timeout, an ok
   reply carries the call's argument, and a crash settles every call in
   flight with ``COMM_FAILURE``;
+- a negative timeout is refused with ``BAD_PARAM``, leaving nothing
+  pending, no deadline entry and no sweeper armed;
+- a reply to a call that was in flight at a crash, landing after the
+  restart, adds exactly one to ``orb.late_replies`` and settles
+  nothing;
 - after every rule the heap is empty or its top is a pending call, an
   empty ``_pending`` means an empty heap, and at most one kernel
   ``Timeout`` carries the ORB's current ``_deadline_token``.
 
-Two named mutants -- the two halves of the bound -- must each fail it.
+Three named mutants -- the two halves of the bound, and a negative
+timeout treated as none -- must each fail it.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.obs.names import ORB_LATE_REPLIES
 from repro.orb.core import InterfaceDef, ORB, Servant, op
-from repro.orb.exceptions import COMM_FAILURE, TIMEOUT
+from repro.orb.exceptions import BAD_PARAM, COMM_FAILURE, TIMEOUT
 from repro.orb.ior import IOR
 from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment, Timeout
@@ -76,11 +84,12 @@ class GatedServant(Servant):
 
 
 class Call:
-    __slots__ = ("k", "issued", "timeout", "event", "settled")
+    __slots__ = ("k", "issued", "timeout", "event", "request_id", "settled")
 
     def __init__(self, k: int, issued: float, timeout: float) -> None:
         self.k = k
         self.event = None
+        self.request_id = None
         self.issued = issued
         self.timeout = timeout
         #: (time, ok, value) per settlement; the law allows one.
@@ -89,6 +98,9 @@ class Call:
 
 class ClientStateMachine(RuleBasedStateMachine):
     orb_cls = ORB
+    #: request ids of the replies to crashed calls that landed after the
+    #: restart, over every run of one machine class (see ``machine``)
+    late_after_restart: list
 
     def __init__(self) -> None:
         super().__init__()
@@ -101,6 +113,36 @@ class ClientStateMachine(RuleBasedStateMachine):
         self.ior = server.adapter("root").activate(GatedServant(self.gates))
         self.silent = IOR(IFACE.repo_id, "h0", "root", "missing")
         self.calls: list[Call] = []
+        #: request ids of the calls a crash settled
+        self.crashed: set[int] = set()
+        listener = self.client.listener
+        complete = listener._complete
+
+        def observed(reply, wire_size=0):
+            if reply.request_id not in self.crashed:
+                complete(reply, wire_size)
+                return
+            late = self.client.metrics.counter(ORB_LATE_REPLIES)
+            before = (late.value, self._settlements(),
+                      dict(self.client._pending))
+            complete(reply, wire_size)
+            after = (late.value - 1, self._settlements(),
+                     dict(self.client._pending))
+            assert after == before, \
+                f"late reply {reply.request_id}: {before} -> {after}"
+            self.late_after_restart.append(reply.request_id)
+
+        listener._complete = observed
+
+    def _settlements(self) -> int:
+        return sum(len(call.settled) for call in self.calls)
+
+    def _sweepers(self) -> list:
+        client = self.client
+        return [ev for *_, ev in self.env._queue
+                if isinstance(ev, Timeout) and ev.callbacks
+                and client._sweep_deadlines in ev.callbacks
+                and ev._value == client._deadline_token]
 
     def _invoke(self, ior, timeout) -> None:
         env = self.env
@@ -111,6 +153,7 @@ class ClientStateMachine(RuleBasedStateMachine):
         self.gates[call.k] = env.event()
         event = call.event = self.client.invoke(ior, HOLD, (call.k,),
                                                 timeout=timeout)
+        call.request_id = self.client._next_request_id
         event.callbacks.append(
             lambda ev: call.settled.append((env.now, ev._ok, ev._value)))
 
@@ -125,6 +168,25 @@ class ClientStateMachine(RuleBasedStateMachine):
     def invoke_lost(self, timeout):
         self._invoke(self.silent, timeout)
 
+    @precondition(lambda self: self.host.alive)
+    @rule(timeout=st.sampled_from([-0.5, -60.0]))
+    def invoke_negative(self, timeout):
+        client = self.client
+        state = (dict(client._pending), list(client._deadline_heap),
+                 client._deadline_armed_at, client._deadline_token,
+                 self._sweepers(), len(self.env._queue))
+        try:
+            client.invoke(self.ior, HOLD, (-1,), timeout=timeout)
+        except BAD_PARAM:
+            pass
+        else:
+            raise AssertionError(f"timeout={timeout} was not refused")
+        assert state == (dict(client._pending),
+                         list(client._deadline_heap),
+                         client._deadline_armed_at, client._deadline_token,
+                         self._sweepers(), len(self.env._queue)), \
+            "a refused call left state behind"
+
     @precondition(lambda self: any(not gate.triggered
                                    for gate in self.gates.values()))
     @rule(data=st.data())
@@ -137,6 +199,7 @@ class ClientStateMachine(RuleBasedStateMachine):
     @rule()
     def crash(self):
         in_flight = [call for call in self.calls if not call.event.triggered]
+        self.crashed.update(call.request_id for call in in_flight)
         self.host.crash()
         for call in in_flight:
             event = call.event
@@ -191,11 +254,7 @@ class ClientStateMachine(RuleBasedStateMachine):
 
     @invariant()
     def one_live_sweeper(self):
-        client = self.client
-        live = [ev for *_, ev in self.env._queue
-                if isinstance(ev, Timeout) and ev.callbacks
-                and client._sweep_deadlines in ev.callbacks
-                and ev._value == client._deadline_token]
+        live = self._sweepers()
         assert len(live) <= 1, f"{len(live)} live sweepers"
 
     def teardown(self):
@@ -206,8 +265,17 @@ class ClientStateMachine(RuleBasedStateMachine):
         assert not self.client._deadline_heap
 
 
+def machine(orb_cls=ORB) -> type:
+    """The state machine over *orb_cls*, with a late-reply log of its own."""
+    return type(orb_cls.__name__ + "Machine", (ClientStateMachine,),
+                {"orb_cls": orb_cls, "late_after_restart": []})
+
+
 def test_orb_client_state_law():
-    run_state_machine_as_test(ClientStateMachine, settings=SETTINGS)
+    law = machine()
+    run_state_machine_as_test(law, settings=SETTINGS)
+    assert law.late_after_restart, \
+        "no reply landed after a crash and restart"
 
 
 # -- mutants -----------------------------------------------------------------
@@ -232,10 +300,19 @@ class CrashKeepsTheHeap(ORB):
         self._deadline_heap[:] = heap
 
 
-@pytest.mark.parametrize("mutant", [LazyPruning, CrashKeepsTheHeap],
+class NegativeTimeoutAsNone(ORB):
+    """A negative ``timeout=`` falls back to the default deadline instead
+    of being refused."""
+
+    def invoke(self, ior, odef, args, timeout=None, meter=None):
+        if timeout is not None and timeout < 0:
+            timeout = None
+        return super().invoke(ior, odef, args, timeout=timeout, meter=meter)
+
+
+@pytest.mark.parametrize("mutant", [LazyPruning, CrashKeepsTheHeap,
+                                    NegativeTimeoutAsNone],
                          ids=lambda m: m.__name__)
 def test_named_mutant_fails_the_law(mutant):
-    machine = type(mutant.__name__ + "Machine", (ClientStateMachine,),
-                   {"orb_cls": mutant})
     with pytest.raises(AssertionError):
-        run_state_machine_as_test(machine, settings=MUTANT_SETTINGS)
+        run_state_machine_as_test(machine(mutant), settings=MUTANT_SETTINGS)
