@@ -143,13 +143,9 @@ class ContainerAgentServant(Servant):
 
     def subscribe(self, instance_id: str, port: str, channel: str) -> None:
         try:
-            instance = self.container.find_instance(instance_id)
-            if instance is None:
-                raise AgentError(f"no instance {instance_id!r}")
+            instance = self.container._require(instance_id)
             self.container.subscribe_sink(instance, port,
                                           IOR.from_string(channel))
-        except AgentError:
-            raise
         except Exception as exc:
             raise AgentError(str(exc)) from None
 
@@ -158,20 +154,9 @@ class ContainerAgentServant(Servant):
                   subscriptions: list[dict]) -> dict:
         """Re-create a migrated instance here with its captured state."""
         try:
-            instance = self.container.create_instance(
-                component, requested_name=instance_id,
-                versions=VersionRange(versions),
-                initial_state=loads_state(state))
-            for wiring in receptacles:
-                if wiring["peer"]:
-                    self.container.connect(
-                        instance_id, wiring["name"],
-                        IOR.from_string(wiring["peer"]))
-            for wiring in subscriptions:
-                if wiring["peer"]:
-                    self.container.subscribe_sink(
-                        instance, wiring["name"],
-                        IOR.from_string(wiring["peer"]))
+            instance = self.container.incarnate(
+                component, VersionRange(versions), instance_id,
+                loads_state(state), receptacles, subscriptions)
         except NO_RESOURCES:
             raise
         except Exception as exc:

@@ -99,6 +99,26 @@ class Container:
         self._notify("created", instance)
         return instance
 
+    def incarnate(self, component_name: str, versions: VersionRange,
+                  instance_id: str, state: dict,
+                  receptacles: list[dict],
+                  subscriptions: list[dict]) -> ComponentInstance:
+        """Re-create a migrated instance under its old id with *state*,
+        wired from ``{"name", "peer"}`` pairs (an empty peer stays
+        unwired)."""
+        instance = self.create_instance(
+            component_name, requested_name=instance_id,
+            versions=versions, initial_state=state)
+        for wiring in receptacles:
+            if wiring["peer"]:
+                self.connect(instance_id, wiring["name"],
+                             IOR.from_string(wiring["peer"]))
+        for wiring in subscriptions:
+            if wiring["peer"]:
+                self.subscribe_sink(instance, wiring["name"],
+                                    IOR.from_string(wiring["peer"]))
+        return instance
+
     def _build_instance(self, cls: ComponentClass,
                         requested_name: Optional[str],
                         initial_state: Optional[dict]) -> ComponentInstance:

@@ -27,6 +27,7 @@ from repro.orb.exceptions import SystemException, UserException
 from repro.components.reflection import InstanceInfo
 from repro.sim.kernel import Event
 from repro.util.errors import ReproError
+from repro.xmlmeta.versions import VersionRange
 
 
 class MigrationError(ReproError):
@@ -100,27 +101,14 @@ class MigrationEngine:
                 wiring["receptacles"], wiring["subscriptions"])
         except (SystemException, UserException) as exc:
             node.metrics.counter("migration.rollbacks").inc()
-            self._restore_locally(cls, instance_id, state, wiring)
+            node.container.incarnate(
+                cls.name, VersionRange(exact), instance_id, state,
+                wiring["receptacles"], wiring["subscriptions"])
             raise MigrationError(
                 f"target {target_host} refused {instance_id}: {exc}"
             ) from exc
         node.metrics.counter("migration.completed").inc()
         return InstanceInfo.from_value(info_value)
-
-    def _restore_locally(self, cls, instance_id: str, state: dict,
-                         wiring: dict) -> None:
-        container = self.node.container
-        instance = container.create_instance(
-            cls.name, requested_name=instance_id, initial_state=state)
-        from repro.orb.ior import IOR
-        for entry in wiring["receptacles"]:
-            if entry["peer"]:
-                container.connect(instance_id, entry["name"],
-                                  IOR.from_string(entry["peer"]))
-        for entry in wiring["subscriptions"]:
-            if entry["peer"]:
-                container.subscribe_sink(instance, entry["name"],
-                                         IOR.from_string(entry["peer"]))
 
 
 def _capture_wiring(instance: ComponentInstance) -> dict:

@@ -9,9 +9,12 @@ load of either the nodes or the network."
 - :mod:`repro.deployment.planner` — placement policies: the QoS/load
   aware run-time planner, and the baselines the benchmarks compare it
   against (CCM-style static assignment, random, round-robin).
-- :mod:`repro.deployment.application` — applications as bootstrap
-  components: deploying an assembly descriptor, wiring ports, teardown,
-  and re-wiring after migrations.
+- :mod:`repro.deployment.application` — the one :class:`Deployer`:
+  deploying an assembly descriptor, wiring ports, teardown, and
+  re-wiring after migrations, whether it holds every node or one.
+- :mod:`repro.deployment.bootstrap` — applications as bootstrap
+  components: an installable package whose one instance deploys its
+  assembly through a :class:`Deployer` holding only its own node.
 - :mod:`repro.deployment.loadbalancer` — the run-time scheduling loop
   that migrates instances off overloaded hosts.
 - :mod:`repro.deployment.supervisor` — the self-healing loop that
@@ -25,9 +28,8 @@ from repro.deployment.planner import (
     RoundRobinPlanner,
     RuntimePlanner,
     StaticPlanner,
-    VerifiedPlanner,
 )
-from repro.deployment.application import Application, Deployer
+from repro.deployment.application import Application, Deployer, DeploymentError
 from repro.deployment.loadbalancer import LoadBalancer
 from repro.deployment.supervisor import (
     ApplicationSupervisor,
@@ -40,10 +42,10 @@ __all__ = [
     "StaticPlanner",
     "RandomPlanner",
     "RoundRobinPlanner",
-    "VerifiedPlanner",
     "Application",
     "ApplicationSupervisor",
     "Deployer",
+    "DeploymentError",
     "LoadBalancer",
     "RecoveryRecord",
 ]

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.components.reflection import InstanceInfo
+from repro.components.reflection import ComponentInfo, InstanceInfo
 from repro.container.agent import dumps_state
 from repro.container.migration import MigrationEngine
 from repro.node.events import EventBroker
 from repro.node.node import Node
+from repro.node.registry import COMPONENT_REGISTRY_IFACE
 from repro.node.resources import RESOURCE_MANAGER_IFACE, ResourceSnapshot
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
@@ -33,8 +34,10 @@ from repro.xmlmeta.descriptors import (
     AssemblyDescriptor,
     QoSSpec,
 )
+from repro.xmlmeta.versions import Version, VersionRange
 
 _SNAPSHOT = RESOURCE_MANAGER_IFACE.operations["snapshot"]
+_INSTALLED = COMPONENT_REGISTRY_IFACE.operations["installed"]
 
 
 class DeploymentError(ReproError):
@@ -125,7 +128,13 @@ class Application:
 
     def _migrate(self, instance_name: str, target_host: str):
         source_host = self.placement[instance_name]
-        engine = MigrationEngine(self.deployer.nodes[source_host])
+        node = self.deployer.nodes.get(source_host)
+        if node is None:
+            # The source node's MigrationEngine drives a migration.
+            raise DeploymentError(
+                f"cannot migrate {instance_name!r}: its host "
+                f"{source_host!r} is not a node this deployer holds")
+        engine = MigrationEngine(node)
         info = yield engine.migrate(self.instance_id(instance_name),
                                     target_host)
         self.infos[instance_name] = info
@@ -207,24 +216,27 @@ class Application:
             skipped = list(self.connections_to(instance_name))
         return skipped
 
+    def _peer(self, conn: AssemblyConnection) -> str:
+        """What *conn*'s user port is wired to, stringified: the
+        provider's facet, or the provider host's channel of its event
+        kind."""
+        if conn.kind == "interface":
+            return self.facet_ior(conn.to_instance, conn.to_port).to_string()
+        kind = self._event_kind(conn.to_instance, conn.to_port)
+        return EventBroker.channel_ior_on(
+            self.placement[conn.to_instance], kind).to_string()
+
     def _outgoing_wiring(self, instance_name: str
                          ) -> tuple[list[dict], list[dict]]:
         """This instance's declared outgoing connections as wire pairs."""
         receptacles: list[dict] = []
         subscriptions: list[dict] = []
         for conn in self.assembly.connections:
-            if conn.from_instance != instance_name:
-                continue
-            if conn.kind == "interface":
-                ior = self.facet_ior(conn.to_instance, conn.to_port)
-                receptacles.append({"name": conn.from_port,
-                                    "peer": ior.to_string()})
-            else:
-                kind = self._event_kind(conn.to_instance, conn.to_port)
-                channel = EventBroker.channel_ior_on(
-                    self.placement[conn.to_instance], kind)
-                subscriptions.append({"name": conn.from_port,
-                                      "peer": channel.to_string()})
+            if conn.from_instance == instance_name:
+                pairs = (receptacles if conn.kind == "interface"
+                         else subscriptions)
+                pairs.append({"name": conn.from_port,
+                              "peer": self._peer(conn)})
         return receptacles, subscriptions
 
     def _rewire(self, migrated: str):
@@ -245,19 +257,15 @@ class Application:
             user_id = self.instance_id(conn.from_instance)
             agent = coordinator.service_stub(user_host, "container")
             if conn.kind == "interface":
-                new_ior = self.facet_ior(migrated, conn.to_port)
                 try:
                     yield agent.disconnect(user_id, conn.from_port)
                 except SystemException:
                     pass
                 yield agent.connect(user_id, conn.from_port,
-                                    new_ior.to_string())
+                                    self._peer(conn))
             else:
-                kind = self._event_kind(migrated, conn.to_port)
-                channel = EventBroker.channel_ior_on(
-                    self.placement[migrated], kind)
                 yield agent.subscribe(user_id, conn.from_port,
-                                      channel.to_string())
+                                      self._peer(conn))
         return skipped
 
     def _event_kind(self, instance_name: str, port: str) -> str:
@@ -270,14 +278,22 @@ class Application:
 
 
 class Deployer:
-    """Run-time deployment driver over a node population."""
+    """Run-time deployment driver over a node population.
+
+    *nodes* are the ``Node`` objects the deployer holds; *hosts* (all
+    of *nodes* by default) are the hosts it deploys onto.  A held
+    host's package catalogue is read directly; any other host's through
+    its Component Registry, so a deployer holding only its own node —
+    a bootstrap application (§2.4.4) — deploys over the wire.
+    """
 
     def __init__(self, nodes: dict[str, Node], planner,
                  coordinator_host: Optional[str] = None,
-                 gate=None) -> None:
+                 gate=None, hosts: Optional[list[str]] = None) -> None:
         if not nodes:
             raise DeploymentError("no nodes")
         self.nodes = nodes
+        self.hosts = list(nodes) if hosts is None else list(hosts)
         self.planner = planner
         #: optional static-verification gate (duck-typed; see
         #: repro.analysis.gate.DeploymentGate).  When set, assemblies
@@ -295,12 +311,12 @@ class Deployer:
 
     # -- views --------------------------------------------------------------
     def gather_views(self) -> Event:
-        """Live resource snapshots from every reachable node."""
+        """Live resource snapshots from every reachable host."""
         return self.env.process(self._gather_views())
 
     def _gather_views(self):
         views: list[ResourceSnapshot] = []
-        for host in self.nodes:
+        for host in self.hosts:
             if not self.topology.host(host).alive:
                 continue
             ior = Node.service_ior(host, "resources")
@@ -313,23 +329,48 @@ class Deployer:
         return views
 
     # -- component sourcing ------------------------------------------------------
-    def _source_host(self, component: str) -> str:
-        for host, node in self.nodes.items():
-            if (self.topology.host(host).alive
-                    and node.repository.is_installed(component)):
-                return host
-        raise DeploymentError(
-            f"component {component!r} is installed nowhere"
-        )
+    def _installed(self, host: str, component: str,
+                   versions: VersionRange = VersionRange("")):
+        """QoS of the best *versions* match of *component* installed on
+        *host*, or None.  The one read of a host's package catalogue: a
+        held node's repository directly (no sim time), any other host's
+        registry over the wire (unreachable reads as empty)."""
+        node = self.nodes.get(host)
+        if node is not None:
+            if not node.repository.is_installed(component, versions):
+                return None
+            return node.repository.lookup(component,
+                                          versions).component_type.qos
+        try:
+            values = yield self.coordinator.orb.invoke(
+                Node.service_ior(host, "registry"), _INSTALLED, (),
+                timeout=2.0, meter="deploy.locate")
+        except SystemException:
+            return None
+        infos = [info for info in map(ComponentInfo.from_value, values)
+                 if info.name == component
+                 and versions.matches(Version.parse(info.version))]
+        if not infos:
+            return None
+        info = max(infos, key=lambda i: Version.parse(i.version))
+        return QoSSpec(info.qos_cpu, info.qos_memory, info.qos_bandwidth)
 
-    def _qos_of(self, assembly: AssemblyDescriptor) -> dict[str, QoSSpec]:
+    def _source_host(self, component: str,
+                     versions: VersionRange = VersionRange("")):
+        """(first live host holding *component*, its QoS there)."""
+        for host in self.hosts:
+            if self.topology.host(host).alive:
+                qos = yield from self._installed(host, component, versions)
+                if qos is not None:
+                    return host, qos
+        raise DeploymentError(f"component {component!r} is installed nowhere")
+
+    def _qos_of(self, assembly: AssemblyDescriptor):
         out: dict[str, QoSSpec] = {}
         for inst in assembly.instances:
-            if inst.component in out:
-                continue
-            source = self.nodes[self._source_host(inst.component)]
-            cls = source.repository.lookup(inst.component, inst.versions)
-            out[inst.component] = cls.component_type.qos
+            if inst.component not in out:
+                _, out[inst.component] = yield from self._source_host(
+                    inst.component, inst.versions)
         return out
 
     # -- deployment ------------------------------------------------------------------
@@ -344,7 +385,7 @@ class Deployer:
             self.gate.check(assembly, self.nodes,
                             metrics=self.coordinator.metrics)
         views = yield from self._gather_views()
-        qos_of = self._qos_of(assembly)
+        qos_of = yield from self._qos_of(assembly)
         placement = self.planner.plan(assembly, views, qos_of)
 
         infos: dict[str, InstanceInfo] = {}
@@ -365,10 +406,9 @@ class Deployer:
         return app
 
     def _ensure_installed(self, component: str, host: str):
-        node = self.nodes[host]
-        if node.repository.is_installed(component):
+        if (yield from self._installed(host, component)) is not None:
             return
-        source = self._source_host(component)
+        source, _ = yield from self._source_host(component)
         source_acceptor = self.coordinator.service_stub(source, "acceptor")
         pkg = yield source_acceptor.fetch(component, "")
         target_acceptor = self.coordinator.service_stub(host, "acceptor")
@@ -383,21 +423,16 @@ class Deployer:
             user_id = app.instance_id(conn.from_instance)
             agent = self.coordinator.service_stub(user_host, "container")
             if conn.kind == "interface":
-                provider = app.facet_ior(conn.to_instance, conn.to_port)
                 yield agent.connect(user_id, conn.from_port,
-                                    provider.to_string())
-            else:
-                kind = app._event_kind(conn.to_instance, conn.to_port)
-                sink_kind = app._event_kind(conn.from_instance,
-                                            conn.from_port)
-                if kind != sink_kind:
-                    raise DeploymentError(
-                        f"event connection {conn.from_instance}."
-                        f"{conn.from_port} <- {conn.to_instance}."
-                        f"{conn.to_port}: kind mismatch "
-                        f"({sink_kind!r} vs {kind!r})"
-                    )
-                channel = EventBroker.channel_ior_on(
-                    app.placement[conn.to_instance], kind)
-                yield agent.subscribe(user_id, conn.from_port,
-                                      channel.to_string())
+                                    app._peer(conn))
+                continue
+            kind = app._event_kind(conn.to_instance, conn.to_port)
+            sink_kind = app._event_kind(conn.from_instance, conn.from_port)
+            if kind != sink_kind:
+                raise DeploymentError(
+                    f"event connection {conn.from_instance}."
+                    f"{conn.from_port} <- {conn.to_instance}."
+                    f"{conn.to_port}: kind mismatch "
+                    f"({sink_kind!r} vs {kind!r})"
+                )
+            yield agent.subscribe(user_id, conn.from_port, app._peer(conn))

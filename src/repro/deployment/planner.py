@@ -227,36 +227,6 @@ class RoundRobinPlanner(PlannerBase):
         return placement
 
 
-class VerifiedPlanner(PlannerBase):
-    """Wrap any planner with a static-verification gate.
-
-    An alternative to handing the gate to the :class:`Deployer`
-    directly, for callers that build their planner pipeline separately:
-    ``plan`` first runs the gate's check against the node population it
-    was constructed over, so an assembly that fails verification never
-    produces a placement.  The gate is duck-typed (see
-    :class:`repro.analysis.gate.DeploymentGate`) to keep this module
-    free of an analysis dependency.
-    """
-
-    def __init__(self, inner: PlannerBase, gate, nodes) -> None:
-        self.inner = inner
-        self.gate = gate
-        self.nodes = nodes
-
-    def plan(self, assembly, views, qos_of):
-        self.gate.check(assembly, self.nodes)
-        return self.inner.plan(assembly, views, qos_of)
-
-    def replan_instance(self, assembly, instance_name, views, qos_of,
-                        exclude=()):
-        # Recovery replans an already-verified assembly; re-checking a
-        # one-instance slice would flag its (intentionally stripped)
-        # connections, so delegate unverified.
-        return self.inner.replan_instance(assembly, instance_name, views,
-                                          qos_of, exclude=exclude)
-
-
 def load_imbalance(views: Sequence[ResourceSnapshot]) -> float:
     """Max-min CPU utilization spread — the benchmarks' balance metric."""
     utils = [v.cpu_utilization for v in views if not v.is_tiny]

@@ -259,7 +259,7 @@ class ApplicationSupervisor:
                                "attempt": pend.attempts + 1}) if obs else None
         try:
             views = yield from self.deployer._gather_views()
-            qos_of = self.deployer._qos_of(app.assembly)
+            qos_of = yield from self.deployer._qos_of(app.assembly)
             target = self.deployer.planner.replan_instance(
                 app.assembly, name, views, qos_of, exclude=(dead_host,))
             state = self.checkpoints.get(app.instance_id(name))

@@ -9,7 +9,8 @@ ambiguous at run time:
 code     meaning
 ======== ==================================================================
 IDL001   undefined name (type/exception reference does not resolve)
-IDL002   duplicate declaration in one scope
+IDL002   duplicate declaration in one scope (an attribute ``x`` also
+         declares its accessor operations ``_get_x`` and ``_set_x``)
 IDL003   identifiers colliding case-insensitively (illegal in OMG IDL)
 IDL004   oneway operation with a non-void result
 IDL005   oneway operation with out/inout parameters
@@ -173,7 +174,7 @@ class InterfaceGraph:
 class _Entry:
     kind: str        # module | interface | struct | union | enum |
                      # typedef | exception | const | enum_label | operation
-                     # | attribute
+                     # | attribute | accessor (an attribute's _get_/_set_)
     name: str
     payload: object  # the declaring AST node; an enum label's enum entry
     line: int
@@ -522,7 +523,14 @@ class _Checker:
             if isinstance(item, ast.OperationDecl):
                 self._operation(inner, item)
             elif isinstance(item, ast.AttributeDecl):
-                inner.declare(item.name, "attribute", item, item.line)
+                entry = inner.declare(item.name, "attribute", item,
+                                      item.line)
+                if inner.find_local(item.name) is entry:
+                    # a new attribute's accessors are operations too
+                    for prefix in ("_get_", "_set_"):
+                        if prefix == "_get_" or not item.readonly:
+                            inner.declare(prefix + item.name, "accessor",
+                                          item, item.line)
                 self._check_type(inner, item.type, item.line)
             else:
                 self._definition(inner, item)

@@ -73,6 +73,13 @@ class TestCliMechanics:
         assert exit_code == 2
         assert "IDL011" in out
 
+    def test_attribute_accessor_clash_exits_two(self, tmp_path, capsys):
+        (tmp_path / "clash.idl").write_text(
+            "interface I { attribute long x; long _get_x(); };")
+        exit_code = main([str(tmp_path)])
+        assert exit_code == 2
+        assert "IDL002" in capsys.readouterr().out
+
     def test_nothing_to_lint_fails(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 2
 

@@ -319,9 +319,6 @@ REMOVED = [
      "facet_port", 2, False),
     ("repro.deployment.application.Application.repair", "state", 2, False),
     ("repro.deployment.application.Application.repair", "fence", 3, False),
-    ("repro.deployment.bootstrap.NetworkDeployer", "planner", 2, False),
-    ("repro.deployment.bootstrap.NetworkDeployer", "gate", 3, False),
-    ("repro.deployment.planner.VerifiedPlanner", "metrics", 3, False),
     ("repro.idl.codegen.compile_idl", "ifr", 1, False),
     ("repro.idl.codegen.compile_idl", "default_cpu_cost", 2, False),
     ("repro.idl.codegen.compile_ast", "default_cpu_cost", 2, False),
@@ -375,7 +372,7 @@ def test_a_removed_setting_re_added_would_fail_the_scan():
                                     qualname.rsplit(".", 1)[1], param,
                                     index, field), calls)
               and f"{qualname}:{param}" not in ALLOWED]
-    assert len(caught) == len(REMOVED) == 75
+    assert len(caught) == len(REMOVED) == 72
 
 
 def test_the_scan_sees_each_kind_of_setting():

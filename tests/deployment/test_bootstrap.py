@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.deployment.bootstrap import (
-    BootstrapError,
-    NetworkDeployer,
-    application_package,
-)
-from repro.sim.topology import SERVER, star
+from repro.deployment.application import Deployer, DeploymentError
+from repro.deployment.bootstrap import application_package
+from repro.deployment.planner import RuntimePlanner
+from repro.node.acceptor import ComponentAcceptorServant
+from repro.sim.topology import SERVER, clustered, star
 from repro.testing import COUNTER_IFACE, SimRig, counter_package
 from repro.xmlmeta.descriptors import (
     AssemblyConnection,
@@ -24,6 +23,13 @@ def pair_assembly():
         connections=[AssemblyConnection("a", "peer", "b", "value")])
 
 
+def node_deployer(rig, host):
+    """A deployer holding only *host*'s node, as a bootstrap builds it."""
+    node = rig.node(host)
+    return Deployer({host: node}, RuntimePlanner(),
+                    hosts=rig.topology.host_ids())
+
+
 @pytest.fixture
 def rig():
     r = SimRig(star(3, hub_profile=SERVER))
@@ -32,10 +38,12 @@ def rig():
 
 
 class TestNetworkDeployer:
+    """A deployer holding one node reaches every other host over the
+    wire: its registry, acceptor and container agent."""
+
     def test_deploys_using_only_remote_services(self, rig):
         # the deployer lives on h2, which has nothing installed locally
-        deployer = NetworkDeployer(rig.node("h2"),
-                                   rig.topology.host_ids())
+        deployer = node_deployer(rig, "h2")
         app = rig.run(until=deployer.deploy(pair_assembly()))
         assert set(app.placement) == {"a", "b"}
         # the wiring is live
@@ -46,23 +54,66 @@ class TestNetworkDeployer:
         assert rig.node(host_a).orb.sync(stub.increment(3)) == 3
 
     def test_unknown_component_surfaces_bootstrap_error(self, rig):
-        deployer = NetworkDeployer(rig.node("h2"),
-                                   rig.topology.host_ids())
+        deployer = node_deployer(rig, "h2")
         assembly = AssemblyDescriptor(
             name="bad", instances=[AssemblyInstance("x", "Ghost")])
-        with pytest.raises(BootstrapError):
+        with pytest.raises(DeploymentError):
             rig.run(until=deployer.deploy(assembly))
 
     def test_dead_source_host_is_skipped(self):
-        from repro.sim.topology import clustered
         r = SimRig(clustered(1, 4))  # full mesh: no single choke point
         r.node("c0h0").install_package(counter_package(cpu_units=50.0))
         r.node("c0h1").install_package(counter_package(cpu_units=50.0))
         r.topology.set_host_state("c0h0", alive=False)
-        deployer = NetworkDeployer(r.node("c0h3"),
-                                   r.topology.host_ids())
+        deployer = node_deployer(r, "c0h3")
         app = r.run(until=deployer.deploy(pair_assembly()))
         assert all(h != "c0h0" for h in app.placement.values())
+
+    def test_repair_fetches_from_a_live_source(self, monkeypatch):
+        # c0h0 sourced the deploy; once it dies, the package must come
+        # from c0h1, which holds it too
+        r = SimRig(clustered(1, 4))
+        r.node("c0h0").install_package(counter_package(cpu_units=50.0))
+        r.node("c0h1").install_package(counter_package(cpu_units=50.0))
+        deployer = node_deployer(r, "c0h3")
+        app = r.run(until=deployer.deploy(pair_assembly()))
+        assert app.placement == {"a": "c0h0", "b": "c0h1"}
+        fetched_from = []
+        fetch = ComponentAcceptorServant.fetch
+
+        def spy(servant, component, versions):
+            fetched_from.append(servant.node.host_id)
+            return fetch(servant, component, versions)
+        monkeypatch.setattr(ComponentAcceptorServant, "fetch", spy)
+        r.topology.set_host_state("c0h0", alive=False)
+        r.run(until=app.repair("a", "c0h2"))
+        assert fetched_from == ["c0h1"]
+        assert app.placement["a"] == "c0h2"
+        assert r.node("c0h2").container.find_instance(
+            app.instance_id("a")) is not None
+        # the stale incarnation on the dead host waits for the sweep
+        assert deployer.orphans == [("c0h0", app.instance_id("a"))]
+
+    def test_teardown_files_an_orphan_for_a_dead_host(self, rig):
+        deployer = node_deployer(rig, "h2")
+        app = rig.run(until=deployer.deploy(pair_assembly()))
+        assert app.placement == {"a": "hub", "b": "hub"}
+        rig.topology.set_host_state("hub", alive=False)
+        rig.run(until=app.teardown())
+        assert app.torn_down
+        assert deployer.orphans == [("hub", app.instance_id("a")),
+                                    ("hub", app.instance_id("b"))]
+
+    def test_migrate_refuses_a_host_the_deployer_does_not_hold(self, rig):
+        deployer = node_deployer(rig, "h2")
+        app = rig.run(until=deployer.deploy(pair_assembly()))
+        assert app.placement["a"] == "hub"
+        with pytest.raises(DeploymentError, match="'hub'"):
+            rig.run(until=app.migrate("a", "h1"))
+        # refused before anything moved
+        assert app.placement["a"] == "hub"
+        assert rig.node("hub").container.find_instance(
+            app.instance_id("a")) is not None
 
 
 class TestBootstrapComponent:
@@ -120,4 +171,4 @@ class TestBootstrapComponent:
         rig.run(until=rig.env.now + 3.0)
         assert bootstrap.executor.application is None
         assert isinstance(bootstrap.executor.deploy_error,
-                          BootstrapError)
+                          DeploymentError)

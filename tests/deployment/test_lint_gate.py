@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import AssemblyRejected, DeploymentGate
 from repro.deployment.application import Deployer
-from repro.deployment.planner import RuntimePlanner, VerifiedPlanner
+from repro.deployment.planner import RuntimePlanner
 from repro.packaging.binaries import GLOBAL_BINARIES
 from repro.packaging.package import ComponentPackage, PackageBuilder
 from repro.sim.topology import SERVER, star
@@ -139,22 +139,3 @@ class TestGatePassesGoodAssemblies:
         diag = DeploymentGate().verify(broken_assembly(), rig.nodes)
         assert diag.has_errors()
         assert {"ASM004", "ASM007"} <= diag.codes()
-
-
-class TestVerifiedPlanner:
-    def test_wrapped_planner_refuses_broken_plan(self, rig):
-        planner = VerifiedPlanner(RuntimePlanner(), DeploymentGate(),
-                                  rig.nodes)
-        dep = Deployer(rig.nodes, planner, coordinator_host="hub")
-        with pytest.raises(AssemblyRejected):
-            rig.run(until=dep.deploy(broken_assembly()))
-        assert total_instances(rig) == 0
-
-    def test_wrapped_planner_passes_good_plan(self, rig):
-        planner = VerifiedPlanner(RuntimePlanner(), DeploymentGate(),
-                                  rig.nodes)
-        dep = Deployer(rig.nodes, planner, coordinator_host="hub")
-        asm = AssemblyDescriptor(
-            name="ok", instances=[AssemblyInstance("a", "Counter")])
-        app = rig.run(until=dep.deploy(asm))
-        assert total_instances(rig) == 1

@@ -260,12 +260,17 @@ class TestCodegen:
         ("interface I { oneway long f(); };", "IDL004"),
         ("interface I { void f(); void f(); };", "IDL002"),
         ("struct S { long x; short x; };", "IDL002"),
+        # raised as ConfigurationError by InterfaceDef.add_operation
+        ("interface I { attribute long x; long _get_x(); };", "IDL002"),
+        ("interface I { void _set_x(in long v); attribute long x; };",
+         "IDL002"),
     ], ids=[
         "undefined-name", "duplicate-declaration", "exception-as-type",
         "non-interface-base", "string-discriminator", "ill-typed-label",
         "duplicate-label", "case-twin", "duplicate-parameter",
         "attribute-named-like-operation", "struct-named-like-enum-label",
         "oneway-result", "duplicate-operation", "duplicate-member",
+        "operation-named-like-getter", "operation-named-like-setter",
     ])
     def test_rejected_with_the_checkers_findings(self, source, code):
         diag = Diagnostics()

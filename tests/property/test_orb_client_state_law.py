@@ -29,13 +29,24 @@ The law:
   nothing;
 - after every rule the heap is empty or its top is a pending call, an
   empty ``_pending`` means an empty heap, and at most one kernel
-  ``Timeout`` carries the ORB's current ``_deadline_token``.
+  ``Timeout`` carries the ORB's current ``_deadline_token``;
+- sweeps <= distinct deadline horizons reached + crashes.  A sweep is
+  a sweeper firing the ORB acts on: it carries the current token, or
+  it changes the token or the armed instant.  The horizons ahead of the
+  sweeper are the deadlines (issue time + timeout) of the calls pending
+  at the last sweep and of those issued since; a sweep reaches those
+  at or before its instant.  So a sweep is paid for by a horizon no
+  earlier sweep reached, however many calls share it, and a horizon
+  whose calls were all answered before the last sweep pays for none.
 
-Three named mutants -- the two halves of the bound, and a negative
-timeout treated as none -- must each fail it.
+Five named mutants must each fail it: the two halves of the bound, a
+negative timeout treated as none, the sweeper re-arming for ``heap[0]``
+whatever it is, and the stale-token check removed.
 """
 
 from __future__ import annotations
+
+from heapq import heappop
 
 import pytest
 from hypothesis import Phase, settings, strategies as st
@@ -115,6 +126,12 @@ class ClientStateMachine(RuleBasedStateMachine):
         self.calls: list[Call] = []
         #: request ids of the calls a crash settled
         self.crashed: set[int] = set()
+        #: request id -> deadline instant, per call issued
+        self.deadlines: dict[int, float] = {}
+        #: deadlines of the calls ahead of the sweeper
+        self.ahead: set[float] = set()
+        self.reached = self.sweeps = self.crashes = 0
+        self._count_sweeps()
         listener = self.client.listener
         complete = listener._complete
 
@@ -133,6 +150,25 @@ class ClientStateMachine(RuleBasedStateMachine):
             self.late_after_restart.append(reply.request_id)
 
         listener._complete = observed
+
+    def _count_sweeps(self) -> None:
+        client = self.client
+        sweep = client._sweep_deadlines
+
+        def counted(ev):
+            before = (client._deadline_token, client._deadline_armed_at)
+            live = ev._value == client._deadline_token
+            sweep(ev)
+            if live or before != (client._deadline_token,
+                                  client._deadline_armed_at):
+                now = self.env.now
+                self.sweeps += 1
+                self.reached += sum(1 for when in self.ahead if when <= now)
+                self.ahead = {self.deadlines[rid]
+                              for rid in client._pending}
+
+        # invoke and the sweeper arm ``self._sweep_deadlines``
+        client._sweep_deadlines = counted
 
     def _settlements(self) -> int:
         return sum(len(call.settled) for call in self.calls)
@@ -154,6 +190,8 @@ class ClientStateMachine(RuleBasedStateMachine):
         event = call.event = self.client.invoke(ior, HOLD, (call.k,),
                                                 timeout=timeout)
         call.request_id = self.client._next_request_id
+        self.deadlines[call.request_id] = call.issued + call.timeout
+        self.ahead.add(call.issued + call.timeout)
         event.callbacks.append(
             lambda ev: call.settled.append((env.now, ev._ok, ev._value)))
 
@@ -200,6 +238,7 @@ class ClientStateMachine(RuleBasedStateMachine):
     def crash(self):
         in_flight = [call for call in self.calls if not call.event.triggered]
         self.crashed.update(call.request_id for call in in_flight)
+        self.crashes += 1
         self.host.crash()
         for call in in_flight:
             event = call.event
@@ -257,12 +296,19 @@ class ClientStateMachine(RuleBasedStateMachine):
         live = self._sweepers()
         assert len(live) <= 1, f"{len(live)} live sweepers"
 
+    @invariant()
+    def one_sweep_per_horizon(self):
+        assert self.sweeps <= self.reached + self.crashes, \
+            (f"{self.sweeps} sweeps for {self.reached} deadline "
+             f"horizons reached and {self.crashes} crashes")
+
     def teardown(self):
         # Past every deadline: every call has settled, nothing is held.
         self.env.run(until=self.env.now + self.client.reply_deadline + 1)
         assert all(len(call.settled) == 1 for call in self.calls)
         assert not self.client._pending
         assert not self.client._deadline_heap
+        self.one_sweep_per_horizon()
 
 
 def machine(orb_cls=ORB) -> type:
@@ -310,8 +356,42 @@ class NegativeTimeoutAsNone(ORB):
         return super().invoke(ior, odef, args, timeout=timeout, meter=meter)
 
 
+class RearmForTheTop(ORB):
+    """The sweeper expires the overdue calls and re-arms for ``heap[0]``
+    whatever it is, a call answered out of order included (the sweeper
+    before PR 24 did this for every answered call)."""
+
+    def _sweep_deadlines(self, ev):
+        if ev._value != self._deadline_token:
+            return
+        heap = self._deadline_heap
+        now = self.env.now
+        while heap and heap[0][0] <= now:
+            _when, rid, op_name, host_id, deadline = heappop(heap)
+            entry = self._pending.pop(rid, None)
+            if entry is not None:
+                entry[0].fail(TIMEOUT(f"no reply to {op_name}")).defused()
+        if heap:
+            self._deadline_armed_at = heap[0][0]
+            self._deadline_token += 1
+            Timeout(self.env, heap[0][0] - now,
+                    self._deadline_token).callbacks.append(
+                self._sweep_deadlines)
+        else:
+            self._deadline_armed_at = float("inf")
+
+
+class NoStaleTokenCheck(ORB):
+    """A preempted sweeper timer sweeps and re-arms as if it were live."""
+
+    def _sweep_deadlines(self, ev):
+        ev._value = self._deadline_token
+        super()._sweep_deadlines(ev)
+
+
 @pytest.mark.parametrize("mutant", [LazyPruning, CrashKeepsTheHeap,
-                                    NegativeTimeoutAsNone],
+                                    NegativeTimeoutAsNone, RearmForTheTop,
+                                    NoStaleTokenCheck],
                          ids=lambda m: m.__name__)
 def test_named_mutant_fails_the_law(mutant):
     with pytest.raises(AssertionError):
