@@ -280,20 +280,19 @@ class Application:
 class Deployer:
     """Run-time deployment driver over a node population.
 
-    *nodes* are the ``Node`` objects the deployer holds; *hosts* (all
-    of *nodes* by default) are the hosts it deploys onto.  A held
-    host's package catalogue is read directly; any other host's through
-    its Component Registry, so a deployer holding only its own node —
-    a bootstrap application (§2.4.4) — deploys over the wire.
+    *nodes* are the ``Node`` objects the deployer holds; it deploys
+    onto every host of their topology.  A held host's package catalogue
+    is read directly; any other host's through its Component Registry,
+    so a deployer holding only its own node — a bootstrap application
+    (§2.4.4) — deploys over the wire.
     """
 
     def __init__(self, nodes: dict[str, Node], planner,
                  coordinator_host: Optional[str] = None,
-                 gate=None, hosts: Optional[list[str]] = None) -> None:
+                 gate=None) -> None:
         if not nodes:
             raise DeploymentError("no nodes")
         self.nodes = nodes
-        self.hosts = list(nodes) if hosts is None else list(hosts)
         self.planner = planner
         #: optional static-verification gate (duck-typed; see
         #: repro.analysis.gate.DeploymentGate).  When set, assemblies
@@ -303,6 +302,7 @@ class Deployer:
         self.coordinator = nodes[host]
         self.env = self.coordinator.env
         self.topology = self.coordinator.network.topology
+        self.hosts = self.topology.host_ids()
         self.applications: list[Application] = []
         #: (host, instance_id) pairs stranded on dead hosts by teardown
         #: or repair; the ApplicationSupervisor destroys them when the
@@ -332,9 +332,9 @@ class Deployer:
     def _installed(self, host: str, component: str,
                    versions: VersionRange = VersionRange("")):
         """QoS of the best *versions* match of *component* installed on
-        *host*, or None.  The one read of a host's package catalogue: a
-        held node's repository directly (no sim time), any other host's
-        registry over the wire (unreachable reads as empty)."""
+        *host*, or None: a held node's repository directly (no sim
+        time), any other host's registry catalogue over the wire
+        (unreachable reads as empty)."""
         node = self.nodes.get(host)
         if node is not None:
             if not node.repository.is_installed(component, versions):
@@ -406,15 +406,18 @@ class Deployer:
         return app
 
     def _ensure_installed(self, component: str, host: str):
-        if (yield from self._installed(host, component)) is not None:
+        # the target needs no QoS: a held node's repository is read
+        # directly, any other host's acceptor answers a yes or no
+        node = self.nodes.get(host)
+        target = self.coordinator.service_stub(host, "acceptor")
+        if (node.repository.is_installed(component) if node is not None
+                else (yield target.is_installed(component, ""))):
             return
         source, _ = yield from self._source_host(component)
         source_acceptor = self.coordinator.service_stub(source, "acceptor")
         pkg = yield source_acceptor.fetch(component, "")
-        target_acceptor = self.coordinator.service_stub(host, "acceptor")
-        installed = yield target_acceptor.is_installed(component, "")
-        if not installed:
-            yield target_acceptor.install(pkg)
+        if not (yield target.is_installed(component, "")):
+            yield target.install(pkg)
         self.coordinator.metrics.counter("deploy.packages_shipped").inc()
 
     def _wire(self, app: Application):

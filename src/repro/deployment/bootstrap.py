@@ -59,8 +59,7 @@ class BootstrapExecutor(ComponentExecutor):
         try:
             node = self.context._container.node  # agreed local interface
             assembly = AssemblyDescriptor.from_xml(self.ASSEMBLY_XML)
-            deployer = Deployer({node.host_id: node}, RuntimePlanner(),
-                                hosts=node.network.topology.host_ids())
+            deployer = Deployer({node.host_id: node}, RuntimePlanner())
             self.application = yield deployer.deploy(assembly)
         except Interrupt:
             return

@@ -26,8 +26,7 @@ def pair_assembly():
 def node_deployer(rig, host):
     """A deployer holding only *host*'s node, as a bootstrap builds it."""
     node = rig.node(host)
-    return Deployer({host: node}, RuntimePlanner(),
-                    hosts=rig.topology.host_ids())
+    return Deployer({host: node}, RuntimePlanner())
 
 
 @pytest.fixture
