@@ -1,17 +1,16 @@
 """C1-gate — codec/dispatch fast-path floor (§2 R1, "lightweight").
 
 Assertion-only guard wired into ``make check``: it verifies that the
-generated codec tier is actually engaged on the invocation path
-(generated source codecs handling the request/reply bodies, ``any``
-and object references included, with no generation bug hiding in an
-interpreter fallback) and that marshalling and invocation cost have
-not regressed past conservative floors.
+generated codecs are actually engaged on the invocation path (they
+handle the request/reply bodies, ``any`` and object references
+included, with no generation error) and that marshalling and
+invocation cost have not regressed past conservative floors.
 
 The floors are deliberately loose — this box shows 2-3x wall-clock
 noise between identical runs, so the gate sits well below the quiet
 numbers recorded in ``BENCH_orb.json`` (marshal ~120 MB/s, invocation
 ~45 us/call) but far above the interpreter-era baseline (2.5 MB/s,
-575 us/call).  A real tier regression (codegen silently declining, the
+575 us/call).  A real regression (a generation error, the
 plan cache thrashing, the fast dispatch path falling back to kernel
 processes) lands an order of magnitude away from either side of the
 gate, so flakiness and false confidence are both off the table.
@@ -45,13 +44,13 @@ def _best_of(fn, repeats: int = 10) -> float:
 
 
 def selftest() -> int:
+    # One tier: the three plans resolve (generation failing raises
+    # INTERNAL) and no generation error was booked.
     plan = get_plan(SAMPLE_TC)
-    for tc in (SAMPLE_TC, tc_any, tc_objref):
-        tier = get_plan(tc).tier
-        if tier != "codegen":
-            print(f"FAIL: {tc!r} compiled to tier {tier!r}, "
-                  f"expected 'codegen'")
-            return 1
+    get_plan(tc_any), get_plan(tc_objref)
+    if codegen.stats["errors"]:
+        print(f"FAIL: {codegen.stats['errors']} codec generation error(s)")
+        return 1
 
     # -- marshal floor ---------------------------------------------------
     loops = 300
@@ -97,8 +96,7 @@ def selftest() -> int:
               f"{INVOCATION_CEIL_US} us")
         return 1
     if after["errors"]:
-        print(f"FAIL: {after['errors']} codec generation error(s) fell "
-              f"back to the interpreter")
+        print(f"FAIL: {after['errors']} codec generation error(s)")
         return 1
 
     print(f"bench_orb_floor selftest ok: marshal {mbps:.1f} MB/s "

@@ -105,9 +105,10 @@ def test_cdr_marshal_throughput(benchmark, capsys):
 
 
 def test_cdr_marshal_interpreter_reference(benchmark, capsys):
-    """Same workload through the reference TypeCode interpreter, for an
-    in-run comparison against the compiled-plan numbers above."""
-    from repro.orb.cdr import encode_value_interp
+    """Same workload through the reference TypeCode interpreter (the
+    test oracle), for an in-run comparison against the compiled-plan
+    numbers above."""
+    from tests.oracles.cdr_interp import encode_value_interp
 
     def marshal():
         enc = CDREncoder()

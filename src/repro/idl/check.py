@@ -11,7 +11,8 @@ code     meaning
 IDL001   undefined name (type/exception reference does not resolve)
 IDL002   duplicate declaration in one scope (an attribute ``x`` also
          declares its accessor operations ``_get_x`` and ``_set_x``)
-IDL003   identifiers colliding case-insensitively (illegal in OMG IDL)
+IDL003   identifiers colliding case-insensitively with each other or
+         with a keyword (illegal in OMG IDL)
 IDL004   oneway operation with a non-void result
 IDL005   oneway operation with out/inout parameters
 IDL006   oneway operation with a raises clause
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.idl import idlast as ast
+from repro.idl.lexer import KEYWORDS
 from repro.util.diagnostics import Diagnostics
 
 #: Discriminator base types a union may switch on.
@@ -48,6 +50,10 @@ _LEGAL_DISCRIMINATORS = {
     "unsigned short", "unsigned long", "unsigned long long",
     "char", "boolean",
 }
+
+#: Keywords by their lower-case spelling: an identifier spelled like one
+#: but for case collides with it.  A leading ``_`` never does.
+_KEYWORDS_CI = {kw.lower(): kw for kw in KEYWORDS}
 
 #: Entry kinds that may appear where a data type is expected.
 _TYPE_KINDS = {"struct", "union", "enum", "typedef", "interface"}
@@ -212,6 +218,7 @@ class _Scope:
                 line: int, inner: Optional["_Scope"] = None) -> _Entry:
         diag = self.checker.diag
         where = self.checker.loc(line)
+        self.checker.identifier(name, line)
         entry = _Entry(kind=kind, name=name, payload=payload, line=line,
                        scope=self, inner=inner)
         if name in self.entries:
@@ -287,6 +294,14 @@ class _Checker:
         self.resolved: dict[int, _Entry] = {}
         #: aggregate entries (struct/union/exception) for recursion checks
         self._aggregates: list[_Entry] = []
+
+    def identifier(self, name: str, line: int) -> None:
+        """Report a declared *name* spelled like a keyword but for case."""
+        keyword = _KEYWORDS_CI.get(name.lower())
+        if keyword is not None and keyword != name:
+            self.diag.error("IDL003", self.loc(line),
+                            f"identifier {name!r} collides "
+                            f"case-insensitively with keyword {keyword!r}")
 
     def loc(self, line: int) -> str:
         return f"{self.source}:{line}" if line else self.source
@@ -395,6 +410,7 @@ class _Checker:
         seen: dict[str, int] = {}
         for member in members:
             self._check_type(scope, member.type, member.line)
+            self.identifier(member.name, member.line)
             if member.name in seen:
                 self.diag.error(
                     "IDL002", self.loc(member.line),
@@ -446,6 +462,7 @@ class _Checker:
         seen_labels: dict[tuple, object] = {}
         for arm in node.arms:
             self._check_type(scope, arm.type, node.line)
+            self.identifier(arm.name, node.line)
             for label in arm.labels:
                 if label is None:
                     defaults += 1
@@ -544,6 +561,7 @@ class _Checker:
         seen_params: dict[str, int] = {}
         for param in node.params:
             self._check_type(scope, param.type, node.line)
+            self.identifier(param.name, node.line)
             if param.name in seen_params:
                 self.diag.error("IDL002", where,
                                 f"operation {qualified}: duplicate "

@@ -11,22 +11,19 @@ union, alias, exception, Any (with full recursive TypeCode
 marshalling), object references (as stringified IORs), and a fast-path
 ``sequence<octet>`` carried as Python ``bytes``.
 
-Two execution paths share this wire format:
-
-- :func:`encode_value` / :func:`decode_value` consult the codec-plan
-  cache (:mod:`repro.orb.compiled`), which serves source-generated
-  codecs (:mod:`repro.orb.codegen`) — the hot path;
-- :func:`encode_value_interp` / :func:`decode_value_interp` walk the
-  TypeCode graph directly — the reference interpreter, kept as the
-  nesting-limit enforcer (over-deep TypeCodes, ``Any`` payloads near
-  the limit) and as the ground truth the property tests compare the
-  generated codecs against.
+Values travel through one tier: :func:`encode_value` /
+:func:`decode_value` hand *tc* to its codec plan
+(:func:`repro.orb.compiled.get_plan`), whose encode/decode pair is
+generated source (:mod:`repro.orb.codegen`).  This module keeps the
+stream classes, the primitives the ORB's own framing writes, object
+references and TypeCode marshalling.  The reference interpreter that
+the generated codecs are checked against lives in
+``tests/oracles/cdr_interp.py``.
 """
 
 from __future__ import annotations
 
 import struct as _struct
-from typing import Any, Optional
 
 from repro.orb.exceptions import BAD_PARAM, INV_OBJREF, MARSHAL
 from repro.orb.typecodes import TCKind, TypeCode
@@ -77,42 +74,14 @@ class CDREncoder:
             raise BAD_PARAM(f"cannot marshal {value!r} as {fmt}: {exc}") from None
 
     # -- primitives ----------------------------------------------------------
-    def write_octet(self, v: int) -> None:
-        self._pack(">B", 1, v)
-
     def write_boolean(self, v: bool) -> None:
         self._pack(">B", 1, 1 if v else 0)
-
-    def write_char(self, v: str) -> None:
-        if not isinstance(v, str) or len(v) != 1:
-            raise BAD_PARAM(f"char must be a 1-character str, got {v!r}")
-        self._pack(">B", 1, ord(v) & 0xFF)
-
-    def write_short(self, v: int) -> None:
-        self._pack(">h", 2, v)
-
-    def write_ushort(self, v: int) -> None:
-        self._pack(">H", 2, v)
 
     def write_long(self, v: int) -> None:
         self._pack(">i", 4, v)
 
     def write_ulong(self, v: int) -> None:
         self._pack(">I", 4, v)
-
-    def write_longlong(self, v: int) -> None:
-        self._pack(">q", 8, v)
-
-    def write_ulonglong(self, v: int) -> None:
-        self._pack(">Q", 8, v)
-
-    def write_float(self, v: float) -> None:
-        # struct.pack accepts ints for float formats; any other type
-        # fails inside _pack with a proper BAD_PARAM.
-        self._pack(">f", 4, v)
-
-    def write_double(self, v: float) -> None:
-        self._pack(">d", 8, v)
 
     def write_string(self, v: str) -> None:
         if not isinstance(v, str):
@@ -171,38 +140,14 @@ class CDRDecoder:
         self._pos += size
         return value
 
-    def read_octet(self) -> int:
-        return self._unpack(">B", 1)
-
     def read_boolean(self) -> bool:
         return bool(self._unpack(">B", 1))
-
-    def read_char(self) -> str:
-        return chr(self._unpack(">B", 1))
-
-    def read_short(self) -> int:
-        return self._unpack(">h", 2)
-
-    def read_ushort(self) -> int:
-        return self._unpack(">H", 2)
 
     def read_long(self) -> int:
         return self._unpack(">i", 4)
 
     def read_ulong(self) -> int:
         return self._unpack(">I", 4)
-
-    def read_longlong(self) -> int:
-        return self._unpack(">q", 8)
-
-    def read_ulonglong(self) -> int:
-        return self._unpack(">Q", 8)
-
-    def read_float(self) -> float:
-        return self._unpack(">f", 4)
-
-    def read_double(self) -> float:
-        return self._unpack(">d", 8)
 
     def read_string(self) -> str:
         length = self.read_ulong()
@@ -257,258 +202,14 @@ class Any:
 
 # -- value (un)marshalling -----------------------------------------------------
 
-_get_plan = None  # resolved lazily; avoids a circular import with compiled
+def encode_value(enc: CDREncoder, tc: TypeCode, value) -> None:
+    """CDR-encode *value* as type *tc* into *enc* through its codec plan."""
+    _compiled.get_plan(tc).encode(enc, value)
 
 
-def encode_value(enc: CDREncoder, tc: TypeCode, value, _depth: int = 0) -> None:
-    """CDR-encode *value* as type *tc* into *enc*.
-
-    Top-level calls (``_depth == 0``) run through the codec-plan cache
-    (generated codecs); nested calls stay on the reference interpreter.
-    """
-    if _depth:
-        encode_value_interp(enc, tc, value, _depth)
-        return
-    global _get_plan
-    if _get_plan is None:
-        from repro.orb.compiled import get_plan as _get_plan_fn
-        _get_plan = _get_plan_fn
-    _get_plan(tc).encode(enc, value)
-
-
-def decode_value(dec: CDRDecoder, tc: TypeCode, _depth: int = 0):
-    """Decode a value of type *tc* from *dec* (generated fast path)."""
-    if _depth:
-        return decode_value_interp(dec, tc, _depth)
-    global _get_plan
-    if _get_plan is None:
-        from repro.orb.compiled import get_plan as _get_plan_fn
-        _get_plan = _get_plan_fn
-    return _get_plan(tc).decode(dec)
-
-
-def encode_value_interp(enc: CDREncoder, tc: TypeCode, value,
-                        _depth: int = 0) -> None:
-    """Reference interpreter: CDR-encode *value* by walking *tc*."""
-    if _depth > _MAX_NESTING:
-        raise BAD_PARAM("value nesting too deep")
-    kind = tc.kind
-    if kind is TCKind.ALIAS:
-        assert tc.content_type is not None
-        encode_value_interp(enc, tc.content_type, value, _depth + 1)
-    elif kind in (TCKind.NULL, TCKind.VOID):
-        if value is not None:
-            raise BAD_PARAM(f"void carries no value, got {value!r}")
-    elif kind is TCKind.SHORT:
-        enc.write_short(value)
-    elif kind is TCKind.LONG:
-        enc.write_long(value)
-    elif kind is TCKind.USHORT:
-        enc.write_ushort(value)
-    elif kind is TCKind.ULONG:
-        enc.write_ulong(value)
-    elif kind is TCKind.LONGLONG:
-        enc.write_longlong(value)
-    elif kind is TCKind.ULONGLONG:
-        enc.write_ulonglong(value)
-    elif kind is TCKind.FLOAT:
-        enc.write_float(value)
-    elif kind is TCKind.DOUBLE:
-        enc.write_double(value)
-    elif kind is TCKind.BOOLEAN:
-        enc.write_boolean(value)
-    elif kind is TCKind.CHAR:
-        enc.write_char(value)
-    elif kind is TCKind.OCTET:
-        enc.write_octet(value)
-    elif kind is TCKind.STRING:
-        enc.write_string(value)
-    elif kind is TCKind.OCTETSEQ:
-        enc.write_octet_sequence(value)
-    elif kind is TCKind.ENUM:
-        try:
-            index = tc.labels.index(value) if isinstance(value, str) else int(value)
-        except ValueError:
-            raise BAD_PARAM(
-                f"{value!r} is not a label of enum {tc.name}"
-            ) from None
-        if not 0 <= index < len(tc.labels):
-            raise BAD_PARAM(f"enum index {index} out of range for {tc.name}")
-        enc.write_ulong(index)
-    elif kind is TCKind.SEQUENCE:
-        items = list(value)
-        if tc.length and len(items) > tc.length:
-            raise BAD_PARAM(
-                f"sequence bound {tc.length} exceeded ({len(items)} items)"
-            )
-        enc.write_ulong(len(items))
-        assert tc.content_type is not None
-        for item in items:
-            encode_value_interp(enc, tc.content_type, item, _depth + 1)
-    elif kind is TCKind.ARRAY:
-        items = list(value)
-        if len(items) != tc.length:
-            raise BAD_PARAM(
-                f"array of length {tc.length} got {len(items)} items"
-            )
-        assert tc.content_type is not None
-        for item in items:
-            encode_value_interp(enc, tc.content_type, item, _depth + 1)
-    elif kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        _encode_struct(enc, tc, value, _depth)
-    elif kind is TCKind.UNION:
-        _encode_union(enc, tc, value, _depth)
-    elif kind is TCKind.ANY:
-        if not isinstance(value, Any):
-            raise BAD_PARAM(f"expected Any, got {type(value).__name__}")
-        encode_typecode(enc, value.typecode)
-        encode_value_interp(enc, value.typecode, value.value, _depth + 1)
-    elif kind is TCKind.OBJREF:
-        _encode_objref(enc, value)
-    else:  # pragma: no cover - exhaustive over TCKind
-        raise BAD_PARAM(f"cannot marshal kind {kind}")
-
-
-def decode_value_interp(dec: CDRDecoder, tc: TypeCode, _depth: int = 0):
-    """Reference interpreter: decode a value of type *tc* from *dec*."""
-    if _depth > _MAX_NESTING:
-        raise BAD_PARAM("value nesting too deep")
-    kind = tc.kind
-    if kind is TCKind.ALIAS:
-        assert tc.content_type is not None
-        return decode_value_interp(dec, tc.content_type, _depth + 1)
-    if kind in (TCKind.NULL, TCKind.VOID):
-        return None
-    if kind is TCKind.SHORT:
-        return dec.read_short()
-    if kind is TCKind.LONG:
-        return dec.read_long()
-    if kind is TCKind.USHORT:
-        return dec.read_ushort()
-    if kind is TCKind.ULONG:
-        return dec.read_ulong()
-    if kind is TCKind.LONGLONG:
-        return dec.read_longlong()
-    if kind is TCKind.ULONGLONG:
-        return dec.read_ulonglong()
-    if kind is TCKind.FLOAT:
-        return dec.read_float()
-    if kind is TCKind.DOUBLE:
-        return dec.read_double()
-    if kind is TCKind.BOOLEAN:
-        return dec.read_boolean()
-    if kind is TCKind.CHAR:
-        return dec.read_char()
-    if kind is TCKind.OCTET:
-        return dec.read_octet()
-    if kind is TCKind.STRING:
-        return dec.read_string()
-    if kind is TCKind.OCTETSEQ:
-        return dec.read_octet_sequence()
-    if kind is TCKind.ENUM:
-        index = dec.read_ulong()
-        if index >= len(tc.labels):
-            raise BAD_PARAM(f"enum index {index} out of range for {tc.name}")
-        return tc.labels[index]
-    if kind is TCKind.SEQUENCE:
-        n = dec.read_ulong()
-        # Every element consumes at least one byte, so a count beyond
-        # the remaining bytes is garbage; reject it before looping (or
-        # allocating) anything proportional to it.
-        if n > dec.remaining:
-            raise MARSHAL(
-                f"sequence count {n} exceeds {dec.remaining} remaining bytes"
-            )
-        assert tc.content_type is not None
-        return [decode_value_interp(dec, tc.content_type, _depth + 1)
-                for _ in range(n)]
-    if kind is TCKind.ARRAY:
-        assert tc.content_type is not None
-        start = dec._pos
-        items = []
-        for _ in range(tc.length):
-            items.append(decode_value_interp(dec, tc.content_type, _depth + 1))
-            # An element that consumed nothing (void, an empty struct,
-            # arrays of those) makes the length free, and it may come
-            # off the wire inside an any: hold it to the sequence rule.
-            if dec._pos == start and tc.length > dec.remaining:
-                raise MARSHAL(
-                    f"array length {tc.length} of zero-width elements "
-                    f"exceeds {dec.remaining} remaining bytes"
-                )
-        return items
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return {
-            name: decode_value_interp(dec, mtc, _depth + 1)
-            for name, mtc in tc.members
-        }
-    if kind is TCKind.UNION:
-        return _decode_union(dec, tc, _depth)
-    if kind is TCKind.ANY:
-        inner_tc = decode_typecode(dec)
-        return Any(inner_tc, decode_value_interp(dec, inner_tc, _depth + 1))
-    if kind is TCKind.OBJREF:
-        return _decode_objref(dec)
-    raise BAD_PARAM(f"cannot unmarshal kind {kind}")  # pragma: no cover
-
-
-def _encode_struct(enc: CDREncoder, tc: TypeCode, value, depth: int) -> None:
-    # Accept dicts keyed by member name, or objects with attributes.
-    for name, mtc in tc.members:
-        if isinstance(value, dict):
-            if name not in value:
-                raise BAD_PARAM(f"struct {tc.name} missing member {name!r}")
-            member = value[name]
-        else:
-            try:
-                member = getattr(value, name)
-            except AttributeError:
-                raise BAD_PARAM(
-                    f"struct {tc.name} value lacks member {name!r}"
-                ) from None
-        encode_value_interp(enc, mtc, member, depth + 1)
-    if isinstance(value, dict):
-        extra = set(value) - {n for n, _ in tc.members}
-        if extra:
-            raise BAD_PARAM(f"struct {tc.name} has unknown members {sorted(extra)}")
-
-
-def _encode_union(enc: CDREncoder, tc: TypeCode, value, depth: int) -> None:
-    # Union values are (discriminator, value) pairs.
-    try:
-        disc, inner = value
-    except (TypeError, ValueError):
-        raise BAD_PARAM(
-            f"union {tc.name} value must be (discriminator, value)"
-        ) from None
-    assert tc.discriminator_type is not None
-    encode_value_interp(enc, tc.discriminator_type, disc, depth + 1)
-    arm = _union_arm(tc, disc)
-    if arm is None:
-        raise BAD_PARAM(f"union {tc.name}: no arm for discriminator {disc!r}")
-    _label, _name, arm_tc = arm
-    encode_value_interp(enc, arm_tc, inner, depth + 1)
-
-
-def _decode_union(dec: CDRDecoder, tc: TypeCode, depth: int):
-    assert tc.discriminator_type is not None
-    disc = decode_value_interp(dec, tc.discriminator_type, depth + 1)
-    arm = _union_arm(tc, disc)
-    if arm is None:
-        raise BAD_PARAM(f"union {tc.name}: no arm for discriminator {disc!r}")
-    _label, _name, arm_tc = arm
-    return (disc, decode_value_interp(dec, arm_tc, depth + 1))
-
-
-def _union_arm(tc: TypeCode, disc):
-    # A ``None`` label marks the default arm and never matches a
-    # discriminator directly.
-    for label, name, arm_tc in tc.members:
-        if label is not None and label == disc:
-            return (label, name, arm_tc)
-    if 0 <= tc.default_index < len(tc.members):
-        return tc.members[tc.default_index]
-    return None
+def decode_value(dec: CDRDecoder, tc: TypeCode):
+    """Decode a value of type *tc* from *dec* through its codec plan."""
+    return _compiled.get_plan(tc).decode(dec)
 
 
 def _encode_objref(enc: CDREncoder, value) -> None:
@@ -594,8 +295,7 @@ def encode_typecode(enc: CDREncoder, tc: TypeCode, _depth: int = 0) -> None:
                 body.write_boolean(True)
             else:
                 body.write_boolean(False)
-                encode_value_interp(body, tc.discriminator_type, label,
-                                    _depth + 1)
+                encode_value(body, tc.discriminator_type, label)
             body.write_string(name)
             encode_typecode(body, mtc, _depth + 1)
     else:  # pragma: no cover
@@ -660,7 +360,7 @@ def decode_typecode(dec: CDRDecoder, _depth: int = 0) -> TypeCode:
         members = []
         for _ in range(n):
             is_default = body.read_boolean()
-            label = None if is_default else decode_value_interp(body, disc)
+            label = None if is_default else decode_value(body, disc)
             mname = body.read_string()
             members.append((label, mname, decode_typecode(body, _depth + 1)))
         return TypeCode(kind, name=name, repo_id=repo_id, members=members,
@@ -680,3 +380,8 @@ def encode_one(tc: TypeCode, value) -> bytes:
 def decode_one(tc: TypeCode, data: bytes):
     """Decode a single value from bytes."""
     return decode_value(CDRDecoder(data), tc)
+
+
+# Imported last: the plans build on the stream classes above, while this
+# module only reaches into them from inside encode_value/decode_value.
+from repro.orb import compiled as _compiled  # noqa: E402

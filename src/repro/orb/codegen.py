@@ -1,12 +1,12 @@
-"""Generated-source CDR codecs: the ORB's marshalling fast path.
+"""Generated-source CDR codecs: the ORB's one marshalling tier.
 
-The interpreter in :mod:`repro.orb.cdr` walks the TypeCode graph on
-every encode/decode.  This module walks each TypeCode **once**, emits
-Python source for a fused encoder and decoder, compiles it with
-:func:`exec`, and hands the pair to the plan cache
-(``compiled.get_plan``).
+This module walks each TypeCode **once**, emits Python source for a
+fused encoder and decoder, compiles it with :func:`exec`, and hands the
+pair to the plan cache (``compiled.get_plan``).  :func:`generate` is
+total: every TypeCode, at every root depth, gets a pair.
 
-What the generated code buys over interpreting:
+What the generated code buys over walking the TypeCode per value (the
+reference interpreter in ``tests/oracles/cdr_interp.py``):
 
 - **no per-call TypeCode walking**: member extraction, alignment
   residue selection, struct.pack/unpack batching and value rebuilding
@@ -23,24 +23,28 @@ What the generated code buys over interpreting:
   flattens through a plain append loop and marshals count + all
   elements in a single ``pack`` (``make_batcher(..., lead_ulong=True)``).
 
-``any`` and object references have a wire shape that depends on the
-value, so the generated code *calls out* for them — to
-``compiled.encode_any``/``decode_any`` (which apply the nesting rule
-at the member's static depth) and to the interpreter's objref pair —
-syncing ``dec._pos`` round the call.  Everything around the call-out
-(the enclosing struct, sequence or union) is still generated.
+**Nesting is decided when the source is generated.**  A pair is
+generated for the depth its root value sits at, and every node knows
+its depth from there: a node deeper than ``_MAX_NESTING`` becomes
+``raise BAD_PARAM("value nesting too deep")`` and nothing below it is
+emitted, so no generated code counts depth at run time.
 
-:func:`generate` declines only TypeCodes past the nesting limit (the
-interpreter owns depth enforcement) and shapes that would nest
-generated blocks too deeply; ``compiled.get_plan`` serves those
-through the interpreter.
+``any`` and object references have a wire shape that depends on the
+value, so the generated code *calls out* for them -- to
+``compiled.encode_any``/``decode_any``, which hand the payload to its
+TypeCode's plan rooted one level deeper, and to the objref pair --
+syncing ``dec._pos`` round the call.  A loop or union-arm body past the
+``_MAX_BLOCKS`` budget calls out the same way, to its own TypeCode's
+plan at its depth, which keeps the emitted source clear of Python's
+nested-block limits.  Everything around a call-out is still generated.
 
 Error containment: generated bodies run inside ``try`` blocks whose
 handlers convert any raw Python error into ``BAD_PARAM`` (encode,
 plus decode underflow) or ``MARSHAL`` (decode corruption).  The
 repo's SystemExceptions derive from plain ``Exception`` only, so a
 deliberate ``BAD_PARAM``/``MARSHAL`` raised inside a generated body
-or a call-out passes through the handlers untouched.
+or a call-out passes through the handlers untouched.  A failure to
+generate is a bug: :func:`generate` raises ``INTERNAL`` for it.
 
 Byte-for-byte equivalence with the interpreter is enforced by
 ``tests/property/test_bimodal_properties.py``; hostile input
@@ -56,23 +60,22 @@ from typing import Optional
 
 from repro.orb import cdr as _cdr
 from repro.orb import compiled as _c
-from repro.orb.exceptions import BAD_PARAM, MARSHAL
+from repro.orb.exceptions import BAD_PARAM, INTERNAL, MARSHAL
 from repro.orb.typecodes import TCKind, TypeCode
 
 _MAX_NESTING = _c._MAX_NESTING
 
-#: Generated block-nesting budget (unions/loops); keeps emitted source
-#: well clear of any nested-block or indentation compile limits.
+#: Generated block-nesting budget (unions/loops); a body past it calls
+#: out, which keeps emitted source well clear of any nested-block or
+#: indentation compile limits.
 _MAX_BLOCKS = 8
 
-#: The codec stack's one stats dict.  ``generated``/``declined``/
-#: ``errors`` count generate() outcomes — ``declined`` is an honest
-#: refusal (nesting or block budget), ``errors`` a generation bug that
-#: fell back to the interpreter and must stay 0; ``cache_hits``/
-#: ``cache_misses`` count ``compiled.get_plan`` lookups and
-#: ``any_tc_hits``/``any_tc_misses`` ``compiled.decode_any``'s probes
-#: of the TypeCode wire index.
-stats = {"generated": 0, "declined": 0, "errors": 0, "cache_hits": 0,
+#: The codec stack's one stats dict.  ``generated``/``errors`` count
+#: generate() outcomes -- ``errors`` is a generation bug, raised as
+#: ``INTERNAL``, and must stay 0; ``cache_hits``/``cache_misses`` count
+#: ``compiled.get_plan`` lookups and ``any_tc_hits``/``any_tc_misses``
+#: ``compiled.decode_any``'s probes of the TypeCode wire index.
+stats = {"generated": 0, "errors": 0, "cache_hits": 0,
          "cache_misses": 0, "any_tc_hits": 0, "any_tc_misses": 0}
 
 #: Call counters shared by every generated function: [encode, decode].
@@ -105,33 +108,6 @@ _DERR = (TypeError, KeyError, AttributeError, ValueError, IndexError,
          OverflowError)
 
 
-# -- supportability -----------------------------------------------------------
-
-def _ok(tc: TypeCode, depth: int, blocks: int) -> bool:
-    if depth > _MAX_NESTING or blocks > _MAX_BLOCKS:
-        return False
-    kind = tc.kind
-    if kind is TCKind.ALIAS:
-        return _ok(tc.content_type, depth + 1, blocks)
-    if kind in (TCKind.NULL, TCKind.VOID, TCKind.STRING, TCKind.OCTETSEQ,
-                TCKind.CHAR, TCKind.ENUM, TCKind.ANY, TCKind.OBJREF) \
-            or kind in _c._PRIM_LEAF:
-        return True
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return all(_ok(mtc, depth + 1, blocks) for _n, mtc in tc.members)
-    if kind is TCKind.UNION:
-        if not _ok(tc.discriminator_type, depth + 1, blocks):
-            return False
-        return all(_ok(arm_tc, depth + 1, blocks + 1)
-                   for _l, _n, arm_tc in tc.members)
-    if kind in (TCKind.SEQUENCE, TCKind.ARRAY):
-        content = tc.content_type
-        if _c._fixed_info(content, depth + 1) is not None:
-            return True  # batched: no generated loop nesting
-        return _ok(content, depth + 1, blocks + 1)
-    return False
-
-
 # -- source builder -----------------------------------------------------------
 
 class _Builder:
@@ -150,6 +126,7 @@ class _Builder:
             "_char": _c._char_enc,
             "_any_enc": _c.encode_any,
             "_any_dec": _c.decode_any,
+            "_plan": _c.get_plan,
             "_ref_enc": _cdr._encode_objref,
             "_ref_dec": _cdr._decode_objref,
             "_N": _CALLS,
@@ -177,6 +154,15 @@ class _Builder:
 
     def emit(self, ind: int, line: str) -> None:
         self.lines.append("    " * ind + line)
+
+    def plan_at(self, tc: TypeCode, depth: int) -> str:
+        """Expression for *tc*'s plan rooted at *depth*, resolved per
+        call so no plan holds another."""
+        return f"_plan({self.sym('tc', tc)}).at({depth})"
+
+
+#: What a node deeper than ``_MAX_NESTING`` compiles to.
+_TOO_DEEP = "raise BAD_PARAM('value nesting too deep')"
 
 
 # -- encoder emission ---------------------------------------------------------
@@ -308,13 +294,17 @@ def _emit_batched_enc(b: _Builder, content: TypeCode, finfo, items: str,
 
 
 def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
-                 ind: int, depth: int) -> None:
-    """Emit statements encoding *expr* as *tc*.  *depth* is the
-    interpreter recursion depth at which *tc* sits, which only the
-    ``any`` call-out needs."""
+                 ind: int, depth: int, blocks: int) -> None:
+    """Emit statements encoding *expr* as *tc*, which sits *depth*
+    levels deep and inside *blocks* generated loop or arm bodies."""
+    if depth > _MAX_NESTING or blocks > _MAX_BLOCKS:
+        _flush_enc(b, run, ind)
+        b.emit(ind, _TOO_DEEP if depth > _MAX_NESTING
+               else f"{b.plan_at(tc, depth)}.encode(enc, {expr})")
+        return
     kind = tc.kind
     if kind is TCKind.ALIAS:
-        _emit_encode(b, tc.content_type, expr, run, ind, depth + 1)
+        _emit_encode(b, tc.content_type, expr, run, ind, depth + 1, blocks)
         return
     if kind in (TCKind.NULL, TCKind.VOID):
         msg = b.sym("ms", "void carries no value, got ")
@@ -386,7 +376,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
                 f"{mt} = getattr({t}, {nm!r})"
                 for mt, nm in zip(mtemps, names)))
         for mt, (_nm, mtc) in zip(mtemps, tc.members):
-            _emit_encode(b, mtc, mt, run, ind, depth + 1)
+            _emit_encode(b, mtc, mt, run, ind, depth + 1, blocks)
         return
     if kind is TCKind.UNION:
         dt = b.tmp("d")
@@ -397,7 +387,8 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         b.emit(ind + 1, f"{dt}, {it} = {expr}")
         b.emit(ind, "except (TypeError, ValueError):")
         b.emit(ind + 1, f"raise BAD_PARAM({msg}) from None")
-        _emit_encode(b, tc.discriminator_type, dt, run, ind, depth + 1)
+        _emit_encode(b, tc.discriminator_type, dt, run, ind, depth + 1,
+                     blocks)
         _flush_enc(b, run, ind)
         nomsg = b.sym(
             "ms", f"union {tc.name}: no arm for discriminator ")
@@ -408,7 +399,8 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         def _arm_body(arm_tc: TypeCode, aind: int) -> None:
             mark = len(b.lines)
             arm_run: list = []
-            _emit_encode(b, arm_tc, it, arm_run, aind, depth + 1)
+            _emit_encode(b, arm_tc, it, arm_run, aind, depth + 1,
+                         blocks + 1)
             _flush_enc(b, arm_run, aind)
             if len(b.lines) == mark:
                 b.emit(aind, "pass")
@@ -444,7 +436,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
             msg = b.sym("ms", f"sequence bound {tc.length} exceeded ")
             b.emit(ind, f"if {nv} > {tc.length}:")
             b.emit(ind + 1, f"raise BAD_PARAM({msg} + repr({nv}))")
-        finfo = _c._fixed_info(content, 1)
+        finfo = _c._fixed_info(content, depth + 1)
         if finfo is not None and finfo[0]:
             _emit_batched_enc(b, content, finfo, t, nv, run, ind,
                               lead_count=True)
@@ -455,7 +447,8 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
             b.emit(ind, f"for {ev} in {t}:")
             mark = len(b.lines)
             item_run: list = []
-            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1)
+            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1,
+                         blocks + 1)
             _flush_enc(b, item_run, ind + 1)
             if len(b.lines) == mark:
                 b.emit(ind + 1, "pass")
@@ -470,13 +463,14 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         b.emit(ind, f"if len({t}) != {length}:")
         b.emit(ind + 1, f"raise BAD_PARAM({msg} + repr(len({t}))"
                         " + ' items')")
-        whole = _c._fixed_info(tc, 1)
+        whole = _c._fixed_info(tc, depth)
         if whole is not None and whole[0]:
             # Small fixed array: unroll elements straight into the run.
             for i in range(length):
-                _emit_encode(b, content, f"{t}[{i}]", run, ind, depth + 1)
+                _emit_encode(b, content, f"{t}[{i}]", run, ind, depth + 1,
+                             blocks)
             return
-        finfo = _c._fixed_info(content, 1)
+        finfo = _c._fixed_info(content, depth + 1)
         if finfo is not None and finfo[0]:
             _emit_batched_enc(b, content, finfo, t, str(length), run, ind,
                               lead_count=False)
@@ -486,7 +480,8 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
             b.emit(ind, f"for {ev} in {t}:")
             mark = len(b.lines)
             item_run = []
-            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1)
+            _emit_encode(b, content, ev, item_run, ind + 1, depth + 1,
+                         blocks + 1)
             _flush_enc(b, item_run, ind + 1)
             if len(b.lines) == mark:
                 b.emit(ind + 1, "pass")
@@ -499,11 +494,7 @@ def _emit_encode(b: _Builder, tc: TypeCode, expr: str, run: list,
         _flush_enc(b, run, ind)
         b.emit(ind, f"_ref_enc(enc, {expr})")
         return
-    raise _Unsupported(kind)  # pragma: no cover - guarded by _ok
-
-
-class _Unsupported(Exception):
-    pass
+    raise NotImplementedError(kind)  # pragma: no cover - exhaustive
 
 
 # -- decoder emission ---------------------------------------------------------
@@ -554,7 +545,7 @@ def _dec_expr(b: _Builder, tc: TypeCode, v: str, base):
             parts.append(e)
             off += n
         return "[" + ", ".join(parts) + "]", off
-    raise _Unsupported(kind)  # pragma: no cover - guarded by _fixed_info
+    raise NotImplementedError(kind)  # pragma: no cover - by _fixed_info
 
 
 class _DecRun:
@@ -634,12 +625,23 @@ def _emit_batched_dec(b: _Builder, content: TypeCode, finfo, nv, target: str,
 
 
 def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
-                 ind: int, depth: int) -> None:
+                 ind: int, depth: int, blocks: int) -> None:
+    """Emit statements decoding *tc* into *target*; *depth* and
+    *blocks* as for :func:`_emit_encode`."""
+    if depth > _MAX_NESTING or blocks > _MAX_BLOCKS:
+        st.flush(ind)
+        if depth > _MAX_NESTING:
+            b.emit(ind, _TOO_DEEP)
+            return
+        b.emit(ind, "dec._pos = pos")
+        b.emit(ind, f"{target} = {b.plan_at(tc, depth)}.decode(dec)")
+        b.emit(ind, "pos = dec._pos")
+        return
     kind = tc.kind
     if kind is TCKind.ALIAS:
-        _emit_decode(b, st, tc.content_type, target, ind, depth + 1)
+        _emit_decode(b, st, tc.content_type, target, ind, depth + 1, blocks)
         return
-    finfo = _c._fixed_info(tc, 1)
+    finfo = _c._fixed_info(tc, depth)
     if finfo is not None:
         st.add(tc, finfo[0], target)
         return
@@ -673,7 +675,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         v = st.flush(ind)
         nv = b.tmp("n")
         b.emit(ind, f"{nv} = {v}[{ci}]")
-        cf = _c._fixed_info(content, 1)
+        cf = _c._fixed_info(content, depth + 1)
         if cf is not None and cf[0]:
             _emit_batched_dec(b, content, cf, nv, target, ind)
         else:
@@ -687,7 +689,8 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
             b.emit(ind, f"{ap} = {target}.append")
             b.emit(ind, f"for {ev} in range({nv}):")
             inner = _DecRun(b)
-            _emit_decode(b, inner, content, et, ind + 1, depth + 1)
+            _emit_decode(b, inner, content, et, ind + 1, depth + 1,
+                         blocks + 1)
             inner.flush(ind + 1)
             b.emit(ind + 1, f"{ap}({et})")
         return
@@ -695,7 +698,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         content = tc.content_type
         length = tc.length
         st.flush(ind)
-        cf = _c._fixed_info(content, 1)
+        cf = _c._fixed_info(content, depth + 1)
         if cf is not None and cf[0]:
             _emit_batched_dec(b, content, cf, length, target, ind)
         else:
@@ -712,7 +715,8 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
             b.emit(ind, f"{p0} = pos")
             b.emit(ind, f"for {ev} in range({length}):")
             inner = _DecRun(b)
-            _emit_decode(b, inner, content, et, ind + 1, depth + 1)
+            _emit_decode(b, inner, content, et, ind + 1, depth + 1,
+                         blocks + 1)
             inner.flush(ind + 1)
             b.emit(ind + 1, f"{ap}({et})")
             b.emit(ind + 1, f"if pos == {p0} and {length} > end - pos:")
@@ -722,7 +726,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         mtemps = []
         for name, mtc in tc.members:
             mt = b.tmp("m")
-            _emit_decode(b, st, mtc, mt, ind, depth + 1)
+            _emit_decode(b, st, mtc, mt, ind, depth + 1, blocks)
             mtemps.append((name, mt))
         st.flush(ind)
         display = ", ".join(f"{nm!r}: {mt}" for nm, mt in mtemps)
@@ -731,7 +735,8 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
     if kind is TCKind.UNION:
         dt = b.tmp("d")
         at = b.tmp("w")
-        _emit_decode(b, st, tc.discriminator_type, dt, ind, depth + 1)
+        _emit_decode(b, st, tc.discriminator_type, dt, ind, depth + 1,
+                     blocks)
         st.flush(ind)
         nomsg = b.sym(
             "ms", f"union {tc.name}: no arm for discriminator ")
@@ -741,7 +746,7 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
 
         def _arm_body(arm_tc: TypeCode, aind: int) -> None:
             inner = _DecRun(b)
-            _emit_decode(b, inner, arm_tc, at, aind, depth + 1)
+            _emit_decode(b, inner, arm_tc, at, aind, depth + 1, blocks + 1)
             inner.flush(aind)
 
         kw = "if"
@@ -774,12 +779,12 @@ def _emit_decode(b: _Builder, st: _DecRun, tc: TypeCode, target: str,
         b.emit(ind, f"{target} = {call}")
         b.emit(ind, "pos = dec._pos")
         return
-    raise _Unsupported(kind)  # pragma: no cover - guarded by _ok
+    raise NotImplementedError(kind)  # pragma: no cover - exhaustive
 
 
 # -- top-level assembly -------------------------------------------------------
 
-def _generate(tc: TypeCode):
+def _generate(tc: TypeCode, depth: int):
     name = tc.name or tc.kind.name.lower()
     b = _Builder(name)
     emsg = b.sym("ms", f"cannot marshal value as {name}: ")
@@ -792,7 +797,7 @@ def _generate(tc: TypeCode):
     b.emit(1, "try:")
     mark = len(b.lines)
     run: list = []
-    _emit_encode(b, tc, "value", run, 2, 0)
+    _emit_encode(b, tc, "value", run, 2, depth, 0)
     _flush_enc(b, run, 2)
     if len(b.lines) == mark:
         b.emit(2, "pass")
@@ -806,7 +811,7 @@ def _generate(tc: TypeCode):
     b.emit(1, "end = len(buf)")
     b.emit(1, "try:")
     st = _DecRun(b)
-    _emit_decode(b, st, tc, "_r", 2, 0)
+    _emit_decode(b, st, tc, "_r", 2, depth, 0)
     st.flush(2)
     b.emit(1, "except _SERR as exc:")
     b.emit(2, f"raise BAD_PARAM({umsg} + repr(exc)) from None")
@@ -826,21 +831,15 @@ def _generate(tc: TypeCode):
     return enc_fn, dec_fn
 
 
-def generate(tc: TypeCode):
-    """Return a freshly generated (encode, decode) pair for *tc*, or
-    None when generation is declined (nesting limit, block budget) or
-    fails; ``compiled.get_plan`` caches the result and serves a None
-    through the interpreter."""
-    if not _ok(tc, 0, 0):
-        stats["declined"] += 1
-        return None
+def generate(tc: TypeCode, depth: int):
+    """Return a freshly generated (encode, decode) pair for *tc* with its
+    root value *depth* levels deep.  Generation failing is a bug: it is
+    booked under ``stats["errors"]`` and raised as ``INTERNAL``."""
     try:
-        pair = _generate(tc)
-    except Exception:
-        # A generation bug must never take down marshalling — the
-        # interpreter is always a correct fallback.  Booked apart from
-        # honest declines: the test suite demands errors == 0.
+        pair = _generate(tc, depth)
+    except Exception as exc:
         stats["errors"] += 1
-        return None
+        raise INTERNAL(f"cannot generate a codec for "
+                       f"{tc.name or tc.kind.name}: {exc!r}") from exc
     stats["generated"] += 1
     return pair

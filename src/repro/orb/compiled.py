@@ -1,41 +1,41 @@
 """Codec plans: the leaf model, the plan cache and per-operation codecs.
 
 The ORB marshals through one :class:`CodecPlan` per TypeCode, resolved
-by :func:`get_plan`.  A plan's ``encode``/``decode`` pair is source
-generated by :mod:`repro.orb.codegen` (``tier == "codegen"``) for every
-TypeCode the generator accepts — ``any`` and object references
-included, through the :func:`encode_any`/:func:`decode_any` call-outs
-below — and wraps the reference interpreter of :mod:`repro.orb.cdr`
-(``tier == "interpreter"``) for the rest: TypeCodes nested past the
-interpreter's limit or past the generator's block budget.
+by :func:`get_plan`.  Every plan's ``encode``/``decode`` pair is source
+generated by :mod:`repro.orb.codegen` for the depth its root value sits
+at: 0 for the plans :func:`get_plan` returns, n + 1 for the value inside
+an ``any`` at depth n (:meth:`CodecPlan.at`).  The generator is total,
+so there is no second tier.
 
-This module owns what both sides share:
+This module owns what the generated code shares:
 
 - the **fixed-size leaf model** the generator builds on.  Runs of
   fixed-size primitives (including whole fixed-size structs, arrays and
   enums) fuse into a single :class:`struct.Struct` pack/unpack.  CDR
   alignment is relative to the stream start, so a fused run precomputes
   one format per possible start residue (mod 8), with ``x`` pad bytes
-  standing in for alignment gaps — byte-for-byte identical to the
-  interpreter's output at any offset; :func:`make_batcher` extends that
-  to homogeneous sequences/arrays marshalled in one call;
-- the **depth rule** for ``any``: a cached plan never checks nesting at
-  run time, so it may carry an ``any``'s inner value only when its
-  static depth provably fits the remaining budget;
-- the **one plan cache**, keyed by structural TypeCode equality, and
+  standing in for alignment gaps; :func:`make_batcher` extends that to
+  homogeneous sequences/arrays marshalled in one call;
+- the ``any`` **call-outs**: :func:`encode_any`/:func:`decode_any`
+  marshal the TypeCode (memoised on its plan) and hand the value to the
+  plan rooted one level deeper, so no plan checks nesting at run time;
+- the **one plan cache**, keyed by structural TypeCode equality, which
+  also holds the deeper-rooted variants and bounds them together, and
   :class:`OperationCodec`, one operation's plans resolved together
   (``OperationDef.codec()`` pins it on the definition, so invocations
   never look anything up).
 
 Hit/miss/generation counters live in ``codegen.stats``.  Equivalence
-with the interpreter — identical bytes out, identical values back — is
-enforced by ``tests/property/test_bimodal_properties.py``.
+with the reference interpreter in ``tests/oracles/cdr_interp.py`` --
+identical bytes out, identical values back, the same error class, at
+every root depth -- is enforced by
+``tests/property/test_bimodal_properties.py``.
 """
 
 from __future__ import annotations
 
 import struct as _struct
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.orb import cdr as _cdr
 from repro.orb.cdr import CDRDecoder, CDREncoder
@@ -50,33 +50,31 @@ _FUSE_LIMIT = 64
 
 
 class CodecPlan:
-    """The encode/decode pair serving one TypeCode.
+    """The generated encode/decode pair serving *tc* rooted at *depth*.
 
-    ``tier`` is ``"codegen"`` or ``"interpreter"``.  ``static_depth`` is
-    the recursion depth the interpreter would need for a conforming
-    value; ``dynamic`` marks plans whose depth depends on the value
-    (contains ``any``).  ``tc_wire`` is the TypeCode's own marshalled
-    form, memoised by the first ``any`` that carries it.
+    ``tc_wire`` is the TypeCode's own marshalled form, memoised by the
+    first ``any`` that carries it.  ``_at`` maps a root depth other
+    than 0 to this TypeCode's plan for it, one map shared by them all.
     """
 
-    __slots__ = ("tc", "encode", "decode", "static_depth", "dynamic", "tier",
-                 "tc_wire")
+    __slots__ = ("tc", "depth", "encode", "decode", "tc_wire", "_at")
 
-    def __init__(self, tc: TypeCode,
-                 encode: Callable[[CDREncoder, object], None],
-                 decode: Callable[[CDRDecoder], object],
-                 static_depth: int, dynamic: bool, tier: str) -> None:
+    def __init__(self, tc: TypeCode, depth: int) -> None:
         self.tc = tc
-        self.encode = encode
-        self.decode = decode
-        self.static_depth = static_depth
-        self.dynamic = dynamic
-        self.tier = tier
+        self.depth = depth
+        self.encode, self.decode = codegen.generate(tc, depth)
         self.tc_wire: Optional[bytes] = None
+        self._at: dict[int, CodecPlan] = {}
+
+    def at(self, depth: int) -> "CodecPlan":
+        """This TypeCode's plan for a value sitting *depth* levels deep."""
+        plan = self._at.get(depth)
+        if plan is None:
+            plan = self if depth == self.depth else _variant(self, depth)
+        return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CodecPlan {self.tc!r} depth={self.static_depth} " \
-               f"tier={self.tier}>"
+        return f"<CodecPlan {self.tc!r} at depth {self.depth}>"
 
 
 # -- fixed-size leaf model ----------------------------------------------------
@@ -355,44 +353,6 @@ def make_batcher(leaves, lead_ulong: bool = False):
     return batch_struct
 
 
-def _static_depth(tc: TypeCode, _depth: int = 0) -> int:
-    """Interpreter recursion depth needed for a value of *tc*."""
-    if _depth > _MAX_NESTING:
-        return _MAX_NESTING + 1
-    kind = tc.kind
-    if kind in (TCKind.ALIAS, TCKind.SEQUENCE, TCKind.ARRAY):
-        assert tc.content_type is not None
-        return 1 + _static_depth(tc.content_type, _depth + 1)
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return 1 + max(
-            (_static_depth(mtc, _depth + 1) for _n, mtc in tc.members),
-            default=0,
-        )
-    if kind is TCKind.UNION:
-        parts = [tc.discriminator_type] + [m[2] for m in tc.members]
-        return 1 + max(_static_depth(p, _depth + 1) for p in parts)
-    if kind is TCKind.ANY:
-        return 1
-    return 0
-
-
-def _contains_any(tc: TypeCode, _depth: int = 0) -> bool:
-    if _depth > _MAX_NESTING:
-        return False
-    kind = tc.kind
-    if kind is TCKind.ANY:
-        return True
-    if kind in (TCKind.ALIAS, TCKind.SEQUENCE, TCKind.ARRAY):
-        assert tc.content_type is not None
-        return _contains_any(tc.content_type, _depth + 1)
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return any(_contains_any(mtc, _depth + 1) for _n, mtc in tc.members)
-    if kind is TCKind.UNION:
-        parts = [tc.discriminator_type] + [m[2] for m in tc.members]
-        return any(_contains_any(p, _depth + 1) for p in parts)
-    return False
-
-
 # -- any: the value-dependent call-out ----------------------------------------
 # A marshalled TypeCode is a kind ulong plus, for parameterised kinds,
 # one length-prefixed encapsulation encoded from its own offset 0: past
@@ -414,11 +374,8 @@ def _tc_wire(plan: CodecPlan) -> bytes:
 
 
 def encode_any(enc: CDREncoder, value, depth: int) -> None:
-    """Marshal an ``any`` sitting *depth* levels inside its enclosing
-    TypeCode: TypeCode, then value.  The inner value's nesting budget
-    starts at *depth* + 1, so the inner TypeCode's cached plan is used
-    only when its static depth provably fits; otherwise the
-    depth-enforcing interpreter takes over."""
+    """Marshal an ``any`` sitting *depth* levels deep: TypeCode, then
+    the value through the plan rooted at *depth* + 1."""
     if not isinstance(value, _cdr.Any):
         raise BAD_PARAM(f"expected Any, got {type(value).__name__}")
     inner_tc = value.typecode
@@ -428,14 +385,11 @@ def encode_any(enc: CDREncoder, value, depth: int) -> None:
         raise BAD_PARAM("TypeCode nesting too deep") from None
     enc.align(4)
     enc.write_bytes_raw(plan.tc_wire or _tc_wire(plan))
-    if not plan.dynamic and depth + 1 + plan.static_depth <= _MAX_NESTING:
-        plan.encode(enc, value.value)
-    else:
-        _cdr.encode_value_interp(enc, inner_tc, value.value, depth + 1)
+    plan.at(depth + 1).encode(enc, value.value)
 
 
 def decode_any(dec: CDRDecoder, depth: int) -> "_cdr.Any":
-    """Inverse of :func:`encode_any`, with the same depth rule."""
+    """Inverse of :func:`encode_any`."""
     buf = dec._buf
     pos = dec._pos + (-dec._pos & 3)
     end = pos + 4
@@ -455,66 +409,70 @@ def decode_any(dec: CDRDecoder, depth: int) -> "_cdr.Any":
         # encapsulation) are unbounded in number and stay on this path.
         if buf[pos:dec._pos] == (plan.tc_wire or _tc_wire(plan)):
             _TC_INDEX[plan.tc_wire] = plan
-    inner_tc = plan.tc
-    if not plan.dynamic and depth + 1 + plan.static_depth <= _MAX_NESTING:
-        return _cdr.Any(inner_tc, plan.decode(dec))
-    return _cdr.Any(
-        inner_tc, _cdr.decode_value_interp(dec, inner_tc, depth + 1)
-    )
+    return _cdr.Any(plan.tc, plan.at(depth + 1).decode(dec))
 
 
 # -- plan cache ---------------------------------------------------------------
 
+#: Plans held at once, the variants of every root depth but 0 included.
 _CACHE_MAX = 4096
-#: The one codec cache, keyed by structural equality so equal TypeCode
-#: instances (a fresh one arrives with every ``any`` whose TypeCode
-#: misses the wire index) share a plan.  ``TypeCode.__hash__`` is
-#: memoized and dict lookup short-circuits on identity, so a
+#: The one codec cache of depth-0 plans, keyed by structural equality so
+#: equal TypeCode instances (a fresh one arrives with every ``any`` whose
+#: TypeCode misses the wire index) share a plan.  ``TypeCode.__hash__``
+#: is memoized and dict lookup short-circuits on identity, so a
 #: same-object hit costs no deep comparison.
 _CACHE: dict[TypeCode, CodecPlan] = {}
+#: Every plan rooted deeper than 0, each held in its TypeCode's shared
+#: ``CodecPlan._at`` map; ``len(_CACHE) + len(_VARIANTS) <= _CACHE_MAX``.
+_VARIANTS: list[CodecPlan] = []
 #: A second key into the same cache, not a cache of its own: canonical
 #: TypeCode wire -> the plan in ``_CACHE`` whose ``tc_wire`` it is, so
 #: ``len(_TC_INDEX) <= len(_CACHE)``; the two are always dropped together.
 _TC_INDEX: dict[bytes, CodecPlan] = {}
 
 
-def _interp_codec(tc: TypeCode):
-    def encode(enc: CDREncoder, value) -> None:
-        _cdr.encode_value_interp(enc, tc, value)
-
-    def decode(dec: CDRDecoder):
-        return _cdr.decode_value_interp(dec, tc)
-
-    return encode, decode
+def _make_room() -> None:
+    if len(_CACHE) + len(_VARIANTS) >= _CACHE_MAX:
+        clear_cache()
 
 
 def get_plan(tc: TypeCode) -> CodecPlan:
-    """Return the cached codec plan for *tc*, generating on first use."""
+    """Return the cached depth-0 codec plan for *tc*, generating on
+    first use."""
     plan = _CACHE.get(tc)
     if plan is not None:
         codegen.stats["cache_hits"] += 1
         return plan
     codegen.stats["cache_misses"] += 1
-    pair, tier = codegen.generate(tc), "codegen"
-    if pair is None:
-        # Declined (or failed) generation: the reference interpreter is
-        # always correct and enforces the nesting limit as it recurses.
-        pair, tier = _interp_codec(tc), "interpreter"
-    plan = CodecPlan(tc, *pair, _static_depth(tc), _contains_any(tc), tier)
-    if len(_CACHE) >= _CACHE_MAX:
-        clear_cache()
-    _CACHE[tc] = plan
+    _make_room()
+    plan = _CACHE[tc] = CodecPlan(tc, 0)
     return plan
+
+
+def _variant(plan: CodecPlan, depth: int) -> CodecPlan:
+    """Generate *plan*'s TypeCode rooted at *depth*, held beside it."""
+    if depth == 0:
+        return get_plan(plan.tc)
+    _make_room()
+    variant = CodecPlan(plan.tc, depth)
+    variant._at = plan._at
+    plan._at[depth] = variant
+    _VARIANTS.append(variant)
+    return variant
 
 
 def clear_cache() -> None:
     """Drop all cached plans (tests / memory pressure)."""
     _CACHE.clear()
     _TC_INDEX.clear()
+    for variant in _VARIANTS:
+        variant._at.clear()
+    _VARIANTS.clear()
 
 
 def cache_size() -> int:
-    return len(_CACHE)
+    """Plans held, every root depth counted."""
+    return len(_CACHE) + len(_VARIANTS)
 
 
 # -- per-operation codecs -----------------------------------------------------
@@ -547,5 +505,5 @@ class OperationCodec:
 
 
 # Imported last: codegen builds on the leaf model above at import time,
-# while this module only reaches into codegen from inside get_plan.
+# while this module only reaches into codegen when a plan is built.
 from repro.orb import codegen  # noqa: E402

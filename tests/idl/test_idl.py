@@ -264,6 +264,14 @@ class TestCodegen:
         ("interface I { attribute long x; long _get_x(); };", "IDL002"),
         ("interface I { void _set_x(in long v); attribute long x; };",
          "IDL002"),
+        # identifiers spelled like a keyword but for case
+        ("interface Interface { void f(); };", "IDL003"),
+        ("struct Module { long x; };", "IDL003"),
+        ("struct S { long Struct; };", "IDL003"),
+        ("union U switch (long) { case 1: long Default; };", "IDL003"),
+        ("interface I { void f(in long Out); };", "IDL003"),
+        ("enum E { True, FALSE_ };", "IDL003"),
+        ("module object { struct S { long x; }; };", "IDL003"),
     ], ids=[
         "undefined-name", "duplicate-declaration", "exception-as-type",
         "non-interface-base", "string-discriminator", "ill-typed-label",
@@ -271,6 +279,10 @@ class TestCodegen:
         "attribute-named-like-operation", "struct-named-like-enum-label",
         "oneway-result", "duplicate-operation", "duplicate-member",
         "operation-named-like-getter", "operation-named-like-setter",
+        "interface-named-Interface", "struct-named-Module",
+        "member-named-Struct", "union-arm-named-Default",
+        "parameter-named-Out", "enum-label-named-True",
+        "module-named-object",
     ])
     def test_rejected_with_the_checkers_findings(self, source, code):
         diag = Diagnostics()
@@ -278,6 +290,16 @@ class TestCodegen:
         with pytest.raises(IdlSemanticError) as err:
             compile_idl(source)
         assert {f.code for f in err.value.findings} == diag.codes() == {code}
+
+    def test_keyword_lookalikes_that_do_not_collide_compile(self):
+        # a leading ``_`` never collides; a keyword inside a longer
+        # identifier is no keyword
+        source = ("interface _Interface { void f(in long _Out); };"
+                  "struct Structure { long interfaces; long _Struct; };")
+        diag = Diagnostics()
+        check_specification(parse(source), diag)
+        assert len(diag) == 0
+        compile_idl(source)
 
     def test_sequence_self_containment_refused_by_the_compiler(self):
         # legal IDL, so the checker is clean; the refusal is the

@@ -1,5 +1,7 @@
 """Test-only oracles: code the running system never calls.
 
+- :mod:`tests.oracles.cdr_interp` -- the reference CDR interpreter the
+  generated codecs are held to (``tests/property/test_bimodal_properties.py``);
 - :mod:`tests.oracles.fuzz` -- the seeded GIOP/CDR wire fuzz
   (``tests/orb/test_wire_fuzz.py``, ``make fuzz``);
 - :mod:`tests.oracles.unparse` -- the IDL pretty-printer behind the

@@ -225,10 +225,9 @@ def check_bounded(message, data: bytes) -> None:
 
 _FZ_POINT = struct_tc("FzPoint", [("x", tc_double), ("y", tc_double)])
 
-#: Representative TypeCodes for the codegen decode tier, with a valid
-#: sample value each.  Every one of these MUST be supported by
-#: :func:`repro.orb.codegen.generate` — ``codec_corpus`` asserts it, so
-#: the fuzz genuinely drives the generated decoders, not a fallback.
+#: Representative TypeCodes for the generated decoders, with a valid
+#: sample value each; ``codec_corpus`` fuzzes the decoder
+#: :func:`repro.orb.codegen.generate` builds for each.
 _CODEC_SAMPLES = [
     (struct_tc("FzSample", [
         ("id", tc_long),
@@ -293,14 +292,10 @@ _CODEC_SAMPLES = [
 
 
 def codec_corpus() -> list[tuple]:
-    """(decode_fn, valid encoded bytes) pairs for the codegen tier."""
+    """(decode_fn, valid encoded bytes) pairs for the generated decoders."""
     pairs = []
     for tc, value in _CODEC_SAMPLES:
-        generated = codegen.generate(tc)
-        if generated is None:  # pragma: no cover - corpus bug
-            raise AssertionError(
-                f"codec fuzz corpus entry {tc!r} is not codegen-supported"
-            )
+        generated = codegen.generate(tc, 0)
         enc = CDREncoder()
         encode_value(enc, tc, value)
         pairs.append((generated[1], enc.getvalue()))
@@ -311,7 +306,7 @@ def hostile_corpus() -> list[tuple]:
     """(decode_fn, wire) seeds that must be refused as they stand: an
     ``any`` whose TypeCode is a 2^28-element array of elements that
     occupy no wire bytes, so only the decoder's own bound stops the loop."""
-    dec_any = codegen.generate(tc_any)[1]
+    dec_any = codegen.generate(tc_any, 0)[1]
     pairs = []
     for content in (tc_void, struct_tc("FzEmpty", [])):
         enc = CDREncoder()

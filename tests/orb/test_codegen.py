@@ -2,17 +2,17 @@
 
 Property coverage (equivalence with the reference interpreter) lives
 in ``tests/property/test_bimodal_properties.py``; this file pins the
-plumbing: tier selection in ``get_plan``, the plan cache and stats,
-struct value polymorphism, union arms, and the batch-format cache in
-``compiled.make_batcher``.
+plumbing: ``get_plan`` and the generator's totality, the plan cache and
+stats, struct value polymorphism, union arms, and the batch-format
+cache in ``compiled.make_batcher``.
 """
 
 import pytest
 
 from repro.orb import codegen, compiled
-from repro.orb.cdr import CDRDecoder, CDREncoder, encode_value_interp
+from repro.orb.cdr import CDRDecoder, CDREncoder
 from repro.orb.compiled import get_plan, make_batcher
-from repro.orb.exceptions import BAD_PARAM
+from repro.orb.exceptions import BAD_PARAM, INTERNAL
 from repro.orb.typecodes import (
     enum_tc,
     sequence_tc,
@@ -24,6 +24,7 @@ from repro.orb.typecodes import (
     tc_string,
     union_tc,
 )
+from tests.oracles.cdr_interp import encode_value_interp
 
 SUPPORTED_TC = struct_tc("CgSample", [
     ("id", tc_long),
@@ -45,11 +46,11 @@ def _fresh_codegen():
     assert codegen.stats["errors"] == 0
 
 
-# -- tier selection -----------------------------------------------------------
+# -- one tier -----------------------------------------------------------------
 
 def test_get_plan_selects_codegen_tier_for_supported_typecode():
     plan = get_plan(SUPPORTED_TC)
-    assert plan.tier == "codegen"
+    assert plan.depth == 0
     assert plan.encode.__codegen_source__
     assert plan.decode.__codegen_source__
 
@@ -62,18 +63,16 @@ def test_get_plan_selects_codegen_tier_for_supported_typecode():
     sequence_tc(tc_any),
 ], ids=["any", "objref", "struct_any", "struct_objref", "seq_any"])
 def test_get_plan_keeps_value_dependent_shapes_on_plan_tier(tc):
-    # The test id predates generated call-outs: the "plan" these
-    # shapes stay on is now a codegen-tier CodecPlan, call-out and the
-    # struct/sequence around it alike.
-    assert codegen.generate(tc) is not None
-    assert get_plan(tc).tier == "codegen"
+    # The test id predates the one tier: these shapes get generated
+    # source, call-out and the struct/sequence around it alike.
+    enc_fn, dec_fn = codegen.generate(tc, 0)
+    assert enc_fn.__codegen_source__ and dec_fn.__codegen_source__
 
 
 def test_python_keyword_member_names_still_generate():
     # ``from`` and ``pass`` are legal IDL identifiers.
     tc = struct_tc("Kw", [("from", tc_long), ("pass", tc_string)])
     plan = get_plan(tc)
-    assert plan.tier == "codegen"
     value = {"from": 1, "pass": "p"}
     enc = CDREncoder()
     plan.encode(enc, value)
@@ -85,7 +84,6 @@ def test_python_keyword_member_names_still_generate():
 def test_generate_counts_and_caches():
     assert compiled.cache_size() == 0
     first = get_plan(SUPPORTED_TC)
-    assert first.tier == "codegen"
     assert codegen.stats["generated"] == 1
     assert codegen.stats["cache_misses"] == 1
 
@@ -96,41 +94,55 @@ def test_generate_counts_and_caches():
     assert compiled.cache_size() == 1
 
 
-def test_unsupported_typecode_caches_its_decline():
+def _outcome(encode, value):
+    """("ok", bytes) or ("err", message) of one BAD_PARAM."""
+    enc = CDREncoder()
+    try:
+        encode(enc, value)
+    except BAD_PARAM as exc:
+        return "err", str(exc)
+    return "ok", enc.getvalue()
+
+
+def test_over_deep_typecode_raises_where_the_oracle_raises():
     over_deep = tc_long
     for _ in range(70):
         over_deep = sequence_tc(over_deep)
-    assert codegen.generate(over_deep) is None
-    assert codegen.stats["declined"] == 1
-    codegen.reset_stats()
-    assert get_plan(over_deep).tier == "interpreter"
-    assert codegen.stats["declined"] == 1
-    # The plan cache holds the decline too: asking again is a hit, not
-    # a second supportability walk.
-    assert get_plan(over_deep).tier == "interpreter"
-    assert codegen.stats["declined"] == 1
-    assert codegen.stats["cache_hits"] == 1
+    plan = get_plan(over_deep)
+
+    def oracle(enc, value):
+        encode_value_interp(enc, over_deep, value)
+
+    # A shallow value of an over-deep type is legal CDR.
+    for value in ([], [[]], [[[]], []]):
+        ok = _outcome(plan.encode, value)
+        assert ok == _outcome(oracle, value) and ok[0] == "ok"
+        assert plan.decode(CDRDecoder(ok[1])) == value
+    deep = 1
+    for _ in range(70):
+        deep = [deep]
+    err = _outcome(plan.encode, deep)
+    assert err == _outcome(oracle, deep)
+    assert err[0] == "err" and err[1].endswith("value nesting too deep")
+    # The nesting check is generated source, at the node past the limit.
+    assert "value nesting too deep" in "".join(
+        p.encode.__codegen_source__ for p in compiled._VARIANTS)
+    assert codegen.stats["errors"] == 0
 
 
-def test_generation_bug_is_booked_as_error_not_decline(monkeypatch):
-    def boom(tc):
+def test_generation_bug_raises_internal(monkeypatch):
+    def boom(tc, depth):
         raise RuntimeError("emitter bug")
     monkeypatch.setattr(codegen, "_generate", boom)
-    assert codegen.generate(SUPPORTED_TC) is None
+    with pytest.raises(INTERNAL, match="emitter bug"):
+        get_plan(SUPPORTED_TC)
     assert codegen.stats["errors"] == 1
-    assert codegen.stats["declined"] == 0
-    # Marshalling survives on the interpreter.
-    plan = get_plan(SUPPORTED_TC)
-    assert plan.tier == "interpreter"
-    enc = CDREncoder()
-    plan.encode(enc, SUPPORTED_VALUE)
-    assert plan.decode(CDRDecoder(enc.getvalue())) == SUPPORTED_VALUE
-    compiled.clear_cache()
+    assert compiled.cache_size() == 0
     codegen.reset_stats()  # the fixture demands errors == 0 on exit
 
 
 def test_stats_snapshot_reports_runtime_call_counts():
-    enc_fn, dec_fn = codegen.generate(SUPPORTED_TC)
+    enc_fn, dec_fn = codegen.generate(SUPPORTED_TC, 0)
     enc = CDREncoder()
     enc_fn(enc, SUPPORTED_VALUE)
     dec_fn(CDRDecoder(enc.getvalue()))
@@ -158,7 +170,7 @@ class _SampleObj:
 def test_struct_encode_accepts_attribute_objects():
     # Servant results are often plain objects, not dicts; the generated
     # encoder must read members either way and emit identical bytes.
-    enc_fn, dec_fn = codegen.generate(SUPPORTED_TC)
+    enc_fn, dec_fn = codegen.generate(SUPPORTED_TC, 0)
     by_dict, by_attr = CDREncoder(), CDREncoder()
     enc_fn(by_dict, SUPPORTED_VALUE)
     enc_fn(by_attr, _SampleObj())
@@ -181,7 +193,7 @@ UNION_NO_DEFAULT_TC = union_tc("CgStrict", tc_long, [
 @pytest.mark.parametrize("value", [(1, -7), (2, "hi"), (99, "green")],
                          ids=["arm1", "arm2", "default_arm"])
 def test_union_roundtrip_matches_interpreter(value):
-    enc_fn, dec_fn = codegen.generate(UNION_TC)
+    enc_fn, dec_fn = codegen.generate(UNION_TC, 0)
     ref = CDREncoder()
     encode_value_interp(ref, UNION_TC, value)
     enc = CDREncoder()
@@ -191,13 +203,13 @@ def test_union_roundtrip_matches_interpreter(value):
 
 
 def test_union_without_default_rejects_unknown_discriminator():
-    enc_fn, _dec_fn = codegen.generate(UNION_NO_DEFAULT_TC)
+    enc_fn, _dec_fn = codegen.generate(UNION_NO_DEFAULT_TC, 0)
     with pytest.raises(BAD_PARAM):
         enc_fn(CDREncoder(), (42, "nope"))
 
 
 def test_union_value_must_be_pair():
-    enc_fn, _dec_fn = codegen.generate(UNION_TC)
+    enc_fn, _dec_fn = codegen.generate(UNION_TC, 0)
     with pytest.raises(BAD_PARAM):
         enc_fn(CDREncoder(), "not-a-pair")
 

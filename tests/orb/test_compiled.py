@@ -19,11 +19,9 @@ from repro.orb.cdr import (
     CDREncoder,
     decode_typecode,
     decode_value,
-    decode_value_interp,
     encode_one,
     encode_typecode,
     encode_value,
-    encode_value_interp,
 )
 from repro.orb.compiled import CodecPlan, get_plan
 from repro.orb.core import InterfaceDef, ORB, Servant, op
@@ -50,6 +48,12 @@ from repro.orb.typecodes import (
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.topology import star
+from tests.oracles.cdr_interp import (
+    decode_value_interp,
+    encode_value_interp,
+    read_fixed,
+    write_fixed,
+)
 
 POINT = struct_tc("Point", [("x", tc_double), ("y", tc_double)])
 MIXED = struct_tc("Mixed", [
@@ -73,8 +77,8 @@ def both_encodings(tc, value, prefix=0):
     e_ref = CDREncoder()
     e_fast = CDREncoder()
     for i in range(prefix):
-        e_ref.write_octet(i)
-        e_fast.write_octet(i)
+        write_fixed(e_ref, TCKind.OCTET, i)
+        write_fixed(e_fast, TCKind.OCTET, i)
     encode_value_interp(e_ref, tc, value)
     get_plan(tc).encode(e_fast, value)
     return e_ref.getvalue(), e_fast.getvalue()
@@ -105,8 +109,8 @@ class TestPlanEquivalence:
             d_ref = CDRDecoder(ref)
             d_fast = CDRDecoder(fast)
             for _ in range(prefix):
-                d_ref.read_octet()
-                d_fast.read_octet()
+                read_fixed(d_ref, TCKind.OCTET)
+                read_fixed(d_fast, TCKind.OCTET)
             v_ref = decode_value_interp(d_ref, tc)
             v_fast = get_plan(tc).decode(d_fast)
             assert v_ref == v_fast
@@ -125,10 +129,10 @@ class TestPlanEquivalence:
         inner_ref, inner_fast = both_encodings(POINT, {"x": 1.0, "y": 2.0})
         assert inner_ref == inner_fast
         outer = CDREncoder()
-        outer.write_octet(0xAB)          # misalign the outer stream
+        outer.write_boolean(True)        # misalign the outer stream
         outer.write_encapsulation(inner_fast)
         dec = CDRDecoder(outer.getvalue())
-        assert dec.read_octet() == 0xAB
+        assert dec.read_boolean()
         body = CDRDecoder(dec.read_encapsulation())
         assert get_plan(POINT).decode(body) == {"x": 1.0, "y": 2.0}
 
@@ -206,7 +210,7 @@ class TestPlanErrors:
                 with pytest.raises(MARSHAL):
                     decode(CDRDecoder(wire))
                 assert time.perf_counter() - start < 0.010
-        assert get_plan(hostile).tier == "codegen"
+        assert get_plan(hostile).encode.__codegen_source__
         assert codegen.stats["errors"] == 0
 
     def test_zero_width_array_covered_by_the_wire_round_trips(self):
@@ -271,15 +275,15 @@ class TestMaxNesting:
     def test_deep_sequence_type_with_empty_value_ok(self):
         """An over-deep TypeCode is fine while the value stays shallow:
         the interpreter only enforces depth as it recurses, and the
-        compiled plan must match."""
+        generated plan raises at the same node, no sooner."""
         tc = tc_long
         for _ in range(70):
             tc = sequence_tc(tc)
         ref, fast = both_encodings(tc, [])
         assert ref == fast == b"\x00\x00\x00\x00"
         plan = get_plan(tc)
-        assert plan.tier == "interpreter"
         assert plan.decode(CDRDecoder(fast)) == []
+        assert codegen.stats["errors"] == 0
 
     def test_deep_sequence_value_rejected_by_both_paths(self):
         tc = tc_long
@@ -311,13 +315,13 @@ class TestEncoderPooling:
 
     def test_reset_clears(self):
         enc = CDREncoder()
-        enc.write_double(1.0)
+        enc.write_long(1)
         enc.reset()
         assert len(enc) == 0
 
     def test_align_pads_with_zero_bytes(self):
         enc = CDREncoder()
-        enc.write_octet(1)
+        enc.write_boolean(True)
         enc.align(8)
         assert enc.getvalue() == b"\x01" + b"\x00" * 7
         enc.align(8)  # already aligned: no-op
@@ -326,7 +330,7 @@ class TestEncoderPooling:
     def test_pack_error_paths(self):
         enc = CDREncoder()
         with pytest.raises(BAD_PARAM):
-            enc.write_float("not-a-number")
+            enc.write_long("not-a-number")
         with pytest.raises(BAD_PARAM):
             enc.write_ulong(-1)
 
@@ -416,8 +420,10 @@ class TestPlanCache:
     def test_get_plan_returns_codec_plan(self):
         plan = get_plan(POINT)
         assert isinstance(plan, CodecPlan)
-        assert plan.tier == "codegen"
-        assert (plan.static_depth, plan.dynamic) == (1, False)
+        assert (plan.tc, plan.depth) == (POINT, 0)
+        assert plan.at(0) is plan
+        assert plan.at(3) is plan.at(3) is not plan
+        assert plan.at(3).depth == 3 and plan.at(3).at(0) is plan
 
     def test_top_level_api_uses_plans(self):
         codegen.reset_stats()
@@ -447,7 +453,8 @@ class TestPlanCache:
         compiled.clear_cache()
         for wire in wires:           # first touch: generate + cache
             decode_value(CDRDecoder(wire), tc_any)
-        assert compiled.cache_size() == len(payloads) + 1   # + tc_any
+        # tc_any, and each payload's plans rooted at depths 0 and 1
+        assert compiled.cache_size() == 2 * len(payloads) + 1
         assert len(compiled._TC_INDEX) == len(payloads)
         before = live_typecodes()
         codegen.reset_stats()
@@ -455,7 +462,7 @@ class TestPlanCache:
             got = decode_value(CDRDecoder(wires[i % 3]), tc_any)
             assert got.typecode is not payloads[i % 3][0]
         del got
-        assert compiled.cache_size() == len(payloads) + 1
+        assert compiled.cache_size() == 2 * len(payloads) + 1
         assert len(compiled._TC_INDEX) == len(payloads)
         assert live_typecodes() == before
         snap = codegen.stats_snapshot()
@@ -517,6 +524,6 @@ class TestPlanCache:
             got = decode_value(CDRDecoder(boxed_point(wire)), tc_any)
             assert got == Any(POINT, {"x": 1.0, "y": 2.0})
             assert list(compiled._TC_INDEX) == [canonical]
-        assert compiled.cache_size() == 2    # POINT + tc_any
+        assert compiled.cache_size() == 3    # tc_any, POINT at depths 0, 1
         assert codegen.stats["any_tc_hits"] == 0
         assert codegen.stats["any_tc_misses"] == 2_001

@@ -17,10 +17,8 @@ from repro.orb.cdr import (
     CDREncoder,
     decode_typecode,
     decode_value,
-    decode_value_interp,
     encode_typecode,
     encode_value,
-    encode_value_interp,
 )
 from repro.orb.compiled import get_plan
 from repro.orb.ior import IOR
@@ -47,6 +45,12 @@ from repro.orb.typecodes import (
     tc_ulonglong,
     tc_ushort,
     union_tc,
+)
+from tests.oracles.cdr_interp import (
+    decode_value_interp,
+    encode_value_interp,
+    read_fixed,
+    write_fixed,
 )
 
 # -- strategies ---------------------------------------------------------------
@@ -259,16 +263,16 @@ def test_compiled_matches_interpreter(pair, prefix):
     plan = get_plan(tc)
     e_ref, e_fast = CDREncoder(), CDREncoder()
     for i in range(prefix):
-        e_ref.write_octet(i)
-        e_fast.write_octet(i)
+        write_fixed(e_ref, TCKind.OCTET, i)
+        write_fixed(e_fast, TCKind.OCTET, i)
     encode_value_interp(e_ref, tc, value)
     plan.encode(e_fast, value)
     ref, fast = e_ref.getvalue(), e_fast.getvalue()
     assert ref == fast
     d_ref, d_fast = CDRDecoder(ref), CDRDecoder(fast)
     for _ in range(prefix):
-        d_ref.read_octet()
-        d_fast.read_octet()
+        read_fixed(d_ref, TCKind.OCTET)
+        read_fixed(d_fast, TCKind.OCTET)
     v_ref = decode_value_interp(d_ref, tc)
     v_fast = plan.decode(d_fast)
     assert v_ref == v_fast == value

@@ -22,8 +22,11 @@ _KEYWORDS = {
     "boolean", "char", "octet", "any", "Object", "TRUE", "FALSE",
 }
 
+#: ... nor be spelled like one but for case (IDL003)
+_KEYWORDS_CI = {kw.lower() for kw in _KEYWORDS}
+
 _idents = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
-    lambda s: s not in _KEYWORDS)
+    lambda s: s.lower() not in _KEYWORDS_CI)
 
 _primitive_names = st.sampled_from([
     "short", "long", "unsigned short", "unsigned long", "long long",
