@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.orb.exceptions import SystemException
+from repro.sim.hostloop import host_loops
 from repro.xmlmeta.descriptors import QoSSpec
 
 MID = "mid"
@@ -220,23 +221,21 @@ class MembershipConvergenceMonitor(InvariantMonitor):
 
 
 class ControlLoopsAliveMonitor(InvariantMonitor):
-    """Every host-bound loop runs exactly when its host is up: the
-    supervisor, every owner's gossip loop and every reporter are
-    neither dead on a live host (never none) nor still running on a
-    crashed one (never two after its restart); the chaos clients must
-    not have died of an unhandled error."""
+    """Every host-bound loop runs exactly when its host is up: each
+    :class:`~repro.sim.hostloop.HostLoop` on a world host (the
+    supervisor, every owner's gossip loop and every reporter, and any
+    loop added later) is neither dead on a live host (never none) nor
+    still running on a crashed one (never two after its restart); the
+    chaos clients must not have died of an unhandled error."""
 
     name = "loops.alive"
     strict_mid = True
 
     def probe(self, world, phase: str):
-        fed = world.federation
-        services = [("supervisor", world.supervisor)]
-        services += [(f"agent:{h}", a) for h, a in fed.agents.items()]
-        services += [(f"reporter:{h}", r)
-                     for h, r in fed.reporters.items()]
-        dead = [label for label, service in services
-                if service.loop.alive != service.loop.host.alive]
+        dead = [f"{loop.body.__qualname__}@{host.host_id}"
+                for host in world.topology.hosts()
+                for loop in host_loops(host)
+                if loop.alive != host.alive]
         if not world.client_stop:
             for host, proc in zip(world.client_hosts,
                                   world.client_procs):

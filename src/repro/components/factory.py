@@ -93,8 +93,3 @@ class ComponentFactoryServant(Servant):
         """Drop an id without destroying (instance migrated away)."""
         if instance_id in self._ids:
             self._ids.remove(instance_id)
-
-    def adopt(self, instance_id: str) -> None:
-        """Track an id created elsewhere (instance migrated in)."""
-        if instance_id not in self._ids:
-            self._ids.append(instance_id)

@@ -56,15 +56,6 @@ class ReplicaGroup:
         return [m for m in self.members
                 if topology.host(m.host).alive]
 
-    def select(self, topology) -> ReplicaMember:
-        """First live member (failover order)."""
-        alive = self.alive_members(topology)
-        if not alive:
-            raise ReplicationError(
-                f"no live replicas of {self.component}"
-            )
-        return alive[0]
-
     @property
     def primary(self) -> ReplicaMember:
         if not self.members:

@@ -15,8 +15,6 @@ load of either the nodes or the network."
 - :mod:`repro.deployment.bootstrap` — applications as bootstrap
   components: an installable package whose one instance deploys its
   assembly through a :class:`Deployer` holding only its own node.
-- :mod:`repro.deployment.loadbalancer` — the run-time scheduling loop
-  that migrates instances off overloaded hosts.
 - :mod:`repro.deployment.supervisor` — the self-healing loop that
   re-incarnates instances stranded by host crashes, promotes replica
   primaries under fencing epochs, and sweeps teardown orphans.
@@ -30,7 +28,6 @@ from repro.deployment.planner import (
     StaticPlanner,
 )
 from repro.deployment.application import Application, Deployer, DeploymentError
-from repro.deployment.loadbalancer import LoadBalancer
 from repro.deployment.supervisor import (
     ApplicationSupervisor,
     RecoveryRecord,
@@ -46,6 +43,5 @@ __all__ = [
     "ApplicationSupervisor",
     "Deployer",
     "DeploymentError",
-    "LoadBalancer",
     "RecoveryRecord",
 ]

@@ -47,6 +47,3 @@ class EventBroker:
         before wiring events (assembly order guarantees this).
         """
         return IOR(EVENT_CHANNEL_IFACE.repo_id, host_id, EVENTS_ADAPTER, kind)
-
-    def kinds(self) -> list[str]:
-        return sorted(self._channels)

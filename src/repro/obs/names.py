@@ -5,10 +5,10 @@ exactly (:data:`METRIC_NAMES`, :data:`SPAN_NAMES`) or as a family
 pattern with ``*`` standing for a dynamic segment
 (:data:`METRIC_PATTERNS`, e.g. ``chaos.action.*``).  The simlint
 SIM030/SIM031 rules hold every emit-site string literal to this
-registry at analysis time, and :func:`undeclared_metrics` /
-:func:`undeclared_spans` let tests assert the same containment on a
-*live* run — together they make name drift (a typo'd counter silently
-splitting a series) a lint error instead of a dashboard mystery.
+registry at analysis time, and ``tests/obs/test_name_registry.py``
+asserts the same containment on a *live* run — together they make name
+drift (a typo'd counter silently splitting a series) a lint error
+instead of a dashboard mystery.
 
 High-traffic emit sites import their names from here rather than
 repeating the literal; single definition points cannot drift.  The
@@ -78,9 +78,7 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "volunteer.requeues",
     # analysis gate
     "analysis.rejected",
-    # load balancing / migration
-    "balance.failures",
-    "balance.migrations",
+    # migration
     "migration.completed",
     "migration.package_bytes",
     "migration.rollbacks",
@@ -224,24 +222,3 @@ def span_declared(name: str) -> bool:
         return name in SPAN_PATTERNS
     return name in SPAN_NAMES or any(
         fnmatchcase(name, pattern) for pattern in SPAN_PATTERNS)
-
-
-def undeclared_metrics(registry) -> set[str]:
-    """Names a live :class:`~repro.sim.stats.MetricRegistry` holds
-    that are not declared here — for runtime-containment tests."""
-    emitted: set[str] = set()
-    emitted.update(registry._counters)
-    emitted.update(registry._gauges)
-    emitted.update(registry._histograms)
-    emitted.update(registry._labelled)
-    return {name for name in emitted if not metric_declared(name)}
-
-
-def undeclared_spans(tracer) -> set[str]:
-    """Span names a live tracer recorded that are not declared here."""
-    out: set[str] = set()
-    for trace in tracer.traces().values():
-        for span in trace:
-            if not span_declared(span.name):
-                out.add(span.name)
-    return out

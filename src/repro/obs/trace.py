@@ -152,22 +152,6 @@ class Tracer:
             out.setdefault(span.trace_id, []).append(span)
         return out
 
-    def trace_is_connected(self, trace_id: int) -> bool:
-        """True when every non-root span's parent is in the same trace.
-        Scans every span: to check many traces, group once with
-        :meth:`traces` and ask :func:`spans_connected` per group."""
-        return spans_connected(
-            [s for s in self.spans if s.trace_id == trace_id])
-
-
-def spans_connected(spans: list[Span]) -> bool:
-    """True when *spans* (one trace) is non-empty and every non-root
-    span's parent is among them."""
-    ids = {s.span_id for s in spans}
-    return bool(spans) and all(
-        s.parent_id is None or s.parent_id in ids for s in spans
-    )
-
 
 class ContextStore:
     """Trace context bound to simulation processes.

@@ -123,9 +123,6 @@ class CDRDecoder:
     def remaining(self) -> int:
         return len(self._buf) - self._pos
 
-    def at_end(self) -> bool:
-        return self._pos >= len(self._buf)
-
     def align(self, n: int) -> None:
         self._pos += (-self._pos) % n
 
@@ -366,20 +363,6 @@ def decode_typecode(dec: CDRDecoder, _depth: int = 0) -> TypeCode:
         return TypeCode(kind, name=name, repo_id=repo_id, members=members,
                         discriminator_type=disc, default_index=default_index)
     raise BAD_PARAM(f"cannot unmarshal TypeCode kind {kind}")  # pragma: no cover
-
-
-# -- convenience ---------------------------------------------------------------
-
-def encode_one(tc: TypeCode, value) -> bytes:
-    """Encode a single value to bytes."""
-    enc = CDREncoder()
-    encode_value(enc, tc, value)
-    return enc.getvalue()
-
-
-def decode_one(tc: TypeCode, data: bytes):
-    """Decode a single value from bytes."""
-    return decode_value(CDRDecoder(data), tc)
 
 
 # Imported last: the plans build on the stream classes above, while this

@@ -150,11 +150,6 @@ class InterfaceDef:
                 cache.setdefault(name, odef)
         return cache
 
-    def is_a(self, repo_id: str) -> bool:
-        if self.repo_id == repo_id:
-            return True
-        return any(base.is_a(repo_id) for base in self.bases)
-
     def __repr__(self) -> str:
         return f"<InterfaceDef {self.name} ({self.repo_id})>"
 

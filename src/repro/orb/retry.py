@@ -402,14 +402,3 @@ def invoke_with_retry(orb: ORB, ior: IOR, odef: OperationDef,
             if span is not None and not span.finished:
                 span.attrs["attempts"] = attempts_made
                 hub.tracer.end_span(span, status="ok")
-
-
-def call_with_retry(orb: ORB, ior: IOR, odef: OperationDef,
-                    args: Sequence[Any],
-                    policy: Optional[RetryPolicy] = None,
-                    breaker: Optional[CircuitBreaker] = None,
-                    budget: Optional[RetryBudget] = None):
-    """Synchronous variant for test/driver code outside the simulation."""
-    return orb.sync(orb.env.process(
-        invoke_with_retry(orb, ior, odef, args, policy=policy,
-                          breaker=breaker, budget=budget)))

@@ -121,13 +121,6 @@ class TypeCode:
             return f"TC:{self.kind.name.lower()}<{self.content_type!r}>{suffix}"
         return f"TC:{self.kind.name.lower()}({self.name})"
 
-    def member_names(self) -> list[str]:
-        if self.kind in (TCKind.STRUCT, TCKind.EXCEPT):
-            return [n for n, _tc in self.members]
-        if self.kind is TCKind.UNION:
-            return [n for _lbl, n, _tc in self.members]
-        raise BAD_PARAM(f"{self!r} has no members")
-
 
 # -- canonical primitive instances -------------------------------------------
 tc_null = TypeCode(TCKind.NULL)

@@ -9,7 +9,6 @@ the package its realistic size on the wire.
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable
 
 import numpy as np
@@ -76,6 +75,3 @@ def synthetic_payload(size: int, seed: int = 0,
     return random_part + b"\x2a" * (size - n_random)
 
 
-def compressed_size(data: bytes) -> int:
-    """Deflate size of *data* — what a compressed archive member costs."""
-    return len(zlib.compress(data))

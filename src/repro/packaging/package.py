@@ -179,17 +179,6 @@ class ComponentPackage:
     def implementation_for(self, os: str, arch: str, orb: str):
         return self.software.implementation_for(os, arch, orb)
 
-    def supports_platform(self, os: str, arch: str, orb: str) -> bool:
-        return self.implementation_for(os, arch, orb) is not None
-
-    def binary_payload(self, os: str, arch: str, orb: str) -> bytes:
-        impl = self.implementation_for(os, arch, orb)
-        if impl is None:
-            raise PackageError(
-                f"no implementation for platform ({os}, {arch}, {orb})"
-            )
-        return self._members[impl.binary_path]
-
     # -- partial extraction (tiny devices) ----------------------------------------
     def extract_subset(self, os: str, arch: str,
                        orb: str) -> "ComponentPackage":

@@ -113,9 +113,6 @@ class CohesionAgent:
             hosts = sorted(set(hosts) | {self.node.host_id})
         return hosts
 
-    def alive_peers(self) -> list[str]:
-        return self.known_hosts(include_self=False)
-
     def is_peer_alive(self, host: str) -> bool:
         rec = self.peers.get(host)
         return rec is not None and rec.alive
@@ -136,20 +133,6 @@ class CohesionAgent:
 
     def _forget(self, host: str) -> None:
         self.peers.pop(host, None)
-
-    # -- lifecycle -----------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Graceful leave: tell every known peer we are going.
-
-        Leaving is for good: the loop stops and a later restart of the
-        host does not re-join.
-        """
-        leave_op = COHESION_IFACE.operations["leave"]
-        for host in self.known_hosts():
-            self.node.orb.invoke(cohesion_ior(host), leave_op,
-                                 (self.node.host_id,),
-                                 meter="cohesion")
-        self.loop.stop()
 
     # -- the protocol ------------------------------------------------------------------
     def _join_then_ping(self):

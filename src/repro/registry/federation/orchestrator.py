@@ -8,11 +8,10 @@ clusters), builds the shared :class:`ShardRing`, stands up a
 :class:`FederationReporter` (publishing its provider records to the
 ring's owners) and a :class:`FederatedResolver`.
 
-Membership changes are explicit: :meth:`remove_owner` /
-:meth:`add_owner` stage the change and :meth:`rebalance` applies it —
-reporters and resolvers see the new ownership instantly because all of
-them share the orchestrator's ring object, and anti-entropy gossip
-backfills the records a new owner is now responsible for.
+Membership changes are explicit: :meth:`remove_owner` stages the
+change on the ring and rebalances it — reporters and resolvers see the
+new ownership instantly because all of them share the orchestrator's
+ring object.
 """
 
 from __future__ import annotations
@@ -207,18 +206,6 @@ class FederatedRegistry:
             agent.retire()
             for other in self.agents.values():
                 other.membership.mark_dead(host, now)
-        return report
-
-    def add_owner(self, host: str) -> RebalanceReport:
-        """Promote *host* to shard owner and rebalance onto it."""
-        if host not in self.nodes:
-            raise ConfigurationError(f"unknown owner host {host!r}")
-        existing = sorted(self.agents)
-        self.ring.stage_add(host)
-        report = self.ring.rebalance()
-        self.agents[host] = ShardAgent(
-            self.nodes[host], self.ring, self.config,
-            seed_peers=existing[:max(1, self.config.seed_peer_count)])
         return report
 
     # -- liveness -----------------------------------------------------------

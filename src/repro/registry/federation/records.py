@@ -14,10 +14,13 @@ from at epoch T") never travels between owners: it is soft state held
 by the ring owners of ``host:<id>``, fed by that host's own publishes.
 
 Both carry a **report epoch** (the sim-time their source observed the
-fact) and merge by the epidemic rule the issue prescribes: highest
-epoch wins, ties broken by the reporting host id.  Merging is therefore
+fact) and merge by the epidemic rule: highest epoch wins, ties broken
+by the reporting host id, and two different reports of one host at one
+instant by their content — the tombstone (``retired``, ``alive=False``)
+first.  ``beats`` is therefore a total order, and merging is
 commutative, associative and idempotent — the order gossip frames
-arrive in cannot change the converged state.
+arrive in cannot change the converged state
+(``tests/property/test_record_merge_law.py``).
 """
 
 from __future__ import annotations
@@ -72,8 +75,16 @@ class ProviderRecord:
         return (self.repo_id, self.host)
 
     def beats(self, other: "ProviderRecord") -> bool:
-        """Epidemic merge order: highest epoch, host id breaks ties."""
-        return (self.epoch, self.host) > (other.epoch, other.host)
+        """Epidemic merge order: highest epoch, host id breaks ties,
+        then content, a tombstone first."""
+        if self.epoch != other.epoch or self.host != other.host:
+            return (self.epoch, self.host) > (other.epoch, other.host)
+        return self._content() > other._content()
+
+    def _content(self) -> tuple:
+        return (self.retired, self.running_ior, self.component,
+                self.version, self.mobility, self.free_cpu,
+                self.free_memory, self.is_tiny)
 
     def to_value(self) -> dict:
         return {
@@ -105,7 +116,8 @@ class HostBeacon:
     alive: bool
 
     def beats(self, other: "HostBeacon") -> bool:
-        return (self.epoch, self.host) > (other.epoch, other.host)
+        return (self.epoch, self.host, not self.alive) > (
+            other.epoch, other.host, not other.alive)
 
     def to_value(self) -> dict:
         return {"host": self.host, "epoch": self.epoch,
@@ -234,9 +246,12 @@ class MembershipTable:
         return out
 
     def mark_dead(self, host: str, now: float) -> None:
-        """Locally declare an owner down (spreads on the next round)."""
+        """Locally declare an owner down (spreads on the next round).
+        The dead beacon takes the epoch *now* even when the owner was
+        already down, so no alive beacon dated at or before the
+        declaration undoes it."""
         current = self._owners.get(host)
-        if current is not None and current.alive:
+        if current is not None and (current.alive or current.epoch < now):
             self._owners[host] = replace(current, epoch=now, alive=False)
         self._members.pop(host, None)
 

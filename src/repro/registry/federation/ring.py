@@ -153,9 +153,3 @@ class ShardRing:
     def primary(self, key: str) -> str:
         return self.owners(key, 1)[0]
 
-    def load_split(self, keys: list[str]) -> dict[str, int]:
-        """How many of *keys* each host primarily owns (diagnostics)."""
-        split: dict[str, int] = {host: 0 for host in self.hosts()}
-        for key in keys:
-            split[self.primary(key)] += 1
-        return split

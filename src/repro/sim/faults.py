@@ -60,8 +60,8 @@ class WireFaultModel:
     """Seeded message-level fault injection, consulted by the Network.
 
     Install with ``network.wire_faults = WireFaultModel(...)`` (or the
-    Network constructor argument); set a default profile for every link
-    and/or per-link overrides.  Faults compose along a route: a message
+    Network constructor argument) and set the profile every link
+    applies.  Faults compose along a route: a message
     crossing two lossy links rolls the dice on each.  All randomness
     comes from one named RNG stream, so a given seed produces the same
     fault pattern on every run.
@@ -74,20 +74,10 @@ class WireFaultModel:
         self.rng = rngs.stream(self.STREAM)
         self.metrics = metrics
         self.default = default
-        self._links: dict[frozenset, WireFaultProfile] = {}
 
     # -- configuration -----------------------------------------------------
     def set_default(self, profile: Optional[WireFaultProfile]) -> None:
         self.default = profile
-
-    def set_link(self, a: str, b: str, profile: WireFaultProfile) -> None:
-        self._links[frozenset((a, b))] = profile
-
-    def clear_link(self, a: str, b: str) -> None:
-        self._links.pop(frozenset((a, b)), None)
-
-    def profile_for(self, link) -> Optional[WireFaultProfile]:
-        return self._links.get(frozenset((link.a, link.b)), self.default)
 
     # -- application -------------------------------------------------------
     def apply(self, payload, links) -> list[tuple[object, float]]:
@@ -98,12 +88,12 @@ class WireFaultModel:
         (wire faults damage messages; outright loss stays the business
         of the links' ``loss`` probability).
         """
+        profile = self.default
+        if profile is None or not profile.active:
+            return [(payload, 0.0)]
         extra_delay = 0.0
         duplicated = False
-        for link in links:
-            profile = self.profile_for(link)
-            if profile is None or not profile.active:
-                continue
+        for _ in links:
             if profile.corrupt and self.rng.random() < profile.corrupt:
                 mutated = self._flip_bits(payload, profile.max_flips)
                 if mutated is not None:
@@ -191,12 +181,6 @@ class FaultInjector:
     def restart_at(self, time: float, host_id: str) -> None:
         self._at(time, lambda: self.restart_host(host_id))
 
-    def cut_link_at(self, time: float, a: str, b: str) -> None:
-        self._at(time, lambda: self.cut_link(a, b))
-
-    def heal_link_at(self, time: float, a: str, b: str) -> None:
-        self._at(time, lambda: self.heal_link(a, b))
-
     # -- churn scenarios -------------------------------------------------
     def outage_at(self, time: float, host_id: str,
                   duration: float) -> None:
@@ -209,21 +193,6 @@ class FaultInjector:
         """Schedule a whole churn script of (host, time, duration)."""
         for host_id, time, duration in plan:
             self.outage_at(time, host_id, duration)
-
-    def partition_at(self, time: float, group_a: Iterable[str],
-                     group_b: Iterable[str],
-                     duration: Optional[float] = None) -> None:
-        """Partition the two groups at *time*; heal after *duration*.
-
-        The links actually cut are determined at fire time (a link
-        already down stays out of the heal set), so a partition composes
-        with other scheduled faults.
-        """
-        set_a, set_b = list(group_a), list(group_b)
-        cuts: list[tuple[str, str]] = []
-        self._at(time, lambda: cuts.extend(self.partition(set_a, set_b)))
-        if duration is not None:
-            self._at(time + duration, lambda: self.heal_partition(cuts))
 
     def _at(self, time: float, action) -> None:
         delay = time - self.env.now

@@ -105,3 +105,10 @@ class HostLoop:
         if self.on_restart is not None:
             self.on_restart()
         self._proc = self._start(self.body())
+
+
+def host_loops(host: Host) -> list[HostLoop]:
+    """The loops bound to *host*, found through the crash hook each one
+    holds there; a stopped loop has unhooked and is not among them."""
+    return [hook.__self__ for hook in host.on_crash
+            if isinstance(getattr(hook, "__self__", None), HostLoop)]

@@ -79,9 +79,6 @@ class NetworkInterface:
             )
         self._handlers[port] = handler
 
-    def unbind(self, port: str) -> None:
-        self._handlers.pop(port, None)
-
     def send(self, dst: str, port: str, payload: Any, size: int) -> Message:
         """Fire-and-forget send; returns the Message (possibly dropped)."""
         return self.network.send(self.host_id, dst, port, payload, size)

@@ -54,6 +54,3 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """Derive a new registry (e.g. for a replica simulation run)."""
-        return RngRegistry(self._seed * 1_000_003 + int(salt))

@@ -187,9 +187,6 @@ class MetricRegistry:
         """Accumulate into a labelled counter family (e.g. bytes per link)."""
         self._labelled[name][label] = self._labelled[name].get(label, 0.0) + amount
 
-    def labelled(self, name: str) -> dict[str, float]:
-        return dict(self._labelled.get(name, {}))
-
     def labelled_family(self, name: str) -> dict[str, float]:
         """The live label->value dict for *name*, for hot-path callers
         that accumulate directly instead of going through

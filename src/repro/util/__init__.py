@@ -7,16 +7,13 @@ the bottom of the dependency graph.
 from repro.util.errors import (
     ReproError,
     ConfigurationError,
-    ProtocolError,
     ValidationError,
 )
-from repro.util.ids import IdGenerator, uid
+from repro.util.ids import IdGenerator
 
 __all__ = [
     "ReproError",
     "ConfigurationError",
-    "ProtocolError",
     "ValidationError",
     "IdGenerator",
-    "uid",
 ]

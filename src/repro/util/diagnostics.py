@@ -106,9 +106,6 @@ class Diagnostics:
     def codes(self) -> set[str]:
         return {f.code for f in self.findings}
 
-    def by_code(self, code: str) -> list[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     def sorted(self) -> list[Finding]:
         """Severity-descending, then by location/code — a stable report order."""
         return sorted(self.findings,

@@ -13,10 +13,5 @@ class ConfigurationError(ReproError):
     """A component/system was configured with inconsistent parameters."""
 
 
-class ProtocolError(ReproError):
-    """A distributed-protocol invariant was violated (bad message, bad
-    state transition, unexpected peer behaviour)."""
-
-
 class ValidationError(ReproError):
     """A descriptor, package, or document failed validation."""

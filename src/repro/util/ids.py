@@ -1,10 +1,7 @@
 """Deterministic identifier generation.
 
 Random UUIDs would break simulation reproducibility, so identifiers are
-drawn from per-prefix counters.  :func:`uid` uses a module-level
-generator, which is convenient for code that does not carry an explicit
-:class:`IdGenerator`; simulations that need full isolation create their
-own instance.
+drawn from per-prefix counters, one :class:`IdGenerator` per owner.
 """
 
 from __future__ import annotations
@@ -30,16 +27,3 @@ class IdGenerator:
     def reset(self) -> None:
         """Restart every counter at zero."""
         self._counters.clear()
-
-
-_GLOBAL = IdGenerator()
-
-
-def uid(prefix: str) -> str:
-    """Return an identifier from the process-wide generator.
-
-    Only use this for objects whose identity never crosses a determinism
-    boundary (e.g. log records); simulation entities should use the
-    engine's own :class:`IdGenerator`.
-    """
-    return _GLOBAL.next(prefix)

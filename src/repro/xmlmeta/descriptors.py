@@ -54,9 +54,6 @@ class Dependency:
     component: str
     versions: VersionRange = VersionRange("")
 
-    def satisfied_by(self, name: str, version: Version) -> bool:
-        return name == self.component and self.versions.matches(version)
-
 
 @dataclass(frozen=True)
 class ImplementationDescriptor:
@@ -237,11 +234,6 @@ class QoSSpec:
     memory_mb: float = 0.0
     bandwidth_bps: float = 0.0
 
-    def fits_within(self, other: "QoSSpec") -> bool:
-        """True if *other*'s capacities cover these requirements."""
-        return (self.cpu_units <= other.cpu_units
-                and self.memory_mb <= other.memory_mb
-                and self.bandwidth_bps <= other.bandwidth_bps)
 
 
 @dataclass

@@ -104,14 +104,6 @@ class VersionRange:
         bound, incl = hi
         return lo > bound or (lo == bound and not incl)
 
-    def intersect(self, other: "VersionRange") -> "VersionRange":
-        """The range satisfied by exactly the versions both accept."""
-        if not self.text:
-            return VersionRange(other.text)
-        if not other.text:
-            return VersionRange(self.text)
-        return VersionRange(f"{self.text}, {other.text}")
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VersionRange) and self.text == other.text
 

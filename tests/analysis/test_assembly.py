@@ -148,7 +148,7 @@ class TestWholeGraph:
 
     def test_unconnected_required_receptacle_warns(self):
         diag = run(GOOD_INSTANCES, [])
-        asm010 = diag.by_code("ASM010")
+        asm010 = [f for f in diag.findings if f.code == "ASM010"]
         assert len(asm010) == 1           # a.backend; c.peer is optional
         assert "backend" in asm010[0].message
         assert not diag.has_errors()

@@ -74,4 +74,5 @@ class TestDiagnostics:
         diag.error("A001", "g", "y")
         diag.warning("B001", "f", "z")
         assert diag.codes() == {"A001", "B001"}
-        assert len(diag.by_code("A001")) == 2
+        assert [f.location for f in diag.findings
+                if f.code == "A001"] == ["f", "g"]

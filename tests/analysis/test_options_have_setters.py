@@ -61,15 +61,7 @@ ALLOWED = {
     "repro.testing.counter_package:replication": "test rig; " + _TESTS,
     "repro.testing.counter_package:payload_size": "test rig; " + _TESTS,
     # -- knobs the tests turn
-    "repro.deployment.loadbalancer.LoadBalancer:threshold": _TESTS,
-    "repro.deployment.loadbalancer.LoadBalancer:interval": _TESTS,
     "repro.deployment.supervisor.ApplicationSupervisor:checkpoint": _TESTS,
-    "repro.orb.retry.call_with_retry:policy":
-        "mirrors invoke_with_retry's; " + _TESTS,
-    "repro.orb.retry.call_with_retry:breaker":
-        "mirrors invoke_with_retry's; " + _TESTS,
-    "repro.orb.retry.call_with_retry:budget":
-        "mirrors invoke_with_retry's; " + _TESTS,
     "repro.packaging.signature.VendorKeyRegistry:secret": _TESTS,
     "repro.registry.cohesion.deploy_cohesion:seeds": _TESTS,
     "repro.registry.federation.orchestrator.FederationConfig:member_timeout":
@@ -79,7 +71,6 @@ ALLOWED = {
     "repro.registry.groups.RegistryConfig:member_timeout": _TESTS,
     "repro.sim.faults.WireFaultProfile:max_flips": _TESTS,
     "repro.sim.faults.WireFaultProfile:reorder_delay": _TESTS,
-    "repro.sim.faults.FaultInjector.partition_at:duration": _TESTS,
     "repro.sim.network.Network:metrics": _TESTS,
     "repro.sim.network.Network:wire_faults": _TESTS,
     "repro.sim.stats.MetricRegistry.add_labelled:amount": _TESTS,
@@ -329,7 +320,6 @@ REMOVED = [
     ("repro.components.model.ComponentClass", "binaries", 2, False),
     ("repro.obs.Observability.span", "parent", 1, False),
     ("repro.orb.retry.invoke_with_retry", "meter", 5, False),
-    ("repro.packaging.binaries.compressed_size", "level", 1, False),
     ("repro.packaging.package.ComponentPackage.extract_subset", "compress",
      3, False),
     ("repro.registry.prediction.PredictiveReporter", "alpha", 4, False),
@@ -352,9 +342,6 @@ REMOVED = [
     ("repro.cscw.whiteboard.gui_part_package", "version", 0, False),
     ("repro.grid.worker.montecarlo_package", "version", 0, False),
     ("repro.grid.worker.montecarlo_package", "cpu_units", 1, False),
-    ("repro.testing.sum_worker_package", "version", 0, False),
-    ("repro.testing.sum_worker_package", "name", 1, False),
-    ("repro.testing.sum_worker_package", "cpu_units", 2, False),
     ("repro.deployment.bootstrap.application_package", "version", 1, False),
     ("repro.deployment.bootstrap.application_package", "vendor", 2, False),
     ("repro.deployment.bootstrap.application_package", "name", 3, False),
@@ -372,7 +359,7 @@ def test_a_removed_setting_re_added_would_fail_the_scan():
                                     qualname.rsplit(".", 1)[1], param,
                                     index, field), calls)
               and f"{qualname}:{param}" not in ALLOWED]
-    assert len(caught) == len(REMOVED) == 72
+    assert len(caught) == len(REMOVED) == 68
 
 
 def test_the_scan_sees_each_kind_of_setting():

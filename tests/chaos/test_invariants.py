@@ -18,6 +18,7 @@ from repro.chaos.invariants import (
     NoOrphanInstancesMonitor,
     SinglePrimaryMonitor,
 )
+from repro.sim.hostloop import HostLoop
 
 
 def probe(world, monitor, phase):
@@ -101,16 +102,34 @@ class TestMonitorsDetectBreakage:
         assert probe(world, monitor, MID)[0]
         # never none: a reporter's loop gone on a live host
         host, reporter = next(iter(world.federation.reporters.items()))
-        reporter.loop.stop()
+        reporter.loop._proc = None
         ok, detail = probe(world, monitor, MID)
-        assert not ok and f"reporter:{host}" in detail
+        assert not ok and f"PeriodicReporter._loop@{host}" in detail
         # never two: an owner's loop still running though its host is
         # down (the host "crashes" without its hooks being told)
         world = build_world(seed=308)
         host, agent = next(iter(world.federation.agents.items()))
         agent.loop.host.alive = False
         ok, detail = probe(world, monitor, MID)
-        assert not ok and f"agent:{host}" in detail
+        assert not ok and f"ShardAgent._gossip_loop@{host}" in detail
+
+    def test_every_host_loop_is_watched_without_being_named(self):
+        """The monitor finds its loops on the hosts: one added to a
+        world host is checked with no edit to the monitor, and one
+        stopped for good drops out."""
+        world = build_world(seed=308)
+        monitor = ControlLoopsAliveMonitor()
+        env = world.rig.env
+
+        def short_lived():
+            yield env.timeout(0.5)      # then ends, on a live host
+
+        loop = HostLoop(env, world.topology.host("c1h1"), short_lived)
+        world.rig.run(until=env.now + 1.0)
+        ok, detail = probe(world, monitor, MID)
+        assert not ok and "short_lived@c1h1" in detail
+        loop.stop()
+        assert probe(world, monitor, MID)[0]
 
     def test_answered_call_held_in_a_deadline_heap_flagged(self):
         world = build_world(seed=309)

@@ -21,12 +21,13 @@ from repro.components.reflection import (
     InstanceInfo,
     PortInfo,
 )
-from repro.orb.cdr import decode_one, encode_one
 from repro.orb.ior import IOR
 from repro.packaging.package import PackageError
 from repro.sim.topology import DESKTOP, PDA
 from repro.testing import COUNTER_IFACE, CounterExecutor, counter_package
 from repro.util.errors import ConfigurationError
+
+from tests.oracles.codec import decode_one, encode_one
 
 
 class TestExecutorLifecycle:

@@ -8,12 +8,9 @@ from repro.container.aggregation import (
 )
 from repro.container.migration import MigrationEngine, MigrationError
 from repro.container.replication import ReplicaManager, ReplicationError
-from repro.testing import (
-    COUNTER_IFACE,
-    counter_package,
-    star_rig,
-    sum_worker_package,
-)
+from repro.testing import COUNTER_IFACE, counter_package, star_rig
+
+from tests.oracles.sumworker import sum_worker_package
 
 
 @pytest.fixture
@@ -125,12 +122,12 @@ class TestReplication:
         hub = rig.node("hub")
         group = rig.run(until=ReplicaManager(hub).create_group(
             "Counter", ["hub", "h0"]))
-        assert group.select(rig.topology).host == "hub"
+        assert group.select_primary(rig.topology).host == "hub"
         rig.topology.set_host_state("hub", alive=False)
-        assert group.select(rig.topology).host == "h0"
+        assert group.select_primary(rig.topology).host == "h0"
         rig.topology.set_host_state("h0", alive=False)
         with pytest.raises(ReplicationError):
-            group.select(rig.topology)
+            group.select_primary(rig.topology)
 
     def test_coordinated_sync_pushes_state(self, rig):
         hub = rig.node("hub")

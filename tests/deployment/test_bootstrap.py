@@ -120,8 +120,8 @@ class TestBootstrapComponent:
         pkg = application_package(pair_assembly())
         assert pkg.name == "app-pair"
         # the assembly travels inside the binary payload
-        assert b"assembly" in pkg.binary_payload("linux", "x86",
-                                                 "corba-lc")
+        impl = pkg.implementation_for("linux", "x86", "corba-lc")
+        assert b"assembly" in pkg.member(impl.binary_path)
 
     def test_instance_creation_deploys_the_application(self, rig):
         hub = rig.node("hub")

@@ -1,10 +1,9 @@
-"""Tests for planners, the deployer, and the load balancer."""
+"""Tests for planners and the deployer."""
 
 import numpy as np
 import pytest
 
 from repro.deployment.application import DeploymentError, Deployer
-from repro.deployment.loadbalancer import LoadBalancer
 from repro.deployment.planner import (
     PlacementError,
     RandomPlanner,
@@ -14,7 +13,7 @@ from repro.deployment.planner import (
     load_imbalance,
 )
 from repro.node.resources import ResourceSnapshot
-from repro.sim.topology import DESKTOP, PDA, SERVER, star
+from repro.sim.topology import PDA, SERVER, star
 from repro.testing import (
     COUNTER_IFACE,
     POKE_KIND,
@@ -205,40 +204,3 @@ class TestDeployer:
         assert ior.repo_id == COUNTER_IFACE.repo_id
         with pytest.raises(DeploymentError):
             app.facet_ior("i0", "ghost-port")
-
-
-class TestLoadBalancer:
-    def test_migrates_off_hot_host(self):
-        r = SimRig(star(2, hub_profile=DESKTOP, leaf_profile=DESKTOP))
-        r.node("hub").install_package(counter_package(cpu_units=120.0))
-        # Static planner piles instances without regard to load
-        dep = Deployer(r.nodes, StaticPlanner(), coordinator_host="hub")
-        app = r.run(until=dep.deploy(assembly(3)))
-        views0 = r.run(until=dep.gather_views())
-        imbalance0 = load_imbalance(views0)
-        balancer = LoadBalancer(dep, threshold=0.2, interval=5.0)
-        action = r.run(until=balancer.run_once())
-        if action is not None:
-            views1 = r.run(until=dep.gather_views())
-            assert load_imbalance(views1) < imbalance0
-            assert balancer.actions[0].source != balancer.actions[0].target
-
-    def test_no_action_when_balanced(self):
-        r = SimRig(star(2))
-        r.node("hub").install_package(counter_package(cpu_units=10.0))
-        dep = Deployer(r.nodes, RuntimePlanner(), coordinator_host="hub")
-        r.run(until=dep.deploy(assembly(2)))
-        balancer = LoadBalancer(dep, threshold=0.5)
-        assert r.run(until=balancer.run_once()) is None
-
-    def test_continuous_loop_converges(self):
-        r = SimRig(star(3))
-        r.node("hub").install_package(counter_package(cpu_units=100.0))
-        dep = Deployer(r.nodes, StaticPlanner(), coordinator_host="hub")
-        r.run(until=dep.deploy(assembly(4)))
-        balancer = LoadBalancer(dep, threshold=0.2, interval=2.0)
-        balancer.start()
-        r.run(until=r.env.now + 60.0)
-        balancer.stop()
-        views = r.run(until=dep.gather_views())
-        assert load_imbalance(views) <= 0.3

@@ -6,13 +6,10 @@ from repro.container.replication import ReplicaManager
 from repro.deployment import (
     ApplicationSupervisor,
     Deployer,
-    LoadBalancer,
     RuntimePlanner,
 )
-from repro.deployment.application import Application
 from repro.deployment.planner import PlannerBase
 from repro.obs import RECOVERY_LATENCY_HIST
-from repro.orb.exceptions import TRANSIENT
 from repro.registry.groups import DistributedRegistry, RegistryConfig
 from repro.sim.topology import DESKTOP, SERVER, star
 from repro.testing import SimRig, counter_package
@@ -232,50 +229,6 @@ class TestRegistryLiveness:
         sup.stop()
 
 
-class TestBalancerSurvival:
-    def setup_hot(self):
-        r = SimRig(star(2, hub_profile=DESKTOP, leaf_profile=DESKTOP))
-        r.node("hub").install_package(counter_package(cpu_units=120.0))
-        # pile two instances on h0 so a balancing pass always triggers
-        dep = Deployer(r.nodes,
-                       PinPlanner({"i0": "h0", "i1": "h0", "i2": "hub"}),
-                       coordinator_host="hub")
-        r.run(until=dep.deploy(assembly(3)))
-        return r, dep
-
-    def test_run_once_survives_crash_mid_migration(self, monkeypatch):
-        r, dep = self.setup_hot()
-
-        def crashing_migrate(self, instance_name, target_host):
-            def boom():
-                raise TRANSIENT("host crashed mid-migration")
-                yield    # pragma: no cover
-            return dep.env.process(boom())
-
-        monkeypatch.setattr(Application, "migrate", crashing_migrate)
-        balancer = LoadBalancer(dep, threshold=0.2, interval=5.0)
-        # pre-fix this raised TRANSIENT out of the balancer pass
-        assert r.run(until=balancer.run_once()) is None
-        assert r.metrics.get("balance.failures") == 1
-
-    def test_loop_stays_alive_after_crash_mid_migration(self, monkeypatch):
-        r, dep = self.setup_hot()
-
-        def crashing_migrate(self, instance_name, target_host):
-            def boom():
-                raise TRANSIENT("host crashed mid-migration")
-                yield    # pragma: no cover
-            return dep.env.process(boom())
-
-        monkeypatch.setattr(Application, "migrate", crashing_migrate)
-        balancer = LoadBalancer(dep, threshold=0.2, interval=4.0)
-        balancer.start()
-        r.run(until=r.env.now + 13.0)       # pre-fix the loop died here
-        assert balancer.loop.alive
-        assert r.metrics.get("balance.failures") >= 2
-        balancer.stop()
-
-
 class TestStoppedForGood:
     """``stop()`` ends a coordinator-bound loop for good, and the
     loop's life follows the coordinator host — both by construction of
@@ -298,37 +251,3 @@ class TestStoppedForGood:
         # pre-fix the leaked restart hook started a fresh loop here
         assert rig.metrics.get("supervisor.checkpoints") == ticks
         assert not sup.loop.alive
-
-    def test_balancer_stop_then_start_in_one_instant_leaves_one_loop(
-            self, rig):
-        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
-        balancer = LoadBalancer(dep, interval=2.0)
-        passes = []
-        balancer._run_once = lambda: passes.append(rig.env.now) or iter(())
-        balancer.start()
-        rig.run(until=1.0)
-        # pre-fix start() saw the interrupted-but-not-yet-dead process
-        # as alive and started nothing: no loop at all from here on
-        balancer.stop()
-        balancer.start()
-        rig.run(until=7.5)
-        assert passes == [3.0, 5.0, 7.0]    # one loop, not two, not none
-        assert balancer.loop.alive
-        balancer.stop()
-
-    def test_balancer_does_not_tick_on_a_dead_coordinator(self, rig):
-        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
-        balancer = LoadBalancer(dep, interval=2.0)
-        passes = []
-        balancer._run_once = lambda: passes.append(rig.env.now) or iter(())
-        balancer.start()
-        rig.run(until=3.0)
-        assert passes == [2.0]
-        rig.topology.set_host_state("hub", alive=False)
-        rig.run(until=9.0)
-        # pre-fix the balancer had no crash hook and kept ticking
-        assert passes == [2.0] and not balancer.loop.alive
-        rig.topology.set_host_state("hub", alive=True)
-        rig.run(until=13.5)
-        assert passes == [2.0, 11.0, 13.0] and balancer.loop.alive
-        balancer.stop()

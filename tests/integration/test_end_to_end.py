@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.container.migration import MigrationEngine
-from repro.deployment import Deployer, LoadBalancer, RuntimePlanner
+from repro.deployment import Deployer, RuntimePlanner
 from repro.grid import (
     IdleMonitor,
     MonteCarloPiExecutor,
@@ -148,37 +148,6 @@ class TestFullStack:
         pi = MonteCarloPiExecutor.merge_values(partials)
         assert abs(pi - math.pi) < 0.02
         assert rig.node("h5").orb.sync(surface.revision()) == 5
-
-    def test_load_balancer_with_registry_live(self):
-        rig = star_rig(3, seed=23)
-        hub = rig.node("hub")
-        hub.install_package(counter_package(cpu_units=100.0))
-        dr = DistributedRegistry(rig.nodes,
-                                 RegistryConfig(update_interval=2.0))
-        dr.deploy({"g0": rig.topology.host_ids()})
-
-        # pile everything onto one host, then let the balancer fix it
-        from repro.deployment.planner import PlannerBase
-
-        class PinToH0(PlannerBase):
-            def plan(self, assembly, views, qos_of):
-                return {inst.name: "h0" for inst in assembly.instances}
-
-        deployer = Deployer(rig.nodes, PinToH0(),
-                            coordinator_host="hub")
-        assembly = AssemblyDescriptor(
-            name="pile",
-            instances=[AssemblyInstance(f"i{k}", "Counter")
-                       for k in range(4)])
-        rig.run(until=deployer.deploy(assembly))
-        balancer = LoadBalancer(deployer, threshold=0.2, interval=3.0)
-        balancer.start()
-        rig.run(until=rig.env.now + 40.0)
-        balancer.stop()
-        from repro.deployment.planner import load_imbalance
-        views = rig.run(until=deployer.gather_views())
-        assert load_imbalance(views) <= 0.35
-        assert len(balancer.actions) >= 1
 
 
 class TestDeterminism:

@@ -170,9 +170,15 @@ class TestRegistryPartitions:
                                  RegistryConfig(update_interval=1.0))
         dr.deploy({"g": hosts})
         injector = FaultInjector(rig.env, rig.topology)
-        for t in (1.0, 2.6, 4.4):
-            injector.cut_link_at(t, "h1", "hub")
-            injector.heal_link_at(t + 0.6, "h1", "hub")
+
+        def flap():
+            for t in (1.0, 2.6, 4.4):
+                yield rig.env.timeout(t - rig.env.now)
+                injector.cut_link("h1", "hub")
+                yield rig.env.timeout(0.6)
+                injector.heal_link("h1", "hub")
+
+        rig.env.process(flap())
         rig.run(until=dr.settle_time() + 8.0)
         agent = dr.groups["g"].agents[0]
         assert sorted(agent.members) == hosts

@@ -10,7 +10,7 @@ import pytest
 
 from repro.orb.core import InterfaceDef, Servant, op
 from repro.orb.exceptions import SystemException
-from repro.orb.retry import CircuitBreaker, RetryPolicy, call_with_retry
+from repro.orb.retry import CircuitBreaker, RetryPolicy, invoke_with_retry
 from repro.orb.typecodes import tc_long
 from repro.sim.faults import FaultInjector, WireFaultModel, WireFaultProfile
 from repro.testing import star_rig
@@ -55,8 +55,9 @@ class TestCorruptionSoak:
         correct = answered = 0
         for i in range(200):
             try:
-                result = call_with_retry(client, ior, BUMP, (i,),
-                                         policy=POLICY)
+                result = client.sync(client.env.process(invoke_with_retry(
+                    client, ior, BUMP, (i,),
+                    policy=POLICY)))
             except SystemException:
                 continue  # all retries ate corrupted frames: acceptable
             answered += 1
@@ -80,8 +81,9 @@ class TestCorruptionSoak:
             default=WireFaultProfile(duplicate=0.1, reorder=0.1,
                                      reorder_delay=0.01))
         for i in range(100):
-            assert call_with_retry(client, ior, BUMP, (i,),
-                                   policy=POLICY) == i + 1
+            assert client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (i,),
+                policy=POLICY))) == i + 1
         assert rig.metrics.get("net.corrupted.duplicate") > 0
         # At-least-once: duplicated requests re-run the servant; late
         # duplicate replies are dropped by the client's pending table.
@@ -101,26 +103,29 @@ class TestBreakerHealCycle:
         # Phase 1: partition.  Three timeouts open the breaker.
         injector.cut_link("h0", "hub")
         with pytest.raises(SystemException):
-            call_with_retry(client, ior, BUMP, (1,), policy=POLICY,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (1,), policy=POLICY,
+                breaker=breaker)))
         assert breaker.state == CircuitBreaker.OPEN
 
         # Phase 2: the link comes back — but damaged.  The half-open
         # probe dies to corruption and the breaker re-opens.
         injector.heal_link("h0", "hub")
-        faults.set_link("h0", "hub", WireFaultProfile(corrupt=1.0))
+        faults.set_default(WireFaultProfile(corrupt=1.0))
         rig.run(until=rig.env.timeout(5.0))
         with pytest.raises(SystemException):
-            call_with_retry(client, ior, BUMP, (2,), policy=POLICY,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (2,), policy=POLICY,
+                breaker=breaker)))
         assert breaker.state == CircuitBreaker.OPEN
         assert rig.metrics.get("orb.bad_messages") > 0
 
         # Phase 3: the wire is repaired; the next probe closes the loop.
-        faults.clear_link("h0", "hub")
+        faults.set_default(None)
         rig.run(until=rig.env.timeout(5.0))
-        assert call_with_retry(client, ior, BUMP, (10,), policy=POLICY,
-                               breaker=breaker) == 11
+        assert client.sync(client.env.process(invoke_with_retry(
+            client, ior, BUMP, (10,), policy=POLICY,
+            breaker=breaker))) == 11
         assert breaker.state == CircuitBreaker.CLOSED
 
         assert [(f, t) for _, f, t in breaker.transitions] == [

@@ -136,8 +136,7 @@ class TestSignedPackages:
         assert not node.repository.is_installed("Counter")
         builder = PackageBuilder(unsigned.software, unsigned.component)
         builder.add_binary("bin/any/counter",
-                           unsigned.binary_payload("linux", "x86",
-                                                   "corba-lc"))
+                           unsigned.member("bin/any/counter"))
         node.install_package(builder.build(signer=keys))
         assert node.repository.is_installed("Counter")
 

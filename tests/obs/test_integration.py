@@ -13,6 +13,8 @@ from repro.registry.softstate import SoftStateReporter
 from repro.sim.topology import star
 from repro.testing import SimRig
 
+from tests.oracles.trace import trace_is_connected
+
 
 def test_crash_retry_call_yields_one_connected_trace():
     rig = SimRig(star(2), seed=4)
@@ -59,7 +61,7 @@ def test_crash_retry_call_yields_one_connected_trace():
     # ... with >= 3 causally-linked spans (retry + failed attempt +
     # successful attempt + its server dispatch) ...
     assert len(spans) >= 4
-    assert hub.tracer.trace_is_connected(tid)
+    assert trace_is_connected(hub.tracer, tid)
     root = next(s for s in spans if s.parent_id is None)
     assert root.name == "retry:member_hosts"
     assert root.status == "ok"
@@ -79,7 +81,7 @@ def test_crash_retry_call_yields_one_connected_trace():
     assert served[0].host == "hub"
 
     # every other trace (reports etc.) is also internally consistent
-    assert all(hub.tracer.trace_is_connected(t) for t in traces)
+    assert all(trace_is_connected(hub.tracer, t) for t in traces)
     # nothing left stranded in any pending table
     assert all(not orb._pending for orb in hub.orbs)
 

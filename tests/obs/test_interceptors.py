@@ -13,6 +13,8 @@ from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
 from repro.testing import SimRig
 
+from tests.oracles.trace import trace_is_connected
+
 ECHO = InterfaceDef("IDL:test/Echo:1.0", "Echo", operations=[
     op("echo", [("s", tc_string)], tc_string),
     op("note", [("s", tc_string)], oneway=True),
@@ -266,7 +268,7 @@ class TestTracePropagation:
         (spans,) = traces.values()
         kinds = {s.kind for s in spans}
         assert kinds == {"client", "server"}
-        assert hub.tracer.trace_is_connected(spans[0].trace_id)
+        assert trace_is_connected(hub.tracer, spans[0].trace_id)
         server = next(s for s in spans if s.kind == "server")
         client = next(s for s in spans if s.kind == "client")
         assert server.parent_id == client.span_id
@@ -284,7 +286,7 @@ class TestTracePropagation:
         assert len(traces) == 1
         (spans,) = traces.values()
         assert len(spans) == 4  # call+serve relay, call+serve echo
-        assert hub.tracer.trace_is_connected(spans[0].trace_id)
+        assert trace_is_connected(hub.tracer, spans[0].trace_id)
         inner_client = next(s for s in spans
                             if s.kind == "client" and "echo" in s.name)
         outer_server = next(s for s in spans
@@ -309,7 +311,7 @@ class TestTracePropagation:
         (spans,) = traces.values()
         # retry envelope + 2 attempts x (client + server)
         assert len(spans) == 5
-        assert hub.tracer.trace_is_connected(spans[0].trace_id)
+        assert trace_is_connected(hub.tracer, spans[0].trace_id)
         root = next(s for s in spans if s.parent_id is None)
         assert root.name == "retry:poke"
         assert root.attrs["attempts"] == 2
@@ -339,7 +341,7 @@ class TestTracePropagation:
         assert len(traces) == 1
         (spans,) = traces.values()
         assert len(spans) == 5
-        assert hub.tracer.trace_is_connected(spans[0].trace_id)
+        assert trace_is_connected(hub.tracer, spans[0].trace_id)
         root = next(s for s in spans if s.parent_id is None)
         clients = [s for s in spans if s.kind == "client"]
         assert {s.parent_id for s in clients} == {root.span_id}

@@ -15,6 +15,23 @@ from repro.chaos.scenario import build_world
 from repro.obs import names
 
 
+def undeclared_metrics(registry) -> set:
+    """Names a live :class:`~repro.sim.stats.MetricRegistry` holds
+    that are not declared in :mod:`repro.obs.names`."""
+    emitted = set()
+    emitted.update(registry._counters)
+    emitted.update(registry._gauges)
+    emitted.update(registry._histograms)
+    emitted.update(registry._labelled)
+    return {name for name in emitted if not names.metric_declared(name)}
+
+
+def undeclared_spans(tracer) -> set:
+    """Span names a live tracer recorded that are not declared."""
+    return {span.name for trace in tracer.traces().values()
+            for span in trace if not names.span_declared(span.name)}
+
+
 def _run_world(seed=3, horizon=20.0):
     world = build_world(seed)
     campaign = ChaosCampaign(world, CampaignConfig(horizon=horizon))
@@ -25,14 +42,14 @@ def _run_world(seed=3, horizon=20.0):
 class TestRuntimeContainment:
     def test_emitted_metric_names_are_declared(self):
         world = _run_world()
-        undeclared = names.undeclared_metrics(world.rig.metrics)
+        undeclared = undeclared_metrics(world.rig.metrics)
         assert undeclared == set(), (
             f"undeclared metric names emitted at runtime: "
             f"{sorted(undeclared)}; declare them in repro.obs.names")
 
     def test_emitted_span_names_are_declared(self):
         world = _run_world(seed=4)
-        undeclared = names.undeclared_spans(world.rig.obs.tracer)
+        undeclared = undeclared_spans(world.rig.obs.tracer)
         assert undeclared == set(), (
             f"undeclared span labels emitted at runtime: "
             f"{sorted(undeclared)}; declare them in repro.obs.names")

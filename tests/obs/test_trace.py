@@ -11,6 +11,8 @@ from repro.sim.kernel import Environment
 from repro.sim.topology import star
 from repro.testing import SimRig
 
+from tests.oracles.trace import trace_is_connected
+
 NULL = op("null", [], tc_long, cpu_cost=0.0)
 NOTE = op("note", [], oneway=True)
 REFUSE = op("refuse", [], tc_long)
@@ -93,9 +95,9 @@ class TestTracer:
             a.trace_id, 999_999))  # parent id not in the trace
         traces = tracer.traces()
         assert len(traces[a.trace_id]) == 3
-        assert not tracer.trace_is_connected(a.trace_id)
+        assert not trace_is_connected(tracer, a.trace_id)
         assert orphan.trace_id == a.trace_id
-        assert not tracer.trace_is_connected(404)  # no such trace
+        assert not trace_is_connected(tracer, 404)  # no such trace
 
 
 class TestSpanWindow:

@@ -7,5 +7,13 @@
 - :mod:`tests.oracles.unparse` -- the IDL pretty-printer behind the
   parser's round-trip property (``tests/property/test_idl_properties.py``);
 - :mod:`tests.oracles.mesh` -- the random connected graph behind the
-  routing properties (``tests/property/test_routing_properties.py``).
+  routing properties (``tests/property/test_routing_properties.py``);
+- :mod:`tests.oracles.codec` -- one value through the production
+  codec, for round-trip and refusal tests;
+- :mod:`tests.oracles.federation` -- adding a shard owner, which the
+  running system never does (the liveness law and the rejoin tests);
+- :mod:`tests.oracles.sumworker` -- the data-parallel component the
+  aggregation tests split and merge;
+- :mod:`tests.oracles.trace` -- trace connectivity, the invariant the
+  tracing tests check a run's spans against.
 """

@@ -6,7 +6,7 @@ from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import (BAD_OPERATION, MINOR_BREAKER_OPEN,
                                   SystemException, TRANSIENT)
 from repro.orb.retry import (BreakerRegistry, CircuitBreaker, RetryPolicy,
-                             call_with_retry)
+                             invoke_with_retry)
 from repro.orb.typecodes import tc_long
 from repro.sim.faults import FaultInjector
 from repro.sim.kernel import Environment
@@ -138,15 +138,17 @@ class TestRetryIntegration:
         breaker = CircuitBreaker(client, "h0", failure_threshold=3,
                                  reset_timeout=30.0)
         with pytest.raises(SystemException):
-            call_with_retry(client, ior, BUMP, (1,), policy=FAST,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (1,), policy=FAST,
+                breaker=breaker)))
         assert breaker.state == CircuitBreaker.OPEN
         requests_on_wire = net.metrics.get("orb.requests")
         # Open breaker: the retry loop fast-fails locally, nothing is
         # marshalled, nothing hits the wire.
         with pytest.raises(TRANSIENT) as exc_info:
-            call_with_retry(client, ior, BUMP, (2,), policy=FAST,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (2,), policy=FAST,
+                breaker=breaker)))
         assert exc_info.value.minor == MINOR_BREAKER_OPEN
         assert net.metrics.get("orb.requests") == requests_on_wire
         assert breaker.fast_fails == FAST.attempts
@@ -158,12 +160,14 @@ class TestRetryIntegration:
         breaker = CircuitBreaker(client, "h0", failure_threshold=3,
                                  reset_timeout=5.0)
         with pytest.raises(SystemException):
-            call_with_retry(client, ior, BUMP, (1,), policy=FAST,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, BUMP, (1,), policy=FAST,
+                breaker=breaker)))
         injector.heal_link("h0", "hub")
         advance(env, 5.0)
-        result = call_with_retry(client, ior, BUMP, (10,), policy=FAST,
-                                 breaker=breaker)
+        result = client.sync(client.env.process(invoke_with_retry(
+            client, ior, BUMP, (10,), policy=FAST,
+            breaker=breaker)))
         assert result == 11
         assert breaker.state == CircuitBreaker.CLOSED
         assert [(f, t) for _, f, t in breaker.transitions] == [
@@ -179,8 +183,9 @@ class TestRetryIntegration:
         breaker.on_failure()
         missing = op("no_such_op", [], tc_long)
         with pytest.raises(BAD_OPERATION):
-            call_with_retry(client, ior, missing, (), policy=FAST,
-                            breaker=breaker)
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, missing, (), policy=FAST,
+                breaker=breaker)))
         # A definitive error reply proves the peer is alive.
         assert breaker.failures == 0
         assert breaker.state == CircuitBreaker.CLOSED

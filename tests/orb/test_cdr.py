@@ -6,9 +6,7 @@ from repro.orb.cdr import (
     Any,
     CDRDecoder,
     CDREncoder,
-    decode_one,
     decode_typecode,
-    encode_one,
     encode_typecode,
 )
 from repro.orb.exceptions import BAD_PARAM
@@ -41,6 +39,7 @@ from repro.orb.typecodes import (
     union_tc,
 )
 from tests.oracles.cdr_interp import read_fixed, write_fixed
+from tests.oracles.codec import decode_one, encode_one
 
 
 def roundtrip(tc, value):
@@ -266,7 +265,7 @@ class TestTypeCodeMarshalling:
         dec = CDRDecoder(enc.getvalue())
         got = decode_typecode(dec)
         assert got == tc
-        assert dec.at_end()
+        assert dec.remaining == 0
 
 
 class TestDecoderRobustness:

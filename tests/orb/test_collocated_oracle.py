@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import Observability
-from repro.obs.trace import spans_connected
 from repro.orb.core import (ORB, InterfaceDef, Servant,
                             make_exception_class, op)
 from repro.orb.exceptions import (MINOR_SHED, TRANSIENT, SystemException,
@@ -30,6 +29,8 @@ from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import DESKTOP, star
+
+from tests.oracles.trace import spans_connected
 
 DECLARED_TC = except_tc("Declared", [("why", tc_string), ("code", tc_long)],
                         repo_id="IDL:collocated/Declared:1.0")

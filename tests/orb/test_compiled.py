@@ -19,7 +19,6 @@ from repro.orb.cdr import (
     CDREncoder,
     decode_typecode,
     decode_value,
-    encode_one,
     encode_typecode,
     encode_value,
 )
@@ -54,6 +53,7 @@ from tests.oracles.cdr_interp import (
     read_fixed,
     write_fixed,
 )
+from tests.oracles.codec import encode_one
 
 POINT = struct_tc("Point", [("x", tc_double), ("y", tc_double)])
 MIXED = struct_tc("Mixed", [

@@ -11,7 +11,7 @@ import struct
 import pytest
 
 from repro.orb import giop
-from repro.orb.cdr import CDRDecoder, decode_one, decode_typecode
+from repro.orb.cdr import CDRDecoder, decode_typecode
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import BAD_PARAM, MARSHAL, SystemException
 from repro.orb.typecodes import sequence_tc, tc_long, tc_string
@@ -19,6 +19,8 @@ from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
+
+from tests.oracles.codec import decode_one
 
 
 TRACE_SLOT = (0x5452, b"\x00\x00\x00\x01\x00\x00\x00\x02")

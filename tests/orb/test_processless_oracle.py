@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from repro.obs import Observability
-from repro.obs.trace import spans_connected
 from repro.orb import giop
 from repro.orb.core import (ORB, InterfaceDef, Servant,
                             make_exception_class, op)
@@ -27,6 +26,8 @@ from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
+
+from tests.oracles.trace import spans_connected
 
 REFUSED_TC = except_tc("Refused", [("why", tc_string)],
                        repo_id="IDL:oracle/Refused:1.0")

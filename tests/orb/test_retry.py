@@ -4,7 +4,7 @@ import pytest
 
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import TIMEOUT, TRANSIENT
-from repro.orb.retry import RetryPolicy, call_with_retry, invoke_with_retry
+from repro.orb.retry import RetryPolicy, invoke_with_retry
 from repro.orb.typecodes import tc_long, tc_string
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -88,16 +88,17 @@ class TestRetryPolicy:
 class TestRetries:
     def test_no_retry_needed(self):
         env, client, servant, ior = make_rig()
-        result = call_with_retry(client, ior, FLAKY.operations["get"], ())
+        result = client.sync(client.env.process(invoke_with_retry(
+            client, ior, FLAKY.operations["get"], ())))
         assert result == 1
         assert client.metrics.get("orb.retries") == 0
 
     def test_transient_retried_until_success(self):
         env, client, servant, ior = make_rig()
         servant.failures_left = 2
-        result = call_with_retry(
+        result = client.sync(client.env.process(invoke_with_retry(
             client, ior, FLAKY.operations["fail_n"], (0,),
-            policy=RetryPolicy(attempts=4, timeout=1.0, backoff=0.1))
+            policy=RetryPolicy(attempts=4, timeout=1.0, backoff=0.1))))
         assert result == 3  # two failures + one success
         assert client.metrics.get("orb.retries") == 2
 
@@ -105,9 +106,9 @@ class TestRetries:
         env, client, servant, ior = make_rig()
         servant.failures_left = 99
         with pytest.raises(TRANSIENT):
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["fail_n"], (0,),
-                policy=RetryPolicy(attempts=3, timeout=1.0, backoff=0.1))
+                policy=RetryPolicy(attempts=3, timeout=1.0, backoff=0.1))))
         assert servant.calls == 3
 
     def test_lossy_link_recovered_by_retry(self):
@@ -115,8 +116,8 @@ class TestRetries:
         policy = RetryPolicy(attempts=8, timeout=0.5, backoff=0.05)
         results = []
         for _ in range(10):
-            results.append(call_with_retry(
-                client, ior, FLAKY.operations["get"], (), policy=policy))
+            results.append(client.sync(client.env.process(invoke_with_retry(
+                client, ior, FLAKY.operations["get"], (), policy=policy))))
         assert len(results) == 10
         assert client.metrics.get("orb.retries") > 0
 
@@ -126,10 +127,10 @@ class TestRetries:
         client.network.topology.set_host_state("a", alive=False)
         t0 = env.now
         with pytest.raises(TIMEOUT):
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["get"], (),
                 policy=RetryPolicy(attempts=3, timeout=1.0, backoff=0.5,
-                                   jitter=False))
+                                   jitter=False))))
         # 3 timeouts + backoffs 0.5 + 1.0
         assert env.now - t0 == pytest.approx(3 * 1.0 + 0.5 + 1.0)
 
@@ -138,8 +139,9 @@ class TestRetries:
         from repro.orb.exceptions import BAD_OPERATION
         bogus = op("no_such_op", [], tc_long)
         with pytest.raises(BAD_OPERATION):
-            call_with_retry(client, ior, bogus, (),
-                            policy=RetryPolicy(attempts=5, timeout=1.0))
+            client.sync(client.env.process(invoke_with_retry(
+                client, ior, bogus, (),
+                policy=RetryPolicy(attempts=5, timeout=1.0))))
         # only one attempt was made
         assert client.metrics.get("orb.retries") == 0
 
@@ -148,10 +150,10 @@ class TestRetries:
         client.network.topology.set_host_state("a", alive=False)
         t0 = env.now
         with pytest.raises(TIMEOUT):
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["get"], (),
                 policy=RetryPolicy(attempts=5, timeout=1.0, backoff=0.5,
-                                   deadline=2.5, jitter=False))
+                                   deadline=2.5, jitter=False))))
         # attempt 1 (1.0) + backoff (0.5) + attempt 2 capped to the
         # remaining 1.0 = 2.5; attempts 3..5 never run
         assert env.now - t0 == pytest.approx(2.5)
@@ -161,10 +163,10 @@ class TestRetries:
         client.network.topology.set_host_state("a", alive=False)
         t0 = env.now
         with pytest.raises(TIMEOUT):
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["get"], (),
                 policy=RetryPolicy(attempts=5, timeout=1.0, backoff=5.0,
-                                   deadline=3.0, jitter=False))
+                                   deadline=3.0, jitter=False))))
         # one 1.0s attempt; the 5.0s backoff would blow the 3.0s budget
         assert env.now - t0 == pytest.approx(1.0)
 
@@ -173,9 +175,9 @@ class TestRetries:
             env, client, servant, ior = make_rig()
             servant.failures_left = 2
             t0 = env.now
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["fail_n"], (0,),
-                policy=RetryPolicy(attempts=4, timeout=1.0, backoff=0.4))
+                policy=RetryPolicy(attempts=4, timeout=1.0, backoff=0.4))))
             return env.now - t0
 
         first, second = elapsed(), elapsed()

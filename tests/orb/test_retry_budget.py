@@ -16,7 +16,7 @@ from repro.orb.retry import (
     BreakerRegistry,
     RetryBudget,
     RetryPolicy,
-    call_with_retry,
+    invoke_with_retry,
 )
 from repro.orb.typecodes import tc_long
 from repro.sim.kernel import Environment
@@ -119,10 +119,10 @@ class TestBudgetedRetryLoop:
         budget = RetryBudget(env, client.metrics, ratio=0.0,
                              refill_rate=0.0, initial=0.0)
         with pytest.raises(TRANSIENT):
-            call_with_retry(
+            client.sync(client.env.process(invoke_with_retry(
                 client, ior, FLAKY.operations["fail_n"], (0,),
                 policy=RetryPolicy(attempts=5, timeout=1.0, backoff=0.1),
-                budget=budget)
+                budget=budget)))
         # One first attempt, zero retries: shed, not amplified.
         assert servant.calls == 1
         assert client.metrics.get("orb.retries.shed") >= 1
@@ -133,10 +133,10 @@ class TestBudgetedRetryLoop:
         servant.failures_left = 2
         budget = RetryBudget(env, client.metrics, initial=5.0,
                              refill_rate=0.0)
-        result = call_with_retry(
+        result = client.sync(client.env.process(invoke_with_retry(
             client, ior, FLAKY.operations["fail_n"], (0,),
             policy=RetryPolicy(attempts=4, timeout=1.0, backoff=0.1),
-            budget=budget)
+            budget=budget)))
         assert result == 3
         assert budget.spent == 2 and budget.shed == 0
 
@@ -152,8 +152,9 @@ class TestBudgetedRetryLoop:
                              jitter=False)
         for _ in range(100):
             with pytest.raises(TIMEOUT):
-                call_with_retry(client, ior, FLAKY.operations["get"],
-                                (), policy=policy, budget=budget)
+                client.sync(client.env.process(invoke_with_retry(
+                    client, ior, FLAKY.operations["get"],
+                    (), policy=policy, budget=budget)))
         retries = client.metrics.get("orb.retries")
         assert retries <= 15                 # ~ratio × attempts, not 300
         assert client.metrics.get("orb.retries.shed") >= 100

@@ -33,7 +33,6 @@ from repro.orb.cdr import (
     CDRDecoder,
     CDREncoder,
     decode_typecode,
-    encode_one,
     encode_typecode,
 )
 from repro.orb.compiled import get_plan
@@ -61,6 +60,7 @@ from tests.oracles.cdr_interp import (
     static_depth,
     write_fixed,
 )
+from tests.oracles.codec import encode_one
 from test_cdr_properties import _typed_values
 
 

@@ -48,7 +48,6 @@ from hypothesis.stateful import (
 from repro.deployment import (
     ApplicationSupervisor,
     Deployer,
-    LoadBalancer,
     RuntimePlanner,
 )
 from repro.grid.idle import IdleMonitor
@@ -340,7 +339,7 @@ def _mrm_supervisor(rig):
 
 def _cohesion_agent(rig):
     agent = CohesionAgent(rig.node("h0"), seeds=["hub"], ping_interval=1.0)
-    return "h0", [agent.loop], agent.shutdown
+    return "h0", [agent.loop], agent.loop.stop
 
 
 def _idle_monitor(rig):
@@ -349,18 +348,10 @@ def _idle_monitor(rig):
     return "h0", [monitor.loop], None
 
 
-def _load_balancer(rig):
-    balancer = LoadBalancer(
-        Deployer(rig.nodes, RuntimePlanner(), coordinator_host="h0"),
-        interval=1.0)
-    balancer.start()
-    return "h0", [balancer.loop], balancer.stop
-
-
 @pytest.mark.parametrize("build", [
     _soft_reporter, _strong_reporter, _mrm_agent, _shard_agent,
     _application_supervisor, _mrm_supervisor, _cohesion_agent,
-    _idle_monitor, _load_balancer,
+    _idle_monitor,
 ], ids=lambda b: b.__name__.lstrip("_"))
 def test_migrated_lifecycle_runs_on_the_primitive(build):
     rig = star_rig(3, seed=5)

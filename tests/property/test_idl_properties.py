@@ -148,7 +148,9 @@ def _interfaces(draw, used_names, base_pool=(), exception_pool=()):
         st.sampled_from(sorted(base_pool)), max_size=2, unique=True))
     ] if base_pool else []
     ops = []
-    members: set[str] = set()  # the interface's operations and attributes
+    # the interface's operations and attributes; a member named like an
+    # exception would shadow it in the interface's own ``raises``
+    members = {e.lower() for e in exception_pool}
     op_names = [draw(_fresh(members))
                 for _ in range(draw(st.integers(0, 3)))]
     for op_name in op_names:

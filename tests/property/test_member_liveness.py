@@ -40,6 +40,8 @@ from repro.registry.federation.shard import ShardAgent
 from repro.sim.topology import clustered
 from repro.testing import COUNTER_IFACE, SimRig, counter_package
 
+from tests.oracles.federation import add_owner
+
 HOSTS = [f"c{c}h{j}" for c in range(2) for j in range(4)]
 CRASHABLE = [h for h in HOSTS if not h.endswith("h0")]
 OWNERS = ["c0h1", "c0h3", "c1h2"]
@@ -149,7 +151,7 @@ class _World:
                 table.pop(arg, None)
         elif (op == "add_owner" and arg not in self.heard
                 and self.alive(arg) and len(owners) < MAX_OWNERS):
-            self.fed.add_owner(arg)
+            add_owner(self.fed, arg)
             self.heard[arg] = {}
 
     def _may_restart(self, host: str) -> bool:

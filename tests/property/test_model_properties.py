@@ -157,7 +157,7 @@ def test_package_member_bytes_roundtrip(payload):
     builder.add_binary("bin/any/x", payload)
     pkg = ComponentPackage(builder.build())
     assert pkg.member("bin/any/x") == payload
-    assert pkg.binary_payload("a", "b", "c") == payload
+    assert pkg.implementation_for("a", "b", "c").binary_path == "bin/any/x"
 
 
 # -- prediction ----------------------------------------------------------------------

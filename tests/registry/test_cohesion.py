@@ -3,6 +3,7 @@
 import pytest
 
 from repro.registry.cohesion import (
+    COHESION_IFACE,
     CohesionAgent,
     cohesion_ior,
     deploy_cohesion,
@@ -37,14 +38,19 @@ class TestJoin:
         converge(rig, agents, 20.0)
         for agent in agents.values():
             assert "h3" in agent.known_hosts(include_self=True)
-        assert sorted(agents["h3"].alive_peers()) == sorted(
+        assert sorted(agents["h3"].known_hosts()) == sorted(
             h for h in hosts if h != "h3")
 
     def test_graceful_leave_removes_peer(self):
         rig = star_rig(3, seed=33)
         agents = deploy_cohesion(rig.nodes, ping_interval=2.0)
         converge(rig, agents)
-        agents["h1"].shutdown()
+        # h1 announces its leave to every peer it knows, then stops
+        h1 = agents["h1"]
+        for host in h1.known_hosts():
+            h1.node.orb.invoke(cohesion_ior(host),
+                               COHESION_IFACE.operations["leave"], ("h1",))
+        h1.loop.stop()
         rig.run(until=rig.env.now + 3.0)
         for host, agent in agents.items():
             if host == "h1":
@@ -65,7 +71,7 @@ class TestLiveness:
             if host == "h1":
                 continue
             assert not agent.is_peer_alive("h1")
-            assert "h1" not in agent.alive_peers()
+            assert "h1" not in agent.known_hosts()
 
     def test_reconnection_is_graceful(self):
         """§2.4.3: 'must support either node disconnections and
@@ -81,7 +87,7 @@ class TestLiveness:
         rig.topology.set_host_state("h1", alive=True)
         rig.run(until=rig.env.now + 30.0)
         assert agents["hub"].is_peer_alive("h1")
-        assert sorted(agents["h1"].alive_peers()) == ["h0", "h2", "hub"]
+        assert sorted(agents["h1"].known_hosts()) == ["h0", "h2", "hub"]
 
     def test_crash_wipes_local_view(self):
         rig = star_rig(3, seed=36)
@@ -105,14 +111,14 @@ class TestLiveness:
         rig.run(until=rig.env.now + 40.0)
         # each side sees only itself
         assert all(p.startswith("c0")
-                   for p in agents["c0h1"].alive_peers())
+                   for p in agents["c0h1"].known_hosts())
         assert all(p.startswith("c1")
-                   for p in agents["c1h1"].alive_peers())
+                   for p in agents["c1h1"].known_hosts())
         injector.heal_partition(cuts)
         rig.run(until=rig.env.now + 40.0)
         # pings resume and the views re-merge
         assert any(p.startswith("c1")
-                   for p in agents["c0h1"].alive_peers())
+                   for p in agents["c0h1"].known_hosts())
 
 
 class TestProtocolCost:

