@@ -154,7 +154,12 @@ SUITES = {
     "eventbus": Suite(
         "bench_eventbus.py", "C17", "test_eventbus_fanout",
         "event bus + batched fan-out + GIOP pipelining", {
+            # the bus arm's mean over its rounds, beside their minimum
+            # and standard deviation
             "throughput_bus_events_per_s": "throughput_bus",
+            "throughput_bus_events_per_s_min": "throughput_bus_min",
+            "throughput_bus_events_per_s_stdev": "throughput_bus_stdev",
+            "throughput_bus_rounds": "throughput_bus_rounds",
             "throughput_p2p_events_per_s": "throughput_p2p",
             "speedup": "speedup",
             "messages_bus": "messages_bus",
@@ -163,7 +168,10 @@ SUITES = {
             "bytes_p2p": "bytes_p2p",
             "batches": "batches",
         }, ROOT / "BENCH_eventbus.json",
-        "  fan-out: {throughput_bus_events_per_s:,.0f} vs "
+        "  fan-out: {throughput_bus_events_per_s:,.0f} (min "
+        "{throughput_bus_events_per_s_min:,.0f}, sd "
+        "{throughput_bus_events_per_s_stdev:,.0f}, "
+        "{throughput_bus_rounds} rounds) vs "
         "{throughput_p2p_events_per_s:,.0f} events/s ({speedup:.1f}x), "
         "{messages_bus:.0f} vs {messages_p2p:.0f} messages"),
     "federation": Suite(

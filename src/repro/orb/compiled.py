@@ -23,7 +23,11 @@ This module owns what the generated code shares:
   also holds the deeper-rooted variants and bounds them together, and
   :class:`OperationCodec`, one operation's plans resolved together
   (``OperationDef.codec()`` pins it on the definition, so invocations
-  never look anything up).
+  never look anything up);
+- the **oneway ring** in front of an operation's decoders
+  (:meth:`OperationCodec.decode_oneway`), which hands the receivers of
+  one fanned-out body copies of a value decoded once before, and the
+  TypeCode-driven value copies it hands out.
 
 Hit/miss/generation counters live in ``codegen.stats``.  Equivalence
 with the reference interpreter in ``tests/oracles/cdr_interp.py`` --
@@ -465,6 +469,7 @@ def clear_cache() -> None:
     """Drop all cached plans (tests / memory pressure)."""
     _CACHE.clear()
     _TC_INDEX.clear()
+    _COPIERS.clear()
     for variant in _VARIANTS:
         variant._at.clear()
     _VARIANTS.clear()
@@ -475,13 +480,118 @@ def cache_size() -> int:
     return len(_CACHE) + len(_VARIANTS)
 
 
+# -- value copies for the oneway ring -----------------------------------------
+# A decoded value's containers are the lists (sequences, arrays), dicts
+# (structs, exceptions), ``Any`` boxes and union tuples the generated
+# decoder builds; everything else it returns -- str, numbers, bytes, enum
+# labels, IORs, TypeCodes -- is immutable and shared by every copy.
+
+def _copier(tc: TypeCode, depth: int = 0):
+    """A function rebuilding every container of a decoded *tc* value, or
+    None when the value has none (so it is shared as it is).
+
+    The walk stops past ``_MAX_NESTING`` levels: *depth* is relative to
+    the value's root, never more than its absolute depth, and the
+    decoder raises before building anything that deep."""
+    if depth > _MAX_NESTING:
+        return None
+    kind = tc.kind
+    if kind is TCKind.ALIAS:
+        return _copier(tc.content_type, depth + 1)
+    if kind is TCKind.ANY:
+        return _copy_any
+    if kind is TCKind.SEQUENCE or kind is TCKind.ARRAY:
+        item = _copier(tc.content_type, depth + 1)
+        if item is None:
+            return list
+        return lambda value: [item(x) for x in value]
+    if kind is TCKind.STRUCT or kind is TCKind.EXCEPT:
+        deep = []
+        for name, mtc in tc.members:
+            fn = _copier(mtc, depth + 1)
+            if fn is not None:
+                deep.append((name, fn))
+        if not deep:
+            return dict
+
+        def copy_struct(value):
+            out = dict(value)
+            for name, fn in deep:
+                out[name] = fn(out[name])
+            return out
+        return copy_struct
+    if kind is TCKind.UNION:
+        # The decoder takes the first arm whose label matches, else the
+        # default; a label whose arm holds no container maps to None.
+        arms: dict = {}
+        for label, _name, arm_tc in tc.members:
+            if label is not None and label not in arms:
+                arms[label] = _copier(arm_tc, depth + 1)
+        default = (_copier(tc.members[tc.default_index][2], depth + 1)
+                   if 0 <= tc.default_index < len(tc.members) else None)
+
+        def copy_union(value):
+            disc, arm = value
+            fn = arms.get(disc, default)
+            return disc, arm if fn is None else fn(arm)
+        return copy_union
+    return None
+
+
+#: ``Any`` payload TypeCode -> its :func:`_copier`; dropped with the
+#: plan cache, whose TypeCodes are the only ones a decoded ``Any`` holds.
+_COPIERS: dict = {}
+
+
+def _copy_any(value: "_cdr.Any") -> "_cdr.Any":
+    tc = value.typecode
+    try:
+        fn = _COPIERS[tc]
+    except KeyError:
+        fn = _COPIERS[tc] = _copier(tc)
+    return _cdr.Any(tc, value.value if fn is None else fn(value.value))
+
+
+def _args_copier(tcs):
+    """One function copying a decoded argument tuple of *tcs*, generated
+    as a tuple expression over the parameters: a parameter without
+    containers is passed through, ``sequence<string>`` is one
+    ``list()``."""
+    fns = {}
+    parts = []
+    for i, tc in enumerate(tcs):
+        fn = _copier(tc)
+        if fn is None:
+            parts.append(f"a[{i}]")
+        else:
+            fns[f"c{i}"] = fn
+            parts.append(f"c{i}(a[{i}])")
+    if not fns:
+        return lambda a: a  # nothing to rebuild: the tuple is immutable
+    return eval(f"lambda a: ({', '.join(parts)},)", fns)
+
+
+#: Distinct oneway argument bodies an :class:`OperationCodec` remembers.
+ONEWAY_RING = 4
+_NEW = object()     # a body not in the ring
+_SEEN = object()    # a body decoded once, its value not kept
+
+
 # -- per-operation codecs -----------------------------------------------------
 
 class OperationCodec:
-    """Pre-resolved plans for one OperationDef's request/reply bodies."""
+    """Pre-resolved plans for one OperationDef's request/reply bodies.
+
+    A oneway's argument body is decoded through :meth:`decode_oneway`,
+    a ring of the last :data:`ONEWAY_RING` distinct bodies in front of
+    the generated decoders: ``send_oneway_fanout`` marshals a body once
+    for many receivers, and every receiver after the second gets a copy
+    of a value decoded before instead of decoding the same bytes again.
+    """
 
     __slots__ = ("in_plans", "out_plans", "result_plan", "result_void",
-                 "in1_encode", "in1_decode", "result_decode")
+                 "in1_encode", "in1_decode", "result_decode", "_ring",
+                 "_copy")
 
     def __init__(self, odef) -> None:
         self.in_plans = tuple(get_plan(p.tc) for p in odef.in_params())
@@ -495,6 +605,11 @@ class OperationCodec:
         self.in1_encode = self.in_plans[0].encode if one else None
         self.in1_decode = self.in_plans[0].decode if one else None
         self.result_decode = self.result_plan.decode
+        #: body bytes -> _SEEN, or the private copy of its arguments
+        #: (insertion order is arrival order, so the oldest goes first).
+        self._ring: dict = {}
+        #: the argument copier, built at the first body seen twice.
+        self._copy = None
 
     def encode_in(self, enc: CDREncoder, args) -> None:
         for plan, value in zip(self.in_plans, args):
@@ -502,6 +617,41 @@ class OperationCodec:
 
     def decode_in(self, dec: CDRDecoder) -> list:
         return [plan.decode(dec) for plan in self.in_plans]
+
+    def decode_oneway(self, body: bytes) -> tuple:
+        """A oneway request's arguments, decoded from *body* at most
+        twice while it stays in the ring.
+
+        The first sight of a body decodes it and remembers its bytes
+        only; the second decodes again and keeps a private copy of the
+        value; every later one gets a fresh copy of the private value,
+        so no two receivers share a container.  A body whose decode
+        raises is never remembered.
+        """
+        ring = self._ring
+        held = ring.get(body, _NEW)
+        if held is _NEW:
+            args = self._decode_args(body)
+            if len(ring) >= ONEWAY_RING:
+                del ring[next(iter(ring))]
+            ring[body] = _SEEN
+            return args
+        if held is _SEEN:
+            args = self._decode_args(body)
+            copy = self._copy
+            if copy is None:
+                copy = self._copy = _args_copier(
+                    [plan.tc for plan in self.in_plans])
+            ring[body] = copy(args)
+            return args
+        return self._copy(held)
+
+    def _decode_args(self, body: bytes) -> tuple:
+        dec = CDRDecoder(body)
+        dec1 = self.in1_decode
+        if dec1 is not None:
+            return (dec1(dec),)
+        return tuple([plan.decode(dec) for plan in self.in_plans])
 
 
 # Imported last: codegen builds on the leaf model above at import time,

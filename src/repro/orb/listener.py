@@ -288,8 +288,11 @@ class Listener:
         orb = self.orb
         try:
             method, odef = self._resolve_target(request, info)
-            dec = CDRDecoder(request.args)
-            args = odef.codec().decode_in(dec)
+            codec = odef.codec()
+            if request.response_expected:
+                args = codec.decode_in(CDRDecoder(request.args))
+            else:
+                args = codec.decode_oneway(request.args)
 
             slots = self._slots
             if slots is not None:
@@ -401,7 +404,9 @@ class Listener:
                 return False  # CO_GENERATOR or unknowable: process path
             codec = odef._codec or odef.codec()
             dec1 = codec.in1_decode
-            if dec1 is not None:
+            if not request.response_expected:
+                args = codec.decode_oneway(request.args)
+            elif dec1 is not None:
                 args = (dec1(CDRDecoder(request.args)),)
             else:
                 args = codec.decode_in(CDRDecoder(request.args))

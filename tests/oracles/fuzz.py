@@ -22,12 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.obs import names
 from repro.obs.trace import TRACE_CONTEXT_ID, TRACE_SLOT
 from repro.orb import codegen, giop
 from repro.orb.cdr import (Any, CDRDecoder, CDREncoder, encode_typecode,
                            encode_value)
+from repro.orb.core import ORB, Servant
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
+from repro.orb.model import InterfaceDef, op
 from repro.orb.typecodes import (
     array_tc,
     enum_tc,
@@ -45,6 +48,9 @@ from repro.orb.typecodes import (
     tc_void,
     union_tc,
 )
+from repro.sim.kernel import Environment
+from repro.sim.network import Message, Network
+from repro.sim.topology import star
 
 
 #: A trace slot as the tracing interceptor frames it.
@@ -405,4 +411,86 @@ def run_fuzz(seed: int, iterations: int = 2000) -> FuzzReport:
             report.failures.append((i, mutant, exc))
             continue
         report.decoded += 1
+    return report
+
+
+def _oneway_sink():
+    """A listener serving one zero-cost oneway per codec sample, each
+    operation's clean argument body, and the list its servant appends
+    every value it is handed to."""
+    env = Environment()
+    orb = ORB(env, Network(env, star(1)), "hub")
+    ops = [op(f"fz{i}", [("value", tc)], oneway=True, cpu_cost=0.0)
+           for i, (tc, _value) in enumerate(_CODEC_SAMPLES)]
+    got: list = []
+
+    def record(self, value) -> None:
+        got.append(value)
+
+    sink = type("FzSink", (Servant,), {
+        "_interface": InterfaceDef("IDL:fz/Sink:1.0", "FzSink", ops),
+        **{odef.name: record for odef in ops}})()
+    ior = orb.adapter("fz").activate(sink)
+    bodies = []
+    for odef, (_tc, value) in zip(ops, _CODEC_SAMPLES):
+        enc = CDREncoder()
+        odef.codec().encode_in(enc, [value])
+        bodies.append(enc.getvalue())
+    return orb, ior, ops, bodies, got
+
+
+def _deliver_oneway(orb, ior, odef, args: bytes, got: list) -> list:
+    """Frame *args* as a oneway to *odef*, hand it to *orb*'s listener
+    and return what the servant was handed; a raw error inside the
+    dispatch (booked as a servant error) raises AssertionError."""
+    frame = giop.RequestMessage(1, False, ior.host_id, ior.adapter,
+                                ior.object_key, odef.name, args).encode()
+    errors = orb.metrics.counter(names.ORB_SERVANT_ERRORS)
+    before = errors.value
+    got.clear()
+    orb.listener.on_message(
+        Message(0, "h0", ior.host_id, "giop", frame, len(frame)))
+    if errors.value != before:
+        raise AssertionError("raw error inside the dispatch")
+    return list(got)
+
+
+def run_oneway_fuzz(seed: int, iterations: int = 2000) -> FuzzReport:
+    """Fuzz the oneway ring (``OperationCodec.decode_oneway``): each
+    mutated argument body is framed as a oneway to its operation and
+    delivered to a listener between two clean copies of its body.
+
+    A breach is an exception out of the listener, a raw error inside
+    the dispatch, a mutant value that is unbounded or differs from a
+    plain decode, or a clean copy whose value differs from a plain
+    decode of the clean body.  A mutant the dispatch refuses with a
+    SystemException hands the servant nothing and counts as rejected."""
+    rng = np.random.default_rng(seed)
+    orb, ior, ops, bodies, got = _oneway_sink()
+    report = FuzzReport(seed=seed)
+    for i in range(iterations):
+        k = int(rng.integers(0, len(ops)))
+        odef, body = ops[k], bodies[k]
+        mutant = mutate(body, rng)
+        report.iterations += 1
+        try:
+            clean, bad, again = [_deliver_oneway(orb, ior, odef, args, got)
+                                 for args in (body, mutant, body)]
+            plain = odef.codec().decode_in(CDRDecoder(body))
+            if clean != plain or again != plain:
+                raise AssertionError(f"clean copies decoded {clean!r} and "
+                                     f"{again!r}, plainly {plain!r}")
+            if bad:
+                check_value_bounded(bad[0], mutant)
+                # By repr: a mutated double may be a NaN, unequal to itself.
+                if repr(bad) != repr(odef.codec().decode_in(
+                        CDRDecoder(mutant))):
+                    raise AssertionError("mutant differs from a plain decode")
+        except Exception as exc:  # contract breach
+            report.failures.append((i, mutant, exc))
+            continue
+        if bad:
+            report.decoded += 1
+        else:
+            report.rejected += 1
     return report

@@ -3,6 +3,8 @@
 Contract under test: for any byte string, ``giop.decode_message``
 either returns a message whose decoded sizes are bounded by the frame
 length, or raises a ``SystemException`` — never a raw Python exception.
+The oneway fuzz holds a listener's dispatch to the same contract, with
+each mutated body delivered between two clean copies of it.
 Run standalone with ``make fuzz``.
 """
 
@@ -14,7 +16,7 @@ from repro.orb.exceptions import MARSHAL, SystemException
 from tests.oracles.fuzz import (FuzzReport, check_bounded,
                                 check_value_bounded, codec_corpus, corpus,
                                 hostile_corpus, hostile_requests, mutate,
-                                run_codec_fuzz, run_fuzz)
+                                run_codec_fuzz, run_fuzz, run_oneway_fuzz)
 
 pytestmark = pytest.mark.fuzz
 
@@ -86,6 +88,23 @@ def test_codec_fuzz_no_escapes(seed):
     assert report.decoded > 0
     # Hostile TypeCodes reach the generator through ``any``; it may
     # decline them, it may not fall over them.
+    assert codegen.stats["errors"] == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_oneway_fuzz_between_clean_copies(seed):
+    # Each mutated oneway body arrives between two clean copies of it,
+    # so the ring meets hostile bytes beside a body it remembers.
+    report = run_oneway_fuzz(seed, iterations=1000)
+    detail = "\n".join(
+        f"  iter {i}: {exc!r} on {len(m)}-byte mutant {m[:48].hex()}..."
+        for i, m, exc in report.failures[:10])
+    assert report.ok, (
+        f"seed {seed}: {len(report.failures)} contract breaches\n{detail}")
+    assert report.iterations == 1000
+    assert report.decoded + report.rejected == report.iterations
+    assert report.rejected > 0
+    assert report.decoded > 0
     assert codegen.stats["errors"] == 0
 
 
