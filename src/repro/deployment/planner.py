@@ -10,13 +10,14 @@ model what the paper contrasts against:
   regardless of load (a CCM assembly).
 - :class:`RandomPlanner` / :class:`RoundRobinPlanner` — naive spreads.
 
-All planners return ``{instance_name: host_id}`` and raise
-:class:`PlacementError` when an instance cannot fit anywhere.
+All four run one search (:meth:`PlannerBase.plan`), return
+``{instance_name: host_id}`` and raise :class:`PlacementError` when no
+placement exists.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,23 +25,90 @@ from repro.node.resources import ResourceSnapshot
 from repro.util.errors import ReproError
 from repro.xmlmeta.descriptors import AssemblyDescriptor, QoSSpec
 
+#: Hosts a search may try and give up before it refuses the assembly.
+#: A plan the greedy pass completes gives up none.
+SEARCH_BUDGET = 10_000
+
 
 class PlacementError(ReproError):
     """No host can satisfy an instance's QoS requirements."""
 
 
 class PlannerBase:
-    """Shared helpers: per-host capacity tracking during planning."""
+    """One placement search; a planner supplies an order and a preference.
 
-    #: Hosts whose profile is tiny are never given instances unless
-    #: nothing else fits — the paper's PDAs "use all components
-    #: remotely" (§3.1).
-    avoid_tiny: bool = True
+    Instances are placed in :meth:`_order`, each on the first host of
+    :meth:`_prefer` that still fits its CPU and memory.  Only when a
+    later instance fits nowhere does the search back up, moving the
+    latest instance with an untried host onto its next one.  The first
+    complete plan is therefore the greedy plan whenever greedy succeeds.
+    Tiny hosts are ranked after every fitting non-tiny host: the paper's
+    PDAs "use all components remotely" (§3.1) unless nothing else
+    completes the plan.
+    """
+
+    #: Plan from free resources; a static plan reads nameplate
+    #: capacity, which is exactly what makes it blind to load.
+    dynamic = True
+
+    def _order(self, assembly: AssemblyDescriptor,
+               qos_of: dict[str, QoSSpec]) -> list:
+        return list(assembly.instances)  # descriptor order
+
+    def _prefer(self, fitting: list[ResourceSnapshot],
+                hosts: list[ResourceSnapshot], need: QoSSpec,
+                free: dict[str, tuple[float, float]], placed: list[str]
+                ) -> list[ResourceSnapshot]:
+        """Rank *fitting*, the hosts of one class (*hosts*: all tiny or
+        none) that fit *need*, the next instance.  *free* maps each host
+        to its (cpu, memory) left; *placed* lists the hosts of the
+        instances placed before it."""
+        raise NotImplementedError
 
     def plan(self, assembly: AssemblyDescriptor,
              views: Sequence[ResourceSnapshot],
              qos_of: dict[str, QoSSpec]) -> dict[str, str]:
-        raise NotImplementedError
+        order = self._order(assembly, qos_of)
+        needs = [qos_of.get(inst.component, QoSSpec()) for inst in order]
+        free = {v.host: (v.cpu_available, v.memory_available) if self.dynamic
+                else (v.cpu_capacity, v.memory_capacity) for v in views}
+        classes = ([v for v in views if not v.is_tiny],
+                   [v for v in views if v.is_tiny])
+        # Per placed instance: its host, the host's free pair before it,
+        # and (one deeper, for the next instance) the hosts not yet tried.
+        placed, prior, untried = [], [], []
+        stuck, budget = None, SEARCH_BUDGET
+
+        def ranked(need):
+            for hosts in classes:
+                fitting = [v for v in hosts
+                           if free[v.host][0] >= need.cpu_units
+                           and free[v.host][1] >= need.memory_mb]
+                if fitting:
+                    yield from self._prefer(fitting, hosts, need, free,
+                                            placed)
+
+        while len(placed) < len(order):
+            k = len(placed)
+            if len(untried) == k:
+                untried.append(ranked(needs[k]))
+            view = next(untried[k], None)
+            if view is not None:
+                cpu, mem = free[view.host]
+                prior.append((cpu, mem))
+                free[view.host] = (cpu - needs[k].cpu_units,
+                                   mem - needs[k].memory_mb)
+                placed.append(view.host)
+                continue
+            untried.pop()
+            stuck = k if stuck is None else stuck
+            if not placed or budget == 0:
+                raise PlacementError(
+                    f"no host fits {order[stuck].name} (cpu="
+                    f"{needs[stuck].cpu_units}, mem={needs[stuck].memory_mb})")
+            budget -= 1
+            free[placed.pop()] = prior.pop()  # exactly: no float drift
+        return {inst.name: host for inst, host in zip(order, placed)}
 
     def replan_instance(self, assembly: AssemblyDescriptor,
                         instance_name: str,
@@ -65,79 +133,24 @@ class PlannerBase:
         usable = [v for v in views if v.host not in excluded]
         return self.plan(mini, usable, qos_of)[instance_name]
 
-    # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _ordered_instances(assembly: AssemblyDescriptor,
-                           qos_of: dict[str, QoSSpec]):
-        """Biggest CPU demand first (best-fit-decreasing)."""
-        def cpu(inst):
-            return qos_of.get(inst.component, QoSSpec()).cpu_units
-        return sorted(assembly.instances, key=cpu, reverse=True)
-
-    @staticmethod
-    def _free_tables(views: Sequence[ResourceSnapshot], dynamic: bool
-                     ) -> tuple[dict[str, float], dict[str, float]]:
-        """(free cpu, free memory) per host.
-
-        ``dynamic=False`` ignores current commitments — that is exactly
-        what makes a static plan blind to load.
-        """
-        cpu, mem = {}, {}
-        for view in views:
-            if dynamic:
-                cpu[view.host] = view.cpu_available
-                mem[view.host] = view.memory_available
-            else:
-                cpu[view.host] = view.cpu_capacity
-                mem[view.host] = view.memory_capacity
-        return cpu, mem
-
-    def _fits(self, host: str, qos: QoSSpec, cpu: dict, mem: dict) -> bool:
-        return (cpu.get(host, 0.0) >= qos.cpu_units
-                and mem.get(host, 0.0) >= qos.memory_mb)
-
-    def _commit(self, host: str, qos: QoSSpec, cpu: dict, mem: dict) -> None:
-        cpu[host] -= qos.cpu_units
-        mem[host] -= qos.memory_mb
-
-    def _host_classes(self, views: Sequence[ResourceSnapshot]
-                      ) -> tuple[list[str], list[str]]:
-        """(preferred hosts, tiny hosts)."""
-        normal = [v.host for v in views if not v.is_tiny]
-        tiny = [v.host for v in views if v.is_tiny]
-        return normal, tiny
-
 
 class RuntimePlanner(PlannerBase):
     """CORBA-LC placement: balance load using *current* free resources.
 
-    Greedy best-fit-decreasing: each instance goes to the host that
-    retains the largest free-CPU fraction after accepting it, which
-    spreads heavy components across the least loaded machines.
+    Best-fit-decreasing: biggest CPU demand first, each instance to the
+    host that retains the largest free-CPU fraction after accepting it,
+    which spreads heavy components across the least loaded machines.
     """
 
-    def plan(self, assembly, views, qos_of):
-        cpu, mem = self._free_tables(views, dynamic=True)
-        capacity = {v.host: v.cpu_capacity for v in views}
-        normal, tiny = self._host_classes(views)
-        placement: dict[str, str] = {}
-        for inst in self._ordered_instances(assembly, qos_of):
-            qos = qos_of.get(inst.component, QoSSpec())
-            candidates = [h for h in normal if self._fits(h, qos, cpu, mem)]
-            if not candidates and (tiny and not self.avoid_tiny or tiny):
-                candidates = [h for h in tiny
-                              if self._fits(h, qos, cpu, mem)]
-            if not candidates:
-                raise PlacementError(
-                    f"no host fits {inst.name} "
-                    f"(cpu={qos.cpu_units}, mem={qos.memory_mb})"
-                )
-            best = max(candidates,
-                       key=lambda h: (cpu[h] - qos.cpu_units)
-                       / max(capacity[h], 1e-9))
-            placement[inst.name] = best
-            self._commit(best, qos, cpu, mem)
-        return placement
+    def _order(self, assembly, qos_of):
+        return sorted(assembly.instances, reverse=True,
+                      key=lambda i: qos_of.get(i.component,
+                                               QoSSpec()).cpu_units)
+
+    def _prefer(self, fitting, hosts, need, free, placed):
+        return sorted(fitting, reverse=True,
+                      key=lambda v: (free[v.host][0] - need.cpu_units)
+                      / max(v.cpu_capacity, 1e-9))
 
 
 class StaticPlanner(PlannerBase):
@@ -145,29 +158,16 @@ class StaticPlanner(PlannerBase):
 
     The plan is computed from nameplate capacities, ignoring whatever
     is already running — and, mimicking a hand-written deployment
-    descriptor, the same assembly always yields the same mapping.
+    descriptor, the same assembly always yields the same mapping: a
+    cursor cycles through the hosts by name, starting after the host
+    the previous instance took.
     """
 
-    def plan(self, assembly, views, qos_of):
-        cpu, mem = self._free_tables(views, dynamic=False)
-        normal, tiny = self._host_classes(views)
-        hosts = sorted(normal) or sorted(tiny)
-        placement: dict[str, str] = {}
-        index = 0
-        for inst in assembly.instances:  # descriptor order, not sorted
-            qos = qos_of.get(inst.component, QoSSpec())
-            chosen: Optional[str] = None
-            for offset in range(len(hosts)):
-                host = hosts[(index + offset) % len(hosts)]
-                if self._fits(host, qos, cpu, mem):
-                    chosen = host
-                    index = (index + offset + 1) % len(hosts)
-                    break
-            if chosen is None:
-                raise PlacementError(f"static plan cannot fit {inst.name}")
-            placement[inst.name] = chosen
-            self._commit(chosen, qos, cpu, mem)
-        return placement
+    dynamic = False
+
+    def _prefer(self, fitting, hosts, need, free, placed):
+        last = placed[-1] if placed else ""
+        return sorted(fitting, key=lambda v: (v.host <= last, v.host))
 
 
 class RandomPlanner(PlannerBase):
@@ -186,45 +186,19 @@ class RandomPlanner(PlannerBase):
         self.rng: np.random.Generator = (
             stream(self.STREAM) if callable(stream) else rng)
 
-    def plan(self, assembly, views, qos_of):
-        cpu, mem = self._free_tables(views, dynamic=True)
-        normal, tiny = self._host_classes(views)
-        placement: dict[str, str] = {}
-        for inst in assembly.instances:
-            qos = qos_of.get(inst.component, QoSSpec())
-            candidates = [h for h in normal if self._fits(h, qos, cpu, mem)]
-            if not candidates:
-                candidates = [h for h in tiny
-                              if self._fits(h, qos, cpu, mem)]
-            if not candidates:
-                raise PlacementError(f"no host fits {inst.name}")
-            chosen = candidates[int(self.rng.integers(0, len(candidates)))]
-            placement[inst.name] = chosen
-            self._commit(chosen, qos, cpu, mem)
-        return placement
+    def _prefer(self, fitting, hosts, need, free, placed):
+        first = int(self.rng.integers(0, len(fitting)))
+        return fitting[first:] + fitting[:first]
 
 
 class RoundRobinPlanner(PlannerBase):
-    """Cycle through hosts irrespective of load or heterogeneity."""
+    """Cycle through hosts irrespective of load or heterogeneity: the
+    k-th instance starts at the k-th host by name."""
 
-    def plan(self, assembly, views, qos_of):
-        cpu, mem = self._free_tables(views, dynamic=True)
-        normal, tiny = self._host_classes(views)
-        hosts = sorted(normal) or sorted(tiny)
-        placement: dict[str, str] = {}
-        for i, inst in enumerate(assembly.instances):
-            qos = qos_of.get(inst.component, QoSSpec())
-            chosen = None
-            for offset in range(len(hosts)):
-                host = hosts[(i + offset) % len(hosts)]
-                if self._fits(host, qos, cpu, mem):
-                    chosen = host
-                    break
-            if chosen is None:
-                raise PlacementError(f"no host fits {inst.name}")
-            placement[inst.name] = chosen
-            self._commit(chosen, qos, cpu, mem)
-        return placement
+    def _prefer(self, fitting, hosts, need, free, placed):
+        cycle = sorted(v.host for v in hosts)
+        start = cycle[len(placed) % len(cycle)]
+        return sorted(fitting, key=lambda v: (v.host < start, v.host))
 
 
 def load_imbalance(views: Sequence[ResourceSnapshot]) -> float:

@@ -223,7 +223,7 @@ def _emit_batched_enc(b: _Builder, content: TypeCode, finfo, items: str,
                       lead_count: bool) -> None:
     """Flatten *items* and emit one batched pack (count-fused when
     ``lead_count``)."""
-    leaves, flatten, _uf = finfo
+    leaves, flatten = finfo
     bc = b.sym("bc", _c.make_batcher(leaves, lead_ulong=lead_count))
     ctc = content
     while ctc.kind is TCKind.ALIAS:

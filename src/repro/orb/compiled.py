@@ -83,8 +83,7 @@ class CodecPlan:
 
 # -- fixed-size leaf model ----------------------------------------------------
 # A "leaf" is one struct-module field: (fmt_char, size, align).  Flatten
-# appends pack-ready leaf values for one conforming value; unflatten
-# rebuilds the value from an unpacked tuple starting at index i.
+# appends pack-ready leaf values for one conforming value.
 
 _PRIM_LEAF = {
     TCKind.SHORT: ("h", 2),
@@ -132,24 +131,18 @@ def _enum_convs(tc: TypeCode):
     return conv_enc, conv_dec
 
 
-def _leaf_fns(conv_enc, conv_dec):
-    if conv_enc is None:
+def _leaf_fn(conv):
+    if conv is None:
         def flatten(v, out) -> None:
             out.append(v)
     else:
         def flatten(v, out) -> None:
-            out.append(conv_enc(v))
-    if conv_dec is None:
-        def unflatten(vals, i):
-            return vals[i], i + 1
-    else:
-        def unflatten(vals, i):
-            return conv_dec(vals[i]), i + 1
-    return flatten, unflatten
+            out.append(conv(v))
+    return flatten
 
 
 def _fixed_info(tc: TypeCode, depth: int):
-    """Return (leaves, flatten, unflatten) if *tc* is wholly fixed-size.
+    """Return (leaves, flatten) if *tc* is wholly fixed-size.
 
     Returns None for variable-size types, for types past the nesting
     limit, and for shapes bigger than :data:`_FUSE_LIMIT` leaves.
@@ -164,22 +157,15 @@ def _fixed_info(tc: TypeCode, depth: int):
         def flatten(v, out) -> None:
             if v is not None:
                 raise BAD_PARAM(f"void carries no value, got {v!r}")
-
-        def unflatten(vals, i):
-            return None, i
-        return (), flatten, unflatten
+        return (), flatten
     leaf = _PRIM_LEAF.get(kind)
     if leaf is not None:
         ch, size = leaf
-        flatten, unflatten = _leaf_fns(None, None)
-        return ((ch, size, size),), flatten, unflatten
+        return ((ch, size, size),), _leaf_fn(None)
     if kind is TCKind.CHAR:
-        flatten, unflatten = _leaf_fns(_char_enc, chr)
-        return (("B", 1, 1),), flatten, unflatten
+        return (("B", 1, 1),), _leaf_fn(_char_enc)
     if kind is TCKind.ENUM:
-        conv_enc, conv_dec = _enum_convs(tc)
-        flatten, unflatten = _leaf_fns(conv_enc, conv_dec)
-        return (("I", 4, 4),), flatten, unflatten
+        return (("I", 4, 4),), _leaf_fn(_enum_convs(tc)[0])
     if kind in (TCKind.STRUCT, TCKind.EXCEPT):
         parts = []
         for _name, mtc in tc.members:
@@ -193,7 +179,6 @@ def _fixed_info(tc: TypeCode, depth: int):
         names = tuple(n for n, _ in tc.members)
         nameset = frozenset(names)
         flattens = tuple(sub[1] for sub in parts)
-        unflattens = tuple(sub[2] for sub in parts)
         tname = tc.name
 
         def flatten(v, out) -> None:
@@ -220,19 +205,13 @@ def _fixed_info(tc: TypeCode, depth: int):
                             f"struct {tname} value lacks member {name!r}"
                         ) from None
                     fl(member, out)
-
-        def unflatten(vals, i):
-            d = {}
-            for name, uf in zip(names, unflattens):
-                d[name], i = uf(vals, i)
-            return d, i
-        return leaves, flatten, unflatten
+        return leaves, flatten
     if kind is TCKind.ARRAY:
         assert tc.content_type is not None
         sub = _fixed_info(tc.content_type, depth + 1)
         if sub is None:
             return None
-        sub_leaves, sub_fl, sub_uf = sub
+        sub_leaves, sub_fl = sub
         length = tc.length
         if len(sub_leaves) * length > _FUSE_LIMIT or not sub_leaves:
             return None
@@ -246,14 +225,7 @@ def _fixed_info(tc: TypeCode, depth: int):
                 )
             for item in items:
                 sub_fl(item, out)
-
-        def unflatten(vals, i):
-            res = []
-            for _ in range(length):
-                obj, i = sub_uf(vals, i)
-                res.append(obj)
-            return res, i
-        return leaves, flatten, unflatten
+        return leaves, flatten
     return None
 
 

@@ -9,10 +9,13 @@ subset the library uses:
 - :class:`AnyOf` / :class:`AllOf` — composite wait conditions.
 - :class:`Environment` — the event queue and clock.
 
-Determinism: events scheduled for the same simulated time are processed
-in (priority, insertion-order) order, so a given program produces an
-identical trace on every run.  Nothing here reads wall-clock time or an
-unseeded RNG.
+Determinism: events due at one instant run URGENT ones (triggers,
+process starts, interrupts) before NORMAL ones (timeouts), each in the
+order it was triggered -- so an interrupt issued in the instant a
+process is created lands after the process's first step, which the
+host-loop interrupt epoch relies on (``tests/sim/test_kernel_ordering.py``).
+A program produces an identical trace on every run: nothing here reads
+wall-clock time or an unseeded RNG.
 """
 
 from __future__ import annotations

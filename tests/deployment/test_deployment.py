@@ -76,6 +76,26 @@ class TestRuntimePlanner:
         with pytest.raises(PlacementError):
             RuntimePlanner().plan(assembly(1), views, QOS)
 
+    def test_memory_tight_world_is_placed(self):
+        # Greedy puts the big-CPU instance on b (more CPU left there),
+        # and then the memory-heavy one fits nowhere; the search moves
+        # the first one to a.
+        views = [snap("a", cpu_cap=400.0, mem_cap=64.0),
+                 snap("b", cpu_cap=1000.0, mem_cap=100.0)]
+        qos = {"Y": QoSSpec(cpu_units=300.0, memory_mb=50.0),
+               "X": QoSSpec(cpu_units=100.0, memory_mb=80.0)}
+        asm = AssemblyDescriptor(name="app", instances=[
+            AssemblyInstance("x", "X"), AssemblyInstance("y", "Y")])
+        assert RuntimePlanner().plan(asm, views, qos) == {"y": "a",
+                                                           "x": "b"}
+
+    def test_huge_infeasible_assembly_is_refused(self):
+        # An assembly comes from outside the program: a search deeper
+        # than the interpreter's recursion limit must still end cleanly.
+        views = [snap(h, cpu_cap=75_000.0, mem_cap=1e6) for h in "ab"]
+        with pytest.raises(PlacementError):
+            RuntimePlanner().plan(assembly(1_501), views, QOS)
+
 
 class TestStaticPlanner:
     def test_ignores_current_load(self):

@@ -15,5 +15,7 @@
 - :mod:`tests.oracles.sumworker` -- the data-parallel component the
   aggregation tests split and merge;
 - :mod:`tests.oracles.trace` -- trace connectivity, the invariant the
-  tracing tests check a run's spans against.
+  tracing tests check a run's spans against;
+- :mod:`tests.oracles.placement` -- the greedy planners and a
+  brute-force placement search (``tests/property/test_placement_law.py``).
 """

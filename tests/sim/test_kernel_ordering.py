@@ -44,6 +44,47 @@ class TestSameTimeOrdering:
         env.run()
         assert hits == [2.0] * 4
 
+    def test_urgent_events_run_in_trigger_order(self):
+        """Not creation order: events created a, b, c and triggered
+        c, a, b in one instant run c, a, b, and a process started
+        between two triggers takes its first step between them."""
+        env = Environment()
+        order = []
+        events = {name: env.event() for name in "abc"}
+        for name, ev in events.items():
+            ev.callbacks.append(lambda _e, name=name: order.append(name))
+
+        def starter():
+            order.append("start")
+            yield env.timeout(1.0)
+
+        def trigger(_e):
+            events["c"].succeed()
+            env.process(starter())
+            events["a"].succeed()
+            events["b"].succeed()
+        env.timeout(2.0).callbacks.append(trigger)
+        env.run()
+        assert order == ["c", "start", "a", "b"]
+
+    def test_interrupt_in_creation_instant_lands_after_first_step(self):
+        from repro.sim.kernel import Interrupt
+        env = Environment()
+        log = []
+
+        def victim():
+            log.append(("first step", env.now))
+            try:
+                yield env.timeout(10.0)
+            except Interrupt as i:
+                log.append((i.cause, env.now))
+
+        def spawn(_e):
+            env.process(victim()).interrupt("host crashed")
+        env.timeout(3.0).callbacks.append(spawn)
+        env.run()
+        assert log == [("first step", 3.0), ("host crashed", 3.0)]
+
     def test_timeout_value_carried(self):
         env = Environment()
         t = env.timeout(1.0, value={"k": 1})
