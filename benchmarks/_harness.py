@@ -1,20 +1,30 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark measures two things:
+A bench prints its experiment tables -- simulated messages, bytes,
+sim-seconds, placement quality: the protocol-level results behind the
+paper's claims -- with :func:`report`.  A bench with a pytest-benchmark
+arm (the wall time of *this implementation*) attaches its figures to
+the record with :func:`stash`, so ``--benchmark-json`` keeps them.
 
-- **wall time** of running the simulation (pytest-benchmark's number:
-  the cost of *this implementation*), and
-- **simulated metrics** (messages, bytes, sim-seconds, placement
-  quality): the protocol-level results that correspond to the paper's
-  claims.  These print as a table (uncaptured) and land in
-  ``benchmark.extra_info`` so ``--benchmark-json`` keeps them.
-
-EXPERIMENTS.md records the tables produced here.
+EXPERIMENTS.md records the tables.  A bench whose tables
+``tests/golden/test_experiments.py`` checks against it has one
+``experiment()``: it runs the experiment once, asserts the claim, and
+returns its tables (:class:`Table`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+
+class Table(NamedTuple):
+    """An experiment table with its cells formatted as printed:
+    ``report(capsys, *table)`` prints it."""
+
+    title: str
+    headers: Sequence[str]
+    rows: Sequence[Sequence[str]]
+    note: str = ""
 
 
 def report(capsys, title: str, headers: Sequence[str],

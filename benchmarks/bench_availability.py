@@ -11,12 +11,9 @@ forever, if the host never returns.  With the ApplicationSupervisor
 the instance is re-planned onto a live host within roughly one
 supervision interval, so availability is bounded by detection +
 recovery, not by outage length.
-
-Run ``python benchmarks/bench_availability.py --selftest`` for the
-assertion-only mode wired into ``make check``.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.deployment import ApplicationSupervisor, Deployer, RuntimePlanner
 from repro.orb.exceptions import SystemException
 from repro.sim.faults import FaultInjector
@@ -38,8 +35,8 @@ PROBE_TIMEOUT = 0.4
 SUPERVISOR_INTERVAL = 2.0
 
 
-def run(supervise: bool, seed: int = 0) -> dict:
-    rig = SimRig(star(4, leaf_profile=SERVER), seed=seed)
+def run(supervise: bool) -> dict:
+    rig = SimRig(star(4, leaf_profile=SERVER), seed=0)
     hub = rig.node("hub")
     hub.install_package(counter_package(cpu_units=50.0))
     dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
@@ -98,63 +95,30 @@ def run(supervise: bool, seed: int = 0) -> dict:
     }
 
 
-def _check(healed: dict, baseline: dict) -> None:
+def experiment():
+    """Run C14 once, assert the supervised run beats the unsupervised
+    one on every axis, return its table."""
+    healed = run(True)
+    baseline = run(False)
     assert healed["availability"] > baseline["availability"], (
         healed, baseline)
     assert healed["recoveries"] >= 2
     assert healed["all_live"] and not baseline["all_live"]
     assert healed["max_outage"] < baseline["max_outage"]
+    rows = [[label, f"{r['availability'] * 100:.1f} %",
+             str(r["recoveries"]), f"{r['mean_outage']:.1f} s",
+             f"{r['max_outage']:.1f} s", str(r["all_live"])]
+            for label, r in (("supervised", healed),
+                             ("unsupervised", baseline))]
+    return [Table(
+        "C14: facet availability under two host outages, probe 2 Hz",
+        ["deployment", "availability", "recoveries", "mean outage",
+         "max outage", "all instances live"], rows,
+        note="second outage outlasts the run: only the supervised "
+             "assembly gets that instance back (re-planned within "
+             "~one supervision interval)")]
 
 
-def test_availability_under_churn(benchmark, capsys):
-    healed = run(True)
-    baseline = run(False)
-    benchmark.pedantic(lambda: run(True, seed=1), rounds=1, iterations=1)
-    rows = [
-        ["supervised", f"{healed['availability'] * 100:.1f} %",
-         healed["recoveries"], f"{healed['mean_outage']:.1f} s",
-         f"{healed['max_outage']:.1f} s", healed["all_live"]],
-        ["unsupervised", f"{baseline['availability'] * 100:.1f} %",
-         baseline["recoveries"], f"{baseline['mean_outage']:.1f} s",
-         f"{baseline['max_outage']:.1f} s", baseline["all_live"]],
-    ]
-    report(capsys,
-           "C14: facet availability under two host outages, probe 2 Hz",
-           ["deployment", "availability", "recoveries", "mean outage",
-            "max outage", "all instances live"], rows,
-           note="second outage outlasts the run: only the supervised "
-                "assembly gets that instance back (re-planned within "
-                "~one supervision interval)")
-    _check(healed, baseline)
-    stash(benchmark,
-          availability_supervised=healed["availability"],
-          availability_baseline=baseline["availability"],
-          mean_outage_supervised=healed["mean_outage"],
-          max_outage_baseline=baseline["max_outage"],
-          recoveries=healed["recoveries"])
-
-
-def selftest() -> int:
-    healed = run(True)
-    baseline = run(False)
-    _check(healed, baseline)
-    print("bench_availability selftest ok: "
-          f"supervised {healed['availability'] * 100:.1f}% vs "
-          f"baseline {baseline['availability'] * 100:.1f}% "
-          f"({healed['recoveries']} recoveries, mean outage "
-          f"{healed['mean_outage']:.1f}s vs {baseline['mean_outage']:.1f}s)")
-    return 0
-
-
-if __name__ == "__main__":
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        description="availability-under-churn benchmark")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the assertion-only gate (no tables)")
-    args = parser.parse_args()
-    if args.selftest:
-        sys.exit(selftest())
-    parser.error("run via pytest for the full report, or pass --selftest")
+def test_availability_under_churn(capsys):
+    for table in experiment():
+        report(capsys, *table)

@@ -15,7 +15,7 @@ is the best of every such distribution that fits.
 
 import numpy as np
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.deployment import (
     Deployer,
     RandomPlanner,
@@ -111,16 +111,12 @@ PLANNERS = [
 ]
 
 
-def test_deployment_policies(benchmark, capsys):
-    rows = []
-    results = {}
+def experiment():
+    """Run C2 once, assert the paper's claim, return its table."""
+    rows, results = [], {}
     for label, factory in PLANNERS:
-        imbalances, makespans, overloads = [], [], []
-        for seed in range(3):
-            imbalance, makespan, overloaded = evaluate(factory, seed)
-            imbalances.append(imbalance)
-            makespans.append(makespan)
-            overloads.append(overloaded)
+        imbalances, makespans, overloads = zip(
+            *(evaluate(factory, seed) for seed in range(3)))
         rows.append([label,
                      f"{np.mean(imbalances):.3f}",
                      f"{np.mean(makespans):.3f}",
@@ -129,17 +125,19 @@ def test_deployment_policies(benchmark, capsys):
     imbalance, makespan, overloaded, count = optimum()
     rows.append(["optimum (exhaustive)", f"{imbalance:.3f}",
                  f"{makespan:.3f}", f"{overloaded:.1f}"])
-
-    benchmark.pedantic(lambda: evaluate(PLANNERS[0][1]),
-                       rounds=3, iterations=1)
-    report(capsys, "C2: placement policy quality on a loaded cluster",
-           ["policy", "CPU imbalance", "normalized makespan",
-            "hosts >90% cpu"], rows,
-           note="run-time placement sees current load; the static "
-                "assembly piles work onto already-busy hosts; optimum: "
-                f"best of all {count:,} placements that fit")
     # The paper's claim must hold: run-time beats static on both axes.
     assert results["CORBA-LC run-time"][0] <= results["static (CCM-like)"][0]
     assert results["CORBA-LC run-time"][1] <= results["static (CCM-like)"][1]
     assert makespan <= results["CORBA-LC run-time"][1]
-    stash(benchmark, **{label: results[label][1] for label, _ in PLANNERS})
+    return [Table("C2: placement policy quality on a loaded cluster",
+                  ["policy", "CPU imbalance", "normalized makespan",
+                   "hosts >90% cpu"], rows,
+                  note="run-time placement sees current load; the static "
+                       "assembly piles work onto already-busy hosts; "
+                       f"optimum: best of all {count:,} placements that "
+                       "fit")]
+
+
+def test_deployment_policies(capsys):
+    for table in experiment():
+        report(capsys, *table)

@@ -3,11 +3,11 @@
 One full node life-cycle: a package arrives through the Component
 Acceptor, lands in the Component Repository, is reflected by the
 Component Registry, admitted by the Resource Manager, instantiated in
-the Container, and resolved through the node.  The benchmark measures
-the cost of that cycle and reports what each Fig. 1 box did.
+the Container, and resolved through the node.  The table reports what
+each Fig. 1 box did.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.testing import COUNTER_IFACE, counter_package, star_rig
 
 
@@ -55,22 +55,27 @@ def full_cycle():
     }
 
 
-def test_fig1_node_cycle(benchmark, capsys):
-    result = benchmark.pedantic(full_cycle, rounds=5, iterations=1)
+def experiment():
+    """Run E1 once, assert the cycle worked, return its table."""
+    result = full_cycle()
     assert result["value"] == 1
     assert result["cpu_after_teardown"] == 0.0
-    report(capsys, "E1: Fig.1 node cycle "
-                   "(accept -> reflect -> admit -> instantiate -> use)",
-           ["step/box", "observation"], [
-               ["Component Acceptor", f"installed {result['package_bytes']}-byte package remotely"],
-               ["Component Repository", f"{result['installed']} component installed"],
-               ["Component Registry", f"providers={result['providers']}, "
-                                      f"instances={result['instances_seen']}, "
-                                      f"running={result['running_seen']}"],
-               ["Container + factory", "create/get_facet/destroy all remote"],
-               ["Resource Manager", "reservations returned to 0 after teardown"],
-               ["whole cycle", f"{result['sim_time']*1000:.1f} ms simulated, "
-                               f"{int(result['wire_bytes'])} wire bytes"],
-           ])
-    stash(benchmark, **{k: v for k, v in result.items()
-                        if isinstance(v, (int, float))})
+    return [Table(
+        "E1: Fig.1 node cycle "
+        "(accept -> reflect -> admit -> instantiate -> use)",
+        ["step/box", "observation"], [
+            ["Component Acceptor", f"installed {result['package_bytes']}-byte package remotely"],
+            ["Component Repository", f"{result['installed']} component installed"],
+            ["Component Registry", f"providers={result['providers']}, "
+                                   f"instances={result['instances_seen']}, "
+                                   f"running={result['running_seen']}"],
+            ["Container + factory", "create/get_facet/destroy all remote"],
+            ["Resource Manager", "reservations returned to 0 after teardown"],
+            ["whole cycle", f"{result['sim_time']*1000:.1f} ms simulated, "
+                            f"{int(result['wire_bytes'])} wire bytes"],
+        ])]
+
+
+def test_fig1_node_cycle(capsys):
+    for table in experiment():
+        report(capsys, *table)

@@ -6,7 +6,7 @@ for the two placements Fig. 2 allows: GUI part co-located with the
 user's display vs. GUI part remote (thin-client mode).
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.cscw import (
     SURFACE_IFACE,
     display_package,
@@ -62,19 +62,22 @@ def run_strokes(gui_host: str, n: int = 20):
     return display.executor.drawn, latency, bytes_per_stroke
 
 
-def test_fig2_stroke_pipeline(benchmark, capsys):
+def experiment():
+    """Run E2 once and return its table."""
     rows = []
     for gui_host, label in (("user", "GUI local to display"),
                             ("server", "GUI remote (thin client)")):
         drawn, latency, bps = run_strokes(gui_host)
-        rows.append([label, drawn, f"{latency*1000:.2f} ms",
+        rows.append([label, str(drawn), f"{latency*1000:.2f} ms",
                      f"{bps:.0f} B"])
+    return [Table("E2: Fig.2 stroke -> event -> GUI -> display",
+                  ["placement", "strokes painted", "latency/stroke",
+                   "wire B/stroke"], rows,
+                  note="both placements paint everything; thin client "
+                       "pays extra wire hops, which is fine for a PDA "
+                       "(sec. 3.1)")]
 
-    benchmark.pedantic(lambda: run_strokes("user", n=5),
-                       rounds=3, iterations=1)
-    report(capsys, "E2: Fig.2 stroke -> event -> GUI -> display",
-           ["placement", "strokes painted", "latency/stroke",
-            "wire B/stroke"], rows,
-           note="both placements paint everything; thin client pays "
-                "extra wire hops, which is fine for a PDA (sec. 3.1)")
-    stash(benchmark, rows=len(rows))
+
+def test_fig2_stroke_pipeline(capsys):
+    for table in experiment():
+        report(capsys, *table)

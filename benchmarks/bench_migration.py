@@ -11,7 +11,7 @@ LAN row shows the crossover: when bandwidth is plentiful, placement
 barely matters.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.container.migration import MigrationEngine
 from repro.cscw import (
     display_package,
@@ -53,9 +53,28 @@ def run(link_class, migrate: bool):
     return fps, rate
 
 
-def test_decoder_placement(benchmark, capsys):
-    rows = []
-    results = {}
+def migrate_once(preinstalled: bool):
+    """One migration over a WAN: (downtime, bytes moved)."""
+    topo = Topology()
+    topo.add_host("a", SERVER)
+    topo.add_host("b", DESKTOP)
+    topo.add_link("a", "b", WAN)
+    rig = SimRig(topo)
+    rig.node("a").install_package(video_decoder_package())
+    if preinstalled:
+        rig.node("b").install_package(video_decoder_package())
+    inst = rig.node("a").container.create_instance("VideoDecoder")
+    t0 = rig.env.now
+    b0 = rig.metrics.get("net.bytes")
+    rig.run(until=MigrationEngine(rig.node("a")).migrate(
+        inst.instance_id, "b"))
+    return rig.env.now - t0, rig.metrics.get("net.bytes") - b0
+
+
+def experiment():
+    """Run C6 once, assert its claims, return the placement table and
+    the migration-cost table (C6b)."""
+    rows, results = [], {}
     for link, link_name in ((WAN, "WAN 10 Mb/s"), (LAN, "LAN 100 Mb/s")):
         for migrate, place in ((False, "at camera (remote)"),
                                (True, "migrated to viewer")):
@@ -63,50 +82,32 @@ def test_decoder_placement(benchmark, capsys):
             results[(link_name, migrate)] = (fps, rate)
             rows.append([link_name, place, f"{fps:.1f} / {FRAME_RATE:.0f}",
                          f"{rate/1e3:.0f} kB/s"])
-    benchmark.pedantic(lambda: run(WAN, True), rounds=1, iterations=1)
-    report(capsys, "C6: video decoder placement (12s of streaming)",
-           ["link", "decoder placement", "fps / target",
-            "link traffic"], rows,
-           note="over the WAN the migrated decoder restores full frame "
-                "rate at ~1/8 the bytes; over a LAN placement is moot "
-                "(the crossover)")
     wan_remote = results[("WAN 10 Mb/s", False)]
     wan_local = results[("WAN 10 Mb/s", True)]
     lan_remote = results[("LAN 100 Mb/s", False)]
     assert wan_local[0] > 1.8 * wan_remote[0]     # much faster
     assert wan_local[1] < wan_remote[1] / 3       # much cheaper
     assert lan_remote[0] >= 0.9 * FRAME_RATE      # LAN: remote is fine
-    stash(benchmark, wan_remote_fps=wan_remote[0],
-          wan_local_fps=wan_local[0])
-
-
-def test_migration_cost_itself(benchmark, capsys):
-    """What does one migration cost (downtime + bytes moved)?"""
-    def once(preinstalled: bool):
-        topo = Topology()
-        topo.add_host("a", SERVER)
-        topo.add_host("b", DESKTOP)
-        topo.add_link("a", "b", WAN)
-        rig = SimRig(topo)
-        rig.node("a").install_package(video_decoder_package())
-        if preinstalled:
-            rig.node("b").install_package(video_decoder_package())
-        inst = rig.node("a").container.create_instance("VideoDecoder")
-        t0 = rig.env.now
-        b0 = rig.metrics.get("net.bytes")
-        rig.run(until=MigrationEngine(rig.node("a")).migrate(
-            inst.instance_id, "b"))
-        return rig.env.now - t0, rig.metrics.get("net.bytes") - b0
-
-    cold_time, cold_bytes = once(False)
-    warm_time, warm_bytes = once(True)
-    benchmark.pedantic(lambda: once(True), rounds=3, iterations=1)
-    report(capsys, "C6b: cost of one migration over a WAN",
-           ["target state", "downtime (sim)", "bytes moved"], [
-               ["binary not installed (package ships)",
-                f"{cold_time*1000:.0f} ms", int(cold_bytes)],
-               ["binary already installed (state only)",
-                f"{warm_time*1000:.0f} ms", int(warm_bytes)],
-           ])
+    cold_time, cold_bytes = migrate_once(False)
+    warm_time, warm_bytes = migrate_once(True)
     assert warm_bytes < cold_bytes / 3
-    stash(benchmark, cold_ms=cold_time * 1000, warm_ms=warm_time * 1000)
+    return [
+        Table("C6: video decoder placement (12s of streaming)",
+              ["link", "decoder placement", "fps / target", "link traffic"],
+              rows,
+              note="over the WAN the migrated decoder restores full frame "
+                   "rate at ~1/4 the bytes; over a LAN placement is moot "
+                   "(the crossover)"),
+        Table("C6b: cost of one migration over a WAN",
+              ["target state", "downtime (sim)", "bytes moved"], [
+                  ["binary not installed (package ships)",
+                   f"{cold_time*1000:.0f} ms", f"{cold_bytes:.0f}"],
+                  ["binary already installed (state only)",
+                   f"{warm_time*1000:.0f} ms", f"{warm_bytes:.0f}"],
+              ]),
+    ]
+
+
+def test_decoder_placement(capsys):
+    for table in experiment():
+        report(capsys, *table)

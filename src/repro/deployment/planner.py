@@ -25,8 +25,12 @@ from repro.node.resources import ResourceSnapshot
 from repro.util.errors import ReproError
 from repro.xmlmeta.descriptors import AssemblyDescriptor, QoSSpec
 
-#: Hosts a search may try and give up before it refuses the assembly.
-#: A plan the greedy pass completes gives up none.
+#: Hosts a search may examine after its first dead end before it
+#: refuses the assembly: each instance it places afresh after that costs
+#: one look at every host.  A plan the greedy pass completes spends none,
+#: and a refusal costs the same at any host count.  The whole search of
+#: 6 instances on 4 hosts examines at most 4 x (4 + 4**2 + ... + 4**5) =
+#: 5,456.
 SEARCH_BUDGET = 10_000
 
 
@@ -92,7 +96,8 @@ class PlannerBase:
             k = len(placed)
             if len(untried) == k:
                 untried.append(ranked(needs[k]))
-            view = next(untried[k], None)
+                budget -= 0 if stuck is None else len(views)
+            view = next(untried[k], None) if budget >= 0 else None
             if view is not None:
                 cpu, mem = free[view.host]
                 prior.append((cpu, mem))
@@ -102,11 +107,10 @@ class PlannerBase:
                 continue
             untried.pop()
             stuck = k if stuck is None else stuck
-            if not placed or budget == 0:
+            if not placed or budget < 0:
                 raise PlacementError(
                     f"no host fits {order[stuck].name} (cpu="
                     f"{needs[stuck].cpu_units}, mem={needs[stuck].memory_mb})")
-            budget -= 1
             free[placed.pop()] = prior.pop()  # exactly: no float drift
         return {inst.name: host for inst, host in zip(order, placed)}
 

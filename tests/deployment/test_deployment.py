@@ -5,6 +5,7 @@ import pytest
 
 from repro.deployment.application import DeploymentError, Deployer
 from repro.deployment.planner import (
+    SEARCH_BUDGET,
     PlacementError,
     RandomPlanner,
     RoundRobinPlanner,
@@ -95,6 +96,27 @@ class TestRuntimePlanner:
         views = [snap(h, cpu_cap=75_000.0, mem_cap=1e6) for h in "ab"]
         with pytest.raises(PlacementError):
             RuntimePlanner().plan(assembly(1_501), views, QOS)
+
+    @pytest.mark.parametrize("hosts", [16, 256])
+    def test_refusal_examines_as_many_hosts_at_any_size(self, hosts):
+        # Identical hosts that take one instance each, and one instance
+        # more.  A host is examined when its free CPU is tested against
+        # the demand, ``free >= need``, which lands in ``Need.__le__``.
+        looks = []
+
+        class Need(float):
+            def __le__(self, free):
+                looks.append(free)
+                return float.__le__(self, free)
+
+        views = [snap(f"h{k}", cpu_cap=100.0) for k in range(hosts)]
+        qos = {"Counter": QoSSpec(cpu_units=Need(100.0), memory_mb=1.0)}
+        with pytest.raises(PlacementError):
+            RuntimePlanner().plan(assembly(hosts + 1), views, qos)
+        # The greedy pass looks at every host for each of the hosts + 1
+        # instances; what follows its dead end is the budget's.
+        after = len(looks) - (hosts + 1) * hosts
+        assert SEARCH_BUDGET - hosts < after <= SEARCH_BUDGET
 
 
 class TestStaticPlanner:

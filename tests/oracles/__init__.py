@@ -17,5 +17,8 @@
 - :mod:`tests.oracles.trace` -- trace connectivity, the invariant the
   tracing tests check a run's spans against;
 - :mod:`tests.oracles.placement` -- the greedy planners and a
-  brute-force placement search (``tests/property/test_placement_law.py``).
+  brute-force placement search (``tests/property/test_placement_law.py``);
+- :mod:`tests.oracles.tiekernel` -- the kernel's event queue with
+  same-instant ties popped in a seeded permuted order
+  (``tests/sim/test_tie_law.py``).
 """
