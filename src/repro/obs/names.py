@@ -56,6 +56,7 @@ FEDERATION_EPOCH_CLAMPED = "federation.epoch_clamped"
 FEDERATION_LOOKUP_FAILOVER = "federation.lookup.failover"
 FEDERATION_LOOKUP_FLOOD_FALLBACK = "federation.lookup.flood_fallback"
 FEDERATION_LOOKUP_RING_FALLBACK = "federation.lookup.ring_fallback"
+FEDERATION_REJECTED_NOT_OWNER = "federation.rejected.not_owner"
 FEDERATION_REJECTED_UNKNOWN_HOST = "federation.rejected.unknown_host"
 FEDERATION_ROUNDS = "federation.rounds"
 
@@ -120,6 +121,7 @@ METRIC_NAMES: frozenset[str] = frozenset({
     FEDERATION_LOOKUP_FAILOVER,
     FEDERATION_LOOKUP_FLOOD_FALLBACK,
     FEDERATION_LOOKUP_RING_FALLBACK,
+    FEDERATION_REJECTED_NOT_OWNER,
     FEDERATION_REJECTED_UNKNOWN_HOST,
     FEDERATION_ROUNDS,
     # network

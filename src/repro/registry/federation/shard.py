@@ -7,14 +7,23 @@ of the provider-record space and a
 plane gossiped, member plane local), and runs
 **seeded epidemic rounds**: every ``gossip_interval`` it picks
 ``fanout`` live peers from its own membership view (a named RNG
-stream, so runs are reproducible) and sends its round delta as **one**
-``gossip`` frame per peer, marshalled once, via
-:meth:`~repro.orb.core.ORB.send_oneway_fanout`.
+stream, so runs are reproducible) and sends each of them **one**
+``gossip`` frame: the peer's share of the round's records, those it
+owns under the shared ring, and the whole owner plane.  Peers with
+equal shares (usually empty) share one
+:meth:`~repro.orb.core.ORB.send_oneway_fanout` call, so each distinct
+share is marshalled once.
 
 Anti-entropy: most rounds carry only the records merged since the
 previous round, but every ``FULL_SYNC_EVERY``-th round pushes the full
 owned set, so an owner that lost its RAM (crash/restart) or missed
 deltas (partition) converges back within a bounded number of rounds.
+
+The receiver's ownership check stays the authority: a record whose
+owner changes while a frame is in flight (``remove_owner`` /
+``add_owner``) is dropped there and counted, and reaches its new owner
+within one ``update_interval``, since reporters share the ring and
+publish to the new owner on their next tick.
 
 Peer discovery is itself epidemic: an agent starts knowing only its
 ``seed_peers`` and learns the rest of the owner population from the
@@ -197,14 +206,33 @@ class ShardAgent:
         peers = self._pick_peers()
         if not peers:
             return
-        # An empty delta still goes out: the owner plane rides along
-        # whole on every frame, so the round is a heartbeat too.
-        self.node.orb.send_oneway_fanout(
-            [shard_ior(h) for h in peers], GOSSIP_OP,
-            ([r.to_value() for r in outgoing],
-             [b.to_value() for b in self.membership.owner_beacons()]),
-            meter=METER)
+        self._send_shares(outgoing, peers)
         self.node.metrics.counter(names.FEDERATION_ROUNDS).inc()
+
+    def _send_shares(self, outgoing: list[ProviderRecord],
+                     peers: list[str]) -> None:
+        """One ``gossip`` frame per peer, carrying the records of
+        *outgoing* that the peer owns under the shared ring (it would
+        drop the rest) and the whole owner plane.  Peers with equal
+        shares share one ``send_oneway_fanout`` call, so each distinct
+        body is marshalled once; calls go out in order of each share's
+        first peer.  An empty share still goes out: the owner plane
+        makes the frame a heartbeat too."""
+        shares: dict[str, list[int]] = {peer: [] for peer in peers}
+        for index, record in enumerate(outgoing):
+            for owner in self.ring.owners(record.repo_id,
+                                          self.config.replication):
+                if owner in shares:
+                    shares[owner].append(index)
+        groups: dict[tuple[int, ...], list[str]] = {}
+        for peer in peers:
+            groups.setdefault(tuple(shares[peer]), []).append(peer)
+        beacons = [b.to_value() for b in self.membership.owner_beacons()]
+        for share, group in groups.items():
+            self.node.orb.send_oneway_fanout(
+                [shard_ior(h) for h in group], GOSSIP_OP,
+                ([outgoing[i].to_value() for i in share], beacons),
+                meter=METER)
 
     # -- state merging ------------------------------------------------------
     def _owns(self, repo_id: str) -> bool:
@@ -275,12 +303,18 @@ class ShardAgent:
             if not self._known_host(record.host):
                 continue
             # Keep shards bounded: only merge records this owner is
-            # responsible for under the current ring.
-            if self._owns(record.repo_id):
-                clamped = self._clamp_epoch(record.epoch, now)
-                if clamped != record.epoch:
-                    record = replace(record, epoch=clamped)
-                self.store.apply(record, now)
+            # responsible for under the current ring.  A sender filters
+            # by the same ring, so a drop here means ownership moved
+            # while the frame was in flight (or the wire flipped a bit
+            # of the repo-id).
+            if not self._owns(record.repo_id):
+                self.node.metrics.counter(
+                    names.FEDERATION_REJECTED_NOT_OWNER).inc()
+                continue
+            clamped = self._clamp_epoch(record.epoch, now)
+            if clamped != record.epoch:
+                record = replace(record, epoch=clamped)
+            self.store.apply(record, now)
 
     # -- queries ------------------------------------------------------------
     def candidates(self, repo_id: str, qos: QoSSpec) -> list:

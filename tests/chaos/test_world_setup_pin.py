@@ -22,7 +22,7 @@ COUNTERS = {
     "deploy.views.bytes": 828.0,
     "deploy.packages_shipped": 3.0,
     "net.messages": 55.0,
-    "net.bytes": 17468.0,
+    "net.bytes": 17212.0,
 }
 #: sim time at which the deploy returned
 DEPLOYED_AT = 0.5786247999999997

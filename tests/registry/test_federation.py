@@ -233,8 +233,9 @@ class TestFederationEndToEnd:
 
 class TestGossipRound:
     def test_a_round_is_one_frame_per_peer_however_large(self):
-        """A full-sync round sends its whole owned set and the owner
-        plane as one marshalled ``gossip`` frame per sampled peer."""
+        """A full-sync round sends each sampled peer one ``gossip``
+        frame: the records of the owned set that this peer owns (it
+        would drop the rest) and the whole owner plane."""
         rig, fed = federated_rig(seed=127)
         rig.run(until=fed.settle_time())
         host, agent = sorted(fed.agents.items())[0]
@@ -253,13 +254,22 @@ class TestGossipRound:
         orb.send_oneway_fanout = spy
         agent.rounds = FULL_SYNC_EVERY - 1        # the next is a full sync
         agent._gossip_round()
-        [(peers, operation, (records, beacons))] = sent
-        assert operation == "gossip"
-        assert peers and set(peers) <= set(fed.agents) - {host}
-        assert records == [r.to_value() for r in agent.store.records()]
-        assert len(records) >= 300
-        assert beacons == [b.to_value()
-                           for b in agent.membership.owner_beacons()]
+        frames = {}
+        for peers, operation, (records, beacons) in sent:
+            assert operation == "gossip"
+            assert beacons == [b.to_value()
+                               for b in agent.membership.owner_beacons()]
+            for peer in peers:
+                assert peer not in frames
+                frames[peer] = records
+        assert frames and set(frames) <= set(fed.agents) - {host}
+        outgoing = agent.store.records()
+        for peer, records in frames.items():
+            assert records == [
+                r.to_value() for r in outgoing
+                if peer in fed.ring.owners(r.repo_id,
+                                           fed.config.replication)]
+            assert 0 < len(records) < len(outgoing)
 
 
 class TestFederationChurn:
@@ -293,6 +303,50 @@ class TestFederationChurn:
         assert agent.store.lookup(COUNTER_IFACE.repo_id)
         assert fed.owner_views_agree()
         assert fed.records_converged(COUNTER_IFACE.repo_id)
+
+    def test_a_record_rebalanced_mid_frame_reaches_its_new_owner(self):
+        """A full-sync frame to a non-owner of R leaves R out; if the
+        ring then moves R onto that receiver while the frame is in
+        flight, R still reaches it within one ``update_interval``: the
+        provider's reporter shares the ring and publishes to the new
+        owner on its next tick."""
+        rig, fed = federated_rig(seed=121, owners=4)
+        rig.run(until=fed.settle_time())
+        repo_id, n = COUNTER_IFACE.repo_id, fed.config.replication
+        old = fed.ring.owners(repo_id, n)
+        victim, keeper = old[0], fed.agents[old[1]]
+        after = ShardRing(vnodes=fed.config.vnodes)
+        for host in fed.ring.hosts():
+            if host != victim:
+                after.stage_add(host)
+        after.rebalance()
+        [newcomer] = set(after.owners(repo_id, n)) - set(old)
+        assert not fed.agents[newcomer].store.lookup(repo_id)
+        sent_at = []
+        send = keeper.node.orb.send_oneway_fanout
+
+        def remove_victim():
+            rig.topology.set_host_state(victim, alive=False)
+            fed.remove_owner(victim)
+            yield rig.env.timeout(0)
+
+        def spy(iors, odef, args, meter=None):
+            if (not sent_at and keeper.rounds % FULL_SYNC_EVERY == 0
+                    and newcomer in [ior.host_id for ior in iors]):
+                records, _beacons = args
+                assert keeper.store.lookup(repo_id)
+                assert all(r["repo_id"] != repo_id for r in records)
+                sent_at.append(rig.env.now)
+                rig.env.process(remove_victim())   # in this instant
+            return send(iors, odef, args, meter)
+
+        keeper.node.orb.send_oneway_fanout = spy
+        while not sent_at:
+            rig.run(until=rig.env.now + fed.config.gossip_interval)
+        transit = 0.05
+        rig.run(until=sent_at[0] + fed.config.update_interval + transit)
+        assert newcomer in fed.ring.owners(repo_id, n)
+        assert fed.agents[newcomer].store.lookup(repo_id)
 
     def test_dead_owner_suspected_by_peers(self):
         rig, fed = federated_rig(seed=126)
