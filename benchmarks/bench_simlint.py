@@ -208,6 +208,17 @@ PLANTED = [
          with obs.span("supervisor.promote"):
              pass
      """),
+    ("another host's liveness read off the simulator", "SIM040",
+     """
+     def backups(self, group):
+         return [m for m in group.members
+                 if self.topology.host(m.host).alive]
+     """,
+     """
+     def backups(self, group):
+         live = self.registry.live_hosts()
+         return [m for m in group.members if m.host in live]
+     """),
 ]
 
 

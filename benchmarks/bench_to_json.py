@@ -196,7 +196,7 @@ SUITES = {
         "({convergence_rounds:.0f} rounds)"),
     "chaos": Suite(
         "bench_chaos.py", "C19", "test_chaos_campaigns",
-        "seeded chaos campaigns + invariant monitors", {
+        "seeded chaos campaigns + invariant monitors, 45 s campaigns", {
             "profiles": "profiles",
             "actions": "actions",
             "checks": "checks",

@@ -10,7 +10,7 @@ escaping a supervisor loop kills self-healing, one unreverted chaos
 fault poisons the next campaign, and one typo'd metric name silently
 drops a benchmark series.
 
-Four rule families, each with stable ``SIMxxx`` codes:
+Five rule families, each with stable ``SIMxxx`` codes:
 
 - **determinism** (SIM001-) — the stdlib ``random`` module, wall
   clocks, ``os.urandom``-style entropy, ad-hoc numpy ``Generator``
@@ -24,7 +24,10 @@ Four rule families, each with stable ``SIMxxx`` codes:
   revert closure; staged ring membership changes must be rebalanced
   (or cancelled) on every path out of the function;
 - **name hygiene** (SIM030-) — every metric/span name emitted as a
-  string literal must be declared in :mod:`repro.obs.names`.
+  string literal must be declared in :mod:`repro.obs.names`;
+- **observed liveness** (SIM040) — outside :mod:`repro.sim` and
+  :mod:`repro.chaos`, no code reads another host's ``.alive`` off the
+  simulator: liveness is what a node observes.
 
 A finding is silenced only inline, on its own line
 (``# simlint: disable=SIM003``).  The CLI front end is

@@ -74,9 +74,13 @@ class SourceFile:
         return cls(path=path, text=text, tree=tree,
                    suppressions=suppressions)
 
-    def matches(self, suffixes: Iterable[str]) -> bool:
-        posix = Path(self.path).as_posix()
-        return any(posix.endswith(suffix) for suffix in suffixes)
+    def matches(self, entries: Iterable[str]) -> bool:
+        """Whether this file is one of *entries*: a path suffix
+        (``"grid/volunteer.py"``), or a directory ending in ``/``
+        (``"sim/"``) that the file sits under."""
+        posix = "/" + Path(self.path).as_posix()
+        return any(f"/{entry}" in posix if entry.endswith("/")
+                   else posix.endswith(entry) for entry in entries)
 
     def suppressed(self, code: str, lineno: int) -> bool:
         codes = self.suppressions.get(lineno)
@@ -139,7 +143,7 @@ def lint_sources(sources: Iterable[SourceFile],
     # (deferred so SourceFile/SimlintConfig can be imported from here
     # without a cycle).
     from repro.analysis.simlint import (  # noqa: F401
-        determinism, effects, hygiene, loops,
+        determinism, effects, hygiene, liveness, loops,
     )
     for source in sources:
         sink = _Sink(source, diag)

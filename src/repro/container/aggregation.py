@@ -125,7 +125,7 @@ class AggregationCoordinator:
             survivors = [
                 w for i, w in enumerate(workers)
                 if i not in failed
-                and node.network.topology.host(w[0]).alive
+                and node.network.topology.host(w[0]).alive  # simlint: disable=SIM040 -- ROADMAP 24
             ]
             if not survivors:
                 raise AggregationError("all workers failed")
@@ -137,7 +137,7 @@ class AggregationCoordinator:
 
         # Tear down workers that are still reachable.
         for host, _facet, iid in workers:
-            if node.network.topology.host(host).alive:
+            if node.network.topology.host(host).alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 agent = node.service_stub(host, "container")
                 try:
                     yield agent.destroy_instance(iid)

@@ -52,9 +52,8 @@ class ReplicaGroup:
     #: instance_id of the current fenced primary (coordinated mode).
     primary_id: Optional[str] = None
 
-    def alive_members(self, topology) -> list[ReplicaMember]:
-        return [m for m in self.members
-                if topology.host(m.host).alive]
+    def alive_members(self, alive) -> list[ReplicaMember]:
+        return [m for m in self.members if alive(m.host)]
 
     @property
     def primary(self) -> ReplicaMember:
@@ -71,24 +70,25 @@ class ReplicaGroup:
         member.epoch = self.epoch
         self.primary_id = member.instance_id
 
-    def select_primary(self, topology) -> ReplicaMember:
-        """The fenced primary for a coordinated sync.
+    def select_primary(self, alive) -> ReplicaMember:
+        """The fenced primary for a coordinated sync, by the caller's
+        ``alive(host)`` view — the one that detected the failure.
 
-        The recorded primary wins while it is alive.  When it is dead
-        (or nothing was ever recorded) the live member carrying the
+        The recorded primary wins while it looks alive.  When it does
+        not (or nothing was ever recorded) the live member carrying the
         highest epoch is promoted — never merely the first member that
-        happens to be alive, so a restarted ex-primary with a stale
-        epoch cannot reclaim the role and push old state.
+        looks alive, so a restarted ex-primary with a stale epoch
+        cannot reclaim the role and push old state.
         """
-        alive = self.alive_members(topology)
-        if not alive:
+        candidates = self.alive_members(alive)
+        if not candidates:
             raise ReplicationError(
                 f"no live replicas of {self.component}"
             )
-        for member in alive:
+        for member in candidates:
             if member.instance_id == self.primary_id:
                 return member
-        best = max(alive, key=lambda m: m.epoch)
+        best = max(candidates, key=lambda m: m.epoch)
         self.promote(best)
         return best
 
@@ -150,11 +150,14 @@ class ReplicaManager:
         node.metrics.counter("replication.groups").inc()
         return group
 
-    def sync(self, group: ReplicaGroup) -> Event:
-        """Push the primary's state to all backups (coordinated mode)."""
-        return self.node.env.process(self._sync(group))
+    def sync(self, group: ReplicaGroup, alive) -> Event:
+        """Push the primary's state to the backups *alive* accepts
+        (coordinated mode), promoting by the same view."""
+        return self.node.env.process(self._sync(group, alive))
 
-    def _sync(self, group: ReplicaGroup):
+    def _sync(self, group: ReplicaGroup, alive,
+              timeout: Optional[float] = None):
+        # *timeout* bounds each state call (None: the ORB's default).
         if group.mode != "coordinated":
             raise ReplicationError(
                 f"group {group.component} is {group.mode}; sync applies "
@@ -162,20 +165,22 @@ class ReplicaManager:
             )
         node = self.node
         epoch_before = group.epoch
-        primary = group.select_primary(node.network.topology)
+        primary = group.select_primary(alive)
         if group.epoch != epoch_before:
             node.metrics.counter("replication.promotions").inc()
         agent = node.service_stub(primary.host, "container")
-        state = yield agent.get_state(primary.instance_id)
+        state = yield agent.get_state(primary.instance_id,
+                                      _timeout=timeout)
         synced = 0
         for member in group.members:
             if member is primary:
                 continue
-            if not node.network.topology.host(member.host).alive:
+            if not alive(member.host):
                 continue
             backup = node.service_stub(member.host, "container")
             try:
-                yield backup.set_state(member.instance_id, state)
+                yield backup.set_state(member.instance_id, state,
+                                       _timeout=timeout)
                 # The backup now carries the primary's state generation,
                 # so it is a legitimate promotion candidate at this epoch.
                 member.epoch = group.epoch

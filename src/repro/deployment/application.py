@@ -10,6 +10,9 @@ each node's Container Agent, and wires every declared connection.
 
 The resulting :class:`Application` handle supports teardown, migration
 of its instances, and the connection re-wiring migrations require.
+Neither reads which hosts are up: a path the supervisor drives skips
+the hosts its registry view, an ``alive(host)`` predicate, calls down;
+elsewhere every host is tried and the call's own failure decides.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.node.events import EventBroker
 from repro.node.node import Node
 from repro.node.registry import COMPONENT_REGISTRY_IFACE
 from repro.node.resources import RESOURCE_MANAGER_IFACE, ResourceSnapshot
-from repro.orb.exceptions import SystemException
+from repro.orb.exceptions import SystemException, UserException
 from repro.orb.ior import IOR
 from repro.registry.view import NodeView
 from repro.sim.kernel import Event
@@ -39,6 +42,15 @@ from repro.xmlmeta.versions import Version, VersionRange
 _SNAPSHOT = RESOURCE_MANAGER_IFACE.operations["snapshot"]
 _INSTALLED = COMPONENT_REGISTRY_IFACE.operations["installed"]
 
+#: deadline of a call made only to look or to tidy up (a resource view,
+#: a catalogue, a checkpoint, a re-aim): a host that crashed and is not
+#: yet known down costs a pass this much, not the ORB's default.
+PROBE_TIMEOUT = 2.0
+
+
+def no_view(host: str) -> bool:
+    """The liveness of a caller without a failure detector."""
+    return True
 
 class DeploymentError(ReproError):
     """Assembly could not be deployed or wired."""
@@ -104,25 +116,23 @@ class Application:
     def _teardown(self):
         for name, info in self.infos.items():
             host = self.placement[name]
-            if not self.deployer.topology.host(host).alive:
-                # The instance survives in the dead host's container; it
-                # must be destroyed when the host comes back or it leaks
-                # (and keeps its resources reserved) forever.
-                self.deployer.orphans.append((host, info.instance_id))
-                continue
             agent = self.deployer.coordinator.service_stub(host, "container")
             try:
                 yield agent.destroy_instance(info.instance_id)
             except SystemException:
-                # Host died mid-call: same orphan story as above.
+                # Unreachable: the instance may survive in that host's
+                # container, and must be destroyed when the host comes
+                # back or it leaks (and keeps its resources reserved)
+                # forever.
                 self.deployer.orphans.append((host, info.instance_id))
-                continue
         self.torn_down = True
         if self in self.deployer.applications:
             self.deployer.applications.remove(self)
 
     def migrate(self, instance_name: str, target_host: str) -> Event:
-        """Migrate one instance and re-wire connections touching it."""
+        """Migrate one instance and re-wire connections touching it; a
+        connection it cannot re-aim fails it with :exc:`DeploymentError`
+        (the move itself stands)."""
         return self.deployer.env.process(
             self._migrate(instance_name, target_host))
 
@@ -141,7 +151,12 @@ class Application:
         self.placement[instance_name] = target_host
         self.incarnations[instance_name] = \
             self.incarnation(instance_name) + 1
-        yield from self._rewire(instance_name)
+        skipped = yield from self._rewire(instance_name)
+        if skipped:
+            ports = ", ".join(f"{c.from_instance}.{c.from_port}"
+                              for c in skipped)
+            raise DeploymentError(f"{instance_name!r} moved to {target_host}"
+                                  f" but {ports} still aim at {source_host}")
         return info
 
     def repair(self, instance_name: str, target_host: str) -> Event:
@@ -159,17 +174,17 @@ class Application:
 
     def _repair(self, instance_name: str, target_host: str,
                 state: Optional[dict] = None,
-                fence: Optional[int] = None):
+                fence: Optional[int] = None, alive=no_view):
         """The repair itself.  The supervisor passes *state* (the last
-        checkpoint) and *fence*, the :meth:`incarnation` epoch the
-        repair was planned against: it aborts with
-        :exc:`RepairSuperseded` if the epoch moved in the meantime."""
+        checkpoint), its view as *alive*, and *fence*, the
+        :meth:`incarnation` epoch the repair was planned against: it
+        aborts with :exc:`RepairSuperseded` if the epoch moved since."""
         old_host = self.placement[instance_name]
         old_id = self.instance_id(instance_name)
         decl = next(i for i in self.assembly.instances
                     if i.name == instance_name)
         yield from self.deployer._ensure_installed(decl.component,
-                                                   target_host)
+                                                   target_host, alive)
         receptacles, subscriptions = self._outgoing_wiring(instance_name)
         agent = self.deployer.coordinator.service_stub(target_host,
                                                        "container")
@@ -207,14 +222,7 @@ class Application:
             # The dead host still holds the stale incarnation; schedule
             # it for destruction when (if) that host returns.
             orphans.append((old_host, old_id))
-        try:
-            skipped = yield from self._rewire(instance_name)
-        except SystemException:
-            # A user host crashed mid-rewire.  The incarnation itself
-            # succeeded; report every inbound connection as still
-            # pending rather than failing the whole repair.
-            skipped = list(self.connections_to(instance_name))
-        return skipped
+        return (yield from self._rewire(instance_name, alive))
 
     def _peer(self, conn: AssemblyConnection) -> str:
         """What *conn*'s user port is wired to, stringified: the
@@ -239,10 +247,11 @@ class Application:
                               "peer": self._peer(conn)})
         return receptacles, subscriptions
 
-    def _rewire(self, migrated: str):
+    def _rewire(self, migrated: str, alive=no_view):
         """Repair connections whose provider facets/channels moved.
 
-        Connections whose *user* currently sits on a dead host cannot be
+        Connections whose *user* host *alive* calls down, or whose
+        re-aiming call fails (or outlasts ``PROBE_TIMEOUT``), cannot be
         repaired now; they are returned so a supervisor can retry them
         once the user's host is back (or the user itself is recovered,
         which rebuilds its outgoing wiring anyway).
@@ -251,21 +260,27 @@ class Application:
         skipped: list[AssemblyConnection] = []
         for conn in self.connections_to(migrated):
             user_host = self.placement[conn.from_instance]
-            if not self.deployer.topology.host(user_host).alive:
+            if not alive(user_host):
                 skipped.append(conn)
                 continue
             user_id = self.instance_id(conn.from_instance)
             agent = coordinator.service_stub(user_host, "container")
-            if conn.kind == "interface":
-                try:
-                    yield agent.disconnect(user_id, conn.from_port)
-                except SystemException:
-                    pass
-                yield agent.connect(user_id, conn.from_port,
-                                    self._peer(conn))
-            else:
-                yield agent.subscribe(user_id, conn.from_port,
-                                      self._peer(conn))
+            try:
+                if conn.kind == "interface":
+                    try:
+                        yield agent.disconnect(user_id, conn.from_port,
+                                               _timeout=PROBE_TIMEOUT)
+                    except (SystemException, UserException):
+                        pass        # unreachable, or nothing to undo
+                    yield agent.connect(user_id, conn.from_port,
+                                        self._peer(conn),
+                                        _timeout=PROBE_TIMEOUT)
+                else:
+                    yield agent.subscribe(user_id, conn.from_port,
+                                          self._peer(conn),
+                                          _timeout=PROBE_TIMEOUT)
+            except (SystemException, UserException):
+                skipped.append(conn)
         return skipped
 
     def _event_kind(self, instance_name: str, port: str) -> str:
@@ -301,8 +316,7 @@ class Deployer:
         host = coordinator_host or next(iter(nodes))
         self.coordinator = nodes[host]
         self.env = self.coordinator.env
-        self.topology = self.coordinator.network.topology
-        self.hosts = self.topology.host_ids()
+        self.hosts = self.coordinator.network.topology.host_ids()
         self.applications: list[Application] = []
         #: (host, instance_id) pairs stranded on dead hosts by teardown
         #: or repair; the ApplicationSupervisor destroys them when the
@@ -314,15 +328,16 @@ class Deployer:
         """Live resource snapshots from every reachable host."""
         return self.env.process(self._gather_views())
 
-    def _gather_views(self):
+    def _gather_views(self, alive=no_view):
         views: list[ResourceSnapshot] = []
         for host in self.hosts:
-            if not self.topology.host(host).alive:
+            if not alive(host):
                 continue
             ior = Node.service_ior(host, "resources")
             try:
                 value = yield self.coordinator.orb.invoke(
-                    ior, _SNAPSHOT, (), timeout=2.0, meter="deploy.views")
+                    ior, _SNAPSHOT, (), timeout=PROBE_TIMEOUT,
+                    meter="deploy.views")
             except SystemException:
                 continue
             views.append(ResourceSnapshot.from_value(value))
@@ -344,7 +359,7 @@ class Deployer:
         try:
             values = yield self.coordinator.orb.invoke(
                 Node.service_ior(host, "registry"), _INSTALLED, (),
-                timeout=2.0, meter="deploy.locate")
+                timeout=PROBE_TIMEOUT, meter="deploy.locate")
         except SystemException:
             return None
         infos = [info for info in map(ComponentInfo.from_value, values)
@@ -356,21 +371,23 @@ class Deployer:
         return QoSSpec(info.qos_cpu, info.qos_memory, info.qos_bandwidth)
 
     def _source_host(self, component: str,
-                     versions: VersionRange = VersionRange("")):
-        """(first live host holding *component*, its QoS there)."""
-        for host in self.hosts:
-            if self.topology.host(host).alive:
+                     versions: VersionRange = VersionRange(""),
+                     alive=no_view, after: Optional[str] = None):
+        """(first host past *after* that *alive* accepts and that holds
+        *component*, its QoS there)."""
+        for host in self.hosts[self.hosts.index(after) + 1 if after else 0:]:
+            if alive(host):
                 qos = yield from self._installed(host, component, versions)
                 if qos is not None:
                     return host, qos
         raise DeploymentError(f"component {component!r} is installed nowhere")
 
-    def _qos_of(self, assembly: AssemblyDescriptor):
+    def _qos_of(self, assembly: AssemblyDescriptor, alive=no_view):
         out: dict[str, QoSSpec] = {}
         for inst in assembly.instances:
             if inst.component not in out:
                 _, out[inst.component] = yield from self._source_host(
-                    inst.component, inst.versions)
+                    inst.component, inst.versions, alive)
         return out
 
     # -- deployment ------------------------------------------------------------------
@@ -405,7 +422,7 @@ class Deployer:
         self.coordinator.metrics.counter("deploy.applications").inc()
         return app
 
-    def _ensure_installed(self, component: str, host: str):
+    def _ensure_installed(self, component: str, host: str, alive=no_view):
         # the target needs no QoS: a held node's repository is read
         # directly, any other host's acceptor answers a yes or no
         node = self.nodes.get(host)
@@ -413,9 +430,16 @@ class Deployer:
         if (node.repository.is_installed(component) if node is not None
                 else (yield target.is_installed(component, ""))):
             return
-        source, _ = yield from self._source_host(component)
-        source_acceptor = self.coordinator.service_stub(source, "acceptor")
-        pkg = yield source_acceptor.fetch(component, "")
+        source = None
+        while True:
+            source, _ = yield from self._source_host(
+                component, alive=alive, after=source)
+            try:
+                pkg = yield self.coordinator.service_stub(
+                    source, "acceptor").fetch(component, "")
+                break
+            except SystemException:
+                continue        # give way to the next holder
         if not (yield target.is_installed(component, "")):
             yield target.install(pkg)
         self.coordinator.metrics.counter("deploy.packages_shipped").inc()

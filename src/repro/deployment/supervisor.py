@@ -6,9 +6,11 @@ alone only *places* instances — nothing reacts when the host under one
 dies.  The :class:`ApplicationSupervisor` closes that loop from the
 deployer's coordinator node:
 
-- **liveness** comes from the Distributed Registry's soft-state views
-  when one is provided (a host whose reports the MRMs stopped seeing is
-  presumed down) and from ground-truth topology otherwise;
+- **liveness** is observed: a host is up while the registry's
+  soft-state views hold it (presumed down after the member timeout),
+  and that one view drives every decision of a pass; a crashed host
+  it still holds costs each look-and-tidy call (checkpoint, sync,
+  sweep, re-aim) the deployer's ``PROBE_TIMEOUT``;
 - **stranded instances** — deployed instances whose host is down — are
   *re-planned* onto a live host with the deployer's planner and
   re-incarnated there (from the last supervisor checkpoint of their
@@ -39,6 +41,7 @@ from repro.container.replication import (
     ReplicationError,
 )
 from repro.deployment.application import (
+    PROBE_TIMEOUT,
     Application,
     Deployer,
     DeploymentError,
@@ -80,18 +83,17 @@ class _Pending:
 class ApplicationSupervisor:
     """Watches a deployer's applications and heals them after crashes."""
 
-    def __init__(self, deployer: Deployer, interval: float = 5.0,
-                 checkpoint: bool = True, registry=None,
+    def __init__(self, deployer: Deployer, registry,
+                 interval: float = 5.0, checkpoint: bool = True,
                  backoff_base: float = 2.0,
                  backoff_cap: float = 60.0) -> None:
         self.deployer = deployer
         self.node = deployer.coordinator
         self.env = deployer.env
-        self.topology = deployer.topology
         self.interval = interval
         self.checkpoint = checkpoint
-        #: optional registry back end (MRM hierarchy or federation)
-        #: supplying soft-state liveness through ``live_hosts()``.
+        #: registry back end (MRM hierarchy or federation) supplying
+        #: soft-state liveness through ``live_hosts()``.
         self.registry = registry
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -129,17 +131,13 @@ class ApplicationSupervisor:
 
     # -- liveness ----------------------------------------------------------
     def _host_alive(self, host_id: str) -> bool:
-        if self.registry is not None:
-            return host_id in self._live_view()
-        return self.topology.host(host_id).alive
+        return host_id in self._live_view()
 
     def _live_view(self) -> set:
         """The registry's live-host set, computed once per sim-instant.
 
-        Liveness is asked per watched instance; against a federated
-        (gossip-backed) registry on a large population that merge is
-        the expensive part of a tick, and within one instant the
-        answer cannot change.
+        Liveness is asked per watched instance and per host a repair
+        looks at; within one instant the answer cannot change.
         """
         if self._live_cache is None or self._live_cache[0] != self.env.now:
             self._live_cache = (self.env.now,
@@ -169,11 +167,12 @@ class ApplicationSupervisor:
         """Destroy teardown/repair leftovers on hosts that returned."""
         for entry in list(self.deployer.orphans):
             host, instance_id = entry
-            if not self.topology.host(host).alive:
+            if not self._host_alive(host):
                 continue
             agent = self.node.service_stub(host, "container")
             try:
-                yield agent.destroy_instance(instance_id)
+                yield agent.destroy_instance(instance_id,
+                                             _timeout=PROBE_TIMEOUT)
             except UserException:
                 pass                    # already gone: still swept
             except SystemException:
@@ -196,7 +195,7 @@ class ApplicationSupervisor:
                                    "dead_host": primary.host}) if obs else None
             epoch_before = group.epoch
             try:
-                new_primary = group.select_primary(self.topology)
+                new_primary = group.select_primary(self._host_alive)
             except ReplicationError as exc:
                 self.node.metrics.counter(
                     names.SUPERVISOR_RECOVERY_DEFERRED).inc()
@@ -212,7 +211,8 @@ class ApplicationSupervisor:
                     new_host=new_primary.host, latency=0.0))
             try:
                 # Align the surviving backups with the promoted primary.
-                yield from manager._sync(group)
+                yield from manager._sync(group, self._host_alive,
+                                         PROBE_TIMEOUT)
             except (ReplicationError, SystemException, UserException):
                 pass                    # next pass retries
             if span:
@@ -258,8 +258,9 @@ class ApplicationSupervisor:
                                "dead_host": dead_host,
                                "attempt": pend.attempts + 1}) if obs else None
         try:
-            views = yield from self.deployer._gather_views()
-            qos_of = yield from self.deployer._qos_of(app.assembly)
+            views = yield from self.deployer._gather_views(self._host_alive)
+            qos_of = yield from self.deployer._qos_of(app.assembly,
+                                                      self._host_alive)
             target = self.deployer.planner.replan_instance(
                 app.assembly, name, views, qos_of, exclude=(dead_host,))
             state = self.checkpoints.get(app.instance_id(name))
@@ -276,7 +277,8 @@ class ApplicationSupervisor:
                     f"repaired by someone else) while recovery was "
                     f"planning")
             skipped = yield from app._repair(name, target, state,
-                                             fence=pend.epoch)
+                                             fence=pend.epoch,
+                                             alive=self._host_alive)
         except RepairSuperseded as exc:
             # Clean abort, not a failure: the instance is alive again
             # (or already repaired); drop the queued recovery.
@@ -320,10 +322,7 @@ class ApplicationSupervisor:
             if app.torn_down:
                 self._pending_rewires.pop(key, None)
                 continue
-            try:
-                skipped = yield from app._rewire(name)
-            except SystemException:
-                continue                # user crashed mid-rewire; retry
+            skipped = yield from app._rewire(name, self._host_alive)
             if not skipped:
                 self._pending_rewires.pop(key, None)
 
@@ -334,11 +333,12 @@ class ApplicationSupervisor:
             if app.torn_down:
                 continue
             for name, host in list(app.placement.items()):
-                if not self.topology.host(host).alive:
+                if not self._host_alive(host):
                     continue
                 agent = self.node.service_stub(host, "container")
                 try:
-                    data = yield agent.get_state(app.instance_id(name))
+                    data = yield agent.get_state(app.instance_id(name),
+                                                 _timeout=PROBE_TIMEOUT)
                 except (SystemException, UserException):
                     continue
                 try:

@@ -115,7 +115,7 @@ class VolunteerMaster:
             while self.queue or self.in_flight:
                 free = [h for h in sorted(self.volunteers)
                         if h not in self.in_flight
-                        and self.node.network.topology.host(h).alive]
+                        and self.node.network.topology.host(h).alive]  # simlint: disable=SIM040 -- ROADMAP 24
                 while self.queue and free:
                     host = free.pop(0)
                     shard = self.queue.pop(0)

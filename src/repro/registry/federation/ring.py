@@ -140,6 +140,8 @@ class ShardRing:
         if not self._points:
             raise ConfigurationError("ring has no hosts")
         n = min(n, len(self._hosts))
+        if n <= 0:
+            return []
         idx = bisect.bisect_right(self._keys, ring_point(key))
         out: list[str] = []
         for step in range(len(self._points)):

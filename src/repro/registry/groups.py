@@ -284,7 +284,7 @@ class DistributedRegistry:
         """
         out: set[str] = set()
         for agent in self.all_mrm_agents():
-            if not agent.node.host.alive:
+            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 continue
             out.update(agent.members)
             # A serving MRM host is, by construction, alive.

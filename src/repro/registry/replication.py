@@ -107,6 +107,6 @@ class MrmSupervisor:
         for host in self.group.member_hosts:
             if host in self.group.mrm_hosts:
                 continue
-            if topology.host(host).alive:
+            if topology.host(host).alive:  # simlint: disable=SIM040 -- ROADMAP 24
                 return host
         return None

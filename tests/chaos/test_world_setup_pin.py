@@ -46,3 +46,17 @@ def test_build_world_deploy_is_pinned(monkeypatch):
     assert world.app.placement == seen["placement"]
     assert seen == {"placement": PLACEMENT, "counters": COUNTERS,
                     "now": DEPLOYED_AT}
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_fault_free_view_is_the_truth(seed):
+    # The supervisor decides by the federation's view alone.  On the
+    # fault-free world (the spine's ``cscw_session``, seeds 5 and 11)
+    # that view is the set of hosts that are up from the moment
+    # ``build_world`` returns, so no decision there can differ from
+    # one made by the truth.
+    world = scenario.build_world(seed)
+    start = world.rig.env.now
+    for k in range(61):
+        world.rig.run(until=start + 0.5 * k)
+        assert world.federation.live_hosts() == set(world.alive_hosts())

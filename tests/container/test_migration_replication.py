@@ -122,12 +122,15 @@ class TestReplication:
         hub = rig.node("hub")
         group = rig.run(until=ReplicaManager(hub).create_group(
             "Counter", ["hub", "h0"]))
-        assert group.select_primary(rig.topology).host == "hub"
+
+        def up(host):
+            return rig.topology.host(host).alive
+        assert group.select_primary(up).host == "hub"
         rig.topology.set_host_state("hub", alive=False)
-        assert group.select_primary(rig.topology).host == "h0"
+        assert group.select_primary(up).host == "h0"
         rig.topology.set_host_state("h0", alive=False)
         with pytest.raises(ReplicationError):
-            group.select_primary(rig.topology)
+            group.select_primary(up)
 
     def test_coordinated_sync_pushes_state(self, rig):
         hub = rig.node("hub")
@@ -136,7 +139,7 @@ class TestReplication:
                                                    ["hub", "h0", "h1"]))
         primary = hub.container.find_instance(group.members[0].instance_id)
         primary.executor.count = 55
-        synced = rig.run(until=manager.sync(group))
+        synced = rig.run(until=manager.sync(group, lambda host: True))
         assert synced == 2
         backup = rig.node("h0").container.find_instance(
             group.members[1].instance_id)
@@ -149,7 +152,7 @@ class TestReplication:
         manager = ReplicaManager(hub)
         group = rig.run(until=manager.create_group("StatelessC", ["hub"]))
         with pytest.raises(ReplicationError):
-            rig.run(until=manager.sync(group))
+            rig.run(until=manager.sync(group, lambda host: True))
 
 
 class TestAggregation:

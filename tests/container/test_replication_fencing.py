@@ -24,6 +24,11 @@ def exec_of(rig, member):
     return inst.executor
 
 
+def up(rig):
+    """The test's failure detector: the hosts it has crashed are down."""
+    return lambda host: rig.topology.host(host).alive
+
+
 def make_group(rig, hosts):
     """Group on leaf hosts, managed from the always-alive hub (in a
     star, leaf-to-leaf traffic routes through the hub)."""
@@ -36,18 +41,18 @@ class TestPrimaryFencing:
     def test_restarted_stale_primary_cannot_overwrite_newer_state(self, rig):
         manager, group = make_group(rig, ["h0", "h1", "h2"])
         exec_of(rig, group.members[0]).count = 10
-        rig.run(until=manager.sync(group))
+        rig.run(until=manager.sync(group, up(rig)))
         assert [exec_of(rig, m).count for m in group.members] == [10, 10, 10]
 
         rig.topology.set_host_state("h0", alive=False)
-        rig.run(until=manager.sync(group))         # failover promotion
+        rig.run(until=manager.sync(group, up(rig)))  # failover promotion
         assert group.primary.host == "h1"
         assert group.epoch == 1
         # state moves on under the new primary while h0 is down
         exec_of(rig, group.members[1]).count = 99
 
         rig.topology.set_host_state("h0", alive=True)
-        rig.run(until=manager.sync(group))         # stale copy is back
+        rig.run(until=manager.sync(group, up(rig)))  # stale copy is back
         # fenced out: h0 (epoch 0) never reclaims the primary role
         assert group.primary.host == "h1"
         for member in group.members:
@@ -57,16 +62,16 @@ class TestPrimaryFencing:
     def test_synced_backup_outranks_restarted_stale_member(self, rig):
         manager, group = make_group(rig, ["h0", "h1", "h2"])
         exec_of(rig, group.members[0]).count = 10
-        rig.run(until=manager.sync(group))
+        rig.run(until=manager.sync(group, up(rig)))
 
         rig.topology.set_host_state("h0", alive=False)
-        rig.run(until=manager.sync(group))         # h1 promoted, h2 synced
+        rig.run(until=manager.sync(group, up(rig)))  # h1 promoted, h2 synced
         exec_of(rig, group.members[1]).count = 99
-        rig.run(until=manager.sync(group))         # h2 now carries 99
+        rig.run(until=manager.sync(group, up(rig)))  # h2 now carries 99
 
         rig.topology.set_host_state("h0", alive=True)
         rig.topology.set_host_state("h1", alive=False)
-        rig.run(until=manager.sync(group))
+        rig.run(until=manager.sync(group, up(rig)))
         # h2 was synced at the promotion epoch, so it outranks the
         # restarted h0 (epoch 0) even though h0 sorts first
         assert group.primary.host == "h2"

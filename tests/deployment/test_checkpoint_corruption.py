@@ -20,11 +20,12 @@ from repro.container.agent import (
     dumps_state,
     loads_state,
 )
-from repro.deployment import ApplicationSupervisor, Deployer, RuntimePlanner
+from repro.deployment import Deployer, RuntimePlanner
 from repro.sim.topology import SERVER, star
 from repro.testing import SimRig, counter_package
 from repro.util.errors import ValidationError
 from repro.xmlmeta.descriptors import AssemblyDescriptor, AssemblyInstance
+from tests.supervised import supervise
 
 
 class TestStateCodec:
@@ -66,7 +67,7 @@ def checkpointing_rig(seed=41):
         instances=[AssemblyInstance("i0", "Counter"),
                    AssemblyInstance("i1", "Counter")],
         connections=[])))
-    sup = ApplicationSupervisor(dep, interval=1000.0)
+    sup = supervise(rig, dep, interval=1000.0)
     sup.stop()
     return rig, dep, app, sup
 

@@ -210,6 +210,32 @@ class TestDeployer:
         with pytest.raises(DeploymentError, match="kind mismatch"):
             rig.run(until=dep.deploy(asm))
 
+    def test_failed_fetch_gives_way_to_the_next_holder(self, rig):
+        # The deployer does not know which hosts are up: a source that
+        # holds the package but cannot ship it is passed over, and a
+        # supervisor's view skips the holders it calls down.
+        from repro.orb.exceptions import TRANSIENT
+        rig.node("h0").install_package(counter_package(cpu_units=50.0))
+        shipped = []
+        for host in ("hub", "h0", "h1"):
+            acceptor = rig.node(host).orb.adapter("node").servant_for(
+                "acceptor")
+
+            def fetch(*args, _host=host, _real=acceptor.fetch):
+                if _host == "hub":
+                    raise TRANSIENT("hub cannot ship")
+                shipped.append(_host)
+                return _real(*args)
+            acceptor.fetch = fetch
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        rig.run(until=rig.env.process(dep._ensure_installed("Counter",
+                                                            "h1")))
+        assert shipped == ["h0"]
+        rig.run(until=rig.env.process(dep._ensure_installed(
+            "Counter", "h2", alive=lambda host: host != "h0")))
+        assert shipped == ["h0", "h1"]
+        assert rig.node("h2").repository.is_installed("Counter")
+
     def test_component_installed_nowhere_rejected(self, rig):
         asm = AssemblyDescriptor(
             name="bad", instances=[AssemblyInstance("x", "Ghost")])
@@ -238,6 +264,27 @@ class TestDeployer:
         inst0 = rig.node(app.placement["i0"]).container.find_instance(
             app.instance_id("i0"))
         assert inst0.ports.receptacle("peer").peer.host_id == target
+
+    def test_migrate_whose_rewire_fails_raises(self, rig):
+        # The move itself succeeded; a user still aimed at the old
+        # facet must not be reported as wired.
+        from repro.container.agent import AgentError
+        asm = assembly(2, connections=[
+            AssemblyConnection("i0", "peer", "i1", "value")])
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        app = rig.run(until=dep.deploy(asm))
+        old_host = app.placement["i1"]
+        target = next(h for h in rig.nodes
+                      if h not in (old_host, app.placement["i0"]))
+        agent = rig.node(app.placement["i0"]).orb.adapter(
+            "node").servant_for("container")
+
+        def connect(*args):
+            raise AgentError("refused")
+        agent.connect = connect
+        with pytest.raises(DeploymentError, match=r"i0\.peer"):
+            rig.run(until=app.migrate("i1", target))
+        assert app.placement["i1"] == target
 
     def test_facet_ior_lookup(self, rig):
         dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")

@@ -14,7 +14,7 @@ as a failure or leaving debris.
 
 import pytest
 
-from repro.deployment import ApplicationSupervisor, Deployer, RuntimePlanner
+from repro.deployment import Deployer, RuntimePlanner
 from repro.deployment.application import RepairSuperseded
 from repro.sim.faults import FaultInjector
 from repro.sim.topology import SERVER, star
@@ -24,6 +24,7 @@ from repro.xmlmeta.descriptors import (
     AssemblyDescriptor,
     AssemblyInstance,
 )
+from tests.supervised import detect, supervise
 
 pytestmark = pytest.mark.faults
 
@@ -57,14 +58,14 @@ class TestRepairFencing:
         """A competing repair bumps the incarnation epoch mid-plan;
         the stale repair must abort instead of double-incarnating."""
         rig, dep, app = deployed_rig()
-        sup = ApplicationSupervisor(dep, interval=1000.0,
-                                    checkpoint=False)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         sup.stop()      # drive ticks by hand
         victim = next(name for name, host in app.placement.items()
                       if host != "hub")
         dead_host = app.placement[victim]
         injector = FaultInjector(rig.env, rig.topology)
         injector.crash_host(dead_host)
+        detect(rig, sup)
 
         # Simulate the competing recovery finishing first: bump the
         # incarnation epoch shortly after the tick begins planning.
@@ -85,14 +86,14 @@ class TestRepairFencing:
         container still holds the authoritative instance, so the
         repair must stand down (pre-fix: duplicate incarnation)."""
         rig, dep, app = deployed_rig(seed=32)
-        sup = ApplicationSupervisor(dep, interval=1000.0,
-                                    checkpoint=False)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         sup.stop()
         victim = next(name for name, host in app.placement.items()
                       if host != "hub")
         dead_host = app.placement[victim]
         injector = FaultInjector(rig.env, rig.topology)
         injector.crash_host(dead_host)
+        detect(rig, sup)
         injector.restart_at(rig.env.now + 0.001, dead_host)
         rig.run(until=sup.run_once())
 
@@ -104,8 +105,7 @@ class TestRepairFencing:
 
     def test_successful_repair_bumps_incarnation_epoch(self):
         rig, dep, app = deployed_rig(seed=33)
-        sup = ApplicationSupervisor(dep, interval=1000.0,
-                                    checkpoint=False)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         sup.stop()
         victim = next(name for name, host in app.placement.items()
                       if host != "hub")
@@ -113,6 +113,7 @@ class TestRepairFencing:
         before = app.incarnation(victim)
         injector = FaultInjector(rig.env, rig.topology)
         injector.crash_host(dead_host)
+        detect(rig, sup)
         rig.run(until=sup.run_once())
 
         assert app.incarnation(victim) == before + 1
@@ -130,12 +131,13 @@ def stranded_rig(seed):
     """A deployed rig with one instance's host freshly crashed and a
     hand-driven supervisor."""
     rig, dep, app = deployed_rig(seed=seed)
-    sup = ApplicationSupervisor(dep, interval=1000.0, checkpoint=False)
+    sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
     sup.stop()
     victim = next(name for name, host in app.placement.items()
                   if host != "hub")
     injector = FaultInjector(rig.env, rig.topology)
     injector.crash_host(app.placement[victim])
+    detect(rig, sup)
     return rig, dep, app, sup, victim, injector
 
 
@@ -178,6 +180,7 @@ class TestLostIncarnateReply:
         new_host = app.placement[victim]
         assert new_host not in (dead_host, leaked)
         injector.heal_link("hub", leaked)
+        detect(rig, sup)
         rig.run(until=sup.run_once())
         assert instance_copies(rig, app, victim) == [new_host]
         assert dep.orphans == [(dead_host, iid)]
@@ -206,3 +209,37 @@ class TestLostIncarnateReply:
         assert dep.orphans == [(dead_host, iid)]
         rig.run(until=sup.run_once())
         assert instance_copies(rig, app, victim) == [target]
+
+
+class TestRewireAfterLostConnect:
+    """Chaos seed 152: a rewire's ``disconnect`` ran, its ``connect``
+    failed, and the retry's ``disconnect`` answered "not connected" —
+    a user exception that escaped the supervisor's pass and killed its
+    loop (the connection stayed pending for good)."""
+
+    def test_retry_connects_a_receptacle_left_disconnected(self):
+        from repro.orb.exceptions import TRANSIENT
+        rig, dep, app = deployed_rig(seed=36)
+        sup = supervise(rig, dep, interval=1.0, checkpoint=False)
+        user, provider = "i0", "i1"
+        user_host = app.placement[user]
+        servant = rig.node(user_host).orb.adapter("node").servant_for(
+            "container")
+        real = servant.connect
+
+        def refuse_once(*args):
+            servant.connect = real
+            raise TRANSIENT("lost after the disconnect ran")
+        servant.connect = refuse_once
+
+        skipped = rig.run(until=rig.env.process(
+            app._rewire(provider, sup._host_alive)))
+        assert [c.from_instance for c in skipped] == [user]
+        sup._pending_rewires[(app.name, provider)] = app
+        rig.run(until=rig.env.now + 3.0)    # the loop retries it
+        assert sup.loop.alive
+        assert sup._pending_rewires == {}
+        inst = rig.node(user_host).container.find_instance(
+            app.instance_id(user))
+        assert inst.ports.receptacle("peer").connected
+        sup.stop()

@@ -18,6 +18,7 @@ from repro.xmlmeta.descriptors import (
     AssemblyDescriptor,
     AssemblyInstance,
 )
+from tests.supervised import detect, supervise
 
 
 def assembly(n, connections=()):
@@ -59,8 +60,9 @@ class TestOrphanSweep:
         assert set(dep.orphans) == {(victim, i) for i in victim_ids}
         assert len(rig.node(victim).container) == len(victim_ids)
 
-        sup = ApplicationSupervisor(dep, interval=1000.0, checkpoint=False)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         rig.topology.set_host_state(victim, alive=True)
+        detect(rig, sup)                    # its reports land again
         rig.run(until=sup.run_once())
         assert dep.orphans == []
         assert len(rig.node(victim).container) == 0
@@ -76,7 +78,7 @@ class TestOrphanSweep:
         rig.run(until=app.teardown())
         n_orphans = len(dep.orphans)
         assert n_orphans >= 1
-        sup = ApplicationSupervisor(dep, interval=1000.0, checkpoint=False)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         rig.run(until=sup.run_once())       # host still down: nothing swept
         assert len(dep.orphans) == n_orphans
         sup.stop()
@@ -93,13 +95,14 @@ class TestStrandedRecovery:
                        coordinator_host="hub")
         app = self.deploy(rig, dep)
         dep.planner = RuntimePlanner()      # recovery replans by load
-        sup = ApplicationSupervisor(dep, interval=2.0)
+        sup = supervise(rig, dep, interval=2.0)
         rig.node("h0").container.find_instance(
             app.instance_id("i1")).executor.count = 7
         rig.run(until=rig.env.now + 3.0)    # one checkpoint pass
         assert sup.checkpoints[app.instance_id("i1")]["count"] == 7
 
         rig.topology.set_host_state("h0", alive=False)
+        detect(rig, sup)
         rig.run(until=rig.env.now + 6.0)
         new_host = app.placement["i1"]
         assert new_host != "h0"
@@ -129,8 +132,9 @@ class TestStrandedRecovery:
                        coordinator_host="hub")
         app = self.deploy(rig, dep)
         dep.planner = RuntimePlanner()
-        sup = ApplicationSupervisor(dep, interval=2.0, checkpoint=False)
+        sup = supervise(rig, dep, interval=2.0, checkpoint=False)
         rig.topology.set_host_state("h0", alive=False)
+        detect(rig, sup)
         rig.run(until=rig.env.now + 6.0)
         spans = [s for s in obs.tracer.spans
                  if s.name == "supervisor.recover"]
@@ -148,7 +152,7 @@ class TestGroupPromotion:
         manager = ReplicaManager(rig.node("hub"))
         group = rig.run(until=manager.create_group(
             "Counter", ["h0", "h1", "h2"]))
-        sup = ApplicationSupervisor(dep, interval=2.0, checkpoint=False)
+        sup = supervise(rig, dep, interval=2.0, checkpoint=False)
         sup.watch_group(group, manager)
 
         def exec_of(member):
@@ -156,8 +160,9 @@ class TestGroupPromotion:
                 member.instance_id).executor
 
         exec_of(group.members[0]).count = 5
-        rig.run(until=manager.sync(group))
+        rig.run(until=manager.sync(group, sup._host_alive))
         rig.topology.set_host_state("h0", alive=False)
+        detect(rig, sup)
         rig.run(until=rig.env.now + 5.0)
         assert group.primary.host == "h1"
         assert group.epoch == 1
@@ -166,7 +171,8 @@ class TestGroupPromotion:
 
         exec_of(group.members[1]).count = 77
         rig.topology.set_host_state("h0", alive=True)
-        rig.run(until=manager.sync(group))
+        detect(rig, sup)
+        rig.run(until=manager.sync(group, sup._host_alive))
         # the restarted ex-primary was fenced and resynced, not obeyed
         assert group.primary.host == "h1"
         assert exec_of(group.members[0]).count == 77
@@ -183,9 +189,10 @@ class TestGracefulDegradation:
         first = app.placement["i0"]
         assert first != "hub"               # 500 units never fit the hub
         other = "h1" if first == "h0" else "h0"
-        sup = ApplicationSupervisor(dep, interval=2.0, checkpoint=False)
+        sup = supervise(r, dep, interval=2.0, checkpoint=False)
         r.topology.set_host_state(first, alive=False)
         r.topology.set_host_state(other, alive=False)
+        detect(r, sup)
         r.run(until=r.env.now + 10.0)
         # nowhere to go: the recovery is queued and retried, not dropped
         assert r.metrics.get("supervisor.stranded") == 1
@@ -194,6 +201,7 @@ class TestGracefulDegradation:
         assert app.placement["i0"] == first
 
         r.topology.set_host_state(other, alive=True)
+        detect(r, sup)
         r.run(until=r.env.now + 20.0)       # backoff expires, then heals
         assert app.placement["i0"] == other
         assert r.metrics.get("supervisor.recoveries") == 1
@@ -213,8 +221,7 @@ class TestRegistryLiveness:
         app = r.run(until=dep.deploy(assembly(
             2, connections=[AssemblyConnection("i0", "peer", "i1", "value")])))
         dep.planner = RuntimePlanner()
-        sup = ApplicationSupervisor(dep, interval=0.5, checkpoint=False,
-                                    registry=dr)
+        sup = ApplicationSupervisor(dep, dr, interval=0.5, checkpoint=False)
         t0 = r.env.now
         r.topology.set_host_state("h0", alive=False)
         r.run(until=t0 + 1.4)
@@ -238,7 +245,7 @@ class TestStoppedForGood:
             self, rig):
         dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
         rig.run(until=dep.deploy(assembly(3)))
-        sup = ApplicationSupervisor(dep, interval=1.0)
+        sup = supervise(rig, dep, interval=1.0)
         rig.run(until=rig.env.now + 3.5)
         assert rig.metrics.get("supervisor.checkpoints") > 0
         sup.stop()

@@ -11,11 +11,7 @@ primary stays fenced onto a live member, and nothing leaks.
 import pytest
 
 from repro.container.replication import ReplicaManager
-from repro.deployment import (
-    ApplicationSupervisor,
-    Deployer,
-    RuntimePlanner,
-)
+from repro.deployment import Deployer, RuntimePlanner
 from repro.sim.faults import ChurnModel, FaultInjector
 from repro.sim.topology import SERVER, star
 from repro.testing import SimRig, counter_package
@@ -24,6 +20,7 @@ from repro.xmlmeta.descriptors import (
     AssemblyDescriptor,
     AssemblyInstance,
 )
+from tests.supervised import supervise
 
 pytestmark = pytest.mark.faults
 
@@ -46,7 +43,7 @@ class TestChurnRecovery:
         manager = ReplicaManager(hub)
         group = rig.run(until=manager.create_group(
             "Counter", ["h0", "h1", "h2"]))
-        sup = ApplicationSupervisor(dep, interval=2.0)
+        sup = supervise(rig, dep, interval=2.0)
         sup.watch_group(group, manager)
 
         injector = FaultInjector(rig.env, rig.topology)
@@ -97,7 +94,7 @@ class TestChurnRecovery:
         hub.install_package(counter_package(cpu_units=100.0))
         dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
         rig.run(until=dep.deploy(assembly()))
-        sup = ApplicationSupervisor(dep, interval=2.0, checkpoint=False)
+        sup = supervise(rig, dep, interval=2.0, checkpoint=False)
         injector = FaultInjector(rig.env, rig.topology)
         ChurnModel(rig.env, injector, rig.rngs,
                    hosts=["h0", "h1", "h2"],

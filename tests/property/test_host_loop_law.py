@@ -45,11 +45,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.deployment import (
-    ApplicationSupervisor,
-    Deployer,
-    RuntimePlanner,
-)
+from repro.deployment import Deployer, RuntimePlanner
 from repro.grid.idle import IdleMonitor
 from repro.registry.cohesion import CohesionAgent
 from repro.registry.federation import FederatedRegistry, FederationConfig
@@ -61,6 +57,7 @@ from repro.sim.hostloop import HostLoop
 from repro.sim.kernel import Environment
 from repro.sim.topology import SERVER, Host
 from repro.testing import star_rig
+from tests.supervised import supervise
 
 SETTINGS = settings(max_examples=250, stateful_step_count=30,
                     deadline=None, derandomize=True,
@@ -323,8 +320,8 @@ def _shard_agent(rig):
 
 
 def _application_supervisor(rig):
-    sup = ApplicationSupervisor(
-        Deployer(rig.nodes, RuntimePlanner(), coordinator_host="h0"),
+    sup = supervise(
+        rig, Deployer(rig.nodes, RuntimePlanner(), coordinator_host="h0"),
         interval=1.0)
     return "h0", [sup.loop], sup.stop
 

@@ -117,7 +117,7 @@ class ShardRingMachine(RuleBasedStateMachine):
             self.ring.owners(key, 1)
 
     @precondition(lambda self: self.hosts)
-    @rule(key=KEYS, n=st.integers(1, len(HOSTS) + 2))
+    @rule(key=KEYS, n=st.integers(0, len(HOSTS) + 2))
     def owners(self, key, n):
         assert self.ring.owners(key, n) == brute_owners(self.hosts, key, n)
 

@@ -44,6 +44,13 @@ class TestEmptyRingEdges:
         with pytest.raises(ConfigurationError):
             ring.primary("IDL:demo/Counter:1.0")
 
+    def test_no_owners_asked_none_returned(self):
+        # The walk once tested its cap only after an append, so 0 and
+        # -1 both answered with every host.
+        ring = ring_with(["a", "b", "c"])
+        assert ring.owners("k", 0) == []
+        assert ring.owners("k", -1) == []
+
     def test_first_rebalance_onto_empty_ring_moves_everything(self):
         ring = ShardRing(vnodes=8)
         ring.stage_add("h0")
