@@ -194,8 +194,12 @@ class ApplicationSupervisor:
                             attrs={"component": group.component,
                                    "dead_host": primary.host}) if obs else None
             epoch_before = group.epoch
+            detected = self.env.now
             try:
-                new_primary = group.select_primary(self._host_alive)
+                # The manager's sync is the one promoter: it fences the
+                # dead primary, then aligns the surviving backups.
+                yield from manager._sync(group, self._host_alive,
+                                         PROBE_TIMEOUT)
             except ReplicationError as exc:
                 self.node.metrics.counter(
                     names.SUPERVISOR_RECOVERY_DEFERRED).inc()
@@ -203,18 +207,14 @@ class ApplicationSupervisor:
                     obs.tracer.end_span(span, status="deferred",
                                         error=str(exc))
                 continue
+            except (SystemException, UserException):
+                pass                    # next pass retries the sync
             if group.epoch != epoch_before:
                 self.node.metrics.counter(names.SUPERVISOR_PROMOTIONS).inc()
                 self.recoveries.append(RecoveryRecord(
-                    time=self.env.now, kind="promote",
+                    time=detected, kind="promote",
                     name=group.component, old_host=primary.host,
-                    new_host=new_primary.host, latency=0.0))
-            try:
-                # Align the surviving backups with the promoted primary.
-                yield from manager._sync(group, self._host_alive,
-                                         PROBE_TIMEOUT)
-            except (ReplicationError, SystemException, UserException):
-                pass                    # next pass retries
+                    new_host=group.primary.host, latency=0.0))
             if span:
                 obs.tracer.end_span(span, status="ok")
 

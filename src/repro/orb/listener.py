@@ -8,9 +8,12 @@ and :meth:`Listener.reply`.  A request from this ORB's own requester
 skips the first stage — it was never framed — and enters at ``admit``;
 its reply is settled by ``reply`` instead of sent.
 
-Servant methods may return either a plain value or a generator; a
-generator is driven as a simulation process, which lets servants make
-nested remote calls or sleep for simulated time while serving.
+Every request takes one dispatch path: decoded in the delivery
+callback, granted a worker slot if the ORB has them, charged its CPU
+cost off one timeout, run.  A servant method may return a plain value
+or a generator; a generator is driven as a simulation process, which
+lets servants make nested remote calls or sleep for simulated time
+while serving.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.util.errors import ConfigurationError
 
 
 class _ImmediateCtx:
-    """Minimal event stand-in for the zero-CPU-cost dispatch path, so
+    """Minimal event stand-in for a zero-CPU-cost dispatch, so
     :meth:`Listener._dispatch_finish` has a single (callback-shaped)
     signature whether or not a cost timeout was scheduled."""
 
@@ -62,7 +65,7 @@ class _DispatchSlots:
     of the server pretending to be infinitely parallel.
     """
 
-    __slots__ = ("env", "capacity", "_free", "_waiters")
+    __slots__ = ("env", "capacity", "_free", "_waiters", "_values")
 
     def __init__(self, env: Environment, capacity: int) -> None:
         if capacity < 1:
@@ -72,21 +75,25 @@ class _DispatchSlots:
         self.env = env
         self.capacity = capacity
         self._free = capacity
+        # Queued grants and the values they will carry, in step.
         self._waiters: deque[Event] = deque()
+        self._values: deque = deque()
 
-    def acquire(self) -> Event:
-        """Event that fires (possibly immediately) once a slot is held."""
+    def acquire(self, value=None) -> Event:
+        """Event that fires with *value* (possibly at once) once a slot
+        is held."""
         ev = self.env.event()
         if self._free > 0:
             self._free -= 1
-            ev.succeed(None)
+            ev.succeed(value)
         else:
             self._waiters.append(ev)
+            self._values.append(value)
         return ev
 
     def release(self) -> None:
         if self._waiters:
-            self._waiters.popleft().succeed(None)
+            self._waiters.popleft().succeed(self._values.popleft())
         else:
             self._free += 1
 
@@ -229,15 +236,34 @@ class Listener:
     # -- dispatch ----------------------------------------------------------
     def dispatch(self, request: giop.RequestMessage, client: str,
                  info: Optional[ServerRequestInfo]) -> None:
-        """Serve one admitted request, without a kernel process when
-        nothing needs one."""
-        if self._slots is None and self._dispatch_fast(request, client, info):
+        """Serve one admitted request: resolve and decode it here (a
+        refusal is answered at once), then charge and run it — after a
+        worker slot's grant, which carries the dispatch context, if the
+        ORB has slots."""
+        odef: Optional[OperationDef] = None
+        try:
+            method, odef = self._resolve_target(request, info)
+            codec = odef._codec or odef.codec()
+            dec1 = codec.in1_decode
+            if not request.response_expected:
+                args = codec.decode_oneway(request.args)
+            elif dec1 is not None:
+                args = (dec1(CDRDecoder(request.args)),)
+            else:
+                args = codec.decode_in(CDRDecoder(request.args))
+        except Exception as exc:
+            self._dispatch_error(request, client, odef, exc, info)
+            self._dispatch_done(info)
             return
-        self.env.process(self._dispatch_process(request, client, info))
+        ctx = (request, client, odef, method, args, info)
+        if self._slots is None:
+            self._dispatch_charge(ctx)
+        else:
+            self._slots.acquire(ctx).callbacks.append(self._dispatch_granted)
 
     def _dispatch_done(self, info: Optional[ServerRequestInfo]) -> None:
-        """Close one admitted request, whatever its path and outcome:
-        in-flight accounting, then ``finish_request`` in reverse order."""
+        """Close one admitted request, whatever its outcome: in-flight
+        accounting, then ``finish_request`` in reverse order."""
         self.inflight -= 1
         for watcher in self.dispatch_watchers:
             watcher(self.inflight)
@@ -281,55 +307,11 @@ class Listener:
             )
         return method, odef
 
-    def _dispatch_process(self, request: giop.RequestMessage, client: str,
-                          info: Optional[ServerRequestInfo]):
-        """Process one admitted request (runs as a simulation process)."""
-        odef: Optional[OperationDef] = None
-        orb = self.orb
-        try:
-            method, odef = self._resolve_target(request, info)
-            codec = odef.codec()
-            if request.response_expected:
-                args = codec.decode_in(CDRDecoder(request.args))
-            else:
-                args = codec.decode_oneway(request.args)
-
-            slots = self._slots
-            if slots is not None:
-                # Wait (FIFO) for a worker slot: servant execution is
-                # serialized through the host's CPU parallelism.
-                yield slots.acquire()
-            try:
-                # Charge the operation's CPU cost at this host's speed.
-                cost_s = odef.cpu_cost / self.host.profile.cpu_power
-                for listener in self.dispatch_listeners:
-                    listener(cost_s)
-                if cost_s > 0:
-                    yield self.env.timeout(cost_s)
-
-                prev, orb.current_request = orb.current_request, info
-                try:
-                    result = method(*args)
-                finally:
-                    orb.current_request = prev
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    # Servant method is a generator: drive it to completion.
-                    result = yield self._run_generator(result, info)
-            finally:
-                if slots is not None:
-                    slots.release()
-
-            self._complete_dispatch(request, client, odef, result, info)
-        except Exception as exc:
-            self._dispatch_error(request, client, odef, exc, info)
-        finally:
-            self._dispatch_done(info)
-
     def _complete_dispatch(self, request: giop.RequestMessage, client: str,
                            odef: OperationDef, result,
                            info: Optional[ServerRequestInfo]) -> None:
-        """Count the dispatch and send the success reply (shared tail of
-        the process and synchronous dispatch paths)."""
+        """Count the dispatch and send the success reply: the tail of a
+        servant that returned, at once or through :meth:`_dispatch_tail`."""
         self._ctr_dispatches.value += 1
         if not request.response_expected:
             return
@@ -382,65 +364,30 @@ class Listener:
             if request.response_expected:
                 self.reply_system(client, request, UNKNOWN(repr(exc)), info)
 
-    def _dispatch_fast(self, request: giop.RequestMessage, client: str,
-                       info: Optional[ServerRequestInfo]) -> bool:
-        """Serve one request without a kernel process when nothing needs
-        one: no worker slots (checked by the caller) and a plain
-        (non-generator) servant method.  Zero-cost operations complete
-        inside the delivery callback; operations with CPU cost run off
-        a single timeout callback.  Either way the per-call process
-        creation and its kernel steps are skipped.
+    def _dispatch_granted(self, ev) -> None:
+        """A worker slot is held: charge and run the request it carries."""
+        self._dispatch_charge(ev._value)
 
-        Returns False — before running any servant code — when the
-        request must take the process path instead.  When it returns
-        True the request is (or will be) fully handled, including the
-        in-flight accounting the caller incremented.
-        """
-        odef: Optional[OperationDef] = None
-        try:
-            method, odef = self._resolve_target(request, info)
-            code = getattr(method, "__code__", None)
-            if code is None or code.co_flags & 0x20:
-                return False  # CO_GENERATOR or unknowable: process path
-            codec = odef._codec or odef.codec()
-            dec1 = codec.in1_decode
-            if not request.response_expected:
-                args = codec.decode_oneway(request.args)
-            elif dec1 is not None:
-                args = (dec1(CDRDecoder(request.args)),)
-            else:
-                args = codec.decode_in(CDRDecoder(request.args))
-        except Exception as exc:
-            self._dispatch_error(request, client, odef, exc, info)
-            self._dispatch_done(info)
-            return True
-        # Charge the operation's CPU cost at this host's speed (same
-        # accounting point as the process path: after decode, before
-        # the servant runs).
-        cost_s = odef.cpu_cost / self.host.profile.cpu_power
+    def _dispatch_charge(self, ctx: tuple) -> None:
+        """Charge the operation's CPU cost at this host's speed, then
+        run the servant.  The dispatch context ``(request, client, odef,
+        method, args, info)`` rides as the cost timeout's value and
+        :meth:`_dispatch_finish` is its callback: no per-call closure."""
+        cost_s = ctx[2].cpu_cost / self.host.profile.cpu_power
         for listener in self.dispatch_listeners:
             listener(cost_s)
         if cost_s > 0:
-            # The dispatch context rides as the timeout's value — no
-            # per-call closure allocation, and _dispatch_finish is the
-            # callback itself (no unpacking shim frame in between).
-            Timeout(self.env, cost_s,
-                    (request, client, odef, method, args, info)
-                    ).callbacks.append(self._dispatch_finish)
+            Timeout(self.env, cost_s, ctx).callbacks.append(
+                self._dispatch_finish)
         else:
-            self._dispatch_finish(
-                _ImmediateCtx((request, client, odef, method, args, info)))
-        return True
+            self._dispatch_finish(_ImmediateCtx(ctx))
 
     def _dispatch_finish(self, ev) -> None:
-        """Run the servant and reply; tail of the processless path.
-
-        Runs as the cost-timeout's callback; the dispatch context
-        ``(request, client, odef, method, args, info)`` rides in
-        ``ev._value``.
-        """
+        """Run the servant, free its worker slot and reply; a generator
+        it hands back goes to :meth:`_dispatch_tail`, slot still held."""
         request, client, odef, method, args, info = ev._value
         orb = self.orb
+        slots = self._slots
         try:
             prev, orb.current_request = orb.current_request, info
             try:
@@ -448,22 +395,30 @@ class Listener:
             finally:
                 orb.current_request = prev
             if hasattr(result, "send") and hasattr(result, "throw"):
-                # A plain method handed back a generator object: drive
-                # it to completion on the kernel like the process path.
                 self.env.process(self._dispatch_tail(
                     request, client, odef, result, info))
                 return
+            if slots is not None:
+                slots.release()
+                slots = None        # a failing reply must not free it twice
             self._complete_dispatch(request, client, odef, result, info)
         except Exception as exc:
+            if slots is not None:
+                slots.release()
             self._dispatch_error(request, client, odef, exc, info)
         self._dispatch_done(info)
 
     def _dispatch_tail(self, request: giop.RequestMessage, client: str,
                        odef: OperationDef, gen,
                        info: Optional[ServerRequestInfo]):
-        """Finish a fast-path dispatch whose servant returned a generator."""
+        """Drive a servant's generator to its end, free the worker slot
+        it held, and reply."""
         try:
-            result = yield self._run_generator(gen, info)
+            try:
+                result = yield self._run_generator(gen, info)
+            finally:
+                if self._slots is not None:
+                    self._slots.release()
             self._complete_dispatch(request, client, odef, result, info)
         except Exception as exc:
             self._dispatch_error(request, client, odef, exc, info)

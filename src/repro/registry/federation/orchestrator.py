@@ -155,7 +155,6 @@ class FederatedRegistry:
         self.agents: dict[str, ShardAgent] = {}
         self.reporters: dict[str, FederationReporter] = {}
         self.resolvers: dict[str, FederatedResolver] = {}
-        self._live_cache: Optional[tuple[float, set]] = None
 
     # -- deployment ---------------------------------------------------------
     def deploy(self, owner_hosts: Optional[Sequence[str]] = None) -> None:
@@ -219,11 +218,6 @@ class FederatedRegistry:
         key's owners; lose them all and H drops out until one restarts
         or the key is rebalanced, then returns within one
         ``update_interval``.
-
-        Merged across live owners' views and cached per sim-instant:
-        the deployment supervisor calls this once per instance per
-        tick, and on 1k-host populations recomputing the merge every
-        call would dominate the tick.
         """
         env_now = None
         for agent in self.agents.values():
@@ -231,8 +225,6 @@ class FederatedRegistry:
             break
         if env_now is None:
             return set()
-        if self._live_cache is not None and self._live_cache[0] == env_now:
-            return self._live_cache[1]
         out: set[str] = set()
         for agent in self.agents.values():
             if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
@@ -240,7 +232,6 @@ class FederatedRegistry:
             out.add(agent.host_id)
             out |= agent.membership.live(env_now,
                                          self.config.member_timeout)
-        self._live_cache = (env_now, out)
         return out
 
     # -- convergence probes (tests and the C18 benchmark) -------------------

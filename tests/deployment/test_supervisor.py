@@ -166,8 +166,12 @@ class TestGroupPromotion:
         rig.run(until=rig.env.now + 5.0)
         assert group.primary.host == "h1"
         assert group.epoch == 1
+        # The supervisor promotes through the manager's sync, so the
+        # replication layer counts the promotion it made.
         assert rig.metrics.get("supervisor.promotions") == 1
-        assert any(r.kind == "promote" for r in sup.recoveries)
+        assert rig.metrics.get("replication.promotions") == 1
+        [record] = [r for r in sup.recoveries if r.kind == "promote"]
+        assert (record.old_host, record.new_host) == ("h0", "h1")
 
         exec_of(group.members[1]).count = 77
         rig.topology.set_host_state("h0", alive=True)

@@ -20,5 +20,7 @@
   brute-force placement search (``tests/property/test_placement_law.py``);
 - :mod:`tests.oracles.tiekernel` -- the kernel's event queue with
   same-instant ties popped in a seeded permuted order
-  (``tests/sim/test_tie_law.py``).
+  (``tests/sim/test_tie_law.py``);
+- :mod:`tests.oracles.dispatch` -- the process-per-request dispatch the
+  listener's one path is held to (``tests/orb/test_processless_oracle.py``).
 """

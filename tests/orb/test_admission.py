@@ -64,16 +64,49 @@ class TestDispatchSlots:
         order = []
 
         def holder(tag, hold):
-            yield slots.acquire()
+            granted = yield slots.acquire((tag, "ctx"))
             yield env.timeout(hold)
-            order.append(tag)
+            order.append((granted, env.now))
             slots.release()
 
         for tag in ("a", "b", "c"):
             env.process(holder(tag, 0.1))
+        env.run(until=env.timeout(0.05))
+        assert slots.queued == 2        # "b" and "c" behind "a"
         env.run(until=env.timeout(1.0))
-        assert order == ["a", "b", "c"]
+        # Each grant carries the value its acquire was given, in FIFO
+        # order: "b" and "c" queued behind "a" and got their own back.
+        assert [granted for granted, _ in order] == [
+            ("a", "ctx"), ("b", "ctx"), ("c", "ctx")]
+        assert [when for _, when in order] == pytest.approx([0.1, 0.2, 0.3])
         assert slots.queued == 0
+
+    def test_a_reply_that_fails_to_encode_frees_its_slot_once(self):
+        # The slot is freed before the reply is encoded; the error reply
+        # that follows must not free it again.
+        env, net, server, client, servant, ior = make_rig(
+            dispatch_workers=1)
+        servant.work = lambda x: "not a long"
+        events = burst(client, ior, 3)
+        env.run(until=env.timeout(5.0))
+        assert [type(ev.value).__name__ for ev in events] == ["BAD_PARAM"] * 3
+        slots = server.listener._slots
+        assert (slots._free, slots.queued) == (1, 0)
+
+    def test_generator_servant_holds_its_slot_until_it_ends(self):
+        env, net, server, client, servant, ior = make_rig(
+            dispatch_workers=1)
+
+        def work(x):                    # 0.1 s CPU, then a 0.5 s wait
+            yield env.timeout(0.5)
+            return x
+
+        servant.work = work
+        done = []
+        for ev in burst(client, ior, 2):
+            ev.callbacks.append(lambda _ev: done.append(env.now))
+        env.run(until=env.timeout(5.0))
+        assert done[1] - done[0] == pytest.approx(0.6)
 
 
 class TestLoadShedding:

@@ -1,15 +1,19 @@
-"""Processless dispatch under interceptors, checked against the process
-path.
+"""The listener's one dispatch path under interceptors, checked against
+the process-per-request reference.
 
-``dispatch_workers`` (admission slots) keeps every dispatch on the
-kernel-process path, so an instrumented run with 64 workers is the
-oracle for the same run without: one scenario, both ways, and the span
-trees, histogram counts and client results must be equal while the
-processless run schedules exactly the predicted number of kernel events
-fewer.  Three named mutants of the processless path must each make the
-comparison fail, or it proves nothing.
+``tests/oracles/dispatch.py`` swaps the old path -- one kernel process
+per request -- back in for ``Listener.dispatch``.  One scenario runs
+both ways at ``dispatch_workers`` None, 64 and 1 (at 1 every request
+queues FIFO for the host's one slot): the span trees, histogram counts
+and client results must be equal, while the one path schedules exactly
+the predicted number of kernel events fewer.  The one path's figures
+must not depend on same-instant NORMAL tie order either, and three
+named mutants of it must each make the comparison fail, or it proves
+nothing.
 """
 
+import contextlib
+import functools
 import sys
 
 import pytest
@@ -27,6 +31,8 @@ from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import star
 
+from tests.oracles.dispatch import process_per_request
+from tests.oracles.tiekernel import permuted_ties
 from tests.oracles.trace import spans_connected
 
 REFUSED_TC = except_tc("Refused", [("why", tc_string)],
@@ -84,7 +90,7 @@ class Front(Servant):
         return s.upper()
 
     def chain(self, s):
-        """Generator servant: process path on both sides."""
+        """Generator servant: ``_dispatch_tail`` drives it."""
         reply = yield self.orb.invoke(self.leaf, LEAF.operations["echo"],
                                       (s,))
         return reply + "!"
@@ -94,7 +100,19 @@ class Front(Servant):
         return self.chain(s)
 
 
-def run_scenario(dispatch_workers):
+def run_scenario(dispatch_workers, reference=False):
+    """The scenario on the one path, or on the process-per-request
+    reference: (observability hub, client results, kernel events)."""
+    with process_per_request() if reference else contextlib.nullcontext():
+        return _run(dispatch_workers)
+
+
+@functools.lru_cache(maxsize=None)
+def reference(dispatch_workers):
+    return run_scenario(dispatch_workers, reference=True)
+
+
+def _run(dispatch_workers):
     env = Environment()
     net = Network(env, star(3), rngs=RngRegistry(17))
     orbs = {host: ORB(env, net, host, default_timeout=5.0,
@@ -170,17 +188,17 @@ def assert_equivalent(change, oracle):
     assert counts[0] == counts[1]
 
 
-@pytest.fixture(scope="module")
-def oracle():
-    return run_scenario(dispatch_workers=64)
+RESULTS = ["A", "B", "c!", "d!", "Refused", "TRANSIENT",
+           "OBJECT_NOT_EXIST", 7]
 
 
-def test_processless_run_equals_the_process_path(oracle):
-    change = run_scenario(dispatch_workers=None)
+@pytest.mark.parametrize("workers", [None, 64, 1])
+def test_one_path_equals_the_reference(workers):
+    change = run_scenario(workers)
+    oracle = reference(workers)
     assert_equivalent(change, oracle)
     hub, results, events = change
-    assert results == ["A", "B", "c!", "d!", "Refused", "TRANSIENT",
-                       "OBJECT_NOT_EXIST", 7]
+    assert results == RESULTS
     # The interleaving the scenario exists for: both relays admitted
     # before either servant ran, and each nested call under its own.
     relays = [s for s in hub.tracer.spans if s.name == "serve:relay"
@@ -191,23 +209,49 @@ def test_processless_run_equals_the_process_path(oracle):
         children = [s for s in hub.tracer.spans
                     if s.parent_id == relay.span_id]
         assert sorted(s.name for s in children) == ["call:echo", "call:note"]
-    # What the process path costs and this one does not, per request: a
-    # plain dispatch its process start, slot grant and process end (3);
-    # one refused before the slot (unknown key, undecodable arguments)
-    # start and end (2); a generator dispatch, or a plain method that
-    # returned one, only the slot grant — it needs a process anyway (1).
+    # What the reference costs and the one path does not, per request,
+    # at any worker count: a plain dispatch its process start and end
+    # (2); one refused before the servant (unknown key, undecodable
+    # arguments) the same (2).  A generator dispatch, or a plain method
+    # that returned one, starts a process on both paths, and a slot
+    # grant is one event on both (0).
     plain = 2 + 4 + 2 + 3   # relays, their echo + note, the chain and
     #                         late echoes, refuse / fail / null
     refused_early = 2
-    generators = 2
-    assert oracle[2] - events == 3 * plain + 2 * refused_early + generators
+    assert oracle[2] - events == 2 * plain + 2 * refused_early
+
+
+def test_one_worker_serializes_the_relays():
+    # The two relays overlap on unbounded workers; on one slot the
+    # second is charged its CPU cost only once the first has returned.
+    def relay_gap(workers):
+        hub = run_scenario(workers)[0]
+        first, second = sorted(s.end for s in hub.tracer.spans
+                               if s.name == "serve:relay"
+                               and s.status == "ok")
+        return second - first
+
+    relay_s = FRONT.operations["relay"].cpu_cost / star(3).host(
+        "hub").profile.cpu_power
+    assert relay_gap(None) < relay_s
+    assert relay_gap(1) == pytest.approx(relay_s)
+
+
+@pytest.mark.parametrize("workers", [None, 1])
+@pytest.mark.parametrize("tie_seed", [1, 2])
+def test_one_path_ignores_normal_tie_order(workers, tie_seed):
+    with permuted_ties(tie_seed):
+        hub, results, _ = run_scenario(workers)
+    assert results == RESULTS
+    assert span_paths(hub) == span_paths(run_scenario(workers)[0])
 
 
 def test_instrumented_null_call_adds_no_kernel_events():
     # Request delivery, reply delivery, reply event (the reply-deadline
-    # sweeper is armed by the first call; with it a null call is 4).
-    # The process path adds its start, slot grant and end.
-    def null_call_events(dispatch_workers, observe):
+    # sweeper is armed by the first call; with it a null call is 4).  A
+    # worker slot adds its grant; the reference adds a process start and
+    # end on top.
+    def null_call_events(dispatch_workers, observe, reference=False):
         env = Environment()
         net = Network(env, star(1), rngs=RngRegistry(1))
         server = ORB(env, net, "hub", dispatch_workers=dispatch_workers)
@@ -220,27 +264,30 @@ def test_instrumented_null_call_adds_no_kernel_events():
         odef = LEAF.operations["null"]
         client.call(ior, odef, (0,))           # first-touch work
         before = env._eid
-        assert client.call(ior, odef, (1,)) == 1
+        with process_per_request() if reference \
+                else contextlib.nullcontext():
+            assert client.call(ior, odef, (1,)) == 1
         return env._eid - before
 
     assert null_call_events(None, observe=False) == 3
     assert null_call_events(None, observe=True) == 3
-    assert null_call_events(64, observe=True) == 6
+    assert null_call_events(64, observe=True) == 4
+    assert null_call_events(64, observe=True, reference=True) == 6
 
 
 # -- mutants -----------------------------------------------------------------
-# Each re-creates one plausible wrong version of the processless path by
+# Each re-creates one plausible wrong version of the one path by
 # wrapping Listener internals, and the comparison above must catch it.
 
 def mutant_current_request_set_at_admission(monkeypatch):
     """The current request is whichever was admitted last, instead of
     the one whose servant is on the stack."""
-    real_fast = Listener._dispatch_fast
+    real_dispatch = Listener.dispatch
     real_finish = Listener._dispatch_finish
 
-    def fast(self, request, client, info):
+    def dispatch(self, request, client, info):
         self._admitted = info
-        return real_fast(self, request, client, info)
+        return real_dispatch(self, request, client, info)
 
     def finish(self, ev):
         request, client, odef, method, args, info = ev._value
@@ -252,21 +299,21 @@ def mutant_current_request_set_at_admission(monkeypatch):
         ev._value = (request, client, odef, servant, args, info)
         real_finish(self, ev)
 
-    monkeypatch.setattr(Listener, "_dispatch_fast", fast)
+    monkeypatch.setattr(Listener, "dispatch", dispatch)
     monkeypatch.setattr(Listener, "_dispatch_finish", finish)
 
 
 def mutant_finish_request_skipped_on_decode_error(monkeypatch):
-    """A request refused inside ``_dispatch_fast`` (unknown key,
-    undecodable arguments) never reaches ``finish_request``."""
-    real_fast = Listener._dispatch_fast
+    """A request refused inside ``dispatch`` (unknown key, undecodable
+    arguments) never reaches ``finish_request``."""
+    real_dispatch = Listener.dispatch
     real_finish = Listener._dispatch_finish
     real_done = Listener._dispatch_done
 
-    def fast(self, request, client, info):
+    def dispatch(self, request, client, info):
         self._admitting = True
         try:
-            return real_fast(self, request, client, info)
+            return real_dispatch(self, request, client, info)
         finally:
             self._admitting = False
 
@@ -277,14 +324,14 @@ def mutant_finish_request_skipped_on_decode_error(monkeypatch):
     def done(self, info):
         real_done(self, None if self._admitting else info)
 
-    monkeypatch.setattr(Listener, "_dispatch_fast", fast)
+    monkeypatch.setattr(Listener, "dispatch", dispatch)
     monkeypatch.setattr(Listener, "_dispatch_finish", finish)
     monkeypatch.setattr(Listener, "_dispatch_done", done)
 
 
 def mutant_child_process_not_run_from_dispatch_tail(monkeypatch):
-    """A plain method's generator is driven without telling the
-    interceptors which request it belongs to."""
+    """A servant's generator is driven without telling the interceptors
+    which request it belongs to."""
     real_run = Listener._run_generator
 
     def run_generator(self, gen, info):
@@ -300,7 +347,8 @@ def mutant_child_process_not_run_from_dispatch_tail(monkeypatch):
     mutant_finish_request_skipped_on_decode_error,
     mutant_child_process_not_run_from_dispatch_tail,
 ], ids=lambda m: m.__name__)
-def test_named_mutant_fails_the_comparison(mutant, oracle, monkeypatch):
+def test_named_mutant_fails_the_comparison(mutant, monkeypatch):
+    oracle = reference(None)
     mutant(monkeypatch)
     change = run_scenario(dispatch_workers=None)
     with pytest.raises(AssertionError):
