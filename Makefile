@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test selftest lint lint-src golden ledger bench bench-orb \
-	bench-eventbus bench-federation bench-chaos bench-simlint \
+.PHONY: check test selftest lint lint-src golden ledger bench claim-tables \
+	bench-orb bench-eventbus bench-federation bench-chaos bench-simlint \
 	spine-ab faults fuzz chaos chaos-soak loc
 
 # The one-stop gate: descriptor + source lint, the end-to-end
@@ -67,6 +67,11 @@ chaos-soak:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# every bench's claim tables, printed, with pytest-benchmark off: the run
+# a change's tables are compared in.  Not part of check.
+claim-tables:
+	$(PYTHON) -m pytest benchmarks/ -s -q --benchmark-disable
 
 # regenerate BENCH_orb.json (ORB codec/dispatch microbenchmarks)
 bench-orb:

@@ -8,7 +8,7 @@ overhead volunteer churn imposes on a farmed computation.
 
 import math
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.container.aggregation import AggregationCoordinator
 from repro.grid import (
     IdleMonitor,
@@ -34,26 +34,6 @@ def aggregate(workers: int) -> tuple[float, float]:
     return rig.env.now - t0, estimate
 
 
-def test_aggregation_speedup(benchmark, capsys):
-    rows = []
-    times = {}
-    for workers in (1, 2, 4, 8, 16):
-        elapsed, estimate = aggregate(workers)
-        times[workers] = elapsed
-        speedup = times[1] / elapsed
-        rows.append([workers, f"{elapsed:.2f} s", f"{speedup:.1f}x",
-                     f"{speedup/workers*100:.0f}%",
-                     f"{estimate:.4f}"])
-    benchmark.pedantic(lambda: aggregate(4), rounds=1, iterations=1)
-    report(capsys, f"C9a: Monte-Carlo pi, {SAMPLES:,} samples, "
-                   "split/gather aggregation",
-           ["workers", "sim time", "speedup", "efficiency",
-            "pi estimate"], rows,
-           note="near-linear until coordination overheads bite")
-    assert times[8] < times[1] / 4
-    stash(benchmark, **{f"t{w}": t for w, t in times.items()})
-
-
 def volunteer_run(churny: bool, seed: int = 5):
     rig = SimRig(star(10, hub_profile=SERVER), seed=seed)
     hub = rig.node("hub")
@@ -77,22 +57,41 @@ def volunteer_run(churny: bool, seed: int = 5):
     return rig.env.now - t0, estimate, master.requeues
 
 
-def test_volunteer_churn_overhead(benchmark, capsys):
-    stable_t, stable_pi, stable_rq = volunteer_run(False)
-    churn_t, churn_pi, churn_rq = volunteer_run(True)
-    benchmark.pedantic(lambda: volunteer_run(False),
-                       rounds=1, iterations=1)
-    report(capsys, "C9b: volunteer computing, 20 shards over 10 "
-                   "workstations",
-           ["pool", "completion (sim)", "requeues", "pi"], [
-               ["all idle, no churn", f"{stable_t:.1f} s", stable_rq,
-                f"{stable_pi:.4f}"],
-               ["users come and go", f"{churn_t:.1f} s", churn_rq,
-                f"{churn_pi:.4f}"],
-           ],
-           note="churn slows completion but never corrupts the result; "
-                "shards from withdrawn volunteers are re-queued")
-    assert abs(stable_pi - math.pi) < 0.01
-    assert abs(churn_pi - math.pi) < 0.01
-    assert churn_t >= stable_t
-    stash(benchmark, stable_t=stable_t, churn_t=churn_t)
+def experiment():
+    """Run C9 once, assert its claims, return the aggregation speedup
+    table (C9a) and the volunteer-farm table (C9b)."""
+    speedup_rows, times = [], {}
+    for workers in (1, 2, 4, 8, 16):
+        elapsed, estimate = aggregate(workers)
+        times[workers] = elapsed
+        speedup = times[1] / elapsed
+        speedup_rows.append([str(workers), f"{elapsed:.2f} s",
+                             f"{speedup:.1f}x",
+                             f"{speedup/workers*100:.0f}%",
+                             f"{estimate:.4f}"])
+    assert times[8] < times[1] / 4
+    farm_rows, completion = [], {}
+    for churny, pool in ((False, "all idle, no churn"),
+                         (True, "users come and go")):
+        elapsed, estimate, requeues = volunteer_run(churny)
+        assert abs(estimate - math.pi) < 0.01
+        completion[churny] = elapsed
+        farm_rows.append([pool, f"{elapsed:.1f} s", str(requeues),
+                          f"{estimate:.4f}"])
+    assert completion[True] >= completion[False]
+    return [
+        Table(f"C9a: Monte-Carlo pi, {SAMPLES:,} samples, split/gather "
+              "aggregation",
+              ["workers", "sim time", "speedup", "efficiency",
+               "pi estimate"], speedup_rows,
+              note="near-linear until coordination overheads bite"),
+        Table("C9b: volunteer computing, 20 shards over 10 workstations",
+              ["pool", "completion (sim)", "requeues", "pi"], farm_rows,
+              note="churn slows completion but never corrupts the result; "
+                   "shards from withdrawn volunteers are re-queued"),
+    ]
+
+
+def test_grid(capsys):
+    for table in experiment():
+        report(capsys, *table)

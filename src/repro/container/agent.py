@@ -3,13 +3,17 @@
 Remote face of the container used by the deployment planner (create an
 instance on a chosen node, wire a connection) and by the migration
 engine (incarnate a passivated instance with its externalized state).
+Aggregation, the volunteer farm and replica groups create their
+instances with :func:`place_instance`; migration ships with its first
+half, :func:`ship_package`.
 """
 
 from __future__ import annotations
 
 import pickle
 
-from repro.components.reflection import INSTANCE_INFO_TC, PORT_INFO_TC
+from repro.components.reflection import (INSTANCE_INFO_TC, PORT_INFO_TC,
+                                         InstanceInfo)
 from repro.orb.core import InterfaceDef, Servant, make_exception_class, op
 from repro.orb.exceptions import NO_RESOURCES
 from repro.orb.ior import IOR
@@ -22,6 +26,12 @@ from repro.orb.typecodes import (
 )
 from repro.util.errors import ValidationError
 from repro.xmlmeta.versions import VersionRange
+
+#: deadline of a call made only to look or to tidy up (a resource view,
+#: a catalogue, a checkpoint, a re-aim, a worker's teardown): a host
+#: that crashed and is not yet known down costs this much, not the
+#: ORB's default.
+PROBE_TIMEOUT = 2.0
 
 AGENT_ERROR_TC = except_tc(
     "AgentError", [("reason", tc_string)],
@@ -97,6 +107,27 @@ def loads_state(data: bytes) -> dict:
             f"externalized state decoded to {type(state).__name__}, "
             f"expected dict")
     return state
+
+
+def ship_package(node, host: str, cls):
+    """Install *cls*'s own package on *host* unless *host* holds that
+    exact version; a generator returning the bytes shipped (0: none)."""
+    acceptor = node.service_stub(host, "acceptor")
+    if (yield acceptor.is_installed(cls.name, f"=={cls.version}")):
+        return 0
+    pkg = cls.package.data
+    yield acceptor.install(pkg)
+    return len(pkg)
+
+
+def place_instance(node, host: str, cls):
+    """Create an instance of *cls* on *host*, shipping the package first
+    when *host* is not *node*'s; a generator returning its InstanceInfo."""
+    if host != node.host_id:
+        yield from ship_package(node, host, cls)
+    agent = node.service_stub(host, "container")
+    return InstanceInfo.from_value(
+        (yield agent.create_instance(cls.name, f"=={cls.version}", "")))
 
 
 class ContainerAgentServant(Servant):

@@ -5,10 +5,12 @@ instances to process a set of data (data-parallel components) and how
 to gather partial results into a complete solution".  The coordinator:
 
 1. asks a local prototype executor to :meth:`split` the work;
-2. creates worker instances on the chosen hosts (shipping the package
-   where needed);
+2. creates one worker per host, in order, with
+   :func:`~repro.container.agent.place_instance`;
 3. pushes one shard to each worker's ``Worker`` facet, in parallel;
-4. :meth:`merge`-s the partial results.
+4. re-runs each failed shard round-robin on the workers whose calls
+   succeeded, dropping any whose re-run call fails too;
+5. destroys the workers that never failed a call, and :meth:`merge`-s.
 
 Aggregatable components must provide a facet implementing
 :data:`WORKER_IFACE` (``process_shard``).
@@ -19,7 +21,7 @@ from __future__ import annotations
 import pickle
 
 from repro.components.reflection import InstanceInfo
-from repro.container.agent import dumps_state
+from repro.container.agent import PROBE_TIMEOUT, place_instance
 from repro.orb.core import InterfaceDef, op
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
@@ -37,6 +39,7 @@ WORKER_IFACE = InterfaceDef(
            cpu_cost=0.5),
     ],
 )
+_PROCESS = WORKER_IFACE.operations["process_shard"]
 
 
 class AggregationError(ReproError):
@@ -62,9 +65,8 @@ class AggregationCoordinator:
             work_state: dict) -> Event:
         """Execute the component's work across *worker_hosts*.
 
-        Returns a process event yielding the merged result.  Workers
-        that die mid-shard have their shard re-run on a surviving host,
-        so one crash does not lose the computation.
+        Returns a process event yielding the merged result, or failing
+        with :class:`AggregationError` once no worker's calls succeed.
         """
         return self.node.env.process(
             self._run(component_name, worker_hosts, work_state))
@@ -88,70 +90,62 @@ class AggregationCoordinator:
                 f"{len(worker_hosts)} workers"
             )
 
-        # Create one worker instance per host (install where missing).
-        exact = f"=={cls.version}"
         workers: list[tuple[str, IOR, str]] = []  # (host, facet, iid)
         for host in worker_hosts:
-            if host != node.host_id:
-                acceptor = node.service_stub(host, "acceptor")
-                if not (yield acceptor.is_installed(component_name, exact)):
-                    yield acceptor.install(
-                        node.repository.package_bytes(component_name))
-            agent = node.service_stub(host, "container")
-            info = InstanceInfo.from_value(
-                (yield agent.create_instance(component_name, exact, "")))
-            facet = self._worker_facet(info)
-            workers.append((host, facet, info.instance_id))
+            info = yield from place_instance(node, host, cls)
+            workers.append((host, worker_facet(info), info.instance_id))
 
         # Scatter all shards in parallel; index results by shard.
-        process_op = WORKER_IFACE.operations["process_shard"]
-        calls = []
-        for (host, facet, _iid), shard in zip(workers, shards):
-            calls.append(node.orb.invoke(
-                facet, process_op, (dumps_shard(shard),),
-                timeout=None))
+        calls = [node.orb.invoke(facet, _PROCESS, (dumps_shard(shard),),
+                                 timeout=None)
+                 for (_host, facet, _iid), shard in zip(workers, shards)]
         partials: list = [None] * len(calls)
         failed: list[int] = []
         for index, call in enumerate(calls):
             try:
-                raw = yield call
-                partials[index] = loads_shard(raw)
+                partials[index] = loads_shard((yield call))
             except SystemException:
                 failed.append(index)
 
-        # Re-run failed shards on surviving workers, round-robin.
+        # Call outcomes are the only liveness source: a worker whose call
+        # failed is lost, and its shard goes round-robin to the rest.
+        lost = {workers[i][2] for i in failed}
         if failed:
             node.metrics.counter("aggregation.reruns").inc(len(failed))
-            survivors = [
-                w for i, w in enumerate(workers)
-                if i not in failed
-                and node.network.topology.host(w[0]).alive  # simlint: disable=SIM040 -- ROADMAP 24
-            ]
+        turn = 0
+        while failed:
+            survivors = [w for w in workers if w[2] not in lost]
             if not survivors:
                 raise AggregationError("all workers failed")
-            for j, index in enumerate(failed):
-                host, facet, _iid = survivors[j % len(survivors)]
+            _host, facet, iid = survivors[turn % len(survivors)]
+            try:
                 raw = yield node.orb.invoke(
-                    facet, process_op, (dumps_shard(shards[index]),))
-                partials[index] = loads_shard(raw)
+                    facet, _PROCESS, (dumps_shard(shards[failed[0]]),))
+            except SystemException:
+                lost.add(iid)
+                continue
+            partials[failed.pop(0)] = loads_shard(raw)
+            turn += 1
 
-        # Tear down workers that are still reachable.
+        # A lost worker is not called again.
         for host, _facet, iid in workers:
-            if node.network.topology.host(host).alive:  # simlint: disable=SIM040 -- ROADMAP 24
-                agent = node.service_stub(host, "container")
-                try:
-                    yield agent.destroy_instance(iid)
-                except SystemException:
-                    pass
+            if iid in lost:
+                continue
+            agent = node.service_stub(host, "container")
+            try:
+                yield agent.destroy_instance(iid, _timeout=PROBE_TIMEOUT)
+            except SystemException:
+                pass
         node.metrics.counter("aggregation.runs").inc()
         return prototype.merge(partials)
 
-    def _worker_facet(self, info: InstanceInfo) -> IOR:
-        for port in info.ports:
-            if port.kind != "facet":
-                continue
-            if port.type_id == WORKER_IFACE.repo_id and port.peer:
-                return IOR.from_string(port.peer)
-        raise AggregationError(
-            f"instance {info.instance_id} exposes no Worker facet"
-        )
+
+def worker_facet(info: InstanceInfo) -> IOR:
+    """The ``Worker`` facet of a freshly created worker instance."""
+    for port in info.ports:
+        if (port.kind == "facet" and port.type_id == WORKER_IFACE.repo_id
+                and port.peer):
+            return IOR.from_string(port.peer)
+    raise AggregationError(
+        f"instance {info.instance_id} exposes no Worker facet"
+    )

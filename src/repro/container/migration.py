@@ -10,8 +10,9 @@ The engine performs exactly those steps, over the wire:
 
 1. passivate the instance and capture its externalized state;
 2. ensure the component's package is installed at the target —
-   shipping the package bytes through the target's Component Acceptor
-   if not (this is the expensive part on slow links);
+   :func:`~repro.container.agent.ship_package` sends the package bytes
+   through the target's Component Acceptor if not (this is the
+   expensive part on slow links);
 3. evict the local shell (frees this node's resources);
 4. incarnate at the target with the captured state and port wiring.
 
@@ -21,7 +22,7 @@ a refused migration never loses the instance.
 
 from __future__ import annotations
 
-from repro.container.agent import dumps_state
+from repro.container.agent import dumps_state, ship_package
 from repro.container.instance import ComponentInstance, InstanceState
 from repro.orb.exceptions import SystemException, UserException
 from repro.components.reflection import InstanceInfo
@@ -75,13 +76,8 @@ class MigrationEngine:
         # this window must not strand the instance passivated on the
         # source: reactivate it locally and refuse the migration.
         exact = f"=={cls.version}"
-        acceptor = node.service_stub(target_host, "acceptor")
         try:
-            installed = yield acceptor.is_installed(cls.name, exact)
-            if not installed:
-                pkg = node.repository.package_bytes(cls.name)
-                node.metrics.counter("migration.package_bytes").inc(len(pkg))
-                yield acceptor.install(pkg)
+            shipped = yield from ship_package(node, target_host, cls)
         except SystemException as exc:
             instance.executor.activate()
             instance.state = InstanceState.ACTIVE
@@ -89,6 +85,9 @@ class MigrationEngine:
             raise MigrationError(
                 f"target {target_host} unreachable before eviction: {exc}"
             ) from exc
+
+        if shipped:
+            node.metrics.counter("migration.package_bytes").inc(shipped)
 
         # 3. Evict the local shell.
         container._evict(instance)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.components.reflection import InstanceInfo
+from repro.container.agent import place_instance
 from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
 from repro.sim.kernel import Event
@@ -100,11 +100,11 @@ class ReplicaManager:
         self.node = node
 
     def create_group(self, component_name: str, hosts: list[str]) -> Event:
-        """Instantiate *component_name* on every host in *hosts*.
+        """Instantiate *component_name* on every host in *hosts*, in
+        order, with :func:`~repro.container.agent.place_instance`.
 
         Returns a process event yielding the :class:`ReplicaGroup`,
-        served from the component's first facet.  Package bytes are
-        shipped to hosts lacking the component.
+        served from the component's first facet.
         """
         return self.node.env.process(
             self._create_group(component_name, hosts))
@@ -126,18 +126,8 @@ class ReplicaManager:
         group = ReplicaGroup(component=component_name,
                              facet_repo_id=port_decl.repo_id,
                              mode=cls.software.replication)
-        exact = f"=={cls.version}"
         for host in hosts:
-            if host != node.host_id:
-                acceptor = node.service_stub(host, "acceptor")
-                installed = yield acceptor.is_installed(component_name, exact)
-                if not installed:
-                    yield acceptor.install(
-                        node.repository.package_bytes(component_name))
-            agent = node.service_stub(host, "container")
-            info_value = yield agent.create_instance(component_name,
-                                                     exact, "")
-            info = InstanceInfo.from_value(info_value)
+            info = yield from place_instance(node, host, cls)
             facet_ior = None
             for port in info.ports:
                 if port.name == port_decl.name and port.peer:

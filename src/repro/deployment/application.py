@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.components.reflection import ComponentInfo, InstanceInfo
-from repro.container.agent import dumps_state
+from repro.container.agent import PROBE_TIMEOUT, dumps_state
 from repro.container.migration import MigrationEngine
 from repro.node.events import EventBroker
 from repro.node.node import Node
@@ -41,11 +41,6 @@ from repro.xmlmeta.versions import Version, VersionRange
 
 _SNAPSHOT = RESOURCE_MANAGER_IFACE.operations["snapshot"]
 _INSTALLED = COMPONENT_REGISTRY_IFACE.operations["installed"]
-
-#: deadline of a call made only to look or to tidy up (a resource view,
-#: a catalogue, a checkpoint, a re-aim): a host that crashed and is not
-#: yet known down costs a pass this much, not the ORB's default.
-PROBE_TIMEOUT = 2.0
 
 
 def no_view(host: str) -> bool:

@@ -1,10 +1,12 @@
 """Volunteer computing (§3.2, after Sarmenta's Bayanihan).
 
 Hosts *volunteer* while their user is idle and withdraw when the user
-returns.  The master farms work shards onto registered volunteers,
-installing the worker component on first contact, and re-queues shards
-whose volunteer crashed or timed out — so the computation completes
-despite churn (measured by benchmark C9).
+returns.  The master offers queued shards to every registered
+volunteer that holds none, creating the worker on first contact
+(:func:`~repro.container.agent.place_instance`).  A failed or timed-out
+call is its only sign of a dead volunteer: the shard is re-queued and
+the host dropped until it registers again — so the computation
+completes despite churn (measured by benchmark C9).
 
 Volunteers finish the shard they are on when their user comes back
 (BOINC-style); they simply stop receiving new shards.
@@ -14,11 +16,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.components.reflection import InstanceInfo
+from repro.container.agent import place_instance
 from repro.container.aggregation import (
     WORKER_IFACE,
     dumps_shard,
     loads_shard,
+    worker_facet,
 )
 from repro.grid.idle import IdleMonitor
 from repro.idl import compile_idl
@@ -114,8 +117,7 @@ class VolunteerMaster:
         try:
             while self.queue or self.in_flight:
                 free = [h for h in sorted(self.volunteers)
-                        if h not in self.in_flight
-                        and self.node.network.topology.host(h).alive]  # simlint: disable=SIM040 -- ROADMAP 24
+                        if h not in self.in_flight]
                 while self.queue and free:
                     host = free.pop(0)
                     shard = self.queue.pop(0)
@@ -131,7 +133,9 @@ class VolunteerMaster:
         try:
             facet = self.workers.get(host)
             if facet is None:
-                facet = yield from self._provision(host)
+                cls = self.node.repository.lookup(self.component_name)
+                info = yield from place_instance(self.node, host, cls)
+                facet = self.workers[host] = worker_facet(info)
             raw = yield self.node.orb.invoke(
                 facet, _PROCESS, (dumps_shard(shard),),
                 timeout=self.shard_timeout, meter="volunteer")
@@ -145,27 +149,6 @@ class VolunteerMaster:
             self.node.metrics.counter("volunteer.requeues").inc()
         finally:
             self.in_flight.pop(host, None)
-
-    def _provision(self, host: str):
-        """Install (if needed) and instantiate the worker on *host*."""
-        cls = self.node.repository.lookup(self.component_name)
-        exact = f"=={cls.version}"
-        if host != self.node.host_id:
-            acceptor = self.node.service_stub(host, "acceptor")
-            if not (yield acceptor.is_installed(self.component_name, exact)):
-                pkg = self.node.repository.package_bytes(self.component_name)
-                yield acceptor.install(pkg)
-        agent = self.node.service_stub(host, "container")
-        info = InstanceInfo.from_value(
-            (yield agent.create_instance(self.component_name, exact, "")))
-        for port in info.ports:
-            if port.kind == "facet" and port.type_id == WORKER_IFACE.repo_id:
-                facet = IOR.from_string(port.peer)
-                self.workers[host] = facet
-                return facet
-        raise VolunteerError(
-            f"{self.component_name} exposes no Worker facet"
-        )
 
 
 class VolunteerAgent:

@@ -22,7 +22,7 @@ class TestTreeSelfCheck:
         assert gated == [], "\n" + diag.render_text()
 
     def test_only_roadmap_24_second_slice_is_suppressed(self):
-        # The registries' own liveness unions and three worker pickers
+        # The registries' own liveness unions and the MRM replacement picker
         # still read the truth; each waits on its own change.
         sites = Counter()
         for path in sorted(SRC.rglob("*.py")):
@@ -32,9 +32,7 @@ class TestTreeSelfCheck:
                     sites[path.relative_to(SRC).as_posix()] += 1
         assert sites == {"registry/federation/orchestrator.py": 3,
                          "registry/groups.py": 1,
-                         "registry/replication.py": 1,
-                         "grid/volunteer.py": 1,
-                         "container/aggregation.py": 2}
+                         "registry/replication.py": 1}
 
 
 class TestCli:

@@ -40,6 +40,16 @@ class TestMigration:
         assert rig.node("h1").repository.is_installed("Counter")
         assert rig.metrics.get("migration.package_bytes") > 0
 
+    def test_older_version_ships_its_own_package(self, rig):
+        hub = rig.node("hub")
+        inst = hub.container.create_instance("Counter")
+        hub.install_package(counter_package("2.0.0"))
+        info = rig.run(until=MigrationEngine(hub).migrate(
+            inst.instance_id, "h1"))
+        assert info.host == "h1"
+        assert [str(c.version) for c in
+                rig.node("h1").repository.classes()] == ["1.0.0"]
+
     def test_no_reinstall_when_target_has_component(self, rig):
         hub = rig.node("hub")
         rig.node("h1").install_package(counter_package())
@@ -202,6 +212,57 @@ class TestAggregation:
         result = agg_rig.run(until=ev)
         assert result == sum(range(40_000))
         assert agg_rig.metrics.get("aggregation.reruns") >= 1
+
+    @staticmethod
+    def count_destroys(rig, monkeypatch) -> list:
+        orb = rig.node("hub").orb
+        invoke, calls = orb.invoke, []
+
+        def counting(ior, odef, args, **kw):
+            if odef.name == "destroy_instance":
+                calls.append(args[0])
+            return invoke(ior, odef, args, **kw)
+
+        monkeypatch.setattr(orb, "invoke", counting)
+        return calls
+
+    def test_survivor_lost_after_its_shard_moves_rerun_on(self, agg_rig,
+                                                         monkeypatch):
+        # h1 dies mid-shard; h0 returns its shard, then dies before the
+        # re-run reaches it.  The re-run call into h0 fails, h0 is
+        # dropped, and h2 runs the shard.
+        destroyed = self.count_destroys(agg_rig, monkeypatch)
+        coordinator = AggregationCoordinator(agg_rig.node("hub"))
+        ev = coordinator.run("SumWorker", ["h0", "h1", "h2"],
+                             {"lo": 0, "hi": 40_000,
+                              "cost_per_item": 0.05})
+        agg_rig.env.run(until=agg_rig.env.now + 1.0)
+        agg_rig.topology.set_host_state("h1", alive=False)
+        agg_rig.env.run(until=agg_rig.env.now + 10.0)   # shards returned
+        agg_rig.topology.set_host_state("h0", alive=False)
+        result = agg_rig.run(until=ev)
+        assert result == sum(range(40_000))
+        assert agg_rig.metrics.get("aggregation.reruns") == 1
+        # Lost workers are not called again; h2, whose calls all
+        # returned, is torn down.
+        assert len(destroyed) == 1
+        assert len(agg_rig.node("h2").container) == 0
+
+    def test_every_worker_lost_raises(self, agg_rig, monkeypatch):
+        destroyed = self.count_destroys(agg_rig, monkeypatch)
+        coordinator = AggregationCoordinator(agg_rig.node("hub"))
+        ev = coordinator.run("SumWorker", ["h0", "h1"],
+                             {"lo": 0, "hi": 40_000,
+                              "cost_per_item": 0.05})
+        agg_rig.env.run(until=agg_rig.env.now + 1.0)
+        t0 = agg_rig.env.now
+        for host in ("h0", "h1"):
+            agg_rig.topology.set_host_state(host, alive=False)
+        with pytest.raises(AggregationError, match="all workers failed"):
+            agg_rig.run(until=ev)
+        # the scatter's own deadline ends it (the rig's 30 s default)
+        assert agg_rig.env.now - t0 <= 31.0
+        assert destroyed == []
 
     def test_non_aggregatable_rejected(self, agg_rig):
         agg_rig.node("hub").install_package(counter_package())

@@ -125,6 +125,20 @@ class TestVolunteerComputing:
         assert len(partials) == 6
         assert master.requeues >= 1
 
+    def test_volunteer_lost_while_idle_is_dropped(self):
+        rig, hub, master, monitors = self.make_pool(
+            n=3, mean_busy=1e9, mean_idle=1e9)  # no user churn
+        rig.run(until=rig.env.now + 0.5)  # registrations arrive
+        assert master.volunteers == {"h0", "h1", "h2"}
+        rig.topology.set_host_state("h2", alive=False)
+        shards = [{"samples": 50_000, "seed": i} for i in range(6)]
+        partials = rig.run(until=master.submit(shards))
+        assert len(partials) == 6
+        pi = MonteCarloPiExecutor.merge_values(partials)
+        assert pi == pytest.approx(math.pi, abs=0.03)
+        assert master.volunteers == {"h0", "h1"}
+        assert master.requeues >= 1
+
     def test_busy_volunteers_get_no_new_shards(self):
         rig, hub, master, monitors = self.make_pool(
             n=2, mean_busy=1e9, mean_idle=1e9)
