@@ -22,13 +22,14 @@ Measured per arm: lookup latency percentiles in **simulated** seconds
 (the network model serializes every link FIFO, so the flood's O(N)
 WAN crossings are what its p99 captures) plus total wire messages
 (which includes the sharded arm's publish/gossip maintenance — the
-price it pays for O(1) lookups).  The sharded arm then takes churn:
-the primary owners of sampled repo-ids are killed and dropped from the
-ring, a surviving owner's cluster is partitioned at the WAN past the
-failure-detection timeout and healed, and we measure the sim-time
-(and gossip rounds) from the heal until the surviving owners'
-membership views agree and the rebalanced records converge on their
-new owners.
+price it pays for O(1) lookups) and the sharded arm's mean gossip frame
+in bytes (header included) over the whole run, churn phase included.
+The sharded arm then takes churn: the primary owners of sampled
+repo-ids are killed and dropped from the ring, a surviving owner's
+cluster is partitioned at the WAN past the failure-detection timeout
+and healed, and we measure the sim-time (and gossip rounds) from the
+heal until the surviving owners' membership views agree and the
+rebalanced records converge on their new owners.
 
 Run ``python benchmarks/bench_federation.py --selftest`` for the
 assertion-only mode wired into ``make check`` (smaller topology, same
@@ -214,6 +215,9 @@ def run_sharded(scale: dict, seed: int = 0) -> dict:
     out = _summary(latencies, scale["queries"], rig, scale)
     out["owners"] = scale["owners"]
     out.update(_churn_convergence(rig, fed, repo_ids, scale))
+    out["gossip_bytes_per_frame"] = (
+        rig.metrics.get("federation.gossip.bytes")
+        / rig.metrics.get("federation.gossip.msgs"))
     return out
 
 
@@ -333,17 +337,18 @@ def test_federation_scaling(benchmark, capsys):
     rows = [
         [f"sharded ({sharded['owners']} owners)",
          f"{sharded['p50_s']:.3f}", f"{sharded['p99_s']:.3f}",
-         sharded["queries"], f"{sharded['messages']:,.0f}"],
+         sharded["queries"], f"{sharded['messages']:,.0f}",
+         f"{sharded['gossip_bytes_per_frame']:.1f}"],
         ["flat flood",
          f"{flood['p50_s']:.3f}", f"{flood['p99_s']:.3f}",
-         flood["queries"], f"{flood['messages']:,.0f}"],
+         flood["queries"], f"{flood['messages']:,.0f}", "-"],
     ]
     report(capsys,
            f"C18: registry lookup on {sharded['hosts']} hosts "
            f"({SCALE_FULL['queries']} queries / "
            f"{SCALE_FULL['window']:.0f}s)",
            ["registry", "p50 (sim s)", "p99 (sim s)", "completed",
-            "net msgs"], rows,
+            "net msgs", "gossip B/frame"], rows,
            note="flood interrogates all hosts per query; sharded asks "
                 "one ring owner (its msgs include publish/gossip "
                 "maintenance). post-churn convergence: "
@@ -362,7 +367,8 @@ def test_federation_scaling(benchmark, capsys):
           churn_killed=sharded["churn_killed"],
           partition_s=sharded["partition_s"],
           messages_sharded=sharded["messages"],
-          messages_flood=flood["messages"])
+          messages_flood=flood["messages"],
+          gossip_bytes_per_frame=sharded["gossip_bytes_per_frame"])
 
 
 def selftest() -> int:

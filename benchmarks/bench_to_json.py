@@ -189,6 +189,7 @@ SUITES = {
             "partition_s": "partition_s",
             "messages_sharded": "messages_sharded",
             "messages_flood": "messages_flood",
+            "gossip_bytes_per_frame": "gossip_bytes_per_frame",
         }, ROOT / "BENCH_federation.json",
         "  lookup p99 on {hosts} hosts: {lookup_p99_sharded_s:.3f}s "
         "sharded vs {lookup_p99_flood_s:.3f}s flood ({speedup_p99:.1f}x); "

@@ -6,8 +6,10 @@ to gather partial results into a complete solution".  The coordinator:
 
 1. asks a local prototype executor to :meth:`split` the work;
 2. creates one worker per host, in order, with
-   :func:`~repro.container.agent.place_instance`;
-3. pushes one shard to each worker's ``Worker`` facet, in parallel;
+   :func:`~repro.container.agent.place_instance`; a host whose
+   placement fails is lost, and its shard waits for step 4;
+3. pushes one shard to each placed worker's ``Worker`` facet, in
+   parallel;
 4. re-runs each failed shard round-robin on the workers whose calls
    succeeded, dropping any whose re-run call fails too;
 5. destroys the workers that never failed a call, and :meth:`merge`-s.
@@ -90,34 +92,45 @@ class AggregationCoordinator:
                 f"{len(worker_hosts)} workers"
             )
 
-        workers: list[tuple[str, IOR, str]] = []  # (host, facet, iid)
-        for host in worker_hosts:
-            info = yield from place_instance(node, host, cls)
-            workers.append((host, worker_facet(info), info.instance_id))
-
-        # Scatter all shards in parallel; index results by shard.
-        calls = [node.orb.invoke(facet, _PROCESS, (dumps_shard(shard),),
-                                 timeout=None)
-                 for (_host, facet, _iid), shard in zip(workers, shards)]
-        partials: list = [None] * len(calls)
+        # (shard index, host, facet, instance id) per placed worker.  A
+        # host whose placement call fails is lost before it has one, and
+        # its shard joins the re-run queue.
+        workers: list[tuple[int, str, IOR, str]] = []
         failed: list[int] = []
-        for index, call in enumerate(calls):
+        for index, host in enumerate(worker_hosts):
+            try:
+                info = yield from place_instance(node, host, cls)
+            except SystemException:
+                failed.append(index)
+                continue
+            workers.append((index, host, worker_facet(info),
+                            info.instance_id))
+        if not workers:
+            raise AggregationError("all workers failed")
+
+        # Scatter the placed workers' shards in parallel.
+        calls = [node.orb.invoke(facet, _PROCESS,
+                                 (dumps_shard(shards[index]),), timeout=None)
+                 for index, _host, facet, _iid in workers]
+        partials: list = [None] * len(shards)
+        lost: set[str] = set()
+        for (index, _host, _facet, iid), call in zip(workers, calls):
             try:
                 partials[index] = loads_shard((yield call))
             except SystemException:
                 failed.append(index)
+                lost.add(iid)
 
         # Call outcomes are the only liveness source: a worker whose call
         # failed is lost, and its shard goes round-robin to the rest.
-        lost = {workers[i][2] for i in failed}
         if failed:
             node.metrics.counter("aggregation.reruns").inc(len(failed))
         turn = 0
         while failed:
-            survivors = [w for w in workers if w[2] not in lost]
+            survivors = [w for w in workers if w[3] not in lost]
             if not survivors:
                 raise AggregationError("all workers failed")
-            _host, facet, iid = survivors[turn % len(survivors)]
+            _index, _host, facet, iid = survivors[turn % len(survivors)]
             try:
                 raw = yield node.orb.invoke(
                     facet, _PROCESS, (dumps_shard(shards[failed[0]]),))
@@ -128,7 +141,7 @@ class AggregationCoordinator:
             turn += 1
 
         # A lost worker is not called again.
-        for host, _facet, iid in workers:
+        for _index, host, _facet, iid in workers:
             if iid in lost:
                 continue
             agent = node.service_stub(host, "container")

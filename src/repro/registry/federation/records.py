@@ -6,8 +6,9 @@ Two record kinds travel between shard owners:
   (repo_id, host) pair, carrying the reuse/instantiation facts a
   resolver needs (running IOR, installable component, headroom).
 - :class:`HostBeacon` — "shard owner H was alive (or declared dead) at
-  epoch T": the membership view's small **owner plane**, gossiped
-  whole every round.
+  epoch T": the membership view's small **owner plane**.  A delta
+  gossip round carries its beacons dated within one round, an
+  anti-entropy round all of it.
 
 The population-sized **member plane** ("plain host H was last heard
 from at epoch T") never travels between owners: it is soft state held
@@ -232,9 +233,10 @@ class MembershipTable:
     def get(self, host: str):
         return self._owners.get(host)
 
-    def owner_beacons(self) -> list[HostBeacon]:
-        """The owner plane alone (small; gossiped whole every round)."""
-        return list(self._owners.values())
+    def owner_beacons(self, since: float = float("-inf")) -> list[HostBeacon]:
+        """The owner plane's beacons dated at or after *since*, in
+        plane order (by default the whole plane)."""
+        return [b for b in self._owners.values() if b.epoch >= since]
 
     def silent(self, cutoff: float) -> list[str]:
         """Hosts not heard from since *cutoff*: owners still believed

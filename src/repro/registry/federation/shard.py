@@ -9,15 +9,19 @@ plane gossiped, member plane local), and runs
 ``fanout`` live peers from its own membership view (a named RNG
 stream, so runs are reproducible) and sends each of them **one**
 ``gossip`` frame: the peer's share of the round's records, those it
-owns under the shared ring, and the whole owner plane.  Peers with
-equal shares (usually empty) share one
-:meth:`~repro.orb.core.ORB.send_oneway_fanout` call, so each distinct
-share is marshalled once.
+owns under the shared ring, and the round's owner-plane beacons, the
+same for every peer.  Peers with equal shares (usually empty) share
+one :meth:`~repro.orb.core.ORB.send_oneway_fanout` call, so each
+distinct share is marshalled once.
 
-Anti-entropy: most rounds carry only the records merged since the
-previous round, but every ``FULL_SYNC_EVERY``-th round pushes the full
-owned set, so an owner that lost its RAM (crash/restart) or missed
-deltas (partition) converges back within a bounded number of rounds.
+Anti-entropy: most rounds are deltas.  They carry the records merged
+since the previous round and the beacons dated within the last
+``gossip_interval``: the sender's own, re-dated each round, what it
+heard first-hand since its previous round, and fresh dead-marks.
+Every ``FULL_SYNC_EVERY``-th round pushes the full owned set and the
+whole owner plane, so an owner that lost its RAM (crash/restart) or
+missed deltas (partition) converges back within a bounded number of
+rounds.
 
 The receiver's ownership check stays the authority: a record whose
 owner changes while a frame is in flight (``remove_owner`` /
@@ -27,7 +31,7 @@ publish to the new owner on their next tick.
 
 Peer discovery is itself epidemic: an agent starts knowing only its
 ``seed_peers`` and learns the rest of the owner population from the
-beacons piggybacked on every gossip frame.
+beacons piggybacked on the gossip frames.
 """
 
 from __future__ import annotations
@@ -200,24 +204,27 @@ class ShardAgent:
         if full_sync:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()
+            beacons = self.membership.owner_beacons()
         else:
             outgoing = self.store.changed_since(self._last_round)
+            beacons = self.membership.owner_beacons(
+                since=now - self.config.gossip_interval)
         self._last_round = now
         peers = self._pick_peers()
         if not peers:
             return
-        self._send_shares(outgoing, peers)
+        self._send_shares(outgoing, beacons, peers)
         self.node.metrics.counter(names.FEDERATION_ROUNDS).inc()
 
     def _send_shares(self, outgoing: list[ProviderRecord],
-                     peers: list[str]) -> None:
+                     beacons: list[HostBeacon], peers: list[str]) -> None:
         """One ``gossip`` frame per peer, carrying the records of
         *outgoing* that the peer owns under the shared ring (it would
-        drop the rest) and the whole owner plane.  Peers with equal
-        shares share one ``send_oneway_fanout`` call, so each distinct
-        body is marshalled once; calls go out in order of each share's
-        first peer.  An empty share still goes out: the owner plane
-        makes the frame a heartbeat too."""
+        drop the rest) and *beacons*, the same for every peer.  Peers
+        with equal shares share one ``send_oneway_fanout`` call, so
+        each distinct body is marshalled once; calls go out in order of
+        each share's first peer.  An empty share still goes out: the
+        sender's own beacon makes the frame a heartbeat too."""
         shares: dict[str, list[int]] = {peer: [] for peer in peers}
         for index, record in enumerate(outgoing):
             for owner in self.ring.owners(record.repo_id,
@@ -227,11 +234,11 @@ class ShardAgent:
         groups: dict[tuple[int, ...], list[str]] = {}
         for peer in peers:
             groups.setdefault(tuple(shares[peer]), []).append(peer)
-        beacons = [b.to_value() for b in self.membership.owner_beacons()]
+        plane = [b.to_value() for b in beacons]
         for share, group in groups.items():
             self.node.orb.send_oneway_fanout(
                 [shard_ior(h) for h in group], GOSSIP_OP,
-                ([outgoing[i].to_value() for i in share], beacons),
+                ([outgoing[i].to_value() for i in share], plane),
                 meter=METER)
 
     # -- state merging ------------------------------------------------------

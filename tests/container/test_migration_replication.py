@@ -264,6 +264,30 @@ class TestAggregation:
         assert agg_rig.env.now - t0 <= 31.0
         assert destroyed == []
 
+    def test_worker_host_down_at_setup_reruns_its_shard(self, agg_rig):
+        # h1 is down before the run: its placement call fails, h0 runs
+        # both shards, and h0's worker is torn down.
+        agg_rig.topology.set_host_state("h1", alive=False)
+        coordinator = AggregationCoordinator(agg_rig.node("hub"))
+        result = agg_rig.run(until=coordinator.run(
+            "SumWorker", ["h0", "h1"], {"lo": 0, "hi": 10_000}))
+        assert result == sum(range(10_000))
+        assert agg_rig.metrics.get("aggregation.reruns") == 1
+        assert len(agg_rig.node("h0").container) == 0
+
+    def test_every_worker_host_down_at_setup_raises(self, agg_rig,
+                                                    monkeypatch):
+        destroyed = self.count_destroys(agg_rig, monkeypatch)
+        for host in ("h0", "h1"):
+            agg_rig.topology.set_host_state(host, alive=False)
+        coordinator = AggregationCoordinator(agg_rig.node("hub"))
+        with pytest.raises(AggregationError, match="all workers failed"):
+            agg_rig.run(until=coordinator.run(
+                "SumWorker", ["h0", "h1"], {"lo": 0, "hi": 100}))
+        assert destroyed == []
+        assert all(len(agg_rig.node(h).container) == 0
+                   for h in ("h0", "h1"))
+
     def test_non_aggregatable_rejected(self, agg_rig):
         agg_rig.node("hub").install_package(counter_package())
         with pytest.raises(AggregationError):

@@ -1,26 +1,34 @@
-"""A gossip frame carries exactly the records its receiver keeps.
+"""A gossip frame carries exactly the records its receiver keeps and
+the owner-plane beacons the round's kind calls for.
 
 ``ShardAgent.accept_gossip`` merges a record only if the receiver owns
 its repo-id under the shared ring, so ``ShardAgent._send_shares`` sends
-each peer only that peer's share of the round's outgoing records, with
-the whole owner plane, and marshals each distinct share once.  The law,
-over a random ring (2-8 owners, replication 1-3), a random sender store
-and owner plane, a delta or full-sync round, random sampled peers and a
-spy on ``send_oneway_fanout``:
+each peer only that peer's share of the round's outgoing records, and
+marshals each distinct share once.  A full-sync round carries the whole
+owner plane; a delta round carries only the beacons dated within one
+``gossip_interval`` (the sender's own re-dated beacon, what it heard
+first-hand since its last round, fresh dead-marks).  The law, over a
+random ring (2-8 owners, replication 1-3), a random sender store and
+owner plane, a delta or full-sync round, random sampled peers and a spy
+on ``send_oneway_fanout``:
 
 - every peer gets exactly one frame;
 - a frame's records are exactly its peer's owned share, in outgoing
-  order, and its beacons are the sender's whole owner plane;
+  order;
+- a full-sync frame's beacons are the sender's whole owner plane, and a
+  delta frame's are exactly the plane's beacons dated at or after
+  ``now - gossip_interval``, in plane order;
 - there is one fan-out call per distinct share, its peers in sampled
   order, the calls in order of each share's first peer;
 - applying a peer's frame leaves the receiver's ``RecordStore`` and
   ``MembershipTable`` equal to what applying the unfiltered frame (every
-  outgoing record, as sent before shares) leaves, and drops nothing as
-  not owned.
+  outgoing record, as sent before shares, with the same beacons) leaves,
+  and drops nothing as not owned.
 
-Four named mutants of the send must each fail the law: filtering by
+Five named mutants of the send must each fail the law: filtering by
 the *sender's* ownership, sending only to the primary owner, sending a
-record-less frame without its beacons, and one call per peer.
+record-less frame without its beacons, one call per peer, and a delta
+frame without the sender's own beacon.
 """
 
 from __future__ import annotations
@@ -147,13 +155,16 @@ def check_share_law(world) -> None:
     sender._gossip_round()
 
     plane = [b.to_value() for b in sender.membership.owner_beacons()]
+    if not world.full_sync:
+        plane = [b for b in plane
+                 if b["epoch"] >= NOW - config.gossip_interval]
     share = {peer: [r.to_value() for r in outgoing
                     if peer in ring.owners(r.repo_id, world.replication)]
              for peer in world.peers}
     frames = {}
     for hosts, odef, (records, beacons), meter in calls:
         assert odef is GOSSIP_OP and meter == METER
-        assert beacons == plane, "a frame lacks the owner plane"
+        assert beacons == plane, "a frame's beacons are not the round's"
         for peer in hosts:
             assert peer not in frames, f"{peer} got two frames"
             frames[peer] = records
@@ -193,14 +204,14 @@ def test_a_frame_is_its_receivers_share(world):
 def _send(owned, *, bare_when_empty=False, per_peer=False):
     """``ShardAgent._send_shares`` with the share rule *owned(agent,
     peer, repo_id)* and the two grouping faults switchable."""
-    def send_shares(self, outgoing, peers):
+    def send_shares(self, outgoing, beacons, peers):
         groups = {}
         for peer in peers:
             share = tuple(i for i, r in enumerate(outgoing)
                           if owned(self, peer, r.repo_id))
             groups.setdefault(peer if per_peer else share,
                               (share, []))[1].append(peer)
-        plane = [b.to_value() for b in self.membership.owner_beacons()]
+        plane = [b.to_value() for b in beacons]
         for share, group in groups.values():
             beacons = [] if bare_when_empty and not share else plane
             self.node.orb.send_oneway_fanout(
@@ -214,6 +225,15 @@ def _peer_owns(agent, peer, repo_id):
     return peer in agent.ring.owners(repo_id, agent.config.replication)
 
 
+_SEND_SHARES = ShardAgent._send_shares
+
+
+def _delta_without_own_beacon(self, outgoing, beacons, peers):
+    if self.rounds % FULL_SYNC_EVERY:
+        beacons = [b for b in beacons if b.host != self.host_id]
+    _SEND_SHARES(self, outgoing, beacons, peers)
+
+
 MUTANTS = {
     "sender_ownership": _send(lambda agent, peer, repo_id:
                               agent._owns(repo_id)),
@@ -222,6 +242,7 @@ MUTANTS = {
     "no_beacons_on_record_less_frames": _send(_peer_owns,
                                               bare_when_empty=True),
     "one_call_per_peer": _send(_peer_owns, per_peer=True),
+    "delta_without_own_beacon": _delta_without_own_beacon,
 }
 
 
