@@ -16,7 +16,10 @@ Detection is observed, not read off the simulator: both arms run the
 paper's soft-state MRM registry (`DistributedRegistry`, one group with
 its MRM on the hub) at `RegistryConfig` defaults — a report every 5 s,
 a member presumed down 15 s after its last one — and the supervisor
-learns of a crash only when its host leaves that view.
+strands an instance when its host leaves that view or when the hub's
+ORB suspects it (a call to it timed out since it was last heard from).
+The probing client runs on the hub too, so its timed-out reads are
+evidence the supervisor sees.
 """
 
 from _harness import Table, report
@@ -126,8 +129,8 @@ def experiment():
         ["deployment", "availability", "recoveries", "mean outage",
          "max outage", "all instances live"], rows,
         note="second outage outlasts the run: only the supervised "
-             "assembly gets that instance back (re-planned once the "
-             "soft-state registry finds its host down)")]
+             "assembly gets that instance back (re-planned once a "
+             "timed-out call makes the hub suspect its host)")]
 
 
 def test_availability_under_churn(capsys):

@@ -9,7 +9,7 @@ replica, queries fail until the supervisor promotes a replacement; with
 two or more, the very next query fails over within its timeout.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.orb.exceptions import SystemException
 from repro.registry.groups import DistributedRegistry, RegistryConfig
 from repro.sim.topology import clustered
@@ -65,28 +65,26 @@ def run(replicas: int, seed: int = 0):
     }
 
 
-def test_mrm_failover(benchmark, capsys):
-    rows = []
-    results = {}
-    for replicas in (1, 2, 3):
-        r = run(replicas)
-        results[replicas] = r
-        rows.append([
-            replicas,
-            f"{r['failed']}/{r['total']}",
-            f"{r['recovery']:.1f} s" if r["recovery"] is not None else "-",
-            r["promotions"],
-            f"{r['mean_latency']*1000:.0f} ms",
-        ])
-    benchmark.pedantic(lambda: run(2), rounds=1, iterations=1)
-    report(capsys, "C5: kill the primary MRM at t=20s, probe every 1s",
-           ["MRM replicas", "failed queries", "service recovery",
-            "replicas re-created", "mean query latency"], rows,
-           note="with >=2 replicas queries fail over within one timeout; "
-                "the supervisor then re-creates the lost replica")
+def experiment():
+    """Run C5 once for one to three replicas, assert failover and
+    re-creation, return its table."""
+    results = {replicas: run(replicas) for replicas in (1, 2, 3)}
     assert results[2]["failed"] <= results[1]["failed"]
     assert results[2]["recovery"] <= results[1]["recovery"]
     # adaptation: the killed replica got re-created in every setup
     assert all(r["promotions"] >= 1 for r in results.values())
-    stash(benchmark, **{f"recovery_r{k}": v["recovery"]
-                        for k, v in results.items()})
+    rows = [[str(replicas), f"{r['failed']}/{r['total']}",
+             f"{r['recovery']:.1f} s" if r["recovery"] is not None else "-",
+             str(r["promotions"]), f"{r['mean_latency'] * 1000:.0f} ms"]
+            for replicas, r in results.items()]
+    return [Table(
+        "C5: kill the primary MRM at t=20s, probe every 1s",
+        ["MRM replicas", "failed queries", "service recovery",
+         "replicas re-created", "mean query latency"], rows,
+        note="with >=2 replicas queries fail over within one timeout; "
+             "the supervisor then re-creates the lost replica")]
+
+
+def test_mrm_failover(capsys):
+    for table in experiment():
+        report(capsys, *table)

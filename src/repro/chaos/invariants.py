@@ -252,7 +252,9 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
     (background loops legitimately have *young* calls in flight at any
     instant), no ORB holds a deadline for an answered call on top of
     its heap (so one with nothing pending holds none), every breaker
-    admits calls to live peers again, and retry budgets have
+    admits calls to live peers again, the coordinator suspects no up
+    host that holds an instance or an orphan (the supervisor's calls
+    to it have cleared any wrong guess), and retry budgets have
     refilled."""
 
     name = "admission.recovered"
@@ -279,6 +281,14 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
                 if world.topology.host(peer).alive and not breaker.allow():
                     return False, (f"breaker {host}->{peer} wedged "
                                    f"{breaker.state} after drain")
+        held = (set(world.app.placement.values())
+                | {host for host, _ in world.deployer.orphans})
+        suspects = world.rig.node(world.coordinator).orb.suspects
+        wrong = sorted(host for host in held & set(suspects)
+                       if world.topology.host(host).alive)
+        if wrong:
+            return False, (f"coordinator still suspects up host(s) "
+                           f"{wrong} after drain")
         for host, budget in world.budgets.items():
             if budget.available() < 1.0:
                 return False, (f"retry budget on {host} still dry "

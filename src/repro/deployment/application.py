@@ -11,8 +11,8 @@ each node's Container Agent, and wires every declared connection.
 The resulting :class:`Application` handle supports teardown, migration
 of its instances, and the connection re-wiring migrations require.
 Neither reads which hosts are up: a path the supervisor drives skips
-the hosts its registry view, an ``alive(host)`` predicate, calls down;
-elsewhere every host is tried and the call's own failure decides.
+the hosts its ``alive(host)`` predicate (registry view less suspects)
+calls down; elsewhere every host is tried and the call's failure decides.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _INSTALLED = COMPONENT_REGISTRY_IFACE.operations["installed"]
 
 
 def no_view(host: str) -> bool:
-    """The liveness of a caller without a failure detector."""
+    """The ``alive`` of a caller with no view: every host is called."""
     return True
 
 class DeploymentError(ReproError):

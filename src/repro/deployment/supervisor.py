@@ -6,11 +6,12 @@ alone only *places* instances — nothing reacts when the host under one
 dies.  The :class:`ApplicationSupervisor` closes that loop from the
 deployer's coordinator node:
 
-- **liveness** is observed: a host is up while the registry's
-  soft-state views hold it (presumed down after the member timeout),
-  and that one view drives every decision of a pass; a crashed host
-  it still holds costs each look-and-tidy call (checkpoint, sync,
-  sweep, re-aim) the deployer's ``PROBE_TIMEOUT``;
+- **liveness** is observed: a host is up while the registry's views
+  hold it and the coordinator's ORB does not suspect it (a call to it
+  timed out since it was last heard from); that drives stranding,
+  re-planning and promotion.  Look-and-tidy calls (checkpoint, orphan
+  sweep, deferred re-aim) go to every host the registry holds under the
+  deployer's ``PROBE_TIMEOUT``, so their answers clear wrong guesses;
 - **stranded instances** — deployed instances whose host is down — are
   *re-planned* onto a live host with the deployer's planner and
   re-incarnated there (from the last supervisor checkpoint of their
@@ -131,18 +132,18 @@ class ApplicationSupervisor:
 
     # -- liveness ----------------------------------------------------------
     def _host_alive(self, host_id: str) -> bool:
-        return host_id in self._live_view()
+        """Act against *host_id* as up: in view and not suspected."""
+        return (self._in_view(host_id)
+                and host_id not in self.node.orb.suspects)
 
-    def _live_view(self) -> set:
-        """The registry's live-host set, computed once per sim-instant.
-
-        Liveness is asked per watched instance and per host a repair
-        looks at; within one instant the answer cannot change.
-        """
+    def _in_view(self, host_id: str) -> bool:
+        """Whether the registry holds *host_id*, its live-host set
+        fetched once per sim-instant (within one the answer cannot
+        change).  Look-and-tidy calls go by this alone."""
         if self._live_cache is None or self._live_cache[0] != self.env.now:
             self._live_cache = (self.env.now,
                                 set(self.registry.live_hosts()))
-        return self._live_cache[1]
+        return host_id in self._live_cache[1]
 
     # -- main loop ---------------------------------------------------------
     def _loop(self):
@@ -167,14 +168,23 @@ class ApplicationSupervisor:
         """Destroy teardown/repair leftovers on hosts that returned."""
         for entry in list(self.deployer.orphans):
             host, instance_id = entry
-            if not self._host_alive(host):
+            if not self._in_view(host):
                 continue
             agent = self.node.service_stub(host, "container")
             try:
                 yield agent.destroy_instance(instance_id,
                                              _timeout=PROBE_TIMEOUT)
             except UserException:
-                pass                    # already gone: still swept
+                # "No such instance" -- for this id, or for the one a
+                # corrupted request named: swept only if a second look
+                # finds nothing either.
+                try:
+                    yield agent.get_state(instance_id, _timeout=PROBE_TIMEOUT)
+                    continue            # still there: retry next pass
+                except SystemException:
+                    continue
+                except UserException:
+                    pass                # already gone: still swept
             except SystemException:
                 continue                # crashed again; retry next pass
             if entry in self.deployer.orphans:
@@ -322,7 +332,7 @@ class ApplicationSupervisor:
             if app.torn_down:
                 self._pending_rewires.pop(key, None)
                 continue
-            skipped = yield from app._rewire(name, self._host_alive)
+            skipped = yield from app._rewire(name, self._in_view)
             if not skipped:
                 self._pending_rewires.pop(key, None)
 
@@ -333,7 +343,7 @@ class ApplicationSupervisor:
             if app.torn_down:
                 continue
             for name, host in list(app.placement.items()):
-                if not self._host_alive(host):
+                if not self._in_view(host):
                     continue
                 agent = self.node.service_stub(host, "container")
                 try:

@@ -153,6 +153,11 @@ class ORB:
         self._meters: dict[str, tuple] = {}
         #: observability hub, set by repro.obs.Observability.install().
         self.obs = None
+        #: the node's failure detector: host -> calls to it that timed
+        #: out since a frame from it last arrived.  The deadline sweeper
+        #: adds, the listener pops a host on any frame it delivers, and
+        #: a crash clears it with the rest of the host's RAM.
+        self.suspects: dict[str, int] = {}
         # -- assembly: each stage is an object picked here, once; the
         # stages validate their own options, and nothing is bound or
         # hooked until all of them stand -------------------------------
@@ -466,6 +471,8 @@ class ORB:
                 watcher(len(pending))
             event, _odef, _info = entry
             self.metrics.counter(names.ORB_TIMEOUTS).inc()
+            if host_id != self.host_id:
+                self.suspects[host_id] = self.suspects.get(host_id, 0) + 1
             event.fail(TIMEOUT(
                 f"no reply to {op_name} on {host_id} "
                 f"within {deadline}s"
@@ -559,6 +566,7 @@ class ORB:
         """Fail every outstanding client request; the host is gone."""
         pending, self._pending = self._pending, {}
         self._deadline_heap.clear()
+        self.suspects.clear()
         if pending:
             for watcher in self.pending_watchers:
                 watcher(0)

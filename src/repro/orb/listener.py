@@ -128,6 +128,7 @@ class Listener:
         self._adapters = adapters
         self._enc_pool = enc_pool
         self._complete = complete
+        self.suspects: dict[str, int] = orb.suspects
         #: admission control: max requests admitted and not yet finished
         #: (executing + queued for a worker slot).  ``None`` = unbounded.
         self.dispatch_limit = dispatch_limit
@@ -162,6 +163,8 @@ class Listener:
 
     # -- message handling --------------------------------------------------
     def on_message(self, msg: Message) -> None:
+        if self.suspects:
+            self.suspects.pop(msg.src, None)    # heard from: not suspect
         try:
             # decode_message's struct.error wrapper is redundant here:
             # a defended SystemException and anything else a corrupted

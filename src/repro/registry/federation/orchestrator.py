@@ -208,6 +208,13 @@ class FederatedRegistry:
         return report
 
     # -- liveness -----------------------------------------------------------
+    def _serving(self):
+        """The owners that hold a beacon of themselves.  Each owner
+        applies its own beacon every round, and a crash empties its
+        table until the restart bootstraps it again."""
+        return [agent for agent in self.agents.values()
+                if agent.membership.get(agent.host_id) is not None]
+
     def live_hosts(self) -> set[str]:
         """Hosts the owners' direct reports currently show alive.
 
@@ -217,45 +224,30 @@ class FederatedRegistry:
         one reader.  H survives the loss of ``replication - 1`` of its
         key's owners; lose them all and H drops out until one restarts
         or the key is rebalanced, then returns within one
-        ``update_interval``.
+        ``update_interval``.  A crashed owner's table is empty until
+        it restarts.
         """
-        env_now = None
-        for agent in self.agents.values():
-            env_now = agent.env.now
-            break
-        if env_now is None:
-            return set()
         out: set[str] = set()
         for agent in self.agents.values():
-            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
-                continue
-            out.add(agent.host_id)
-            out |= agent.membership.live(env_now,
+            out |= agent.membership.live(agent.env.now,
                                          self.config.member_timeout)
         return out
 
     # -- convergence probes (tests and the C18 benchmark) -------------------
     def owner_views_agree(self) -> bool:
-        """True when every live owner sees the same live-owner set."""
-        views = []
-        for agent in self.agents.values():
-            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
-                continue
-            views.append(tuple(agent.membership.live_owners(
-                agent.env.now, self.config.member_timeout)))
-        return len(set(views)) <= 1
+        """True when every serving owner sees the same live-owner set."""
+        views = {tuple(agent.membership.live_owners(
+            agent.env.now, self.config.member_timeout))
+            for agent in self._serving()}
+        return len(views) <= 1
 
     def records_converged(self, repo_id: str) -> bool:
-        """True when every live owner of *repo_id* agrees on it."""
-        states = []
-        for host in self.ring.owners(repo_id, self.config.replication):
-            agent = self.agents.get(host)
-            if agent is None or not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
-                continue
-            states.append(tuple(sorted(
-                (r.host, r.epoch, r.running_ior)
-                for r in agent.store.lookup(repo_id))))
-        return len(set(states)) <= 1 and bool(states)
+        """True when every serving owner of *repo_id* agrees on it."""
+        owners = set(self.ring.owners(repo_id, self.config.replication))
+        states = {tuple(sorted((r.host, r.epoch, r.running_ior)
+                               for r in agent.store.lookup(repo_id)))
+                  for agent in self._serving() if agent.host_id in owners}
+        return len(states) == 1
 
     def settle_time(self, rounds: float = 2.0) -> float:
         """Sim-time until views are warm (publishes + a gossip round)."""

@@ -275,20 +275,18 @@ class DistributedRegistry:
     def live_hosts(self) -> set[str]:
         """Hosts the registry's soft-state views currently believe alive.
 
-        A host is "alive" when some serving MRM still holds its member
-        record — i.e. its periodic reports keep landing.  A host whose
-        reports have been missed past the member timeout is swept from
-        the tables and drops out of this set, which is exactly the
-        paper's "the MRM can suppose a node of the group has been down
-        after some time-out" signal the deployment supervisor keys on.
+        A host is "alive" when some MRM holds its member record — i.e.
+        its periodic reports keep landing.  A host whose reports have
+        been missed past the member timeout is swept from the tables and
+        drops out of this set, which is exactly the paper's "the MRM can
+        suppose a node of the group has been down after some time-out"
+        signal the deployment supervisor keys on.  A crashed MRM's
+        tables are wiped with its RAM, and an MRM host reports to its
+        own MRM like every member.
         """
         out: set[str] = set()
         for agent in self.all_mrm_agents():
-            if not agent.node.host.alive:  # simlint: disable=SIM040 -- ROADMAP 24
-                continue
             out.update(agent.members)
-            # A serving MRM host is, by construction, alive.
-            out.add(agent.node.host_id)
         return out
 
     def retarget_group(self, group: Group) -> None:
@@ -296,12 +294,8 @@ class DistributedRegistry:
         (called after a replica promotion)."""
         iors = group.mrm_iors()
         for host in group.member_hosts:
-            reporter = self.reporters.get(host)
-            if reporter is not None and hasattr(reporter, "retarget"):
-                reporter.retarget(iors)
-            resolver = self.resolvers.get(host)
-            if resolver is not None:
-                resolver.retarget(iors)
+            self.reporters[host].retarget(iors)
+            self.resolvers[host].retarget(iors)
 
     def settle_time(self, rounds: float = 2.0) -> float:
         """Sim-time to run before the registry's views are warm."""

@@ -10,10 +10,12 @@ any surviving replica can answer queries immediately — that's the
 failover path measured by the C5 benchmark.
 
 :class:`MrmSupervisor` adds the adaptive part: a watchdog running on the
-group's first non-MRM member pings the replicas; when one stays dead
-past ``FAILURES_NEEDED`` probes, a fresh MRM is *promoted* on a healthy
-member host, and the group's reporters/resolvers are retargeted (the
-announce step).  Promotions are counted and timed for the benchmark.
+group's first non-MRM member pings the replicas; once its node's ORB
+holds ``FAILURES_NEEDED`` timed-out calls to a replica's host since it
+last heard from it, a fresh MRM is *promoted* on a member host that
+node does not suspect, and the group's reporters/resolvers are
+retargeted (the announce step).  Promotions are counted and timed for
+the benchmark.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ALIVE = MRM_IFACE.operations["is_mrm_alive"]
 
-#: consecutive failed probes before a replica is declared dead
+#: calls timed out since the replica's host was last heard from
+#: before the replica is declared dead
 FAILURES_NEEDED = 2
 
 
@@ -42,7 +45,6 @@ class MrmSupervisor:
         self.group = group
         self.interval = interval
         self.promotions: list[tuple[float, str, str]] = []  # (t, old, new)
-        self._fail_counts: dict[str, int] = {}
         watch_host = self._pick_watch_host()
         self.node = registry.nodes[watch_host]
         self.loop = HostLoop(self.node.env, self.node.host,
@@ -62,17 +64,14 @@ class MrmSupervisor:
                 yield from self._probe(agent)
 
     def _probe(self, agent: MrmAgent):
-        host = agent.node.host_id
+        orb = self.node.orb
         try:
-            yield self.node.orb.invoke(
+            yield orb.invoke(
                 agent.ior, _ALIVE, (),
                 timeout=self.registry.mrm_config.query_timeout,
                 meter="registry.supervise")
-            self._fail_counts[host] = 0
         except SystemException:
-            count = self._fail_counts.get(host, 0) + 1
-            self._fail_counts[host] = count
-            if count >= FAILURES_NEEDED:
+            if orb.suspects.get(agent.node.host_id, 0) >= FAILURES_NEEDED:
                 self._promote(agent)
 
     def _promote(self, dead_agent: MrmAgent) -> None:
@@ -95,7 +94,6 @@ class MrmSupervisor:
                              if a is not dead_agent] + [new_agent]
         self.group.mrm_hosts = [h for h in self.group.mrm_hosts
                                 if h != dead_host] + [replacement_host]
-        self._fail_counts.pop(dead_host, None)
         # Announce: members re-aim their reports and queries.
         self.registry.retarget_group(self.group)
         self.promotions.append(
@@ -103,10 +101,8 @@ class MrmSupervisor:
         self.node.metrics.counter("registry.promotions").inc()
 
     def _pick_replacement(self):
-        topology = self.node.network.topology
         for host in self.group.member_hosts:
-            if host in self.group.mrm_hosts:
-                continue
-            if topology.host(host).alive:  # simlint: disable=SIM040 -- ROADMAP 24
+            if (host not in self.group.mrm_hosts
+                    and host not in self.node.orb.suspects):
                 return host
         return None

@@ -70,6 +70,10 @@ class StrongStateReporter:
                 except SystemException:
                     continue  # retry the update
 
+    def retarget(self, mrm_iors: Sequence[IOR]) -> None:
+        """Point updates at a new MRM replica set (after promotion)."""
+        self.mrm_iors = list(mrm_iors)
+
     def _heartbeat_loop(self):
         while True:
             yield self.node.env.timeout(self.heartbeat)

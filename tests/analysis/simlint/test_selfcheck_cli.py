@@ -2,7 +2,6 @@
 
 import json
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,18 +20,15 @@ class TestTreeSelfCheck:
         gated = [f for f in diag if f.severity >= Severity.WARNING]
         assert gated == [], "\n" + diag.render_text()
 
-    def test_only_roadmap_24_second_slice_is_suppressed(self):
-        # The registries' own liveness unions and the MRM replacement picker
-        # still read the truth; each waits on its own change.
-        sites = Counter()
-        for path in sorted(SRC.rglob("*.py")):
-            for line in path.read_text().splitlines():
-                if re.search(r"\S\s+# simlint: disable=", line):
-                    assert "disable=SIM040 -- ROADMAP 24" in line, line
-                    sites[path.relative_to(SRC).as_posix()] += 1
-        assert sites == {"registry/federation/orchestrator.py": 3,
-                         "registry/groups.py": 1,
-                         "registry/replication.py": 1}
+    def test_nothing_in_src_is_suppressed(self):
+        # No control decision reads the simulator's truth any more
+        # (ROADMAP 24): not one line of the tree silences a rule.
+        sites = [f"{path.relative_to(SRC).as_posix()}:{number}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for number, line in enumerate(
+                     path.read_text().splitlines(), 1)
+                 if re.search(r"\S\s+# simlint: disable=", line)]
+        assert sites == []
 
 
 class TestCli:

@@ -147,6 +147,23 @@ class TestMonitorsDetectBreakage:
         ok, detail = probe(world, monitor, QUIESCENCE)
         assert not ok and f"heads the deadline heap on {host}" in detail
 
+    def test_wrong_suspicion_of_an_instance_host_flagged(self):
+        """A coordinator that still suspects an up host holding an
+        instance at quiescence has a guess nothing cleared."""
+        world = build_world(seed=309)
+        world.rig.run(until=world.rig.env.now + 5.0)
+        world.stop_clients()
+        world.rig.run(until=world.rig.env.now + 6.0)
+        monitor = AdmissionRecoveredMonitor()
+        assert probe(world, monitor, QUIESCENCE)[0]
+        host = next(iter(world.app.placement.values()))
+        world.rig.node(world.coordinator).orb.suspects[host] = 1
+        ok, detail = probe(world, monitor, QUIESCENCE)
+        assert not ok and f"suspects up host(s) ['{host}']" in detail
+        # its next frame clears it, and the check with it
+        world.rig.run(until=world.rig.env.now + 3.0)
+        assert probe(world, monitor, QUIESCENCE)[0]
+
     def test_strictness_split(self):
         strict = {m.name for m in default_monitors() if m.strict_mid}
         assert strict == {"loops.alive", "replica.single_primary"}

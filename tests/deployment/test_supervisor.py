@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.container.agent import ContainerAgentServant
 from repro.container.replication import ReplicaManager
 from repro.deployment import (
     ApplicationSupervisor,
@@ -81,6 +82,39 @@ class TestOrphanSweep:
         sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
         rig.run(until=sup.run_once())       # host still down: nothing swept
         assert len(dep.orphans) == n_orphans
+        sup.stop()
+
+
+    def test_a_gone_answer_is_checked_before_the_entry_goes(
+            self, rig, monkeypatch):
+        """A corrupted destroy request can name another id and draw "no
+        such instance".  The sweep looks again, keeps the entry while
+        the instance is still there, and destroys it next pass."""
+        dep = Deployer(rig.nodes, RuntimePlanner(), coordinator_host="hub")
+        app = rig.run(until=dep.deploy(assembly(3)))
+        victim = sorted(h for h in app.placement.values() if h != "hub")[0]
+        rig.topology.set_host_state(victim, alive=False)
+        rig.run(until=app.teardown())
+        (host, iid), *_ = dep.orphans
+        destroy = ContainerAgentServant.destroy_instance
+        asked = []
+
+        def first_one_corrupted(self, instance_id):
+            asked.append(instance_id)
+            return destroy(self, instance_id + ("~" if len(asked) == 1
+                                                else ""))
+
+        monkeypatch.setattr(ContainerAgentServant, "destroy_instance",
+                            first_one_corrupted)
+        sup = supervise(rig, dep, interval=1000.0, checkpoint=False)
+        rig.topology.set_host_state(victim, alive=True)
+        detect(rig, sup)
+        rig.run(until=sup.run_once())
+        assert (host, iid) in dep.orphans
+        assert rig.node(host).container.find_instance(iid) is not None
+        rig.run(until=sup.run_once())
+        assert dep.orphans == []
+        assert rig.node(host).container.find_instance(iid) is None
         sup.stop()
 
 
@@ -238,6 +272,64 @@ class TestRegistryLiveness:
         assert r.metrics.get("supervisor.recoveries") == 1
         assert app.placement["i1"] != "h0"
         sup.stop()
+
+
+class TestWrongSuspicion:
+    """A live host the coordinator wrongly suspects: its checkpoint call
+    timed out in a short cut that the registry never noticed.  The
+    supervisor re-plans its instance away (a safe wrong guess), and the
+    orphan sweep, which calls every host the registry holds, is then
+    the only call that reaches it: its answer sweeps the stale copy
+    and clears the suspicion."""
+
+    def run(self, rig):
+        dep = Deployer(rig.nodes, PinPlanner({"i0": "hub", "i1": "h0"}),
+                       coordinator_host="hub")
+        app = rig.run(until=dep.deploy(assembly(
+            2, connections=[AssemblyConnection("i0", "peer", "i1", "value")])))
+        dep.planner = RuntimePlanner()
+        # The MRM off the coordinator: h0's reports never reach the hub.
+        dr = DistributedRegistry(rig.nodes, RegistryConfig(update_interval=1.0))
+        dr.deploy({"g0": ["h2", "hub", "h0", "h1"]})
+        rig.run(until=rig.env.now + dr.settle_time())
+        sup = ApplicationSupervisor(dep, dr, interval=1.0)
+        rig.run(until=rig.env.now + 2.0)
+        # Shorter than the member timeout (3 s): the view keeps h0.
+        rig.topology.set_link_state("hub", "h0", up=False)
+        rig.run(until=rig.env.now + 1.5)
+        rig.topology.set_link_state("hub", "h0", up=True)
+        rig.run(until=rig.env.now + 10.0)
+        sup.stop()
+        # The registry never dropped h0, yet i1 was re-planned off it.
+        assert dr.groups["g0"].agents[0].expired_members == 0
+        assert app.placement["i1"] != "h0"
+        return dep, app
+
+    def test_orphan_swept_and_suspicion_cleared(self, rig):
+        dep, app = self.run(rig)
+        assert dep.orphans == []
+        assert "h0" not in rig.node("hub").orb.suspects
+        assert rig.node("h0").container.find_instance(
+            app.instance_id("i1")) is None
+
+    def test_sweep_skipping_suspects_leaves_the_orphan(self, rig,
+                                                       monkeypatch):
+        sweep = ApplicationSupervisor._sweep_orphans
+
+        def sweep_skipping_suspects(self):
+            in_view = self._in_view
+            self._in_view = lambda host: (in_view(host) and host
+                                          not in self.node.orb.suspects)
+            try:
+                yield from sweep(self)
+            finally:
+                del self._in_view
+
+        monkeypatch.setattr(ApplicationSupervisor, "_sweep_orphans",
+                            sweep_skipping_suspects)
+        dep, app = self.run(rig)
+        assert dep.orphans == [("h0", app.instance_id("i1"))]
+        assert "h0" in rig.node("hub").orb.suspects
 
 
 class TestStoppedForGood:

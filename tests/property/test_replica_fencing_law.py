@@ -6,16 +6,24 @@ and the backups a sync pushes to follow the caller's ``alive(host)``
 predicate — an observed view, which may call an up host down (a
 partition, a slow report) or a dead host up (a crash not yet noticed).
 
-The state machine drives one group of three members on ``h0``–``h2``
-through ``ReplicaGroup.select_primary`` and ``ReplicaManager._sync``.
+The state machine drives one group of three members on ``h0``–``h2``,
+starting at distinct stamps with the highest one primary, through
+``ReplicaGroup.select_primary`` and ``ReplicaManager._sync``.
 Each member's container answers at once: ok when its host is up and
-not partitioned, ``COMM_FAILURE`` otherwise.  The rules:
+not partitioned, ``TIMEOUT`` otherwise.  ``alive(host)`` is what the
+supervisor asks: the registry's view holds the host and the node does
+not suspect it.  The node's suspects follow the ORB's rule: a call that
+times out suspects its host, and any answer from the host clears it.
+The rules:
 
 - ``crash`` / ``restart`` take a host down and up, ``partition`` /
-  ``heal`` cut it off and back; each draws whether the detector
+  ``heal`` cut it off and back; each draws whether the registry's view
   notices, so the view drifts from the truth either way;
-- ``sync`` runs ``_sync`` with the view; ``promote`` runs
-  ``select_primary`` alone.
+- ``sync`` runs ``_sync`` with ``alive``; ``promote`` runs
+  ``select_primary`` alone;
+- ``look`` calls every host the view holds, suspect or not, as the
+  supervisor's checkpoint pass does: afterwards no reachable host in
+  the view is suspected (a wrong guess lasts until the host answers).
 
 An in-test reference model replays every rule, and the group must
 match it: epoch, primary and each member's epoch stamp.  The law:
@@ -26,8 +34,9 @@ match it: epoch, primary and each member's epoch stamp.  The law:
 - a promotion picks a candidate with the highest stamp, so a restarted
   ex-primary with a stale epoch never reclaims the role.
 
-Two named mutants must each fail it: promoting the first live member
-instead of the highest stamp, and promoting without an epoch bump.
+Three named mutants must each fail it: promoting the first live member
+instead of the highest stamp, promoting without an epoch bump, and a
+detector whose suspicion is never cleared.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from repro.container.replication import (
     ReplicaMember,
     ReplicationError,
 )
-from repro.orb.exceptions import COMM_FAILURE, SystemException
+from repro.orb.exceptions import TIMEOUT, SystemException
 from repro.sim.kernel import Environment
 from repro.sim.stats import MetricRegistry
 
@@ -78,16 +87,23 @@ class World:
 
 
 class Container:
-    """A container agent stub whose calls settle in the same instant."""
+    """A container agent stub whose calls settle in the same instant,
+    feeding the node's suspects the way the ORB does."""
 
-    def __init__(self, env, world: World, host: str) -> None:
+    def __init__(self, env, world: World, host: str, suspects) -> None:
         self.env, self.world, self.host = env, world, host
+        self.suspects = suspects
+
+    def heard(self) -> None:
+        self.suspects.pop(self.host, None)
 
     def _answer(self, value=None):
         event = self.env.event()
         if self.world.reachable(self.host):
+            self.heard()
             return event.succeed(value)
-        return event.fail(COMM_FAILURE(f"{self.host} unreachable"))
+        self.suspects[self.host] = self.suspects.get(self.host, 0) + 1
+        return event.fail(TIMEOUT(f"{self.host} unreachable")).defused()
 
     def get_state(self, instance_id, _timeout=None):
         return self._answer(self.world.state[instance_id])
@@ -105,19 +121,21 @@ class Node:
         self.env = Environment()
         self.metrics = MetricRegistry()
         self.world = world
+        #: host -> calls to it that timed out since it last answered
+        self.suspects: dict[str, int] = {}
 
     def service_stub(self, host, service):
         assert service == "container"
-        return Container(self.env, self.world, host)
+        return Container(self.env, self.world, host, self.suspects)
 
 
 class Model:
     """The reference: the fencing rules, restated."""
 
-    def __init__(self) -> None:
-        self.epoch = 0
-        self.primary = "i-h0"
-        self.stamp = {f"i-{h}": 0 for h in HOSTS}
+    def __init__(self, stamp: dict, primary: str) -> None:
+        self.epoch = stamp[primary]
+        self.primary = primary
+        self.stamp = dict(stamp)
 
     def select(self, view) -> str:
         candidates = [f"i-{h}" for h in HOSTS if h in view]
@@ -134,7 +152,7 @@ class Model:
     def sync(self, view, world: World) -> None:
         primary = self.select(view)
         if not world.reachable(primary[2:]):
-            raise COMM_FAILURE("primary unreachable")
+            raise TIMEOUT("primary unreachable")
         for host in HOSTS:
             member = f"i-{host}"
             if member != primary and host in view \
@@ -143,8 +161,12 @@ class Model:
 
 
 class FencingMachine(RuleBasedStateMachine):
-    @initialize()
-    def build(self):
+    @initialize(stamps=st.permutations(range(len(HOSTS))))
+    def build(self, stamps):
+        # Members start at distinct stamps, the primary at the group's
+        # epoch, so the first promotion already has a highest to find.
+        stamp = {f"i-{h}": e for h, e in zip(HOSTS, stamps)}
+        primary = max(stamp, key=stamp.__getitem__)
         self.world = World()
         self.view = set(HOSTS)
         self.node = Node(self.world)
@@ -153,19 +175,20 @@ class FencingMachine(RuleBasedStateMachine):
             component="Counter", facet_repo_id="IDL:test/Counter:1.0",
             mode="coordinated",
             members=[ReplicaMember(host=h, instance_id=f"i-{h}",
-                                   facet_ior=None) for h in HOSTS],
-            primary_id="i-h0")
-        self.model = Model()
-        self.primaries = {0: {"i-h0"}}
-        self.last_epoch = 0
-        self.last_stamps = {m.instance_id: 0 for m in self.group.members}
+                                   facet_ior=None, epoch=stamp[f"i-{h}"])
+                     for h in HOSTS],
+            epoch=stamp[primary], primary_id=primary)
+        self.model = Model(stamp, primary)
+        self.primaries = {self.group.epoch: {primary}}
+        self.last_epoch = self.group.epoch
+        self.last_stamps = dict(stamp)
 
     def _see(self, host: str, noticed: bool, up: bool) -> None:
         if noticed:
             (self.view.add if up else self.view.discard)(host)
 
     def alive(self, host: str) -> bool:
-        return host in self.view
+        return host in self.view and host not in self.node.suspects
 
     # -- faults: the truth moves, the view may or may not follow ----------
     @precondition(lambda self: self.world.up)
@@ -202,8 +225,9 @@ class FencingMachine(RuleBasedStateMachine):
     def _run(self, operate, model_operate) -> None:
         before = {m.instance_id: m.epoch for m in self.group.members}
         primary_before = self.group.primary_id
+        view = {h for h in HOSTS if self.alive(h)}
         try:
-            model_operate()
+            model_operate(view)
         except (ReplicationError, SystemException) as exc:
             expected = type(exc)
         else:
@@ -216,7 +240,7 @@ class FencingMachine(RuleBasedStateMachine):
             assert expected is None, f"expected {expected.__name__}"
         if self.group.primary_id != primary_before:
             candidates = [m for m in self.group.members
-                          if self.alive(m.host)]
+                          if m.host in view]
             assert before[self.group.primary_id] == max(
                 before[m.instance_id] for m in candidates), (
                 f"promoted {self.group.primary_id} at stamp "
@@ -227,13 +251,22 @@ class FencingMachine(RuleBasedStateMachine):
         def operate():
             self.node.env.run(until=self.node.env.process(
                 self.manager._sync(self.group, self.alive)))
-        self._run(operate, lambda: self.model.sync(set(self.view),
-                                                   self.world))
+        self._run(operate, lambda view: self.model.sync(view, self.world))
 
     @rule()
     def promote(self):
         self._run(lambda: self.group.select_primary(self.alive),
-                  lambda: self.model.select(set(self.view)))
+                  self.model.select)
+
+    @rule()
+    def look(self):
+        for member in self.group.members:
+            if member.host in self.view:
+                self.node.service_stub(member.host, "container") \
+                    .get_state(member.instance_id)
+        wrong = [h for h in sorted(self.view)
+                 if self.world.reachable(h) and h in self.node.suspects]
+        assert not wrong, f"answered, still suspected: {wrong}"
 
     # -- the law --------------------------------------------------------------
     @invariant()
@@ -288,14 +321,15 @@ def _promote_without_bump(self, member):
 
 
 MUTANTS = {
-    "first_alive_member": ("select_primary", _first_alive),
-    "no_epoch_bump": ("promote", _promote_without_bump),
+    "first_alive_member": (ReplicaGroup, "select_primary", _first_alive),
+    "no_epoch_bump": (ReplicaGroup, "promote", _promote_without_bump),
+    "suspicion_never_cleared": (Container, "heard", lambda self: None),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_named_mutant_fails_the_law(mutant, monkeypatch):
-    name, replacement = MUTANTS[mutant]
-    monkeypatch.setattr(ReplicaGroup, name, replacement)
+    owner, name, replacement = MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, replacement)
     with pytest.raises(AssertionError):
         run_state_machine_as_test(FencingMachine, settings=MUTANT_SETTINGS)

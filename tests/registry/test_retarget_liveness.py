@@ -70,6 +70,30 @@ class TestRetargetPredictive:
             assert host in replacement.members
 
 
+class TestRetargetStrong:
+    def test_supervised_promotion_with_strong_reporters(self):
+        """Strong-mode members follow a promoted MRM too: their acked
+        updates and heartbeats go to the replacement, which then holds
+        every live member (before, the promoted MRM stayed empty)."""
+        rig = SimRig(clustered(1, 5), seed=103)
+        dr = DistributedRegistry(rig.nodes, RegistryConfig(
+            update_interval=2.0, mode="strong", supervise=True,
+            supervise_interval=2.0))
+        dr.deploy(groups_by_cluster(rig.topology.host_ids()))
+        rig.run(until=dr.settle_time())
+        group = dr.groups["c0"]
+        victim = group.mrm_hosts[0]
+        rig.topology.set_host_state(victim, alive=False)
+        rig.run(until=rig.env.now + 20.0)
+        assert dr.supervisors[0].promotions
+        replacement = group.agents[-1]
+        live = set(rig.topology.host_ids()) - {victim}
+        for host in live:
+            assert dr.reporters[host].mrm_iors == [replacement.ior]
+        assert set(replacement.members) == live
+        assert dr.live_hosts() == live
+
+
 class TestLiveHostsWithDeadMrm:
     def test_dead_serving_mrm_drops_from_live_view(self):
         rig = SimRig(clustered(1, 6), seed=102)
