@@ -10,7 +10,7 @@ must propagate synchronously).  Churn is then added to show soft state
 absorbing node flaps gracefully (staleness bounded by the timeout).
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.registry.groups import (
     DistributedRegistry,
     RegistryConfig,
@@ -66,43 +66,45 @@ def run(n_hosts: int, mode: str, churn: bool = False, seed: int = 0):
     return msgs, byts, len(mrm.members), stale, (p50, p99)
 
 
-def test_soft_vs_strong_bandwidth(benchmark, capsys):
-    rows = []
-    ratios = {}
+def experiment():
+    """Run C4 at three sizes under both protocols and C4b with and
+    without churn, assert the bandwidth and staleness claims, return
+    both tables."""
+    rows, soft = [], {}
     for n in (8, 16, 32):
-        soft_msgs, soft_bytes, _, _, _ = run(n, "soft")
+        soft[n] = run(n, "soft")
+        soft_msgs, soft_bytes = soft[n][:2]
         strong_msgs, strong_bytes, _, _, (p50, p99) = run(n, "strong")
         ratio = strong_bytes / soft_bytes
-        ratios[n] = ratio
-        rows.append([n,
-                     int(soft_msgs), f"{soft_bytes/WINDOW:.0f}",
-                     int(strong_msgs), f"{strong_bytes/WINDOW:.0f}",
+        assert ratio > 2.0
+        rows.append([str(n),
+                     str(int(soft_msgs)), f"{soft_bytes/WINDOW:.0f}",
+                     str(int(strong_msgs)), f"{strong_bytes/WINDOW:.0f}",
                      f"{ratio:.1f}x",
                      f"{p50*1e3:.1f}/{p99*1e3:.1f}" if p50 else "-"])
-    benchmark.pedantic(lambda: run(8, "soft"), rounds=1, iterations=1)
-    report(capsys, "C4a: registry maintenance bandwidth over "
-                   f"{WINDOW:.0f}s (update interval {INTERVAL:.0f}s)",
-           ["hosts", "soft msgs", "soft B/s", "strong msgs",
-            "strong B/s", "strong/soft", "ack ms p50/p99"], rows,
-           note="strong = per-change acked updates + fast heartbeats; "
-                "soft reports are fire-and-forget (no ack latency)")
-    assert all(r > 2.0 for r in ratios.values())
-    stash(benchmark, **{f"ratio_n{n}": r for n, r in ratios.items()})
+
+    churn_rows = []
+    for scenario, result in (("no churn", soft[16]),
+                             ("churn", run(16, "soft", churn=True))):
+        _, byts, members, stale, _ = result
+        assert stale <= 16  # never unbounded
+        churn_rows.append([scenario, f"{byts/WINDOW:.0f}", str(members),
+                           str(stale)])
+    return [
+        Table(f"C4: registry maintenance bandwidth over {WINDOW:.0f}s "
+              f"(update interval {INTERVAL:.0f}s)",
+              ["hosts", "soft msgs", "soft B/s", "strong msgs",
+               "strong B/s", "strong/soft", "ack ms p50/p99"], rows,
+              note="strong = per-change acked updates + fast heartbeats; "
+                   "soft reports are fire-and-forget (no ack latency)"),
+        Table("C4b: soft state with node churn (30s mean up, 8s mean down)",
+              ["scenario", "B/s", "live members tracked", "stale entries"],
+              churn_rows,
+              note="stale entries are bounded by the 3x-interval timeout; "
+                   "reconnecting nodes re-register with their next report"),
+    ]
 
 
-def test_soft_state_under_churn(benchmark, capsys):
-    msgs, byts, members, stale, _ = run(16, "soft", churn=True)
-    msgs0, byts0, members0, stale0, _ = run(16, "soft", churn=False)
-    benchmark.pedantic(lambda: run(8, "soft", churn=True),
-                       rounds=1, iterations=1)
-    report(capsys, "C4b: soft state with node churn "
-                   "(30s mean up, 8s mean down)",
-           ["scenario", "B/s", "live members tracked",
-            "stale entries"], [
-               ["no churn", f"{byts0/WINDOW:.0f}", members0, stale0],
-               ["churn", f"{byts/WINDOW:.0f}", members, stale],
-           ],
-           note="stale entries are bounded by the 3x-interval timeout; "
-                "reconnecting nodes re-register with their next report")
-    assert stale <= 16  # never unbounded
-    stash(benchmark, stale=stale, members=members)
+def test_soft_vs_strong(capsys):
+    for table in experiment():
+        report(capsys, *table)

@@ -13,7 +13,7 @@ We sweep network size (clusters x hosts) and measure messages and WAN
 - the flat baseline, which floods every node's registry.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.registry.groups import (
     DistributedRegistry,
     RegistryConfig,
@@ -69,32 +69,6 @@ def measure(clusters, size):
     return n, local_msgs, far_msgs, flood_msgs, local_wan
 
 
-def test_hierarchy_vs_flood(benchmark, capsys):
-    rows = []
-    shapes = [(2, 4), (4, 4), (4, 8), (8, 8)]
-    data = {}
-    for clusters, size in shapes:
-        n, local_msgs, far_msgs, flood_msgs, local_wan = measure(
-            clusters, size)
-        rows.append([f"{n} ({clusters}x{size})",
-                     int(local_msgs), int(far_msgs), int(flood_msgs),
-                     int(local_wan)])
-        data[n] = (local_msgs, far_msgs, flood_msgs)
-
-    benchmark.pedantic(lambda: measure(2, 4), rounds=1, iterations=1)
-    report(capsys, "C3: query cost vs network size",
-           ["hosts", "hier msgs (local hit)", "hier msgs (escalate)",
-            "flood msgs", "WAN bytes (local hit)"], rows,
-           note="flood grows linearly with N; hierarchical stays flat "
-                "for local hits and bounded by tree depth otherwise")
-    biggest = max(data)
-    local_msgs, far_msgs, flood_msgs = data[biggest]
-    assert local_msgs <= 2              # one query to the group MRM
-    assert flood_msgs > far_msgs        # hierarchy wins at scale
-    assert flood_msgs >= biggest - 1    # flood really is O(N)
-    stash(benchmark, **{f"n{k}_flood": v[2] for k, v in data.items()})
-
-
 def measure_depth(levels: int):
     """36 hosts organized as 2 or 3 MRM levels; far-provider query."""
     rig = SimRig(clustered(6, 6), seed=9)
@@ -123,21 +97,43 @@ def measure_depth(levels: int):
     return query_msgs, maint
 
 
-def test_hierarchy_depth_ablation(benchmark, capsys):
-    """Ablation: 2 vs 3 MRM levels over the same 36 hosts."""
-    rows = []
-    results = {}
-    for levels in (2, 3):
-        query_msgs, maint = measure_depth(levels)
-        results[levels] = (query_msgs, maint)
-        rows.append([f"{levels} levels", int(query_msgs), int(maint)])
-    benchmark.pedantic(lambda: measure_depth(2), rounds=1, iterations=1)
-    report(capsys, "C3b ablation: MRM hierarchy depth (36 hosts, "
-                   "worst-case cross-network query)",
-           ["hierarchy", "query msgs (worst case)",
-            "maintenance msgs (warm-up)"], rows,
-           note="deeper trees add hops to worst-case queries but cut "
-                "the root's fan-in (6 children -> 2)")
+def experiment():
+    """Run C3 over four network sizes and C3b over two tree depths,
+    assert the scaling claims, return both tables."""
+    rows, data = [], {}
+    for clusters, size in [(2, 4), (4, 4), (4, 8), (8, 8)]:
+        n, local_msgs, far_msgs, flood_msgs, local_wan = measure(
+            clusters, size)
+        rows.append([f"{n} ({clusters}x{size})", str(int(local_msgs)),
+                     str(int(far_msgs)), str(int(flood_msgs)),
+                     str(int(local_wan))])
+        data[n] = (local_msgs, far_msgs, flood_msgs)
+    biggest = max(data)
+    local_msgs, far_msgs, flood_msgs = data[biggest]
+    assert local_msgs <= 2              # one query to the group MRM
+    assert flood_msgs > far_msgs        # hierarchy wins at scale
+    assert flood_msgs >= biggest - 1    # flood really is O(N)
+
+    depth = {levels: measure_depth(levels) for levels in (2, 3)}
     # both depths resolve; depth changes hop count, not correctness
-    assert results[3][0] >= results[2][0]
-    stash(benchmark, q2=results[2][0], q3=results[3][0])
+    assert depth[3][0] >= depth[2][0]
+    return [
+        Table("C3: query cost vs network size",
+              ["hosts", "hier msgs (local hit)", "hier msgs (escalate)",
+               "flood msgs", "WAN bytes (local hit)"], rows,
+              note="flood grows linearly with N; hierarchical stays flat "
+                   "for local hits and bounded by tree depth otherwise"),
+        Table("C3b: MRM hierarchy depth (36 hosts, worst-case "
+              "cross-network query)",
+              ["hierarchy", "query msgs (worst case)",
+               "maintenance msgs (warm-up)"],
+              [[f"{levels} levels", str(int(q)), str(int(m))]
+               for levels, (q, m) in depth.items()],
+              note="deeper trees add hops to worst-case queries but cut "
+                   "the root's fan-in (6 children -> 2)"),
+    ]
+
+
+def test_hierarchy(capsys):
+    for table in experiment():
+        report(capsys, *table)

@@ -53,6 +53,9 @@ NET_DROPPED_SRC_DEAD = "net.dropped.src_dead"
 
 # registry/federation/
 FEDERATION_EPOCH_CLAMPED = "federation.epoch_clamped"
+# counters (unit: beacons / records): gossip items whose merge lost
+FEDERATION_STALE_BEACONS = "federation.gossip.stale_beacons"
+FEDERATION_STALE_RECORDS = "federation.gossip.stale_records"
 FEDERATION_LOOKUP_FAILOVER = "federation.lookup.failover"
 FEDERATION_LOOKUP_FLOOD_FALLBACK = "federation.lookup.flood_fallback"
 FEDERATION_LOOKUP_RING_FALLBACK = "federation.lookup.ring_fallback"
@@ -118,6 +121,8 @@ METRIC_NAMES: frozenset[str] = frozenset({
     BUS_REMOTE_EVENTS,
     # federation
     FEDERATION_EPOCH_CLAMPED,
+    FEDERATION_STALE_BEACONS,
+    FEDERATION_STALE_RECORDS,
     FEDERATION_LOOKUP_FAILOVER,
     FEDERATION_LOOKUP_FLOOD_FALLBACK,
     FEDERATION_LOOKUP_RING_FALLBACK,

@@ -7,8 +7,8 @@ Two record kinds travel between shard owners:
   resolver needs (running IOR, installable component, headroom).
 - :class:`HostBeacon` — "shard owner H was alive (or declared dead) at
   epoch T": the membership view's small **owner plane**.  A delta
-  gossip round carries its beacons dated within one round, an
-  anti-entropy round all of it.
+  gossip round carries its beacons dated within one round and no
+  provider records, an anti-entropy round all of both.
 
 The population-sized **member plane** ("plain host H was last heard
 from at epoch T") never travels between owners: it is soft state held
@@ -135,22 +135,21 @@ class RecordStore:
     def __init__(self) -> None:
         self._records: dict[tuple[str, str], ProviderRecord] = {}
         self._by_repo: dict[str, dict[str, ProviderRecord]] = {}
-        self._touched: dict[tuple[str, str], float] = {}
         self.applied = 0
         self.rejected = 0
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def apply(self, record: ProviderRecord, now: float) -> bool:
-        """Merge one record; True when it won against the incumbent."""
+    def apply(self, record: ProviderRecord, now: float | None = None) -> bool:
+        """Merge one record; True when it won against the incumbent.
+        *now* is not read: records merge by their own epochs."""
         current = self._records.get(record.key)
         if current is not None and not record.beats(current):
             self.rejected += 1
             return False
         self._records[record.key] = record
         self._by_repo.setdefault(record.repo_id, {})[record.host] = record
-        self._touched[record.key] = now
         self.applied += 1
         return True
 
@@ -163,18 +162,12 @@ class RecordStore:
     def records(self) -> list[ProviderRecord]:
         return list(self._records.values())
 
-    def changed_since(self, since: float) -> list[ProviderRecord]:
-        """Records merged at-or-after *since* (the gossip delta)."""
-        return [self._records[key]
-                for key, when in self._touched.items() if when >= since]
-
     def sweep(self, cutoff: float) -> int:
         """Expire soft state: drop records reported before *cutoff*."""
         stale = [key for key, rec in self._records.items()
                  if rec.epoch < cutoff]
         for key in stale:
             rec = self._records.pop(key)
-            self._touched.pop(key, None)
             repo = self._by_repo.get(rec.repo_id)
             if repo is not None:
                 repo.pop(rec.host, None)
@@ -185,7 +178,6 @@ class RecordStore:
     def clear(self) -> None:
         self._records.clear()
         self._by_repo.clear()
-        self._touched.clear()
 
 
 class MembershipTable:

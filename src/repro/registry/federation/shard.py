@@ -8,20 +8,21 @@ plane gossiped, member plane local), and runs
 **seeded epidemic rounds**: every ``gossip_interval`` it picks
 ``fanout`` live peers from its own membership view (a named RNG
 stream, so runs are reproducible) and sends each of them **one**
-``gossip`` frame: the peer's share of the round's records, those it
-owns under the shared ring, and the round's owner-plane beacons, the
-same for every peer.  Peers with equal shares (usually empty) share
-one :meth:`~repro.orb.core.ORB.send_oneway_fanout` call, so each
-distinct share is marshalled once.
+``gossip`` frame: the round's owner-plane beacons, the same for every
+peer, and on a full sync the peer's share of the records, those it
+owns under the shared ring.  Peers with equal shares (on a delta round,
+all of them) share one :meth:`~repro.orb.core.ORB.send_oneway_fanout`
+call, so each distinct share is marshalled once.
 
-Anti-entropy: most rounds are deltas.  They carry the records merged
-since the previous round and the beacons dated within the last
-``gossip_interval``: the sender's own, re-dated each round, what it
-heard first-hand since its previous round, and fresh dead-marks.
-Every ``FULL_SYNC_EVERY``-th round pushes the full owned set and the
-whole owner plane, so an owner that lost its RAM (crash/restart) or
-missed deltas (partition) converges back within a bounded number of
-rounds.
+Anti-entropy: most rounds are deltas.  They carry no records, only
+the beacons dated within the last ``gossip_interval``: the sender's
+own, re-dated each round, what it heard first-hand since its previous
+round, and fresh dead-marks.  A member publishes each record to every
+ring owner of its key, so a record merged here since the last round is
+one the peer heard first-hand too.  Every ``FULL_SYNC_EVERY``-th round
+pushes the full owned set and the whole owner plane, so an owner that
+lost its RAM (crash/restart), missed a publish or missed deltas
+(partition) converges back within a bounded number of rounds.
 
 The receiver's ownership check stays the authority: a record whose
 owner changes while a frame is in flight (``remove_owner`` /
@@ -31,7 +32,10 @@ publish to the new owner on their next tick.
 
 Peer discovery is itself epidemic: an agent starts knowing only its
 ``seed_peers`` and learns the rest of the owner population from the
-beacons piggybacked on the gossip frames.
+beacons piggybacked on the gossip frames.  A seed stays a candidate
+peer while it is on the ring, so an owner isolated past
+``member_timeout`` finds its peers again; a seed that ``remove_owner``
+took off the ring is never picked.
 """
 
 from __future__ import annotations
@@ -79,8 +83,9 @@ SHARD_IFACE = InterfaceDef(
         op("publish_batch", [("origin", tc_string), ("epoch", tc_double),
                              ("records", sequence_tc(PROVIDER_RECORD_TC))],
            oneway=True),
-        # Owner <-> owner: one epidemic round: record delta and the
-        # owner-plane beacons.  Member liveness is never relayed.
+        # Owner <-> owner: one epidemic round: the owner-plane beacons,
+        # and on a full sync the receiver's share of the records.
+        # Member liveness is never relayed.
         op("gossip", [("records", sequence_tc(PROVIDER_RECORD_TC)),
                       ("beacons", sequence_tc(HOST_BEACON_TC))],
            oneway=True),
@@ -113,7 +118,6 @@ class ShardAgent:
         self.store = RecordStore()
         self.membership = MembershipTable()
         self.rounds = 0
-        self._last_round = 0.0
         self._rng = node.network.rngs.stream(
             f"federation.gossip.{node.host_id}")
         self._servant = ShardServant(self)
@@ -179,7 +183,7 @@ class ShardAgent:
         now = self.env.now
         peers = set(self.membership.live_owners(
             now, self.config.member_timeout))
-        peers.update(self.seed_peers)
+        peers.update(h for h in self.seed_peers if h in self.ring)
         peers.discard(self.host_id)
         ordered = sorted(peers)
         if len(ordered) <= self.config.fanout:
@@ -200,16 +204,14 @@ class ShardAgent:
             if host != self.host_id:
                 self.membership.mark_dead(host, now)
         self.rounds += 1
-        full_sync = (self.rounds % FULL_SYNC_EVERY == 0)
-        if full_sync:
+        if self.rounds % FULL_SYNC_EVERY == 0:
             self.store.sweep(now - self.config.record_timeout)
             outgoing = self.store.records()
             beacons = self.membership.owner_beacons()
         else:
-            outgoing = self.store.changed_since(self._last_round)
+            outgoing = []
             beacons = self.membership.owner_beacons(
                 since=now - self.config.gossip_interval)
-        self._last_round = now
         peers = self._pick_peers()
         if not peers:
             return
@@ -279,6 +281,11 @@ class ShardAgent:
         self.node.metrics.counter(names.FEDERATION_REJECTED_UNKNOWN_HOST).inc()
         return False
 
+    def _clamped(self, item, now: float):
+        """*item*, a record or beacon, with its epoch clamped."""
+        epoch = self._clamp_epoch(item.epoch, now)
+        return item if epoch == item.epoch else replace(item, epoch=epoch)
+
     def accept_publish(self, origin: str, epoch: float,
                        records: Sequence[dict]) -> None:
         now = self.env.now
@@ -287,24 +294,18 @@ class ShardAgent:
             self.membership.observe_member(origin, epoch)
         for value in records:
             record = ProviderRecord.from_value(value)
-            if not self._known_host(record.host):
-                continue
-            clamped = self._clamp_epoch(record.epoch, now)
-            if clamped != record.epoch:
-                record = replace(record, epoch=clamped)
-            self.store.apply(record, now)
+            if self._known_host(record.host):
+                self.store.apply(self._clamped(record, now))
 
     def accept_gossip(self, records: Sequence[dict],
                       beacons: Sequence[dict]) -> None:
         now = self.env.now
+        stale_beacons = stale_records = 0
         for value in beacons:
             beacon = HostBeacon.from_value(value)
-            if not self._known_host(beacon.host):
-                continue
-            clamped = self._clamp_epoch(beacon.epoch, now)
-            if clamped != beacon.epoch:
-                beacon = replace(beacon, epoch=clamped)
-            self.membership.apply(beacon)
+            if self._known_host(beacon.host):
+                stale_beacons += not self.membership.apply(
+                    self._clamped(beacon, now))
         for value in records:
             record = ProviderRecord.from_value(value)
             if not self._known_host(record.host):
@@ -318,10 +319,11 @@ class ShardAgent:
                 self.node.metrics.counter(
                     names.FEDERATION_REJECTED_NOT_OWNER).inc()
                 continue
-            clamped = self._clamp_epoch(record.epoch, now)
-            if clamped != record.epoch:
-                record = replace(record, epoch=clamped)
-            self.store.apply(record, now)
+            stale_records += not self.store.apply(self._clamped(record, now))
+        # What the frame carried for nothing: the merges that lost.
+        metrics = self.node.metrics
+        metrics.counter(names.FEDERATION_STALE_BEACONS).inc(stale_beacons)
+        metrics.counter(names.FEDERATION_STALE_RECORDS).inc(stale_records)
 
     # -- queries ------------------------------------------------------------
     def candidates(self, repo_id: str, qos: QoSSpec) -> list:

@@ -24,11 +24,13 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import bench_availability  # noqa: E402
+import bench_consistency  # noqa: E402
 import bench_deployment  # noqa: E402
 import bench_fig1_node  # noqa: E402
 import bench_fig2_cscw  # noqa: E402
 import bench_ft  # noqa: E402
 import bench_grid  # noqa: E402
+import bench_hierarchy  # noqa: E402
 import bench_migration  # noqa: E402
 import bench_prediction  # noqa: E402
 
@@ -39,13 +41,16 @@ BENCHES = {
     "E1": bench_fig1_node,
     "E2": bench_fig2_cscw,
     "C2": bench_deployment,
+    "C3": bench_hierarchy,
+    "C4": bench_consistency,
     "C5": bench_ft,
     "C6": bench_migration,
     "C9a": bench_grid,
     "C10": bench_prediction,
     "C14": bench_availability,
 }
-TABLES = ("E1", "E2", "C2", "C5", "C6", "C6b", "C9a", "C9b", "C10", "C14")
+TABLES = ("E1", "E2", "C2", "C3", "C3b", "C4", "C4b", "C5", "C6", "C6b",
+          "C9a", "C9b", "C10", "C14")
 
 MARKER = re.compile(r"^<!-- table: (\S+) -->$", re.M)
 

@@ -274,8 +274,8 @@ _CODEC_SAMPLES = [
         (1, "boxed", tc_any),
         (2, "num", tc_long),
     ]), (1, Any(tc_double, 2.5))),
-    # The federation ``gossip`` body: struct sequences for the record
-    # delta and the owner beacons.
+    # The federation ``gossip`` body: struct sequences for the records
+    # and the owner beacons.
     (struct_tc("FzGossip", [
         ("records", sequence_tc(struct_tc("FzRecord", [
             ("repo_id", tc_string), ("host", tc_string),

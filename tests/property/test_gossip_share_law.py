@@ -1,20 +1,24 @@
 """A gossip frame carries exactly the records its receiver keeps and
 the owner-plane beacons the round's kind calls for.
 
-``ShardAgent.accept_gossip`` merges a record only if the receiver owns
-its repo-id under the shared ring, so ``ShardAgent._send_shares`` sends
-each peer only that peer's share of the round's outgoing records, and
-marshals each distinct share once.  A full-sync round carries the whole
-owner plane; a delta round carries only the beacons dated within one
-``gossip_interval`` (the sender's own re-dated beacon, what it heard
-first-hand since its last round, fresh dead-marks).  The law, over a
-random ring (2-8 owners, replication 1-3), a random sender store and
-owner plane, a delta or full-sync round, random sampled peers and a spy
-on ``send_oneway_fanout``:
+A member publishes each record to every ring owner of its key, so a
+delta round carries no records: what the sender merged since its last
+round the peer heard first-hand.  A full-sync round carries the
+sender's records, and ``ShardAgent.accept_gossip`` merges a record only
+if the receiver owns its repo-id under the shared ring, so
+``ShardAgent._send_shares`` sends each peer only that peer's share of
+them, and marshals each distinct share once.  A full-sync round carries
+the whole owner plane; a delta round carries only the beacons dated
+within one ``gossip_interval`` (the sender's own re-dated beacon, what
+it heard first-hand since its last round, fresh dead-marks).  The law,
+over a random ring (2-8 owners, replication 1-3), a random sender store
+and owner plane, a delta or full-sync round, random sampled peers and a
+spy on ``send_oneway_fanout``:
 
 - every peer gets exactly one frame;
-- a frame's records are exactly its peer's owned share, in outgoing
-  order;
+- a delta frame carries no records;
+- a full-sync frame's records are exactly its peer's owned share of
+  the sender's store, in store order;
 - a full-sync frame's beacons are the sender's whole owner plane, and a
   delta frame's are exactly the plane's beacons dated at or after
   ``now - gossip_interval``, in plane order;
@@ -25,10 +29,11 @@ on ``send_oneway_fanout``:
   outgoing record, as sent before shares, with the same beacons) leaves,
   and drops nothing as not owned.
 
-Five named mutants of the send must each fail the law: filtering by
+Six named mutants of the round must each fail the law: filtering by
 the *sender's* ownership, sending only to the primary owner, sending a
-record-less frame without its beacons, one call per peer, and a delta
-frame without the sender's own beacon.
+record-less frame without its beacons, one call per peer, a delta
+frame without the sender's own beacon, and a delta that carries the
+records merged since the previous round (the old delta).
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ from repro.sim.stats import MetricRegistry
 
 HOSTS = [f"h{i}" for i in range(10)]
 REPOS = [f"IDL:demo/R{i}:1.0" for i in range(10)]
-#: merge instants before the round at NOW; every epoch stays far inside
-#: the record timeout, so the full sync's sweep drops nothing.
+#: report epochs up to the round at NOW; every one stays far inside the
+#: record timeout, so the full sync's sweep drops nothing.
 TIMES = [0.0, 1.0, 2.0, 3.0]
 NOW = 3.0
 
@@ -86,11 +91,9 @@ def _rounds(draw):
     return SimpleNamespace(
         owners=owners, sender=sender, peers=peers,
         replication=draw(st.integers(1, 3)),
-        store=draw(st.lists(st.tuples(_records, st.sampled_from(TIMES)),
-                            max_size=12)),
+        store=draw(st.lists(_records, max_size=12)),
         plane=draw(st.lists(beacons, max_size=6)),
         full_sync=draw(st.booleans()),
-        last_round=draw(st.sampled_from(TIMES)),
         prior=draw(st.lists(_records, max_size=4)),
         prior_plane=draw(st.lists(beacons, max_size=4)))
 
@@ -113,21 +116,20 @@ def _agent(host, ring, config, calls=None) -> ShardAgent:
     agent.store = RecordStore()
     agent.membership = MembershipTable()
     agent.rounds = 0
-    agent._last_round = 0.0
     return agent
 
 
 def _receiver(host, ring, config, world) -> ShardAgent:
     agent = _agent(host, ring, config)
     for record in world.prior:
-        agent.store.apply(record, 0.0)
+        agent.store.apply(record)
     for beacon in world.prior_plane:
         agent.membership.apply(beacon)
     return agent
 
 
 def _state(agent: ShardAgent):
-    return (agent.store.records(), dict(agent.store._touched),
+    return (agent.store.records(),
             {repo: agent.store.lookup(repo) for repo in REPOS},
             agent.membership.owner_beacons(),
             dict(agent.membership._members))
@@ -143,15 +145,13 @@ def check_share_law(world) -> None:
                               update_interval=5.0, gossip_interval=2.0)
     calls = []
     sender = _agent(world.sender, ring, config, calls)
-    for record, when in world.store:
-        sender.store.apply(record, when)
+    for record in world.store:
+        sender.store.apply(record)
     for beacon in world.plane:
         sender.membership.apply(beacon)
     sender.rounds = FULL_SYNC_EVERY - 1 if world.full_sync else 0
-    sender._last_round = world.last_round
     sender._pick_peers = lambda: list(world.peers)
-    outgoing = (sender.store.records() if world.full_sync
-                else sender.store.changed_since(world.last_round))
+    outgoing = sender.store.records() if world.full_sync else []
     sender._gossip_round()
 
     plane = [b.to_value() for b in sender.membership.owner_beacons()]
@@ -169,6 +169,8 @@ def check_share_law(world) -> None:
             assert peer not in frames, f"{peer} got two frames"
             frames[peer] = records
     assert sorted(frames) == world.peers, "a peer got no frame"
+    if not world.full_sync:
+        assert not any(frames.values()), "a delta frame carries records"
     for peer in world.peers:
         assert frames[peer] == share[peer], f"{peer}'s frame is not its share"
 
@@ -234,6 +236,16 @@ def _delta_without_own_beacon(self, outgoing, beacons, peers):
     _SEND_SHARES(self, outgoing, beacons, peers)
 
 
+def _delta_carries_changed_records(self, outgoing, beacons, peers):
+    """The old delta: a round that is not a full sync sends the records
+    merged since the previous round, one ``gossip_interval`` ago (a
+    record is taken as merged at its report epoch, as a publish is)."""
+    if self.rounds % FULL_SYNC_EVERY:
+        since = self.env.now - self.config.gossip_interval
+        outgoing = [r for r in self.store.records() if r.epoch >= since]
+    _SEND_SHARES(self, outgoing, beacons, peers)
+
+
 MUTANTS = {
     "sender_ownership": _send(lambda agent, peer, repo_id:
                               agent._owns(repo_id)),
@@ -243,6 +255,7 @@ MUTANTS = {
                                               bare_when_empty=True),
     "one_call_per_peer": _send(_peer_owns, per_peer=True),
     "delta_without_own_beacon": _delta_without_own_beacon,
+    "delta_carries_changed_records": _delta_carries_changed_records,
 }
 
 

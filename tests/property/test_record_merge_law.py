@@ -81,7 +81,7 @@ def _order(item):
 def _store(records) -> RecordStore:
     store = RecordStore()
     for record in records:
-        store.apply(record, now=0.0)
+        store.apply(record)
     return store
 
 
@@ -116,7 +116,7 @@ def check_store_law(drawn, permuted) -> None:
         "the merge depends on arrival order"
     before = _store_state(store)
     for record in drawn:
-        assert not store.apply(record, now=1.0), f"{record} won twice"
+        assert not store.apply(record), f"{record} won twice"
     assert _store_state(store) == before, "re-applying changed the store"
     _check_beats_orders(drawn)
     by_key = {}
@@ -190,10 +190,9 @@ def mutant_beats_without_host_tie_break(monkeypatch):
 
 def mutant_last_writer_wins(monkeypatch):
     """``apply`` stores whatever arrives last, stale or not."""
-    def store_apply(self, record, now):
+    def store_apply(self, record, now=None):
         self._records[record.key] = record
         self._by_repo.setdefault(record.repo_id, {})[record.host] = record
-        self._touched[record.key] = now
         return True
 
     def table_apply(self, beacon):

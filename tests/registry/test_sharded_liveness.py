@@ -3,8 +3,9 @@
 A host's liveness lives at the ring owners of ``host:<id>``, fed by its
 own publishes and never relayed.  Three consequences pinned here:
 
-- a gossip frame is O(owners + changed records), and no larger on a
-  larger population;
+- a gossip frame is O(owners) on a delta round and O(owners + the
+  peer's share of records) on a full sync, and no larger on a larger
+  population;
 - liveness has the fault model of any other record: it survives the
   loss of ``replication - 1`` of its key's owners, and the loss of all
   of them takes the host out of ``live_hosts()`` at once, until one
