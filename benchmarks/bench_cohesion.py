@@ -9,7 +9,7 @@ fan-out keeps it O(1) per node), and the crash-detection latency as a
 function of the ping interval.
 """
 
-from _harness import report, stash
+from _harness import Table, report
 from repro.registry.cohesion import deploy_cohesion
 from repro.sim.topology import clustered
 from repro.testing import SimRig
@@ -42,38 +42,39 @@ def detection_latency(ping_interval: float, seed=14):
     return rig.env.now - t_crash
 
 
-def test_cohesion_traffic_scales(benchmark, capsys):
-    rows = []
-    per_node = {}
+def experiment():
+    """Run C13a at four sizes and C13b at three ping intervals, assert
+    the flat per-node cost and the interval dial, return both tables."""
+    rows, per_node = [], {}
     for n in (4, 8, 16, 32):
         msgs_rate, bytes_rate = traffic(n)
         per_node[n] = msgs_rate
-        rows.append([n, f"{msgs_rate:.2f}", f"{bytes_rate:.0f}"])
-    benchmark.pedantic(lambda: traffic(8), rounds=1, iterations=1)
-    report(capsys, "C13a: cohesion maintenance cost per node "
-                   "(fanout 3, ping every 3s)",
-           ["hosts", "msgs/node/s", "B/node/s"], rows,
-           note="bounded fan-out keeps per-node cost flat as the "
-                "network grows — requirement R4's scalability")
+        rows.append([str(n), f"{msgs_rate:.2f}", f"{bytes_rate:.0f}"])
     # per-node cost must not grow with N (allow 50% noise)
     assert per_node[32] < per_node[4] * 1.5
-    stash(benchmark, **{f"n{k}": v for k, v in per_node.items()})
 
-
-def test_crash_detection_latency(benchmark, capsys):
-    rows = []
-    results = {}
+    latency_rows, latency = [], {}
     for interval in (1.0, 3.0, 6.0):
-        latency = detection_latency(interval)
-        results[interval] = latency
-        rows.append([f"{interval:.0f} s", f"{latency:.1f} s",
-                     f"{latency/interval:.1f}x"])
-    benchmark.pedantic(lambda: detection_latency(3.0),
-                       rounds=1, iterations=1)
-    report(capsys, "C13b: crash-detection latency vs ping interval "
-                   "(suspect after 2 misses)",
-           ["ping interval", "detection latency", "intervals"], rows,
-           note="latency tracks the ping period x rotation x misses — "
-                "the admin's freshness/traffic dial")
-    assert results[1.0] < results[6.0]
-    stash(benchmark, **{f"i{int(k)}": v for k, v in results.items()})
+        latency[interval] = detection_latency(interval)
+        latency_rows.append([f"{interval:.0f} s",
+                             f"{latency[interval]:.1f} s",
+                             f"{latency[interval] / interval:.1f}x"])
+    assert latency[1.0] < latency[3.0] < latency[6.0]
+    return [
+        Table("C13a: cohesion maintenance cost per node "
+              "(fanout 3, ping every 3s)",
+              ["hosts", "msgs/node/s", "B/node/s"], rows,
+              note="bounded fan-out keeps per-node cost flat as the "
+                   "network grows — requirement R4's scalability"),
+        Table("C13b: crash-detection latency vs ping interval "
+              "(suspect after 2 misses)",
+              ["ping interval", "detection latency", "intervals"],
+              latency_rows,
+              note="latency tracks the ping period x rotation x misses — "
+                   "the admin's freshness/traffic dial"),
+    ]
+
+
+def test_cohesion(capsys):
+    for table in experiment():
+        report(capsys, *table)

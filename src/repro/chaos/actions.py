@@ -140,7 +140,7 @@ def act_slow_host(world, rng, state) -> Optional[tuple]:
 
 
 def act_clock_skew(world, rng, state) -> Optional[tuple]:
-    """Skew one reporter's clock so its publishes stamp wrong epochs."""
+    """Skew one reporter's clock so its records stamp wrong epochs."""
     candidates = [h for h in _eligible_hosts(world)
                   if h not in state.skewed]
     if not candidates:
@@ -148,7 +148,7 @@ def act_clock_skew(world, rng, state) -> Optional[tuple]:
     host = candidates[int(rng.integers(0, len(candidates)))]
     reporter = world.federation.reporters[host]
     # Positive skew poisons TTLs (records from the future); negative
-    # skew makes a live host look stale.  Both must be survivable.
+    # skew ages a live host's records early.  Both must be survivable.
     magnitude = float(rng.uniform(5.0, 60.0))
     skew = magnitude if rng.random() < 0.7 else -min(magnitude, 10.0)
     reporter.clock_skew = skew

@@ -158,6 +158,12 @@ class ORB:
         #: adds, the listener pops a host on any frame it delivers, and
         #: a crash clears it with the rest of the host's RAM.
         self.suspects: dict[str, int] = {}
+        #: the node's liveness clock: host -> sim time a frame from it
+        #: last arrived.  The listener writes it from ``msg.src`` (set
+        #: by the network, not the wire); a crash clears it.  Calls to
+        #: this ORB's own objects are collocated and skip the listener,
+        #: so readers cannot count on hearing their own host.
+        self.heard: dict[str, float] = {}
         # -- assembly: each stage is an object picked here, once; the
         # stages validate their own options, and nothing is bound or
         # hooked until all of them stand -------------------------------
@@ -567,6 +573,7 @@ class ORB:
         pending, self._pending = self._pending, {}
         self._deadline_heap.clear()
         self.suspects.clear()
+        self.heard.clear()
         if pending:
             for watcher in self.pending_watchers:
                 watcher(0)

@@ -129,6 +129,7 @@ class Listener:
         self._enc_pool = enc_pool
         self._complete = complete
         self.suspects: dict[str, int] = orb.suspects
+        self.heard: dict[str, float] = orb.heard
         #: admission control: max requests admitted and not yet finished
         #: (executing + queued for a worker slot).  ``None`` = unbounded.
         self.dispatch_limit = dispatch_limit
@@ -163,6 +164,7 @@ class Listener:
 
     # -- message handling --------------------------------------------------
     def on_message(self, msg: Message) -> None:
+        self.heard[msg.src] = self.env.now
         if self.suspects:
             self.suspects.pop(msg.src, None)    # heard from: not suspect
         try:

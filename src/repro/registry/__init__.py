@@ -10,6 +10,14 @@ paper specifies for that behaviour:
   state, member expiry, hierarchical query escalation, parent reporting.
 - :mod:`repro.registry.softstate` — the soft-consistency reporter
   ("periodical updates ... which also serve as a keep-alive mechanism").
+- :mod:`repro.registry.cohesion` — the Network Cohesion protocol: join
+  and ping handshakes over the logical network.
+
+Liveness has one clock per node, its ORB's: ``ORB.heard`` (when a frame
+from a host last arrived) expires MRM members and children and feeds
+the federation's ``live_hosts()``, and ``ORB.suspects`` (calls that
+timed out since) decides cohesion's live peers.  A report or publish
+is a keep-alive by arriving; it carries no liveness clock of its own.
 - :mod:`repro.registry.strongstate` — the strong-consistency baseline
   (update-per-change with acknowledgements) the paper argues against.
 - :mod:`repro.registry.prediction` — dead-reckoning reporters

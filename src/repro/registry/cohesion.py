@@ -11,20 +11,22 @@ Each node runs a :class:`CohesionAgent`:
 - on startup (and reconnection) it **joins** by announcing itself to a
   set of seed peers, which reply with the peers *they* know — the view
   converges by anti-entropy;
-- it **pings** a deterministic rotation of known peers every interval
-  and marks peers dead after ``suspect_after`` missed replies;
-- leaves are graceful (``leave`` announcement) or detected by timeout;
+- it **pings** a deterministic rotation of known peers every interval;
+  a peer counts as down while the node's failure detector
+  (``ORB.suspects``) holds ``suspect_after`` or more timed-out calls to
+  it, and any frame from it clears that;
+- a peer that goes away is detected by timeout (there is no leave
+  announcement);
 - the resulting live-peer view is what group formation and builder
   tools start from.
 
-This peer-level liveness layer is deliberately independent of the MRM
-soft-state layer: cohesion answers "who is in the logical network",
-MRM views answer "what resources do they offer".
+Cohesion answers "who is in the logical network", MRM views answer
+"what resources do they offer"; both read the one detector of their
+node rather than keeping clocks of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.orb.core import InterfaceDef, Servant, op
@@ -42,10 +44,8 @@ COHESION_IFACE = InterfaceDef(
     operations=[
         # join handshake: announce yourself, learn the peer's view
         op("join", [("host", tc_string)], sequence_tc(tc_string)),
-        op("leave", [("host", tc_string)], oneway=True),
         # liveness handshake
         op("ping", [("host", tc_string)], tc_boolean),
-        op("known_peers", [], sequence_tc(tc_string)),
     ],
 )
 
@@ -53,14 +53,6 @@ COHESION_IFACE = InterfaceDef(
 def cohesion_ior(host_id: str) -> IOR:
     return IOR(COHESION_IFACE.repo_id, host_id, COHESION_ADAPTER,
                COHESION_KEY)
-
-
-@dataclass
-class PeerRecord:
-    host: str
-    last_seen: float
-    missed: int = 0
-    alive: bool = True
 
 
 class CohesionServant(Servant):
@@ -73,15 +65,9 @@ class CohesionServant(Servant):
         self.agent._learn(host)
         return self.agent.known_hosts(include_self=True)
 
-    def leave(self, host: str) -> None:
-        self.agent._forget(host)
-
     def ping(self, host: str) -> bool:
         self.agent._learn(host)
         return True
-
-    def known_peers(self) -> list[str]:
-        return self.agent.known_hosts(include_self=True)
 
 
 class CohesionAgent:
@@ -96,7 +82,7 @@ class CohesionAgent:
         self.ping_interval = ping_interval
         self.suspect_after = suspect_after
         self.fanout = fanout
-        self.peers: dict[str, PeerRecord] = {}
+        self.peers: set[str] = set()
         self.joins_seen = 0
         self._rotation = 0
         node.orb.adapter(COHESION_ADAPTER).activate(
@@ -108,31 +94,20 @@ class CohesionAgent:
 
     # -- view --------------------------------------------------------------
     def known_hosts(self, include_self: bool = False) -> list[str]:
-        hosts = sorted(h for h, rec in self.peers.items() if rec.alive)
+        hosts = {h for h in self.peers if self.is_peer_alive(h)}
         if include_self:
-            hosts = sorted(set(hosts) | {self.node.host_id})
-        return hosts
+            hosts.add(self.node.host_id)
+        return sorted(hosts)
 
     def is_peer_alive(self, host: str) -> bool:
-        rec = self.peers.get(host)
-        return rec is not None and rec.alive
+        return (host in self.peers and self.node.orb.suspects.get(host, 0)
+                < self.suspect_after)
 
     # -- membership bookkeeping ------------------------------------------------
     def _learn(self, host: str) -> None:
-        if host == self.node.host_id:
-            return
-        rec = self.peers.get(host)
-        if rec is None:
-            self.peers[host] = PeerRecord(host=host,
-                                          last_seen=self.node.env.now)
+        if host != self.node.host_id and host not in self.peers:
+            self.peers.add(host)
             self.joins_seen += 1
-        else:
-            rec.last_seen = self.node.env.now
-            rec.missed = 0
-            rec.alive = True
-
-    def _forget(self, host: str) -> None:
-        self.peers.pop(host, None)
 
     # -- the protocol ------------------------------------------------------------------
     def _join_then_ping(self):
@@ -156,21 +131,17 @@ class CohesionAgent:
             yield env.timeout(self.ping_interval)
             targets = self._pick_targets()
             for host in targets:
-                rec = self.peers.get(host)
-                if rec is None:
+                if host not in self.peers:
                     continue
                 try:
+                    # The outcome feeds the node's detector: a reply
+                    # clears a suspicion, a timeout adds one.
                     yield self.node.orb.invoke(
                         cohesion_ior(host), ping_op,
                         (self.node.host_id,), timeout=1.5,
                         meter="cohesion")
-                    rec.last_seen = env.now
-                    rec.missed = 0
-                    rec.alive = True
                 except SystemException:
-                    rec.missed += 1
-                    if rec.missed >= self.suspect_after:
-                        rec.alive = False
+                    pass
 
     def _pick_targets(self) -> list[str]:
         hosts = sorted(self.peers)

@@ -65,8 +65,8 @@ class FederationConfig:
     @property
     def epoch_tolerance(self) -> float:
         """How far into the future an incoming report epoch may point
-        before owners clamp it (defends record TTLs and membership
-        freshness against clock-skewed reporters): one gossip round."""
+        before owners clamp it (defends record TTLs and owner beacons
+        against clock-skewed reporters): one gossip round."""
         return self.gossip_interval
 
     def mrm_config(self) -> MrmConfig:
@@ -82,14 +82,13 @@ class FederationReporter(PeriodicReporter):
                  phase: float = 0.0) -> None:
         self.ring = ring
         self.config = config
-        #: simulated clock error of this reporter: its publishes stamp
+        #: simulated clock error of this reporter: its records stamp
         #: ``env.now + clock_skew`` as their epoch.  Fault injection
         #: (repro.chaos) sets this; owners clamp what they accept.
         self.clock_skew = 0.0
         super().__init__(node, config.update_interval, phase)
 
     def _records(self, view: NodeView, epoch: float) -> list:
-        from repro.registry.view import Candidate
         from repro.registry.federation.records import ProviderRecord
 
         out = []
@@ -128,8 +127,8 @@ class FederationReporter(PeriodicReporter):
         epoch = node.env.now + self.clock_skew
         view = NodeView.collect(node)
         by_owner: dict[str, list] = {}
-        # Presence beacon: even a node providing nothing reports to the
-        # owners of its host key, so liveness tracking covers everyone.
+        # Keep-alive: even a node providing nothing sends a frame to the
+        # owners of its host key, so every host is heard by some owner.
         for owner in self.ring.owners(f"host:{node.host_id}",
                                       self.config.replication):
             by_owner.setdefault(owner, [])
@@ -138,8 +137,7 @@ class FederationReporter(PeriodicReporter):
                                           self.config.replication):
                 by_owner.setdefault(owner, []).append(record.to_value())
         for owner, values in by_owner.items():
-            node.orb.send_oneway(shard_ior(owner), _PUBLISH,
-                                 (node.host_id, epoch, values),
+            node.orb.send_oneway(shard_ior(owner), _PUBLISH, (values,),
                                  meter=METER)
         self.reports_sent += 1
 
@@ -216,21 +214,26 @@ class FederatedRegistry:
                 if agent.membership.get(agent.host_id) is not None]
 
     def live_hosts(self) -> set[str]:
-        """Hosts the owners' direct reports currently show alive.
+        """Hosts some owner currently believes alive.
 
-        A host's liveness is soft state at the ring owners of
-        ``host:<id>`` (its own publishes, never relayed), so no single
-        owner knows the population: this union is the member plane's
-        one reader.  H survives the loss of ``replication - 1`` of its
-        key's owners; lose them all and H drops out until one restarts
-        or the key is rebalanced, then returns within one
-        ``update_interval``.  A crashed owner's table is empty until
-        it restarts.
+        Each owner contributes its live owners (the gossiped owner
+        plane, its own beacon included: a node never hears itself) and
+        every host its node heard a frame from within
+        ``member_timeout`` (``ORB.heard``).  A member sends to the ring
+        owners of ``host:<id>`` every ``update_interval``, so no single
+        owner hears the population: this union is the one reader.  H
+        survives the loss of ``replication - 1`` of its key's owners;
+        lose them all and H drops out until one restarts or the key is
+        rebalanced, then returns within one ``update_interval``.  A
+        crash empties an owner's tables until it restarts.
         """
         out: set[str] = set()
+        timeout = self.config.member_timeout
         for agent in self.agents.values():
-            out |= agent.membership.live(agent.env.now,
-                                         self.config.member_timeout)
+            now = agent.env.now
+            out.update(agent.membership.live_owners(now, timeout))
+            out.update(host for host, when in agent.node.orb.heard.items()
+                       if when >= now - timeout)
         return out
 
     # -- convergence probes (tests and the C18 benchmark) -------------------

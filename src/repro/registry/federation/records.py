@@ -10,9 +10,9 @@ Two record kinds travel between shard owners:
   gossip round carries its beacons dated within one round and no
   provider records, an anti-entropy round all of both.
 
-The population-sized **member plane** ("plain host H was last heard
-from at epoch T") never travels between owners: it is soft state held
-by the ring owners of ``host:<id>``, fed by that host's own publishes.
+Whether a plain host is up is not a record: an owner reads it from
+``ORB.heard``, when a frame from that host last reached the owner's
+node.  A member's publishes are such frames; nothing relays them.
 
 Both carry a **report epoch** (the sim-time their source observed the
 fact) and merge by the epidemic rule: highest epoch wins, ties broken
@@ -181,45 +181,22 @@ class RecordStore:
 
 
 class MembershipTable:
-    """One owner's view of the federation's hosts.
+    """One owner's **owner plane**: which hosts serve shards.
 
-    Two planes that must not corrupt each other:
-
-    - the **owner plane** (:meth:`apply`, ``HostBeacon``s): which hosts
-      serve shards.  Gossiped; merged by the epidemic epoch rule, with
-      explicit dead-marking on failure detection or retirement.
-    - the **member plane** (:meth:`observe_member`, bare epochs): when
-      each host that publishes to this owner (it holds the host's
-      ``host:<id>`` key or one of its records' keys) was last heard
-      from.  Local, never gossiped — the maximum observed epoch wins,
-      and silence past a timeout means "down".
-
-    A shard owner is also a reporting member; keeping the planes
-    separate is what stops its member publishes (fresh epochs) from
-    demoting its owner beacon.
+    ``HostBeacon``s, gossiped and merged by the epidemic epoch rule,
+    with explicit dead-marking on failure detection or retirement.
+    Whether a plain host is up is not kept here: it is what the
+    owner's node heard (``ORB.heard``).
     """
 
     def __init__(self) -> None:
         self._owners: dict[str, HostBeacon] = {}
-        self._members: dict[str, float] = {}
-
-    def __len__(self) -> int:
-        return len(set(self._owners) | set(self._members))
-
-    def __contains__(self, host: str) -> bool:
-        return host in self._owners or host in self._members
 
     def apply(self, beacon: HostBeacon) -> bool:
         current = self._owners.get(beacon.host)
         if current is not None and not beacon.beats(current):
             return False
         self._owners[beacon.host] = beacon
-        return True
-
-    def observe_member(self, host: str, epoch: float) -> bool:
-        if epoch <= self._members.get(host, -1.0):
-            return False
-        self._members[host] = epoch
         return True
 
     def get(self, host: str):
@@ -231,13 +208,9 @@ class MembershipTable:
         return [b for b in self._owners.values() if b.epoch >= since]
 
     def silent(self, cutoff: float) -> list[str]:
-        """Hosts not heard from since *cutoff*: owners still believed
-        alive first, then members (a host stale in both appears twice)."""
-        out = [b.host for b in self._owners.values()
-               if b.alive and b.epoch < cutoff]
-        out.extend(host for host, epoch in self._members.items()
-                   if epoch < cutoff)
-        return out
+        """Owners still believed alive whose beacons predate *cutoff*."""
+        return [b.host for b in self._owners.values()
+                if b.alive and b.epoch < cutoff]
 
     def mark_dead(self, host: str, now: float) -> None:
         """Locally declare an owner down (spreads on the next round).
@@ -247,16 +220,6 @@ class MembershipTable:
         current = self._owners.get(host)
         if current is not None and (current.alive or current.epoch < now):
             self._owners[host] = replace(current, epoch=now, alive=False)
-        self._members.pop(host, None)
-
-    def live(self, now: float, timeout: float) -> set[str]:
-        """Hosts believed alive: declared so, and recently enough."""
-        cutoff = now - timeout
-        out = {b.host for b in self._owners.values()
-               if b.alive and b.epoch >= cutoff}
-        out.update(host for host, epoch in self._members.items()
-                   if epoch >= cutoff)
-        return out
 
     def live_owners(self, now: float, timeout: float) -> list[str]:
         return sorted(b.host for b in self._owners.values()
@@ -264,4 +227,3 @@ class MembershipTable:
 
     def clear(self) -> None:
         self._owners.clear()
-        self._members.clear()

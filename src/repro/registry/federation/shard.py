@@ -3,8 +3,8 @@
 A :class:`ShardAgent` runs on each owner host.  It keeps a
 :class:`~repro.registry.federation.records.RecordStore` with its slice
 of the provider-record space and a
-:class:`~repro.registry.federation.records.MembershipTable` (owner
-plane gossiped, member plane local), and runs
+:class:`~repro.registry.federation.records.MembershipTable` (the
+gossiped owner plane), and runs
 **seeded epidemic rounds**: every ``gossip_interval`` it picks
 ``fanout`` live peers from its own membership view (a named RNG
 stream, so runs are reproducible) and sends each of them **one**
@@ -23,6 +23,11 @@ one the peer heard first-hand too.  Every ``FULL_SYNC_EVERY``-th round
 pushes the full owned set and the whole owner plane, so an owner that
 lost its RAM (crash/restart), missed a publish or missed deltas
 (partition) converges back within a bounded number of rounds.
+
+A ``publish_batch`` carries a member's records and nothing else: the
+frame's arrival is the member's keep-alive, noted by the owner's node
+in ``ORB.heard`` before the agent sees it, so the agent keeps no
+member table.
 
 The receiver's ownership check stays the authority: a record whose
 owner changes while a frame is in flight (``remove_owner`` /
@@ -77,11 +82,10 @@ SHARD_IFACE = InterfaceDef(
     "IDL:corbalc/Federation/Shard:1.0",
     "Shard",
     operations=[
-        # Member -> owner: one publish round of provider records.
-        # *epoch* stamps the round even when *records* is empty, so the
-        # batch doubles as the member's liveness beacon.
-        op("publish_batch", [("origin", tc_string), ("epoch", tc_double),
-                             ("records", sequence_tc(PROVIDER_RECORD_TC))],
+        # Member -> owner: one publish round of provider records.  The
+        # frame goes out even when *records* is empty: its arrival is
+        # the member's keep-alive (the owner node's ``ORB.heard``).
+        op("publish_batch", [("records", sequence_tc(PROVIDER_RECORD_TC))],
            oneway=True),
         # Owner <-> owner: one epidemic round: the owner-plane beacons,
         # and on a full sync the receiver's share of the records.
@@ -197,8 +201,7 @@ class ShardAgent:
         self.membership.apply(
             HostBeacon(self.host_id, now, alive=True))
         # Suspect silence: owners whose beacons went stale are marked
-        # dead locally (the marking gossips onward); members that
-        # stopped publishing here are dropped.
+        # dead locally (the marking gossips onward).
         for host in self.membership.silent(
                 now - self.config.member_timeout):
             if host != self.host_id:
@@ -252,12 +255,12 @@ class ShardAgent:
         """Cap a reported epoch at ``now + epoch_tolerance``.
 
         Epochs are *soft-state TTL clocks*: a record whose epoch sits
-        far in the future is never swept, beats every honest refresh,
-        and keeps a dead host "fresh" in the membership view forever.
-        One clock-skewed reporter could therefore poison every owner
-        it reaches.  Owners only ever trust their own clock: whatever
-        a publish or gossip frame claims, the accepted epoch is at
-        most (almost) the local receive time.
+        far in the future is never swept and beats every honest
+        refresh, and a beacon's keeps a dead owner "fresh" in the owner
+        plane.  One clock-skewed reporter could therefore poison every
+        owner it reaches.  Owners only ever trust their own clock:
+        whatever a publish or gossip frame claims, the accepted epoch
+        is at most (almost) the local receive time.
         """
         limit = now + self.config.epoch_tolerance
         if epoch <= limit:
@@ -266,13 +269,13 @@ class ShardAgent:
         return limit
 
     def _known_host(self, host: str) -> bool:
-        """Membership/record host ids must name real population hosts.
+        """Beacon/record host ids must name real population hosts.
 
         State arrives over an unreliable wire: a bit flip inside a
         host-id string survives CDR decoding (same length, different
-        bytes) and, unchecked, a phantom host enters the membership
-        table — after which gossip fan-out tries to *route* to it and
-        the owner's loop dies on an unknown-destination error.  The
+        bytes) and, unchecked, a phantom owner enters the owner plane
+        — after which gossip fan-out tries to *route* to it and the
+        owner's loop dies on an unknown-destination error.  The
         topology is the ground truth of who can exist; anything else
         is dropped and counted.
         """
@@ -286,12 +289,8 @@ class ShardAgent:
         epoch = self._clamp_epoch(item.epoch, now)
         return item if epoch == item.epoch else replace(item, epoch=epoch)
 
-    def accept_publish(self, origin: str, epoch: float,
-                       records: Sequence[dict]) -> None:
+    def accept_publish(self, records: Sequence[dict]) -> None:
         now = self.env.now
-        epoch = self._clamp_epoch(epoch, now)
-        if self._known_host(origin):
-            self.membership.observe_member(origin, epoch)
         for value in records:
             record = ProviderRecord.from_value(value)
             if self._known_host(record.host):
@@ -348,9 +347,8 @@ class ShardServant(Servant):
     def __init__(self, agent: ShardAgent) -> None:
         self.agent = agent
 
-    def publish_batch(self, origin: str, epoch: float,
-                      records: list) -> None:
-        self.agent.accept_publish(origin, epoch, records)
+    def publish_batch(self, records: list) -> None:
+        self.agent.accept_publish(records)
 
     def gossip(self, records: list, beacons: list) -> None:
         self.agent.accept_gossip(records, beacons)

@@ -6,19 +6,26 @@ allows a hierarchical treatment of network resources."
 
 An :class:`MrmAgent` runs on a designated host and keeps *soft* state:
 
-- **members** — node views refreshed by periodic reports, expired after
-  a timeout ("the MRM can suppose a node of the group has been down
-  after some time-out");
+- **members** — node views refreshed by periodic reports, expired once
+  the node has not heard from the member for a timeout ("the MRM can
+  suppose a node of the group has been down after some time-out");
 - **children** — compressed :class:`~repro.registry.view.Aggregate`
-  summaries from child MRMs (the hierarchy);
+  summaries from child MRMs (the hierarchy), expired the same way by
+  the child MRM's host;
 - a **parent**, to which it periodically reports its own aggregate and
   escalates queries its level cannot answer ("if current requirements
   cannot be met with current level resources, the protocol must request
   higher hierarchy level requests").
 
-A crash wipes the agent's RAM (members/children); on restart it resumes
-with empty tables and repopulates from the next round of reports —
-exactly the soft-state recovery story the paper tells.
+"Heard" is the node's own liveness clock, ``ORB.heard``: when a frame
+from a host last arrived, whatever it carried.  A node never hears
+itself (a collocated call skips the listener), so the MRM's own host,
+which reports to it, and a child MRM on the same host never expire.
+
+A crash wipes the agent's RAM (members/children) and the node's clock;
+on restart it resumes with empty tables and repopulates from the next
+round of reports — exactly the soft-state recovery story the paper
+tells.
 """
 
 from __future__ import annotations
@@ -77,15 +84,8 @@ MRM_IFACE = InterfaceDef(
 @dataclass
 class MemberRecord:
     view: NodeView
-    last_seen: float
     cpu_slope: float = 0.0
     model_time: float = 0.0
-
-
-@dataclass
-class ChildRecord:
-    aggregate: Aggregate
-    last_seen: float
 
 
 class MrmConfig:
@@ -116,7 +116,7 @@ class MrmAgent:
         self.config = config or MrmConfig()
         self.parent_iors = tuple(parent_iors)
         self.members: dict[str, MemberRecord] = {}
-        self.children: dict[str, ChildRecord] = {}
+        self.children: dict[str, Aggregate] = {}
         self.expired_members = 0
         self._servant = MrmServant(self)
         self._key = f"mrm.{group_id}"
@@ -159,24 +159,28 @@ class MrmAgent:
     def accept_report(self, host: str, view: NodeView,
                       cpu_slope: float = 0.0) -> None:
         self.members[host] = MemberRecord(
-            view=view, last_seen=self.env.now,
-            cpu_slope=cpu_slope, model_time=self.env.now)
+            view=view, cpu_slope=cpu_slope, model_time=self.env.now)
 
     def accept_aggregate(self, aggregate: Aggregate) -> None:
-        self.children[aggregate.group] = ChildRecord(
-            aggregate=aggregate, last_seen=self.env.now)
+        self.children[aggregate.group] = aggregate
 
     def _sweep_loop(self):
         while True:
             yield self.env.timeout(self.config.update_interval)
-            deadline = self.env.now - self.config.member_timeout
-            for host in [h for h, rec in self.members.items()
-                         if rec.last_seen < deadline]:
+            for host in [h for h in self.members if self._silent(h)]:
                 del self.members[host]
                 self.expired_members += 1
-            for group in [g for g, rec in self.children.items()
-                          if rec.last_seen < deadline]:
+            for group in [g for g, agg in self.children.items()
+                          if self._silent(agg.mrm_host)]:
                 del self.children[group]
+
+    def _silent(self, host: str) -> bool:
+        """Not heard from within ``member_timeout``.  Never this host:
+        its calls here are collocated and never heard."""
+        if host == self.node.host_id:
+            return False
+        deadline = self.env.now - self.config.member_timeout
+        return self.node.orb.heard.get(host, float("-inf")) < deadline
 
     def _parent_report_loop(self):
         report_op = MRM_IFACE.operations["report_aggregate"]
@@ -199,10 +203,10 @@ class MrmAgent:
                 repo_ids.add(rid)
             free_cpu = max(free_cpu, self._member_free_cpu(rec))
             count += 1
-        for rec in self.children.values():
-            repo_ids.update(rec.aggregate.repo_ids)
-            free_cpu = max(free_cpu, rec.aggregate.free_cpu)
-            count += rec.aggregate.member_count
+        for agg in self.children.values():
+            repo_ids.update(agg.repo_ids)
+            free_cpu = max(free_cpu, agg.free_cpu)
+            count += agg.member_count
         return Aggregate(group=self.group_id, mrm_host=self.node.host_id,
                          repo_ids=tuple(sorted(repo_ids)),
                          free_cpu=free_cpu, member_count=count)
@@ -249,12 +253,12 @@ class MrmAgent:
             return []
         query_op = MRM_IFACE.operations["query"]
         # Descend into children that claim the interface.
-        for group, rec in sorted(self.children.items()):
+        for group, agg in sorted(self.children.items()):
             if group == exclude_group:
                 continue
-            if repo_id not in rec.aggregate.repo_ids:
+            if repo_id not in agg.repo_ids:
                 continue
-            child_ior = IOR(MRM_IFACE.repo_id, rec.aggregate.mrm_host,
+            child_ior = IOR(MRM_IFACE.repo_id, agg.mrm_host,
                             MRM_ADAPTER, f"mrm.{group}")
             try:
                 values = yield self.node.orb.invoke(

@@ -10,8 +10,9 @@ Each node runs one reporter process: every ``update_interval`` (with a
 per-host phase offset so the fleet doesn't synchronize) it pushes its
 :class:`~repro.registry.view.NodeView` to every replica of its group's
 MRM as a point-to-point oneway call — the one report transport.  Loss
-is tolerated — the next report repairs the view; silence beyond the
-MRM's timeout means "down".
+is tolerated — the next report repairs the view.  The report's arrival
+is the keep-alive: the MRM's node notes it in ``ORB.heard``, and a host
+not heard from for the MRM's timeout is "down".
 
 :class:`PeriodicReporter` holds the cadence every once-per-interval
 reporter shares (this one, the predictive reporter, the federation

@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import bench_availability  # noqa: E402
+import bench_cohesion  # noqa: E402
 import bench_consistency  # noqa: E402
 import bench_deployment  # noqa: E402
 import bench_fig1_node  # noqa: E402
@@ -47,10 +48,11 @@ BENCHES = {
     "C6": bench_migration,
     "C9a": bench_grid,
     "C10": bench_prediction,
+    "C13a": bench_cohesion,
     "C14": bench_availability,
 }
 TABLES = ("E1", "E2", "C2", "C3", "C3b", "C4", "C4b", "C5", "C6", "C6b",
-          "C9a", "C9b", "C10", "C14")
+          "C9a", "C9b", "C10", "C13a", "C13b", "C14")
 
 MARKER = re.compile(r"^<!-- table: (\S+) -->$", re.M)
 

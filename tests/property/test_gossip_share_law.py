@@ -131,8 +131,7 @@ def _receiver(host, ring, config, world) -> ShardAgent:
 def _state(agent: ShardAgent):
     return (agent.store.records(),
             {repo: agent.store.lookup(repo) for repo in REPOS},
-            agent.membership.owner_beacons(),
-            dict(agent.membership._members))
+            agent.membership.owner_beacons())
 
 
 def check_share_law(world) -> None:

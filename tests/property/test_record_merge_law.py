@@ -8,9 +8,9 @@ of records drawn with duplicates:
 
 - *order-free*: any permutation of the list gives the same store --
   the same ``records()`` set and the same ``lookup()`` for every repo;
-  the same owner beacons and member epochs in a ``MembershipTable``;
-- *idempotent*: re-applying any record (or beacon, or member epoch)
-  changes nothing and is not reported as a win;
+  the same owner beacons in a ``MembershipTable``;
+- *idempotent*: re-applying any record (or beacon) changes nothing and
+  is not reported as a win;
 - *max*: each key holds the maximum of the records applied to it, where
   ``beats`` orders any two records first by ``(epoch, host)``.  A store key
   names its host, so within one key the order is by epoch; the host
@@ -26,11 +26,8 @@ first; and ``mark_dead`` left an owner that was already down at its
 old epoch, so an alive beacon from between the two declarations undid
 the second one.
 
-The member plane is not a tombstone store: a member publish newer than
-the host's last one is fresh evidence it is up, so ``observe_member``
-is checked for the max law only.  Two named mutants must each fail the
-law: ``beats`` without the host tie-break, and an ``apply`` where the
-last writer wins.
+Two named mutants must each fail the law: ``beats`` without the host
+tie-break, and an ``apply`` where the last writer wins.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ _records = st.builds(
     st.sampled_from(EPOCHS), st.sampled_from([1.0, 2.0]), st.booleans())
 _beacons = st.builds(HostBeacon, st.sampled_from(HOSTS),
                      st.sampled_from(EPOCHS), st.booleans())
-_members = st.tuples(st.sampled_from(HOSTS), st.sampled_from(EPOCHS))
 
 
 def _with_duplicates(items):
@@ -90,17 +86,15 @@ def _store_state(store: RecordStore):
             {repo: set(store.lookup(repo)) for repo in REPOS})
 
 
-def _table(beacons=(), members=()) -> MembershipTable:
+def _table(beacons=()) -> MembershipTable:
     table = MembershipTable()
     for beacon in beacons:
         table.apply(beacon)
-    for host, epoch in members:
-        table.observe_member(host, epoch)
     return table
 
 
 def _table_state(table: MembershipTable):
-    return set(table.owner_beacons()), dict(table._members)
+    return set(table.owner_beacons())
 
 
 def _check_beats_orders(items) -> None:
@@ -129,24 +123,18 @@ def check_store_law(drawn, permuted) -> None:
         assert _order(winners[key]) == max(map(_order, candidates)), key
 
 
-def check_table_law(drawn, permuted, members, members_permuted) -> None:
-    table = _table(drawn, members)
-    assert _table_state(table) == _table_state(
-        _table(permuted, members_permuted)), \
+def check_table_law(drawn, permuted) -> None:
+    table = _table(drawn)
+    assert _table_state(table) == _table_state(_table(permuted)), \
         "the merge depends on arrival order"
     before = _table_state(table)
     for beacon in drawn:
         assert not table.apply(beacon), f"{beacon} won twice"
-    for host, epoch in members:
-        assert not table.observe_member(host, epoch)
     assert _table_state(table) == before, "re-applying changed the table"
     _check_beats_orders(drawn)
     for host in {b.host for b in drawn}:
         assert _order(table.get(host)) == max(
             _order(b) for b in drawn if b.host == host), host
-    for host in {h for h, _ in members}:
-        assert table._members[host] == max(
-            e for h, e in members if h == host), host
 
 
 def check_dead_stays_dead(beacons, now, stale) -> None:
@@ -157,7 +145,7 @@ def check_dead_stays_dead(beacons, now, stale) -> None:
         return                      # never an owner here: nothing to undo
     table.apply(HostBeacon(host, min(stale.epoch, now), alive=True))
     assert not table.get(host).alive, "a stale beacon undid mark_dead"
-    assert host not in table.live(now, timeout=10.0)
+    assert host not in table.live_owners(now, timeout=10.0)
 
 
 @given(_with_duplicates(_records))
@@ -166,10 +154,10 @@ def test_record_store_merge_law(lists):
     check_store_law(*lists)
 
 
-@given(_with_duplicates(_beacons), _with_duplicates(_members))
+@given(_with_duplicates(_beacons))
 @SETTINGS
-def test_membership_merge_law(beacons, members):
-    check_table_law(*beacons, *members)
+def test_membership_merge_law(beacons):
+    check_table_law(*beacons)
 
 
 @given(st.lists(_beacons, max_size=6), st.sampled_from(EPOCHS), _beacons)
@@ -204,11 +192,11 @@ def mutant_last_writer_wins(monkeypatch):
 
 def _law_under(settings_):
     @given(_with_duplicates(_records), _with_duplicates(_beacons),
-           _with_duplicates(_members), st.sampled_from(EPOCHS), _beacons)
+           st.sampled_from(EPOCHS), _beacons)
     @settings_
-    def law(records, beacons, members, now, stale):
+    def law(records, beacons, now, stale):
         check_store_law(*records)
-        check_table_law(*beacons, *members)
+        check_table_law(*beacons)
         check_dead_stays_dead(beacons[0], now, stale)
     return law
 

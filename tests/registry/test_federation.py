@@ -142,29 +142,27 @@ class TestRecordMerge:
     def test_membership_liveness_window(self):
         table = MembershipTable()
         table.apply(HostBeacon("h0", 10.0, alive=True))
-        table.observe_member("h1", 2.0)
+        table.apply(HostBeacon("h1", 2.0, alive=True))
         table.apply(HostBeacon("h2", 10.0, alive=False))
-        assert table.live(now=12.0, timeout=5.0) == {"h0"}
-        assert table.live_owners(now=12.0, timeout=15.0) == ["h0"]
+        assert table.live_owners(now=12.0, timeout=5.0) == ["h0"]
+        assert table.live_owners(now=12.0, timeout=15.0) == ["h0", "h1"]
         table.mark_dead("h0", now=13.0)
-        assert table.live(now=13.0, timeout=5.0) == set()
+        assert table.live_owners(now=13.0, timeout=5.0) == []
 
     def test_membership_silent_scan_and_owner_plane(self):
         """What a gossip round reads: the owner plane as beacons, and
-        the silent hosts — owner plane first (alive ones only), then
-        member plane, in learned order."""
+        the silent owners (alive ones only), in learned order."""
         table = MembershipTable()
         stale_owner = HostBeacon("h3", 1.0, alive=True)
         dead_owner = HostBeacon("h0", 1.0, alive=False)
         fresh_owner = HostBeacon("h1", 9.0, alive=True)
-        for beacon in (stale_owner, dead_owner, fresh_owner):
+        other_stale = HostBeacon("h2", 2.0, alive=True)
+        for beacon in (stale_owner, dead_owner, fresh_owner, other_stale):
             table.apply(beacon)
-        table.observe_member("h2", 2.0)
-        table.observe_member("h3", 3.0)
-        table.observe_member("h4", 8.0)
         assert table.owner_beacons() == [stale_owner, dead_owner,
-                                         fresh_owner]
-        assert table.silent(cutoff=5.0) == ["h3", "h2", "h3"]
+                                         fresh_owner, other_stale]
+        assert table.owner_beacons(since=2.0) == [fresh_owner, other_stale]
+        assert table.silent(cutoff=5.0) == ["h3", "h2"]
         assert table.silent(cutoff=1.0) == []
 
 

@@ -108,13 +108,13 @@ def missed_publish_repaired() -> bool:
     accept = agent.accept_publish
     dropped, later = [], []
 
-    def lossy(origin, epoch, records):
-        if origin == PROVIDER and records:
+    def lossy(records):
+        if any(value["host"] == PROVIDER for value in records):
             if not dropped:
                 dropped.append(rig.env.now)
                 return
             later.append(rig.env.now)
-        accept(origin, epoch, records)
+        accept(records)
 
     agent.accept_publish = lossy
     while not dropped:

@@ -47,11 +47,11 @@ class TestTreeDeployment:
         east = dr.groups["east"].agents[0]
         assert "c3" in east.children
         assert COUNTER_IFACE.repo_id in \
-            east.children["c3"].aggregate.repo_ids
+            east.children["c3"].repo_ids
         root = dr.root.agents[0]
         assert set(root.children) == {"west", "east"}
         assert COUNTER_IFACE.repo_id in \
-            root.children["east"].aggregate.repo_ids
+            root.children["east"].repo_ids
 
     def test_query_descends_the_far_subtree(self):
         rig, dr = three_level_rig()

@@ -54,8 +54,9 @@ class TestPlacementSpread:
         assert live_roots, "root MRM level died with the group MRM host"
         # The surviving root keeps receiving the other group's
         # aggregates — the hierarchy is still functioning above g1.
-        child = live_roots[0].children["g1"]
-        assert child.last_seen > killed_at
+        root = live_roots[0]
+        child = root.children["g1"]
+        assert root.node.orb.heard[child.mrm_host] > killed_at
 
     def test_tree_levels_stack_at_distinct_offsets(self):
         rig = SimRig(clustered(4, 3), seed=93)

@@ -158,7 +158,7 @@ class TestSoftState:
         rig.run(until=dr.settle_time())
         root = dr.root.agents[0]
         assert sorted(root.children) == ["c0", "c1"]
-        agg = root.children["c1"].aggregate
+        agg = root.children["c1"]
         assert COUNTER_IFACE.repo_id in agg.repo_ids
         assert agg.member_count == 3
 
@@ -311,7 +311,7 @@ class TestReplicatedMrms:
         (root,) = dr.root.agents
         for _ in range(40):                  # 10 update intervals
             rig.run(until=rig.env.now + 0.5)
-            assert root.children["c1"].aggregate.mrm_host == promoted
+            assert root.children["c1"].mrm_host == promoted
             ior = rig.run(until=rig.node("c0h2").request_component(
                 COUNTER_IFACE.repo_id))
             assert ior.host_id == "c1h3"

@@ -1,7 +1,8 @@
-"""The member plane is sharded soft state, not an epidemic.
+"""Member liveness is what each owner's node heard, not an epidemic.
 
-A host's liveness lives at the ring owners of ``host:<id>``, fed by its
-own publishes and never relayed.  Three consequences pinned here:
+A host's liveness is the arrival of its frames at the ring owners of
+``host:<id>`` (``ORB.heard``), fed by its own publishes and never
+relayed.  Three consequences pinned here:
 
 - a gossip frame is O(owners) on a delta round and O(owners + the
   peer's share of records) on a full sync, and no larger on a larger
@@ -10,7 +11,7 @@ own publishes and never relayed.  Three consequences pinned here:
   loss of ``replication - 1`` of its key's owners, and the loss of all
   of them takes the host out of ``live_hosts()`` at once, until one
   returns;
-- no owner holds the whole population, yet their union does.
+- no owner hears the whole population, yet their union does.
 """
 
 import pytest
@@ -66,7 +67,8 @@ class TestPerOwnerBound:
         population_size = len(rig.topology.host_ids())
         assert population_size == 256
         for agent in fed.agents.values():
-            assert 0 < len(agent.membership._members) <= population_size // 2
+            heard = agent.node.orb.heard
+            assert 0 < len(heard) <= population_size // 2
         assert fed.live_hosts() == set(rig.topology.host_ids())
 
 
@@ -122,3 +124,24 @@ class TestFaultModel:
             fed.remove_owner(owner)
         rig.run(until=rig.env.now + fed.config.update_interval + 0.1)
         assert host in fed.live_hosts()
+
+
+class TestDrain:
+    def test_a_drained_live_owner_never_leaves_live_hosts(self):
+        """``remove_owner`` on a live owner takes it off the ring, not
+        out of the population: the owners that heard it keep hearing
+        it as a plain member.  (A dead-mark that also dropped its
+        member entry hid it for up to one ``update_interval``.)"""
+        rig = SimRig(clustered(2, 8), seed=3)
+        fed = FederatedRegistry(rig.nodes, FederationConfig(owners=4))
+        fed.deploy()
+        rig.run(until=fed.settle_time())
+        everyone = set(rig.topology.host_ids())
+        assert "c0h4" in fed.agents and fed.live_hosts() == everyone
+        fed.remove_owner("c0h4")
+        deadline = rig.env.now + 2.0 * fed.config.update_interval
+        while True:
+            assert fed.live_hosts() == everyone, rig.env.now
+            if rig.env.now >= deadline:
+                break
+            rig.run(until=rig.env.now + 0.1)
