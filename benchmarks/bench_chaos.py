@@ -29,13 +29,15 @@ reproducible from the seed; the selftest replays one and compares
 digests.
 
 The table and ``BENCH_chaos.json`` are recorded at ``FULL`` scale (45 s
-campaigns).  Run ``python benchmarks/bench_chaos.py --selftest`` for
-the assertion-only gate wired into ``make check`` (``SHORT``: 15 s
+campaigns); ``experiment()`` runs it and returns the table that
+``tests/golden/test_experiments.py`` checks against EXPERIMENTS.md.
+Run ``python benchmarks/bench_chaos.py --selftest`` for the
+assertion-only gate wired into ``make check`` (``SHORT``: 15 s
 campaigns, same invariants); ``make chaos`` runs longer campaigns via
 the CLI.
 """
 
-from _harness import report, stash
+from _harness import Table, report, stash
 from repro.chaos import CampaignConfig, run_campaign
 
 # One profile = (name, seed, weights).  Seeds are fixed so the whole
@@ -111,6 +113,27 @@ def _check_reproducible(rows: list[dict], scale: dict) -> None:
         f"replay of profile {name} (seed {seed}) diverged"
 
 
+def _table(rows: list[dict]) -> Table:
+    return Table(
+        "C19: chaos campaigns (invariants at quiescence)",
+        ["profile", "seed", "actions", "checks", "violations",
+         "client ok", "client err", "recoveries", "fenced", "flood"],
+        [[r["profile"], str(r["seed"]), str(r["actions"]),
+          str(r["checks"]), str(r["violations"]), f"{r['client_ok']:.0f}",
+          f"{r['client_errors']:.0f}", f"{r['recoveries']:.0f}",
+          f"{r['fenced']:.0f}", f"{r['flood']:.0f}"] for r in rows],
+        note="every campaign must end with zero violations; reports "
+             "replay byte-for-byte from the seed")
+
+
+def experiment():
+    """Run the five profiles at ``FULL`` scale, assert every campaign
+    ends clean, return C19's table."""
+    rows = _run_profiles(FULL)
+    _check(rows)
+    return [_table(rows)]
+
+
 def test_chaos_campaigns(benchmark, capsys):
     rows_box = {}
 
@@ -120,15 +143,7 @@ def test_chaos_campaigns(benchmark, capsys):
     benchmark.pedantic(run, rounds=1, iterations=1)
     rows = rows_box["rows"]
     _check(rows)
-    report(
-        capsys, "C19: chaos campaigns (invariants at quiescence)",
-        ["profile", "seed", "actions", "checks", "violations",
-         "client ok", "client err", "recoveries", "fenced", "flood"],
-        [[r["profile"], r["seed"], r["actions"], r["checks"],
-          r["violations"], r["client_ok"], r["client_errors"],
-          r["recoveries"], r["fenced"], r["flood"]] for r in rows],
-        note="every campaign must end with zero violations; reports "
-             "replay byte-for-byte from the seed")
+    report(capsys, *_table(rows))
     stash(benchmark,
           profiles=len(rows),
           actions=sum(r["actions"] for r in rows),

@@ -147,8 +147,10 @@ def act_clock_skew(world, rng, state) -> Optional[tuple]:
         return None
     host = candidates[int(rng.integers(0, len(candidates)))]
     reporter = world.federation.reporters[host]
-    # Positive skew poisons TTLs (records from the future); negative
-    # skew ages a live host's records early.  Both must be survivable.
+    # Positive skew stamps records from the future when they change
+    # and on every full tick (owners clamp them); negative skew stamps
+    # them behind the owners' copies.  Neither may age out a live
+    # host's records: owners expire them by what they heard.
     magnitude = float(rng.uniform(5.0, 60.0))
     skew = magnitude if rng.random() < 0.7 else -min(magnitude, 10.0)
     reporter.clock_skew = skew

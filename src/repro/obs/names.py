@@ -56,6 +56,12 @@ FEDERATION_EPOCH_CLAMPED = "federation.epoch_clamped"
 # counters (unit: beacons / records): gossip items whose merge lost
 FEDERATION_STALE_BEACONS = "federation.gossip.stale_beacons"
 FEDERATION_STALE_RECORDS = "federation.gossip.stale_records"
+# counter (unit: records): records a member's unchanged tick held back,
+# sending the owner a bodiless ``alive`` instead
+FEDERATION_PUBLISH_UNCHANGED = "federation.publish.unchanged"
+# meter (counters ``.msgs``, unit: frames, and ``.bytes``, unit: B): the
+# bodiless keep-alives of members' unchanged ticks
+FEDERATION_ALIVE = "federation.alive"
 FEDERATION_LOOKUP_FAILOVER = "federation.lookup.failover"
 FEDERATION_LOOKUP_FLOOD_FALLBACK = "federation.lookup.flood_fallback"
 FEDERATION_LOOKUP_RING_FALLBACK = "federation.lookup.ring_fallback"
@@ -123,6 +129,9 @@ METRIC_NAMES: frozenset[str] = frozenset({
     FEDERATION_EPOCH_CLAMPED,
     FEDERATION_STALE_BEACONS,
     FEDERATION_STALE_RECORDS,
+    FEDERATION_PUBLISH_UNCHANGED,
+    f"{FEDERATION_ALIVE}.msgs",
+    f"{FEDERATION_ALIVE}.bytes",
     FEDERATION_LOOKUP_FAILOVER,
     FEDERATION_LOOKUP_FLOOD_FALLBACK,
     FEDERATION_LOOKUP_RING_FALLBACK,

@@ -145,10 +145,15 @@ class ORB:
         #: dispatch with CPU cost runs its servant from a later timeout
         #: callback, with other requests admitted in between.
         self.current_request: Optional[ServerRequestInfo] = None
+        #: the host the request of the servant method on the stack came
+        #: from (``msg.src``, set by the network, or this host for a
+        #: collocated call), on every ORB; ``None`` between servant
+        #: calls.  Set with ``current_request``.
+        self.current_client: Optional[str] = None
         # Hot-path counter resolved once instead of per call.
         self._ctr_requests = self.metrics.counter(names.ORB_REQUESTS)
         #: meter -> its (``.msgs``, ``.bytes``) counters, bound on first
-        #: use.  Bounded by the ``meter=`` call sites in ``src/`` (25):
+        #: use.  Bounded by the ``meter=`` call sites in ``src/`` (26):
         #: a meter is a program constant, never wire input.
         self._meters: dict[str, tuple] = {}
         #: observability hub, set by repro.obs.Observability.install().

@@ -395,10 +395,12 @@ class Listener:
         slots = self._slots
         try:
             prev, orb.current_request = orb.current_request, info
+            prev_client, orb.current_client = orb.current_client, client
             try:
                 result = method(*args)
             finally:
                 orb.current_request = prev
+                orb.current_client = prev_client
             if hasattr(result, "send") and hasattr(result, "throw"):
                 self.env.process(self._dispatch_tail(
                     request, client, odef, result, info))

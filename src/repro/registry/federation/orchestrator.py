@@ -16,20 +16,29 @@ ring object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from repro.obs import names
 from repro.registry.mrm import MrmConfig
 from repro.registry.softstate import PeriodicReporter
 from repro.registry.view import NodeView
+from repro.registry.federation.records import ProviderRecord
 from repro.registry.federation.resolver import FederatedResolver
 from repro.registry.federation.ring import RebalanceReport, ShardRing
-from repro.registry.federation.shard import SHARD_IFACE, ShardAgent, shard_ior
+from repro.registry.federation.shard import (
+    FULL_SYNC_EVERY,
+    SHARD_IFACE,
+    ShardAgent,
+    shard_ior,
+)
 from repro.util.errors import ConfigurationError
 
 METER = "federation.publish"
 
 _PUBLISH = SHARD_IFACE.operations["publish_batch"]
+_ALIVE = SHARD_IFACE.operations["alive"]
 
 
 @dataclass
@@ -59,14 +68,18 @@ class FederationConfig:
 
     @property
     def record_timeout(self) -> float:
-        """Provider-record TTL: three missed publishes."""
+        """Provider-record TTL, three missed ticks: an owner offers a
+        live record while its node heard the record's host this
+        recently and sweeps it one tick of silence later, and sweeps a
+        tombstone this long after its epoch."""
         return 3.0 * self.update_interval
 
     @property
     def epoch_tolerance(self) -> float:
-        """How far into the future an incoming report epoch may point
-        before owners clamp it (defends record TTLs and owner beacons
-        against clock-skewed reporters): one gossip round."""
+        """How far into the future an incoming epoch may point before
+        owners clamp it (defends the merge order of records and the
+        owner plane's beacons against clock-skewed reporters): one
+        gossip round."""
         return self.gossip_interval
 
     def mrm_config(self) -> MrmConfig:
@@ -75,31 +88,83 @@ class FederationConfig:
                          query_timeout=self.query_timeout)
 
 
+def _after(epoch: float) -> float:
+    """The least stamp that beats *epoch*: a key's stamps only rise, so
+    a change made under a clock set back still wins its merge."""
+    return math.nextafter(epoch, math.inf)
+
+
 class FederationReporter(PeriodicReporter):
-    """Publishes one node's provider records to their shard owners."""
+    """Publishes one node's provider records to their shard owners, by
+    change.
+
+    Each tick every owner of the node's keys (its records' repo-ids and
+    ``host:<id>``) gets one frame.  It is ``publish_batch(share)``, the
+    records of the keys that owner owns, when the share differs from
+    the one sent it last tick, and on every ``FULL_SYNC_EVERY``-th tick;
+    otherwise the bodiless ``alive()``.  A record's epoch is its change
+    stamp: the reporter's clock (plus skew) at the tick its content
+    first differed or at the last full tick, whichever is later, and
+    past the stamp it replaces, so a change always changes the share's
+    ``(key, epoch)`` list.  The full tick's stamp costs no bytes, since
+    that tick sends every share anyway, and it bounds how long a stale
+    copy can win: once the reporter forgot a stamp (a crash) or its
+    clock went back, a new record may be stamped below the owners' copy
+    of the old one, and loses to it until the clock passes that copy.
+    A key the node stops providing goes out as a tombstone
+    (``retired``), kept in the shares until a full tick after the one
+    that made it has sent it again.  Memory is RAM: a crash empties it,
+    so the restart tick sends every owner its share.
+    """
 
     def __init__(self, node, ring, config: FederationConfig,
                  phase: float = 0.0) -> None:
         self.ring = ring
         self.config = config
-        #: simulated clock error of this reporter: its records stamp
-        #: ``env.now + clock_skew`` as their epoch.  Fault injection
-        #: (repro.chaos) sets this; owners clamp what they accept.
+        #: simulated clock error of this reporter: a record is stamped
+        #: ``env.now + clock_skew`` when its content changes and on a
+        #: full tick.  Fault injection (repro.chaos) sets this; owners
+        #: clamp what they accept.
         self.clock_skew = 0.0
+        #: repo-id -> its record as last built (live, or a tombstone
+        #: not yet re-sent on a full tick)
+        self._stamped: dict[str, ProviderRecord] = {}
+        #: owner -> the ``(key, epoch)`` list it was sent last tick;
+        #: only the last tick's owners
+        self._sent: dict[str, list] = {}
         super().__init__(node, config.update_interval, phase)
 
-    def _records(self, view: NodeView, epoch: float) -> list:
-        from repro.registry.federation.records import ProviderRecord
+    def _lose_state(self) -> None:
+        self._stamped = {}
+        self._sent = {}
 
-        out = []
-        for cand in self._view_candidates(view):
-            out.append(ProviderRecord(
-                repo_id=cand[0], host=self.node.host_id,
-                component=cand[1], version=cand[2],
-                running_ior=cand[3], mobility=cand[4],
-                free_cpu=view.snapshot.cpu_available,
-                free_memory=view.snapshot.memory_available,
-                is_tiny=view.snapshot.is_tiny, epoch=epoch))
+    def _records(self, view: NodeView, stamp: float, full: bool) -> dict:
+        """repo-id -> this tick's record: unchanged content keeps its
+        stamp but on a *full* tick, and a key no longer provided becomes
+        a tombstone."""
+        snap = view.snapshot
+        last = self._stamped
+        out = {}
+        for repo_id, component, version, ior, mobility in \
+                self._view_candidates(view):
+            record = ProviderRecord(
+                repo_id=repo_id, host=self.node.host_id,
+                component=component, version=version, running_ior=ior,
+                mobility=mobility, free_cpu=snap.cpu_available,
+                free_memory=snap.memory_available, is_tiny=snap.is_tiny,
+                epoch=stamp)
+            before = last.get(repo_id)
+            if before is not None:
+                if not full and before._content() == record._content():
+                    record = before
+                elif before.epoch >= stamp:
+                    record = replace(record, epoch=_after(before.epoch))
+            out[repo_id] = record
+        for repo_id, before in last.items():
+            if repo_id not in out:
+                out[repo_id] = before if before.retired else replace(
+                    before, retired=True,
+                    epoch=max(stamp, _after(before.epoch)))
         return out
 
     @staticmethod
@@ -124,21 +189,43 @@ class FederationReporter(PeriodicReporter):
 
     def _tick(self) -> None:
         node = self.node
-        epoch = node.env.now + self.clock_skew
-        view = NodeView.collect(node)
-        by_owner: dict[str, list] = {}
+        full = self.reports_sent % FULL_SYNC_EVERY == 0
+        records = self._records(NodeView.collect(node),
+                                node.env.now + self.clock_skew, full)
+        shares: dict[str, list] = {}
         # Keep-alive: even a node providing nothing sends a frame to the
         # owners of its host key, so every host is heard by some owner.
         for owner in self.ring.owners(f"host:{node.host_id}",
                                       self.config.replication):
-            by_owner.setdefault(owner, [])
-        for record in self._records(view, epoch):
+            shares.setdefault(owner, [])
+        for record in records.values():
             for owner in self.ring.owners(record.repo_id,
                                           self.config.replication):
-                by_owner.setdefault(owner, []).append(record.to_value())
-        for owner, values in by_owner.items():
-            node.orb.send_oneway(shard_ior(owner), _PUBLISH, (values,),
-                                 meter=METER)
+                shares.setdefault(owner, []).append(record)
+        sent = {}
+        unchanged = 0
+        for owner, share in shares.items():
+            stamps = [(record.key, record.epoch) for record in share]
+            if full or self._sent.get(owner) != stamps:
+                node.orb.send_oneway(
+                    shard_ior(owner), _PUBLISH,
+                    ([record.to_value() for record in share],),
+                    meter=METER)
+            else:
+                node.orb.send_oneway(shard_ior(owner), _ALIVE, (),
+                                     meter=names.FEDERATION_ALIVE)
+                unchanged += len(share)
+            sent[owner] = stamps
+        self._sent = sent
+        # A full tick retires the tombstones an earlier tick made: one
+        # made now goes out on a full tick once more.
+        last = self._stamped
+        self._stamped = records if not full else {
+            repo_id: record for repo_id, record in records.items()
+            if not (record.retired and last.get(repo_id) is record)}
+        if unchanged:
+            node.metrics.counter(names.FEDERATION_PUBLISH_UNCHANGED).inc(
+                unchanged)
         self.reports_sent += 1
 
 

@@ -12,21 +12,32 @@ Two record kinds travel between shard owners:
 
 Whether a plain host is up is not a record: an owner reads it from
 ``ORB.heard``, when a frame from that host last reached the owner's
-node.  A member's publishes are such frames; nothing relays them.
+node.  A member's publishes and keep-alives are such frames; nothing
+relays them.
 
-Both carry a **report epoch** (the sim-time their source observed the
-fact) and merge by the epidemic rule: highest epoch wins, ties broken
-by the reporting host id, and two different reports of one host at one
-instant by their content — the tombstone (``retired``, ``alive=False``)
-first.  ``beats`` is therefore a total order, and merging is
-commutative, associative and idempotent — the order gossip frames
-arrive in cannot change the converged state
+Both carry an **epoch** and merge by the epidemic rule: highest epoch
+wins, ties broken by the reporting host id, and two different reports
+of one host at one instant by their content — the tombstone
+(``retired``, ``alive=False``) first.  ``beats`` is therefore a total
+order, and merging is commutative, associative and idempotent — the
+order gossip frames arrive in cannot change the converged state
 (``tests/property/test_record_merge_law.py``).
+
+A beacon's epoch is when its owner was seen and dates it.  A record's
+is its **change stamp**: its reporter's clock at the tick the record's
+content last changed, so an unchanged record keeps its epoch and a
+member need not re-send it; a full tick re-stamps it
+(``FederationReporter``).  The epoch only orders a record's merges.  An
+owner keeps a live record while it hears the record's host
+(``ShardAgent.candidates``) and until a publish from that host leaves it
+out (``RecordStore.retain``).  A tombstone is what a member sends for a
+repo-id it stopped providing; owners sweep it by its epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.orb.typecodes import (
     struct_tc,
@@ -153,6 +164,24 @@ class RecordStore:
         self.applied += 1
         return True
 
+    def retain(self, host: str, repo_ids: set[str]) -> None:
+        """Drop the live records of *host* whose repo-id is not in
+        *repo_ids*: a publish from *host* is its whole share for this
+        owner, so what it leaves out the member no longer provides, and
+        the tombstone saying so did not arrive."""
+        self._drop([key for key, rec in self._records.items()
+                    if rec.host == host and not rec.retired
+                    and rec.repo_id not in repo_ids])
+
+    def _drop(self, keys: list[tuple[str, str]]) -> None:
+        for key in keys:
+            rec = self._records.pop(key)
+            repo = self._by_repo.get(rec.repo_id)
+            if repo is not None:
+                repo.pop(rec.host, None)
+                if not repo:
+                    del self._by_repo[rec.repo_id]
+
     def lookup(self, repo_id: str) -> list[ProviderRecord]:
         found = self._by_repo.get(repo_id)
         if not found:
@@ -162,17 +191,13 @@ class RecordStore:
     def records(self) -> list[ProviderRecord]:
         return list(self._records.values())
 
-    def sweep(self, cutoff: float) -> int:
-        """Expire soft state: drop records reported before *cutoff*."""
+    def sweep(self, cutoff: float,
+              live: Callable[[ProviderRecord], bool]) -> int:
+        """Expire soft state: drop tombstones dated before *cutoff* and
+        live records for which *live* is false."""
         stale = [key for key, rec in self._records.items()
-                 if rec.epoch < cutoff]
-        for key in stale:
-            rec = self._records.pop(key)
-            repo = self._by_repo.get(rec.repo_id)
-            if repo is not None:
-                repo.pop(rec.host, None)
-                if not repo:
-                    del self._by_repo[rec.repo_id]
+                 if (rec.epoch < cutoff if rec.retired else not live(rec))]
+        self._drop(stale)
         return len(stale)
 
     def clear(self) -> None:

@@ -24,10 +24,18 @@ pushes the full owned set and the whole owner plane, so an owner that
 lost its RAM (crash/restart), missed a publish or missed deltas
 (partition) converges back within a bounded number of rounds.
 
-A ``publish_batch`` carries a member's records and nothing else: the
-frame's arrival is the member's keep-alive, noted by the owner's node
-in ``ORB.heard`` before the agent sees it, so the agent keeps no
-member table.
+A member sends each owner of its keys one frame per
+``update_interval``: ``publish_batch``, its share of records for that
+owner, when the share changed or on its ``FULL_SYNC_EVERY``-th tick,
+else the bodiless ``alive``.  Either frame's arrival is the member's
+keep-alive, noted by the owner's node in ``ORB.heard`` before the agent
+sees it, so the agent keeps no member table.  A live record is offered
+while its host was heard within ``record_timeout`` and swept one
+``update_interval`` of silence later.  A publish is its sender's whole
+share for the owner, so a live record of the sender that it leaves out
+goes (``RecordStore.retain``).  The epoch, clamped on arrival, only
+orders merges.  A withdrawn repo-id arrives as a tombstone, swept
+``record_timeout`` after its epoch.
 
 The receiver's ownership check stays the authority: a record whose
 owner changes while a frame is in flight (``remove_owner`` /
@@ -75,18 +83,26 @@ SHARD_KEY = "shard"
 
 METER = "federation.gossip"
 
-#: rounds between anti-entropy full syncs
+#: rounds between anti-entropy full syncs, and a member's ticks
+#: between full publishes
 FULL_SYNC_EVERY = 4
+
+_NEVER = float("-inf")
 
 SHARD_IFACE = InterfaceDef(
     "IDL:corbalc/Federation/Shard:1.0",
     "Shard",
     operations=[
-        # Member -> owner: one publish round of provider records.  The
-        # frame goes out even when *records* is empty: its arrival is
-        # the member's keep-alive (the owner node's ``ORB.heard``).
+        # Member -> owner, one frame per owner per ``update_interval``:
+        # the member's whole share for this owner (the records of the
+        # keys it owns, tombstones included) when that share changed
+        # since the last tick or on a full tick, else the bodiless
+        # ``alive``.  Either frame's arrival is the member's keep-alive
+        # (the owner node's ``ORB.heard``), and keeps its records live;
+        # the owner drops those of its live records a share leaves out.
         op("publish_batch", [("records", sequence_tc(PROVIDER_RECORD_TC))],
            oneway=True),
+        op("alive", [], oneway=True),
         # Owner <-> owner: one epidemic round: the owner-plane beacons,
         # and on a full sync the receiver's share of the records.
         # Member liveness is never relayed.
@@ -208,7 +224,18 @@ class ShardAgent:
                 self.membership.mark_dead(host, now)
         self.rounds += 1
         if self.rounds % FULL_SYNC_EVERY == 0:
-            self.store.sweep(now - self.config.record_timeout)
+            # ``candidates`` hides a live record after ``record_timeout``
+            # of silence, and the sweep keeps it one tick longer: a
+            # member heard again sends an unchanged share only on its
+            # full tick, so a record swept when the next frame could
+            # still come would be missing for up to FULL_SYNC_EVERY
+            # ticks after the heal.  A longer window keeps dead hosts'
+            # records in the full syncs (C18's post-churn convergence:
+            # 3 -> 6 rounds at twice ``record_timeout``).
+            timeout = self.config.record_timeout
+            kept = now - timeout - self.config.update_interval
+            self.store.sweep(now - timeout,
+                             lambda rec: self._live(rec, kept))
             outgoing = self.store.records()
             beacons = self.membership.owner_beacons()
         else:
@@ -254,13 +281,14 @@ class ShardAgent:
     def _clamp_epoch(self, epoch: float, now: float) -> float:
         """Cap a reported epoch at ``now + epoch_tolerance``.
 
-        Epochs are *soft-state TTL clocks*: a record whose epoch sits
-        far in the future is never swept and beats every honest
-        refresh, and a beacon's keeps a dead owner "fresh" in the owner
-        plane.  One clock-skewed reporter could therefore poison every
-        owner it reaches.  Owners only ever trust their own clock:
-        whatever a publish or gossip frame claims, the accepted epoch
-        is at most (almost) the local receive time.
+        Epochs order merges, and a beacon's is also the owner plane's
+        soft-state clock: a record whose epoch sits far in the future
+        beats every honest report that follows it, and a beacon's keeps
+        a dead owner "fresh" in the owner plane.  One clock-skewed
+        reporter could therefore poison every owner it reaches.  Owners
+        only ever trust their own clock: whatever a publish or gossip
+        frame claims, the accepted epoch is at most (almost) the local
+        receive time.
         """
         limit = now + self.config.epoch_tolerance
         if epoch <= limit:
@@ -289,12 +317,17 @@ class ShardAgent:
         epoch = self._clamp_epoch(item.epoch, now)
         return item if epoch == item.epoch else replace(item, epoch=epoch)
 
-    def accept_publish(self, records: Sequence[dict]) -> None:
+    def accept_publish(self, sender: str, records: Sequence[dict]) -> None:
+        """Merge a publish from member *sender*: its whole share for
+        this owner, so a live record of *sender* that it leaves out goes
+        (``RecordStore.retain``)."""
         now = self.env.now
         for value in records:
             record = ProviderRecord.from_value(value)
             if self._known_host(record.host):
                 self.store.apply(self._clamped(record, now))
+        self.store.retain(sender, {value["repo_id"] for value in records
+                                   if value["host"] == sender})
 
     def accept_gossip(self, records: Sequence[dict],
                       beacons: Sequence[dict]) -> None:
@@ -325,11 +358,21 @@ class ShardAgent:
         metrics.counter(names.FEDERATION_STALE_RECORDS).inc(stale_records)
 
     # -- queries ------------------------------------------------------------
+    def _live(self, record: ProviderRecord, cutoff: float) -> bool:
+        """A live record stands while this owner's node heard its host
+        at or after *cutoff* (``ORB.heard``): its member sends every
+        owner of its keys a frame each ``update_interval``, a record or
+        a keep-alive.  The owner's own host always counts as heard,
+        since a collocated publish never reaches the listener."""
+        host = record.host
+        return (host == self.host_id
+                or self.node.orb.heard.get(host, _NEVER) >= cutoff)
+
     def candidates(self, repo_id: str, qos: QoSSpec) -> list:
         cutoff = self.env.now - self.config.record_timeout
         out = []
         for record in self.store.lookup(repo_id):
-            if record.epoch < cutoff:
+            if not self._live(record, cutoff):
                 continue
             if not record.running_ior and not qos_admits(
                     record.free_cpu, record.free_memory, qos):
@@ -348,7 +391,14 @@ class ShardServant(Servant):
         self.agent = agent
 
     def publish_batch(self, records: list) -> None:
-        self.agent.accept_publish(records)
+        # The sender is the host the frame came from: the network sets
+        # it, and the wire cannot corrupt it.
+        self.agent.accept_publish(self.agent.node.orb.current_client,
+                                  records)
+
+    def alive(self) -> None:
+        """A member's unchanged tick: the listener noted the frame's
+        sender in ``ORB.heard``, which is all it carries."""
 
     def gossip(self, records: list, beacons: list) -> None:
         self.agent.accept_gossip(records, beacons)

@@ -7,10 +7,11 @@ generator function.  :func:`process_per_request` swaps that path back in
 for :meth:`Listener.dispatch`, so one scenario can run both ways
 (``tests/orb/test_processless_oracle.py``): results, span trees and
 histogram counts must be equal, and only the kernel-event count may
-differ.  The function is kept as it was; it drives the listener's
-shared stages (``_resolve_target``, ``_run_generator``,
-``_complete_dispatch``, ``_dispatch_error``, ``_dispatch_done``) and its
-worker slots.
+differ.  The function is kept as it was, but for setting
+``ORB.current_client`` beside ``current_request`` as the listener does;
+it drives the listener's shared stages (``_resolve_target``,
+``_run_generator``, ``_complete_dispatch``, ``_dispatch_error``,
+``_dispatch_done``) and its worker slots.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ def _dispatch_process(self, request: giop.RequestMessage, client: str,
                 yield self.env.timeout(cost_s)
 
             prev, orb.current_request = orb.current_request, info
+            prev_client, orb.current_client = orb.current_client, client
             try:
                 result = method(*args)
             finally:
                 orb.current_request = prev
+                orb.current_client = prev_client
             if hasattr(result, "send") and hasattr(result, "throw"):
                 # Servant method is a generator: drive it to completion.
                 result = yield self._run_generator(result, info)

@@ -118,7 +118,7 @@ def resurrects(schedule, skew: float) -> bool:
         if delivery[0] == "pub":
             _kind, m, host = delivery
             report = _report(m, skew)
-            owners[host].accept_publish([report.to_value()])
+            owners[host].accept_publish(REPORTER, [report.to_value()])
         else:
             _kind, sender, host = delivery
             copy = owners[sender].store._records.get(KEY)

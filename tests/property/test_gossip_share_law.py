@@ -62,8 +62,9 @@ from repro.sim.stats import MetricRegistry
 
 HOSTS = [f"h{i}" for i in range(10)]
 REPOS = [f"IDL:demo/R{i}:1.0" for i in range(10)]
-#: report epochs up to the round at NOW; every one stays far inside the
-#: record timeout, so the full sync's sweep drops nothing.
+#: report epochs up to the round at NOW.  Every host was heard at NOW
+#: and every tombstone stays far inside the record timeout, so the full
+#: sync's sweep drops nothing.
 TIMES = [0.0, 1.0, 2.0, 3.0]
 NOW = 3.0
 
@@ -110,7 +111,8 @@ def _agent(host, ring, config, calls=None) -> ShardAgent:
         host_id=host, env=SimpleNamespace(now=NOW),
         metrics=MetricRegistry(),
         network=SimpleNamespace(topology=frozenset(HOSTS)),
-        orb=SimpleNamespace(send_oneway_fanout=spy))
+        orb=SimpleNamespace(send_oneway_fanout=spy,
+                            heard=dict.fromkeys(HOSTS, NOW)))
     agent.ring = ring
     agent.config = config
     agent.store = RecordStore()

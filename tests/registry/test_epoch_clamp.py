@@ -1,14 +1,15 @@
 """Future-epoch clamping at the shard trust boundary (chaos PR).
 
-Epochs are soft-state TTL clocks.  Pre-fix, one clock-skewed reporter
+A record's epoch orders merges; a beacon's is also the owner plane's
+soft-state clock.  One clock-skewed reporter
 (``FederationReporter.clock_skew``, as the chaos ``clock_skew`` fault
-injects) could stamp records and beacons with ``now + skew``; a far-
-future epoch is never swept and beats every honest refresh, so a dead
-host stayed "live" in every owner's membership table forever.  Owners
-now trust only their own clock: any accepted record or beacon epoch is
-capped at ``now + epoch_tolerance`` (``federation.epoch_clamped``), and
-a member's liveness is the arrival time of its frames, which no report
-epoch touches.
+injects) stamps a changed record with ``now + skew``; a far-future
+epoch beats every honest report that follows it, and a far-future
+beacon kept a dead owner "live" in every owner's membership table.
+Owners trust only their own clock: any accepted record or beacon epoch
+is capped at ``now + epoch_tolerance`` (``federation.epoch_clamped``),
+and a member's liveness and its records' lifetime are the arrival time
+of its frames, which no report epoch touches.
 """
 
 from dataclasses import replace
@@ -43,7 +44,7 @@ class TestEpochClamp:
         now = rig.env.now
         record = replace(agent.store.lookup(REPO_ID)[0], epoch=now + 1000.0)
         before = rig.metrics.get("federation.epoch_clamped")
-        agent.accept_publish([record.to_value()])
+        agent.accept_publish(record.host, [record.to_value()])
         assert rig.metrics.get("federation.epoch_clamped") > before
         assert (agent.store.lookup(REPO_ID)[0].epoch
                 <= now + fed.config.epoch_tolerance)
@@ -71,7 +72,7 @@ class TestEpochClamp:
         agent = fed.agents[owner]
         good = agent.store.lookup(REPO_ID)[0]
         poisoned = replace(good, epoch=rig.env.now + 1000.0)
-        agent.accept_publish([poisoned.to_value()])
+        agent.accept_publish(poisoned.host, [poisoned.to_value()])
         stored = agent.store.lookup(REPO_ID)[0]
         assert stored.epoch <= rig.env.now + fed.config.epoch_tolerance
 
@@ -94,6 +95,8 @@ class TestEpochClamp:
         victim = "c0h1"                 # the provider, not an owner
         assert victim not in fed.agents
         fed.reporters[victim].clock_skew = 1000.0
+        # A record is stamped when its content changes: give it one.
+        rig.node(victim).container.create_instance("Counter")
         rig.run(until=rig.env.now + 3.0 * fed.config.update_interval)
         assert rig.metrics.get("federation.epoch_clamped") >= 1
         assert victim in fed.live_hosts()

@@ -132,12 +132,20 @@ class TestRecordMerge:
         assert store.lookup("IDL:demo/X:1.0") == []
 
     def test_sweep_drops_stale_records(self):
+        """A live record goes when its host was not heard (whatever its
+        epoch), a tombstone when it is dated before the cutoff."""
         store = RecordStore()
-        store.apply(record(host="h0", epoch=1.0))
-        store.apply(record(host="h1", epoch=5.0))
-        assert store.sweep(cutoff=2.0) == 1
-        assert len(store) == 1
+        store.apply(record(host="h0", epoch=5.0))
+        store.apply(record(host="h1", epoch=1.0))
+        store.apply(record(repo_id="IDL:demo/Y:1.0", host="h1", epoch=1.0,
+                           retired=True))
+        store.apply(record(repo_id="IDL:demo/Z:1.0", host="h1", epoch=3.0,
+                           retired=True))
+        assert store.sweep(cutoff=2.0,
+                           live=lambda rec: rec.host == "h1") == 2
+        assert len(store) == 2
         assert {r.host for r in store.lookup("IDL:demo/X:1.0")} == {"h1"}
+        assert [r.epoch for r in store.records() if r.retired] == [3.0]
 
     def test_membership_liveness_window(self):
         table = MembershipTable()

@@ -108,13 +108,13 @@ def missed_publish_repaired() -> bool:
     accept = agent.accept_publish
     dropped, later = [], []
 
-    def lossy(records):
+    def lossy(sender, records):
         if any(value["host"] == PROVIDER for value in records):
             if not dropped:
                 dropped.append(rig.env.now)
                 return
             later.append(rig.env.now)
-        accept(records)
+        accept(sender, records)
 
     agent.accept_publish = lossy
     while not dropped:
